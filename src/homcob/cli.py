@@ -96,7 +96,11 @@ def parse_input(data: dict):
 def _expect(data: dict, kind: str):
     if data["kind"] != kind:
         raise InputError(f"this command needs a {kind!r} input, got {data['kind']!r}")
-    return parse_input(data)
+    try:
+        return parse_input(data)
+    except (TypeError, ValueError, KeyError, AttributeError) as e:
+        # a field of the wrong type or shape, caught while building the value
+        raise InputError(f"malformed {kind} input: {type(e).__name__}: {e}") from e
 
 
 def _parse_simplex(text: str) -> list[int]:

@@ -293,14 +293,8 @@ def _stable_cut(hi: int, margin: int) -> int:
 def _bottom_for_residue(h: Homology, n: int, residue: int, lo: int, hi: int, margin: int):
     """Minimal degree of the residue class with a nonzero stabilized
     v-power image, or None."""
-    cut = _stable_cut(hi, margin)
-    d = lo + ((n + residue - lo) % 4)
-    while d <= cut:
-        k = (cut - d) // 4
-        if k >= 1 and h.stable_rank("v", d, k) > 0:
-            return d
-        d += 4
-    return None
+    ranks = h.stable_ranks("v", lo, _stable_cut(hi, margin))
+    return next((d for d in ranks if (d - n - residue) % 4 == 0 and ranks[d]), None)
 
 
 def tower_bottoms(
@@ -378,28 +372,20 @@ def localization_check(model: PinModel, window=None, margin=DEFAULT_MARGIN) -> L
     cut = _stable_cut(hi, margin)
     n = model.reducible_degree
     if n is None:
-        pattern = []
-        for d in range(cut - 8, cut + 1):
-            k = (cut - d) // 4
-            k = max(k, 1)
-            pattern.append(bh.homology.stable_rank("v", d, k))
+        # the last four degrees use one step from just above the cut
+        below = bh.homology.stable_ranks("v", cut - 8, cut)
+        above = bh.homology.stable_ranks("v", cut - 3, cut + 4)
+        pattern = [below[d] for d in range(cut - 8, cut - 3)]
+        pattern += [above[d] for d in range(cut - 3, cut + 1)]
         ok = all(x == 0 for x in pattern)
         return LocalizationReport(ok, None, pattern,
                                   "free model localizes to zero" if ok else
                                   "stable classes in a model without towers")
     bottoms = tower_bottoms(bh)
-    start = max(bottoms)
-    pattern = []
-    ok = True
-    for d in range(start, cut + 1):
-        k = (cut - d) // 4
-        if k < 1:
-            break
-        rank = bh.homology.stable_rank("v", d, k)
-        want = 1 if (d - n) % 4 in (0, 1, 2) else 0
-        pattern.append(rank)
-        if rank != want:
-            ok = False
+    ranks = bh.homology.stable_ranks("v", lo, cut)
+    degrees = range(max(bottoms), cut - 3)
+    pattern = [ranks[d] for d in degrees]
+    ok = all(ranks[d] == (1 if (d - n) % 4 in (0, 1, 2) else 0) for d in degrees)
     return LocalizationReport(ok, n, pattern,
                               "" if ok else "stable range deviates from the tower pattern")
 
@@ -562,30 +548,16 @@ def delta_invariant(model: SOneModel, window=None, margin=DEFAULT_MARGIN):
     from fractions import Fraction
 
     lo, hi = window if window is not None else model.default_window(margin)
-    h = Homology(model.materialize(lo, hi))
     n = model.reducible_degree
-    cut = hi - 2 * margin
-    d = lo + ((n - lo) % 2)
-    bottom = None
-    while d <= cut:
-        k = (cut - d) // 2
-        if k >= 1 and h.stable_rank("U", d, k) > 0:
-            bottom = d
-            break
-        d += 2
-    if bottom is None:
+
+    def bottom(lo, hi, margin):
+        h = Homology(model.materialize(lo, hi))
+        ranks = h.stable_ranks("U", lo, hi - 2 * margin)
+        return next((d for d in ranks if (d - n) % 2 == 0 and ranks[d]), None)
+
+    first = bottom(lo, hi, margin)
+    if first is None:
         raise ModelInvalidError("no surviving U-tower")
-    wider = (lo - 2, hi + 4)
-    h2 = Homology(model.materialize(*wider))
-    cut2 = wider[1] - 2 * (margin + 1)
-    d2 = wider[0] + ((n - wider[0]) % 2)
-    bottom2 = None
-    while d2 <= cut2:
-        k = (cut2 - d2) // 2
-        if k >= 1 and h2.stable_rank("U", d2, k) > 0:
-            bottom2 = d2
-            break
-        d2 += 2
-    if bottom2 != bottom:
+    if bottom(lo - 2, hi + 4, margin + 1) != first:
         raise ModelInvalidError("delta depends on the window")
-    return Fraction(bottom, 2)
+    return Fraction(first, 2)

@@ -1,9 +1,12 @@
 """Exact linear algebra over GF(2) and over the integers.
 
-GF(2) matrices are dense numpy uint8 arrays with entries in {0, 1}; row
-operations are XORs.  Integer matrices are plain lists of lists of Python
-ints so that Smith normal form never overflows (entry growth is real even
-on small inputs).
+GF(2) matrices are dense numpy uint8 arrays with entries in {0, 1}.  For
+elimination each row is packed (np.packbits) into one Python int whose
+bit c is the entry in column c, so a row operation is a single XOR of two
+ints; rank, kernel, solve and image all read the reduced row echelon form
+(RREF), which is unique, so the packing changes no result.  Integer
+matrices are plain lists of lists of Python ints so that Smith normal
+form never overflows (entry growth is real even on small inputs).
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from .errors import InputError, InternalError
 
 
 def f2(m) -> np.ndarray:
-    """Coerce an array-like to a 2-d uint8 matrix reduced mod 2."""
-    a = np.asarray(m, dtype=np.int64) % 2
-    a = a.astype(np.uint8)
+    """Coerce an array-like to a new 2-d uint8 matrix reduced mod 2."""
+    if isinstance(m, np.ndarray) and m.dtype == np.uint8:
+        a = m & 1
+    else:
+        a = (np.asarray(m, dtype=np.int64) % 2).astype(np.uint8)
     if a.ndim == 1:
         a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
     if a.ndim != 2:
@@ -43,94 +48,120 @@ def f2_mul(a, b) -> np.ndarray:
     return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
 
 
+def _pack_rows(m: np.ndarray) -> list[int]:
+    """Rows of a 0/1 matrix as Python ints: bit c of row i is entry (i, c)."""
+    packed = np.packbits(m, axis=1, bitorder="little")
+    width = packed.shape[1]
+    data = packed.tobytes()
+    return [int.from_bytes(data[i * width:(i + 1) * width], "little")
+            for i in range(m.shape[0])]
+
+
+def _unpack_rows(rows: list[int], cols: int) -> np.ndarray:
+    """Inverse of _pack_rows: a len(rows) x cols uint8 matrix."""
+    width = (cols + 7) // 8
+    data = b"".join(r.to_bytes(width, "little") for r in rows)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+    return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
+
+
+def _rref(rows: list[int]) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of packed rows.
+
+    Returns (nonzero rows of the RREF, their pivot columns), both in
+    pivot order.  Each row is reduced against the pivot rows kept so far;
+    a row that survives becomes a new pivot row and is cleared from the
+    others, so the kept rows stay fully reduced and a row operation is
+    one XOR of two ints.
+    """
+    piv: dict[int, int] = {}  # pivot bit (1 << column) -> row
+    mask = 0
+    for x in rows:
+        hit = x & mask
+        while hit:
+            low = hit & -hit
+            x ^= piv[low]
+            hit ^= low
+        if x:
+            low = x & -x
+            for b in piv:
+                if piv[b] & low:
+                    piv[b] ^= x
+            piv[low] = x
+            mask |= low
+    order = sorted(piv)
+    return [piv[b] for b in order], [b.bit_length() - 1 for b in order]
+
+
 def _row_echelon(m: np.ndarray):
-    """Row-reduce in place; returns (matrix, pivot_cols)."""
-    r = 0
-    rows, cols = m.shape
-    pivots = []
-    for c in range(cols):
-        hit = -1
-        for rr in range(r, rows):
-            if m[rr, c]:
-                hit = rr
-                break
-        if hit < 0:
-            continue
-        if hit != r:
-            m[[r, hit]] = m[[hit, r]]
-        for rr in range(rows):
-            if rr != r and m[rr, c]:
-                m[rr, :] ^= m[r, :]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+    """Reduced row echelon form: (matrix of m's shape, pivot_cols)."""
+    rows, pivots = _rref(_pack_rows(m))
+    out = np.zeros(m.shape, dtype=np.uint8)
+    out[: len(rows)] = _unpack_rows(rows, m.shape[1])
+    return out, pivots
 
 
 def rank_f2(m) -> int:
     """GF(2) rank."""
-    a = f2(m).copy()
-    if a.size == 0:
-        return 0
-    _, pivots = _row_echelon(a)
-    return len(pivots)
+    return len(_rref(_pack_rows(f2(m)))[1])
+
+
+def pivot_columns_f2(m) -> list[int]:
+    """Indices of the columns of m outside the span of the columns before them."""
+    return _rref(_pack_rows(f2(m)))[1]
 
 
 def kernel_basis_f2(m) -> list[np.ndarray]:
     """Basis of the right null space over GF(2).
 
-    Returns cols - rank vectors x with m @ x = 0 (mod 2).
+    Returns cols - rank vectors x with m @ x = 0 (mod 2), one per non-pivot
+    column fc of the RREF: x[fc] = 1 and x[pc] = RREF[i, fc] for the row i
+    with pivot pc.
     """
-    a = f2(m).copy()
-    rows, cols = a.shape
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [f2_eye(cols)[i] for i in range(cols)]
-    a, pivots = _row_echelon(a)
+    a = f2(m)
+    cols = a.shape[1]
+    rows, pivots = _rref(_pack_rows(a))
     pivot_set = set(pivots)
     free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        x = np.zeros(cols, dtype=np.uint8)
-        x[fc] = 1
-        # back-substitute: row i has pivot pivots[i]
-        for i, pc in enumerate(pivots):
-            if a[i, fc]:
-                x[pc] = 1
-        basis.append(x)
-    return basis
+    basis = np.zeros((len(free), cols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = _unpack_rows(rows, cols)[:, free].T
+    return list(basis)
 
 
 def solve_f2(m, b):
-    """One solution x of m @ x = b over GF(2), or None if inconsistent."""
-    a = f2(m).copy()
+    """One solution of m @ x = b over GF(2), or None if inconsistent.
+
+    b is a vector, giving a vector x, or a matrix whose columns are
+    right-hand sides, giving a matrix x column by column (None if any
+    column is inconsistent); one elimination of [m | b] serves all of
+    them.  Free variables are 0.
+    """
+    a = f2(m)
     rows, cols = a.shape
-    bv = np.asarray(b, dtype=np.int64) % 2
-    bv = bv.astype(np.uint8).reshape(-1)
+    bv = (np.asarray(b, dtype=np.int64) % 2).astype(np.uint8)
+    vector = bv.ndim != 2
+    if vector:
+        bv = bv.reshape(-1, 1)
     if bv.shape[0] != rows:
         raise InputError(f"rhs length {bv.shape[0]} != rows {rows}")
-    aug = np.concatenate([a, bv.reshape(-1, 1)], axis=1) if cols else bv.reshape(-1, 1)
-    aug, pivots = _row_echelon(aug)
-    # inconsistent iff a pivot lands in the augmented column
-    if pivots and pivots[-1] == cols:
+    red, pivots = _rref(_pack_rows(np.concatenate([a, bv], axis=1)))
+    # inconsistent iff a pivot lands in an augmented column
+    if pivots and pivots[-1] >= cols:
         return None
-    if cols == 0:
-        return np.zeros(0, dtype=np.uint8) if not bv.any() else None
-    x = np.zeros(cols, dtype=np.uint8)
-    for i, pc in enumerate(pivots):
-        x[pc] = aug[i, cols]
-    return x
+    x = np.zeros((cols, bv.shape[1]), dtype=np.uint8)
+    x[pivots] = _unpack_rows(red, cols + bv.shape[1])[:, cols:]
+    return x[:, 0] if vector else x
 
 
 def image_basis_f2(m) -> np.ndarray:
-    """Matrix whose columns are a basis of the column space of m over GF(2)."""
+    """Matrix whose columns are a basis of the column space of m over GF(2).
+
+    The basis is the nonzero rows of the RREF of m transposed.
+    """
     a = f2(m)
-    if a.size == 0:
-        return f2_zeros(a.shape[0], 0)
-    red, pivots = _row_echelon(a.T.copy())
-    return red[: len(pivots)].T.copy()
+    rows, _ = _rref(_pack_rows(a.T))
+    return _unpack_rows(rows, a.shape[0]).T.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 Shared engine for the equivariant and involutive modules: a complex is a
 family of degree-indexed basis lists, a degree -1 differential, and named
 degree-homogeneous operators (q, v, U, Q).  Homology is computed per
-degree with explicit representatives so module actions can be pushed to
-homology, and stable (operator-power) subspaces can be extracted.
+degree with explicit representatives, chosen by one elimination of
+[boundaries | cycles], so module actions can be pushed to homology: an
+operator's matrix on H_d comes from one multi-right-hand-side solve
+against the cycle basis [boundaries | representatives] kept for the
+target degree.  Ranks of stabilized operator powers are read for a whole
+degree range by one downward sweep per residue class.
 """
 
 from __future__ import annotations
@@ -79,28 +83,38 @@ class GradedComplex:
 
 
 class Homology:
-    """Per-degree homology of a GradedComplex with chosen representatives."""
+    """Per-degree homology of a GradedComplex with chosen representatives.
+
+    In each degree the boundaries img (a column basis) come first and the
+    kernel basis Z of the differential second; the representatives are
+    the columns of Z that are pivot columns of [img | Z], i.e. the kernel
+    vectors outside the span of the boundaries and the kernel vectors
+    before them.  [img | reps] is kept per degree: every cycle has unique
+    coordinates against it, and the last dim(H_d) of them are its class.
+    """
 
     def __init__(self, cx: GradedComplex):
         self.complex = cx
-        self._img = {}   # degree -> chain-level basis matrix of the boundaries
-        self._reps = {}  # degree -> chain-level matrix, columns = class reps
+        self._basis = {}  # degree -> [img | reps], columns a basis of the cycles
+        self._reps = {}   # degree -> chain-level matrix, columns = class reps
         self._op_cache: dict[tuple[str, int], np.ndarray] = {}
+        self._stable_cache: dict[tuple[str, int, int], dict[int, int]] = {}
         for d in cx.degrees():
-            n = cx.dim(d)
             img = la.image_basis_f2(cx.d_matrix(d + 1))
             ker = la.kernel_basis_f2(cx.d_matrix(d))
-            reps = []
-            span = img
-            for z in ker:
-                aug = np.concatenate([span, z.reshape(-1, 1)], axis=1)
-                if la.rank_f2(aug) > span.shape[1]:
-                    reps.append(z)
-                    span = aug
-            self._img[d] = img
-            self._reps[d] = (
-                np.stack(reps, axis=1) if reps else la.f2_zeros(n, 0)
-            )
+            nimg = img.shape[1]
+            if len(ker) == nimg:
+                # the boundaries span the cycles (d o d = 0, which every
+                # materializer checks): H_d = 0
+                reps = la.f2_zeros(cx.dim(d), 0)
+            else:
+                # with no boundaries every kernel vector is kept
+                reps = np.stack(ker, axis=1)
+                if nimg:
+                    both = np.concatenate([img, reps], axis=1)
+                    reps = both[:, [j for j in la.pivot_columns_f2(both) if j >= nimg]]
+            self._basis[d] = np.concatenate([img, reps], axis=1)
+            self._reps[d] = reps
 
     def dim(self, d: int) -> int:
         return self._reps.get(d, la.f2_zeros(0, 0)).shape[1]
@@ -114,17 +128,20 @@ class Homology:
         return self._reps[d]
 
     def classify(self, d: int, v: np.ndarray) -> np.ndarray:
-        """Coordinates of a cycle's class in the chosen basis of H_d."""
-        img, reps = self._img.get(d), self._reps.get(d)
-        if img is None:
+        """Coordinates in the chosen basis of H_d of each cycle in v.
+
+        v is one chain (giving a vector) or a matrix of chains as columns
+        (giving a matrix of coordinates, one column each).
+        """
+        basis = self._basis.get(d)
+        if basis is None:
             if np.asarray(v).any():
                 raise InternalError("nonzero chain in an empty degree")
-            return np.zeros(0, dtype=np.uint8)
-        m = np.concatenate([img, reps], axis=1)
-        x = la.solve_f2(m, v)
+            return np.zeros((0,) + np.shape(v)[1:], dtype=np.uint8)
+        x = la.solve_f2(basis, v)
         if x is None:
             raise InternalError("vector is not a cycle: cannot classify")
-        return x[img.shape[1]:]
+        return x[basis.shape[1] - self.dim(d):]
 
     def induced_op(self, name: str, d: int) -> np.ndarray:
         """Matrix of the operator on homology, H_d -> H_{d+shift}."""
@@ -133,14 +150,8 @@ class Homology:
             return self._op_cache[key]
         cx = self.complex
         shift = cx.op_shift(name)
-        reps = self.reps(d)
-        cols = []
-        for j in range(reps.shape[1]):
-            w = la.f2_mul(cx.op_matrix(name, d), reps[:, j].reshape(-1, 1)).reshape(-1)
-            cols.append(self.classify(d + shift, w))
-        out = (
-            np.stack(cols, axis=1) if cols else la.f2_zeros(self.dim(d + shift), 0)
-        )
+        images = la.f2_mul(cx.op_matrix(name, d), self.reps(d))
+        out = self.classify(d + shift, images)
         self._op_cache[key] = out
         return out
 
@@ -160,6 +171,26 @@ class Homology:
         shift = self.complex.op_shift(name)
         return la.rank_f2(self.op_power(name, d - k * shift, k))
 
-    def stable_image(self, name: str, d: int, k: int) -> np.ndarray:
-        shift = self.complex.op_shift(name)
-        return la.image_basis_f2(self.op_power(name, d - k * shift, k))
+    def stable_ranks(self, name: str, lo: int, cut: int) -> dict[int, int]:
+        """{d: stable_rank(name, d, (cut - d) // step)} for lo <= d <= cut - step,
+        in increasing d.
+
+        step = -shift > 0.  Each residue class mod step is swept once from
+        its top degree t <= cut downwards: the power of the operator from
+        H_t to H_d is induced(d + step) composed with the one from H_t to
+        H_{d + step}, so every degree costs one product and one rank.
+        """
+        key = (name, lo, cut)
+        if key in self._stable_cache:
+            return self._stable_cache[key]
+        step = -self.complex.op_shift(name)
+        out = {}
+        for top in range(cut - step + 1, cut + 1):
+            m = la.f2_eye(self.dim(top))
+            for d in range(top - step, lo - 1, -step):
+                # once the power is zero it stays zero further down
+                if m.any():
+                    m = la.f2_mul(self.induced_op(name, d + step), m)
+                out[d] = la.rank_f2(m) if m.any() else 0
+        out = self._stable_cache[key] = dict(sorted(out.items()))
+        return out

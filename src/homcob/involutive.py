@@ -331,16 +331,6 @@ def cone_iota(c: UComplex, iota: IotaMap) -> ConeComplex:
 # tower analysis
 
 
-def _stable_profile(h: Homology, lo: int, cut: int) -> dict[int, int]:
-    """Stabilized U-image rank per degree in [lo, cut]."""
-    out = {}
-    for d in range(lo, cut + 1):
-        k = (cut - d) // 2
-        if k >= 1:
-            out[d] = h.stable_rank("U", d, k)
-    return out
-
-
 def _towers_from_profile(profile: dict[int, int]):
     """Split the stable profile into per-parity towers.
 
@@ -378,7 +368,7 @@ def d_invariant(c: UComplex, window=None, margin: int = DEFAULT_MARGIN) -> Fract
 def _d_bottom(c: UComplex, lo: int, hi: int, margin: int) -> int:
     h = Homology(c.plus_window(lo, hi))
     cut = hi - 2 * margin
-    towers = _towers_from_profile(_stable_profile(h, lo + 2, cut))
+    towers = _towers_from_profile(h.stable_ranks("U", lo + 2, cut))
     if len(towers) == 0:
         raise ModelInvalidError("no U-tower in the plus flavor")
     if len(towers) > 1:
@@ -416,7 +406,7 @@ def involutive_correction_terms(
 
     h = Homology(cone.plus_window(lo, hi))
     cut = hi - 2 * margin
-    towers = _towers_from_profile(_stable_profile(h, lo + 2, cut))
+    towers = _towers_from_profile(h.stable_ranks("U", lo + 2, cut))
     if len(towers) != 2:
         raise ModelInvalidError(
             f"cone has {len(towers)} stabilized towers, expected 2"
@@ -453,7 +443,7 @@ def _cross_check_split(cone, report, lo, hi, margin):
     """In the split case the cone towers must sit at d and d-1."""
     h = Homology(cone.plus_window(lo, hi))
     cut = hi - 2 * margin
-    towers = _towers_from_profile(_stable_profile(h, lo + 2, cut))
+    towers = _towers_from_profile(h.stable_ranks("U", lo + 2, cut))
     d = int(report.d)
     if towers.get(d % 2) != d or towers.get(1 - d % 2) != d - 1:
         report.findings.append(

@@ -442,14 +442,14 @@ def cohomology_basis(k: AbstractComplex, d: int) -> list[CohomologyClass]:
         img = la.f2_zeros(n, 0)
     else:
         img = la.image_basis_f2(coboundary_matrix(cc, d - 1))
-    reps = []
-    span = img
-    for z in cocycles:
-        aug = np.concatenate([span, z.reshape(-1, 1)], axis=1)
-        if la.rank_f2(aug) > la.rank_f2(span):
-            reps.append(CohomologyClass(k, d, z))
-            span = aug
-    return reps
+    # keep each cocycle outside the span of the coboundaries and the
+    # cocycles before it: the pivot columns of [img | cocycles]
+    both = np.concatenate([img] + [z.reshape(-1, 1) for z in cocycles], axis=1)
+    return [
+        CohomologyClass(k, d, cocycles[j - img.shape[1]])
+        for j in la.pivot_columns_f2(both)
+        if j >= img.shape[1]
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,54 @@ from homcob.involutive import IotaMap, UComplex, _forced_power
 from homcob.simplicial import AbstractComplex
 
 
+def row_echelon_oracle(m: np.ndarray):
+    """Scalar Gauss-Jordan on unpacked uint8 rows, in place: (matrix, pivot_cols).
+
+    The reference for the packed kernel in f2linalg.
+    """
+    r = 0
+    rows, cols = m.shape
+    pivots = []
+    for c in range(cols):
+        hit = -1
+        for rr in range(r, rows):
+            if m[rr, c]:
+                hit = rr
+                break
+        if hit < 0:
+            continue
+        if hit != r:
+            m[[r, hit]] = m[[hit, r]]
+        for rr in range(rows):
+            if rr != r and m[rr, c]:
+                m[rr, :] ^= m[r, :]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def greedy_reps(span: np.ndarray, vectors) -> list[int]:
+    """Indices of the vectors kept one at a time: keep z when it raises the
+    rank of span plus the vectors kept so far.  The reference for the
+    homology and cohomology representatives."""
+    keep = []
+    for i, z in enumerate(vectors):
+        aug = np.concatenate([span, z.reshape(-1, 1)], axis=1)
+        if la.rank_f2(aug) > la.rank_f2(span):
+            keep.append(i)
+            span = aug
+    return keep
+
+
+def greedy_homology_reps(cx, d: int) -> np.ndarray:
+    """Degree-d representatives of graded.Homology, chosen greedily."""
+    ker = la.kernel_basis_f2(cx.d_matrix(d))
+    keep = greedy_reps(la.image_basis_f2(cx.d_matrix(d + 1)), ker)
+    return np.stack([ker[i] for i in keep], axis=1) if keep else la.f2_zeros(cx.dim(d), 0)
+
+
 def f2_inverse(p: np.ndarray) -> np.ndarray:
     n = p.shape[0]
     cols = []
@@ -222,6 +270,13 @@ def random_ucomplex_with_iota(
         assert not la.f2_mul(dmat, dmat).any()
         c = c2
     return c, IotaMap(iota)
+
+
+def dual_ucomplex(c: UComplex, iota: IotaMap):
+    """The orientation reverse: degrees negated, d and iota transposed."""
+    gens = [(l, -d) for l, d in c.generators]
+    dual = UComplex(gens, [(e["to"], e["from"], e["upower"]) for e in c.entry_list()])
+    return dual, IotaMap(iota.mat.T.copy())
 
 
 def _random_allowed_automorphism(rng: random.Random, c: UComplex) -> np.ndarray:

@@ -200,3 +200,21 @@ def test_file_input_matches_fixture(tmp_path):
     # identical apart from the echoed input path
     strip = lambda s: "\n".join(l for l in s.splitlines() if not l.startswith("command:"))
     assert strip(from_file) == strip(from_fixture)
+
+
+@pytest.mark.parametrize(
+    "cmd, data",
+    [
+        ("abc", {"kind": "pin_model", "reducible_degree": 0, "finite": "x"}),
+        ("hfi", {"kind": "u_complex", "generators": [{"label": "a", "degree": None}],
+                 "iota": []}),
+        ("homology", {"kind": "simplicial", "facets": [["a", "b"]]}),
+    ],
+)
+def test_malformed_fields_exit_one_without_traceback(tmp_path, capsys, cmd, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([cmd, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InputError: malformed {data['kind']} input")
+    assert "Traceback" not in err

@@ -139,3 +139,67 @@ def test_int_det_matches_snf_product():
         for x in diag:
             prod *= x
         assert abs(prod) == abs(la.int_det(m))
+
+
+SHAPE_ROWS = (0, 1, 2, 5, 9, 40)
+SHAPE_COLS = (0, 1, 7, 8, 9, 63, 64, 65, 130)
+
+
+def random_f2(rng, rows, cols, density):
+    return la.f2([[rng.random() < density for _ in range(cols)] for _ in range(rows)]) \
+        if rows and cols else la.f2_zeros(rows, cols)
+
+
+def test_packed_echelon_matches_scalar_oracle():
+    from helpers import row_echelon_oracle
+
+    rng = random.Random(29)
+    for rows in SHAPE_ROWS:
+        for cols in SHAPE_COLS:
+            for density in (0.05, 0.5, 0.95):
+                m = random_f2(rng, rows, cols, density)
+                want, want_piv = row_echelon_oracle(m.copy())
+                got, piv = la._row_echelon(m)
+                assert piv == want_piv and la.pivot_columns_f2(m) == want_piv
+                assert got.dtype == np.uint8 and np.array_equal(got, want)
+                assert la.rank_f2(m) == len(want_piv)
+                # the image basis is the nonzero part of the transpose's RREF
+                t_red, t_piv = row_echelon_oracle(m.T.copy())
+                assert np.array_equal(la.image_basis_f2(m), t_red[: len(t_piv)].T)
+
+
+def test_kernel_basis_matches_back_substitution():
+    from helpers import row_echelon_oracle
+
+    rng = random.Random(31)
+    for rows in SHAPE_ROWS:
+        for cols in SHAPE_COLS:
+            m = random_f2(rng, rows, cols, 0.3)
+            red, pivots = row_echelon_oracle(m.copy())
+            free = [c for c in range(cols) if c not in pivots]
+            basis = la.kernel_basis_f2(m)
+            assert len(basis) == len(free)
+            for x, fc in zip(basis, free):
+                want = np.zeros(cols, dtype=np.uint8)
+                want[fc] = 1
+                for i, pc in enumerate(pivots):
+                    want[pc] = red[i, fc]
+                assert np.array_equal(x, want)
+
+
+def test_solve_with_matrix_rhs_matches_column_solves():
+    rng = random.Random(37)
+    for rows in SHAPE_ROWS:
+        for cols in SHAPE_COLS:
+            m = random_f2(rng, rows, cols, 0.4)
+            # right-hand sides in the column space, so every column solves
+            xs = random_f2(rng, cols, 3, 0.5)
+            b = la.f2_mul(m, xs) if rows else la.f2_zeros(0, 3)
+            x = la.solve_f2(m, b)
+            assert x.shape == (cols, 3)
+            for j in range(3):
+                assert np.array_equal(x[:, j], la.solve_f2(m, b[:, j]))
+            assert np.array_equal(la.f2_mul(m, x), b)
+            if rows and la.rank_f2(m) < rows:
+                bad = np.concatenate([b, la.f2_eye(rows)], axis=1)
+                assert la.solve_f2(m, bad) is None

@@ -24,7 +24,7 @@ from homcob.simplicial import (
 )
 from homcob.toddcoxeter import coset_enumeration
 
-from helpers import random_complex
+from helpers import greedy_reps, random_complex
 
 TRIANGLE_EDGE = AbstractComplex.from_facets([[1, 3, 4], [1, 2]])
 BDRY_D3 = AbstractComplex.from_facets(list(combinations(range(1, 5), 3)))
@@ -239,6 +239,21 @@ def test_bockstein_rp2_generator_nonzero():
             out.append((val // 2) % 2)
         other = CohomologyClass(RP2, 2, np.array(out, dtype=np.uint8))
         assert other.same_class(image)
+
+
+def test_cohomology_basis_matches_greedy_choice():
+    rng = random.Random(43)
+    for k in [RP2, TORUS7] + [random_complex(rng) for _ in range(25)]:
+        cc = ChainComplexZ.of(k)
+        for d in range(k.dimension() + 1):
+            delta = coboundary_matrix(cc, d)
+            n = len(cc.generators[d])
+            cocycles = la.kernel_basis_f2(delta) if delta.size else list(la.f2_eye(n))
+            img = la.image_basis_f2(coboundary_matrix(cc, d - 1)) if d else la.f2_zeros(n, 0)
+            want = [cocycles[i] for i in greedy_reps(img, cocycles)]
+            got = [x.cochain for x in cohomology_basis(k, d)]
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_bockstein_vanishes_on_torus():
