@@ -110,16 +110,6 @@ def _parse_simplex(text: str) -> list[int]:
         raise InputError(f"bad simplex {text!r}: use comma-separated integers") from e
 
 
-def _parse_window(text):
-    if text is None:
-        return None
-    try:
-        lo, hi = text.split(":")
-        return (int(lo), int(hi))
-    except ValueError as e:
-        raise InputError(f"bad window {text!r}: use LO:HI") from e
-
-
 class Report:
     def __init__(self, command: str, digest: str):
         self.command = command
@@ -147,8 +137,16 @@ class Report:
         return "\n".join(lines)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError (exit 1); argparse's own exit code 2
+    is the one documented for an invalid model."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="homcob",
         description="exact calculators for simplicial, equivariant-tower, "
         "involutive-cone, and Seifert-matrix invariants",
@@ -179,27 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify-pi1", action="store_true")
     p.add_argument("--limit", type=int, default=2000)
 
-    for name, hlp in (
-        ("abc", "tower invariants alpha, beta, gamma"),
-        ("dual", "invariants of the orientation reverse"),
-        ("tate", "localization pattern check"),
-    ):
-        p = add(name, help=hlp)
-        p.add_argument("--window", help="LO:HI")
-        p.add_argument("--margin", type=int, default=2)
-
-    p = add("delta", help="S1-model delta invariant")
-    p.add_argument("--window", help="LO:HI")
-    p.add_argument("--margin", type=int, default=2)
-
-    p = add("hfi", help="involutive correction terms d, d_bar, d_under")
-    p.add_argument("--window", help="LO:HI")
-    p.add_argument("--margin", type=int, default=2)
-
+    add("abc", help="tower invariants alpha, beta, gamma")
+    add("dual", help="invariants of the orientation reverse")
+    add("tate", help="localization pattern check")
+    add("delta", help="S1-model delta invariant")
+    add("hfi", help="involutive correction terms d, d_bar, d_under")
     p = add("v0", help="surgery concordance invariants V0, V0_bar, V0_under")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--window", help="LO:HI")
-    p.add_argument("--margin", type=int, default=2)
 
     add("knot", help="Seifert-matrix invariants")
     sub.add_parser("fixtures", help="list bundled fixtures")
@@ -227,22 +211,14 @@ def run(argv: list[str]) -> tuple[str, int]:
         k = _expect(data, "simplicial")
         _run_simplicial(cmd, args, k, rep)
     elif cmd in ("abc", "dual", "tate"):
-        m = _expect(data, "pin_model")
-        _run_pin(cmd, args, m, rep)
+        _run_pin(cmd, _expect(data, "pin_model"), rep)
     elif cmd == "delta":
-        m = _expect(data, "s1_model")
-        window = _parse_window(args.window)
-        rep.provenance["margin"] = args.margin
-        rep.add("delta", delta_invariant(m, window, args.margin))
+        rep.add("delta", delta_invariant(_expect(data, "s1_model")))
     elif cmd in ("hfi", "v0"):
         c, iota = _expect(data, "u_complex")
         if iota is None:
             raise InputError("u_complex input needs an 'iota' field for this command")
-        window = _parse_window(args.window)
-        cone = cone_iota(c, iota)
-        report = involutive_correction_terms(cone, window, args.margin)
-        rep.provenance["window"] = list(report.window)
-        rep.provenance["margin"] = report.margin
+        report = involutive_correction_terms(cone_iota(c, iota))
         if cmd == "hfi":
             rep.add("d", report.d)
             rep.add("d_bar", report.d_bar)
@@ -272,25 +248,20 @@ def run(argv: list[str]) -> tuple[str, int]:
     return rep.emit(args.json), 0
 
 
-def _run_pin(cmd, args, m: PinModel, rep: Report):
-    window = _parse_window(args.window)
-    rep.provenance["margin"] = args.margin
-    if window is not None:
-        rep.provenance["window"] = list(window)
+def _run_pin(cmd, m: PinModel, rep: Report):
     if cmd == "abc":
-        r = abc(m, window, args.margin)
-        rep.provenance["window_used"] = list(r.window)
+        r = abc(m)
         for key in ("A", "B", "C", "alpha", "beta", "gamma", "mu"):
             rep.add(key, getattr(r, key))
     elif cmd == "dual":
-        rev = abc_of_reverse(m, window, args.margin)
+        rev = abc_of_reverse(m)
         rep.add("alpha_reverse", rev[0])
         rep.add("beta_reverse", rev[1])
         rep.add("gamma_reverse", rev[2])
-        tops = coborel_tower_tops(m, window, args.margin)
+        tops = coborel_tower_tops(m)
         rep.add("coborel_tops", list(tops))
     elif cmd == "tate":
-        loc = localization_check(m, window, args.margin)
+        loc = localization_check(m)
         rep.add("localizes", loc.ok)
         rep.add("anchored_at", loc.anchored_at)
         rep.add("stable_pattern", loc.pattern)

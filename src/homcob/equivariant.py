@@ -14,6 +14,19 @@ giving the delta invariant.
 Tower basis bookkeeping: the element (a, k) sits in degree n + 4k + a for
 a in {0,1,2}, k >= 0; q maps (a, k) -> (a-1, k) and v maps (a, k) ->
 (a, k-1), both vanishing off the range.
+
+Why one window is exact.  Let M be the highest finite degree.  Above M
+every chain group is pure tower: tower elements are cycles, and every
+boundary comes from a finite generator, so it lands in degree <= M - 1.
+Above M the homology is therefore the towers themselves and v (or U)
+maps them onto themselves, so the stable image read from any top above
+M is the infinite one.  Each model materializes the one window its
+`default_window` derives from it: the bottom sits below every generator
+(so nothing below it is cut off), and the top of the stable reads, the
+cut, sits at least 8 degrees above M (8 below the window top for
+PinModel, 4 for SOneModel, clear of the truncation at the top).  The
+bottoms read there are exact, so no wider window is built to re-check
+them.
 """
 
 from __future__ import annotations
@@ -23,10 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import f2linalg as la
-from .errors import InputError, InternalError, ModelInvalidError
+from .errors import InputError, InternalError, ModelInvalidError, as_int
 from .graded import GradedComplex, Homology
-
-DEFAULT_MARGIN = 2
 
 
 def _check_homogeneous(name: str, mat: np.ndarray, degrees: list[int], shift: int):
@@ -60,11 +71,13 @@ class PinModel:
 
     def __init__(self, reducible_degree, finite, q_op, v_op, d_fin, d_to_tower):
         if reducible_degree is not None:
-            reducible_degree = int(reducible_degree)
+            reducible_degree = as_int(reducible_degree, "pin_model", "reducible_degree")
             if reducible_degree % 2:
                 raise InputError("reducible degree must be even")
         self.reducible_degree = reducible_degree
-        self.finite: list[tuple[str, int]] = [(str(l), int(d)) for l, d in finite]
+        self.finite: list[tuple[str, int]] = [
+            (str(l), as_int(d, "pin_model", "degree")) for l, d in finite
+        ]
         labels = [l for l, _ in self.finite]
         if len(set(labels)) != len(labels):
             raise InputError("duplicate finite generator labels")
@@ -88,7 +101,8 @@ class PinModel:
                 src, a, b = arrow.source, arrow.a, arrow.b
             else:
                 src, a, b = arrow
-            a, b = int(a), int(b)
+            a = as_int(a, "pin_model", "tower arrow a")
+            b = as_int(b, "pin_model", "tower arrow b")
             if src not in self.gen_index:
                 raise InputError(f"tower arrow from unknown generator {src!r}")
             if not (0 <= a <= 2) or b < 0:
@@ -113,13 +127,13 @@ class PinModel:
             degs.append(self.reducible_degree)
         return degs or [0]
 
-    def default_window(self, margin: int = DEFAULT_MARGIN) -> tuple[int, int]:
-        # tower kills can raise bottoms by ~4 per finite generator, so the
-        # top keeps that much headroom beyond the stability margin
+    def default_window(self) -> tuple[int, int]:
+        # the stable cut, 8 below the top, sits 8 + 4 per finite
+        # generator above the highest generator
         degs = self._degree_pool()
         n = self.reducible_degree if self.reducible_degree is not None else max(degs)
         lo = min(degs) - 8
-        hi = max(max(degs), n) + 4 * (margin + 2 + len(self.finite))
+        hi = max(max(degs), n) + 4 * (4 + len(self.finite))
         return lo, max(hi, n + 16)
 
     def materialize(self, lo: int, hi: int) -> GradedComplex:
@@ -235,8 +249,12 @@ class BorelHomology:
 
     model: PinModel
     window: tuple[int, int]
-    margin: int
     homology: Homology
+
+    @property
+    def cut(self) -> int:
+        """Top degree of the stable reads (see the module docstring)."""
+        return self.window[1] - 8
 
     def dims(self) -> dict[int, int]:
         return self.homology.dims()
@@ -249,8 +267,7 @@ class BorelHomology:
 
     def check_module_relations(self) -> bool:
         """q^3 = 0 and qv = vq on homology, on the window interior."""
-        lo, hi = self.window
-        for d in range(lo + 6, hi - 4 * self.margin):
+        for d in range(self.window[0] + 6, self.cut):
             q3 = la.f2_mul(
                 self.homology.induced_op("q", d - 2),
                 la.f2_mul(self.homology.induced_op("q", d - 1), self.induced_q(d)),
@@ -273,61 +290,38 @@ class AbcReport:
     beta: int
     gamma: int
     mu: int
-    window: tuple[int, int]
-    margin: int
 
     def triple(self) -> tuple[int, int, int]:
         return (self.alpha, self.beta, self.gamma)
 
 
-def borel_homology(model: PinModel, window=None, margin=DEFAULT_MARGIN) -> BorelHomology:
-    lo, hi = window if window is not None else model.default_window(margin)
-    cx = model.materialize(lo, hi)
-    return BorelHomology(model, (lo, hi), margin, Homology(cx))
+def borel_homology(model: PinModel) -> BorelHomology:
+    lo, hi = model.default_window()
+    return BorelHomology(model, (lo, hi), Homology(model.materialize(lo, hi)))
 
 
-def _stable_cut(hi: int, margin: int) -> int:
-    return hi - 4 * margin
-
-
-def _bottom_for_residue(h: Homology, n: int, residue: int, lo: int, hi: int, margin: int):
-    """Minimal degree of the residue class with a nonzero stabilized
-    v-power image, or None."""
-    ranks = h.stable_ranks("v", lo, _stable_cut(hi, margin))
-    return next((d for d in ranks if (d - n - residue) % 4 == 0 and ranks[d]), None)
-
-
-def tower_bottoms(
-    bh: BorelHomology, check_window_independence: bool = True
-) -> tuple[int, int, int]:
-    """Lowest degrees A, B, C of the three v-towers in homology."""
-    model = bh.model
-    n = model.reducible_degree
+def tower_bottoms(bh: BorelHomology) -> tuple[int, int, int]:
+    """Lowest degrees A, B, C of the three v-towers in homology: in each
+    residue class of n + r mod 4, the lowest degree with a nonzero
+    stable v-image."""
+    n = bh.model.reducible_degree
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
-    lo, hi = bh.window
+    ranks = bh.homology.stable_ranks("v", bh.window[0], bh.cut)
     out = []
     for r in range(3):
-        b = _bottom_for_residue(bh.homology, n, r, lo, hi, bh.margin)
+        b = next((d for d in ranks if (d - n - r) % 4 == 0 and ranks[d]), None)
         if b is None:
             raise ModelInvalidError(
                 f"no surviving v-tower in residue {r}: localization violated"
             )
         out.append(b)
-    if check_window_independence:
-        wider = borel_homology(model, (lo - 4, hi + 8), bh.margin + 2)
-        again = tower_bottoms(wider, check_window_independence=False)
-        if tuple(out) != again:
-            raise ModelInvalidError(
-                f"tower bottoms depend on the window: {tuple(out)} vs {again}"
-            )
     return tuple(out)
 
 
-def abc(model: PinModel, window=None, margin=DEFAULT_MARGIN) -> AbcReport:
+def abc(model: PinModel) -> AbcReport:
     """Extract (alpha, beta, gamma, mu) from the tower bottoms."""
-    bh = borel_homology(model, window, margin)
-    A, B, C = tower_bottoms(bh)
+    A, B, C = tower_bottoms(borel_homology(model))
     if A % 2 or (B - 1) % 2 or (C - 2) % 2:
         raise InternalError(f"tower bottoms have impossible parities: {(A, B, C)}")
     alpha, beta, gamma = A // 2, (B - 1) // 2, (C - 2) // 2
@@ -340,12 +334,12 @@ def abc(model: PinModel, window=None, margin=DEFAULT_MARGIN) -> AbcReport:
         )
     if not (alpha % 2 == beta % 2 == gamma % 2 == mu):
         raise InternalError("mod-2 congruence of (alpha, beta, gamma, mu) violated")
-    return AbcReport(A, B, C, alpha, beta, gamma, mu, bh.window, bh.margin)
+    return AbcReport(A, B, C, alpha, beta, gamma, mu)
 
 
-def abc_of_reverse(model: PinModel, window=None, margin=DEFAULT_MARGIN):
+def abc_of_reverse(model: PinModel):
     """(alpha, beta, gamma) of the orientation reverse: (-gamma, -beta, -alpha)."""
-    r = abc(model, window, margin)
+    r = abc(model)
     return (-r.gamma, -r.beta, -r.alpha)
 
 
@@ -364,12 +358,11 @@ class LocalizationReport:
     detail: str = ""
 
 
-def localization_check(model: PinModel, window=None, margin=DEFAULT_MARGIN) -> LocalizationReport:
+def localization_check(model: PinModel) -> LocalizationReport:
     """Stabilized v-image must be the three-tower pattern 1,1,1,0 anchored
     at the reducible degree, or identically zero without a reducible."""
-    bh = borel_homology(model, window, margin)
-    lo, hi = bh.window
-    cut = _stable_cut(hi, margin)
+    bh = borel_homology(model)
+    lo, cut = bh.window[0], bh.cut
     n = model.reducible_degree
     if n is None:
         # the last four degrees use one step from just above the cut
@@ -390,18 +383,16 @@ def localization_check(model: PinModel, window=None, margin=DEFAULT_MARGIN) -> L
                               "" if ok else "stable range deviates from the tower pattern")
 
 
-def coborel_tower_tops(model: PinModel, window=None, margin=DEFAULT_MARGIN):
+def coborel_tower_tops(model: PinModel):
     """Maximal degrees of the three downward towers of the degree-negated
     dual complex; cross-validates the duality formulas."""
-    lo, hi = window if window is not None else model.default_window(margin)
-    cx = model.materialize(lo, hi)
-    dual = _dualize(cx)
-    h = Homology(dual)
+    lo, hi = model.default_window()
+    h = Homology(_dualize(model.materialize(lo, hi)))
     n = model.reducible_degree
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
-    dlo, dhi = -hi, -lo
-    cut = dlo + 4 * margin
+    # the dual of the stable cut of the Borel window
+    dhi, cut = -lo, -(hi - 8)
     tops = []
     for r in range(3):
         top = None
@@ -442,8 +433,8 @@ class SOneModel:
     -2) plus a finite part with a U action."""
 
     def __init__(self, reducible_degree, finite, u_op, d_fin, d_to_tower):
-        self.reducible_degree = int(reducible_degree)
-        self.finite = [(str(l), int(d)) for l, d in finite]
+        self.reducible_degree = as_int(reducible_degree, "s1_model", "reducible_degree")
+        self.finite = [(str(l), as_int(d, "s1_model", "degree")) for l, d in finite]
         labels = [l for l, _ in self.finite]
         if len(set(labels)) != len(labels):
             raise InputError("duplicate finite generator labels")
@@ -457,7 +448,7 @@ class SOneModel:
         self.d_to_tower = []
         for arrow in d_to_tower:
             src, b = (arrow.source, arrow.b) if isinstance(arrow, TowerArrow) else arrow
-            b = int(b)
+            b = as_int(b, "s1_model", "tower arrow b")
             if src not in self.gen_index or b < 0:
                 raise InputError(f"bad tower arrow {arrow}")
             if self.finite[self.gen_index[src]][1] - 1 != self.reducible_degree + 2 * b:
@@ -468,10 +459,12 @@ class SOneModel:
         except InternalError as e:
             raise InputError(f"inconsistent model: {e}") from e
 
-    def default_window(self, margin: int = DEFAULT_MARGIN) -> tuple[int, int]:
+    def default_window(self) -> tuple[int, int]:
+        # the stable cut, 4 below the top, sits 8 + 2 per finite
+        # generator above the highest generator
         degs = [d for _, d in self.finite] + [self.reducible_degree]
         lo = min(degs) - 6
-        hi = max(max(degs), self.reducible_degree) + 2 * (margin + 4 + len(self.finite))
+        hi = max(max(degs), self.reducible_degree) + 2 * (6 + len(self.finite))
         return lo, hi
 
     def materialize(self, lo: int, hi: int) -> GradedComplex:
@@ -479,7 +472,7 @@ class SOneModel:
         degs = [d for _, d in self.finite] + [n]
         if lo > min(degs) - 2:
             raise InputError("window bottom too high")
-        if hi < n + 2 * (DEFAULT_MARGIN + 2):
+        if hi < n + 8:
             raise InputError("window top too low")
         basis: dict[int, list] = {}
         for lab, deg in self.finite:
@@ -542,22 +535,15 @@ class SOneModel:
             raise InputError(f"s1 model missing field {e}") from e
 
 
-def delta_invariant(model: SOneModel, window=None, margin=DEFAULT_MARGIN):
-    """Half the minimal degree of the class surviving all windowed
-    U-divisibility tests."""
+def delta_invariant(model: SOneModel):
+    """Half the minimal degree of the tower-parity class with a nonzero
+    stable U-image (see the module docstring for why one window is exact)."""
     from fractions import Fraction
 
-    lo, hi = window if window is not None else model.default_window(margin)
+    lo, hi = model.default_window()
     n = model.reducible_degree
-
-    def bottom(lo, hi, margin):
-        h = Homology(model.materialize(lo, hi))
-        ranks = h.stable_ranks("U", lo, hi - 2 * margin)
-        return next((d for d in ranks if (d - n) % 2 == 0 and ranks[d]), None)
-
-    first = bottom(lo, hi, margin)
-    if first is None:
+    ranks = Homology(model.materialize(lo, hi)).stable_ranks("U", lo, hi - 4)
+    bottom = next((d for d in ranks if (d - n) % 2 == 0 and ranks[d]), None)
+    if bottom is None:
         raise ModelInvalidError("no surviving U-tower")
-    if bottom(lo - 2, hi + 4, margin + 1) != first:
-        raise ModelInvalidError("delta depends on the window")
-    return Fraction(first, 2)
+    return Fraction(bottom, 2)

@@ -1,6 +1,9 @@
 """Finite windows of graded GF(2) chain complexes with operators.
 
-Shared engine for the equivariant and involutive modules: a complex is a
+The engine under the windowed tower reads of the equivariant models
+(`abc`, `tate`, `dual`, `delta`) and under the plus-flavor window that
+the involutive module keeps for its cone laws and as a test reference
+(its U-towers are read by elimination, without a window).  A complex is a
 family of degree-indexed basis lists, a degree -1 differential, and named
 degree-homogeneous operators (q, v, U, Q).  Homology is computed per
 degree with explicit representatives, chosen by one elimination of

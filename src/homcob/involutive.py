@@ -2,11 +2,16 @@
 
 Inputs are finitely generated free graded complexes over F[U] (entries
 U^k with k forced by degrees) together with a grading-preserving chain
-involution iota, exact up to chain homotopy.  The plus flavor is obtained
-by tensoring with F[U, U^-1]/F[U] on a degree window; the correction term
-d is the bottom of the single stabilized U-tower.  The cone of Q(1+iota)
-carries a Q of degree -1 with Q^2 = 0; its two stabilized towers yield
-the refinements d_bar and d_under:
+involution iota, exact up to chain homotopy.  Towers are read by
+elimination over F[U]: repeatedly take the differential entry with the
+smallest U-power, clear its row and column by changes of basis (every
+other entry of that row or column carries a power at least as large, so
+each operation is an XOR of F2 coefficients with a non-negative forced
+U-power) and split the pair off as a torsion summand.  The generators
+left unpaired carry no differential; their degrees are the bottoms of
+the U-towers of the plus flavor.  The correction term d is the bottom of
+the single tower.  The cone of Q(1+iota) carries a Q of degree -1 with
+Q^2 = 0; its two towers yield the refinements d_bar and d_under:
 
 * if 1 + iota is null-homotopic the cone splits and d_under = d_bar = d;
 * otherwise d_bar is the bottom of the tower in d's parity, and the
@@ -16,6 +21,11 @@ the refinements d_bar and d_under:
 The second rule is equivalent to reflecting the off-parity bottom b
 through d (d_under = 2d - b - 1); it reproduces the split case with
 K = 0 and the bundled +1-surgery fixture with K = 1.
+
+The explicit plus flavor on a degree window (tensoring with
+F[U, U^-1]/F[U]) stays available as `UComplex.plus_window`, for the
+cone laws on homology dimensions and as the reference the elimination
+is tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import f2linalg as la
-from .errors import InputError, InternalError, ModelInvalidError
+from .errors import InputError, InternalError, ModelInvalidError, as_int
 from .graded import GradedComplex, Homology
 
 DEFAULT_MARGIN = 2
@@ -46,7 +56,7 @@ class UComplex:
     degree-forced U-power."""
 
     def __init__(self, generators, differential):
-        self.generators = [(str(l), int(d)) for l, d in generators]
+        self.generators = [(str(l), as_int(d, "u_complex", "degree")) for l, d in generators]
         labels = [l for l, _ in self.generators]
         if len(set(labels)) != len(labels):
             raise InputError("duplicate generator labels")
@@ -61,7 +71,7 @@ class UComplex:
             k = _forced_power(self.generators[j][1], self.generators[i][1], -1)
             if k is None:
                 raise InputError(f"no degree -1 entry possible from {src!r} to {tgt!r}")
-            if int(upower) != k:
+            if as_int(upower, "u_complex", "upower") != k:
                 raise InputError(
                     f"entry {src!r}->{tgt!r} must have upower {k}, got {upower}"
                 )
@@ -107,12 +117,44 @@ class UComplex:
             )
         return c, iota
 
+    # -- towers ----------------------------------------------------------
+
+    def tower_bottoms(self) -> dict[int, int]:
+        """{parity: bottom} of the U-towers, by elimination on the entry
+        with the smallest U-power (see the module docstring)."""
+        degs = np.array(self.degrees(), dtype=np.int64)
+        m = self.d_mat.copy()
+        paired = set()
+        while m.any():
+            rows, cols = np.nonzero(m)
+            t = int(np.argmin(degs[rows] - degs[cols]))
+            i, j = int(rows[t]), int(cols[t])
+            for k in np.flatnonzero(m[:, j]):
+                if k != i:  # x_i <- x_i + U^* x_k
+                    m[k] ^= m[i]
+                    m[:, i] ^= m[:, k]
+            for c in np.flatnonzero(m[i]):
+                if c != j:  # x_c <- x_c + U^* x_j
+                    m[:, c] ^= m[:, j]
+                    m[j] ^= m[c]
+            # d^2 = 0 leaves row j and column i empty: drop the pair
+            m[i, j] = 0
+            paired.update((i, j))
+        towers = {}
+        for parity in (0, 1):
+            bottoms = [int(d) for g, d in enumerate(degs) if g not in paired and d % 2 == parity]
+            if len(bottoms) > 1:
+                raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
+            if bottoms:
+                towers[parity] = bottoms[0]
+        return towers
+
     # -- plus flavor -----------------------------------------------------
 
-    def default_window(self, margin: int = DEFAULT_MARGIN) -> tuple[int, int]:
+    def default_window(self) -> tuple[int, int]:
         degs = self.degrees() or [0]
         lo = min(degs) - 6
-        hi = max(degs) + 2 * (margin + 2 + len(self.generators))
+        hi = max(degs) + 2 * (DEFAULT_MARGIN + 2 + len(self.generators))
         return lo, hi
 
     def plus_window(self, lo: int, hi: int, extra_ops=None) -> GradedComplex:
@@ -189,7 +231,7 @@ class IotaMap:
             k = _forced_power(c.generators[j][1], c.generators[i][1], 0)
             if k is None:
                 raise InputError(f"no degree 0 entry possible from {src!r} to {tgt!r}")
-            if int(upower) != k:
+            if as_int(upower, "u_complex", "upower") != k:
                 raise InputError(f"iota entry {src!r}->{tgt!r} must have upower {k}")
             m[i, j] ^= 1
         return cls(m)
@@ -319,8 +361,8 @@ class ConeComplex:
         cx.check_op_commutes("Q", lo_safe=lo + 4)
         return cx
 
-    def default_window(self, margin: int = DEFAULT_MARGIN) -> tuple[int, int]:
-        return self.complex.default_window(margin)
+    def default_window(self) -> tuple[int, int]:
+        return self.complex.default_window()
 
 
 def cone_iota(c: UComplex, iota: IotaMap) -> ConeComplex:
@@ -328,52 +370,19 @@ def cone_iota(c: UComplex, iota: IotaMap) -> ConeComplex:
 
 
 # ---------------------------------------------------------------------------
-# tower analysis
+# correction terms
 
 
-def _towers_from_profile(profile: dict[int, int]):
-    """Split the stable profile into per-parity towers.
-
-    Returns {parity: bottom_degree}; raises if a parity's profile is not
-    0...0,1,1,...,1 (a single tower)."""
-    towers = {}
-    for parity in (0, 1):
-        degs = sorted(d for d in profile if d % 2 == parity)
-        ranks = [profile[d] for d in degs]
-        if any(r > 1 for r in ranks):
-            raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
-        nz = [d for d, r in zip(degs, ranks) if r == 1]
-        if not nz:
-            continue
-        bottom = nz[0]
-        expect = [d for d in degs if d >= bottom]
-        if nz != expect:
-            raise ModelInvalidError("stabilized tower has gaps")
-        towers[parity] = bottom
-    return towers
-
-
-def d_invariant(c: UComplex, window=None, margin: int = DEFAULT_MARGIN) -> Fraction:
-    """Bottom degree of the single stabilized U-tower of the plus flavor."""
+def d_invariant(c: UComplex) -> Fraction:
+    """Bottom degree of the single U-tower of the plus flavor."""
     if not c.generators:
         raise ModelInvalidError("empty complex has no U-tower")
-    lo, hi = window if window is not None else c.default_window(margin)
-    bottom = _d_bottom(c, lo, hi, margin)
-    again = _d_bottom(c, lo - 2, hi + 4, margin + 1)
-    if bottom != again:
-        raise ModelInvalidError("d-invariant depends on the window")
-    return Fraction(bottom)
-
-
-def _d_bottom(c: UComplex, lo: int, hi: int, margin: int) -> int:
-    h = Homology(c.plus_window(lo, hi))
-    cut = hi - 2 * margin
-    towers = _towers_from_profile(h.stable_ranks("U", lo + 2, cut))
+    towers = c.tower_bottoms()
     if len(towers) == 0:
         raise ModelInvalidError("no U-tower in the plus flavor")
     if len(towers) > 1:
         raise ModelInvalidError("more than one U-tower in the plus flavor")
-    return next(iter(towers.values()))
+    return Fraction(next(iter(towers.values())))
 
 
 @dataclass
@@ -382,31 +391,24 @@ class InvolutiveReport:
     d_bar: Fraction
     d_under: Fraction
     split: bool
-    window: tuple[int, int]
-    margin: int
     findings: list[str] = field(default_factory=list)
 
     def triple(self):
         return (self.d, self.d_bar, self.d_under)
 
 
-def involutive_correction_terms(
-    cone: ConeComplex, window=None, margin: int = DEFAULT_MARGIN
-) -> InvolutiveReport:
+def involutive_correction_terms(cone: ConeComplex) -> InvolutiveReport:
     """d, d_bar, d_under of a validated cone."""
     base = cone.base
-    d = d_invariant(base, margin=margin)
-    lo, hi = window if window is not None else cone.default_window(margin)
+    d = d_invariant(base)
     findings: list[str] = []
 
     if one_plus_iota_nullhomotopic(base, cone.iota):
-        report = InvolutiveReport(d, d, d, True, (lo, hi), margin, findings)
-        _cross_check_split(cone, report, lo, hi, margin)
+        report = InvolutiveReport(d, d, d, True, findings)
+        _cross_check_split(cone, report)
         return report
 
-    h = Homology(cone.plus_window(lo, hi))
-    cut = hi - 2 * margin
-    towers = _towers_from_profile(h.stable_ranks("U", lo + 2, cut))
+    towers = cone.complex.tower_bottoms()
     if len(towers) != 2:
         raise ModelInvalidError(
             f"cone has {len(towers)} stabilized towers, expected 2"
@@ -426,7 +428,7 @@ def involutive_correction_terms(
     d_under = 2 * d - b_q - 1
     if (b_q - (int(d) - 1)) % 2:
         raise InternalError("cone tower parities are inconsistent")
-    report = InvolutiveReport(d, d_bar, Fraction(d_under), False, (lo, hi), margin, findings)
+    report = InvolutiveReport(d, d_bar, Fraction(d_under), False, findings)
     _check_report_laws(report)
     return report
 
@@ -439,11 +441,9 @@ def _check_report_laws(report: InvolutiveReport):
         report.findings.append(f"ordering d_under <= d <= d_bar fails: {(du, d, db)}")
 
 
-def _cross_check_split(cone, report, lo, hi, margin):
+def _cross_check_split(cone, report):
     """In the split case the cone towers must sit at d and d-1."""
-    h = Homology(cone.plus_window(lo, hi))
-    cut = hi - 2 * margin
-    towers = _towers_from_profile(h.stable_ranks("U", lo + 2, cut))
+    towers = cone.complex.tower_bottoms()
     d = int(report.d)
     if towers.get(d % 2) != d or towers.get(1 - d % 2) != d - 1:
         report.findings.append(
@@ -451,27 +451,26 @@ def _cross_check_split(cone, report, lo, hi, margin):
         )
 
 
-def split_dims_law(cone: ConeComplex, window=None, margin=DEFAULT_MARGIN) -> bool:
+def _window_dims(cone: ConeComplex):
+    """Homology of the cone and of its base on the cone's default window,
+    and the interior degrees where both are exact."""
+    lo, hi = cone.default_window()
+    hc = Homology(cone.plus_window(lo, hi))
+    hb = Homology(cone.base.plus_window(lo, hi))
+    return hc, hb, range(lo + 4, hi - 2 * DEFAULT_MARGIN)
+
+
+def split_dims_law(cone: ConeComplex) -> bool:
     """dim HFI_n == dim HF_n + dim HF_{n+1} on the window interior
     (exact for split cones; an inequality <= holds in general)."""
-    lo, hi = window if window is not None else cone.default_window(margin)
-    hc = Homology(cone.plus_window(lo, hi))
-    hb = Homology(cone.base.plus_window(lo, hi))
-    for deg in range(lo + 4, hi - 2 * margin):
-        if hc.dim(deg) != hb.dim(deg) + hb.dim(deg + 1):
-            return False
-    return True
+    hc, hb, interior = _window_dims(cone)
+    return all(hc.dim(n) == hb.dim(n) + hb.dim(n + 1) for n in interior)
 
 
-def cone_rank_bound(cone: ConeComplex, window=None, margin=DEFAULT_MARGIN) -> bool:
+def cone_rank_bound(cone: ConeComplex) -> bool:
     """Long-exact-sequence bound dim HFI_n <= dim HF_n + dim HF_{n+1}."""
-    lo, hi = window if window is not None else cone.default_window(margin)
-    hc = Homology(cone.plus_window(lo, hi))
-    hb = Homology(cone.base.plus_window(lo, hi))
-    return all(
-        hc.dim(deg) <= hb.dim(deg) + hb.dim(deg + 1)
-        for deg in range(lo + 4, hi - 2 * margin)
-    )
+    hc, hb, interior = _window_dims(cone)
+    return all(hc.dim(n) <= hb.dim(n) + hb.dim(n + 1) for n in interior)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import f2linalg as la
-from .errors import InputError, InternalError
+from .errors import InputError, InternalError, as_int
 
 Simplex = tuple[int, ...]
 
@@ -72,10 +72,13 @@ class AbstractComplex:
 
         Extra isolated vertices may be supplied via `vertices`.
         """
+        def vertex(v):
+            return as_int(v, "simplicial", "vertex")
+
         simps = set()
-        verts = set(int(v) for v in vertices) if vertices else set()
+        verts = set(map(vertex, vertices)) if vertices else set()
         for f in facets:
-            t = _simplex(f)
+            t = _simplex([vertex(v) for v in f])
             verts.update(t)
             for k in range(1, len(t) + 1):
                 simps.update(combinations(t, k))

@@ -15,6 +15,8 @@ import numpy as np
 
 from homcob import f2linalg as la
 from homcob.equivariant import PinModel, SOneModel
+from homcob.errors import ModelInvalidError
+from homcob.graded import Homology
 from homcob.involutive import IotaMap, UComplex, _forced_power
 from homcob.simplicial import AbstractComplex
 
@@ -291,3 +293,50 @@ def _random_allowed_automorphism(rng: random.Random, c: UComplex) -> np.ndarray:
     # strictly degree-raising extras keep the matrix invertible
     assert la.rank_f2(p) == n
     return p
+
+
+def with_far_pair(c: UComplex, iota: IotaMap, degree: int, upower: int):
+    """c plus an acyclic-over-U pair x -> U^upower y with x at `degree`,
+    iota extended by the identity on the pair."""
+    gens = list(c.generators) + [("far_x", degree), ("far_y", degree - 1 + 2 * upower)]
+    entries = [(e["from"], e["to"], e["upower"]) for e in c.entry_list()]
+    big = UComplex(gens, entries + [("far_x", "far_y", upower)])
+    n = len(c.generators)
+    mat = la.f2_eye(n + 2)
+    mat[:n, :n] = iota.mat
+    return big, IotaMap(mat)
+
+
+# ---------------------------------------------------------------------------
+# tower reading on a window of the plus flavor
+
+
+def towers_from_profile(profile: dict[int, int]):
+    """Split a stable U-profile into per-parity towers.
+
+    Returns {parity: bottom_degree}; raises if a parity's profile is not
+    0...0,1,1,...,1 (a single tower)."""
+    towers = {}
+    for parity in (0, 1):
+        degs = sorted(d for d in profile if d % 2 == parity)
+        ranks = [profile[d] for d in degs]
+        if any(r > 1 for r in ranks):
+            raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
+        nz = [d for d, r in zip(degs, ranks) if r == 1]
+        if not nz:
+            continue
+        bottom = nz[0]
+        expect = [d for d in degs if d >= bottom]
+        if nz != expect:
+            raise ModelInvalidError("stabilized tower has gaps")
+        towers[parity] = bottom
+    return towers
+
+
+def window_tower_bottoms(c: UComplex) -> dict[int, int]:
+    """The reference for UComplex.tower_bottoms: the stable U-profile of
+    the plus flavor on the default window, read below the cut 4 degrees
+    under its top."""
+    lo, hi = c.default_window()
+    h = Homology(c.plus_window(lo, hi))
+    return towers_from_profile(h.stable_ranks("U", lo + 2, hi - 4))

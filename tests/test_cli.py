@@ -218,3 +218,115 @@ def test_malformed_fields_exit_one_without_traceback(tmp_path, capsys, cmd, data
     err = capsys.readouterr().err
     assert err.startswith(f"error: InputError: malformed {data['kind']} input")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abc", "--bogus", "fixtures:s3"],
+        [],
+        ["--json"],
+        ["hfi", "--window", "0:9", "fixtures:sigma237"],
+        ["abc", "--margin", "3", "fixtures:s3"],
+        ["v0", "fixtures:sigma237"],
+        ["v0", "--p", "x", "fixtures:sigma237"],
+        ["nocommand", "fixtures:s3"],
+    ],
+)
+def test_usage_errors_exit_one(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InputError: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["hfi", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--window", "--margin"])
+@pytest.mark.parametrize(
+    "cmd, fixture",
+    [("abc", "s3"), ("dual", "s3"), ("tate", "s3"), ("delta", "poincare_s1"),
+     ("hfi", "sigma237"), ("v0", "sigma237")],
+)
+def test_window_and_margin_options_are_gone(capsys, cmd, fixture, flag):
+    extra = ["--p", "1"] if cmd == "v0" else []
+    assert main([cmd, *extra, f"fixtures:{fixture}", flag, "2"]) == 1
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+def _fixture_with(name, edit):
+    data, _ = load_input(f"fixtures:{name}")
+    edit(data)
+    return data
+
+
+def _killer_pin(a, b):
+    return {
+        "kind": "pin_model", "reducible_degree": 0,
+        "finite": [{"label": "z", "degree": 3}, {"label": "qz", "degree": 2},
+                   {"label": "q2z", "degree": 1}],
+        "q": [[0, 0, 0], [1, 0, 0], [0, 1, 0]], "v": [[0] * 3] * 3, "d_fin": [[0] * 3] * 3,
+        "d_to_tower": [{"from": "z", "a": a, "b": b}, {"from": "qz", "a": 1, "b": 0},
+                       {"from": "q2z", "a": 0, "b": 0}],
+    }
+
+
+def _s1_with(reducible, degree, b):
+    return {
+        "kind": "s1_model", "reducible_degree": reducible,
+        "finite": [{"label": "z", "degree": degree}], "u": [[0]], "d_fin": [[0]],
+        "d_to_tower": [{"from": "z", "b": b}],
+    }
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "cmd, data, field",
+    [
+        ("hfi", _fixture_with("sigma237", _set("generators", 0, "degree", 1.5)), "degree"),
+        ("hfi", _fixture_with("sigma237", _set("generators", 0, "degree", "0")), "degree"),
+        ("hfi", _fixture_with("sigma237", _set("generators", 0, "degree", False)), "degree"),
+        ("hfi", _fixture_with("sigma237", _set("differential", 0, "upower", 1.0)), "upower"),
+        ("hfi", _fixture_with("sigma237", _set("iota", 0, "upower", "0")), "upower"),
+        ("abc", _fixture_with("s3", _set("reducible_degree", 0.0)), "reducible_degree"),
+        ("abc", _fixture_with("s3", _set("reducible_degree", "4")), "reducible_degree"),
+        ("abc", _fixture_with("s3", _set("finite", [{"label": "x", "degree": 1.5}])), "degree"),
+        ("abc", _killer_pin(2.0, 0), "tower arrow a"),
+        ("abc", _killer_pin(2, "0"), "tower arrow b"),
+        ("delta", _s1_with(True, 1, 0), "reducible_degree"),
+        ("delta", _s1_with(0, "1", 0), "degree"),
+        ("delta", _s1_with(0, 1, 0.0), "tower arrow b"),
+        ("homology", {"kind": "simplicial", "facets": [[1, 2.5]]}, "vertex"),
+        ("homology", {"kind": "simplicial", "facets": [["1", 2]]}, "vertex"),
+        ("homology", {"kind": "simplicial", "facets": [[1, 2]], "vertices": [True]}, "vertex"),
+    ],
+)
+def test_integer_fields_must_be_integers(tmp_path, capsys, cmd, data, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([cmd, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InputError: malformed {data['kind']} input: {field} ")
+    assert "must be an integer" in err
+
+
+def test_integer_fields_accept_their_valid_forms(tmp_path):
+    for cmd, data in (("abc", _killer_pin(2, 0)), ("delta", _s1_with(0, 1, 0))):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(data))
+        assert main([cmd, str(path)]) == 0

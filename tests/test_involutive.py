@@ -23,7 +23,13 @@ from homcob.involutive import (
     validate_iota,
 )
 
-from helpers import random_ucomplex_with_iota
+from helpers import (
+    dual_ucomplex,
+    random_ucomplex_with_iota,
+    towers_from_profile,
+    window_tower_bottoms,
+    with_far_pair,
+)
 
 S3 = UComplex([("g", 0)], [])
 
@@ -129,6 +135,68 @@ def test_d_rejects_two_towers():
 def test_d_sigma237_fixture():
     c, _ = sigma237()
     assert d_invariant(c) == 0
+
+
+# -- tower bottoms by elimination against the window reader ----------------------
+
+
+def both_orientations_and_cones(c, iota):
+    """c, its orientation reverse, and the complexes of both cones."""
+    out = []
+    for base, i in ((c, iota), dual_ucomplex(c, iota)):
+        out += [base, cone_iota(base, i).complex]
+    return out
+
+
+def test_tower_bottoms_match_window_reader_on_random_complexes():
+    rng = random.Random(4242)
+    for _ in range(40):
+        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
+        for cx in both_orientations_and_cones(c, iota):
+            assert cx.tower_bottoms() == window_tower_bottoms(cx)
+
+
+@pytest.mark.parametrize("offset", [50, -50, 100, 200, -400, 400])
+def test_tower_bottoms_match_window_reader_with_a_far_pair(offset):
+    rng = random.Random(offset)
+    c, iota = random_ucomplex_with_iota(rng, max_pairs=2)
+    far, far_iota = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
+    for cx in both_orientations_and_cones(far, far_iota):
+        assert cx.tower_bottoms() == window_tower_bottoms(cx)
+
+
+def test_tower_bottoms_fixture_and_hand_built_cases():
+    c, iota = sigma237()
+    for cx in both_orientations_and_cones(c, iota):
+        assert cx.tower_bottoms() == window_tower_bottoms(cx)
+    box = UComplex([("e", 0), ("a", 0), ("b", 3)], [("a", "b", 2)])
+    assert box.tower_bottoms() == window_tower_bottoms(box) == {0: 0}
+    assert UComplex([("g", -3), ("h", 2)], []).tower_bottoms() == {0: 2, 1: -3}
+    killed = UComplex([("g", 0), ("x", 1)], [("x", "g", 0)])
+    assert killed.tower_bottoms() == window_tower_bottoms(killed) == {}
+
+
+@pytest.mark.parametrize(
+    "c",
+    [
+        UComplex([("g", 0), ("h", 0)], []),
+        UComplex(
+            [("e", 0), ("a", 1), ("w", 2), ("v", 0)],
+            [("a", "w", 1), ("a", "v", 0)],
+        ),
+    ],
+)
+def test_two_towers_in_one_parity_rejected_like_window_reader(c):
+    with pytest.raises(ModelInvalidError, match="multiple towers in one parity") as exact:
+        c.tower_bottoms()
+    with pytest.raises(ModelInvalidError) as window:
+        window_tower_bottoms(c)
+    assert str(exact.value) == str(window.value)
+
+
+def test_towers_from_profile_rejects_gaps():
+    with pytest.raises(ModelInvalidError, match="gaps"):
+        towers_from_profile({0: 1, 2: 0, 4: 1})
 
 
 # -- iota validation -----------------------------------------------------------------
