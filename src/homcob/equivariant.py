@@ -4,40 +4,49 @@ invariants.
 A PinModel is one free tower triple over F[q,v]/(q^3) (bottoms at the
 reducible degree n, n+1, n+2; towers carry no internal differential) plus
 a finite-dimensional part with q, v actions and differentials, including
-arrows from the finite part into the towers.  Materializing a degree
-window turns the model into explicit GF(2) linear algebra; tower bottoms
-A, B, C are read off from stabilized v-power images and converted into
-the integer invariants alpha = A/2, beta = (B-1)/2, gamma = (C-2)/2 with
-Rokhlin residue mu.  An SOneModel is the one-tower analogue over F[U]
-giving the delta invariant.
+arrows from the finite part into the towers.  Its tower bottoms A, B, C
+give the integer invariants alpha = A/2, beta = (B-1)/2, gamma = (C-2)/2
+with Rokhlin residue mu.  An SOneModel is the one-tower analogue over
+F[U] giving the delta invariant.
 
 Tower basis bookkeeping: the element (a, k) sits in degree n + 4k + a for
 a in {0,1,2}, k >= 0; q maps (a, k) -> (a-1, k) and v maps (a, k) ->
-(a, k-1), both vanishing off the range.
+(a, k-1), both vanishing off the range.  In an SOneModel the element
+(0, k) sits in degree n + 2k and U maps it to (0, k-1).
 
-Why one window is exact.  Let M be the highest finite degree.  Above M
-every chain group is pure tower: tower elements are cycles, and every
-boundary comes from a finite generator, so it lands in degree <= M - 1.
-Above M the homology is therefore the towers themselves and v (or U)
-maps them onto themselves, so the stable image read from any top above
-M is the infinite one.  Each model materializes the one window its
-`default_window` derives from it: the bottom sits below every generator
-(so nothing below it is cut off), and the top of the stable reads, the
-cut, sits at least 8 degrees above M (8 below the window top for
-PinModel, 4 for SOneModel, clear of the truncation at the top).  The
-bottoms read there are exact, so no wider window is built to re-check
-them.
+Reading the bottoms.  Degree n + 4k + a holds exactly one tower element,
+(a, k) (degree n + 2k holds (0, k) in an SOneModel).  High above the
+finite part it spans its degree, so the stable image of v (or U) in
+degree n + 4k + a is spanned by the class of (a, k): it is nonzero
+exactly when (a, k) is not a boundary.  Boundaries are closed downwards:
+if (a, k+1) = dc, then (a, k) = d(vc).  So the bottom at level a is
+n + a + step * (b + 1), where b is the highest tower-arrow target (a, b)
+that is a boundary, or n + a when none is (step 4, or 2 for U).  Every
+boundary comes from a finite generator, so (a, b) is one exactly when
+rank [X; y] > rank X, where X is d_fin from the finite generators one
+degree up to those in the target's degree, and y is the row of tower
+arrows into the target.  The consistency of a model (d^2 = 0 and d
+commuting with q, v or U) is checked on the generators in the same way.
+Neither needs a window, so neither costs more when the degrees spread.
+
+Windows.  `materialize` lays out the explicit GF(2) complex on a degree
+window (`graded.ladder_window`) for what is defined on one: the stable
+pattern of `localization_check`, the dual towers of `coborel_tower_tops`
+(a cross-check of the duality formulas), Borel homology, and the test
+oracles.  `default_window` puts its bottom below every generator and its
+stable cut at least 8 degrees above the highest generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import f2linalg as la
 from .errors import InputError, InternalError, ModelInvalidError, as_int
-from .graded import GradedComplex, Homology
+from .graded import GradedComplex, Homology, dual_ladders, ladder_window
 
 
 def _check_homogeneous(name: str, mat: np.ndarray, degrees: list[int], shift: int):
@@ -52,6 +61,18 @@ def _check_homogeneous(name: str, mat: np.ndarray, degrees: list[int], shift: in
                 )
 
 
+def _bit_matrix(value, kind: str, field: str) -> np.ndarray:
+    """A finite-part matrix of a `kind` input.  Every entry must be the
+    integer 0 or 1; nothing is reduced mod 2."""
+    for row in value:
+        for x in row:
+            if isinstance(x, bool) or not hasattr(x, "__index__") or x not in (0, 1):
+                raise InputError(
+                    f"malformed {kind} input: {field} entries must be 0 or 1, got {x!r}"
+                )
+    return la.f2(value)
+
+
 @dataclass
 class TowerArrow:
     """Differential component from a finite generator into the tower
@@ -62,12 +83,105 @@ class TowerArrow:
     b: int
 
 
-class PinModel:
+class _TowerModel:
+    """What PinModel and SOneModel share: towers (a, k) at levels
+    0 <= a < LEVELS in degree n + STEP * k + a, finite generators
+    `finite` with differential `d_fin`, tower arrows `d_to_tower`, and the
+    operators OPS, each as (name, input field, shift, tower entries).  The
+    tower entry (a, a2, j) sends (a, k) to (a2, k - j); the operator's
+    matrix on the finite part is the attribute `<field>_op`."""
+
+    STEP = LEVELS = 0
+    OPS: tuple = ()
+
+    def _read_finite(self, kind: str, finite, op_values, d_fin):
+        """The finite generators and the finite-part matrices."""
+        self.finite = [(str(l), as_int(d, kind, "degree")) for l, d in finite]
+        labels = [l for l, _ in self.finite]
+        if len(set(labels)) != len(labels):
+            raise InputError("duplicate finite generator labels")
+        self.gen_index = {l: i for i, l in enumerate(labels)}
+        degs = [d for _, d in self.finite]
+        fields = [(f, shift) for _, f, shift, _ in self.OPS] + [("d_fin", -1)]
+        for (field, shift), value in zip(fields, [*op_values, d_fin]):
+            attr = field if field == "d_fin" else f"{field}_op"
+            mat = _bit_matrix(value, kind, field) if degs else la.f2_zeros(0, 0)
+            _check_homogeneous(attr, mat, degs, shift)
+            setattr(self, attr, mat)
+
+    def _ops(self):
+        """(name, shift, finite-part matrix, tower entries) per operator."""
+        return [(name, shift, getattr(self, f"{field}_op"), tower)
+                for name, field, shift, tower in self.OPS]
+
+    def _tower_rows(self) -> dict[tuple[int, int], np.ndarray]:
+        """(a, b) -> the row of tower arrows into (a, b), over the finite
+        generators; only nonzero rows."""
+        rows: dict[tuple[int, int], np.ndarray] = {}
+        for t in self.d_to_tower:
+            row = rows.setdefault((t.a, t.b), np.zeros(len(self.finite), np.uint8))
+            row[self.gen_index[t.source]] ^= 1
+        return {key: row for key, row in rows.items() if row.any()}
+
+    def _check_generators(self):
+        """d^2 = 0 and dP = Pd for every operator P, on the generators.  On
+        the finite part these are d_fin^2 = 0 and d_fin P = P d_fin; for
+        the matrix T of tower arrows, T d_fin = 0 and T P = P_tower T.  The
+        error names the lowest degree at fault, as a window's check does."""
+        rows = self._tower_rows()
+        degs = [d for _, d in self.finite]
+        zero = np.zeros(len(degs), np.uint8)
+
+        def at_fault(bad, what):
+            if bad.any():
+                d = min(degs[j] for j in np.flatnonzero(bad))
+                raise InputError(f"inconsistent model: {what} at degree {d}")
+
+        bad = la.f2_mul(self.d_fin, self.d_fin).any(axis=0)
+        for y in rows.values():
+            bad |= la.f2_mul(y, self.d_fin)[0].astype(bool)
+        at_fault(bad, "differential does not square to zero")
+        for name, _, mat, tower in self._ops():
+            bad = (la.f2_mul(self.d_fin, mat) ^ la.f2_mul(mat, self.d_fin)).any(axis=0)
+            # rows of T P (the targets) and of P_tower T (their images)
+            images = {(a2, b - j) for a, b in rows for a1, a2, j in tower if a1 == a and b >= j}
+            for a, b in set(rows) | images:
+                y = la.f2_mul(rows.get((a, b), zero), mat)[0]
+                for a1, a2, j in tower:
+                    if a2 == a:
+                        y ^= rows.get((a1, b + j), zero)
+                bad |= y.astype(bool)
+            at_fault(bad, f"operator {name} does not commute with D")
+
+    def _ladders(self):
+        """The model in the form of graded.ladder_window: the finite
+        generators, and the towers as ladders ("t", a) from n + a."""
+        labels = [l for l, _ in self.finite]
+
+        def fin(mat):
+            return [(labels[j], labels[i], 0) for i, j in zip(*np.nonzero(mat))]
+
+        gens = [(l, d, 0) for l, d in self.finite]
+        if self.reducible_degree is not None:
+            gens += [(("t", a), self.reducible_degree + a, self.STEP)
+                     for a in range(self.LEVELS)]
+        arrows = [(t.source, ("t", t.a), -t.b) for t in self.d_to_tower]
+        maps = {"d": (-1, fin(self.d_fin) + arrows)}
+        for name, shift, mat, tower in self._ops():
+            maps[name] = (shift, fin(mat) + [(("t", a1), ("t", a2), j) for a1, a2, j in tower])
+        return gens, maps
+
+
+class PinModel(_TowerModel):
     """Free F[q,v]/(q^3) tower triple plus finite part.
 
     reducible_degree may be None for the (hypothetical) model with no
     reducible tower; such models must have no arrows into the towers.
     """
+
+    STEP, LEVELS = 4, 3
+    OPS = (("q", "q", -1, ((1, 0, 0), (2, 1, 0))),
+           ("v", "v", -4, tuple((a, a, 1) for a in range(3))))
 
     def __init__(self, reducible_degree, finite, q_op, v_op, d_fin, d_to_tower):
         if reducible_degree is not None:
@@ -75,26 +189,7 @@ class PinModel:
             if reducible_degree % 2:
                 raise InputError("reducible degree must be even")
         self.reducible_degree = reducible_degree
-        self.finite: list[tuple[str, int]] = [
-            (str(l), as_int(d, "pin_model", "degree")) for l, d in finite
-        ]
-        labels = [l for l, _ in self.finite]
-        if len(set(labels)) != len(labels):
-            raise InputError("duplicate finite generator labels")
-        self.gen_index = {l: i for i, l in enumerate(labels)}
-        degs = [d for _, d in self.finite]
-        n = len(self.finite)
-        self.q_op = la.f2(q_op) if n else la.f2_zeros(0, 0)
-        self.v_op = la.f2(v_op) if n else la.f2_zeros(0, 0)
-        self.d_fin = la.f2(d_fin) if n else la.f2_zeros(0, 0)
-        _check_homogeneous("q_op", self.q_op, degs, -1)
-        _check_homogeneous("v_op", self.v_op, degs, -4)
-        _check_homogeneous("d_fin", self.d_fin, degs, -1)
-        q3 = la.f2_mul(la.f2_mul(self.q_op, self.q_op), self.q_op)
-        if q3.any():
-            raise InputError("q_op^3 != 0")
-        if (la.f2_mul(self.q_op, self.v_op) ^ la.f2_mul(self.v_op, self.q_op)).any():
-            raise InputError("q_op and v_op do not commute")
+        self._read_finite("pin_model", finite, (q_op, v_op), d_fin)
         self.d_to_tower: list[TowerArrow] = []
         for arrow in d_to_tower:
             if isinstance(arrow, TowerArrow):
@@ -113,11 +208,12 @@ class PinModel:
             if self.finite[deg][1] - 1 != reducible_degree + 4 * b + a:
                 raise InputError(f"tower arrow from {src!r} is not of degree -1")
             self.d_to_tower.append(TowerArrow(str(src), a, b))
-        # full chain-level consistency on a canonical window
-        try:
-            self.materialize(*self.default_window())
-        except InternalError as e:
-            raise InputError(f"inconsistent model: {e}") from e
+        self._check_generators()
+        q3 = la.f2_mul(la.f2_mul(self.q_op, self.q_op), self.q_op)
+        if q3.any():
+            raise InputError("q_op^3 != 0")
+        if (la.f2_mul(self.q_op, self.v_op) ^ la.f2_mul(self.v_op, self.q_op)).any():
+            raise InputError("q_op and v_op do not commute")
 
     # -- windows ---------------------------------------------------------
 
@@ -146,68 +242,7 @@ class PinModel:
             raise InputError(f"window top {hi} too low; need >= {n + 16}")
         if self.finite and hi < max(d for _, d in self.finite) + 2:
             raise InputError("window top does not cover the finite part")
-
-        basis: dict[int, list] = {}
-
-        def put(deg, label):
-            basis.setdefault(deg, []).append(label)
-
-        for lab, deg in self.finite:
-            if lo <= deg <= hi:
-                put(deg, ("f", lab))
-        if n is not None:
-            k = 0
-            while n + 4 * k <= hi:
-                for a in range(3):
-                    deg = n + 4 * k + a
-                    if lo <= deg <= hi:
-                        put(deg, ("t", a, k))
-                k += 1
-
-        index = {d: {lab: i for i, lab in enumerate(b)} for d, b in basis.items()}
-
-        diff: dict[int, np.ndarray] = {}
-        qm: dict[int, np.ndarray] = {}
-        vm: dict[int, np.ndarray] = {}
-        for d, b in basis.items():
-            dmat = la.f2_zeros(len(basis.get(d - 1, [])), len(b))
-            qmat = la.f2_zeros(len(basis.get(d - 1, [])), len(b))
-            vmat = la.f2_zeros(len(basis.get(d - 4, [])), len(b))
-            for j, lab in enumerate(b):
-                if lab[0] == "f":
-                    gi = self.gen_index[lab[1]]
-                    # differential inside the finite part
-                    for i2 in range(len(self.finite)):
-                        if self.d_fin[i2, gi]:
-                            tgt = ("f", self.finite[i2][0])
-                            dmat[index[d - 1][tgt], j] ^= 1
-                    # differential into the towers
-                    for arrow in self.d_to_tower:
-                        if arrow.source == lab[1]:
-                            tgt = ("t", arrow.a, arrow.b)
-                            dmat[index[d - 1][tgt], j] ^= 1
-                    for i2 in range(len(self.finite)):
-                        if self.q_op[i2, gi]:
-                            tgt = ("f", self.finite[i2][0])
-                            qmat[index[d - 1][tgt], j] ^= 1
-                        if self.v_op[i2, gi]:
-                            tgt = ("f", self.finite[i2][0])
-                            vmat[index[d - 4][tgt], j] ^= 1
-                else:
-                    _, a, k = lab
-                    if a >= 1:
-                        qmat[index[d - 1][("t", a - 1, k)], j] ^= 1
-                    if k >= 1:
-                        vmat[index[d - 4][("t", a, k - 1)], j] ^= 1
-            diff[d] = dmat
-            qm[d] = qmat
-            vm[d] = vmat
-
-        cx = GradedComplex(basis, diff, {"q": (-1, qm), "v": (-4, vm)})
-        cx.check_differential()
-        cx.check_op_commutes("q", lo_safe=lo)
-        cx.check_op_commutes("v", lo_safe=lo)
-        return cx
+        return ladder_window(*self._ladders(), lo, hi)
 
     # -- serialization ----------------------------------------------------
 
@@ -300,28 +335,27 @@ def borel_homology(model: PinModel) -> BorelHomology:
     return BorelHomology(model, (lo, hi), Homology(model.materialize(lo, hi)))
 
 
-def tower_bottoms(bh: BorelHomology) -> tuple[int, int, int]:
-    """Lowest degrees A, B, C of the three v-towers in homology: in each
-    residue class of n + r mod 4, the lowest degree with a nonzero
-    stable v-image."""
-    n = bh.model.reducible_degree
+def tower_bottoms(model) -> tuple[int, ...]:
+    """The lowest degree of each tower in homology, level by level: A, B, C
+    of a PinModel, the one bottom of an SOneModel.  Read from which
+    tower-arrow targets are boundaries (see the module docstring)."""
+    n = model.reducible_degree
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
-    ranks = bh.homology.stable_ranks("v", bh.window[0], bh.cut)
-    out = []
-    for r in range(3):
-        b = next((d for d in ranks if (d - n - r) % 4 == 0 and ranks[d]), None)
-        if b is None:
-            raise ModelInvalidError(
-                f"no surviving v-tower in residue {r}: localization violated"
-            )
-        out.append(b)
-    return tuple(out)
+    degs = np.array([d for _, d in model.finite], dtype=np.int64)
+    bottoms = [n + a for a in range(model.LEVELS)]
+    for (a, b), y in model._tower_rows().items():
+        target = n + model.STEP * b + a
+        up = np.flatnonzero(degs == target + 1)
+        x = model.d_fin[np.ix_(np.flatnonzero(degs == target), up)]
+        if la.rank_f2(np.vstack([x, y[up]])) > la.rank_f2(x):
+            bottoms[a] = max(bottoms[a], target + model.STEP)
+    return tuple(bottoms)
 
 
 def abc(model: PinModel) -> AbcReport:
     """Extract (alpha, beta, gamma, mu) from the tower bottoms."""
-    A, B, C = tower_bottoms(borel_homology(model))
+    A, B, C = tower_bottoms(model)
     if A % 2 or (B - 1) % 2 or (C - 2) % 2:
         raise InternalError(f"tower bottoms have impossible parities: {(A, B, C)}")
     alpha, beta, gamma = A // 2, (B - 1) // 2, (C - 2) // 2
@@ -374,7 +408,7 @@ def localization_check(model: PinModel) -> LocalizationReport:
         return LocalizationReport(ok, None, pattern,
                                   "free model localizes to zero" if ok else
                                   "stable classes in a model without towers")
-    bottoms = tower_bottoms(bh)
+    bottoms = tower_bottoms(model)
     ranks = bh.homology.stable_ranks("v", lo, cut)
     degrees = range(max(bottoms), cut - 3)
     pattern = [ranks[d] for d in degrees]
@@ -386,11 +420,11 @@ def localization_check(model: PinModel) -> LocalizationReport:
 def coborel_tower_tops(model: PinModel):
     """Maximal degrees of the three downward towers of the degree-negated
     dual complex; cross-validates the duality formulas."""
-    lo, hi = model.default_window()
-    h = Homology(_dualize(model.materialize(lo, hi)))
     n = model.reducible_degree
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
+    lo, hi = model.default_window()
+    h = Homology(ladder_window(*dual_ladders(*model._ladders()), -hi, -lo))
     # the dual of the stable cut of the Borel window
     dhi, cut = -lo, -(hi - 8)
     tops = []
@@ -409,42 +443,20 @@ def coborel_tower_tops(model: PinModel):
     return tuple(tops)
 
 
-def _dualize(cx: GradedComplex) -> GradedComplex:
-    basis = {-d: [("dual", lab) for lab in cx.basis[d]] for d in cx.degrees()}
-    diff = {}
-    ops: dict[str, tuple[int, dict[int, np.ndarray]]] = {}
-    for name, (shift, _) in cx.ops.items():
-        ops[name] = (shift, {})
-    for e in list(basis):
-        diff[e] = cx.d_matrix(-e + 1).T.copy()
-        for name, (shift, mats) in cx.ops.items():
-            ops[name][1][e] = cx.op_matrix(name, -e - shift).T.copy()
-    out = GradedComplex(basis, diff, ops)
-    out.check_differential()
-    return out
-
-
 # ---------------------------------------------------------------------------
 # S^1 analogue: one U-tower
 
 
-class SOneModel:
+class SOneModel(_TowerModel):
     """Single free F[U] tower (bottom at the reducible degree, U of degree
     -2) plus a finite part with a U action."""
 
+    STEP, LEVELS = 2, 1
+    OPS = (("U", "u", -2, ((0, 0, 1),)),)
+
     def __init__(self, reducible_degree, finite, u_op, d_fin, d_to_tower):
         self.reducible_degree = as_int(reducible_degree, "s1_model", "reducible_degree")
-        self.finite = [(str(l), as_int(d, "s1_model", "degree")) for l, d in finite]
-        labels = [l for l, _ in self.finite]
-        if len(set(labels)) != len(labels):
-            raise InputError("duplicate finite generator labels")
-        self.gen_index = {l: i for i, l in enumerate(labels)}
-        degs = [d for _, d in self.finite]
-        n = len(self.finite)
-        self.u_op = la.f2(u_op) if n else la.f2_zeros(0, 0)
-        self.d_fin = la.f2(d_fin) if n else la.f2_zeros(0, 0)
-        _check_homogeneous("u_op", self.u_op, degs, -2)
-        _check_homogeneous("d_fin", self.d_fin, degs, -1)
+        self._read_finite("s1_model", finite, (u_op,), d_fin)
         self.d_to_tower = []
         for arrow in d_to_tower:
             src, b = (arrow.source, arrow.b) if isinstance(arrow, TowerArrow) else arrow
@@ -454,10 +466,7 @@ class SOneModel:
             if self.finite[self.gen_index[src]][1] - 1 != self.reducible_degree + 2 * b:
                 raise InputError(f"tower arrow from {src!r} is not of degree -1")
             self.d_to_tower.append(TowerArrow(str(src), 0, b))
-        try:
-            self.materialize(*self.default_window())
-        except InternalError as e:
-            raise InputError(f"inconsistent model: {e}") from e
+        self._check_generators()
 
     def default_window(self) -> tuple[int, int]:
         # the stable cut, 4 below the top, sits 8 + 2 per finite
@@ -468,46 +477,14 @@ class SOneModel:
         return lo, hi
 
     def materialize(self, lo: int, hi: int) -> GradedComplex:
+        """Explicit GF(2) complex with U on the window [lo, hi]."""
         n = self.reducible_degree
         degs = [d for _, d in self.finite] + [n]
         if lo > min(degs) - 2:
             raise InputError("window bottom too high")
         if hi < n + 8:
             raise InputError("window top too low")
-        basis: dict[int, list] = {}
-        for lab, deg in self.finite:
-            if lo <= deg <= hi:
-                basis.setdefault(deg, []).append(("f", lab))
-        k = 0
-        while n + 2 * k <= hi:
-            if n + 2 * k >= lo:
-                basis.setdefault(n + 2 * k, []).append(("t", k))
-            k += 1
-        index = {d: {lab: i for i, lab in enumerate(b)} for d, b in basis.items()}
-        diff, um = {}, {}
-        for d, b in basis.items():
-            dmat = la.f2_zeros(len(basis.get(d - 1, [])), len(b))
-            umat = la.f2_zeros(len(basis.get(d - 2, [])), len(b))
-            for j, lab in enumerate(b):
-                if lab[0] == "f":
-                    gi = self.gen_index[lab[1]]
-                    for i2 in range(len(self.finite)):
-                        if self.d_fin[i2, gi]:
-                            dmat[index[d - 1][("f", self.finite[i2][0])], j] ^= 1
-                        if self.u_op[i2, gi]:
-                            umat[index[d - 2][("f", self.finite[i2][0])], j] ^= 1
-                    for arrow in self.d_to_tower:
-                        if arrow.source == lab[1]:
-                            dmat[index[d - 1][("t", arrow.b)], j] ^= 1
-                else:
-                    if lab[1] >= 1:
-                        umat[index[d - 2][("t", lab[1] - 1)], j] ^= 1
-            diff[d] = dmat
-            um[d] = umat
-        cx = GradedComplex(basis, diff, {"U": (-2, um)})
-        cx.check_differential()
-        cx.check_op_commutes("U", lo_safe=lo)
-        return cx
+        return ladder_window(*self._ladders(), lo, hi)
 
     def to_json(self) -> dict:
         return {
@@ -535,15 +512,7 @@ class SOneModel:
             raise InputError(f"s1 model missing field {e}") from e
 
 
-def delta_invariant(model: SOneModel):
-    """Half the minimal degree of the tower-parity class with a nonzero
-    stable U-image (see the module docstring for why one window is exact)."""
-    from fractions import Fraction
-
-    lo, hi = model.default_window()
-    n = model.reducible_degree
-    ranks = Homology(model.materialize(lo, hi)).stable_ranks("U", lo, hi - 4)
-    bottom = next((d for d in ranks if (d - n) % 2 == 0 and ranks[d]), None)
-    if bottom is None:
-        raise ModelInvalidError("no surviving U-tower")
+def delta_invariant(model: SOneModel) -> Fraction:
+    """Half the bottom degree of the U-tower in homology."""
+    (bottom,) = tower_bottoms(model)
     return Fraction(bottom, 2)

@@ -1,17 +1,22 @@
 """Finite windows of graded GF(2) chain complexes with operators.
 
-The engine under the windowed tower reads of the equivariant models
-(`abc`, `tate`, `dual`, `delta`) and under the plus-flavor window that
-the involutive module keeps for its cone laws and as a test reference
-(its U-towers are read by elimination, without a window).  A complex is a
-family of degree-indexed basis lists, a degree -1 differential, and named
-degree-homogeneous operators (q, v, U, Q).  Homology is computed per
-degree with explicit representatives, chosen by one elimination of
-[boundaries | cycles], so module actions can be pushed to homology: an
-operator's matrix on H_d comes from one multi-right-hand-side solve
-against the cycle basis [boundaries | representatives] kept for the
-target degree.  Ranks of stabilized operator powers are read for a whole
-degree range by one downward sweep per residue class.
+`ladder_window` is the one place where a window is laid out.  Each
+generator is one element, or a ladder (x, k), k >= 0, of fixed degree
+step: a tower of an equivariant model, U^-k x in the plus flavor of a
+complex over F[U], or a downward ladder in a degree-negated dual.  Each
+map (the differential d, and the operators q, v, U, Q) is a list of
+entries (src, tgt, j) sending (src, k) to (tgt, k - j).  Windows remain
+where a report is defined on one: `tate`'s stable pattern, `dual`'s
+coborel cross-check, the cone laws, and the test oracles; tower bottoms
+are read without them.
+
+Homology is computed per degree with explicit representatives, chosen by
+one elimination of [boundaries | cycles], so module actions can be
+pushed to homology: an operator's matrix on H_d comes from one
+multi-right-hand-side solve against the cycle basis [boundaries |
+representatives] kept for the target degree.  Ranks of stabilized
+operator powers are read for a whole degree range by one downward sweep
+per residue class.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import f2linalg as la
-from .errors import InputError, InternalError
+from .errors import InternalError
 
 
 class GradedComplex:
@@ -69,20 +74,67 @@ class GradedComplex:
             if dd.any():
                 raise InternalError(f"differential does not square to zero at degree {d}")
 
-    def check_op_commutes(self, name: str, lo_safe: int | None = None):
-        """D . op = op . D wherever every intermediate degree is in-window.
-
-        lo_safe: lowest degree at which the identity is enforced (both
-        compositions must land at degrees >= the window bottom).
-        """
+    def check_op_commutes(self, name: str):
+        """D . op = op . D in every degree."""
         shift = self.op_shift(name)
         for d in self.degrees():
-            if lo_safe is not None and d + shift - 1 < lo_safe:
-                continue
             left = la.f2_mul(self.d_matrix(d + shift), self.op_matrix(name, d))
             right = la.f2_mul(self.op_matrix(name, d - 1), self.d_matrix(d))
             if left.shape == right.shape and (left ^ right).any():
                 raise InternalError(f"operator {name} does not commute with D at degree {d}")
+
+
+def ladder_window(gens, maps: dict, lo: int, hi: int) -> GradedComplex:
+    """The window [lo, hi] of a complex given by ladders, checked for
+    d^2 = 0 and for each operator commuting with d.
+
+    gens: (label, degree, step) per generator; step 0 is the one element
+    (label, 0) in `degree`, any other step the ladder (label, k), k >= 0,
+    in degree + step * k.  maps: name -> (shift, entries), where the entry
+    (src, tgt, j) sends (src, k) to (tgt, k - j) and entries that meet
+    add up mod 2; "d" is the differential, every other map an operator.
+    Every map lowers degrees, so the window is a quotient of a subcomplex:
+    nothing is cut off at its edges, and d^2 and the commutators on it
+    are those of the whole complex.
+    """
+    basis: dict[int, list] = {}
+    where = {}  # (label, k) -> position in its degree
+    for lab, deg, step in gens:
+        if step:
+            near, far = (lo, hi) if step > 0 else (hi, lo)
+            ks = range(max(0, -((deg - near) // step)), (far - deg) // step + 1)
+        else:
+            ks = range(1 if lo <= deg <= hi else 0)
+        for k in ks:
+            col = basis.setdefault(deg + step * k, [])
+            where[lab, k] = len(col)
+            col.append((lab, k))
+    mats = {}
+    for name, (shift, entries) in maps.items():
+        out: dict = {}
+        for src, tgt, j in entries:
+            out.setdefault(src, []).append((tgt, j))
+        mats[name] = (shift, {})
+        for e, b in basis.items():
+            m = mats[name][1][e] = la.f2_zeros(len(basis.get(e + shift, ())), len(b))
+            for c, (lab, k) in enumerate(b):
+                for tgt, j in out.get(lab, ()):
+                    hit = where.get((tgt, k - j))
+                    if hit is not None:
+                        m[hit, c] ^= 1
+    cx = GradedComplex(basis, mats.pop("d")[1], mats)
+    cx.check_differential()
+    for name in mats:
+        cx.check_op_commutes(name)
+    return cx
+
+
+def dual_ladders(gens, maps: dict):
+    """The degree-negated dual of a ladder complex: degrees and steps
+    negated, every map transposed (same shift)."""
+    return ([(lab, -deg, -step) for lab, deg, step in gens],
+            {name: (shift, [(tgt, src, -j) for src, tgt, j in entries])
+             for name, (shift, entries) in maps.items()})
 
 
 class Homology:

@@ -23,9 +23,9 @@ through d (d_under = 2d - b - 1); it reproduces the split case with
 K = 0 and the bundled +1-surgery fixture with K = 1.
 
 The explicit plus flavor on a degree window (tensoring with
-F[U, U^-1]/F[U]) stays available as `UComplex.plus_window`, for the
-cone laws on homology dimensions and as the reference the elimination
-is tested against.
+F[U, U^-1]/F[U]) stays available as `UComplex.plus_window`, laid out by
+`graded.ladder_window`, for the cone laws on homology dimensions and as
+the reference the elimination is tested against.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import f2linalg as la
 from .errors import InputError, InternalError, ModelInvalidError, as_int
-from .graded import GradedComplex, Homology
+from .graded import GradedComplex, Homology, ladder_window
 
 DEFAULT_MARGIN = 2
 
@@ -158,54 +158,22 @@ class UComplex:
         return lo, hi
 
     def plus_window(self, lo: int, hi: int, extra_ops=None) -> GradedComplex:
-        """Explicit GF(2) model of the quotient flavor on [lo, hi]:
-        basis elements (x, k) = U^{-k} x for k >= 0."""
+        """Explicit GF(2) model of the quotient flavor on [lo, hi]: each
+        generator x is the ladder (x, k) = U^{-k} x, k >= 0, of step 2
+        (graded.ladder_window).  extra_ops: name -> (shift, entries), more
+        operators in the entry form of ladder_window."""
         degs = self.degrees()
         if degs and hi < max(degs) + 2 * (DEFAULT_MARGIN + 1):
             raise InputError("window top too low for the plus flavor")
         if degs and lo > min(degs) - 2:
             raise InputError("window bottom too high for the plus flavor")
-        basis: dict[int, list] = {}
-        for (lab, deg) in self.generators:
-            k = max(0, (lo - deg + 1) // 2)
-            while deg + 2 * k <= hi:
-                if deg + 2 * k >= lo:
-                    basis.setdefault(deg + 2 * k, []).append((lab, k))
-                k += 1
-        index = {d: {b: i for i, b in enumerate(bs)} for d, bs in basis.items()}
-        diff, um = {}, {}
-        for d, bs in basis.items():
-            dmat = la.f2_zeros(len(basis.get(d - 1, [])), len(bs))
-            umat = la.f2_zeros(len(basis.get(d - 2, [])), len(bs))
-            for j, (lab, k) in enumerate(bs):
-                gj = self.index[lab]
-                for gi in range(len(self.generators)):
-                    if self.d_mat[gi, gj]:
-                        tl, td = self.generators[gi]
-                        jump = _forced_power(self.generators[gj][1], td, -1)
-                        if k - jump >= 0 and lo <= td + 2 * (k - jump):
-                            dmat[index[d - 1][(tl, k - jump)], j] ^= 1
-                if k >= 1 and d - 2 >= lo:
-                    umat[index[d - 2][(lab, k - 1)], j] ^= 1
-            diff[d] = dmat
-            um[d] = umat
-        ops = {"U": (-2, um)}
-        if extra_ops:
-            for name, (shift, fn) in extra_ops.items():
-                mats = {}
-                for d, bs in basis.items():
-                    mat = la.f2_zeros(len(basis.get(d + shift, [])), len(bs))
-                    for j, (lab, k) in enumerate(bs):
-                        for (tl, tk) in fn(lab, k):
-                            tgt_deg = d + shift
-                            if tgt_deg in index and (tl, tk) in index[tgt_deg]:
-                                mat[index[tgt_deg][(tl, tk)], j] ^= 1
-                    mats[d] = mat
-                ops[name] = (shift, mats)
-        cx = GradedComplex(basis, diff, ops)
-        cx.check_differential()
-        cx.check_op_commutes("U", lo_safe=lo + 4)
-        return cx
+        gens = [(lab, deg, 2) for lab, deg in self.generators]
+        maps = {
+            "d": (-1, [(e["from"], e["to"], e["upower"]) for e in self.entry_list()]),
+            "U": (-2, [(lab, lab, 1) for lab, _ in self.generators]),
+            **(extra_ops or {}),
+        }
+        return ladder_window(gens, maps, lo, hi)
 
 
 class IotaMap:
@@ -344,21 +312,14 @@ class ConeComplex:
             raise InternalError("cone differential does not square to zero")
 
     def plus_window(self, lo: int, hi: int) -> GradedComplex:
-        n = len(self.base.generators)
-
-        def q_images(lab, k):
-            kind, name = lab.split(":", 1)
-            if kind == "m":
-                return [(f"q:{name}", k)]
-            return []
-
-        cx = self.complex.plus_window(lo, hi, extra_ops={"Q": (-1, q_images)})
-        # module relations: Q^2 = 0 and QU = UQ on the window interior
+        """The plus flavor of the cone on [lo, hi], with Q (x, k) = (Qx, k)."""
+        q = [(f"m:{lab}", f"q:{lab}", 0) for lab, _ in self.base.generators]
+        cx = self.complex.plus_window(lo, hi, {"Q": (-1, q)})
+        # the module relation Q^2 = 0 (the window checks dQ = Qd)
         for d in cx.degrees():
             qq = la.f2_mul(cx.op_matrix("Q", d - 1), cx.op_matrix("Q", d))
             if qq.any():
                 raise InternalError("Q^2 != 0 on the cone window")
-        cx.check_op_commutes("Q", lo_safe=lo + 4)
         return cx
 
     def default_window(self) -> tuple[int, int]:

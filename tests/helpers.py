@@ -340,3 +340,46 @@ def window_tower_bottoms(c: UComplex) -> dict[int, int]:
     lo, hi = c.default_window()
     h = Homology(c.plus_window(lo, hi))
     return towers_from_profile(h.stable_ranks("U", lo + 2, hi - 4))
+
+
+# ---------------------------------------------------------------------------
+# tower reading of the equivariant models on a window
+
+
+def _window_bottoms(model, name: str, levels: int, below_top: int):
+    """In each residue n + a of the tower step, the lowest degree with a
+    nonzero stable image of `name` on the model's default window, read
+    below the cut `below_top` degrees under its top (None if there is none)."""
+    lo, hi = model.default_window()
+    ranks = Homology(model.materialize(lo, hi)).stable_ranks(name, lo, hi - below_top)
+    step, n = model.STEP, model.reducible_degree
+    return tuple(
+        next((d for d in ranks if (d - n - a) % step == 0 and ranks[d]), None)
+        for a in range(levels)
+    )
+
+
+def window_pin_bottoms(model: PinModel):
+    """The reference for tower_bottoms on a PinModel: (A, B, C) read from
+    the stable v-images on the default window."""
+    return _window_bottoms(model, "v", 3, 8)
+
+
+def window_delta_bottom(model: SOneModel):
+    """The reference for the bottom behind delta_invariant: read from the
+    stable U-images on the default window."""
+    return _window_bottoms(model, "U", 1, 4)[0]
+
+
+def with_acyclic_pair(model, degree: int):
+    """The same model (PinModel or SOneModel) plus a pair x -> y, with x at
+    `degree` and y one below; the pair has no other arrows."""
+    data = model.to_json()
+    k = len(data["finite"])
+    data["finite"] += [{"label": "pair_x", "degree": degree},
+                       {"label": "pair_y", "degree": degree - 1}]
+    for key in ("q", "v", "u", "d_fin"):
+        if key in data:
+            data[key] = [row + [0, 0] for row in data[key]] + [[0] * (k + 2)] * 2
+    data["d_fin"][k + 1] = [0] * k + [1, 0]
+    return type(model).from_json(data)

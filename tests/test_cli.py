@@ -330,3 +330,28 @@ def test_integer_fields_accept_their_valid_forms(tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(data))
         assert main([cmd, str(path)]) == 0
+
+
+def _two_generator(kind):
+    fields = {"pin_model": {"q": [[0, 0], [0, 0]], "v": [[0, 0], [0, 0]]},
+              "s1_model": {"u": [[0, 0], [0, 0]]}}[kind]
+    return {"kind": kind, "reducible_degree": 0,
+            "finite": [{"label": "x", "degree": 1}, {"label": "y", "degree": 0}],
+            "d_fin": [[0, 0], [1, 0]], "d_to_tower": [], **fields}
+
+
+@pytest.mark.parametrize("value", [3.7, "1", 2, True, -1, None])
+@pytest.mark.parametrize(
+    "cmd, kind, field",
+    [("abc", "pin_model", "q"), ("abc", "pin_model", "v"), ("abc", "pin_model", "d_fin"),
+     ("delta", "s1_model", "u"), ("delta", "s1_model", "d_fin")],
+)
+def test_matrix_entries_must_be_bits(tmp_path, capsys, cmd, kind, field, value):
+    data = _two_generator(kind)
+    data[field][1][0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([cmd, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InputError: malformed {kind} input: {field} entries "
+                          f"must be 0 or 1, got {value!r}")

@@ -1,11 +1,14 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+from homcob import fixtures
 from homcob.equivariant import (
     PinModel,
     SOneModel,
+    TowerArrow,
     abc,
     abc_of_reverse,
     borel_homology,
@@ -15,10 +18,16 @@ from homcob.equivariant import (
     rokhlin_check,
     tower_bottoms,
 )
-from homcob.errors import InputError, ModelInvalidError
+from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import Homology
 
-from helpers import random_pin_model, random_s1_model
+from helpers import (
+    random_pin_model,
+    random_s1_model,
+    window_delta_bottom,
+    window_pin_bottoms,
+    with_acyclic_pair,
+)
 
 S3 = PinModel(0, [], [], [], [], [])
 POINCARE = PinModel(2, [], [], [], [], [])
@@ -108,15 +117,15 @@ def test_acyclic_pair_leaves_homology():
 
 
 def test_bottoms_s0():
-    assert tower_bottoms(borel_homology(S3)) == (0, 1, 2)
+    assert tower_bottoms(S3) == (0, 1, 2)
 
 
 def test_bottoms_s2():
-    assert tower_bottoms(borel_homology(POINCARE)) == (2, 3, 4)
+    assert tower_bottoms(POINCARE) == (2, 3, 4)
 
 
 def test_bottoms_killer_shift():
-    assert tower_bottoms(borel_homology(TRIPLE_KILLER)) == (4, 5, 6)
+    assert tower_bottoms(TRIPLE_KILLER) == (4, 5, 6)
 
 
 def test_abc_s3():
@@ -174,7 +183,7 @@ def test_localization_random_models():
 def test_tower_bottoms_requires_tower():
     free = PinModel(None, [("x", 0)], [[0]], [[0]], [[0]], [])
     with pytest.raises(ModelInvalidError):
-        tower_bottoms(borel_homology(free))
+        tower_bottoms(free)
 
 
 # -- duality ----------------------------------------------------------------------
@@ -214,7 +223,7 @@ def test_coborel_matches_negated_bottoms():
     rng = random.Random(99)
     models = [S3, POINCARE, S_MINUS2] + [random_pin_model(rng) for _ in range(8)]
     for m in models:
-        A, B, C = tower_bottoms(borel_homology(m))
+        A, B, C = tower_bottoms(m)
         assert coborel_tower_tops(m) == (-A, -B, -C)
 
 
@@ -322,3 +331,112 @@ def test_delta_is_half_integer_of_tower_bottom():
         m = random_s1_model(rng)
         d = delta_invariant(m)
         assert (2 * d) % 1 == 0
+
+
+# -- tower bottoms from the finite part ------------------------------------------------
+
+
+def fixture_models():
+    out = []
+    for name in fixtures.fixture_names():
+        kind = fixtures.describe(name)
+        if kind in ("pin_model", "s1_model"):
+            cls = PinModel if kind == "pin_model" else SOneModel
+            out.append(cls.from_json(fixtures.load_raw(name)))
+    return out
+
+
+def random_models(seed, count):
+    """Random pin and s1 models, alternating, from the two random suites."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        out += [random_pin_model(rng, max_blocks=3), random_s1_model(rng, max_blocks=3)]
+    return out
+
+
+def window_bottoms(m):
+    return window_pin_bottoms(m) if isinstance(m, PinModel) else (window_delta_bottom(m),)
+
+
+def test_tower_bottoms_match_window_reader():
+    models = fixture_models()
+    assert sorted(type(m).__name__ for m in models) == ["PinModel"] * 3 + ["SOneModel"] * 2
+    for m in models + [TRIPLE_KILLER] + random_models(3, 80):
+        assert tower_bottoms(m) == window_bottoms(m)
+
+
+@pytest.mark.parametrize("offset", [-400, -200, -100, -50, 50, 100, 200, 400])
+def test_tower_bottoms_match_window_reader_with_a_far_pair(offset):
+    for m in fixture_models() + random_models(abs(offset) + (offset < 0), 3):
+        far = with_acyclic_pair(m, m.reducible_degree + offset)
+        assert tower_bottoms(far) == window_bottoms(far) == tower_bottoms(m)
+
+
+def test_tower_reads_build_no_window(monkeypatch):
+    def refuse(self, lo, hi):
+        raise AssertionError(f"window [{lo}, {hi}] materialized")
+
+    monkeypatch.setattr(PinModel, "materialize", refuse)
+    monkeypatch.setattr(SOneModel, "materialize", refuse)
+    for m in fixture_models() + [TRIPLE_KILLER] + random_models(5, 40):
+        if isinstance(m, PinModel):
+            r = abc(m)
+            assert abc_of_reverse(m) == (-r.gamma, -r.beta, -r.alpha)
+            for offset in (-100_000, 100_000):
+                far = with_acyclic_pair(m, m.reducible_degree + offset)
+                assert abc(far) == r and abc_of_reverse(far) == abc_of_reverse(m)
+        else:
+            delta = delta_invariant(m)
+            for offset in (-100_000, 100_000):
+                assert delta_invariant(with_acyclic_pair(m, m.reducible_degree + offset)) == delta
+
+
+def _mutations(m):
+    """Every one-entry flip of d_fin and of the operators that keeps degrees,
+    and every tower arrow that could be toggled."""
+    degs = [d for _, d in m.finite]
+    shifts = {"d_fin": -1, **({"q_op": -1, "v_op": -4} if isinstance(m, PinModel)
+                             else {"u_op": -2})}
+    out = [(attr, i, j) for attr, shift in shifts.items()
+           for i, di in enumerate(degs) for j, dj in enumerate(degs) if di == dj + shift]
+    for label, d in m.finite:
+        r = d - 1 - m.reducible_degree
+        if r >= 0 and r % m.STEP < m.LEVELS:
+            out.append(("arrow", label, r % m.STEP, r // m.STEP))
+    return out
+
+
+def _mutated(m, mutation):
+    out = copy.deepcopy(m)
+    if mutation[0] == "arrow":
+        arrow = TowerArrow(*mutation[1:])
+        if arrow in out.d_to_tower:
+            out.d_to_tower.remove(arrow)
+        else:
+            out.d_to_tower.append(arrow)
+    else:
+        getattr(out, mutation[0])[mutation[1:]] ^= 1
+    return out
+
+
+def test_generator_checks_agree_with_the_window_checks():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for m in random_models(41, 40):
+        mutations = _mutations(m)
+        for mutation in rng.sample(mutations, min(6, len(mutations))):
+            bad = _mutated(m, mutation)
+            try:
+                bad.materialize(*bad.default_window())
+                window = None
+            except InternalError as e:
+                window = f"inconsistent model: {e}"
+            try:
+                type(bad).from_json(bad.to_json())
+                generators = None
+            except InputError as e:
+                generators = str(e) if str(e).startswith("inconsistent model") else None
+            assert generators == window, mutation
+            seen[window is None] += 1
+    assert seen[True] > 50 and seen[False] > 50
