@@ -7,6 +7,11 @@ ints; rank, kernel, solve and image all read the reduced row echelon form
 (RREF), which is unique, so the packing changes no result.  Integer
 matrices are plain lists of lists of Python ints so that Smith normal
 form never overflows (entry growth is real even on small inputs).
+
+Every Smith normal form carries its certificate: the elimination keeps
+U^-1 and V^-1 alongside U and V, and _check_snf proves U*m*V = D, that U
+and V are unimodular (U*U^-1 = I and V^-1*V = I) and the divisibility
+chain of D, with integer products that skip zero entries.
 """
 
 from __future__ import annotations
@@ -180,14 +185,21 @@ def int_eye(n: int) -> list[list[int]]:
 
 
 def int_mul(a, b) -> list[list[int]]:
-    if not a or not b:
-        ra = len(a)
-        cb = len(b[0]) if b else 0
-        return [[0] * cb for _ in range(ra)]
-    if len(a[0]) != len(b):
+    """Integer matrix product; zero entries are skipped, so the cost follows
+    the nonzeros of a times the nonzeros of the rows of b they meet."""
+    cols = len(b[0]) if b else 0
+    if any(len(row) != len(b) for row in a):
         raise InputError("shape mismatch in integer product")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def int_transpose(a) -> list[list[int]]:
@@ -219,129 +231,147 @@ def int_det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def is_unimodular(a) -> bool:
-    return abs(int_det(a)) == 1
+def _sparse_eye(n: int) -> list[dict[int, int]]:
+    return [{i: 1} for i in range(n)]
+
+
+def _axpy(major, minor, dst, src, q) -> None:
+    """major[dst] -= q * major[src] on sparse rows {index: entry}; when minor
+    is given it holds the same matrix by the other index and is kept equal."""
+    row = major[dst]
+    for k, x in major[src].items():
+        y = row.get(k, 0) - q * x
+        if y:
+            row[k] = y
+            if minor is not None:
+                minor[k][dst] = y
+        else:
+            row.pop(k, None)
+            if minor is not None:
+                minor[k].pop(dst, None)
 
 
 def smith_normal_form(m):
     """Smith normal form with transforms.
 
     Returns (U, D, V) with U @ m @ V = D, U and V unimodular, D diagonal
-    with nonnegative entries d1 | d2 | ...  Pivoting picks the minimal
-    nonzero absolute value to limit entry growth.
+    with nonnegative entries d1 | d2 | ...  The matrix is eliminated
+    sparsely, by rows and by columns at once: each pivot has the minimal
+    nonzero absolute value (units first, as in Dumas-Saunders-Villard,
+    "On efficient sparse integer matrix Smith normal form computations",
+    JSC 2001), ties broken by the Markowitz count to limit fill-in, and
+    its row and column are cleared in place, the pivot moving to any
+    smaller remainder.  Pivots that break the divisibility chain are then
+    replaced pairwise by their gcd and lcm with the same clearing step,
+    and the pivots are permuted onto the diagonal.  Every elementary
+    operation is applied to U and V and, inverted, to U^-1 and V^-1, which
+    certify that U and V are unimodular (see _check_snf).
     """
-    a = [row[:] for row in int_mat(m)]
+    a = int_mat(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    u = int_eye(rows)
-    v = int_eye(cols)
+    arow = [{j: x for j, x in enumerate(row) if x} for row in a]
+    acol: list[dict[int, int]] = [{} for _ in range(cols)]
+    for i, row in enumerate(arow):
+        for j, x in row.items():
+            acol[j][i] = x
+    # U and V^-1 by rows, U^-1 and V by columns
+    u, u_inv_t = _sparse_eye(rows), _sparse_eye(rows)
+    v_t, v_inv = _sparse_eye(cols), _sparse_eye(cols)
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    def row_op(i, p, q):  # row_i -= q * row_p
+        _axpy(arow, acol, i, p, q)
+        _axpy(u, None, i, p, q)
+        _axpy(u_inv_t, None, p, i, -q)
 
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
+    def col_op(j, c, q):  # col_j -= q * col_c
+        _axpy(acol, arow, j, c, q)
+        _axpy(v_t, None, j, c, q)
+        _axpy(v_inv, None, c, j, -q)
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    def clear(p, c):
+        """Clear row p and column c but for one pivot; returns its place."""
+        while True:
+            piv = arow[p][c]
+            i = next((i for i in acol[c] if i != p), None)
+            if i is not None:
+                row_op(i, p, arow[i][c] // piv)
+                if c in arow[i]:  # a smaller remainder becomes the pivot
+                    p = i
+                continue
+            j = next((j for j in arow[p] if j != c), None)
+            if j is None:
+                return p, c
+            col_op(j, c, arow[p][j] // piv)
+            if j in arow[p]:
+                c = j
 
-    def swap_cols(i, j):
-        for r in range(rows):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    t = 0
+    pivots: list[tuple[int, int]] = []
+    free = set(range(rows))
     while True:
-        # minimal absolute value nonzero pivot in the trailing block
-        pivot = None
         best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-
-        # clear row/column t; restart when a remainder shrinks the pivot
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_op(i, t, q)
-                    if a[i][t] != 0:  # nonzero remainder becomes new pivot
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_op(j, t, q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
+        for i in free:
+            fill = len(arow[i]) - 1
+            for j, x in arow[i].items():
+                key = (abs(x), fill * (len(acol[j]) - 1))
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+            if best is not None and best[0] == (1, 0):
                 break
-
-        # divisibility: fold any non-multiple into the pivot's row
-        while True:
-            bad = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
-            while True:
-                dirty = False
-                for j in range(t + 1, cols):
-                    if a[t][j] != 0:
-                        q = a[t][j] // a[t][t]
-                        col_op(j, t, q)
-                        if a[t][j] != 0:
-                            swap_cols(t, j)
-                            dirty = True
-                for i in range(t + 1, rows):
-                    if a[i][t] != 0:
-                        q = a[i][t] // a[t][t]
-                        row_op(i, t, q)
-                        if a[i][t] != 0:
-                            swap_rows(t, i)
-                            dirty = True
-                if not dirty:
-                    break
-
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-        if t == min(rows, cols):
+        if best is None:
             break
+        p, c = clear(best[1], best[2])
+        pivots.append((p, c))
+        free.discard(p)
 
-    d = [[a[i][j] if i == j else 0 for j in range(cols)] for i in range(rows)]
-    _check_snf(m, u, d, v)
+    # gcd/lcm pairs until d_s | d_t for all s < t
+    for s in range(len(pivots)):
+        for t in range(s + 1, len(pivots)):
+            (ps, cs), (pt, ct) = pivots[s], pivots[t]
+            if arow[pt][ct] % arow[ps][cs]:
+                col_op(cs, ct, -1)
+                p, c = clear(ps, cs)
+                pivots[s], pivots[t] = (p, c), (ps + pt - p, cs + ct - c)
+
+    # pivot k goes to row and column k, made positive by negating its row
+    # of U (and column of U^-1); U^-1 = U^-1 P^T and V^-1 = Q^T V^-1 follow
+    # the same permutations
+    d = [[0] * cols for _ in range(rows)]
+    for k, (p, c) in enumerate(pivots):
+        if arow[p][c] < 0:
+            u[p] = {i: -x for i, x in u[p].items()}
+            u_inv_t[p] = {i: -x for i, x in u_inv_t[p].items()}
+        d[k][k] = abs(arow[p][c])
+    used_rows = {p for p, _ in pivots}
+    used_cols = {c for _, c in pivots}
+    row_order = [p for p, _ in pivots] + [i for i in range(rows) if i not in used_rows]
+    col_order = [c for _, c in pivots] + [j for j in range(cols) if j not in used_cols]
+    u, u_inv = _dense(u, row_order, False), _dense(u_inv_t, row_order, True)
+    v, v_inv = _dense(v_t, col_order, True), _dense(v_inv, col_order, False)
+    _check_snf(m, u, d, v, u_inv, v_inv)
     return u, d, v
 
 
-def _check_snf(m, u, d, v):
-    m = int_mat(m)
-    if int_mul(int_mul(u, m), v) != d:
+def _dense(vectors, order, by_columns) -> list[list[int]]:
+    """The square matrix whose k-th row (or column) is vectors[order[k]]."""
+    n = len(order)
+    out = [[0] * n for _ in range(n)]
+    for k, p in enumerate(order):
+        for i, x in vectors[p].items():
+            if by_columns:
+                out[i][k] = x
+            else:
+                out[k][i] = x
+    return out
+
+
+def _check_snf(m, u, d, v, u_inv, v_inv):
+    """Certificate of an SNF: U*m*V = D, U*U^-1 = I and V^-1*V = I (so both
+    transforms are unimodular), and the divisibility chain of D.  Every
+    product skips zero entries."""
+    if int_mul(int_mul(u, int_mat(m)), v) != d:
         raise InternalError("SNF verification failed: U*m*V != D")
-    if not is_unimodular(u) or not is_unimodular(v):
+    if int_mul(u, u_inv) != int_eye(len(u)) or int_mul(v_inv, v) != int_eye(len(v)):
         raise InternalError("SNF verification failed: transform not unimodular")
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     for x, y in zip(diag, diag[1:]):

@@ -2,8 +2,11 @@
 invariant, and the determinant-square slice obstruction.
 
 Everything is exact: the signature comes from rational congruence
-diagonalization of V + V^T, the Alexander polynomial from a symbolic
-determinant of V - t V^T normalized so that D(t) = D(1/t) and D(1) = 1.
+diagonalization of V + V^T; the Alexander polynomial det(V - t V^T), of
+degree at most 2g, from its values at t = 0..2g (integer determinants)
+by exact interpolation, checked at t = 2g + 1 and normalized so that
+D(t) = D(1/t) and D(1) = 1; the Arf invariant from |det(V + V^T)| =
+|D(-1)| mod 8, without the polynomial.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import f2linalg as la
-from .errors import InputError
+from .errors import InputError, InternalError, as_int
 
 OBSTRUCTED = "obstructed"
 UNKNOWN = "unknown"
@@ -23,7 +26,9 @@ class SeifertMatrix:
     """Square integer matrix V with V - V^T unimodular (size 2g)."""
 
     def __init__(self, entries):
-        self.v = la.int_mat(entries)
+        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+            raise InputError("malformed seifert input: matrix must be a list of rows")
+        self.v = [[as_int(x, "seifert", "matrix entry") for x in row] for row in entries]
         n = len(self.v)
         if any(len(r) != n for r in self.v):
             raise InputError("Seifert matrix must be square")
@@ -165,47 +170,45 @@ class LaurentPoly:
         return s[1:] if s.startswith("+") else s
 
 
-def _poly_det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant by expansion over the first column with memoized
-    minors (fine for the small matrices that arise here)."""
-    n = len(mat)
-    if n == 0:
-        return LaurentPoly.one()
-    cache: dict[tuple[int, ...], LaurentPoly] = {}
-
-    def minor(rows: tuple[int, ...], col: int) -> LaurentPoly:
-        if not rows:
-            return LaurentPoly.one()
-        key = rows + (col,)
-        if key in cache:
-            return cache[key]
-        acc = LaurentPoly.zero()
-        for idx, r in enumerate(rows):
-            entry = mat[r][col]
-            if entry.coeffs:
-                sub = minor(rows[:idx] + rows[idx + 1 :], col + 1)
-                term = entry * sub
-                acc = acc + term if idx % 2 == 0 else acc - term
-        cache[key] = acc
-        return acc
-
-    return minor(tuple(range(n)), 0)
+def _interpolate(values: list[int]) -> list[Fraction]:
+    """Coefficients, constant term first, of the polynomial of degree below
+    len(values) that takes values[k] at t = k: Newton divided differences,
+    expanded by Horner's rule, exactly over the rationals."""
+    c = [Fraction(y) for y in values]
+    n = len(c)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / j
+    poly: list[Fraction] = []
+    for k in range(n - 1, -1, -1):  # poly <- poly * (t - k) + c[k]
+        poly = [Fraction(0)] + poly
+        for e in range(len(poly) - 1):
+            poly[e] -= k * poly[e + 1]
+        poly[0] += c[k]
+    return poly
 
 
 def alexander(v: SeifertMatrix) -> LaurentPoly:
     """det(V - t V^T), shifted to be symmetric in t <-> 1/t and signed so
-    the value at 1 is +1."""
+    the value at 1 is +1.
+
+    The determinant has degree at most n = size, so it is interpolated
+    from its values at t = 0..n and checked at t = n + 1; every value is
+    one integer determinant.
+    """
     n = v.size
     if n == 0:
         return LaurentPoly.one()
-    mat = [
-        [
-            LaurentPoly({0: v.v[i][j], 1: -v.v[j][i]})
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    det = _poly_det(mat)
+
+    def value(t: int) -> int:
+        return la.int_det([[v.v[i][j] - t * v.v[j][i] for j in range(n)] for i in range(n)])
+
+    coeffs = _interpolate([value(t) for t in range(n + 1)])
+    if any(c.denominator != 1 for c in coeffs):
+        raise InternalError("Alexander interpolation has non-integer coefficients")
+    det = LaurentPoly(dict(enumerate(coeffs)))
+    if det(n + 1) != value(n + 1):
+        raise InternalError(f"Alexander interpolation disagrees with the determinant at t = {n + 1}")
     if not det.coeffs:
         raise InputError("vanishing Alexander determinant: invalid Seifert matrix")
     exps = sorted(det.coeffs)
@@ -224,9 +227,9 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
 
 
 def arf(v: SeifertMatrix) -> int:
-    """Arf invariant from |Delta(-1)| mod 8 (0 for +-1, 1 for +-3)."""
-    det_minus = alexander(v)(-1)
-    a = abs(int(det_minus))
+    """Arf invariant from |Delta(-1)| mod 8 (0 for +-1, 1 for +-3), where
+    |Delta(-1)| = |det(V + V^T)|."""
+    a = abs(la.int_det(v.symmetrized()))
     if a % 2 == 0:
         raise InputError("even determinant: invalid Seifert matrix for a knot")
     r = a % 8

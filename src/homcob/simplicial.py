@@ -239,6 +239,16 @@ class ChainComplexZ:
 
     @classmethod
     def of(cls, k: AbstractComplex) -> "ChainComplexZ":
+        """The chain complex of k, built and checked on the first call and
+        kept on k (an AbstractComplex is immutable) for every later one.
+        Callers must not modify it."""
+        cc = getattr(k, "_chains", None)
+        if cc is None:
+            cc = k._chains = cls._build(k)
+        return cc
+
+    @classmethod
+    def _build(cls, k: AbstractComplex) -> "ChainComplexZ":
         dim = k.dimension()
         gens = [k.simplices_of_dim(d) for d in range(dim + 1)]
         index = [{s: i for i, s in enumerate(g)} for g in gens]
@@ -259,9 +269,9 @@ class ChainComplexZ:
         return cc
 
     def _check(self):
-        for d in range(1, len(self.boundaries)):
+        for d in range(2, len(self.boundaries)):
             prod = la.int_mul(self.boundaries[d - 1], self.boundaries[d])
-            if d >= 2 and any(any(x != 0 for x in row) for row in prod):
+            if any(any(row) for row in prod):
                 raise InternalError(f"boundary composition nonzero in degree {d}")
 
     def boundary(self, d: int) -> list[list[int]]:
@@ -300,33 +310,24 @@ def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
     if dim < 0:
         return []
     cc = ChainComplexZ.of(k)
+    # rank of each boundary (torsion too over Z), each matrix reduced once:
+    # H_d = ker d_d / im d_{d+1}; boundaries[0], the augmentation, only
+    # counts for reduced homology
+    ranks = [0] * (dim + 2)
+    torsion: list[list[int]] = [[] for _ in range(dim + 2)]
+    for d in range(0 if reduced else 1, dim + 1):
+        b = cc.boundaries[d]
+        if ring == "F2":
+            ranks[d] = la.rank_f2(b)
+        else:
+            diag = la.snf_diagonal(b)
+            ranks[d] = sum(1 for x in diag if x != 0)
+            torsion[d] = sorted(x for x in diag if x > 1)
     out = []
     for d in range(dim + 1):
-        n = len(cc.generators[d])
-        lower = cc.boundary(d)  # C_d -> C_{d-1}
-        upper = cc.boundary(d + 1)
-        if d == 0 and reduced:
-            lower = cc.boundaries[0]  # augmentation
-        if d == 0 and not reduced:
-            lower = [[0] * n for _ in range(0)]
-        if ring == "F2":
-            r_low = la.rank_f2(lower) if len(lower) else 0
-            r_up = la.rank_f2(upper) if (upper and len(upper[0])) else 0
-            out.append(n - r_low - r_up)
-        else:
-            diag_low = snf_rank(lower)
-            diag_up = la.snf_diagonal(upper) if (upper and upper[0]) else []
-            r_up = sum(1 for x in diag_up if x != 0)
-            free = n - diag_low - r_up
-            torsion = sorted(x for x in diag_up if x > 1)
-            out.append(HomologyGroup(free, torsion))
+        free = len(cc.generators[d]) - ranks[d] - ranks[d + 1]
+        out.append(free if ring == "F2" else HomologyGroup(free, torsion[d + 1]))
     return out
-
-
-def snf_rank(m) -> int:
-    if not m or not m[0]:
-        return 0
-    return sum(1 for x in la.snf_diagonal(m) if x != 0)
 
 
 def betti_numbers(k: AbstractComplex, reduced=False) -> list[int]:

@@ -9,15 +9,18 @@ test see dense matrices, while validity is guaranteed.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import numpy as np
 
 from homcob import f2linalg as la
 from homcob.equivariant import PinModel, SOneModel
-from homcob.errors import ModelInvalidError
+from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import Homology
 from homcob.involutive import IotaMap, UComplex, _forced_power
+from homcob.knot import LaurentPoly, SeifertMatrix
 from homcob.simplicial import AbstractComplex
 
 
@@ -95,6 +98,89 @@ def random_invertible_degree_preserving(rng: random.Random, degrees: list[int]):
             for b, ib in enumerate(idx):
                 p[ia, ib] = block[a, b]
     return p
+
+
+# ---------------------------------------------------------------------------
+# integer matrices
+
+
+def dense_int_mul(a, b):
+    """Schoolbook integer product, every entry visited."""
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def check_snf_oracle(m, u, d, v):
+    """The dense SNF certificate: U*m*V = D by schoolbook products, U and V
+    unimodular by Bareiss determinants, and the divisibility chain."""
+    if dense_int_mul(dense_int_mul(u, m), v) != d:
+        raise InternalError("SNF verification failed: U*m*V != D")
+    if abs(la.int_det(u)) != 1 or abs(la.int_det(v)) != 1:
+        raise InternalError("SNF verification failed: transform not unimodular")
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    for x, y in zip(diag, diag[1:]):
+        if x < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
+            raise InternalError("SNF verification failed: divisibility chain broken")
+
+
+def snf_diagonal_oracle(m) -> list[int]:
+    """SNF diagonal from determinantal divisors: d1*...*dk is the gcd of the
+    k x k minors (meant for matrices of a few rows and columns)."""
+    rows, cols = len(m), len(m[0])
+    divisors = [1]
+    for k in range(1, min(rows, cols) + 1):
+        g = 0
+        for r in combinations(range(rows), k):
+            for c in combinations(range(cols), k):
+                g = gcd(g, la.int_det([[m[i][j] for j in c] for i in r]))
+        divisors.append(g)
+    return [b // a if a else 0 for a, b in zip(divisors, divisors[1:])]
+
+
+def poly_det_oracle(mat: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant by expansion over the first column with memoized minors
+    (exponential in the size)."""
+    n = len(mat)
+    if n == 0:
+        return LaurentPoly.one()
+    cache: dict[tuple[int, ...], LaurentPoly] = {}
+
+    def minor(rows: tuple[int, ...], col: int) -> LaurentPoly:
+        if not rows:
+            return LaurentPoly.one()
+        key = rows + (col,)
+        if key in cache:
+            return cache[key]
+        acc = LaurentPoly.zero()
+        for idx, r in enumerate(rows):
+            entry = mat[r][col]
+            if entry.coeffs:
+                sub = minor(rows[:idx] + rows[idx + 1 :], col + 1)
+                term = entry * sub
+                acc = acc + term if idx % 2 == 0 else acc - term
+        cache[key] = acc
+        return acc
+
+    return minor(tuple(range(n)), 0)
+
+
+def alexander_oracle(v: SeifertMatrix) -> LaurentPoly:
+    """The Alexander polynomial from the Laplace determinant of V - t V^T,
+    normalized as knot.alexander normalizes it."""
+    n = v.size
+    if n == 0:
+        return LaurentPoly.one()
+    det = poly_det_oracle(
+        [[LaurentPoly({0: v.v[i][j], 1: -v.v[j][i]}) for j in range(n)] for i in range(n)]
+    )
+    if not det.coeffs:
+        raise InputError("vanishing Alexander determinant")
+    exps = sorted(det.coeffs)
+    center = Fraction(exps[0] + exps[-1], 2)
+    assert center.denominator == 1
+    det = det.shift(-int(center))
+    assert det.is_symmetric() and abs(det(1)) == 1
+    return -det if det(1) == -1 else det
 
 
 # ---------------------------------------------------------------------------

@@ -355,3 +355,22 @@ def test_matrix_entries_must_be_bits(tmp_path, capsys, cmd, kind, field, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: InputError: malformed {kind} input: {field} entries "
                           f"must be 0 or 1, got {value!r}")
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1.7, 1], [0, 1]], "matrix entry must be an integer, got 1.7"),
+        ([[1, 1], [0, "1"]], "matrix entry must be an integer, got '1'"),
+        ([[True, 1], [0, 1]], "matrix entry must be an integer, got True"),
+        ([[1, None], [0, 1]], "matrix entry must be an integer, got None"),
+        ([[1, 1], 5], "matrix must be a list of rows"),
+        ({"0": [1, 1]}, "matrix must be a list of rows"),
+    ],
+)
+def test_seifert_entries_must_be_integers(tmp_path, capsys, matrix, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "seifert", "matrix": matrix}))
+    assert main(["knot", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InputError: malformed seifert input: {message}")

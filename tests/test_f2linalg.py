@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from homcob import f2linalg as la
-from homcob.errors import InputError
+from homcob.errors import InputError, InternalError
+from homcob.simplicial import ChainComplexZ
+
+from helpers import check_snf_oracle, random_complex, snf_diagonal_oracle
 
 
 def test_rank_empty_and_identity():
@@ -139,6 +142,86 @@ def test_int_det_matches_snf_product():
         for x in diag:
             prod *= x
         assert abs(prod) == abs(la.int_det(m))
+
+
+def _random_int_matrix(rng, rows, cols):
+    """Dense, sparse, or of low rank (a product through fewer columns)."""
+    kind = rng.choice(("dense", "sparse", "low rank"))
+    if kind == "low rank":
+        k = rng.randint(1, min(rows, cols))
+        a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+        return la.int_mul(a, b)
+    density = 1.0 if kind == "dense" else 0.3
+    return [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_snf_diagonal_matches_determinantal_divisors():
+    rng = random.Random(47)
+    for _ in range(150):
+        m = _random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        u, d, v = la.smith_normal_form(m)
+        check_snf_oracle(m, u, d, v)
+        assert la.snf_diagonal(m) == snf_diagonal_oracle(m)
+
+
+def test_snf_of_boundary_matrices_passes_the_dense_check():
+    rng = random.Random(53)
+    for _ in range(12):
+        cc = ChainComplexZ.of(random_complex(rng, 8))
+        for b in cc.boundaries:
+            u, d, v = la.smith_normal_form(b)
+            check_snf_oracle(b, u, d, v)
+
+
+def _snf_certificate(monkeypatch, m):
+    """(m, U, D, V, U^-1, V^-1) as smith_normal_form hands them to _check_snf."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(la, "_check_snf", lambda *args: seen.append(args))
+        la.smith_normal_form(m)
+    return [[row[:] for row in x] for x in seen[0]]
+
+
+CERTIFIED = [[2, 4, 0], [6, 8, 1], [0, 3, 5], [1, 0, 0]]
+
+
+def test_snf_certificate_holds_and_catches_each_changed_entry_of_u(monkeypatch):
+    m, u, d, v, u_inv, v_inv = _snf_certificate(monkeypatch, CERTIFIED)
+    la._check_snf(m, u, d, v, u_inv, v_inv)
+    for i in range(len(u)):
+        for j in range(len(u)):
+            bad = [row[:] for row in u]
+            bad[i][j] += 1
+            with pytest.raises(InternalError, match="SNF verification failed"):
+                la._check_snf(m, bad, d, v, u_inv, v_inv)
+
+
+def test_snf_certificate_rejects_a_wrong_inverse(monkeypatch):
+    m, u, d, v, u_inv, v_inv = _snf_certificate(monkeypatch, CERTIFIED)
+    for i in range(len(v_inv)):
+        for j in range(len(v_inv)):
+            bad = [row[:] for row in v_inv]
+            bad[i][j] -= 1
+            with pytest.raises(InternalError, match="transform not unimodular"):
+                la._check_snf(m, u, d, v, u_inv, bad)
+    # U*m*V = D holds, but U = (2) has no inverse over Z
+    with pytest.raises(InternalError, match="transform not unimodular"):
+        la._check_snf([[1]], [[2]], [[2]], [[1]], [[1]], [[1]])
+
+
+def test_snf_certificate_rejects_a_wrong_diagonal(monkeypatch):
+    m, u, d, v, u_inv, v_inv = _snf_certificate(monkeypatch, CERTIFIED)
+    bad = [row[:] for row in d]
+    bad[1][1] += 1
+    with pytest.raises(InternalError, match="U\\*m\\*V != D"):
+        la._check_snf(m, u, bad, v, u_inv, v_inv)
+    eye = la.int_eye(2)
+    for diag in ([2, 3], [0, 1], [-1, 1]):
+        m = [[diag[0], 0], [0, diag[1]]]
+        with pytest.raises(InternalError, match="divisibility chain broken"):
+            la._check_snf(m, eye, m, eye, eye, eye)
 
 
 SHAPE_ROWS = (0, 1, 2, 5, 9, 40)

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from homcob.errors import InputError
+from homcob import f2linalg as la
+from homcob.errors import InputError, InternalError
 from homcob.knot import (
     LaurentPoly,
     OBSTRUCTED,
@@ -14,6 +15,8 @@ from homcob.knot import (
     fox_milnor_obstruction,
     signature,
 )
+
+from helpers import alexander_oracle
 
 UNKNOT = SeifertMatrix([])
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
@@ -148,3 +151,82 @@ def _random_seifert(rng, size):
     s = _random_unimodular(rng, size)
     st = [[s[j][i] for j in range(size)] for i in range(size)]
     return SeifertMatrix(_mat_mul(_mat_mul(s, v), st))
+
+
+def _block_sum(blocks):
+    n = sum(len(b) for b in blocks)
+    v = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            v[at + i][at:at + len(b)] = row
+        at += len(b)
+    return v
+
+
+def _dense_congruence(rng, v):
+    """P V P^T for P = L U, unit triangular factors with entries in {-1, 0, 1}."""
+    n = len(v)
+    lower = [[int(i == j) or (rng.choice((-1, 0, 1)) if j < i else 0) for j in range(n)]
+             for i in range(n)]
+    upper = [[int(i == j) or (rng.choice((-1, 0, 1)) if j > i else 0) for j in range(n)]
+             for i in range(n)]
+    p = _mat_mul(lower, upper)
+    pt = [list(r) for r in zip(*p)]
+    return _mat_mul(_mat_mul(p, v), pt)
+
+
+def test_alexander_matches_laplace_oracle():
+    rng = random.Random(61)
+    for genus in range(1, 7):
+        for _ in range(3 if genus < 6 else 1):
+            v = _random_seifert(rng, 2 * genus)
+            assert alexander(v) == alexander_oracle(v)
+            conj = SeifertMatrix(_dense_congruence(rng, v.v))
+            assert alexander(conj) == alexander_oracle(conj) == alexander(v)
+
+
+GENUS_ONE = (TREFOIL.v, FIG8.v, [[1, 1], [0, 1]], [[0, 1], [0, 0]])
+
+
+def test_block_sums_add_up_to_genus_twenty():
+    rng = random.Random(67)
+    for genus in (2, 7, 13, 20):
+        blocks = [rng.choice(GENUS_ONE) for _ in range(genus)]
+        blocks[:2] = [_random_seifert(rng, 4).v]  # one genus-2 block
+        parts = [SeifertMatrix(b) for b in blocks]
+        v = SeifertMatrix(_dense_congruence(rng, _block_sum(blocks)))
+        want = LaurentPoly.one()
+        for part in parts:
+            want = want * alexander(part)
+        assert alexander(v) == want
+        assert signature(v) == sum(signature(part) for part in parts)
+        assert arf(v) == sum(arf(part) for part in parts) % 2
+
+
+def test_arf_reads_the_alexander_value_at_minus_one():
+    rng = random.Random(71)
+    for _ in range(20):
+        v = _random_seifert(rng, 2 * rng.randint(1, 5))
+        if rng.random() < 0.5:
+            v = SeifertMatrix(_dense_congruence(rng, v.v))
+        at_minus1 = abs(int(alexander(v)(-1)))
+        assert abs(la.int_det(v.symmetrized())) == at_minus1
+        assert arf(v) == (0 if at_minus1 % 8 in (1, 7) else 1)
+
+
+@pytest.mark.parametrize("v", [TREFOIL, SeifertMatrix(_block_sum([FIG8.v, TREFOIL.v, FIG8.v]))])
+def test_interpolation_check_catches_one_wrong_sample(monkeypatch, v):
+    exact = la.int_det
+    for wrong in range(v.size + 2):  # samples t = 0..n and the check at n + 1
+        calls = []
+
+        def int_det(a):
+            calls.append(a)
+            return exact(a) + (len(calls) - 1 == wrong)
+
+        monkeypatch.setattr(la, "int_det", int_det)
+        with pytest.raises(InternalError, match="Alexander interpolation"):
+            alexander(v)
+        monkeypatch.setattr(la, "int_det", exact)
+        assert len(calls) > wrong

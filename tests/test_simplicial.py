@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from homcob import f2linalg as la
-from homcob.errors import InputError
+from homcob.errors import InputError, InternalError
 from homcob.simplicial import (
     AbstractComplex,
     ChainComplexZ,
@@ -199,6 +199,74 @@ def test_boundary_squares_to_zero():
     rng = random.Random(17)
     for _ in range(10):
         ChainComplexZ.of(random_complex(rng, 7))  # asserts internally
+
+
+def test_nonzero_boundary_composition_raises():
+    cc = ChainComplexZ.of(suspension(RP2))
+    for d in range(2, len(cc.boundaries)):
+        bnds = [[row[:] for row in b] for b in cc.boundaries]
+        j = next(j for j, x in enumerate(bnds[d][0]) if x)
+        bnds[d][0][j] = -bnds[d][0][j]
+        with pytest.raises(InternalError, match=f"nonzero in degree {d}"):
+            ChainComplexZ(cc.generators, bnds)._check()
+
+
+def _count_builds(monkeypatch):
+    builds = []
+    build = ChainComplexZ._build.__func__
+
+    def counted(cls, k):
+        builds.append(k)
+        return build(cls, k)
+
+    monkeypatch.setattr(ChainComplexZ, "_build", classmethod(counted))
+    return builds
+
+
+def test_chain_complex_is_built_once_per_complex(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    k = suspension(RP2)
+    homology(k, "Z")
+    homology(k, "F2", reduced=True)
+    x = cohomology_basis(k, 2)[0]
+    image = bockstein_sq1(x)
+    assert not image.is_zero_class() and x.same_class(x)
+    assert builds == [k]
+    assert ChainComplexZ.of(k) is ChainComplexZ.of(k)
+
+
+def test_equal_complexes_keep_their_own_chain_complexes(monkeypatch):
+    facets = [list(f) for f in suspension(RP2).facets()]
+    fresh = AbstractComplex.from_facets(facets)
+    want = (homology(fresh, "Z"), homology(fresh, "F2", reduced=True),
+            [x.cochain.tolist() for x in cohomology_basis(fresh, 2)])
+    builds = _count_builds(monkeypatch)
+    k1, k2 = AbstractComplex.from_facets(facets), AbstractComplex.from_facets(facets)
+    assert k1 == k2 and k1 is not k2
+    for k in (k1, k2, k1):
+        assert (homology(k, "Z"), homology(k, "F2", reduced=True),
+                [x.cochain.tolist() for x in cohomology_basis(k, 2)]) == want
+    assert builds == [k1, k2] and builds[0] is k1 and builds[1] is k2
+    assert ChainComplexZ.of(k1) is not ChainComplexZ.of(k2)
+    x1, x2 = cohomology_basis(k1, 2)[0], cohomology_basis(k2, 2)[0]
+    assert x1.same_class(x2)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_integral_homology_takes_one_snf_per_boundary(monkeypatch, reduced):
+    snf = la.smith_normal_form
+    shapes = []
+
+    def counted(m):
+        shapes.append((len(m), len(m[0])))
+        return snf(m)
+
+    monkeypatch.setattr(la, "smith_normal_form", counted)
+    k = suspension(RP2)
+    homology(k, "Z", reduced)
+    cc = ChainComplexZ.of(k)
+    first = 0 if reduced else 1
+    assert shapes == [(len(b), len(b[0])) for b in cc.boundaries[first:]]
 
 
 def test_euler_characteristic_vs_betti():
