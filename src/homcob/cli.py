@@ -12,6 +12,7 @@ assertion failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -190,9 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: parse_args keeps no state between calls
+    (each call fills a fresh namespace), and building it costs more than
+    a small command."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> tuple[str, int]:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     cmd = args.command
 
     if cmd == "fixtures":

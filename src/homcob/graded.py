@@ -3,12 +3,14 @@
 `ladder_window` is the one place where a window is laid out.  Each
 generator is one element, or a ladder (x, k), k >= 0, of fixed degree
 step: a tower of an equivariant model, U^-k x in the plus flavor of a
-complex over F[U], or a downward ladder in a degree-negated dual.  Each
-map (the differential d, and the operators q, v, U, Q) is a list of
-entries (src, tgt, j) sending (src, k) to (tgt, k - j).  Windows remain
-where a report is defined on one: `tate`'s stable pattern, `dual`'s
-coborel cross-check, the cone laws, and the test oracles; tower bottoms
-are read without them.
+complex over F[U], or a downward ladder (negative step) in a
+degree-negated dual.  Each map (the differential d, and the operators)
+is a list of entries (src, tgt, j) sending (src, k) to
+(tgt, k - j).  No command lays out a window: tower bottoms, the co-Borel
+tops and the localization pattern are read from the finite part of a
+model, and the involutive towers by elimination over F[U].  Windows and
+their homology remain as the explicit reference that the tests check
+those readings against.
 
 Homology is computed per degree with explicit representatives, chosen by
 one elimination of [boundaries | cycles], so module actions can be
@@ -127,14 +129,6 @@ def ladder_window(gens, maps: dict, lo: int, hi: int) -> GradedComplex:
     for name in mats:
         cx.check_op_commutes(name)
     return cx
-
-
-def dual_ladders(gens, maps: dict):
-    """The degree-negated dual of a ladder complex: degrees and steps
-    negated, every map transposed (same shift)."""
-    return ([(lab, -deg, -step) for lab, deg, step in gens],
-            {name: (shift, [(tgt, src, -j) for src, tgt, j in entries])
-             for name, (shift, entries) in maps.items()})
 
 
 class Homology:

@@ -24,8 +24,8 @@ K = 0 and the bundled +1-surgery fixture with K = 1.
 
 The explicit plus flavor on a degree window (tensoring with
 F[U, U^-1]/F[U]) stays available as `UComplex.plus_window`, laid out by
-`graded.ladder_window`, for the cone laws on homology dimensions and as
-the reference the elimination is tested against.
+`graded.ladder_window`, as the reference the elimination and the cone
+laws on homology dimensions are tested against; no command builds it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import f2linalg as la
 from .errors import InputError, InternalError, ModelInvalidError, as_int
-from .graded import GradedComplex, Homology, ladder_window
+from .graded import GradedComplex, ladder_window
 
 DEFAULT_MARGIN = 2
 
@@ -311,20 +311,6 @@ class ConeComplex:
         if la.f2_mul(block, block).any():
             raise InternalError("cone differential does not square to zero")
 
-    def plus_window(self, lo: int, hi: int) -> GradedComplex:
-        """The plus flavor of the cone on [lo, hi], with Q (x, k) = (Qx, k)."""
-        q = [(f"m:{lab}", f"q:{lab}", 0) for lab, _ in self.base.generators]
-        cx = self.complex.plus_window(lo, hi, {"Q": (-1, q)})
-        # the module relation Q^2 = 0 (the window checks dQ = Qd)
-        for d in cx.degrees():
-            qq = la.f2_mul(cx.op_matrix("Q", d - 1), cx.op_matrix("Q", d))
-            if qq.any():
-                raise InternalError("Q^2 != 0 on the cone window")
-        return cx
-
-    def default_window(self) -> tuple[int, int]:
-        return self.complex.default_window()
-
 
 def cone_iota(c: UComplex, iota: IotaMap) -> ConeComplex:
     return ConeComplex(c, iota)
@@ -410,28 +396,6 @@ def _cross_check_split(cone, report):
         report.findings.append(
             f"split cone towers {towers} not at (d, d-1) = {(d, d - 1)}"
         )
-
-
-def _window_dims(cone: ConeComplex):
-    """Homology of the cone and of its base on the cone's default window,
-    and the interior degrees where both are exact."""
-    lo, hi = cone.default_window()
-    hc = Homology(cone.plus_window(lo, hi))
-    hb = Homology(cone.base.plus_window(lo, hi))
-    return hc, hb, range(lo + 4, hi - 2 * DEFAULT_MARGIN)
-
-
-def split_dims_law(cone: ConeComplex) -> bool:
-    """dim HFI_n == dim HF_n + dim HF_{n+1} on the window interior
-    (exact for split cones; an inequality <= holds in general)."""
-    hc, hb, interior = _window_dims(cone)
-    return all(hc.dim(n) == hb.dim(n) + hb.dim(n + 1) for n in interior)
-
-
-def cone_rank_bound(cone: ConeComplex) -> bool:
-    """Long-exact-sequence bound dim HFI_n <= dim HF_n + dim HF_{n+1}."""
-    hc, hb, interior = _window_dims(cone)
-    return all(hc.dim(n) <= hb.dim(n) + hb.dim(n + 1) for n in interior)
 
 
 # ---------------------------------------------------------------------------

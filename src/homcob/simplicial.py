@@ -434,6 +434,8 @@ def bockstein_sq1(x: CohomologyClass) -> CohomologyClass:
 
 def cohomology_basis(k: AbstractComplex, d: int) -> list[CohomologyClass]:
     """Representative cocycles spanning H^d(k; F2)."""
+    if d < 0:
+        raise InputError(f"cohomology degree must be non-negative, got {d}")
     cc = ChainComplexZ.of(k)
     delta_d = coboundary_matrix(cc, d)
     n = len(cc.generators[d]) if d < len(cc.generators) else 0

@@ -9,6 +9,7 @@ test see dense matrices, while validity is guaranteed.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -16,10 +17,10 @@ from math import gcd
 import numpy as np
 
 from homcob import f2linalg as la
-from homcob.equivariant import PinModel, SOneModel
+from homcob.equivariant import LocalizationReport, PinModel, SOneModel, tower_bottoms
 from homcob.errors import InputError, InternalError, ModelInvalidError
-from homcob.graded import Homology
-from homcob.involutive import IotaMap, UComplex, _forced_power
+from homcob.graded import GradedComplex, Homology, ladder_window
+from homcob.involutive import DEFAULT_MARGIN, ConeComplex, IotaMap, UComplex, _forced_power
 from homcob.knot import LaurentPoly, SeifertMatrix
 from homcob.simplicial import AbstractComplex
 
@@ -469,3 +470,143 @@ def with_acyclic_pair(model, degree: int):
             data[key] = [row + [0, 0] for row in data[key]] + [[0] * (k + 2)] * 2
     data["d_fin"][k + 1] = [0] * k + [1, 0]
     return type(model).from_json(data)
+
+
+# ---------------------------------------------------------------------------
+# window oracles: what the library reads from the finite part, computed on
+# an explicit window
+
+
+def dual_ladders(gens, maps: dict):
+    """The degree-negated dual of a ladder complex: degrees and steps
+    negated, every map transposed (same shift)."""
+    return ([(lab, -deg, -step) for lab, deg, step in gens],
+            {name: (shift, [(tgt, src, -j) for src, tgt, j in entries])
+             for name, (shift, entries) in maps.items()})
+
+
+@dataclass
+class BorelHomology:
+    """Homology of a materialized model with its induced module actions."""
+
+    model: PinModel
+    window: tuple[int, int]
+    homology: Homology
+
+    @property
+    def cut(self) -> int:
+        """Top degree of the stable reads: 8 below the window top."""
+        return self.window[1] - 8
+
+    def dims(self) -> dict[int, int]:
+        return self.homology.dims()
+
+    def induced_q(self, d: int) -> np.ndarray:
+        return self.homology.induced_op("q", d)
+
+    def induced_v(self, d: int) -> np.ndarray:
+        return self.homology.induced_op("v", d)
+
+    def check_module_relations(self) -> bool:
+        """q^3 = 0 and qv = vq on homology, on the window interior."""
+        for d in range(self.window[0] + 6, self.cut):
+            q3 = la.f2_mul(
+                self.homology.induced_op("q", d - 2),
+                la.f2_mul(self.homology.induced_op("q", d - 1), self.induced_q(d)),
+            )
+            if q3.any():
+                return False
+            qv = la.f2_mul(self.homology.induced_op("q", d - 4), self.induced_v(d))
+            vq = la.f2_mul(self.homology.induced_op("v", d - 1), self.induced_q(d))
+            if (qv ^ vq).any():
+                return False
+        return True
+
+
+def borel_homology(model: PinModel) -> BorelHomology:
+    lo, hi = model.default_window()
+    return BorelHomology(model, (lo, hi), Homology(model.materialize(lo, hi)))
+
+
+def window_localization(model: PinModel) -> LocalizationReport:
+    """The reference for localization_check: the stable v-ranks of the
+    Borel homology on the default window, up to its cut."""
+    bh = borel_homology(model)
+    lo, cut = bh.window[0], bh.cut
+    n = model.reducible_degree
+    if n is None:
+        # the last four degrees use one step from just above the cut
+        below = bh.homology.stable_ranks("v", cut - 8, cut)
+        above = bh.homology.stable_ranks("v", cut - 3, cut + 4)
+        pattern = [below[d] for d in range(cut - 8, cut - 3)]
+        pattern += [above[d] for d in range(cut - 3, cut + 1)]
+        ok = all(x == 0 for x in pattern)
+        return LocalizationReport(ok, None, pattern,
+                                  "free model localizes to zero" if ok else
+                                  "stable classes in a model without towers")
+    ranks = bh.homology.stable_ranks("v", lo, cut)
+    degrees = range(max(tower_bottoms(model)), cut - 3)
+    pattern = [ranks[d] for d in degrees]
+    ok = all(ranks[d] == (1 if (d - n) % 4 in (0, 1, 2) else 0) for d in degrees)
+    return LocalizationReport(ok, n, pattern,
+                              "" if ok else "stable range deviates from the tower pattern")
+
+
+def window_coborel_tops(model: PinModel):
+    """The reference for coborel_tower_tops: in each residue, the highest
+    degree of the degree-negated dual window (the Borel window negated)
+    whose classes survive v-powers down to the dual of the stable cut."""
+    n = model.reducible_degree
+    if n is None:
+        raise ModelInvalidError("model has no reducible tower")
+    lo, hi = model.default_window()
+    h = Homology(ladder_window(*dual_ladders(*model._ladders()), -hi, -lo))
+    dhi, cut = -lo, -(hi - 8)
+    tops = []
+    for r in range(3):
+        top = None
+        d = dhi - ((dhi - (-(n + r))) % 4)
+        while d >= cut:
+            k = (d - cut) // 4
+            if k >= 1 and la.rank_f2(h.op_power("v", d, k)) > 0:
+                top = d
+                break
+            d -= 4
+        if top is None:
+            raise ModelInvalidError(f"no surviving dual tower in residue {r}")
+        tops.append(top)
+    return tuple(tops)
+
+
+def cone_plus_window(cone: ConeComplex, lo: int, hi: int) -> GradedComplex:
+    """The plus flavor of the cone on [lo, hi], with Q (x, k) = (Qx, k)."""
+    q = [(f"m:{lab}", f"q:{lab}", 0) for lab, _ in cone.base.generators]
+    cx = cone.complex.plus_window(lo, hi, {"Q": (-1, q)})
+    # the module relation Q^2 = 0 (the window checks dQ = Qd)
+    for d in cx.degrees():
+        qq = la.f2_mul(cx.op_matrix("Q", d - 1), cx.op_matrix("Q", d))
+        if qq.any():
+            raise InternalError("Q^2 != 0 on the cone window")
+    return cx
+
+
+def cone_window_dims(cone: ConeComplex):
+    """Homology of the cone and of its base on the cone's default window,
+    and the interior degrees where both are exact."""
+    lo, hi = cone.complex.default_window()
+    hc = Homology(cone_plus_window(cone, lo, hi))
+    hb = Homology(cone.base.plus_window(lo, hi))
+    return hc, hb, range(lo + 4, hi - 2 * DEFAULT_MARGIN)
+
+
+def split_dims_law(cone: ConeComplex) -> bool:
+    """dim HFI_n == dim HF_n + dim HF_{n+1} on the window interior
+    (exact for split cones; an inequality <= holds in general)."""
+    hc, hb, interior = cone_window_dims(cone)
+    return all(hc.dim(n) == hb.dim(n) + hb.dim(n + 1) for n in interior)
+
+
+def cone_rank_bound(cone: ConeComplex) -> bool:
+    """Long-exact-sequence bound dim HFI_n <= dim HF_n + dim HF_{n+1}."""
+    hc, hb, interior = cone_window_dims(cone)
+    return all(hc.dim(n) <= hb.dim(n) + hb.dim(n + 1) for n in interior)

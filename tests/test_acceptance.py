@@ -23,7 +23,6 @@ from homcob.involutive import (
     d_invariant,
     involutive_correction_terms,
     iota_localized_identity,
-    split_dims_law,
     v0_triple,
 )
 from homcob.knot import (
@@ -44,7 +43,14 @@ from homcob.simplicial import (
 from homcob.toddcoxeter import coset_enumeration
 from homcob.simplicial import GroupPresentation
 
-from helpers import random_complex, random_pin_model, random_ucomplex_with_iota
+from helpers import (
+    random_complex,
+    random_pin_model,
+    random_ucomplex_with_iota,
+    split_dims_law,
+    window_coborel_tops,
+    window_localization,
+)
 
 
 def _report(num, label, elapsed, budget):
@@ -90,7 +96,7 @@ def test_acceptance_03_duality():
         r = abc(m)
         assert abc_of_reverse(m) == (-r.gamma, -r.beta, -r.alpha)
         A, B, C = tower_bottoms(m)
-        assert coborel_tower_tops(m) == (-A, -B, -C)
+        assert coborel_tower_tops(m) == window_coborel_tops(m) == (-A, -B, -C)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     _report(3, "orientation-reversal formulas on S^0, S^2, S^-2", elapsed, "<1s")
@@ -145,7 +151,7 @@ def test_acceptance_07_localization():
         with_tower = i % 5 != 4
         m = random_pin_model(rng, with_tower=with_tower)
         rep = localization_check(m)
-        assert rep.ok
+        assert rep.ok and rep == window_localization(m)
         if not with_tower:
             assert rep.anchored_at is None and all(x == 0 for x in rep.pattern)
         else:

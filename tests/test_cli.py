@@ -1,10 +1,14 @@
 import json
+import sys
 
 import pytest
 
-from homcob import fixtures
+from homcob import cli, fixtures, graded
 from homcob.cli import load_input, main, parse_input, run
-from homcob.errors import InputError, ModelInvalidError
+from homcob.equivariant import PinModel, SOneModel
+from homcob.errors import HomcobError, InputError, ModelInvalidError
+
+from helpers import with_acyclic_pair
 
 
 def out_of(argv):
@@ -84,6 +88,13 @@ def test_sq1_command():
     assert "sq1_class_0_nonzero: True" in text
     text = out_of(["sq1", "--dim", "1", "fixtures:torus7"])
     assert "sq1_class_0_nonzero: False" in text
+
+
+def test_sq1_negative_dim_exits_one_without_traceback(capsys):
+    assert main(["sq1", "--dim", "-1", "fixtures:rp2_6"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InputError: cohomology degree must be non-negative")
+    assert "Traceback" not in err
 
 
 def test_pi1_command():
@@ -374,3 +385,109 @@ def test_seifert_entries_must_be_integers(tmp_path, capsys, matrix, message):
     assert main(["knot", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: InputError: malformed seifert input: {message}")
+
+
+def _outcome(argv):
+    try:
+        return run(list(argv))
+    except HomcobError as e:
+        return type(e).__name__, str(e), e.exit_code
+
+
+MIXED_SEQUENCE = [
+    ["closure", "--simplex", "1,2", "--simplex", "3,4", "fixtures:triangle_edge"],
+    ["closure", "--simplex", "1,3", "fixtures:triangle_edge"],
+    ["v0", "--p", "3", "fixtures:sigma237"],
+    ["v0", "fixtures:sigma237"],
+    ["--json", "abc", "fixtures:poincare"],
+    ["abc", "fixtures:s3"],
+    ["abc", "--bogus", "fixtures:s3"],
+    ["closure", "--simplex", "1", "--simplex", "1,3,4", "fixtures:triangle_edge"],
+    ["homology", "--ring", "F2", "--reduced", "fixtures:rp2_6"],
+    ["homology", "fixtures:rp2_6"],
+    ["pi1", "--basepoint", "2", "--limit", "50", "fixtures:rp2_6"],
+    ["pi1", "fixtures:rp2_6"],
+    ["sq1", "--dim", "2", "fixtures:rp2_6"],
+    ["sq1", "fixtures:rp2_6"],
+    ["nocommand", "fixtures:s3"],
+    [],
+    ["--json", "fixtures"],
+    ["closure", "--simplex", "2", "fixtures:triangle_edge"],
+    ["link", "fixtures:triangle_edge"],
+    ["link", "--simplex", "4", "fixtures:triangle_edge"],
+]
+
+
+def test_one_parser_serves_a_mixed_sequence(monkeypatch):
+    """One process reusing the cached parser gives what a fresh parser per
+    call gives: no appended --simplex, option value or subcommand leaks
+    from one call into the next."""
+    assert cli._parser() is cli._parser()
+    shared = [_outcome(argv) for argv in MIXED_SEQUENCE * 2]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_outcome(argv) for argv in MIXED_SEQUENCE * 2]
+    assert shared == fresh
+    # five usage errors, each exit 1; everything else ran
+    assert [o[-1] for o in shared[:len(MIXED_SEQUENCE)]].count(1) == 5
+    assert "simplices: [(1,), (1, 3), (3,)]" in shared[1][0]
+
+
+COMMAND_ARGS = {
+    "link": ["--simplex", "1"], "star": ["--simplex", "1"], "closure": ["--simplex", "1"],
+    "homology": [], "sq1": [], "pi1": [], "scan-links": [], "abc": [], "dual": [],
+    "tate": [], "delta": [], "hfi": [], "v0": ["--p", "1"], "knot": [],
+}
+
+
+@pytest.fixture
+def refuse_windows(monkeypatch):
+    """Make laying out a window an error, wherever homcob binds the builder."""
+    original = graded.ladder_window
+
+    def refuse(gens, maps, lo, hi):
+        raise AssertionError(f"window [{lo}, {hi}] laid out")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "homcob" or name.startswith("homcob."):
+            if vars(mod).get("ladder_window") is original:
+                monkeypatch.setattr(mod, "ladder_window", refuse)
+
+
+def test_no_command_builds_a_window(refuse_windows, tmp_path):
+    ran = 0
+    for name in fixtures.fixture_names():
+        for cmd, extra in COMMAND_ARGS.items():
+            try:
+                run([cmd, *extra, f"fixtures:{name}"])
+                ran += 1
+            except HomcobError:
+                pass
+    # every command on every fixture of its kind, except scan-links on the
+    # impure triangle_edge (InputError) and the placeholder sigma_2_3_11
+    assert ran == 50
+    assert run(["fixtures"])[1] == 0
+
+    def body(argv):
+        lines = out_of(argv).splitlines()
+        return [l for l in lines if not l.startswith(("command:", "input:"))]
+
+    for name in fixtures.fixture_names():
+        kind = fixtures.describe(name)
+        if kind not in ("pin_model", "s1_model"):
+            continue
+        m = (PinModel if kind == "pin_model" else SOneModel).from_json(fixtures.load_raw(name))
+        cmds = ["abc", "dual", "tate"] if kind == "pin_model" else ["delta"]
+        for offset in (-100_000, 100_000):
+            path = tmp_path / f"{name}{offset}.json"
+            far_model = with_acyclic_pair(m, m.reducible_degree + offset)
+            path.write_text(json.dumps(far_model.to_json()))
+            for cmd in cmds:
+                near, far = body([cmd, f"fixtures:{name}"]), body([cmd, str(path)])
+                if cmd == "tate":
+                    # the reported range runs to the stable cut above the pair
+                    (pattern,) = [l for l in near if l.startswith("stable_pattern: ")]
+                    (far_pattern,) = [l for l in far if l.startswith("stable_pattern: ")]
+                    assert far_pattern.startswith(pattern.rstrip("]"))
+                    near.remove(pattern)
+                    far.remove(far_pattern)
+                assert near == far, (name, offset, cmd)

@@ -1,0 +1,123 @@
+"""Fuzz of the command line over mutated fixtures.
+
+Each example takes a bundled fixture, applies a few mutations to its JSON
+(drop a field, swap a value for one of another type, perturb an integer,
+make a matrix row ragged), and runs one command on it with numeric
+options drawn from small ranges; 15 examples per command.  Every outcome must be a report with
+exit code 0, or a HomcobError with exit code 1 (input) or 2 (invalid
+model): never an internal error and never another exception.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from homcob import fixtures
+from homcob.cli import load_input, run
+from homcob.errors import HomcobError
+
+COMMANDS = {
+    "simplicial": ["link", "star", "closure", "homology", "sq1", "pi1", "scan-links"],
+    "pin_model": ["abc", "dual", "tate"],
+    "s1_model": ["delta"],
+    "u_complex": ["hfi", "v0"],
+    "seifert": ["knot"],
+}
+ALL_COMMANDS = [c for cmds in COMMANDS.values() for c in cmds]
+FIXTURES = [n for n in fixtures.fixture_names() if fixtures.describe(n) in COMMANDS]
+OTHER_TYPES = ["x", "1", 1.5, None, True, [], {}, [[]], -1, 2]
+
+
+def _paths(doc, prefix=()):
+    """Every (path, value) below the root of a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,), value
+        yield from _paths(value, prefix + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc after one to three mutations."""
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        path, value = paths[draw(st.integers(0, len(paths) - 1))]
+        parent = _parent(doc, path)
+        how = draw(st.sampled_from(["drop", "swap", "perturb", "ragged"]))
+        if how == "drop":
+            del parent[path[-1]]
+        elif how == "swap":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))
+        elif how == "perturb" and isinstance(value, int) and not isinstance(value, bool):
+            parent[path[-1]] = value + draw(st.integers(-3, 3))
+        elif how == "ragged" and isinstance(value, list) and value and all(
+                isinstance(row, list) for row in value):
+            row = value[draw(st.integers(0, len(value) - 1))]
+            if row and draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(draw(st.integers(0, 1)))
+    return doc
+
+
+@st.composite
+def invocations(draw, cmd):
+    """(argv without the input path, mutated input document) for `cmd`."""
+    kind = next(k for k, cmds in COMMANDS.items() if cmd in cmds)
+    # now and then an input of another kind
+    names = [n for n in FIXTURES if fixtures.describe(n) == kind] if draw(
+        st.integers(0, 9)) else FIXTURES
+    doc = draw(mutated(load_input(f"fixtures:{draw(st.sampled_from(names))}")[0]))
+    small = st.integers(-2, 6)
+    argv = [cmd]
+    if cmd in ("link", "star", "closure"):
+        verts = draw(st.lists(small, min_size=0, max_size=3))
+        argv += ["--simplex", ",".join(map(str, verts))]
+    elif cmd == "sq1":
+        argv += ["--dim", str(draw(st.integers(-2, 4)))]
+    elif cmd == "pi1":
+        if draw(st.booleans()):
+            argv += ["--basepoint", str(draw(small))]
+        argv += ["--limit", str(draw(st.integers(-1, 60)))]
+    elif cmd == "scan-links":
+        argv += ["--limit", str(draw(st.integers(-1, 60)))]
+    elif cmd == "v0":
+        argv += ["--p", str(draw(st.integers(-2, 4)))]
+    return argv, doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.parametrize("cmd", ALL_COMMANDS)
+@settings(max_examples=15, derandomize=True, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_mutated_fixtures_exit_zero_one_or_two(fuzz_dir, cmd, data):
+    argv, doc = data.draw(invocations(cmd))
+    path = fuzz_dir / "input.json"
+    path.write_text(json.dumps(doc))
+    try:
+        text, code = run([*argv, str(path)])
+    except HomcobError as e:
+        assert e.exit_code in (1, 2), f"{argv}: {type(e).__name__}: {e}"
+    else:
+        assert code == 0 and isinstance(text, str)

@@ -11,7 +11,6 @@ from homcob.equivariant import (
     TowerArrow,
     abc,
     abc_of_reverse,
-    borel_homology,
     coborel_tower_tops,
     delta_invariant,
     localization_check,
@@ -22,9 +21,12 @@ from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import Homology
 
 from helpers import (
+    borel_homology,
     random_pin_model,
     random_s1_model,
+    window_coborel_tops,
     window_delta_bottom,
+    window_localization,
     window_pin_bottoms,
     with_acyclic_pair,
 )
@@ -162,6 +164,7 @@ def test_odd_reducible_degree_rejected():
 def test_localization_s0():
     rep = localization_check(S3)
     assert rep.ok and rep.anchored_at == 0
+    assert rep == window_localization(S3)
 
 
 def test_localization_finite_only():
@@ -171,13 +174,15 @@ def test_localization_finite_only():
     rep = localization_check(free)
     assert rep.ok and rep.anchored_at is None
     assert all(x == 0 for x in rep.pattern)
+    assert rep == window_localization(free)
 
 
 def test_localization_random_models():
     rng = random.Random(2024)
     for _ in range(20):
         m = random_pin_model(rng)
-        assert localization_check(m).ok
+        rep = localization_check(m)
+        assert rep.ok and rep == window_localization(m)
 
 
 def test_tower_bottoms_requires_tower():
@@ -208,8 +213,8 @@ def test_reverse_is_involution():
 
 
 def test_coborel_tops_fixtures():
-    assert coborel_tower_tops(S3) == (0, -1, -2)
-    assert coborel_tower_tops(POINCARE) == (-2, -3, -4)
+    assert coborel_tower_tops(S3) == window_coborel_tops(S3) == (0, -1, -2)
+    assert coborel_tower_tops(POINCARE) == window_coborel_tops(POINCARE) == (-2, -3, -4)
 
 
 def test_coborel_tops_acyclic_stability():
@@ -217,6 +222,7 @@ def test_coborel_tops_acyclic_stability():
         0, [("x", 5), ("y", 4)], [[0, 0]] * 2, [[0, 0]] * 2, [[0, 0], [1, 0]], []
     )
     assert coborel_tower_tops(pair) == coborel_tower_tops(S3)
+    assert window_coborel_tops(pair) == window_coborel_tops(S3)
 
 
 def test_coborel_matches_negated_bottoms():
@@ -224,7 +230,7 @@ def test_coborel_matches_negated_bottoms():
     models = [S3, POINCARE, S_MINUS2] + [random_pin_model(rng) for _ in range(8)]
     for m in models:
         A, B, C = tower_bottoms(m)
-        assert coborel_tower_tops(m) == (-A, -B, -C)
+        assert coborel_tower_tops(m) == window_coborel_tops(m) == (-A, -B, -C)
 
 
 # -- congruences / properties -------------------------------------------------------
@@ -390,6 +396,38 @@ def test_tower_reads_build_no_window(monkeypatch):
             delta = delta_invariant(m)
             for offset in (-100_000, 100_000):
                 assert delta_invariant(with_acyclic_pair(m, m.reducible_degree + offset)) == delta
+
+
+def _check_dual_and_tate_against_windows(m):
+    if m.reducible_degree is None:
+        for reader in (coborel_tower_tops, window_coborel_tops):
+            with pytest.raises(ModelInvalidError):
+                reader(m)
+    else:
+        assert coborel_tower_tops(m) == window_coborel_tops(m)
+    assert localization_check(m) == window_localization(m)
+
+
+def random_pin_models(seed, count):
+    """Random pin models, every fourth one without a reducible tower."""
+    rng = random.Random(seed)
+    return [random_pin_model(rng, with_tower=i % 4 != 3, max_blocks=3) for i in range(count)]
+
+
+def test_dual_and_tate_match_window_oracles():
+    pins = [m for m in fixture_models() if isinstance(m, PinModel)]
+    models = pins + [TRIPLE_KILLER] + random_pin_models(6, 160)
+    assert sum(m.reducible_degree is None for m in models) == 40
+    for m in models:
+        _check_dual_and_tate_against_windows(m)
+
+
+@pytest.mark.parametrize("offset", [-400, -200, -100, -50, 50, 100, 200, 400])
+def test_dual_and_tate_match_window_oracles_with_a_far_pair(offset):
+    pins = [m for m in fixture_models() if isinstance(m, PinModel)]
+    for m in pins + [TRIPLE_KILLER] + random_pin_models(abs(offset) + (offset < 0), 4):
+        _check_dual_and_tate_against_windows(
+            with_acyclic_pair(m, (m.reducible_degree or 0) + offset))
 
 
 def _mutations(m):

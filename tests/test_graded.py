@@ -9,6 +9,7 @@ from homcob.graded import Homology
 from homcob.involutive import cone_iota
 
 from helpers import (
+    cone_plus_window,
     dual_ucomplex,
     greedy_homology_reps,
     random_pin_model,
@@ -25,8 +26,8 @@ def cone_windows(seed, count):
         c, iota = random_ucomplex_with_iota(rng, max_pairs=3)
         for base, i in ((c, iota), dual_ucomplex(c, iota)):
             cone = cone_iota(base, i)
-            lo, hi = cone.default_window()
-            out.append((cone.plus_window(lo, hi), (lo, hi)))
+            lo, hi = cone.complex.default_window()
+            out.append((cone_plus_window(cone, lo, hi), (lo, hi)))
     return out
 
 

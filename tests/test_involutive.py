@@ -12,20 +12,21 @@ from homcob.involutive import (
     IotaMap,
     UComplex,
     cone_iota,
-    cone_rank_bound,
     d_invariant,
     involutive_correction_terms,
     iota_localized_identity,
     one_plus_iota_nullhomotopic,
-    split_dims_law,
     v0_inverse,
     v0_triple,
     validate_iota,
 )
 
 from helpers import (
+    cone_plus_window,
+    cone_rank_bound,
     dual_ucomplex,
     random_ucomplex_with_iota,
+    split_dims_law,
     towers_from_profile,
     window_tower_bottoms,
     with_far_pair,
@@ -246,7 +247,7 @@ def test_sigma237_iota_valid_but_not_null():
 
 def test_split_cone_s3():
     cone = cone_iota(S3, IotaMap.identity(S3))
-    h = Homology(cone.plus_window(-7, 15))
+    h = Homology(cone_plus_window(cone, -7, 15))
     # two towers, bottoms 0 and -1
     for d in range(-1, 9):
         assert h.dim(d) == 1
