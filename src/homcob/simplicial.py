@@ -180,13 +180,20 @@ class AbstractComplex:
         return frozenset(s for s in self.simplices if tset <= set(s))
 
     def link(self, tau) -> "AbstractComplex":
-        """Simplices of the closed star disjoint from tau, as a complex."""
+        """Simplices of the closed star disjoint from tau, as a complex:
+        the set {rho \\ tau : rho strictly contains tau}, which is downward
+        closed because K is."""
         t = _simplex(tau)
+        if t not in self.simplices:
+            raise InputError(f"simplex {t} not in complex")
         tset = set(t)
-        cl = self.closure(self.star(t))
-        simps = {s for s in cl if not (tset & set(s))}
-        verts = sorted({v for s in simps for v in s})
-        return AbstractComplex(verts, simps)
+        simps = frozenset(
+            tuple(v for v in s if v not in tset)
+            for s in self.simplices
+            if len(s) > len(t) and tset.issubset(s)
+        )
+        verts = tuple(sorted(s[0] for s in simps if len(s) == 1))
+        return AbstractComplex(verts, simps, _validated=True)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +634,7 @@ def link_manifold_scan(
         lk = k.link(s)
         ld = codim - 1
         hs = is_homology_sphere(lk, ld)
-        hs2 = is_f2_homology_sphere(lk, ld)
+        hs2 = hs or is_f2_homology_sphere(lk, ld)  # a Z-sphere is an F2-sphere (UCT)
         cert: bool | None = None
         if ld == 0:
             cert = len(lk.vertices) == 2

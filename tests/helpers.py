@@ -22,7 +22,8 @@ from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import GradedComplex, Homology, ladder_window
 from homcob.involutive import DEFAULT_MARGIN, ConeComplex, IotaMap, UComplex, _forced_power
 from homcob.knot import LaurentPoly, SeifertMatrix
-from homcob.simplicial import AbstractComplex
+from homcob.simplicial import AbstractComplex, GroupPresentation
+from homcob.toddcoxeter import EXCEEDED
 
 
 def row_echelon_oracle(m: np.ndarray):
@@ -196,6 +197,198 @@ def random_complex(rng: random.Random, max_vertices: int = 8) -> AbstractComplex
         size = rng.randint(1, min(4, nv))
         facets.append(rng.sample(verts, size))
     return AbstractComplex.from_facets(facets, vertices=verts)
+
+
+def link_oracle(k: AbstractComplex, tau) -> AbstractComplex:
+    """The link as the simplices of the closed star (closure of the star)
+    disjoint from tau, re-validated as a complex: the reference for
+    AbstractComplex.link."""
+    tset = set(tau)
+    simps = {s for s in k.closure(k.star(tau)) if not (tset & set(s))}
+    return AbstractComplex(sorted({v for s in simps for v in s}), simps)
+
+
+# ---------------------------------------------------------------------------
+# coset enumeration on a union-find table
+
+
+class CosetCapHit(Exception):
+    pass
+
+
+class UnionFindCosetTable:
+    """Coset table over columns g0, g0^-1, g1, g1^-1, ... with union-find
+    coincidence handling."""
+
+    def __init__(self, ngens: int, limit: int):
+        self.width = 2 * ngens
+        self.limit = limit
+        self.neighbors: list[list[int | None]] = []
+        self.parent: list[int] = []
+        self.created = 0
+        self.define()
+
+    def define(self) -> int:
+        if self.created >= self.limit:
+            raise CosetCapHit()
+        self.created += 1
+        self.neighbors.append([None] * self.width)
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
+
+    def find(self, c: int) -> int:
+        while self.parent[c] != c:
+            self.parent[c] = self.parent[self.parent[c]]
+            c = self.parent[c]
+        return c
+
+    @staticmethod
+    def col(letter: int) -> int:
+        g = abs(letter) - 1
+        return 2 * g + (0 if letter > 0 else 1)
+
+    def get(self, c: int, col: int):
+        out = self.neighbors[self.find(c)][col]
+        return None if out is None else self.find(out)
+
+    def set(self, c: int, col: int, d: int):
+        merges: list[tuple[int, int]] = []
+        self._edge(c, col, d, merges)
+        self._process(merges)
+
+    def merge(self, a: int, b: int):
+        self._process([(a, b)])
+
+    def _edge(self, c: int, col: int, d: int, merges: list):
+        """Record c.col = d and the inverse edge; queue conflicts."""
+        c, d = self.find(c), self.find(d)
+        cur = self.neighbors[c][col]
+        if cur is None:
+            self.neighbors[c][col] = d
+        else:
+            cur = self.find(cur)
+            self.neighbors[c][col] = cur
+            if cur != d:
+                merges.append((cur, d))
+        icol = col ^ 1
+        cur2 = self.neighbors[d][icol]
+        if cur2 is None:
+            self.neighbors[d][icol] = c
+        else:
+            cur2 = self.find(cur2)
+            self.neighbors[d][icol] = cur2
+            if cur2 != c:
+                merges.append((cur2, c))
+
+    def _process(self, merges: list):
+        while merges:
+            a, b = merges.pop()
+            a, b = self.find(a), self.find(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            self.parent[b] = a
+            row = self.neighbors[b]
+            self.neighbors[b] = [None] * self.width
+            for col, out in enumerate(row):
+                if out is not None:
+                    self._edge(a, col, self.find(out), merges)
+
+    def live_count(self) -> int:
+        return sum(1 for c in range(len(self.parent)) if self.find(c) == c)
+
+
+def coxeter_sn(n: int) -> GroupPresentation:
+    """The Coxeter presentation of the symmetric group S_n (order n!)."""
+    rels = [[i, i] for i in range(1, n)]
+    rels += [[i, i + 1] * 3 for i in range(1, n - 1)]
+    rels += [[i, j] * 2 for i in range(1, n) for j in range(i + 2, n)]
+    return GroupPresentation(n - 1, rels)
+
+
+def scramble_presentation(rng: random.Random, p: GroupPresentation) -> GroupPresentation:
+    """The same group: permuted and possibly inverted generators, rotated
+    relators in random order."""
+    perm = list(range(1, p.ngens + 1))
+    rng.shuffle(perm)
+    sign = [rng.choice((1, -1)) for _ in perm]
+    rels = []
+    for w in p.relators:
+        w = [sign[abs(x) - 1] * perm[abs(x) - 1] * (1 if x > 0 else -1) for x in w]
+        r = rng.randrange(len(w))
+        rels.append(w[r:] + w[:r])
+    rng.shuffle(rels)
+    return GroupPresentation(p.ngens, rels)
+
+
+def random_presentation(rng: random.Random, max_gens: int = 3) -> GroupPresentation:
+    """Random relators of length 1-8, not freely reduced in general."""
+    g = rng.randint(1, max_gens)
+    rels = [
+        [rng.choice((1, -1)) * rng.randint(1, g) for _ in range(rng.randint(1, 8))]
+        for _ in range(rng.randint(0, 4))
+    ]
+    return GroupPresentation(g, rels)
+
+
+def coset_enumeration_oracle(p: GroupPresentation, limit: int):
+    """(order or "exceeded", cosets defined) by HLT on the union-find
+    table: the reference for toddcoxeter.coset_enumeration."""
+    if limit < 1:
+        raise InputError("coset limit must be >= 1")
+    table = UnionFindCosetTable(p.ngens, limit)
+    words = [[UnionFindCosetTable.col(letter) for letter in w] for w in p.relators]
+    try:
+        idx = 0
+        while idx < table.created:
+            if table.find(idx) != idx:
+                idx += 1
+                continue
+            for word in words:
+                if table.find(idx) != idx:
+                    break  # merged away mid-scan; survivor saw these edges
+                _oracle_scan_and_fill(table, idx, word)
+            if table.find(idx) == idx:
+                for col in range(table.width):
+                    if table.get(idx, col) is None:
+                        table.set(idx, col, table.define())
+            idx += 1
+    except CosetCapHit:
+        return EXCEEDED, table.created
+    return table.live_count(), table.created
+
+
+def _oracle_scan_and_fill(table: UnionFindCosetTable, cos: int, word: list[int]):
+    """Trace `word` at `cos`, defining cosets so the cycle closes."""
+    n = len(word)
+    if n == 0:
+        return
+    front = table.find(cos)
+    i = 0
+    while i < n:
+        nxt = table.get(front, word[i])
+        if nxt is None:
+            break
+        front = nxt
+        i += 1
+    if i == n:
+        table.merge(front, cos)  # full scan must close up
+        return
+    back = table.find(cos)
+    j = n
+    while j - 1 > i:
+        prv = table.get(back, word[j - 1] ^ 1)
+        if prv is None:
+            break
+        back = prv
+        j -= 1
+    while i < j - 1:
+        fresh = table.define()
+        table.set(front, word[i], fresh)
+        front = table.find(fresh)
+        i += 1
+    table.set(front, word[i], back)  # closing deduction (may coincide)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,11 @@ from homcob.toddcoxeter import coset_enumeration
 from homcob.simplicial import GroupPresentation
 
 from helpers import (
+    coxeter_sn,
     random_complex,
     random_pin_model,
     random_ucomplex_with_iota,
+    scramble_presentation,
     split_dims_law,
     window_coborel_tops,
     window_localization,
@@ -250,3 +252,11 @@ def test_acceptance_12_out_of_reach_documented():
     assert "beta" in readme.lower()
     elapsed = time.perf_counter() - t0
     _report(12, "placeholder fixture refuses with exit 2 and is documented", elapsed, "exact")
+
+
+def test_acceptance_13_s7_coset_table():
+    p = scramble_presentation(random.Random(7), coxeter_sn(7))
+    order, elapsed = _best_of(lambda: coset_enumeration(p, 20000), n=3)
+    assert order == 5040
+    assert elapsed < 2.0
+    _report(13, "scrambled S7 order 5040 with cap 20000", elapsed, "<2s")

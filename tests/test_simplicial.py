@@ -17,6 +17,7 @@ from homcob.simplicial import (
     coboundary_matrix,
     fundamental_group,
     homology,
+    is_f2_homology_sphere,
     is_homology_sphere,
     join,
     link_manifold_scan,
@@ -24,7 +25,7 @@ from homcob.simplicial import (
 )
 from homcob.toddcoxeter import coset_enumeration
 
-from helpers import greedy_reps, random_complex
+from helpers import greedy_reps, link_oracle, random_complex
 
 TRIANGLE_EDGE = AbstractComplex.from_facets([[1, 3, 4], [1, 2]])
 BDRY_D3 = AbstractComplex.from_facets(list(combinations(range(1, 5), 3)))
@@ -124,15 +125,45 @@ def test_link_requires_membership():
 
 def test_link_against_bruteforce_on_random_complexes():
     rng = random.Random(5)
-    for _ in range(20):
+    for _ in range(60):
         k = random_complex(rng, 8)
         for tau in sorted(k.simplices):
-            expected = {
-                s
-                for s in k.closure(k.star(tau))
-                if not (set(s) & set(tau))
-            }
-            assert k.link(tau).simplices == frozenset(expected)
+            assert k.link(tau) == link_oracle(k, tau), (k, tau)
+
+
+def _scan_complexes():
+    """The complexes whose links the benchmark scans, and their relatives."""
+    return [
+        RP2, TORUS7, BDRY_D4, suspension(RP2), suspension(suspension(RP2)),
+        suspension(TORUS7), suspension(BDRY_D4),
+        join(RP2, AbstractComplex.from_facets([[1, 2], [2, 3], [1, 3]])),
+        AbstractComplex.from_facets(list(combinations(range(1, 7), 5))),
+    ]
+
+
+def test_link_against_bruteforce_on_scanned_complexes():
+    for k in _scan_complexes():
+        for tau in k.simplices:
+            assert k.link(tau) == link_oracle(k, tau), (k, tau)
+
+
+def _pure_random_complex(rng: random.Random) -> AbstractComplex:
+    dim = rng.randint(1, 3)
+    verts = list(range(1, rng.randint(dim + 2, 8) + 1))
+    facets = [rng.sample(verts, dim + 1) for _ in range(rng.randint(1, 8))]
+    return AbstractComplex.from_facets(facets)
+
+
+def test_scan_f2_field_matches_f2_reduction():
+    rng = random.Random(23)
+    complexes = _scan_complexes() + [_pure_random_complex(rng) for _ in range(80)]
+    z_spheres = others = 0
+    for k in complexes:
+        for r in link_manifold_scan(k):
+            assert r.f2_homology_sphere == is_f2_homology_sphere(k.link(r.simplex), r.link_dim)
+            z_spheres += r.homology_sphere
+            others += not r.homology_sphere
+    assert z_spheres >= 100 and others >= 100
 
 
 # -- joins, cones, suspensions ----------------------------------------------

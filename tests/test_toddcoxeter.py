@@ -1,10 +1,22 @@
+import json
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from homcob import fixtures
+from homcob.cli import main, parse_input
 from homcob.errors import InputError
-from homcob.simplicial import GroupPresentation
-from homcob.toddcoxeter import EXCEEDED, coset_enumeration
+from homcob.simplicial import GroupPresentation, suspension
+from homcob.toddcoxeter import EXCEEDED, MAX_COSETS, _enumerate, coset_enumeration
+
+from helpers import (
+    coset_enumeration_oracle,
+    coxeter_sn,
+    random_presentation,
+    scramble_presentation,
+)
 
 
 def test_order_two():
@@ -137,3 +149,132 @@ def test_binary_icosahedral_quaternion_oracle():
                 frontier.append(w)
         assert len(elements) <= 120
     assert len(elements) == 120
+
+
+# -- the clean table against the union-find oracle ------------------------------
+
+
+def _named_presentations():
+    rng = random.Random(2005)
+    out = []
+    for n in (5, 6, 7):
+        for k in range(2 if n < 7 else 1):
+            out.append((f"S{n}/{k}", scramble_presentation(rng, coxeter_sn(n)), factorial(n)))
+    for k in range(3):
+        out.append((f"2I/{k}", scramble_presentation(rng, BINARY_ICOSAHEDRAL), 120))
+    return out
+
+
+def _random_presentations(count: int, seed: int):
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        p = random_presentation(rng)
+        if i % 4 == 0:  # a one-letter relator kills a generator
+            p = GroupPresentation(p.ngens, p.relators + [[rng.choice((1, -1)) * p.ngens]])
+        if i % 4 == 1:  # a relator that is not freely reduced
+            g = rng.randint(1, p.ngens)
+            p = GroupPresentation(p.ngens, [[g, -g, g, -g, g]] + p.relators)
+        out.append(p)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,order", [pytest.param(p, order, id=name) for name, p, order in _named_presentations()]
+)
+def test_named_groups_match_oracle(p, order):
+    assert coset_enumeration(p, 20000) == order
+    oracle_order, created = coset_enumeration_oracle(p, 20000)
+    assert oracle_order == order
+    # the same HLT definitions: the cap falls at the oracle's coset count
+    assert coset_enumeration(p, created) == order
+    assert coset_enumeration(p, created - 1) == EXCEEDED
+    assert coset_enumeration_oracle(p, created - 1)[0] == EXCEEDED
+
+
+def test_random_presentations_match_oracle():
+    one_letter = not_reduced = 0
+    for i, p in enumerate(_random_presentations(1200, 41)):
+        one_letter += any(len(w) == 1 for w in p.relators)
+        not_reduced += any(a == -b for w in p.relators for a, b in zip(w, w[1:]))
+        limit = (5, 40, 300)[i % 3]
+        assert coset_enumeration(p, limit) == coset_enumeration_oracle(p, limit)[0], (p, limit)
+    assert one_letter >= 300 and not_reduced >= 300
+
+
+def _smallest_closing_limit(p, hi):
+    """Least limit at which the enumeration closes (bisection)."""
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if coset_enumeration(p, mid) == EXCEEDED:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def test_created_count_matches_oracle_by_bisection():
+    checked = 0
+    for p in _random_presentations(240, 43):
+        order, created = coset_enumeration_oracle(p, 300)
+        if order == EXCEEDED:
+            assert coset_enumeration(p, 300) == EXCEEDED
+            continue
+        assert _smallest_closing_limit(p, 300) == created, p
+        checked += 1
+    assert checked >= 100
+
+
+def _check_closed_table(p, limit):
+    cols, fwd = _enumerate(p, limit)
+    live = [c for c, f in enumerate(fwd) if c == f]
+    for x, col in enumerate(cols):
+        inv = cols[x ^ 1]
+        for c in live:
+            d = col[c]
+            assert d >= 0 and fwd[d] == d, (x, c, d)  # complete, live -> live
+            assert inv[d] == c  # c.x = d  <=>  d.x^-1 = c
+    for w in p.relators:
+        for c in live:
+            d = c
+            for letter in w:
+                d = cols[2 * (abs(letter) - 1) + (letter < 0)][d]
+            assert d == c, (w, c)
+    return len(live)
+
+
+def test_closed_tables_are_consistent():
+    for name, p, order in _named_presentations():
+        if not name.startswith("S7"):
+            assert _check_closed_table(p, 20000) == order
+    closed = 0
+    for p in _random_presentations(300, 47):
+        if coset_enumeration_oracle(p, 300)[0] != EXCEEDED:
+            assert _check_closed_table(p, 300) == coset_enumeration(p, 300)
+            closed += 1
+    assert closed >= 100
+
+
+def test_limit_cap_refuses_without_enumerating(monkeypatch):
+    def boom(*args):
+        raise AssertionError("enumerated above the cap")
+
+    monkeypatch.setattr("homcob.toddcoxeter._enumerate", boom)
+    with pytest.raises(InputError, match="1000000"):
+        coset_enumeration(GroupPresentation(2, []), MAX_COSETS + 1)
+
+
+def test_limit_cap_admits_the_cap():
+    assert MAX_COSETS == 1_000_000
+    assert coset_enumeration(GroupPresentation(1, [[1]]), MAX_COSETS) == 1
+
+
+def test_cli_limit_above_cap_exits_one(tmp_path, capsys):
+    too_many = str(MAX_COSETS + 1)
+    assert main(["pi1", "--limit", too_many, "fixtures:torus7"]) == 1
+    # the suspension of S^3 has 3-dimensional vertex links to certify
+    s4 = tmp_path / "s4.json"
+    s4.write_text(json.dumps(suspension(parse_input(fixtures.load_raw("boundary_delta4"))).to_json()))
+    assert main(["scan-links", "--certify-pi1", "--limit", too_many, str(s4)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
