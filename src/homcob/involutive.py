@@ -1,26 +1,31 @@
 """Involutive mapping-cone algebra over F[U] and correction terms.
 
-Inputs are finitely generated free graded complexes over F[U] (entries
-U^k with k forced by degrees) together with a grading-preserving chain
-involution iota, exact up to chain homotopy.  Towers are read by
-elimination over F[U]: repeatedly take the differential entry with the
-smallest U-power, clear its row and column by changes of basis (every
-other entry of that row or column carries a power at least as large, so
-each operation is an XOR of F2 coefficients with a non-negative forced
-U-power) and split the pair off as a torsion summand.  The generators
-left unpaired carry no differential; their degrees are the bottoms of
-the U-towers of the plus flavor.  The correction term d is the bottom of
-the single tower.  The cone of Q(1+iota) carries a Q of degree -1 with
-Q^2 = 0; its two towers yield the refinements d_bar and d_under:
+Inputs are finitely generated free graded complexes over F[U] together
+with a grading-preserving chain involution iota, exact up to chain
+homotopy.  Every F[U]-map is stored as the F2 matrix of its coefficients,
+since one rule forces its U-powers: an entry j -> i of a degree-s map
+carries U^k with deg i - 2k = deg j + s (k >= 0; any integer once U is
+inverted).  `_forced_power` is the only place that rule is written; the
+differential and iota share one entry reader and one entry printer.
 
-* if 1 + iota is null-homotopic the cone splits and d_under = d_bar = d;
-* otherwise d_bar is the bottom of the tower in d's parity, and the
-  other tower's bottom sits at d - 1 + 2K where K counts how many
-  Q-images of the main tower die in homology, giving d_under = d - 2K.
+Towers are read by elimination over F[U]: repeatedly take the differential
+entry with the smallest U-power, clear its row and column by changes of
+basis (every other entry of that row or column carries a power at least
+as large, so each operation is an XOR of F2 coefficients with a
+non-negative forced U-power) and split the pair off as a torsion summand.
+The generators left unpaired carry no differential; their degrees are the
+bottoms of the U-towers of the plus flavor.  The correction term d is the
+bottom of the single tower.  A homotopy dH + Hd = R is one GF(2) system
+filled from d's nonzeros, and every H it returns is checked.
 
-The second rule is equivalent to reflecting the off-parity bottom b
-through d (d_under = 2d - b - 1); it reproduces the split case with
-K = 0 and the bundled +1-surgery fixture with K = 1.
+The cone of Q(1+iota) carries a Q of degree -1 with Q^2 = 0.  One rule
+reads its two towers: d_bar is the bottom of the tower in d's parity;
+the other tower's bottom b sits at d - 1 + 2K, where K counts the
+Q-images of the main tower that die in homology, so d_under = d - 2K =
+2d - b - 1 (K = 1 on the bundled +1-surgery fixture).  The split case,
+1 + iota = dH + Hd, is a special case, not a second path: the change of
+basis x -> x + QHx makes the cone C + C[-1], with towers at d and d - 1,
+so the rule gives d_bar = d_under = d.
 
 The explicit plus flavor on a degree window (tensoring with
 F[U, U^-1]/F[U]) stays available as `UComplex.plus_window`, laid out by
@@ -42,13 +47,42 @@ from .graded import GradedComplex, ladder_window
 DEFAULT_MARGIN = 2
 
 
-def _forced_power(deg_from: int, deg_to: int, shift: int):
+def _forced_power(deg_from: int, deg_to: int, shift: int, localized: bool = False):
     """U-power k of an entry U^k * target inside a degree-`shift` map,
-    i.e. deg_to - 2k = deg_from + shift; None if no such k >= 0."""
+    i.e. deg_to - 2k = deg_from + shift; None if no such k >= 0 (no such
+    integer k with localized=True, where U is inverted)."""
     num = deg_to - deg_from - shift
-    if num % 2 or num < 0:
+    if num % 2 or (num < 0 and not localized):
         return None
     return num // 2
+
+
+def _entry_matrix(c: "UComplex", entries, shift: int, what: str) -> np.ndarray:
+    """F2 coefficient matrix of the degree-`shift` map with (from, to,
+    upower) `entries` on c's generators; `what` names the map in errors."""
+    m = la.f2_zeros(len(c.generators), len(c.generators))
+    for ent in entries:
+        src, tgt, upower = ent
+        if src not in c.index or tgt not in c.index:
+            raise InputError(f"{what} entry {ent} references unknown generator")
+        i, j = c.index[tgt], c.index[src]
+        k = _forced_power(c.generators[j][1], c.generators[i][1], shift)
+        if k is None:
+            raise InputError(f"no degree {shift} entry possible from {src!r} to {tgt!r}")
+        if as_int(upower, "u_complex", "upower") != k:
+            raise InputError(f"{what} entry {src!r}->{tgt!r} must have upower {k}, got {upower}")
+        m[i, j] ^= 1
+    return m
+
+
+def _entry_list(c: "UComplex", mat: np.ndarray, shift: int) -> list[dict]:
+    """The nonzeros of a degree-`shift` map as entries, column by column."""
+    gens = c.generators
+    return [
+        {"from": gens[j][0], "to": gens[i][0],
+         "upower": _forced_power(gens[j][1], gens[i][1], shift)}
+        for j, i in zip(*np.nonzero(mat.T))
+    ]
 
 
 class UComplex:
@@ -61,21 +95,7 @@ class UComplex:
         if len(set(labels)) != len(labels):
             raise InputError("duplicate generator labels")
         self.index = {l: i for i, l in enumerate(labels)}
-        n = len(self.generators)
-        self.d_mat = la.f2_zeros(n, n)
-        for ent in differential:
-            src, tgt, upower = ent
-            if src not in self.index or tgt not in self.index:
-                raise InputError(f"differential entry {ent} references unknown generator")
-            i, j = self.index[tgt], self.index[src]
-            k = _forced_power(self.generators[j][1], self.generators[i][1], -1)
-            if k is None:
-                raise InputError(f"no degree -1 entry possible from {src!r} to {tgt!r}")
-            if as_int(upower, "u_complex", "upower") != k:
-                raise InputError(
-                    f"entry {src!r}->{tgt!r} must have upower {k}, got {upower}"
-                )
-            self.d_mat[i, j] ^= 1
+        self.d_mat = _entry_matrix(self, differential, -1, "differential")
         if la.f2_mul(self.d_mat, self.d_mat).any():
             raise InputError("differential does not square to zero")
 
@@ -83,14 +103,7 @@ class UComplex:
         return [d for _, d in self.generators]
 
     def entry_list(self) -> list[dict]:
-        out = []
-        for j, (src, dsrc) in enumerate(self.generators):
-            for i, (tgt, dtgt) in enumerate(self.generators):
-                if self.d_mat[i, j]:
-                    out.append(
-                        {"from": src, "to": tgt, "upower": _forced_power(dsrc, dtgt, -1)}
-                    )
-        return out
+        return _entry_list(self, self.d_mat, -1)
 
     def to_json(self, iota: "IotaMap | None" = None) -> dict:
         data = {
@@ -99,7 +112,7 @@ class UComplex:
             "differential": self.entry_list(),
         }
         if iota is not None:
-            data["iota"] = iota.entry_list(self)
+            data["iota"] = _entry_list(self, iota.mat, 0)
         return data
 
     @classmethod
@@ -189,76 +202,54 @@ class IotaMap:
 
     @classmethod
     def of(cls, c: UComplex, entries) -> "IotaMap":
-        n = len(c.generators)
-        m = la.f2_zeros(n, n)
-        for ent in entries:
-            src, tgt, upower = ent
-            if src not in c.index or tgt not in c.index:
-                raise InputError(f"iota entry {ent} references unknown generator")
-            i, j = c.index[tgt], c.index[src]
-            k = _forced_power(c.generators[j][1], c.generators[i][1], 0)
-            if k is None:
-                raise InputError(f"no degree 0 entry possible from {src!r} to {tgt!r}")
-            if as_int(upower, "u_complex", "upower") != k:
-                raise InputError(f"iota entry {src!r}->{tgt!r} must have upower {k}")
-            m[i, j] ^= 1
-        return cls(m)
-
-    def entry_list(self, c: UComplex) -> list[dict]:
-        out = []
-        for j, (src, dsrc) in enumerate(c.generators):
-            for i, (tgt, dtgt) in enumerate(c.generators):
-                if self.mat[i, j]:
-                    out.append(
-                        {"from": src, "to": tgt, "upower": _forced_power(dsrc, dtgt, 0)}
-                    )
-        return out
+        return cls(_entry_matrix(c, entries, 0, "iota"))
 
 
 def _support_ok(c: UComplex, mat: np.ndarray, shift: int) -> bool:
-    for j, (_, dj) in enumerate(c.generators):
-        for i, (_, di) in enumerate(c.generators):
-            if mat[i, j] and _forced_power(dj, di, shift) is None:
-                return False
-    return True
+    degs = c.degrees()
+    nonzeros = zip(*np.nonzero(mat))
+    return all(_forced_power(degs[j], degs[i], shift) is not None for i, j in nonzeros)
 
 
 def _homotopy_solve(c: UComplex, rhs: np.ndarray, localized: bool = False):
     """Solve dH + Hd = rhs for a degree +1 F[U]-map H; returns the H
     matrix or None.  With localized=True, negative U-powers are allowed
-    (the question 'is rhs null-homotopic after inverting U')."""
+    (the question 'is rhs null-homotopic after inverting U').  The system
+    is filled from d's nonzeros (module docstring); H is certified."""
     n = len(c.generators)
     degs = c.degrees()
 
-    def h_allowed(i, j):  # entry H[i, j]: generator j -> generator i, degree +1
-        k = degs[i] - degs[j] - 1
-        return k % 2 == 0 and (localized or k >= 0)
+    def allowed(shift):  # entries (i, j), generator j -> generator i, column by column
+        return [(i, j) for j in range(n) for i in range(n)
+                if _forced_power(degs[j], degs[i], shift, localized) is not None]
 
-    def eq_allowed(i, j):  # degree-0 maps
-        k = degs[i] - degs[j]
-        return k % 2 == 0 and (localized or k >= 0)
-
-    unknowns = [(i, j) for j in range(n) for i in range(n) if h_allowed(i, j)]
-    uindex = {p: t for t, p in enumerate(unknowns)}
-    equations = [(i, j) for j in range(n) for i in range(n) if eq_allowed(i, j)]
+    unknowns = allowed(1)
+    equations = {e: row for row, e in enumerate(allowed(0))}
+    by_row = [[] for _ in range(n)]  # z -> [(j, unknown H[z, j])]
+    by_col = [[] for _ in range(n)]  # y -> [(i, unknown H[i, y])]
+    for t, (i, j) in enumerate(unknowns):
+        by_row[i].append((j, t))
+        by_col[j].append((i, t))
+    d_nonzeros = list(zip(*(ix.tolist() for ix in np.nonzero(c.d_mat))))
+    # (dH)[i, j] gets d[i, z] H[z, j]; (Hd)[i, j] gets H[i, y] d[y, j].  No
+    # entry gets both: that would need d[i, i] = 1
     a = la.f2_zeros(len(equations), len(unknowns))
-    b = np.zeros(len(equations), dtype=np.uint8)
-    for row, (i, j) in enumerate(equations):
-        b[row] = rhs[i, j]
-        # (dH)_{ij} = sum_z d[i,z] H[z,j]
-        for z in range(n):
-            if c.d_mat[i, z] and (z, j) in uindex:
-                a[row, uindex[(z, j)]] ^= 1
-        # (Hd)_{ij} = sum_y H[i,y] d[y,j]
-        for y in range(n):
-            if c.d_mat[y, j] and (i, y) in uindex:
-                a[row, uindex[(i, y)]] ^= 1
+    for i, z in d_nonzeros:
+        for j, t in by_row[z]:
+            a[equations[i, j], t] ^= 1
+    for y, j in d_nonzeros:
+        for i, t in by_col[y]:
+            a[equations[i, j], t] ^= 1
+    b = np.array([rhs[e] for e in equations], dtype=np.uint8)
     x = la.solve_f2(a, b)
     if x is None:
         return None
     h = la.f2_zeros(n, n)
-    for t, (i, j) in enumerate(unknowns):
-        h[i, j] = x[t]
+    if unknowns:
+        h[tuple(zip(*unknowns))] = x
+    # certificate; uint8 products wrap mod 256, which keeps their parity
+    if ((c.d_mat @ h ^ h @ c.d_mat ^ rhs) & 1).any():
+        raise InternalError("homotopy solve returned H with dH + Hd != rhs")
     return h
 
 
@@ -300,11 +291,8 @@ class ConeComplex:
         gens += [(f"q:{l}", d - 1) for l, d in base.generators]
         n = len(base.generators)
         self.complex = UComplex(gens, [])
-        block = la.f2_zeros(2 * n, 2 * n)
-        one_plus = iota.mat ^ la.f2_eye(n)
-        block[:n, :n] = base.d_mat
-        block[n:, n:] = base.d_mat
-        block[n:, :n] = one_plus
+        block = np.block([[base.d_mat, la.f2_zeros(n, n)],
+                          [iota.mat ^ la.f2_eye(n), base.d_mat]])
         if not _support_ok(self.complex, block, -1):
             raise InternalError("cone differential not degree homogeneous")
         self.complex.d_mat = block
@@ -345,37 +333,29 @@ class InvolutiveReport:
 
 
 def involutive_correction_terms(cone: ConeComplex) -> InvolutiveReport:
-    """d, d_bar, d_under of a validated cone."""
+    """d, d_bar, d_under of a validated cone, by the tower rule of the
+    module docstring (the split case is a special case of it)."""
     base = cone.base
     d = d_invariant(base)
-    findings: list[str] = []
-
-    if one_plus_iota_nullhomotopic(base, cone.iota):
-        report = InvolutiveReport(d, d, d, True, findings)
-        _cross_check_split(cone, report)
-        return report
-
+    split = one_plus_iota_nullhomotopic(base, cone.iota)
     towers = cone.complex.tower_bottoms()
     if len(towers) != 2:
-        raise ModelInvalidError(
-            f"cone has {len(towers)} stabilized towers, expected 2"
-        )
+        raise ModelInvalidError(f"cone has {len(towers)} stabilized towers, expected 2")
     main_parity = int(d) % 2
     b_main = towers.get(main_parity)
     b_q = towers.get(1 - main_parity)
     if b_main is None or b_q is None:
         raise ModelInvalidError("cone towers do not occupy both parities")
+    findings: list[str] = []
     d_bar = Fraction(b_main)
     if d_bar != d:
-        findings.append(
-            f"main cone tower bottom {b_main} differs from d = {d}"
-        )
+        findings.append(f"main cone tower bottom {b_main} differs from d = {d}")
     # reflect the off-parity bottom through d: b_q = d - 1 + 2K where K
     # Q-images of the main tower die, and d_under = d - 2K
     d_under = 2 * d - b_q - 1
     if (b_q - (int(d) - 1)) % 2:
         raise InternalError("cone tower parities are inconsistent")
-    report = InvolutiveReport(d, d_bar, Fraction(d_under), False, findings)
+    report = InvolutiveReport(d, d_bar, Fraction(d_under), split, findings)
     _check_report_laws(report)
     return report
 
@@ -386,16 +366,6 @@ def _check_report_laws(report: InvolutiveReport):
         report.findings.append(f"mod-2 congruence fails: {(d, db, du)}")
     if not (du <= d <= db):
         report.findings.append(f"ordering d_under <= d <= d_bar fails: {(du, d, db)}")
-
-
-def _cross_check_split(cone, report):
-    """In the split case the cone towers must sit at d and d-1."""
-    towers = cone.complex.tower_bottoms()
-    d = int(report.d)
-    if towers.get(d % 2) != d or towers.get(1 - d % 2) != d - 1:
-        report.findings.append(
-            f"split cone towers {towers} not at (d, d-1) = {(d, d - 1)}"
-        )
 
 
 # ---------------------------------------------------------------------------

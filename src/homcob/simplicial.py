@@ -616,11 +616,13 @@ def link_manifold_scan(
     Dimension-1 links get an exact circle test, dimension-2 links an exact
     sphere test (closed surface with Euler characteristic 2); dimension-3
     links are reported as homology spheres with optional fundamental-group
-    certification through coset enumeration.  No sphere recognition is
-    attempted above link dimension 2.
+    certification through coset enumeration, whose limit is checked up
+    front.  No sphere recognition is attempted above link dimension 2.
     """
-    from .toddcoxeter import coset_enumeration
+    from .toddcoxeter import check_coset_limit, coset_enumeration
 
+    if certify_pi1:
+        check_coset_limit(coset_limit)
     n = k.dimension()
     if not k.is_pure():
         raise InputError("link scan requires a pure complex")

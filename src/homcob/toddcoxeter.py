@@ -164,13 +164,18 @@ def _enumerate(p: GroupPresentation, limit: int):
     return cols, fwd
 
 
-def coset_enumeration(p: GroupPresentation, limit: int):
-    """Order of the presented group, or "exceeded" when more than `limit`
-    cosets would be needed."""
+def check_coset_limit(limit: int) -> None:
+    """InputError unless 1 <= limit <= MAX_COSETS."""
     if limit < 1:
         raise InputError("coset limit must be >= 1")
     if limit > MAX_COSETS:
         raise InputError(f"coset limit must be <= {MAX_COSETS}")
+
+
+def coset_enumeration(p: GroupPresentation, limit: int):
+    """Order of the presented group, or "exceeded" when more than `limit`
+    cosets would be needed."""
+    check_coset_limit(limit)
     try:
         _, fwd = _enumerate(p, limit)
     except _CapHit:

@@ -587,6 +587,45 @@ def with_far_pair(c: UComplex, iota: IotaMap, degree: int, upower: int):
     return big, IotaMap(mat)
 
 
+def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False):
+    """Dense reference for `involutive._homotopy_solve`: one equation per
+    allowed degree-0 entry (i, j), filled by scanning every z and y for
+    (dH)[i, j] = sum d[i, z] H[z, j] and (Hd)[i, j] = sum H[i, y] d[y, j],
+    O(n^3).  The degree rule is written out here on purpose, apart from
+    the library's.  Returns H or None."""
+    n = len(c.generators)
+    degs = c.degrees()
+
+    def h_allowed(i, j):  # entry H[i, j]: generator j -> generator i, degree +1
+        k = degs[i] - degs[j] - 1
+        return k % 2 == 0 and (localized or k >= 0)
+
+    def eq_allowed(i, j):  # degree-0 maps
+        k = degs[i] - degs[j]
+        return k % 2 == 0 and (localized or k >= 0)
+
+    unknowns = [(i, j) for j in range(n) for i in range(n) if h_allowed(i, j)]
+    uindex = {p: t for t, p in enumerate(unknowns)}
+    equations = [(i, j) for j in range(n) for i in range(n) if eq_allowed(i, j)]
+    a = la.f2_zeros(len(equations), len(unknowns))
+    b = np.zeros(len(equations), dtype=np.uint8)
+    for row, (i, j) in enumerate(equations):
+        b[row] = rhs[i, j]
+        for z in range(n):
+            if c.d_mat[i, z] and (z, j) in uindex:
+                a[row, uindex[(z, j)]] ^= 1
+        for y in range(n):
+            if c.d_mat[y, j] and (i, y) in uindex:
+                a[row, uindex[(i, y)]] ^= 1
+    x = la.solve_f2(a, b)
+    if x is None:
+        return None
+    h = la.f2_zeros(n, n)
+    for t, (i, j) in enumerate(unknowns):
+        h[i, j] = x[t]
+    return h
+
+
 # ---------------------------------------------------------------------------
 # tower reading on a window of the plus flavor
 

@@ -1,16 +1,21 @@
+import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from homcob import fixtures
+from homcob import cli, fixtures
+from homcob import f2linalg as la
 from homcob.equivariant import SOneModel, delta_invariant
-from homcob.errors import InputError, ModelInvalidError
+from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import Homology
 from homcob.involutive import (
     ConeComplex,
     IotaMap,
     UComplex,
+    _forced_power,
+    _homotopy_solve,
     cone_iota,
     d_invariant,
     involutive_correction_terms,
@@ -25,6 +30,7 @@ from helpers import (
     cone_plus_window,
     cone_rank_bound,
     dual_ucomplex,
+    homotopy_solve_oracle,
     random_ucomplex_with_iota,
     split_dims_law,
     towers_from_profile,
@@ -61,13 +67,99 @@ def test_duplicate_labels_rejected():
         UComplex([("x", 0), ("x", 2)], [])
 
 
-def test_json_roundtrip():
-    c, iota = sigma237()
+def test_forced_power_rule():
+    assert _forced_power(0, 2, 0) == 1
+    assert _forced_power(0, 1, -1) == 1
+    assert _forced_power(0, 0, -1) is None  # parity
+    assert _forced_power(2, 0, 0) is None  # would need U^-1
+    assert _forced_power(2, 0, 0, localized=True) == -1
+    assert _forced_power(2, 1, 0, localized=True) is None
+
+
+def _sigma237_with(edit):
+    data = fixtures.load_raw("sigma237")
+    edit(data)
+    return data
+
+
+def _put(field, k, key, value):
+    def edit(data):
+        data[field][k][key] = value
+    return edit
+
+
+# sigma237: e (0), a (0), b (1); differential a -> U b; iota e->e, a->a, a->e, b->b
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_put("differential", 0, "from", "zz"),
+         "differential entry ('zz', 'b', 1) references unknown generator"),
+        (_put("differential", 0, "to", "e"), "no degree -1 entry possible from 'a' to 'e'"),
+        (_put("differential", 0, "upower", 0),
+         "differential entry 'a'->'b' must have upower 1, got 0"),
+        (_put("differential", 0, "upower", 1.0),
+         "malformed u_complex input: upower must be an integer, got 1.0"),
+        (_put("iota", 0, "to", "zz"), "iota entry ('e', 'zz', 0) references unknown generator"),
+        (_put("iota", 1, "to", "b"), "no degree 0 entry possible from 'a' to 'b'"),
+        (_put("iota", 0, "upower", 1), "iota entry 'e'->'e' must have upower 0, got 1"),
+        (_put("iota", 0, "upower", "0"),
+         "malformed u_complex input: upower must be an integer, got '0'"),
+    ],
+    ids=[f"{m}-{c}" for m in ("differential", "iota")
+         for c in ("unknown-generator", "impossible-degree", "wrong-upower", "non-integer-upower")],
+)
+def test_entry_reader_rejects_bad_entries(tmp_path, capsys, edit, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_sigma237_with(edit)))
+    with pytest.raises(InputError) as err:
+        cli.run(["hfi", str(path)])
+    assert str(err.value) == message and err.value.exit_code == 1
+    assert cli.main(["hfi", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: InputError: {message}\n"
+
+
+def _column_major_entries(c, mat, shift):
+    """Nonzeros of a degree-`shift` map, column by column: the order
+    `to_json` writes."""
+    out = []
+    for j, (src, dj) in enumerate(c.generators):
+        for i, (tgt, di) in enumerate(c.generators):
+            if mat[i, j]:
+                out.append({"from": src, "to": tgt, "upower": (di - dj - shift) // 2})
+    return out
+
+
+def _entry_set(entries):
+    return {(e["from"], e["to"], e["upower"]) for e in entries}
+
+
+def _assert_json_roundtrip(c, iota):
     data = c.to_json(iota)
-    c2, iota2 = UComplex.from_json(data)
+    assert data == {
+        "kind": "u_complex",
+        "generators": [{"label": l, "degree": d} for l, d in c.generators],
+        "differential": _column_major_entries(c, c.d_mat, -1),
+        "iota": _column_major_entries(c, iota.mat, 0),
+    }
+    c2, iota2 = UComplex.from_json(json.loads(json.dumps(data)))
     assert c2.generators == c.generators
-    assert (c2.d_mat == c.d_mat).all()
-    assert (iota2.mat == iota.mat).all()
+    assert (c2.d_mat == c.d_mat).all() and (iota2.mat == iota.mat).all()
+    assert json.dumps(c2.to_json(iota2)) == json.dumps(data)
+
+
+def test_json_roundtrip():
+    for name in fixtures.fixture_names():
+        if fixtures.describe(name) == "u_complex":
+            raw = fixtures.load_raw(name)
+            c, iota = UComplex.from_json(raw)
+            _assert_json_roundtrip(c, iota)
+            data = c.to_json(iota)
+            for field in ("differential", "iota"):
+                assert _entry_set(data[field]) == _entry_set(raw[field])
+    rng = random.Random(8080)
+    for _ in range(50):
+        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
+        _assert_json_roundtrip(c, iota)
 
 
 # -- plus flavor ---------------------------------------------------------------
@@ -242,6 +334,72 @@ def test_sigma237_iota_valid_but_not_null():
     assert iota_localized_identity(c, iota)
 
 
+# -- homotopy solves -------------------------------------------------------------
+
+
+def _random_map(rng, c, shift, localized):
+    """A random F[U]-map of degree `shift` (any U-powers if localized)."""
+    degs = c.degrees()
+    m = la.f2_zeros(len(degs), len(degs))
+    for i, di in enumerate(degs):
+        for j, dj in enumerate(degs):
+            if _forced_power(dj, di, shift, localized) is not None and rng.random() < 0.3:
+                m[i, j] = 1
+    return m
+
+
+def _homotopy_systems(rng, count):
+    """(complex, rhs, localized) on random complexes, their duals and far
+    pairs at +-50; rhs 1 + iota, iota^2 + 1, a random degree-0 map and a
+    random boundary dK + Kd."""
+    systems = []
+    while len(systems) < count:
+        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
+        sign = rng.choice((1, -1))
+        far = with_far_pair(c, iota, sign * 50 + rng.randint(0, 1), rng.randint(1, 3))
+        for base, i in ((c, iota), dual_ucomplex(c, iota), far):
+            n = len(base.generators)
+            for localized in (False, True):
+                k = _random_map(rng, base, 1, localized)
+                rhss = (
+                    i.mat ^ la.f2_eye(n),
+                    la.f2_mul(i.mat, i.mat) ^ la.f2_eye(n),
+                    _random_map(rng, base, 0, localized),
+                    la.f2_mul(base.d_mat, k) ^ la.f2_mul(k, base.d_mat),
+                )
+                systems += [(base, rhs, localized) for rhs in rhss]
+    return systems
+
+
+def test_homotopy_solve_matches_dense_oracle():
+    solved = unsolvable = nontrivial = 0
+    for c, rhs, localized in _homotopy_systems(random.Random(2718), 1000):
+        h = _homotopy_solve(c, rhs, localized)
+        expected = homotopy_solve_oracle(c, rhs, localized)
+        assert (h is None) == (expected is None)
+        if h is None:
+            unsolvable += 1
+            continue
+        solved += 1
+        nontrivial += bool(rhs.any())
+        assert ((la.f2_mul(c.d_mat, h) ^ la.f2_mul(h, c.d_mat)) == rhs).all()
+        degs = c.degrees()
+        for i, j in zip(*np.nonzero(h)):
+            assert _forced_power(degs[j], degs[i], 1, localized) is not None
+    assert solved + unsolvable >= 1000
+    assert unsolvable >= 200 and nontrivial >= 200
+
+
+def test_homotopy_solve_certifies_h(monkeypatch):
+    # d x = y; the only degree +1 entry is H: y -> x, and dH + Hd = 1 for it
+    c = UComplex([("x", 1), ("y", 0)], [("x", "y", 0)])
+    zero = la.f2_zeros(2, 2)
+    assert (_homotopy_solve(c, zero) == 0).all()
+    monkeypatch.setattr(la, "solve_f2", lambda a, b: np.ones(a.shape[1], dtype=np.uint8))
+    with pytest.raises(InternalError, match="dH \\+ Hd"):
+        _homotopy_solve(c, zero)
+
+
 # -- cones -------------------------------------------------------------------------------
 
 
@@ -265,6 +423,24 @@ def test_split_dims_law_for_identity_iota():
         r = involutive_correction_terms(cone)
         d = d_invariant(c)
         assert r.triple() == (d, d, d)
+
+
+def test_split_cones_are_read_by_the_general_rule():
+    # 1 + iota = dH + Hd makes the cone C + C[-1]: towers at d and d - 1
+    rng = random.Random(77)
+    split = 0
+    for _ in range(60):
+        c, iota = random_ucomplex_with_iota(rng, iota_identity=rng.random() < 0.3)
+        for base, i in ((c, iota), dual_ucomplex(c, iota)):
+            cone = cone_iota(base, i)
+            r = involutive_correction_terms(cone)
+            assert r.split == one_plus_iota_nullhomotopic(base, i)
+            if r.split:
+                d = int(r.d)
+                assert cone.complex.tower_bottoms() == {d % 2: d, (d - 1) % 2: d - 1}
+                assert r.triple() == (d, d, d) and not r.findings
+                split += 1
+    assert split >= 20
 
 
 def test_sigma237_correction_terms():

@@ -8,7 +8,7 @@ import pytest
 from homcob import fixtures
 from homcob.cli import main, parse_input
 from homcob.errors import InputError
-from homcob.simplicial import GroupPresentation, suspension
+from homcob.simplicial import GroupPresentation, link_manifold_scan, suspension
 from homcob.toddcoxeter import EXCEEDED, MAX_COSETS, _enumerate, coset_enumeration
 
 from helpers import (
@@ -278,3 +278,15 @@ def test_cli_limit_above_cap_exits_one(tmp_path, capsys):
     s4.write_text(json.dumps(suspension(parse_input(fixtures.load_raw("boundary_delta4"))).to_json()))
     assert main(["scan-links", "--certify-pi1", "--limit", too_many, str(s4)]) == 1
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", [0, MAX_COSETS + 1])
+def test_scan_links_checks_the_limit_up_front(capsys, limit):
+    # boundary_delta4 has no 3-dimensional link, so nothing is enumerated
+    k = parse_input(fixtures.load_raw("boundary_delta4"))
+    with pytest.raises(InputError, match="coset limit must be"):
+        link_manifold_scan(k, True, limit)
+    assert link_manifold_scan(k, False, limit) == link_manifold_scan(k)
+    argv = ["scan-links", "--certify-pi1", "--limit", str(limit), "fixtures:boundary_delta4"]
+    assert main(argv) == 1
+    assert "error: InputError: coset limit must be" in capsys.readouterr().err
