@@ -68,12 +68,9 @@ def _check_homogeneous(name: str, mat: np.ndarray, degrees: list[int], shift: in
     n = len(degrees)
     if mat.shape != (n, n):
         raise InputError(f"{name} must be {n}x{n}, got {mat.shape}")
-    for i in range(n):
-        for j in range(n):
-            if mat[i, j] and degrees[i] != degrees[j] + shift:
-                raise InputError(
-                    f"{name} entry ({i},{j}) violates degree shift {shift}"
-                )
+    for i, j in zip(*np.nonzero(mat)):  # row-major: the first bad entry is named
+        if degrees[i] != degrees[j] + shift:
+            raise InputError(f"{name} entry ({i},{j}) violates degree shift {shift}")
 
 
 def _bit_matrix(value, kind: str, field: str) -> np.ndarray:

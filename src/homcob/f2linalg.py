@@ -46,11 +46,12 @@ def f2_eye(n: int) -> np.ndarray:
 
 
 def f2_mul(a, b) -> np.ndarray:
-    """Matrix product over GF(2)."""
+    """Matrix product over GF(2).  The uint8 sums wrap mod 256, which keeps
+    their parity."""
     a, b = f2(a), f2(b)
     if a.shape[1] != b.shape[0]:
         raise InputError(f"shape mismatch {a.shape} x {b.shape}")
-    return (a.astype(np.int64) @ b.astype(np.int64) % 2).astype(np.uint8)
+    return (a @ b) & 1
 
 
 def _pack_rows(m: np.ndarray) -> list[int]:
@@ -96,14 +97,6 @@ def _rref(rows: list[int]) -> tuple[list[int], list[int]]:
             mask |= low
     order = sorted(piv)
     return [piv[b] for b in order], [b.bit_length() - 1 for b in order]
-
-
-def _row_echelon(m: np.ndarray):
-    """Reduced row echelon form: (matrix of m's shape, pivot_cols)."""
-    rows, pivots = _rref(_pack_rows(m))
-    out = np.zeros(m.shape, dtype=np.uint8)
-    out[: len(rows)] = _unpack_rows(rows, m.shape[1])
-    return out, pivots
 
 
 def rank_f2(m) -> int:

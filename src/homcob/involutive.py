@@ -8,15 +8,27 @@ carries U^k with deg i - 2k = deg j + s (k >= 0; any integer once U is
 inverted).  `_forced_power` is the only place that rule is written; the
 differential and iota share one entry reader and one entry printer.
 
-Towers are read by elimination over F[U]: repeatedly take the differential
-entry with the smallest U-power, clear its row and column by changes of
-basis (every other entry of that row or column carries a power at least
-as large, so each operation is an XOR of F2 coefficients with a
-non-negative forced U-power) and split the pair off as a torsion summand.
-The generators left unpaired carry no differential; their degrees are the
-bottoms of the U-towers of the plus flavor.  The correction term d is the
-bottom of the single tower.  A homotopy dH + Hd = R is one GF(2) system
-filled from d's nonzeros, and every H it returns is checked.
+Towers are read from the pivots of d.  Order the generators by falling
+degree (ties by index) and let m be d's coefficient matrix with rows and
+columns in that order.  A change of basis x_b -> x_b + U^k x_a (k >= 0)
+adds a generator into one of lower or equal degree and the same parity,
+so it keeps the rank of every block of m whose rows have degree at most
+e and whose columns have degree at least e'.  By the pairing lemma of
+persistence (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and
+vineyards by updating persistence in linear time", SoCG 2006) these
+ranks fix the degrees of the pairs that any elimination by such changes
+splits off.  The entry with the smallest U-power in a column is its
+lowest-degree row, so elimination on that entry is the column reduction
+of m.  Its paired generators are N, the columns outside the span of the
+earlier columns (their reduced boundaries are nonzero), and L, the rows
+outside the span of the later rows (the lowest rows of the reduced
+boundaries).  L and N are disjoint because d^2 = 0: if x_i is the lowest
+term of a reduced boundary R_j, then dR_j = 0 puts d x_i in the span of
+d of earlier generators.  The generators in neither set are unpaired;
+their degrees are the bottoms of the U-towers of the plus flavor.  The
+correction term d is the bottom of the single tower.  A homotopy
+dH + Hd = R is one GF(2) system filled from d's nonzeros, and every H it
+returns is checked.
 
 The cone of Q(1+iota) carries a Q of degree -1 with Q^2 = 0.  One rule
 reads its two towers: d_bar is the bottom of the tower in d's parity;
@@ -29,7 +41,7 @@ so the rule gives d_bar = d_under = d.
 
 The explicit plus flavor on a degree window (tensoring with
 F[U, U^-1]/F[U]) stays available as `UComplex.plus_window`, laid out by
-`graded.ladder_window`, as the reference the elimination and the cone
+`graded.ladder_window`, as the reference the tower read and the cone
 laws on homology dimensions are tested against; no command builds it.
 """
 
@@ -133,29 +145,19 @@ class UComplex:
     # -- towers ----------------------------------------------------------
 
     def tower_bottoms(self) -> dict[int, int]:
-        """{parity: bottom} of the U-towers, by elimination on the entry
-        with the smallest U-power (see the module docstring)."""
-        degs = np.array(self.degrees(), dtype=np.int64)
-        m = self.d_mat.copy()
-        paired = set()
-        while m.any():
-            rows, cols = np.nonzero(m)
-            t = int(np.argmin(degs[rows] - degs[cols]))
-            i, j = int(rows[t]), int(cols[t])
-            for k in np.flatnonzero(m[:, j]):
-                if k != i:  # x_i <- x_i + U^* x_k
-                    m[k] ^= m[i]
-                    m[:, i] ^= m[:, k]
-            for c in np.flatnonzero(m[i]):
-                if c != j:  # x_c <- x_c + U^* x_j
-                    m[:, c] ^= m[:, j]
-                    m[j] ^= m[c]
-            # d^2 = 0 leaves row j and column i empty: drop the pair
-            m[i, j] = 0
-            paired.update((i, j))
+        """{parity: bottom} of the U-towers: the degrees of the generators
+        that are neither a pivot column of d nor a pivot row from below,
+        in order of falling degree (see the module docstring)."""
+        degs = self.degrees()
+        order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
+        m = self.d_mat[np.ix_(order, order)]
+        last = len(order) - 1
+        paired = set(la.pivot_columns_f2(m))
+        paired.update(last - r for r in la.pivot_columns_f2(m[::-1].T))
         towers = {}
         for parity in (0, 1):
-            bottoms = [int(d) for g, d in enumerate(degs) if g not in paired and d % 2 == parity]
+            bottoms = [degs[g] for t, g in enumerate(order)
+                       if t not in paired and degs[g] % 2 == parity]
             if len(bottoms) > 1:
                 raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
             if bottoms:
@@ -247,8 +249,7 @@ def _homotopy_solve(c: UComplex, rhs: np.ndarray, localized: bool = False):
     h = la.f2_zeros(n, n)
     if unknowns:
         h[tuple(zip(*unknowns))] = x
-    # certificate; uint8 products wrap mod 256, which keeps their parity
-    if ((c.d_mat @ h ^ h @ c.d_mat ^ rhs) & 1).any():
+    if (la.f2_mul(c.d_mat, h) ^ la.f2_mul(h, c.d_mat) ^ rhs).any():
         raise InternalError("homotopy solve returned H with dH + Hd != rhs")
     return h
 

@@ -587,6 +587,45 @@ def with_far_pair(c: UComplex, iota: IotaMap, degree: int, upower: int):
     return big, IotaMap(mat)
 
 
+def random_ucomplex(rng: random.Random, max_towers: int = 4, max_pairs: int = 4) -> UComplex:
+    """A free complex over F[U]: up to max_towers single generators and
+    up to max_pairs pairs x -> U^k y with k in 0..2, conjugated by a random
+    allowed automorphism.  Degrees lie in a narrow range, so ties, U^0
+    entries and several towers in one parity all occur."""
+    gens = [(f"t{t}", rng.randint(-3, 3)) for t in range(rng.randint(0, max_towers))]
+    entries = []
+    for i in range(rng.randint(0, max_pairs)):
+        k, dx = rng.randint(0, 2), rng.randint(-3, 3)
+        gens += [(f"x{i}", dx), (f"y{i}", dx - 1 + 2 * k)]
+        entries.append((f"x{i}", f"y{i}", k))
+    c = UComplex(gens, entries)
+    if len(gens) < 2:
+        return c
+    p = _random_allowed_automorphism(rng, c)
+    conjugated = UComplex(gens, [])
+    conjugated.d_mat = la.f2_mul(la.f2_mul(p, c.d_mat), f2_inverse(p))
+    assert not la.f2_mul(conjugated.d_mat, conjugated.d_mat).any()
+    return conjugated
+
+
+def random_fu_map(rng: random.Random, c: UComplex, shift: int, localized: bool = False):
+    """A random F[U]-map of degree `shift` on c (any U-powers if localized)."""
+    degs = c.degrees()
+    m = la.f2_zeros(len(degs), len(degs))
+    for i, di in enumerate(degs):
+        for j, dj in enumerate(degs):
+            if _forced_power(dj, di, shift, localized) is not None and rng.random() < 0.3:
+                m[i, j] = 1
+    return m
+
+
+def homotopic_iota(rng: random.Random, c: UComplex, iota: IotaMap) -> IotaMap:
+    """iota + dK + Kd for a random degree +1 F[U]-map K: a chain map
+    homotopic to iota, whose square is the identity only up to homotopy."""
+    k = random_fu_map(rng, c, 1)
+    return IotaMap(iota.mat ^ la.f2_mul(c.d_mat, k) ^ la.f2_mul(k, c.d_mat))
+
+
 def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False):
     """Dense reference for `involutive._homotopy_solve`: one equation per
     allowed degree-0 entry (i, j), filled by scanning every z and y for
@@ -649,6 +688,42 @@ def towers_from_profile(profile: dict[int, int]):
         if nz != expect:
             raise ModelInvalidError("stabilized tower has gaps")
         towers[parity] = bottom
+    return towers
+
+
+def elimination_tower_bottoms(c: UComplex) -> dict[int, int]:
+    """The reference for UComplex.tower_bottoms by elimination over F[U]:
+    repeatedly take the differential entry with the smallest U-power,
+    clear its row and column by changes of basis (every other entry of
+    that row or column carries a power at least as large, so each
+    operation is an XOR of F2 coefficients with a non-negative forced
+    U-power) and split the pair off.  The generators left unpaired sit
+    at the tower bottoms."""
+    degs = np.array(c.degrees(), dtype=np.int64)
+    m = c.d_mat.copy()
+    paired = set()
+    while m.any():
+        rows, cols = np.nonzero(m)
+        t = int(np.argmin(degs[rows] - degs[cols]))
+        i, j = int(rows[t]), int(cols[t])
+        for k in np.flatnonzero(m[:, j]):
+            if k != i:  # x_i <- x_i + U^* x_k
+                m[k] ^= m[i]
+                m[:, i] ^= m[:, k]
+        for col in np.flatnonzero(m[i]):
+            if col != j:  # x_col <- x_col + U^* x_j
+                m[:, col] ^= m[:, j]
+                m[j] ^= m[col]
+        # d^2 = 0 leaves row j and column i empty: drop the pair
+        m[i, j] = 0
+        paired.update((i, j))
+    towers = {}
+    for parity in (0, 1):
+        bottoms = [int(d) for g, d in enumerate(degs) if g not in paired and d % 2 == parity]
+        if len(bottoms) > 1:
+            raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
+        if bottoms:
+            towers[parity] = bottoms[0]
     return towers
 
 

@@ -158,6 +158,14 @@ def test_odd_reducible_degree_rejected():
         PinModel(1, [], [], [], [], [])
 
 
+def test_inhomogeneous_entry_is_named_in_row_major_order():
+    # q lowers degree by 1: (0,1) is allowed, (0,2) and (1,0) are not
+    q = [[0, 1, 1], [1, 0, 0], [0, 0, 0]]
+    with pytest.raises(InputError) as e:
+        PinModel(0, [("x", 0), ("y", 1), ("z", 2)], q, Z3, Z3, [])
+    assert str(e.value) == "q_op entry (0,2) violates degree shift -1"
+
+
 # -- localization ---------------------------------------------------------------
 
 

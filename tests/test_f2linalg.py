@@ -61,6 +61,22 @@ def test_solve_dimension_mismatch():
         la.solve_f2([[1, 0]], [1, 0])
 
 
+@pytest.mark.parametrize("inner", [255, 256, 257, 300])
+def test_f2_mul_matches_int64_product(inner):
+    # uint8 sums wrap mod 256; an all-ones row and column sum to `inner`
+    rng = np.random.default_rng(inner)
+    ones_a, ones_b = np.ones((3, inner), np.uint8), np.ones((inner, 4), np.uint8)
+    cases = [(ones_a, ones_b), (rng.integers(0, 2, (5, inner)), rng.integers(0, 2, (inner, 6))),
+             (ones_a, rng.integers(0, 2, (inner, 4)))]
+    for a, b in cases:
+        got = la.f2_mul(a, b)
+        want = a.astype(np.int64) @ b.astype(np.int64) % 2
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert (la.f2_mul(ones_a, ones_b) == inner % 2).all()
+    with pytest.raises(InputError, match="shape mismatch"):
+        la.f2_mul(ones_a, ones_a)
+
+
 def test_rank_plus_kernel_is_cols():
     rng = random.Random(7)
     for _ in range(50):
@@ -242,7 +258,9 @@ def test_packed_echelon_matches_scalar_oracle():
             for density in (0.05, 0.5, 0.95):
                 m = random_f2(rng, rows, cols, density)
                 want, want_piv = row_echelon_oracle(m.copy())
-                got, piv = la._row_echelon(m)
+                red, piv = la._rref(la._pack_rows(m))
+                got = np.zeros(m.shape, dtype=np.uint8)
+                got[: len(red)] = la._unpack_rows(red, cols)
                 assert piv == want_piv and la.pivot_columns_f2(m) == want_piv
                 assert got.dtype == np.uint8 and np.array_equal(got, want)
                 assert la.rank_f2(m) == len(want_piv)

@@ -30,7 +30,11 @@ from helpers import (
     cone_plus_window,
     cone_rank_bound,
     dual_ucomplex,
+    elimination_tower_bottoms,
+    homotopic_iota,
     homotopy_solve_oracle,
+    random_fu_map,
+    random_ucomplex,
     random_ucomplex_with_iota,
     split_dims_law,
     towers_from_profile,
@@ -269,6 +273,63 @@ def test_tower_bottoms_fixture_and_hand_built_cases():
     assert killed.tower_bottoms() == window_tower_bottoms(killed) == {}
 
 
+def _agrees_with_elimination(cx):
+    """tower_bottoms equals the elimination oracle, or both reject two
+    towers in one parity; the towers, or None when both reject."""
+    try:
+        want = elimination_tower_bottoms(cx)
+    except ModelInvalidError:
+        with pytest.raises(ModelInvalidError, match="multiple towers in one parity"):
+            cx.tower_bottoms()
+        return None
+    assert cx.tower_bottoms() == want
+    return want
+
+
+def test_tower_bottoms_match_the_elimination_oracle():
+    rng = random.Random(1506)
+    complexes = []
+    for _ in range(60):
+        complexes += both_orientations_and_cones(*random_ucomplex_with_iota(rng, max_pairs=4))
+    for offset in (50, -50, 100, -100, 200, -200, 400, -400):
+        for _ in range(8):
+            c, iota = random_ucomplex_with_iota(rng, max_pairs=3)
+            far = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
+            complexes += both_orientations_and_cones(*far)
+    general = []
+    for _ in range(400):
+        c = random_ucomplex(rng)
+        general += [c, dual_ucomplex(c, IotaMap.identity(c))[0]]
+    outcomes = [_agrees_with_elimination(cx) for cx in complexes + general]
+    assert len(outcomes) >= 1000
+    assert outcomes.count(None) >= 100
+    assert sum(o is not None and len(o) == 2 for o in outcomes) >= 100
+    u0 = sum(any(e["upower"] == 0 for e in c.entry_list()) for c in general)
+    ties = sum(len(set(c.degrees())) < len(c.degrees()) for c in general)
+    assert u0 >= 100 and ties >= 100
+
+
+@pytest.mark.parametrize(
+    "gens, entries, towers",
+    [
+        # x -> y + U z: the U^0 entry pairs x with y, z carries the tower
+        ([("z", 2), ("x", 1), ("y", 0)], [("x", "y", 0), ("x", "z", 1)], {0: 2}),
+        # d a = b + c with deg b = deg c: one of them is paired
+        ([("a", 1), ("b", 0), ("c", 0)], [("a", "b", 0), ("a", "c", 0)], {0: 0}),
+        # d a1 = d a2 = b: one of a1, a2 is paired, a1 + a2 is a cycle
+        ([("a1", 1), ("a2", 1), ("b", 0)], [("a1", "b", 0), ("a2", "b", 0)], {1: 1}),
+        # ... and with one more generator at an odd degree, two odd towers
+        ([("b", 0), ("a1", 1), ("a2", 1), ("g", -1)],
+         [("a1", "b", 0), ("a2", "b", 0)], None),
+    ],
+)
+def test_tower_bottoms_hand_built_ties_and_u0_entries(gens, entries, towers):
+    cx = UComplex(gens, entries)
+    assert _agrees_with_elimination(cx) == towers
+    if towers is not None:
+        assert window_tower_bottoms(cx) == towers
+
+
 @pytest.mark.parametrize(
     "c",
     [
@@ -337,21 +398,10 @@ def test_sigma237_iota_valid_but_not_null():
 # -- homotopy solves -------------------------------------------------------------
 
 
-def _random_map(rng, c, shift, localized):
-    """A random F[U]-map of degree `shift` (any U-powers if localized)."""
-    degs = c.degrees()
-    m = la.f2_zeros(len(degs), len(degs))
-    for i, di in enumerate(degs):
-        for j, dj in enumerate(degs):
-            if _forced_power(dj, di, shift, localized) is not None and rng.random() < 0.3:
-                m[i, j] = 1
-    return m
-
-
 def _homotopy_systems(rng, count):
     """(complex, rhs, localized) on random complexes, their duals and far
-    pairs at +-50; rhs 1 + iota, iota^2 + 1, a random degree-0 map and a
-    random boundary dK + Kd."""
+    pairs at +-50; rhs 1 + iota, iota^2 + 1, iota'^2 + 1 for an iota'
+    homotopic to iota, a random degree-0 map and a random boundary dK + Kd."""
     systems = []
     while len(systems) < count:
         c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
@@ -360,11 +410,13 @@ def _homotopy_systems(rng, count):
         for base, i in ((c, iota), dual_ucomplex(c, iota), far):
             n = len(base.generators)
             for localized in (False, True):
-                k = _random_map(rng, base, 1, localized)
+                k = random_fu_map(rng, base, 1, localized)
+                moved = homotopic_iota(rng, base, i).mat
                 rhss = (
                     i.mat ^ la.f2_eye(n),
                     la.f2_mul(i.mat, i.mat) ^ la.f2_eye(n),
-                    _random_map(rng, base, 0, localized),
+                    la.f2_mul(moved, moved) ^ la.f2_eye(n),
+                    random_fu_map(rng, base, 0, localized),
                     la.f2_mul(base.d_mat, k) ^ la.f2_mul(k, base.d_mat),
                 )
                 systems += [(base, rhs, localized) for rhs in rhss]
@@ -441,6 +493,25 @@ def test_split_cones_are_read_by_the_general_rule():
                 assert r.triple() == (d, d, d) and not r.findings
                 split += 1
     assert split >= 20
+
+
+def test_homotopic_iota_gives_the_same_correction_terms():
+    # cones of homotopic maps are isomorphic by x -> x + QKx
+    rng = random.Random(1507)
+    squares_off_identity = 0
+    for _ in range(40):
+        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
+        moved = homotopic_iota(rng, c, iota)
+        for (base, i), (_, j) in zip(((c, iota), dual_ucomplex(c, iota)),
+                                     ((c, moved), dual_ucomplex(c, moved))):
+            assert validate_iota(base, j)
+            square = la.f2_mul(j.mat, j.mat) ^ la.f2_eye(len(base.generators))
+            squares_off_identity += bool(square.any())
+            want = involutive_correction_terms(cone_iota(base, i))
+            got = involutive_correction_terms(cone_iota(base, j))
+            assert (got.d, got.d_bar, got.d_under, got.split) == \
+                (want.d, want.d_bar, want.d_under, want.split)
+    assert squares_off_identity >= 10
 
 
 def test_sigma237_correction_terms():
