@@ -26,9 +26,25 @@ boundaries).  L and N are disjoint because d^2 = 0: if x_i is the lowest
 term of a reduced boundary R_j, then dR_j = 0 puts d x_i in the span of
 d of earlier generators.  The generators in neither set are unpaired;
 their degrees are the bottoms of the U-towers of the plus flavor.  The
-correction term d is the bottom of the single tower.  A homotopy
-dH + Hd = R is one GF(2) system filled from d's nonzeros, and every H it
-returns is checked.
+correction term d is the bottom of the single tower.
+
+The same reduction puts d in normal form (`UComplex.normal_form`).  Keep
+the column operations V, so that column j of dV is the reduced boundary
+R_j.  The new basis keeps V_j in slot j, except that slot low(j) of a
+nonzero R_j holds R_j, read as x_low(j) plus terms of higher degree (the
+U-power of its lowest term divided out).  In the falling-degree order the
+matrix P^-1 of this basis is unitriangular and each entry adds a
+generator into one of lower or equal degree, so P is a degree-preserving
+F[U] change of basis, and N = P d P^-1 has one 1 at (low(j), j) for each
+pair and no other entry: d is a sum of blocks, one per pair and one per
+unpaired generator.  A homotopy dH + Hd = R becomes N H' + H' N = R' with
+H' = P H P^-1 and R' = P R P^-1.  N has no entry between blocks, so the
+part of N H' + H' N from block B to block A involves H'[A, B] alone: the
+equation splits into one system of at most 4 unknowns and 4 equations
+per pair of blocks, and the pairs with R'[A, B] = 0 take H'[A, B] = 0.
+H -> P H P^-1 is a bijection of degree +1 F[U]-maps (with U inverted or
+not), so a block with no solution means that no H exists: None is
+exact.  Every H = P^-1 H' P returned is checked against dH + Hd = R.
 
 The cone of Q(1+iota) carries a Q of degree -1 with Q^2 = 0.  One rule
 reads its two towers: d_bar is the bottom of the tower in d's parity;
@@ -164,6 +180,31 @@ class UComplex:
                 towers[parity] = bottoms[0]
         return towers
 
+    def normal_form(self):
+        """(P, P^-1, pairs): a degree-preserving F[U] change of basis and
+        the pairs (i, j) of N = P d P^-1, whose only nonzeros are the 1s at
+        them (module docstring).  Built by column reduction of d in the
+        order of tower_bottoms; P^-1 is unitriangular in that order."""
+        degs = self.degrees()
+        n = len(degs)
+        order = sorted(range(n), key=lambda g: (-degs[g], g))
+        cols = la._pack_rows(self.d_mat[np.ix_(order, order)].T)  # bit r: row r
+        ops = [1 << t for t in range(n)]  # V: column t of d V is cols[t]
+        owner = {}  # lowest row of a reduced column -> that column
+        for t in range(n):
+            while cols[t] and (s := owner.get(cols[t].bit_length() - 1)) is not None:
+                cols[t] ^= cols[s]
+                ops[t] ^= ops[s]
+            if cols[t]:
+                owner[cols[t].bit_length() - 1] = t
+        slots = ops[:]  # column t of P^-1: V_t, or R_s = d V_s in slot low(s)
+        for low, s in owner.items():
+            slots[low] = cols[s]
+        p_inv = la.f2_zeros(n, n)
+        p_inv[np.ix_(order, order)] = la._unpack_rows(slots, n).T
+        p = la.solve_f2(p_inv, la.f2_eye(n))
+        return p, p_inv, [(order[low], order[s]) for low, s in owner.items()]
+
     # -- plus flavor -----------------------------------------------------
 
     def default_window(self) -> tuple[int, int]:
@@ -216,39 +257,40 @@ def _support_ok(c: UComplex, mat: np.ndarray, shift: int) -> bool:
 def _homotopy_solve(c: UComplex, rhs: np.ndarray, localized: bool = False):
     """Solve dH + Hd = rhs for a degree +1 F[U]-map H; returns the H
     matrix or None.  With localized=True, negative U-powers are allowed
-    (the question 'is rhs null-homotopic after inverting U').  The system
-    is filled from d's nonzeros (module docstring); H is certified."""
+    (the question 'is rhs null-homotopic after inverting U').  In the
+    normal form N = P d P^-1 the equation N H' + H' N = P rhs P^-1 splits
+    into one system of at most 4 unknowns per pair of blocks (module
+    docstring); a zero rhs has no block to solve.  H = P^-1 H' P is
+    certified."""
     n = len(c.generators)
     degs = c.degrees()
-
-    def allowed(shift):  # entries (i, j), generator j -> generator i, column by column
-        return [(i, j) for j in range(n) for i in range(n)
-                if _forced_power(degs[j], degs[i], shift, localized) is not None]
-
-    unknowns = allowed(1)
-    equations = {e: row for row, e in enumerate(allowed(0))}
-    by_row = [[] for _ in range(n)]  # z -> [(j, unknown H[z, j])]
-    by_col = [[] for _ in range(n)]  # y -> [(i, unknown H[i, y])]
-    for t, (i, j) in enumerate(unknowns):
-        by_row[i].append((j, t))
-        by_col[j].append((i, t))
-    d_nonzeros = list(zip(*(ix.tolist() for ix in np.nonzero(c.d_mat))))
-    # (dH)[i, j] gets d[i, z] H[z, j]; (Hd)[i, j] gets H[i, y] d[y, j].  No
-    # entry gets both: that would need d[i, i] = 1
-    a = la.f2_zeros(len(equations), len(unknowns))
-    for i, z in d_nonzeros:
-        for j, t in by_row[z]:
-            a[equations[i, j], t] ^= 1
-    for y, j in d_nonzeros:
-        for i, t in by_col[y]:
-            a[equations[i, j], t] ^= 1
-    b = np.array([rhs[e] for e in equations], dtype=np.uint8)
-    x = la.solve_f2(a, b)
-    if x is None:
-        return None
     h = la.f2_zeros(n, n)
-    if unknowns:
-        h[tuple(zip(*unknowns))] = x
+    if rhs.any():
+        p, p_inv, pairs = c.normal_form()
+        target = {j: i for i, j in pairs}  # N x_j = x_i
+        source = {i: j for i, j in pairs}
+        blocks = [(s,) for s in range(n)]
+        for i, j in pairs:
+            blocks[i] = blocks[j] = (i, j)
+        r = la.f2_mul(la.f2_mul(p, rhs), p_inv)
+        for a, b in {(blocks[i], blocks[j]) for i, j in zip(*np.nonzero(r))}:
+            # (N H' + H' N)[a, b] involves H'[a, b] only: the unknown H'[x, y]
+            # enters at (N x, y) and at (x, N^T y)
+            cells = {e: row for row, e in enumerate((x, y) for x in a for y in b)}
+            unknowns = [(x, y) for x, y in cells
+                        if _forced_power(degs[y], degs[x], 1, localized) is not None]
+            system = la.f2_zeros(len(cells), len(unknowns))
+            for col, (x, y) in enumerate(unknowns):
+                if x in target:
+                    system[cells[target[x], y], col] ^= 1
+                if y in source:
+                    system[cells[x, source[y]], col] ^= 1
+            sol = la.solve_f2(system, [r[e] for e in cells])
+            if sol is None:
+                return None
+            for e, v in zip(unknowns, sol):
+                h[e] = v
+        h = la.f2_mul(la.f2_mul(p_inv, h), p)
     if (la.f2_mul(c.d_mat, h) ^ la.f2_mul(h, c.d_mat) ^ rhs).any():
         raise InternalError("homotopy solve returned H with dH + Hd != rhs")
     return h

@@ -75,14 +75,9 @@ def greedy_homology_reps(cx, d: int) -> np.ndarray:
 
 
 def f2_inverse(p: np.ndarray) -> np.ndarray:
-    n = p.shape[0]
-    cols = []
-    eye = la.f2_eye(n)
-    for j in range(n):
-        x = la.solve_f2(p, eye[:, j])
-        assert x is not None, "matrix not invertible"
-        cols.append(x)
-    return np.stack(cols, axis=1)
+    x = la.solve_f2(p, la.f2_eye(p.shape[0]))
+    assert x is not None, "matrix not invertible"
+    return x
 
 
 def random_invertible_degree_preserving(rng: random.Random, degrees: list[int]):
@@ -521,12 +516,33 @@ def random_ucomplex_with_iota(
     sends pair tops to degree-matched cycles; iota is the identity on
     localized homology by construction."""
     d_tower = 2 * rng.randint(-2, 2)
+    shapes = []
+    for _ in range(rng.randint(0, max_pairs)):
+        m = rng.randint(1, 2)
+        shapes.append((rng.randint(-3, 4), m))
+    return _tower_and_pairs_with_iota(rng, d_tower, shapes, iota_identity, conjugate)
+
+
+def spread_ucomplex_with_iota(rng: random.Random, pairs: int, spread: int = 5):
+    """The shape of the benchmark's u_complex models: a tower generator
+    plus `pairs` pairs x -> U^m y whose tops x are spread evenly over
+    [-spread, spread] around the tower, m = 1, 2 alternating, with iota
+    as in random_ucomplex_with_iota.  Returns (c, iota, d)."""
+    d_tower = 2 * rng.randint(-2, 2)
+    shapes = [(d_tower + round(-spread + 2 * spread * i / max(1, pairs - 1)), 1 + i % 2)
+              for i in range(pairs)]
+    return (*_tower_and_pairs_with_iota(rng, d_tower, shapes), d_tower)
+
+
+def _tower_and_pairs_with_iota(rng, d_tower, shapes, iota_identity=False, conjugate=True):
+    """The generator e at d_tower plus a pair x -> U^m y with x at degree
+    dx for each (dx, m) of `shapes`, and iota = id + f (f sends pair tops
+    to degree-matched cycles, each with probability 1/2); both conjugated
+    by a random allowed automorphism unless conjugate is False."""
     gens = [("e", d_tower)]
     entries = []
     pairs = []
-    for i in range(rng.randint(0, max_pairs)):
-        m = rng.randint(1, 2)
-        dx = rng.randint(-3, 4)
+    for i, (dx, m) in enumerate(shapes):
         x, y = f"x{i}", f"y{i}"
         gens.append((x, dx))
         gens.append((y, dx - 1 + 2 * m))

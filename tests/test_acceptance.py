@@ -50,6 +50,7 @@ from helpers import (
     random_ucomplex_with_iota,
     scramble_presentation,
     split_dims_law,
+    spread_ucomplex_with_iota,
     window_coborel_tops,
     window_localization,
 )
@@ -260,3 +261,18 @@ def test_acceptance_13_s7_coset_table():
     assert order == 5040
     assert elapsed < 2.0
     _report(13, "scrambled S7 order 5040 with cap 20000", elapsed, "<2s")
+
+
+def test_acceptance_14_hfi_at_scale():
+    rng = random.Random(1214)
+    c, iota, d = spread_ucomplex_with_iota(rng, 80)
+    assert len(c.generators) == 161
+    rep, elapsed = _best_of(lambda: involutive_correction_terms(cone_iota(c, iota)), n=3)
+    assert rep.d == d
+    assert elapsed < 0.5
+    _report(14, "hfi on a 161-generator model", elapsed, "<0.5s")
+    big, big_iota, big_d = spread_ucomplex_with_iota(rng, 160)
+    assert len(big.generators) == 321
+    t0 = time.perf_counter()
+    assert involutive_correction_terms(cone_iota(big, big_iota)).d == big_d
+    _report(14, "hfi on a 321-generator model", time.perf_counter() - t0, "completes")

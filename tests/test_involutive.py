@@ -330,6 +330,53 @@ def test_tower_bottoms_hand_built_ties_and_u0_entries(gens, entries, towers):
         assert window_tower_bottoms(cx) == towers
 
 
+def _check_normal_form(cx):
+    """The laws of UComplex.normal_form on cx: P P^-1 = 1, P and P^-1 are
+    degree-0 F[U]-maps, P d P^-1 is the pairing and nothing else, and the
+    unpaired slots sit at the tower bottoms.  Returns the towers, or None
+    when tower_bottoms rejects two towers in one parity."""
+    n = len(cx.generators)
+    degs = cx.degrees()
+    p, p_inv, pairs = cx.normal_form()
+    assert (la.f2_mul(p, p_inv) == la.f2_eye(n)).all()
+    for m in (p, p_inv):
+        for i, j in zip(*np.nonzero(m)):
+            assert _forced_power(degs[j], degs[i], 0) is not None
+    nf = la.f2_mul(la.f2_mul(p, cx.d_mat), p_inv)
+    assert (nf.sum(axis=0) <= 1).all() and (nf.sum(axis=1) <= 1).all()
+    assert sorted(zip(*(ix.tolist() for ix in np.nonzero(nf)))) == sorted(pairs)
+    targets, sources = {i for i, _ in pairs}, {j for _, j in pairs}
+    assert not targets & sources
+    unpaired = [degs[s] for s in range(n) if s not in targets | sources]
+    by_parity = {parity: [d for d in unpaired if d % 2 == parity] for parity in (0, 1)}
+    if any(len(ds) > 1 for ds in by_parity.values()):
+        with pytest.raises(ModelInvalidError, match="multiple towers in one parity"):
+            cx.tower_bottoms()
+        return None
+    towers = {parity: ds[0] for parity, ds in by_parity.items() if ds}
+    assert cx.tower_bottoms() == towers
+    return towers
+
+
+def test_normal_form_laws():
+    rng = random.Random(1010)
+    complexes = []
+    for _ in range(60):
+        complexes += both_orientations_and_cones(*random_ucomplex_with_iota(rng, max_pairs=4))
+    for offset in (50, -50, 100, -100, 200, -200, 400, -400):
+        for _ in range(8):
+            c, iota = random_ucomplex_with_iota(rng, max_pairs=3)
+            far = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
+            complexes += both_orientations_and_cones(*far)
+    for _ in range(400):
+        c = random_ucomplex(rng)
+        complexes += [c, dual_ucomplex(c, IotaMap.identity(c))[0]]
+    outcomes = [_check_normal_form(cx) for cx in complexes]
+    assert len(outcomes) >= 1000
+    assert outcomes.count(None) >= 100
+    assert sum(o is not None and len(o) == 2 for o in outcomes) >= 100
+
+
 @pytest.mark.parametrize(
     "c",
     [
@@ -445,11 +492,18 @@ def test_homotopy_solve_matches_dense_oracle():
 def test_homotopy_solve_certifies_h(monkeypatch):
     # d x = y; the only degree +1 entry is H: y -> x, and dH + Hd = 1 for it
     c = UComplex([("x", 1), ("y", 0)], [("x", "y", 0)])
-    zero = la.f2_zeros(2, 2)
+    zero, one = la.f2_zeros(2, 2), la.f2_eye(2)
     assert (_homotopy_solve(c, zero) == 0).all()
-    monkeypatch.setattr(la, "solve_f2", lambda a, b: np.ones(a.shape[1], dtype=np.uint8))
+    assert (_homotopy_solve(c, one) == [[0, 1], [0, 0]]).all()
+    solve = la.solve_f2
+
+    def wrong_block_answers(a, b):  # P^-1 is solved with a matrix rhs, blocks with a vector
+        x = solve(a, b)
+        return x ^ 1 if np.ndim(b) == 1 else x
+
+    monkeypatch.setattr(la, "solve_f2", wrong_block_answers)
     with pytest.raises(InternalError, match="dH \\+ Hd"):
-        _homotopy_solve(c, zero)
+        _homotopy_solve(c, one)
 
 
 # -- cones -------------------------------------------------------------------------------
