@@ -232,8 +232,6 @@ def run(argv: list[str]) -> tuple[str, int]:
             rep.add("d_bar", report.d_bar)
             rep.add("d_under", report.d_under)
             rep.add("split", report.split)
-            for i, f in enumerate(report.findings):
-                rep.add(f"finding_{i}", f)
         else:
             v0, v0b, v0u = v0_triple(args.p, report)
             rep.add("p", args.p)

@@ -48,8 +48,7 @@ Windows.  No report lays out a window.  `materialize` still lays out the
 explicit GF(2) complex on a degree window (`graded.ladder_window`) for the
 test oracles that check the readings above; `default_window` puts its
 bottom below every generator and its stable cut at least 8 degrees above
-the highest generator, and fixes the degree range `localization_check`
-reports.
+the highest generator.
 """
 
 from __future__ import annotations
@@ -357,21 +356,21 @@ def rokhlin_check(report: AbcReport) -> int:
 class LocalizationReport:
     ok: bool
     anchored_at: int | None  # reducible degree, None when towers are absent
-    pattern: list[int]       # stable dimensions over one period scan
+    pattern: list[int]       # stable dimensions over one period
     detail: str = ""
 
 
 def localization_check(model: PinModel) -> LocalizationReport:
     """Stabilized v-image must be the three-tower pattern 1,1,1,0 anchored
     at the reducible degree, or identically zero without a reducible.  Read
-    from the tower bottoms (see the module docstring) over the degrees from
-    max(A, B, C) up to 4 below the stable cut of the default window."""
+    from the tower bottoms (see the module docstring) over one period, the
+    four degrees from max(A, B, C) up."""
     n = model.reducible_degree
     if n is None:
         return LocalizationReport(True, None, [0] * 9, "free model localizes to zero")
-    cut = model.default_window()[1] - 8
-    degrees = range(max(tower_bottoms(model)), cut - 3)
-    return LocalizationReport(True, n, [1 if (d - n) % 4 in (0, 1, 2) else 0 for d in degrees])
+    top = max(tower_bottoms(model))
+    return LocalizationReport(True, n, [1 if (d - n) % 4 in (0, 1, 2) else 0
+                                        for d in range(top, top + 4)])
 
 
 def coborel_tower_tops(model: PinModel):

@@ -27,6 +27,7 @@ NAMES = (
     "poincare",
     "s_minus2",
     "sigma237",
+    "minus_sigma237",
     "sigma237_s1",
     "poincare_s1",
     "unknot",

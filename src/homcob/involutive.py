@@ -8,25 +8,24 @@ carries U^k with deg i - 2k = deg j + s (k >= 0; any integer once U is
 inverted).  `_forced_power` is the only place that rule is written; the
 differential and iota share one entry reader and one entry printer.
 
-Towers are read from the pivots of d.  Order the generators by falling
-degree (ties by index) and let m be d's coefficient matrix with rows and
-columns in that order.  A change of basis x_b -> x_b + U^k x_a (k >= 0)
-adds a generator into one of lower or equal degree and the same parity,
-so it keeps the rank of every block of m whose rows have degree at most
-e and whose columns have degree at least e'.  By the pairing lemma of
-persistence (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and
-vineyards by updating persistence in linear time", SoCG 2006) these
-ranks fix the degrees of the pairs that any elimination by such changes
-splits off.  The entry with the smallest U-power in a column is its
-lowest-degree row, so elimination on that entry is the column reduction
-of m.  Its paired generators are N, the columns outside the span of the
-earlier columns (their reduced boundaries are nonzero), and L, the rows
-outside the span of the later rows (the lowest rows of the reduced
-boundaries).  L and N are disjoint because d^2 = 0: if x_i is the lowest
-term of a reduced boundary R_j, then dR_j = 0 puts d x_i in the span of
-d of earlier generators.  The generators in neither set are unpaired;
-their degrees are the bottoms of the U-towers of the plus flavor.  The
-correction term d is the bottom of the single tower.
+Towers are read from one column reduction of d (`UComplex._reduce`).
+Order the generators by falling degree (ties by index) and let m be d's
+coefficient matrix with rows and columns in that order.  A change of
+basis x_b -> x_b + U^k x_a (k >= 0) adds a generator into one of lower
+or equal degree and the same parity, so it keeps the rank of every block
+of m whose rows have degree at most e and whose columns have degree at
+least e'.  By the pairing lemma of persistence (Cohen-Steiner,
+Edelsbrunner and Morozov, "Vines and vineyards by updating persistence
+in linear time", SoCG 2006) these ranks fix the degrees of the pairs that
+any elimination by such changes splits off.  The entry with the smallest
+U-power in a column is its lowest-degree row, so elimination on that
+entry is the column reduction of m.  Its paired slots are N, the columns
+j with a nonzero reduced boundary R_j, and L, the lowest rows low(j) of
+those R_j.  L and N are disjoint because d^2 = 0: if x_i is the lowest
+term of R_j, then dR_j = 0 puts d x_i in the span of d of earlier
+generators.  The slots in neither set are unpaired; their degrees are
+the bottoms of the U-towers of the plus flavor.  The correction term d
+is the bottom of the single tower.
 
 The same reduction puts d in normal form (`UComplex.normal_form`).  Keep
 the column operations V, so that column j of dV is the reduced boundary
@@ -46,14 +45,21 @@ H -> P H P^-1 is a bijection of degree +1 F[U]-maps (with U inverted or
 not), so a block with no solution means that no H exists: None is
 exact.  Every H = P^-1 H' P returned is checked against dH + Hd = R.
 
-The cone of Q(1+iota) carries a Q of degree -1 with Q^2 = 0.  One rule
-reads its two towers: d_bar is the bottom of the tower in d's parity;
-the other tower's bottom b sits at d - 1 + 2K, where K counts the
-Q-images of the main tower that die in homology, so d_under = d - 2K =
-2d - b - 1 (K = 1 on the bundled +1-surgery fixture).  The split case,
-1 + iota = dH + Hd, is a special case, not a second path: the change of
-basis x -> x + QHx makes the cone C + C[-1], with towers at d and d - 1,
-so the rule gives d_bar = d_under = d.
+The cone of Q(1+iota) carries a Q of degree -1 with Q^2 = 0; its x keep
+their degrees and its Qx sit one lower.  Hendricks and Manolescu
+("Involutive Heegaard Floer homology", section 5) define the involutive
+complex as this cone with every degree raised by 1, and read d_under + 1
+as the bottom of its tower not in the image of Q, and d_bar as the bottom
+of its tower in the image of Q.  Once U is inverted, 1 + iota acts as 0
+(iota is the identity on the one tower of C), so the cone has one tower
+in d's parity, carried by the x, and one in the other parity, carried by
+the Qx.  Undoing the shift: d_under = b_main, the cone's tower bottom in
+d's parity, and d_bar = b_q + 1, with b_q its bottom in the other parity.
+The split case, 1 + iota = dH + Hd, is a special case, not a second path:
+the change of basis x -> x + QHx makes the cone C + C[-1], with towers at
+d and d - 1, so d_bar = d_under = d.  The mod-2 congruences and the
+ordering d_under <= d <= d_bar are laws; a report that breaks one raises
+InternalError.
 
 The explicit plus flavor on a degree window (tensoring with
 F[U, U^-1]/F[U]) stays available as `UComplex.plus_window`, laid out by
@@ -63,7 +69,7 @@ laws on homology dimensions are tested against; no command builds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -160,20 +166,36 @@ class UComplex:
 
     # -- towers ----------------------------------------------------------
 
-    def tower_bottoms(self) -> dict[int, int]:
-        """{parity: bottom} of the U-towers: the degrees of the generators
-        that are neither a pivot column of d nor a pivot row from below,
-        in order of falling degree (see the module docstring)."""
+    def _reduce(self):
+        """The column reduction of d in order of falling degree (ties by
+        index): (order, cols, ops, owner).  Slot t is generator order[t];
+        cols[t] is the reduced column R_t (bit r: slot r), ops[t] the
+        column operations V_t (R_t = d V_t), and owner maps the lowest
+        slot of each nonzero R_t to t (module docstring)."""
         degs = self.degrees()
-        order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
-        m = self.d_mat[np.ix_(order, order)]
-        last = len(order) - 1
-        paired = set(la.pivot_columns_f2(m))
-        paired.update(last - r for r in la.pivot_columns_f2(m[::-1].T))
+        n = len(degs)
+        order = sorted(range(n), key=lambda g: (-degs[g], g))
+        cols = la._pack_rows(self.d_mat[np.ix_(order, order)].T)
+        ops = [1 << t for t in range(n)]
+        owner = {}
+        for t in range(n):
+            while cols[t] and (s := owner.get(cols[t].bit_length() - 1)) is not None:
+                cols[t] ^= cols[s]
+                ops[t] ^= ops[s]
+            if cols[t]:
+                owner[cols[t].bit_length() - 1] = t
+        return order, cols, ops, owner
+
+    def tower_bottoms(self) -> dict[int, int]:
+        """{parity: bottom} of the U-towers: the degrees of the slots of
+        the column reduction that are neither a low (L) nor a nonzero
+        column (N), see the module docstring."""
+        degs = self.degrees()
+        order, cols, _, owner = self._reduce()
         towers = {}
         for parity in (0, 1):
             bottoms = [degs[g] for t, g in enumerate(order)
-                       if t not in paired and degs[g] % 2 == parity]
+                       if not cols[t] and t not in owner and degs[g] % 2 == parity]
             if len(bottoms) > 1:
                 raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
             if bottoms:
@@ -183,20 +205,10 @@ class UComplex:
     def normal_form(self):
         """(P, P^-1, pairs): a degree-preserving F[U] change of basis and
         the pairs (i, j) of N = P d P^-1, whose only nonzeros are the 1s at
-        them (module docstring).  Built by column reduction of d in the
-        order of tower_bottoms; P^-1 is unitriangular in that order."""
-        degs = self.degrees()
-        n = len(degs)
-        order = sorted(range(n), key=lambda g: (-degs[g], g))
-        cols = la._pack_rows(self.d_mat[np.ix_(order, order)].T)  # bit r: row r
-        ops = [1 << t for t in range(n)]  # V: column t of d V is cols[t]
-        owner = {}  # lowest row of a reduced column -> that column
-        for t in range(n):
-            while cols[t] and (s := owner.get(cols[t].bit_length() - 1)) is not None:
-                cols[t] ^= cols[s]
-                ops[t] ^= ops[s]
-            if cols[t]:
-                owner[cols[t].bit_length() - 1] = t
+        them (module docstring).  Built from the column reduction of d;
+        P^-1 is unitriangular in its order."""
+        n = len(self.generators)
+        order, cols, ops, owner = self._reduce()
         slots = ops[:]  # column t of P^-1: V_t, or R_s = d V_s in slot low(s)
         for low, s in owner.items():
             slots[low] = cols[s]
@@ -369,15 +381,14 @@ class InvolutiveReport:
     d_bar: Fraction
     d_under: Fraction
     split: bool
-    findings: list[str] = field(default_factory=list)
 
     def triple(self):
         return (self.d, self.d_bar, self.d_under)
 
 
 def involutive_correction_terms(cone: ConeComplex) -> InvolutiveReport:
-    """d, d_bar, d_under of a validated cone, by the tower rule of the
-    module docstring (the split case is a special case of it)."""
+    """d, d_bar, d_under of a validated cone, read from its two towers by
+    definition (module docstring); the split case is a special case."""
     base = cone.base
     d = d_invariant(base)
     split = one_plus_iota_nullhomotopic(base, cone.iota)
@@ -385,30 +396,18 @@ def involutive_correction_terms(cone: ConeComplex) -> InvolutiveReport:
     if len(towers) != 2:
         raise ModelInvalidError(f"cone has {len(towers)} stabilized towers, expected 2")
     main_parity = int(d) % 2
-    b_main = towers.get(main_parity)
-    b_q = towers.get(1 - main_parity)
-    if b_main is None or b_q is None:
-        raise ModelInvalidError("cone towers do not occupy both parities")
-    findings: list[str] = []
-    d_bar = Fraction(b_main)
-    if d_bar != d:
-        findings.append(f"main cone tower bottom {b_main} differs from d = {d}")
-    # reflect the off-parity bottom through d: b_q = d - 1 + 2K where K
-    # Q-images of the main tower die, and d_under = d - 2K
-    d_under = 2 * d - b_q - 1
-    if (b_q - (int(d) - 1)) % 2:
-        raise InternalError("cone tower parities are inconsistent")
-    report = InvolutiveReport(d, d_bar, Fraction(d_under), split, findings)
+    b_main, b_q = towers[main_parity], towers[1 - main_parity]
+    report = InvolutiveReport(d, Fraction(b_q + 1), Fraction(b_main), split)
     _check_report_laws(report)
     return report
 
 
 def _check_report_laws(report: InvolutiveReport):
-    d, db, du = report.d, report.d_bar, report.d_under
+    d, db, du = report.triple()
     if (db - d) % 2 != 0 or (du - d) % 2 != 0:
-        report.findings.append(f"mod-2 congruence fails: {(d, db, du)}")
+        raise InternalError(f"mod-2 congruence fails: {(d, db, du)}")
     if not (du <= d <= db):
-        report.findings.append(f"ordering d_under <= d <= d_bar fails: {(du, d, db)}")
+        raise InternalError(f"ordering d_under <= d <= d_bar fails: {(du, d, db)}")
 
 
 # ---------------------------------------------------------------------------

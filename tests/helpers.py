@@ -577,6 +577,20 @@ def dual_ucomplex(c: UComplex, iota: IotaMap):
     return dual, IotaMap(iota.mat.T.copy())
 
 
+def connected_sum(c1: UComplex, iota1: IotaMap, c2: UComplex, iota2: IotaMap):
+    """Y1 # Y2 as the tensor product over F[U] (Hendricks, Manolescu and
+    Zemke, "A connected sum formula for involutive Heegaard Floer
+    homology"): generators x1 x2 in degree deg x1 + deg x2,
+    d = d1 (x) 1 + 1 (x) d2 and iota = iota1 (x) iota2; the U-powers
+    follow from the degrees."""
+    gens = [(f"{l1}*{l2}", d1 + d2) for l1, d1 in c1.generators for l2, d2 in c2.generators]
+    n1, n2 = len(c1.generators), len(c2.generators)
+    c = UComplex(gens, [])
+    c.d_mat = np.kron(c1.d_mat, la.f2_eye(n2)) ^ np.kron(la.f2_eye(n1), c2.d_mat)
+    assert not la.f2_mul(c.d_mat, c.d_mat).any()
+    return c, IotaMap(np.kron(iota1.mat, iota2.mat))
+
+
 def _random_allowed_automorphism(rng: random.Random, c: UComplex) -> np.ndarray:
     degs = [d for _, d in c.generators]
     p = random_invertible_degree_preserving(rng, degs)
@@ -853,24 +867,23 @@ def borel_homology(model: PinModel) -> BorelHomology:
 
 def window_localization(model: PinModel) -> LocalizationReport:
     """The reference for localization_check: the stable v-ranks of the
-    Borel homology on the default window, up to its cut."""
+    Borel homology on the default window.  `ok` checks every degree from
+    max(A, B, C) up to the cut; the pattern is the first period."""
     bh = borel_homology(model)
     lo, cut = bh.window[0], bh.cut
+    # the last four degrees use one step from just above the cut
+    ranks = {**bh.homology.stable_ranks("v", lo, cut),
+             **bh.homology.stable_ranks("v", cut - 3, cut + 4)}
     n = model.reducible_degree
     if n is None:
-        # the last four degrees use one step from just above the cut
-        below = bh.homology.stable_ranks("v", cut - 8, cut)
-        above = bh.homology.stable_ranks("v", cut - 3, cut + 4)
-        pattern = [below[d] for d in range(cut - 8, cut - 3)]
-        pattern += [above[d] for d in range(cut - 3, cut + 1)]
+        pattern = [ranks[d] for d in range(cut - 8, cut + 1)]
         ok = all(x == 0 for x in pattern)
         return LocalizationReport(ok, None, pattern,
                                   "free model localizes to zero" if ok else
                                   "stable classes in a model without towers")
-    ranks = bh.homology.stable_ranks("v", lo, cut)
-    degrees = range(max(tower_bottoms(model)), cut - 3)
-    pattern = [ranks[d] for d in degrees]
-    ok = all(ranks[d] == (1 if (d - n) % 4 in (0, 1, 2) else 0) for d in degrees)
+    top = max(tower_bottoms(model))
+    pattern = [ranks[d] for d in range(top, top + 4)]
+    ok = all(ranks[d] == (1 if (d - n) % 4 in (0, 1, 2) else 0) for d in range(top, cut + 1))
     return LocalizationReport(ok, n, pattern,
                               "" if ok else "stable range deviates from the tower pattern")
 

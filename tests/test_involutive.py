@@ -29,6 +29,7 @@ from homcob.involutive import (
 from helpers import (
     cone_plus_window,
     cone_rank_bound,
+    connected_sum,
     dual_ucomplex,
     elimination_tower_bottoms,
     homotopic_iota,
@@ -80,8 +81,8 @@ def test_forced_power_rule():
     assert _forced_power(2, 1, 0, localized=True) is None
 
 
-def _sigma237_with(edit):
-    data = fixtures.load_raw("sigma237")
+def _minus_sigma237_with(edit):
+    data = fixtures.load_raw("minus_sigma237")
     edit(data)
     return data
 
@@ -92,7 +93,7 @@ def _put(field, k, key, value):
     return edit
 
 
-# sigma237: e (0), a (0), b (1); differential a -> U b; iota e->e, a->a, a->e, b->b
+# minus_sigma237: e (0), a (0), b (1); differential a -> U b; iota e->e, a->a, a->e, b->b
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -114,7 +115,7 @@ def _put(field, k, key, value):
 )
 def test_entry_reader_rejects_bad_entries(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(_sigma237_with(edit)))
+    path.write_text(json.dumps(_minus_sigma237_with(edit)))
     with pytest.raises(InputError) as err:
         cli.run(["hfi", str(path)])
     assert str(err.value) == message and err.value.exit_code == 1
@@ -517,7 +518,7 @@ def test_split_cone_s3():
         assert h.dim(d) == 1
     assert h.dim(-2) == 0
     r = involutive_correction_terms(cone)
-    assert r.triple() == (0, 0, 0) and r.split and not r.findings
+    assert r.triple() == (0, 0, 0) and r.split
 
 
 def test_split_dims_law_for_identity_iota():
@@ -544,7 +545,7 @@ def test_split_cones_are_read_by_the_general_rule():
             if r.split:
                 d = int(r.d)
                 assert cone.complex.tower_bottoms() == {d % 2: d, (d - 1) % 2: d - 1}
-                assert r.triple() == (d, d, d) and not r.findings
+                assert r.triple() == (d, d, d)
                 split += 1
     assert split >= 20
 
@@ -572,7 +573,7 @@ def test_sigma237_correction_terms():
     c, iota = sigma237()
     r = involutive_correction_terms(cone_iota(c, iota))
     assert (r.d, r.d_bar, r.d_under) == (0, 0, -2)
-    assert not r.split and not r.findings
+    assert not r.split
 
 
 def test_ordering_property_on_random_instances():
@@ -582,7 +583,6 @@ def test_ordering_property_on_random_instances():
         validate_iota(c, iota)
         assert iota_localized_identity(c, iota)
         r = involutive_correction_terms(cone_iota(c, iota))
-        assert not r.findings, r.findings
         assert r.d_under <= r.d <= r.d_bar
         assert (r.d_bar - r.d) % 2 == 0 and (r.d_under - r.d) % 2 == 0
 
@@ -602,15 +602,17 @@ def test_cone_requires_valid_iota():
 
 
 def test_depth_two_q_connection():
-    # da = U^2 b lets the class of a survive one U-translate up, so the
-    # cone kills two Q-images of the main tower: d_under = d - 4
+    # da = U^2 b with iota(a) = a + e: the shape of minus_sigma237 one
+    # U-step deeper, so d_bar = d + 4; its dual has d_under = d - 4
     c = UComplex([("e", 0), ("a", 0), ("b", 3)], [("a", "b", 2)])
     assert d_invariant(c) == 0
     io = IotaMap.of(
         c, [("e", "e", 0), ("a", "a", 0), ("a", "e", 0), ("b", "b", 0)]
     )
     r = involutive_correction_terms(cone_iota(c, io))
-    assert r.triple() == (0, 0, -4) and not r.findings
+    assert r.triple() == (0, 4, 0)
+    r = involutive_correction_terms(cone_iota(*dual_ucomplex(c, io)))
+    assert r.triple() == (0, 0, -4)
 
 
 def test_two_towers_in_one_parity_rejected():
@@ -623,10 +625,10 @@ def test_two_towers_in_one_parity_rejected():
         d_invariant(c)
 
 
-def test_tower_touching_iota_surfaces_findings():
+def test_tower_touching_iota_reads_by_definition():
     # box plus dot with iota = flip composed with e -> e + d: valid, not
-    # null-homotopic, identity on localized homology, but the cone's
-    # main tower extends below d; the violation is recorded, not hidden
+    # null-homotopic, identity on localized homology; the cone's main
+    # tower extends below d, which is d_under, and no law breaks
     c = UComplex(
         [("e", 0), ("b", 0), ("a", -1), ("c", -1), ("d", 0)],
         [("b", "a", 0), ("b", "c", 0), ("a", "d", 1), ("c", "d", 1)],
@@ -640,7 +642,62 @@ def test_tower_touching_iota_surfaces_findings():
     assert iota_localized_identity(c, io)
     assert not one_plus_iota_nullhomotopic(c, io)
     r = involutive_correction_terms(cone_iota(c, io))
-    assert r.findings  # ordering violation is surfaced as a finding
+    assert r.triple() == (0, 0, -2)
+
+
+def test_connected_sum_laws():
+    # Hendricks-Manolescu-Zemke: d adds, Y # -Y reads (0, 0, 0), and
+    # d_under1 + d_under2 <= d_under <= d_under1 + d_bar2 <= d_bar <= d_bar1 + d_bar2
+    rng = random.Random(2)
+
+    def factor():
+        c, iota = random_ucomplex_with_iota(rng)
+        return dual_ucomplex(c, iota) if rng.random() < 0.5 else (c, iota)
+
+    def terms(c, iota):
+        return involutive_correction_terms(cone_iota(c, iota))
+
+    nontrivial = 0
+    for _ in range(300):
+        y1, y2 = factor(), factor()
+        r1, r2 = terms(*y1), terms(*y2)
+        for (a, ra), (b, rb) in (((y1, r1), (y2, r2)), ((y2, r2), (y1, r1))):
+            r = terms(*connected_sum(*a, *b))
+            assert r.d == ra.d + rb.d
+            assert (ra.d_under + rb.d_under <= r.d_under <= ra.d_under + rb.d_bar
+                    <= r.d_bar <= ra.d_bar + rb.d_bar), (ra.triple(), rb.triple(), r.triple())
+        nontrivial += r.d_bar != r.d_under
+        assert terms(*connected_sum(*y1, *dual_ucomplex(*y1))).triple() == (0, 0, 0)
+    assert nontrivial >= 40
+
+
+def test_connected_sums_of_sigma237():
+    # Hendricks-Manolescu-Zemke: every connected sum of copies of
+    # Sigma(2,3,7) has d_bar = 0 and d_under = -2
+    y = sigma237()
+    minus_y = UComplex.from_json(fixtures.load_raw("minus_sigma237"))
+    two = connected_sum(*y, *y)
+    for c, iota, want in ((*two, (0, 0, -2)), (*connected_sum(*two, *y), (0, 0, -2)),
+                          (*connected_sum(*minus_y, *minus_y), (0, 2, 0)),
+                          (*connected_sum(*y, *minus_y), (0, 0, 0))):
+        assert involutive_correction_terms(cone_iota(c, iota)).triple() == want
+
+
+def test_broken_law_exits_3(monkeypatch, capsys):
+    # a cone tower read four degrees too high puts d_under above d
+    read = UComplex.tower_bottoms
+
+    def raised_main_tower(c):
+        towers = read(c)
+        if len(towers) == 2:
+            towers[0] += 4
+        return towers
+
+    monkeypatch.setattr(UComplex, "tower_bottoms", raised_main_tower)
+    with pytest.raises(InternalError, match="ordering"):
+        involutive_correction_terms(cone_iota(*sigma237()))
+    assert cli.main(["hfi", "fixtures:sigma237"]) == 3
+    assert capsys.readouterr().err.startswith("error: InternalError: ordering")
 
 
 # -- v0 arithmetic --------------------------------------------------------------------------
