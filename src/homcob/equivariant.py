@@ -7,7 +7,9 @@ a finite-dimensional part with q, v actions and differentials, including
 arrows from the finite part into the towers.  Its tower bottoms A, B, C
 give the integer invariants alpha = A/2, beta = (B-1)/2, gamma = (C-2)/2
 with Rokhlin residue mu.  An SOneModel is the one-tower analogue over
-F[U] giving the delta invariant.
+F[U] giving the delta invariant.  Both kinds are read, checked and
+written by one reader (`_TowerModel`) that takes the tower step, the
+levels and the operators as data.
 
 Tower basis bookkeeping: the element (a, k) sits in degree n + 4k + a for
 a in {0,1,2}, k >= 0; q maps (a, k) -> (a-1, k) and v maps (a, k) ->
@@ -100,13 +102,21 @@ class _TowerModel:
     `finite` with differential `d_fin`, tower arrows `d_to_tower`, and the
     operators OPS, each as (name, input field, shift, tower entries).  The
     tower entry (a, a2, j) sends (a, k) to (a2, k - j); the operator's
-    matrix on the finite part is the attribute `<field>_op`."""
+    matrix on the finite part is the attribute `<field>_op`.  Inputs of
+    the kind KIND are read and checked here, and written back by
+    `to_json`."""
 
     STEP = LEVELS = 0
+    KIND = ""
     OPS: tuple = ()
 
-    def _read_finite(self, kind: str, finite, op_values, d_fin):
-        """The finite generators and the finite-part matrices."""
+    def __init__(self, reducible_degree, finite, op_values, d_fin, d_to_tower):
+        """`op_values` holds the finite-part matrices of OPS in order;
+        `reducible_degree` is None for a model without towers."""
+        kind = self.KIND
+        if reducible_degree is not None:
+            reducible_degree = as_int(reducible_degree, kind, "reducible_degree")
+        self.reducible_degree = reducible_degree
         self.finite = [(str(l), as_int(d, kind, "degree")) for l, d in finite]
         labels = [l for l, _ in self.finite]
         if len(set(labels)) != len(labels):
@@ -116,9 +126,55 @@ class _TowerModel:
         fields = [(f, shift) for _, f, shift, _ in self.OPS] + [("d_fin", -1)]
         for (field, shift), value in zip(fields, [*op_values, d_fin]):
             attr = field if field == "d_fin" else f"{field}_op"
-            mat = _bit_matrix(value, kind, field) if degs else la.f2_zeros(0, 0)
+            mat = _bit_matrix(value, kind, field)
             _check_homogeneous(attr, mat, degs, shift)
             setattr(self, attr, mat)
+        self.d_to_tower = [self._arrow(t) for t in d_to_tower]
+        self._check_generators()
+
+    def _arrow(self, arrow) -> TowerArrow:
+        """A tower arrow given as a TowerArrow, (source, a, b), or
+        (source, b) when there is one level, checked against the model."""
+        if isinstance(arrow, TowerArrow):
+            src, a, b = arrow.source, arrow.a, arrow.b
+        elif self.LEVELS == 1:
+            (src, b), a = arrow, 0
+        else:
+            src, a, b = arrow
+        a = as_int(a, self.KIND, "tower arrow a")
+        b = as_int(b, self.KIND, "tower arrow b")
+        if src not in self.gen_index:
+            raise InputError(f"tower arrow from unknown generator {src!r}")
+        if not (0 <= a < self.LEVELS) or b < 0:
+            raise InputError(f"tower arrow needs 0 <= a < {self.LEVELS} and b >= 0")
+        if self.reducible_degree is None:
+            raise InputError("tower arrow in a model without a reducible tower")
+        if self.finite[self.gen_index[src]][1] - 1 != self.reducible_degree + self.STEP * b + a:
+            raise InputError(f"tower arrow from {src!r} is not of degree -1")
+        return TowerArrow(str(src), a, b)
+
+    def to_json(self) -> dict:
+        one_level = self.LEVELS == 1
+        return {
+            "kind": self.KIND,
+            "reducible_degree": self.reducible_degree,
+            "finite": [{"label": l, "degree": d} for l, d in self.finite],
+            **{field: getattr(self, f"{field}_op").tolist() for _, field, _, _ in self.OPS},
+            "d_fin": self.d_fin.tolist(),
+            "d_to_tower": [{"from": t.source, "b": t.b} if one_level else
+                           {"from": t.source, "a": t.a, "b": t.b} for t in self.d_to_tower],
+        }
+
+    @classmethod
+    def from_json(cls, data: dict):
+        try:
+            finite = [(g["label"], g["degree"]) for g in data.get("finite", [])]
+            arrows = [(t["from"], t["b"]) if cls.LEVELS == 1 else (t["from"], t["a"], t["b"])
+                      for t in data.get("d_to_tower", [])]
+            ops = [data.get(field, []) for _, field, _, _ in cls.OPS]
+            return cls(data.get("reducible_degree"), finite, *ops, data.get("d_fin", []), arrows)
+        except KeyError as e:
+            raise InputError(f"{cls.KIND} missing field {e}") from e
 
     def _ops(self):
         """(name, shift, finite-part matrix, tower entries) per operator."""
@@ -190,36 +246,14 @@ class PinModel(_TowerModel):
     reducible tower; such models must have no arrows into the towers.
     """
 
-    STEP, LEVELS = 4, 3
+    STEP, LEVELS, KIND = 4, 3, "pin_model"
     OPS = (("q", "q", -1, ((1, 0, 0), (2, 1, 0))),
            ("v", "v", -4, tuple((a, a, 1) for a in range(3))))
 
     def __init__(self, reducible_degree, finite, q_op, v_op, d_fin, d_to_tower):
-        if reducible_degree is not None:
-            reducible_degree = as_int(reducible_degree, "pin_model", "reducible_degree")
-            if reducible_degree % 2:
-                raise InputError("reducible degree must be even")
-        self.reducible_degree = reducible_degree
-        self._read_finite("pin_model", finite, (q_op, v_op), d_fin)
-        self.d_to_tower: list[TowerArrow] = []
-        for arrow in d_to_tower:
-            if isinstance(arrow, TowerArrow):
-                src, a, b = arrow.source, arrow.a, arrow.b
-            else:
-                src, a, b = arrow
-            a = as_int(a, "pin_model", "tower arrow a")
-            b = as_int(b, "pin_model", "tower arrow b")
-            if src not in self.gen_index:
-                raise InputError(f"tower arrow from unknown generator {src!r}")
-            if not (0 <= a <= 2) or b < 0:
-                raise InputError("tower arrow needs a in {0,1,2} and b >= 0")
-            if reducible_degree is None:
-                raise InputError("tower arrow in a model without a reducible tower")
-            deg = self.gen_index[src]
-            if self.finite[deg][1] - 1 != reducible_degree + 4 * b + a:
-                raise InputError(f"tower arrow from {src!r} is not of degree -1")
-            self.d_to_tower.append(TowerArrow(str(src), a, b))
-        self._check_generators()
+        super().__init__(reducible_degree, finite, (q_op, v_op), d_fin, d_to_tower)
+        if self.reducible_degree is not None and self.reducible_degree % 2:
+            raise InputError("reducible degree must be even")
         q3 = la.f2_mul(la.f2_mul(self.q_op, self.q_op), self.q_op)
         if q3.any():
             raise InputError("q_op^3 != 0")
@@ -254,39 +288,6 @@ class PinModel(_TowerModel):
         if self.finite and hi < max(d for _, d in self.finite) + 2:
             raise InputError("window top does not cover the finite part")
         return ladder_window(*self._ladders(), lo, hi)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "pin_model",
-            "reducible_degree": self.reducible_degree,
-            "finite": [{"label": l, "degree": d} for l, d in self.finite],
-            "q": self.q_op.tolist(),
-            "v": self.v_op.tolist(),
-            "d_fin": self.d_fin.tolist(),
-            "d_to_tower": [
-                {"from": a.source, "a": a.a, "b": a.b} for a in self.d_to_tower
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PinModel":
-        try:
-            finite = [(g["label"], g["degree"]) for g in data.get("finite", [])]
-            arrows = [
-                (t["from"], t["a"], t["b"]) for t in data.get("d_to_tower", [])
-            ]
-            return cls(
-                data.get("reducible_degree"),
-                finite,
-                data.get("q", []),
-                data.get("v", []),
-                data.get("d_fin", []),
-                arrows,
-            )
-        except KeyError as e:
-            raise InputError(f"pin model missing field {e}") from e
 
 
 @dataclass
@@ -367,7 +368,7 @@ def localization_check(model: PinModel) -> LocalizationReport:
     four degrees from max(A, B, C) up."""
     n = model.reducible_degree
     if n is None:
-        return LocalizationReport(True, None, [0] * 9, "free model localizes to zero")
+        return LocalizationReport(True, None, [0, 0, 0, 0], "free model localizes to zero")
     top = max(tower_bottoms(model))
     return LocalizationReport(True, n, [1 if (d - n) % 4 in (0, 1, 2) else 0
                                         for d in range(top, top + 4)])
@@ -387,22 +388,13 @@ class SOneModel(_TowerModel):
     """Single free F[U] tower (bottom at the reducible degree, U of degree
     -2) plus a finite part with a U action."""
 
-    STEP, LEVELS = 2, 1
+    STEP, LEVELS, KIND = 2, 1, "s1_model"
     OPS = (("U", "u", -2, ((0, 0, 1),)),)
 
     def __init__(self, reducible_degree, finite, u_op, d_fin, d_to_tower):
-        self.reducible_degree = as_int(reducible_degree, "s1_model", "reducible_degree")
-        self._read_finite("s1_model", finite, (u_op,), d_fin)
-        self.d_to_tower = []
-        for arrow in d_to_tower:
-            src, b = (arrow.source, arrow.b) if isinstance(arrow, TowerArrow) else arrow
-            b = as_int(b, "s1_model", "tower arrow b")
-            if src not in self.gen_index or b < 0:
-                raise InputError(f"bad tower arrow {arrow}")
-            if self.finite[self.gen_index[src]][1] - 1 != self.reducible_degree + 2 * b:
-                raise InputError(f"tower arrow from {src!r} is not of degree -1")
-            self.d_to_tower.append(TowerArrow(str(src), 0, b))
-        self._check_generators()
+        # the U-tower is not optional
+        reducible_degree = as_int(reducible_degree, self.KIND, "reducible_degree")
+        super().__init__(reducible_degree, finite, (u_op,), d_fin, d_to_tower)
 
     def default_window(self) -> tuple[int, int]:
         # the stable cut, 4 below the top, sits 8 + 2 per finite
@@ -421,31 +413,6 @@ class SOneModel(_TowerModel):
         if hi < n + 8:
             raise InputError("window top too low")
         return ladder_window(*self._ladders(), lo, hi)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "s1_model",
-            "reducible_degree": self.reducible_degree,
-            "finite": [{"label": l, "degree": d} for l, d in self.finite],
-            "u": self.u_op.tolist(),
-            "d_fin": self.d_fin.tolist(),
-            "d_to_tower": [{"from": a.source, "b": a.b} for a in self.d_to_tower],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SOneModel":
-        try:
-            finite = [(g["label"], g["degree"]) for g in data.get("finite", [])]
-            arrows = [(t["from"], t["b"]) for t in data.get("d_to_tower", [])]
-            return cls(
-                data["reducible_degree"],
-                finite,
-                data.get("u", []),
-                data.get("d_fin", []),
-                arrows,
-            )
-        except KeyError as e:
-            raise InputError(f"s1 model missing field {e}") from e
 
 
 def delta_invariant(model: SOneModel) -> Fraction:

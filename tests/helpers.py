@@ -868,7 +868,9 @@ def borel_homology(model: PinModel) -> BorelHomology:
 def window_localization(model: PinModel) -> LocalizationReport:
     """The reference for localization_check: the stable v-ranks of the
     Borel homology on the default window.  `ok` checks every degree from
-    max(A, B, C) up to the cut; the pattern is the first period."""
+    max(A, B, C) up to the cut; the pattern is the first period.  Without
+    a reducible tower `ok` checks every degree up to the cut and the
+    pattern is the last period."""
     bh = borel_homology(model)
     lo, cut = bh.window[0], bh.cut
     # the last four degrees use one step from just above the cut
@@ -876,8 +878,8 @@ def window_localization(model: PinModel) -> LocalizationReport:
              **bh.homology.stable_ranks("v", cut - 3, cut + 4)}
     n = model.reducible_degree
     if n is None:
-        pattern = [ranks[d] for d in range(cut - 8, cut + 1)]
-        ok = all(x == 0 for x in pattern)
+        pattern = [ranks[d] for d in range(cut - 3, cut + 1)]
+        ok = all(x == 0 for x in ranks.values())
         return LocalizationReport(ok, None, pattern,
                                   "free model localizes to zero" if ok else
                                   "stable classes in a model without towers")

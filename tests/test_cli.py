@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 
 import pytest
@@ -8,7 +9,7 @@ from homcob.cli import load_input, main, parse_input, run
 from homcob.equivariant import PinModel, SOneModel
 from homcob.errors import HomcobError, InputError, ModelInvalidError
 
-from helpers import with_acyclic_pair
+from helpers import random_pin_model, random_s1_model, with_acyclic_pair
 
 
 def out_of(argv):
@@ -41,6 +42,15 @@ def test_fixture_roundtrip_serialization():
     data, _ = load_input("fixtures:sigma237_s1")
     s = SOneModel.from_json(data)
     assert SOneModel.from_json(s.to_json()).to_json() == s.to_json()
+    # random models have finite parts and tower arrows, which the fixtures lack
+    rng = random.Random(12)
+    models = [random_pin_model(rng, with_tower=i % 4 != 3, max_blocks=3) for i in range(40)]
+    models += [random_s1_model(rng, max_blocks=3) for _ in range(40)]
+    for kind in (PinModel, SOneModel):
+        assert sum(bool(m.d_to_tower) for m in models if type(m) is kind) >= 15
+    for m in models:
+        again = type(m).from_json(json.loads(json.dumps(m.to_json())))
+        assert again.to_json() == m.to_json()
     for name in ("triangle_edge", "torus7", "rp2_6", "boundary_delta3"):
         data, _ = load_input(f"fixtures:{name}")
         k = parse_input(data)
@@ -176,7 +186,7 @@ def test_missing_file_exits_one(tmp_path):
     assert main(["homology", str(tmp_path / "absent.json")]) == 1
 
 
-def test_invalid_model_file_exits_one(tmp_path):
+def test_invalid_model_file_exits_one(tmp_path, capsys):
     # schema-valid pin model whose q matrix breaks q^3 = 0 is rejected
     bad = {
         "kind": "pin_model",
@@ -200,6 +210,16 @@ def test_invalid_model_file_exits_one(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
     assert main(["abc", str(path)]) == 1
+    # with no finite generators the matrices are still read and checked
+    for cmd, data, attr in (
+        ("abc", {"kind": "pin_model", "reducible_degree": 0, "finite": [],
+                 "q": [[1, 1], [0, 1]], "v": "xx", "d_fin": [[5]]}, "q_op"),
+        ("delta", {"kind": "s1_model", "reducible_degree": 0, "finite": [],
+                   "u": [[1, 1], [0, 1]], "d_fin": [[5]]}, "u_op"),
+    ):
+        path.write_text(json.dumps(data))
+        assert main([cmd, str(path)]) == 1
+        assert f"InputError: {attr} must be 0x0" in capsys.readouterr().err
 
 
 def test_file_input_matches_fixture(tmp_path):
@@ -341,6 +361,49 @@ def test_integer_fields_accept_their_valid_forms(tmp_path):
         path = tmp_path / "ok.json"
         path.write_text(json.dumps(data))
         assert main([cmd, str(path)]) == 0
+
+
+def _drop(*path):
+    def edit(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return edit
+
+
+def _arrow_cases():
+    """(kind, edit, message): a valid model with tower arrows, edited so
+    that one arrow is bad.  An s1_model arrow has no level a to edit."""
+    both = [
+        (_set("d_to_tower", 0, "from", "nope"), "tower arrow from unknown generator 'nope'"),
+        (_set("d_to_tower", 0, "b", -1), "and b >= 0"),
+        (_set("d_to_tower", 0, "b", 1), "tower arrow from 'z' is not of degree -1"),
+        (_set("d_to_tower", 0, "b", 0.5), "tower arrow b must be an integer"),
+        (_drop("d_to_tower", 0, "from"), "missing field 'from'"),
+        (_drop("d_to_tower", 0, "b"), "missing field 'b'"),
+    ]
+    pin_only = [
+        (_set("d_to_tower", 0, "a", 3), "tower arrow needs 0 <= a < 3"),
+        (_set("d_to_tower", 0, "a", -1), "tower arrow needs 0 <= a < 3"),
+        (_set("d_to_tower", 0, "a", "2"), "tower arrow a must be an integer"),
+        (_drop("d_to_tower", 0, "a"), "missing field 'a'"),
+        (_set("reducible_degree", None), "tower arrow in a model without a reducible tower"),
+    ]
+    s1_only = [(_set("reducible_degree", None), "reducible_degree must be an integer")]
+    return ([("pin_model", *case) for case in both + pin_only]
+            + [("s1_model", *case) for case in both + s1_only])
+
+
+@pytest.mark.parametrize("kind, edit, message", _arrow_cases())
+def test_bad_tower_arrows_exit_one(tmp_path, capsys, kind, edit, message):
+    cmd, data = ("abc", _killer_pin(2, 0)) if kind == "pin_model" else ("delta", _s1_with(0, 1, 0))
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([cmd, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InputError: ") and message in err
+    assert "Traceback" not in err
 
 
 def _two_generator(kind):

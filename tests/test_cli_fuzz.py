@@ -1,11 +1,13 @@
 """Fuzz of the command line over mutated fixtures.
 
-Each example takes a bundled fixture, applies a few mutations to its JSON
-(drop a field, swap a value for one of another type, perturb an integer,
-make a matrix row ragged), and runs one command on it with numeric
-options drawn from small ranges; 15 examples per command.  Every outcome must be a report with
-exit code 0, or a HomcobError with exit code 1 (input) or 2 (invalid
-model): never an internal error and never another exception.
+Each example takes a bundled fixture, or one of two tower models with a
+finite part and tower arrows (no bundled fixture has a tower arrow),
+applies a few mutations to its JSON (drop a field, swap a value for one
+of another type, perturb an integer, make a matrix row ragged), and runs
+one command on it with numeric options drawn from small ranges; 15
+examples per command.  Every outcome must be a report with exit code 0,
+or a HomcobError with exit code 1 (input) or 2 (invalid model): never an
+internal error and never another exception.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from homcob import fixtures
 from homcob.cli import load_input, run
+from homcob.equivariant import PinModel, SOneModel
 from homcob.errors import HomcobError
 
 COMMANDS = {
@@ -30,6 +33,17 @@ COMMANDS = {
 }
 ALL_COMMANDS = [c for cmds in COMMANDS.values() for c in cmds]
 FIXTURES = [n for n in fixtures.fixture_names() if fixtures.describe(n) in COMMANDS]
+CORPUS = [load_input(f"fixtures:{n}")[0] for n in FIXTURES] + [
+    # q^2 z, q z, z kill the tower bottoms (0, 0), (1, 0), (2, 0); x -> y is a pair
+    PinModel(0, [("z", 3), ("qz", 2), ("q2z", 1), ("x", 5), ("y", 4)],
+             [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0] * 5, [0] * 5],
+             [[0] * 5] * 5, [[0] * 5] * 3 + [[0] * 5, [0, 0, 0, 1, 0]],
+             [("z", 2, 0), ("qz", 1, 0), ("q2z", 0, 0)]).to_json(),
+    # U z1 = z0 kill the tower elements in degrees 2 and 0; x -> y is a pair
+    SOneModel(0, [("z1", 3), ("z0", 1), ("x", 5), ("y", 4)],
+              [[0] * 4, [1, 0, 0, 0], [0] * 4, [0] * 4],
+              [[0] * 4] * 3 + [[0, 0, 1, 0]], [("z1", 1), ("z0", 0)]).to_json(),
+]
 OTHER_TYPES = ["x", "1", 1.5, None, True, [], {}, [[]], -1, 2]
 
 
@@ -81,9 +95,8 @@ def invocations(draw, cmd):
     """(argv without the input path, mutated input document) for `cmd`."""
     kind = next(k for k, cmds in COMMANDS.items() if cmd in cmds)
     # now and then an input of another kind
-    names = [n for n in FIXTURES if fixtures.describe(n) == kind] if draw(
-        st.integers(0, 9)) else FIXTURES
-    doc = draw(mutated(load_input(f"fixtures:{draw(st.sampled_from(names))}")[0]))
+    docs = [d for d in CORPUS if d["kind"] == kind] if draw(st.integers(0, 9)) else CORPUS
+    doc = draw(mutated(copy.deepcopy(draw(st.sampled_from(docs)))))
     small = st.integers(-2, 6)
     argv = [cmd]
     if cmd in ("link", "star", "closure"):

@@ -98,6 +98,13 @@ def test_lone_tower_arrow_without_q_partner_rejected():
         PinModel(0, [("x", 3)], [[0]], [[0]], [[0]], [("x", 2, 0)])
 
 
+def test_s1_tower_arrow_has_one_level():
+    with pytest.raises(InputError, match="0 <= a < 1"):
+        SOneModel(0, [("z", 2)], [[0]], [[0]], [TowerArrow("z", 1, 0)])
+    m = SOneModel(0, [("z", 1)], [[0]], [[0]], [TowerArrow("z", 0, 0), ("z", 0)])
+    assert m.d_to_tower == [TowerArrow("z", 0, 0)] * 2
+
+
 def test_borel_homology_killer_drops_degree_two():
     dims = borel_homology(TRIPLE_KILLER).dims()
     for d in (0, 1, 2, 3):

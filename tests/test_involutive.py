@@ -671,6 +671,27 @@ def test_connected_sum_laws():
     assert nontrivial >= 40
 
 
+def test_connected_sums_of_non_split_factors():
+    # the laws of test_connected_sum_laws on sums whose factors both have
+    # d_bar != d_under, where d_under1 + d_bar2 is a bound of its own
+    rng = random.Random(3)
+    factors = []
+    while len(factors) < 40:
+        c, iota = random_ucomplex_with_iota(rng)
+        y = dual_ucomplex(c, iota) if rng.random() < 0.5 else (c, iota)
+        r = involutive_correction_terms(cone_iota(*y))
+        if r.d_bar != r.d_under:
+            factors.append((y, r))
+    pairs = list(zip(factors[::2], factors[1::2]))
+    for (y1, r1), (y2, r2) in pairs:
+        for (a, ra), (b, rb) in (((y1, r1), (y2, r2)), ((y2, r2), (y1, r1))):
+            r = involutive_correction_terms(cone_iota(*connected_sum(*a, *b)))
+            assert r.d == ra.d + rb.d
+            assert (ra.d_under + rb.d_under <= r.d_under <= ra.d_under + rb.d_bar
+                    <= r.d_bar <= ra.d_bar + rb.d_bar), (ra.triple(), rb.triple(), r.triple())
+    assert len(pairs) >= 20
+
+
 def test_connected_sums_of_sigma237():
     # Hendricks-Manolescu-Zemke: every connected sum of copies of
     # Sigma(2,3,7) has d_bar = 0 and d_under = -2
