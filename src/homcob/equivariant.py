@@ -127,7 +127,7 @@ class _TowerModel:
         for (field, shift), value in zip(fields, [*op_values, d_fin]):
             attr = field if field == "d_fin" else f"{field}_op"
             mat = _bit_matrix(value, kind, field)
-            _check_homogeneous(attr, mat, degs, shift)
+            _check_homogeneous(field, mat, degs, shift)
             setattr(self, attr, mat)
         self.d_to_tower = [self._arrow(t) for t in d_to_tower]
         self._check_generators()

@@ -1,12 +1,21 @@
 """Exact linear algebra over GF(2) and over the integers.
 
-GF(2) matrices are dense numpy uint8 arrays with entries in {0, 1}.  For
-elimination each row is packed (np.packbits) into one Python int whose
-bit c is the entry in column c, so a row operation is a single XOR of two
-ints; rank, kernel, solve and image all read the reduced row echelon form
-(RREF), which is unique, so the packing changes no result.  Integer
-matrices are plain lists of lists of Python ints so that Smith normal
-form never overflows (entry growth is real even on small inputs).
+GF(2) matrices are dense numpy uint8 arrays with entries in {0, 1}.  The
+one GF(2) elimination is `reduce_columns`, the left-to-right column
+reduction of persistence: each column is packed (np.packbits) into one
+Python int whose bit r is the entry in row r, so a column operation is a
+single XOR of two ints.  While an earlier column owns the highest set
+bit of a column, that earlier column is added to it.  A column ends zero
+exactly when it lies in the span of the columns before it, so the
+nonzero reduced columns are the pivot columns: their number is the rank
+and they are a basis of the image.  The columns summed into column t are
+t itself and otherwise pivot columns, so the kernel vector read at a
+free column fc is 1 at fc and 0 at every other free column, and the
+solution read from [m | b] is 0 at every free column.  Each is the only
+vector with that pattern, so it is the one the reduced row echelon form
+gives.  Integer matrices are plain lists of lists of Python ints so that
+Smith normal form never overflows (entry growth is real even on small
+inputs).
 
 Every Smith normal form carries its certificate: the elimination keeps
 U^-1 and V^-1 alongside U and V, and _check_snf proves U*m*V = D, that U
@@ -71,60 +80,47 @@ def _unpack_rows(rows: list[int], cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
-def _rref(rows: list[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form of packed rows.
+def reduce_columns(m) -> tuple[list[int], list[int], dict[int, int]]:
+    """Column reduction of m over GF(2), left to right: (red, ops, owner).
 
-    Returns (nonzero rows of the RREF, their pivot columns), both in
-    pivot order.  Each row is reduced against the pivot rows kept so far;
-    a row that survives becomes a new pivot row and is cleared from the
-    others, so the kept rows stay fully reduced and a row operation is
-    one XOR of two ints.
+    red[t] is column t (bit r: row r) after adding the earlier column that
+    owns its highest set bit, until no earlier column owns it; ops[t]
+    records the columns summed (bit s: column s), so red[t] = m @ ops[t].
+    owner maps the highest bit of each nonzero red[t] to t.
     """
-    piv: dict[int, int] = {}  # pivot bit (1 << column) -> row
-    mask = 0
-    for x in rows:
-        hit = x & mask
-        while hit:
-            low = hit & -hit
-            x ^= piv[low]
-            hit ^= low
-        if x:
-            low = x & -x
-            for b in piv:
-                if piv[b] & low:
-                    piv[b] ^= x
-            piv[low] = x
-            mask |= low
-    order = sorted(piv)
-    return [piv[b] for b in order], [b.bit_length() - 1 for b in order]
+    red = _pack_rows(f2(m).T)
+    ops = [1 << t for t in range(len(red))]
+    owner: dict[int, int] = {}
+    for t, col in enumerate(red):
+        while col and (s := owner.get(col.bit_length() - 1)) is not None:
+            col ^= red[s]
+            ops[t] ^= ops[s]
+        if col:
+            owner[col.bit_length() - 1] = t
+        red[t] = col
+    return red, ops, owner
 
 
 def rank_f2(m) -> int:
-    """GF(2) rank."""
-    return len(_rref(_pack_rows(f2(m)))[1])
+    """GF(2) rank: the rows of m that the column reduction of m^T leaves
+    nonzero."""
+    return len(reduce_columns(np.transpose(m))[2])
 
 
 def pivot_columns_f2(m) -> list[int]:
     """Indices of the columns of m outside the span of the columns before them."""
-    return _rref(_pack_rows(f2(m)))[1]
+    return [t for t, col in enumerate(reduce_columns(m)[0]) if col]
 
 
 def kernel_basis_f2(m) -> list[np.ndarray]:
     """Basis of the right null space over GF(2).
 
     Returns cols - rank vectors x with m @ x = 0 (mod 2), one per non-pivot
-    column fc of the RREF: x[fc] = 1 and x[pc] = RREF[i, fc] for the row i
-    with pivot pc.
+    column fc: x[fc] = 1, and x is 0 at every other non-pivot column.
     """
     a = f2(m)
-    cols = a.shape[1]
-    rows, pivots = _rref(_pack_rows(a))
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = _unpack_rows(rows, cols)[:, free].T
-    return list(basis)
+    red, ops, _ = reduce_columns(a)
+    return list(_unpack_rows([op for col, op in zip(red, ops) if not col], a.shape[1]))
 
 
 def solve_f2(m, b):
@@ -132,7 +128,7 @@ def solve_f2(m, b):
 
     b is a vector, giving a vector x, or a matrix whose columns are
     right-hand sides, giving a matrix x column by column (None if any
-    column is inconsistent); one elimination of [m | b] serves all of
+    column is inconsistent); one reduction of [m | b] serves all of
     them.  Free variables are 0.
     """
     a = f2(m)
@@ -143,23 +139,21 @@ def solve_f2(m, b):
         bv = bv.reshape(-1, 1)
     if bv.shape[0] != rows:
         raise InputError(f"rhs length {bv.shape[0]} != rows {rows}")
-    red, pivots = _rref(_pack_rows(np.concatenate([a, bv], axis=1)))
-    # inconsistent iff a pivot lands in an augmented column
-    if pivots and pivots[-1] >= cols:
+    red, ops, _ = reduce_columns(np.concatenate([a, bv], axis=1))
+    # an inconsistent rhs column owns a bit that later rhs columns reduce
+    # against, so every rhs column is tested before any ops is read
+    if any(red[cols:]):
         return None
-    x = np.zeros((cols, bv.shape[1]), dtype=np.uint8)
-    x[pivots] = _unpack_rows(red, cols + bv.shape[1])[:, cols:]
-    return x[:, 0] if vector else x
+    mask = (1 << cols) - 1
+    x = _unpack_rows([op & mask for op in ops[cols:]], cols)
+    return x[0] if vector else np.ascontiguousarray(x.T)
 
 
 def image_basis_f2(m) -> np.ndarray:
-    """Matrix whose columns are a basis of the column space of m over GF(2).
-
-    The basis is the nonzero rows of the RREF of m transposed.
-    """
+    """Matrix whose columns are a basis of the column space of m over GF(2):
+    the pivot columns of m."""
     a = f2(m)
-    rows, _ = _rref(_pack_rows(a.T))
-    return _unpack_rows(rows, a.shape[0]).T.copy()
+    return a[:, pivot_columns_f2(a)]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ those R_j.  L and N are disjoint because d^2 = 0: if x_i is the lowest
 term of R_j, then dR_j = 0 puts d x_i in the span of d of earlier
 generators.  The slots in neither set are unpaired; their degrees are
 the bottoms of the U-towers of the plus flavor.  The correction term d
-is the bottom of the single tower.
+is the bottom of the single tower.  The reduction is
+`f2linalg.reduce_columns`, the one GF(2) elimination of the package.
 
 The same reduction puts d in normal form (`UComplex.normal_form`).  Keep
 the column operations V, so that column j of dV is the reduced boundary
@@ -155,13 +156,11 @@ class UComplex:
             gens = [(g["label"], g["degree"]) for g in data["generators"]]
             diff = [(e["from"], e["to"], e["upower"]) for e in data.get("differential", [])]
             c = cls(gens, diff)
+            iota = None
+            if "iota" in data:
+                iota = IotaMap.of(c, [(e["from"], e["to"], e["upower"]) for e in data["iota"]])
         except KeyError as e:
             raise InputError(f"u_complex missing field {e}") from e
-        iota = None
-        if "iota" in data:
-            iota = IotaMap.of(
-                c, [(e["from"], e["to"], e.get("upower", 0)) for e in data["iota"]]
-            )
         return c, iota
 
     # -- towers ----------------------------------------------------------
@@ -173,18 +172,8 @@ class UComplex:
         column operations V_t (R_t = d V_t), and owner maps the lowest
         slot of each nonzero R_t to t (module docstring)."""
         degs = self.degrees()
-        n = len(degs)
-        order = sorted(range(n), key=lambda g: (-degs[g], g))
-        cols = la._pack_rows(self.d_mat[np.ix_(order, order)].T)
-        ops = [1 << t for t in range(n)]
-        owner = {}
-        for t in range(n):
-            while cols[t] and (s := owner.get(cols[t].bit_length() - 1)) is not None:
-                cols[t] ^= cols[s]
-                ops[t] ^= ops[s]
-            if cols[t]:
-                owner[cols[t].bit_length() - 1] = t
-        return order, cols, ops, owner
+        order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
+        return (order, *la.reduce_columns(self.d_mat[np.ix_(order, order)]))
 
     def tower_bottoms(self) -> dict[int, int]:
         """{parity: bottom} of the U-towers: the degrees of the slots of

@@ -213,9 +213,9 @@ def test_invalid_model_file_exits_one(tmp_path, capsys):
     # with no finite generators the matrices are still read and checked
     for cmd, data, attr in (
         ("abc", {"kind": "pin_model", "reducible_degree": 0, "finite": [],
-                 "q": [[1, 1], [0, 1]], "v": "xx", "d_fin": [[5]]}, "q_op"),
+                 "q": [[1, 1], [0, 1]], "v": "xx", "d_fin": [[5]]}, "q"),
         ("delta", {"kind": "s1_model", "reducible_degree": 0, "finite": [],
-                   "u": [[1, 1], [0, 1]], "d_fin": [[5]]}, "u_op"),
+                   "u": [[1, 1], [0, 1]], "d_fin": [[5]]}, "u"),
     ):
         path.write_text(json.dumps(data))
         assert main([cmd, str(path)]) == 1

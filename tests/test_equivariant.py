@@ -170,7 +170,7 @@ def test_inhomogeneous_entry_is_named_in_row_major_order():
     q = [[0, 1, 1], [1, 0, 0], [0, 0, 0]]
     with pytest.raises(InputError) as e:
         PinModel(0, [("x", 0), ("y", 1), ("z", 2)], q, Z3, Z3, [])
-    assert str(e.value) == "q_op entry (0,2) violates degree shift -1"
+    assert str(e.value) == "q entry (0,2) violates degree shift -1"
 
 
 # -- localization ---------------------------------------------------------------

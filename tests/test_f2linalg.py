@@ -3,9 +3,11 @@ import random
 import numpy as np
 import pytest
 
+from homcob import cli, fixtures
 from homcob import f2linalg as la
 from homcob.errors import InputError, InternalError
-from homcob.simplicial import ChainComplexZ
+from homcob.involutive import ConeComplex, UComplex
+from homcob.simplicial import ChainComplexZ, coboundary_matrix
 
 from helpers import check_snf_oracle, random_complex, snf_diagonal_oracle
 
@@ -249,43 +251,57 @@ def random_f2(rng, rows, cols, density):
         if rows and cols else la.f2_zeros(rows, cols)
 
 
+def complex_matrices():
+    """The mod-2 boundary and coboundary matrices of every simplicial
+    fixture, and d in falling-degree order (as the tower read takes it) of
+    every u_complex fixture and of its cone."""
+    out = []
+    for name in fixtures.fixture_names():
+        kind = fixtures.describe(name)
+        if kind == "simplicial":
+            cc = ChainComplexZ.of(cli.parse_input(fixtures.load_raw(name)))
+            for d in range(len(cc.generators)):
+                out += [la.f2(cc.boundaries[d]), coboundary_matrix(cc, d)]
+        elif kind == "u_complex":
+            c, iota = UComplex.from_json(fixtures.load_raw(name))
+            for x in (c, ConeComplex(c, iota).complex):
+                degs = x.degrees()
+                order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
+                out.append(x.d_mat[np.ix_(order, order)])
+    return out
+
+
 def test_packed_echelon_matches_scalar_oracle():
     from helpers import row_echelon_oracle
 
     rng = random.Random(29)
-    for rows in SHAPE_ROWS:
-        for cols in SHAPE_COLS:
-            for density in (0.05, 0.5, 0.95):
-                m = random_f2(rng, rows, cols, density)
-                want, want_piv = row_echelon_oracle(m.copy())
-                red, piv = la._rref(la._pack_rows(m))
-                got = np.zeros(m.shape, dtype=np.uint8)
-                got[: len(red)] = la._unpack_rows(red, cols)
-                assert piv == want_piv and la.pivot_columns_f2(m) == want_piv
-                assert got.dtype == np.uint8 and np.array_equal(got, want)
-                assert la.rank_f2(m) == len(want_piv)
-                # the image basis is the nonzero part of the transpose's RREF
-                t_red, t_piv = row_echelon_oracle(m.T.copy())
-                assert np.array_equal(la.image_basis_f2(m), t_red[: len(t_piv)].T)
+    randoms = [random_f2(rng, rows, cols, density)
+               for rows in SHAPE_ROWS for cols in SHAPE_COLS for density in (0.05, 0.5, 0.95)]
+    for m in randoms + complex_matrices():
+        _, want_piv = row_echelon_oracle(m.copy())
+        assert la.pivot_columns_f2(m) == want_piv
+        assert la.rank_f2(m) == len(want_piv)
+        # the image basis is the pivot columns of m
+        assert np.array_equal(la.image_basis_f2(m), m[:, want_piv])
 
 
 def test_kernel_basis_matches_back_substitution():
     from helpers import row_echelon_oracle
 
     rng = random.Random(31)
-    for rows in SHAPE_ROWS:
-        for cols in SHAPE_COLS:
-            m = random_f2(rng, rows, cols, 0.3)
-            red, pivots = row_echelon_oracle(m.copy())
-            free = [c for c in range(cols) if c not in pivots]
-            basis = la.kernel_basis_f2(m)
-            assert len(basis) == len(free)
-            for x, fc in zip(basis, free):
-                want = np.zeros(cols, dtype=np.uint8)
-                want[fc] = 1
-                for i, pc in enumerate(pivots):
-                    want[pc] = red[i, fc]
-                assert np.array_equal(x, want)
+    randoms = [random_f2(rng, rows, cols, 0.3) for rows in SHAPE_ROWS for cols in SHAPE_COLS]
+    for m in randoms + complex_matrices():
+        cols = m.shape[1]
+        red, pivots = row_echelon_oracle(m.copy())
+        free = [c for c in range(cols) if c not in pivots]
+        basis = la.kernel_basis_f2(m)
+        assert len(basis) == len(free)
+        for x, fc in zip(basis, free):
+            want = np.zeros(cols, dtype=np.uint8)
+            want[fc] = 1
+            for i, pc in enumerate(pivots):
+                want[pc] = red[i, fc]
+            assert np.array_equal(x, want)
 
 
 def test_solve_with_matrix_rhs_matches_column_solves():
@@ -298,9 +314,41 @@ def test_solve_with_matrix_rhs_matches_column_solves():
             b = la.f2_mul(m, xs) if rows else la.f2_zeros(0, 3)
             x = la.solve_f2(m, b)
             assert x.shape == (cols, 3)
+            # free variables are 0: x lives on the pivot columns
+            free = [c for c in range(cols) if c not in la.pivot_columns_f2(m)]
+            assert not x[free].any()
             for j in range(3):
                 assert np.array_equal(x[:, j], la.solve_f2(m, b[:, j]))
             assert np.array_equal(la.f2_mul(m, x), b)
             if rows and la.rank_f2(m) < rows:
                 bad = np.concatenate([b, la.f2_eye(rows)], axis=1)
                 assert la.solve_f2(m, bad) is None
+                # an inconsistent column first: the columns after it still fail
+                bad = np.concatenate([la.f2_eye(rows), b], axis=1)
+                assert la.solve_f2(m, bad) is None
+
+
+def test_reduce_columns_invariants():
+    from helpers import row_echelon_oracle
+
+    rng = random.Random(41)
+    randoms = [random_f2(rng, rows, cols, density)
+               for rows in SHAPE_ROWS for cols in SHAPE_COLS for density in (0.05, 0.5, 0.95)]
+    for m in randoms + complex_matrices():
+        cols = m.shape[1]
+        red, ops, owner = la.reduce_columns(m)
+        packed = la._pack_rows(m.T)
+        nonzero = [t for t in range(cols) if red[t]]
+        for t in range(cols):
+            summed = 0
+            for s in range(cols):
+                if ops[t] >> s & 1:
+                    summed ^= packed[s]
+            assert summed == red[t]
+            # t itself, otherwise only earlier pivot columns
+            assert ops[t] >> t & 1 and ops[t] >> cols == 0
+            assert all(s in nonzero and s < t
+                       for s in range(cols) if s != t and ops[t] >> s & 1)
+        assert len(owner) == len(nonzero)
+        assert owner == {red[t].bit_length() - 1: t for t in nonzero}
+        assert nonzero == row_echelon_oracle(m.copy())[1]

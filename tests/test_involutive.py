@@ -93,6 +93,12 @@ def _put(field, k, key, value):
     return edit
 
 
+def _drop(field, k, key):
+    def edit(data):
+        del data[field][k][key]
+    return edit
+
+
 # minus_sigma237: e (0), a (0), b (1); differential a -> U b; iota e->e, a->a, a->e, b->b
 @pytest.mark.parametrize(
     "edit, message",
@@ -104,14 +110,17 @@ def _put(field, k, key, value):
          "differential entry 'a'->'b' must have upower 1, got 0"),
         (_put("differential", 0, "upower", 1.0),
          "malformed u_complex input: upower must be an integer, got 1.0"),
+        (_drop("differential", 0, "upower"), "u_complex missing field 'upower'"),
         (_put("iota", 0, "to", "zz"), "iota entry ('e', 'zz', 0) references unknown generator"),
         (_put("iota", 1, "to", "b"), "no degree 0 entry possible from 'a' to 'b'"),
         (_put("iota", 0, "upower", 1), "iota entry 'e'->'e' must have upower 0, got 1"),
         (_put("iota", 0, "upower", "0"),
          "malformed u_complex input: upower must be an integer, got '0'"),
+        (_drop("iota", 0, "upower"), "u_complex missing field 'upower'"),
     ],
     ids=[f"{m}-{c}" for m in ("differential", "iota")
-         for c in ("unknown-generator", "impossible-degree", "wrong-upower", "non-integer-upower")],
+         for c in ("unknown-generator", "impossible-degree", "wrong-upower", "non-integer-upower",
+                   "missing-upower")],
 )
 def test_entry_reader_rejects_bad_entries(tmp_path, capsys, edit, message):
     path = tmp_path / "bad.json"
