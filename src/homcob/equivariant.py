@@ -311,12 +311,14 @@ def tower_bottoms(model) -> tuple[int, ...]:
     n = model.reducible_degree
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
-    degs = np.array([d for _, d in model.finite], dtype=np.int64)
+    by_degree: dict[int, list[int]] = {}  # indices of the finite generators
+    for i, (_, d) in enumerate(model.finite):
+        by_degree.setdefault(d, []).append(i)
     bottoms = [n + a for a in range(model.LEVELS)]
     for (a, b), y in model._tower_rows().items():
         target = n + model.STEP * b + a
-        up = np.flatnonzero(degs == target + 1)
-        x = model.d_fin[np.ix_(np.flatnonzero(degs == target), up)]
+        up = by_degree.get(target + 1, [])
+        x = model.d_fin[np.ix_(by_degree.get(target, []), up)]
         if la.rank_f2(np.vstack([x, y[up]])) > la.rank_f2(x):
             bottoms[a] = max(bottoms[a], target + model.STEP)
     return tuple(bottoms)

@@ -17,10 +17,13 @@ gives.  Integer matrices are plain lists of lists of Python ints so that
 Smith normal form never overflows (entry growth is real even on small
 inputs).
 
-Every Smith normal form carries its certificate: the elimination keeps
-U^-1 and V^-1 alongside U and V, and _check_snf proves U*m*V = D, that U
-and V are unimodular (U*U^-1 = I and V^-1*V = I) and the divisibility
-chain of D, with integer products that skip zero entries.
+Every Smith normal form carries its certificate.  The elimination logs
+each elementary operation, and _check_snf replays the logs on m with plain
+list arithmetic: every operation adds a multiple of one row (column) to
+another, so U and V are unimodular without being built; what the replay
+leaves must be the pivots alone, at most one in each row and column; and
+their absolute values, which are the result, must form a divisibility
+chain.
 """
 
 from __future__ import annotations
@@ -167,10 +170,6 @@ def int_mat(m) -> list[list[int]]:
     return out
 
 
-def int_eye(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def int_mul(a, b) -> list[list[int]]:
     """Integer matrix product; zero entries are skipped, so the cost follows
     the nonzeros of a times the nonzeros of the rows of b they meet."""
@@ -218,41 +217,33 @@ def int_det(a) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _sparse_eye(n: int) -> list[dict[int, int]]:
-    return [{i: 1} for i in range(n)]
-
-
 def _axpy(major, minor, dst, src, q) -> None:
-    """major[dst] -= q * major[src] on sparse rows {index: entry}; when minor
-    is given it holds the same matrix by the other index and is kept equal."""
+    """major[dst] -= q * major[src] on sparse rows {index: entry}; minor
+    holds the same matrix by the other index and is kept equal."""
     row = major[dst]
     for k, x in major[src].items():
         y = row.get(k, 0) - q * x
         if y:
-            row[k] = y
-            if minor is not None:
-                minor[k][dst] = y
+            row[k] = minor[k][dst] = y
         else:
             row.pop(k, None)
-            if minor is not None:
-                minor[k].pop(dst, None)
+            minor[k].pop(dst, None)
 
 
-def smith_normal_form(m):
-    """Smith normal form with transforms.
+def smith_normal_form(m) -> list[int]:
+    """Invariant factors of an integer matrix: the diagonal of its Smith
+    normal form, nonnegative, d1 | d2 | ..., padded with zeros to
+    min(rows, cols).
 
-    Returns (U, D, V) with U @ m @ V = D, U and V unimodular, D diagonal
-    with nonnegative entries d1 | d2 | ...  The matrix is eliminated
-    sparsely, by rows and by columns at once: each pivot has the minimal
-    nonzero absolute value (units first, as in Dumas-Saunders-Villard,
-    "On efficient sparse integer matrix Smith normal form computations",
-    JSC 2001), ties broken by the Markowitz count to limit fill-in, and
-    its row and column are cleared in place, the pivot moving to any
-    smaller remainder.  Pivots that break the divisibility chain are then
-    replaced pairwise by their gcd and lcm with the same clearing step,
-    and the pivots are permuted onto the diagonal.  Every elementary
-    operation is applied to U and V and, inverted, to U^-1 and V^-1, which
-    certify that U and V are unimodular (see _check_snf).
+    The matrix is eliminated sparsely, by rows and by columns at once: each
+    pivot has the minimal nonzero absolute value (units first, as in
+    Dumas-Saunders-Villard, "On efficient sparse integer matrix Smith
+    normal form computations", JSC 2001), ties broken by the Markowitz
+    count to limit fill-in, and its row and column are cleared in place,
+    the pivot moving to any smaller remainder.  Pivots that break the
+    divisibility chain are then replaced pairwise by their gcd and lcm with
+    the same clearing step.  Every elementary operation is logged, and the
+    factors are read from the replay of the logs on m (see _check_snf).
     """
     a = int_mat(m)
     rows = len(a)
@@ -262,19 +253,16 @@ def smith_normal_form(m):
     for i, row in enumerate(arow):
         for j, x in row.items():
             acol[j][i] = x
-    # U and V^-1 by rows, U^-1 and V by columns
-    u, u_inv_t = _sparse_eye(rows), _sparse_eye(rows)
-    v_t, v_inv = _sparse_eye(cols), _sparse_eye(cols)
+    row_log: list[tuple[int, int, int]] = []
+    col_log: list[tuple[int, int, int]] = []
 
     def row_op(i, p, q):  # row_i -= q * row_p
         _axpy(arow, acol, i, p, q)
-        _axpy(u, None, i, p, q)
-        _axpy(u_inv_t, None, p, i, -q)
+        row_log.append((i, p, q))
 
     def col_op(j, c, q):  # col_j -= q * col_c
         _axpy(acol, arow, j, c, q)
-        _axpy(v_t, None, j, c, q)
-        _axpy(v_inv, None, c, j, -q)
+        col_log.append((j, c, q))
 
     def clear(p, c):
         """Clear row p and column c but for one pivot; returns its place."""
@@ -320,53 +308,34 @@ def smith_normal_form(m):
                 p, c = clear(ps, cs)
                 pivots[s], pivots[t] = (p, c), (ps + pt - p, cs + ct - c)
 
-    # pivot k goes to row and column k, made positive by negating its row
-    # of U (and column of U^-1); U^-1 = U^-1 P^T and V^-1 = Q^T V^-1 follow
-    # the same permutations
-    d = [[0] * cols for _ in range(rows)]
-    for k, (p, c) in enumerate(pivots):
-        if arow[p][c] < 0:
-            u[p] = {i: -x for i, x in u[p].items()}
-            u_inv_t[p] = {i: -x for i, x in u_inv_t[p].items()}
-        d[k][k] = abs(arow[p][c])
-    used_rows = {p for p, _ in pivots}
-    used_cols = {c for _, c in pivots}
-    row_order = [p for p, _ in pivots] + [i for i in range(rows) if i not in used_rows]
-    col_order = [c for _, c in pivots] + [j for j in range(cols) if j not in used_cols]
-    u, u_inv = _dense(u, row_order, False), _dense(u_inv_t, row_order, True)
-    v, v_inv = _dense(v_t, col_order, True), _dense(v_inv, col_order, False)
-    _check_snf(m, u, d, v, u_inv, v_inv)
-    return u, d, v
+    return _check_snf(m, row_log, col_log, pivots)
 
 
-def _dense(vectors, order, by_columns) -> list[list[int]]:
-    """The square matrix whose k-th row (or column) is vectors[order[k]]."""
-    n = len(order)
-    out = [[0] * n for _ in range(n)]
-    for k, p in enumerate(order):
-        for i, x in vectors[p].items():
-            if by_columns:
-                out[i][k] = x
-            else:
-                out[k][i] = x
-    return out
-
-
-def _check_snf(m, u, d, v, u_inv, v_inv):
-    """Certificate of an SNF: U*m*V = D, U*U^-1 = I and V^-1*V = I (so both
-    transforms are unimodular), and the divisibility chain of D.  Every
-    product skips zero entries."""
-    if int_mul(int_mul(u, int_mat(m)), v) != d:
+def _check_snf(m, row_log, col_log, pivots) -> list[int]:
+    """Certificate of an SNF, read back from m: each logged (dst, src, q)
+    subtracts q times one row (column) from another, so it is elementary
+    and unimodular; replaying the row log and then the column log on m
+    (left and right multiplications commute) leaves exactly the pivots, at
+    most one in each row and column; and their absolute values form a
+    divisibility chain.  Returns those values padded with zeros.  The
+    replay is plain list arithmetic written apart from the elimination's
+    _axpy, so a slip in the sparse bookkeeping cannot hide."""
+    a = int_mat(m)
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    for log, n in ((row_log, rows), (col_log, cols)):
+        if any(dst == src or not (0 <= dst < n and 0 <= src < n) for dst, src, _ in log):
+            raise InternalError("SNF verification failed: transform not unimodular")
+    for dst, src, q in row_log:
+        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
+    at = [list(col) for col in zip(*a)]  # columns as rows
+    for dst, src, q in col_log:
+        at[dst] = [x - q * y for x, y in zip(at[dst], at[src])]
+    left = {(i, j): x for j, col in enumerate(at) for i, x in enumerate(col) if x}
+    if (set(pivots) != set(left) or len({p for p, _ in pivots}) < len(pivots)
+            or len({c for _, c in pivots}) < len(pivots)):
         raise InternalError("SNF verification failed: U*m*V != D")
-    if int_mul(u, u_inv) != int_eye(len(u)) or int_mul(v_inv, v) != int_eye(len(v)):
-        raise InternalError("SNF verification failed: transform not unimodular")
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    for x, y in zip(diag, diag[1:]):
-        if x < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
-            raise InternalError("SNF verification failed: divisibility chain broken")
-
-
-def snf_diagonal(m) -> list[int]:
-    """Just the diagonal of the Smith normal form."""
-    _, d, _ = smith_normal_form(m)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    diag = [abs(left[p]) for p in pivots]
+    if any(y % x for x, y in zip(diag, diag[1:])):
+        raise InternalError("SNF verification failed: divisibility chain broken")
+    return diag + [0] * (min(rows, cols) - len(diag))

@@ -327,7 +327,7 @@ def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
         if ring == "F2":
             ranks[d] = la.rank_f2(b)
         else:
-            diag = la.snf_diagonal(b)
+            diag = la.smith_normal_form(b)
             ranks[d] = sum(1 for x in diag if x != 0)
             torsion[d] = sorted(x for x in diag if x > 1)
     out = []
@@ -410,9 +410,10 @@ class CohomologyClass:
         return la.solve_f2(delta, self.cochain) is not None
 
     def same_class(self, other: "CohomologyClass") -> bool:
-        if self.dim != other.dim or self.complex is not other.complex:
-            if self.complex != other.complex:
-                raise InputError("classes on different complexes")
+        if self.dim != other.dim:
+            raise InputError(f"classes of different degrees {self.dim} and {other.dim}")
+        if self.complex is not other.complex and self.complex != other.complex:
+            raise InputError("classes on different complexes")
         diff = CohomologyClass(self.complex, self.dim, self.cochain ^ other.cochain)
         return diff.is_zero_class()
 
@@ -492,7 +493,7 @@ class GroupPresentation:
                 mat[i][abs(letter) - 1] += 1 if letter > 0 else -1
         if not mat:
             return HomologyGroup(self.ngens)
-        diag = la.snf_diagonal(la.int_transpose(mat))  # columns = relators
+        diag = la.smith_normal_form(mat)
         rank = sum(1 for x in diag if x != 0)
         torsion = sorted(x for x in diag if x > 1)
         return HomologyGroup(self.ngens - rank, torsion)

@@ -107,6 +107,35 @@ def dense_int_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+def snf_transforms(m, row_log, col_log, pivots, diag):
+    """(U, D, V) of an SNF rebuilt from its logs: U is the product of the
+    elementary matrices of the row log, V of the column log, each followed
+    by the signs and permutation that put pivot k at (k, k) with a positive
+    entry; D is the dense matrix with diagonal diag."""
+    rows, cols = len(m), len(m[0]) if m else 0
+
+    def elementary(n, i, j, q):  # I - q e_i e_j^T
+        e = [[int(r == c) for c in range(n)] for r in range(n)]
+        e[i][j] -= q
+        return e
+
+    u = [[int(r == c) for c in range(rows)] for r in range(rows)]
+    for dst, src, q in row_log:  # row_dst -= q * row_src
+        u = dense_int_mul(elementary(rows, dst, src, q), u)
+    v = [[int(r == c) for c in range(cols)] for r in range(cols)]
+    for dst, src, q in col_log:  # col_dst -= q * col_src
+        v = dense_int_mul(v, elementary(cols, src, dst, q))
+    reduced = dense_int_mul(dense_int_mul(u, m), v)
+    sign = {p: -1 if reduced[p][c] < 0 else 1 for p, c in pivots}
+    row_order = list(sign) + [i for i in range(rows) if i not in sign]
+    used = [c for _, c in pivots]
+    col_order = used + [j for j in range(cols) if j not in used]
+    u = [[sign.get(p, 1) * x for x in u[p]] for p in row_order]
+    v = [[row[c] for c in col_order] for row in v]
+    d = [[diag[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+    return u, d, v
+
+
 def check_snf_oracle(m, u, d, v):
     """The dense SNF certificate: U*m*V = D by schoolbook products, U and V
     unimodular by Bareiss determinants, and the divisibility chain."""
@@ -795,18 +824,31 @@ def window_delta_bottom(model: SOneModel):
     return _window_bottoms(model, "U", 1, 4)[0]
 
 
+def _with_finite(model, gens) -> dict:
+    """The JSON of the model (PinModel or SOneModel) plus the finite
+    generators gens, (label, degree) pairs, with every matrix padded by
+    zeros."""
+    data = model.to_json()
+    k, n = len(data["finite"]), len(gens)
+    data["finite"] += [{"label": label, "degree": d} for label, d in gens]
+    for key in ("q", "v", "u", "d_fin"):
+        if key in data:
+            data[key] = [row + [0] * n for row in data[key]] + [[0] * (k + n) for _ in gens]
+    return data
+
+
 def with_acyclic_pair(model, degree: int):
     """The same model (PinModel or SOneModel) plus a pair x -> y, with x at
     `degree` and y one below; the pair has no other arrows."""
-    data = model.to_json()
-    k = len(data["finite"])
-    data["finite"] += [{"label": "pair_x", "degree": degree},
-                       {"label": "pair_y", "degree": degree - 1}]
-    for key in ("q", "v", "u", "d_fin"):
-        if key in data:
-            data[key] = [row + [0, 0] for row in data[key]] + [[0] * (k + 2)] * 2
-    data["d_fin"][k + 1] = [0] * k + [1, 0]
+    data = _with_finite(model, [("pair_x", degree), ("pair_y", degree - 1)])
+    data["d_fin"][-1][-2] = 1
     return type(model).from_json(data)
+
+
+def with_isolated_generator(model, degree: int):
+    """The same model (PinModel or SOneModel) plus a finite generator at
+    `degree` with no arrows at all."""
+    return type(model).from_json(_with_finite(model, [("lone", degree)]))
 
 
 # ---------------------------------------------------------------------------

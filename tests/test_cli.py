@@ -6,10 +6,10 @@ import pytest
 
 from homcob import cli, fixtures, graded
 from homcob.cli import load_input, main, parse_input, run
-from homcob.equivariant import PinModel, SOneModel
+from homcob.equivariant import PinModel, SOneModel, abc, delta_invariant
 from homcob.errors import HomcobError, InputError, ModelInvalidError
 
-from helpers import random_pin_model, random_s1_model, with_acyclic_pair
+from helpers import random_pin_model, random_s1_model, with_acyclic_pair, with_isolated_generator
 
 
 def out_of(argv):
@@ -547,3 +547,25 @@ def test_no_command_builds_a_window(refuse_windows, tmp_path):
             for cmd in cmds:
                 near, far = body([cmd, f"fixtures:{name}"]), body([cmd, str(path)])
                 assert near == far, (name, offset, cmd)
+
+
+@pytest.mark.parametrize("degree", [-10**30, 10**30])
+def test_isolated_generator_beyond_int64_changes_no_tower_bottom(tmp_path, degree):
+    for name in fixtures.fixture_names():
+        kind = fixtures.describe(name)
+        if kind not in ("pin_model", "s1_model"):
+            continue
+        m = (PinModel if kind == "pin_model" else SOneModel).from_json(fixtures.load_raw(name))
+        lone = with_isolated_generator(m, degree)
+        if kind == "pin_model":
+            assert abc(lone) == abc(m)
+        else:
+            assert delta_invariant(lone) == delta_invariant(m)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(lone.to_json()))
+        for cmd in ["abc", "dual", "tate"] if kind == "pin_model" else ["delta"]:
+            near = run([cmd, f"fixtures:{name}"])[0]
+            far, code = run([cmd, str(path)])
+            assert code == 0
+            # past the two lines that name the command and the input
+            assert far.splitlines()[2:] == near.splitlines()[2:], (name, cmd)

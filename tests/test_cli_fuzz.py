@@ -1,13 +1,14 @@
 """Fuzz of the command line over mutated fixtures.
 
 Each example takes a bundled fixture, or one of two tower models with a
-finite part and tower arrows (no bundled fixture has a tower arrow),
-applies a few mutations to its JSON (drop a field, swap a value for one
-of another type, perturb an integer, make a matrix row ragged), and runs
-one command on it with numeric options drawn from small ranges; 15
-examples per command.  Every outcome must be a report with exit code 0,
-or a HomcobError with exit code 1 (input) or 2 (invalid model): never an
-internal error and never another exception.
+finite part, tower arrows and an isolated generator (no bundled fixture
+has a tower arrow), applies a few mutations to its JSON (drop a field,
+swap a value for one of another type, perturb an integer by a little or
+by 10**30, make a matrix row ragged), and runs one command on it with
+numeric options drawn from small ranges; 15 examples per command.  Every
+outcome must be a report with exit code 0, or a HomcobError with exit
+code 1 (input) or 2 (invalid model): never an internal error and never
+another exception.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from homcob.cli import load_input, run
 from homcob.equivariant import PinModel, SOneModel
 from homcob.errors import HomcobError
 
+from helpers import with_isolated_generator
+
 COMMANDS = {
     "simplicial": ["link", "star", "closure", "homology", "sq1", "pi1", "scan-links"],
     "pin_model": ["abc", "dual", "tate"],
@@ -34,15 +37,18 @@ COMMANDS = {
 ALL_COMMANDS = [c for cmds in COMMANDS.values() for c in cmds]
 FIXTURES = [n for n in fixtures.fixture_names() if fixtures.describe(n) in COMMANDS]
 CORPUS = [load_input(f"fixtures:{n}")[0] for n in FIXTURES] + [
-    # q^2 z, q z, z kill the tower bottoms (0, 0), (1, 0), (2, 0); x -> y is a pair
-    PinModel(0, [("z", 3), ("qz", 2), ("q2z", 1), ("x", 5), ("y", 4)],
-             [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0] * 5, [0] * 5],
-             [[0] * 5] * 5, [[0] * 5] * 3 + [[0] * 5, [0, 0, 0, 1, 0]],
-             [("z", 2, 0), ("qz", 1, 0), ("q2z", 0, 0)]).to_json(),
+    # q^2 z, q z, z kill the tower bottoms (0, 0), (1, 0), (2, 0); x -> y is a
+    # pair; the lone generator in degree 7 can move to any degree
+    with_isolated_generator(PinModel(
+        0, [("z", 3), ("qz", 2), ("q2z", 1), ("x", 5), ("y", 4)],
+        [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0] * 5, [0] * 5],
+        [[0] * 5] * 5, [[0] * 5] * 3 + [[0] * 5, [0, 0, 0, 1, 0]],
+        [("z", 2, 0), ("qz", 1, 0), ("q2z", 0, 0)]), 7).to_json(),
     # U z1 = z0 kill the tower elements in degrees 2 and 0; x -> y is a pair
-    SOneModel(0, [("z1", 3), ("z0", 1), ("x", 5), ("y", 4)],
-              [[0] * 4, [1, 0, 0, 0], [0] * 4, [0] * 4],
-              [[0] * 4] * 3 + [[0, 0, 1, 0]], [("z1", 1), ("z0", 0)]).to_json(),
+    with_isolated_generator(SOneModel(
+        0, [("z1", 3), ("z0", 1), ("x", 5), ("y", 4)],
+        [[0] * 4, [1, 0, 0, 0], [0] * 4, [0] * 4],
+        [[0] * 4] * 3 + [[0, 0, 1, 0]], [("z1", 1), ("z0", 0)]), 7).to_json(),
 ]
 OTHER_TYPES = ["x", "1", 1.5, None, True, [], {}, [[]], -1, 2]
 
@@ -79,7 +85,8 @@ def mutated(draw, doc):
         elif how == "swap":
             parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(OTHER_TYPES)))
         elif how == "perturb" and isinstance(value, int) and not isinstance(value, bool):
-            parent[path[-1]] = value + draw(st.integers(-3, 3))
+            parent[path[-1]] = value + draw(st.one_of(
+                st.integers(-3, 3), st.sampled_from([-10**30, 10**30])))
         elif how == "ragged" and isinstance(value, list) and value and all(
                 isinstance(row, list) for row in value):
             row = value[draw(st.integers(0, len(value) - 1))]
@@ -120,17 +127,44 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
+def _check_outcome(argv, doc, path, where=()):
+    """Run argv on doc, written to path: the outcome must be a report with
+    exit code 0 or a HomcobError with exit code 1 or 2."""
+    path.write_text(json.dumps(doc))
+    try:
+        text, code = run([*argv, str(path)])
+    except HomcobError as e:
+        assert e.exit_code in (1, 2), f"{argv} {where}: {type(e).__name__}: {e}"
+    else:
+        assert code == 0 and isinstance(text, str)
+
+
 @pytest.mark.parametrize("cmd", ALL_COMMANDS)
 @settings(max_examples=15, derandomize=True, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(data=st.data())
 def test_mutated_fixtures_exit_zero_one_or_two(fuzz_dir, cmd, data):
     argv, doc = data.draw(invocations(cmd))
-    path = fuzz_dir / "input.json"
-    path.write_text(json.dumps(doc))
-    try:
-        text, code = run([*argv, str(path)])
-    except HomcobError as e:
-        assert e.exit_code in (1, 2), f"{argv}: {type(e).__name__}: {e}"
-    else:
-        assert code == 0 and isinstance(text, str)
+    _check_outcome(argv, doc, fuzz_dir / "input.json")
+
+
+@pytest.mark.parametrize("kind", ["pin_model", "s1_model", "u_complex", "seifert"])
+def test_every_integer_moved_by_10_30_exits_zero_one_or_two(fuzz_dir, kind):
+    """The large perturbation on every integer of every input of `kind` in
+    the corpus in turn, under every command of that kind.  The examples
+    above seldom draw the one degree that can move alone (once in a sample
+    of 3000 mutated pin-model documents).  The simplicial inputs hold about
+    300 integers and are left to the examples."""
+    ran = 0
+    for doc in (d for d in CORPUS if d["kind"] == kind):
+        for where, value in _paths(doc):
+            if not isinstance(value, int) or isinstance(value, bool):
+                continue
+            for big in (-10**30, 10**30):
+                moved = copy.deepcopy(doc)
+                _parent(moved, where)[where[-1]] = value + big
+                for cmd in COMMANDS[kind]:
+                    argv = [cmd, "--p", "1"] if cmd == "v0" else [cmd]
+                    _check_outcome(argv, moved, fuzz_dir / "input.json", where)
+                    ran += 1
+    assert ran

@@ -9,7 +9,7 @@ from homcob.errors import InputError, InternalError
 from homcob.involutive import ConeComplex, UComplex
 from homcob.simplicial import ChainComplexZ, coboundary_matrix
 
-from helpers import check_snf_oracle, random_complex, snf_diagonal_oracle
+from helpers import check_snf_oracle, random_complex, snf_diagonal_oracle, snf_transforms
 
 
 def test_rank_empty_and_identity():
@@ -103,39 +103,38 @@ def test_solutions_satisfy_system():
 
 
 def test_snf_diag_2_3():
-    _, d, _ = la.smith_normal_form([[2, 0], [0, 3]])
-    assert [d[0][0], d[1][1]] == [1, 6]
+    assert la.smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
 
 
 def test_snf_identity():
-    _, d, _ = la.smith_normal_form(la.int_eye(3))
-    assert d == la.int_eye(3)
+    assert la.smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
 
 
 def test_snf_already_diagonal():
-    assert la.snf_diagonal([[2, 0], [0, 0]]) == [2, 0]
+    assert la.smith_normal_form([[2, 0], [0, 0]]) == [2, 0]
 
 
 def test_snf_known_torsion():
     # SNF of [[2,4],[6,8]]: determinant -8, gcd 2 -> diag(2, 4)
-    assert la.snf_diagonal([[2, 4], [6, 8]]) == [2, 4]
+    assert la.smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
 
 
 def test_snf_random_verified():
-    # smith_normal_form internally asserts U*m*V = D, unimodularity and
-    # the divisibility chain; this exercises it widely
+    # smith_normal_form replays its log of elementary operations on m and
+    # checks what is left and the divisibility chain; this exercises it
+    # widely
     rng = random.Random(3)
     for _ in range(40):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        diag = la.snf_diagonal(m)
-        assert all(x >= 0 for x in diag)
+        diag = la.smith_normal_form(m)
+        assert len(diag) == min(rows, cols) and all(x >= 0 for x in diag)
 
 
 def test_snf_entry_growth_matrix():
     # dense matrix with mixed magnitudes; arbitrary precision required
     m = [[(i * 37 + j * 101) % 25 - 12 for j in range(8)] for i in range(8)]
-    diag = la.snf_diagonal(m)
+    diag = la.smith_normal_form(m)
     for a, b in zip(diag, diag[1:]):
         if a != 0:
             assert b % a == 0
@@ -155,7 +154,7 @@ def test_int_det_matches_snf_product():
     for _ in range(20):
         n = rng.randint(1, 4)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        diag = la.snf_diagonal(m)
+        diag = la.smith_normal_form(m)
         prod = 1
         for x in diag:
             prod *= x
@@ -175,71 +174,81 @@ def _random_int_matrix(rng, rows, cols):
             for _ in range(rows)]
 
 
-def test_snf_diagonal_matches_determinantal_divisors():
+def _snf_certificate(monkeypatch, m):
+    """(diagonal, row log, column log, pivots) of the SNF of m, the logs
+    and pivots as smith_normal_form hands them to _check_snf."""
+    seen = []
+    check = la._check_snf
+    with monkeypatch.context() as patch:
+        patch.setattr(la, "_check_snf", lambda *args: seen.append(args) or check(*args))
+        diag = la.smith_normal_form(m)
+    _, row_log, col_log, pivots = seen[0]
+    return diag, list(row_log), list(col_log), list(pivots)
+
+
+def test_snf_diagonal_matches_determinantal_divisors(monkeypatch):
     rng = random.Random(47)
     for _ in range(150):
         m = _random_int_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        u, d, v = la.smith_normal_form(m)
-        check_snf_oracle(m, u, d, v)
-        assert la.snf_diagonal(m) == snf_diagonal_oracle(m)
+        diag, *log = _snf_certificate(monkeypatch, m)
+        check_snf_oracle(m, *snf_transforms(m, *log, diag))
+        assert diag == snf_diagonal_oracle(m)
+        assert la.smith_normal_form(la.int_transpose(m)) == diag
 
 
-def test_snf_of_boundary_matrices_passes_the_dense_check():
+def test_snf_of_boundary_matrices_passes_the_dense_check(monkeypatch):
     rng = random.Random(53)
     for _ in range(12):
         cc = ChainComplexZ.of(random_complex(rng, 8))
         for b in cc.boundaries:
-            u, d, v = la.smith_normal_form(b)
-            check_snf_oracle(b, u, d, v)
-
-
-def _snf_certificate(monkeypatch, m):
-    """(m, U, D, V, U^-1, V^-1) as smith_normal_form hands them to _check_snf."""
-    seen = []
-    with monkeypatch.context() as patch:
-        patch.setattr(la, "_check_snf", lambda *args: seen.append(args))
-        la.smith_normal_form(m)
-    return [[row[:] for row in x] for x in seen[0]]
+            diag, *log = _snf_certificate(monkeypatch, b)
+            check_snf_oracle(b, *snf_transforms(b, *log, diag))
 
 
 CERTIFIED = [[2, 4, 0], [6, 8, 1], [0, 3, 5], [1, 0, 0]]
 
 
-def test_snf_certificate_holds_and_catches_each_changed_entry_of_u(monkeypatch):
-    m, u, d, v, u_inv, v_inv = _snf_certificate(monkeypatch, CERTIFIED)
-    la._check_snf(m, u, d, v, u_inv, v_inv)
-    for i in range(len(u)):
-        for j in range(len(u)):
-            bad = [row[:] for row in u]
-            bad[i][j] += 1
-            with pytest.raises(InternalError, match="SNF verification failed"):
-                la._check_snf(m, bad, d, v, u_inv, v_inv)
+def test_snf_certificate_holds_and_catches_each_changed_q(monkeypatch):
+    diag, row_log, col_log, pivots = _snf_certificate(monkeypatch, CERTIFIED)
+    assert la._check_snf(CERTIFIED, row_log, col_log, pivots) == diag
+    assert row_log and col_log
+    for log in (row_log, col_log):
+        for k, (dst, src, q) in enumerate(log):
+            for dq in (-1, 1):
+                log[k] = (dst, src, q + dq)
+                with pytest.raises(InternalError, match="U\\*m\\*V != D"):
+                    la._check_snf(CERTIFIED, row_log, col_log, pivots)
+            log[k] = (dst, src, q)
 
 
-def test_snf_certificate_rejects_a_wrong_inverse(monkeypatch):
-    m, u, d, v, u_inv, v_inv = _snf_certificate(monkeypatch, CERTIFIED)
-    for i in range(len(v_inv)):
-        for j in range(len(v_inv)):
-            bad = [row[:] for row in v_inv]
-            bad[i][j] -= 1
+def test_snf_certificate_rejects_an_op_with_dst_equal_to_src(monkeypatch):
+    _, row_log, col_log, pivots = _snf_certificate(monkeypatch, CERTIFIED)
+    for log in (row_log, col_log):
+        for k, (dst, src, q) in enumerate(log):
+            log[k] = (src, src, q)
             with pytest.raises(InternalError, match="transform not unimodular"):
-                la._check_snf(m, u, d, v, u_inv, bad)
-    # U*m*V = D holds, but U = (2) has no inverse over Z
+                la._check_snf(CERTIFIED, row_log, col_log, pivots)
+            log[k] = (dst, src, q)
+    # row_0 -= -1 * row_0 turns (1) into (2), which is its own SNF, but the
+    # operation doubles a row and has no inverse over Z
     with pytest.raises(InternalError, match="transform not unimodular"):
-        la._check_snf([[1]], [[2]], [[2]], [[1]], [[1]], [[1]])
+        la._check_snf([[1]], [(0, 0, -1)], [], [(0, 0)])
 
 
 def test_snf_certificate_rejects_a_wrong_diagonal(monkeypatch):
-    m, u, d, v, u_inv, v_inv = _snf_certificate(monkeypatch, CERTIFIED)
-    bad = [row[:] for row in d]
-    bad[1][1] += 1
-    with pytest.raises(InternalError, match="U\\*m\\*V != D"):
-        la._check_snf(m, u, bad, v, u_inv, v_inv)
-    eye = la.int_eye(2)
-    for diag in ([2, 3], [0, 1], [-1, 1]):
+    _, row_log, col_log, pivots = _snf_certificate(monkeypatch, CERTIFIED)
+    (p, c), rest = pivots[0], pivots[1:]
+    free = next(i for i in range(4) if i not in {p for p, _ in pivots})
+    for bad in ([(free, c), *rest],     # a pivot moved off its entry
+                [*pivots, (free, c)],   # an extra pivot on a zero entry
+                [*pivots, (p, c)],      # the same pivot twice
+                rest):                  # a pivot left out
+        with pytest.raises(InternalError, match="U\\*m\\*V != D"):
+            la._check_snf(CERTIFIED, row_log, col_log, bad)
+    for diag in ([2, 3], [4, 2], [-2, 3]):
         m = [[diag[0], 0], [0, diag[1]]]
         with pytest.raises(InternalError, match="divisibility chain broken"):
-            la._check_snf(m, eye, m, eye, eye, eye)
+            la._check_snf(m, [], [], [(0, 0), (1, 1)])
 
 
 SHAPE_ROWS = (0, 1, 2, 5, 9, 40)

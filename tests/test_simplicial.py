@@ -283,6 +283,22 @@ def test_equal_complexes_keep_their_own_chain_complexes(monkeypatch):
     assert x1.same_class(x2)
 
 
+def test_same_class_needs_one_degree_and_one_complex():
+    h1, h2 = cohomology_basis(RP2, 1)[0], cohomology_basis(RP2, 2)[0]
+    assert len(h1.cochain) != len(h2.cochain)
+    # the boundary of the 3-simplex has 4 vertices and 4 triangles, so the
+    # cochains of H^0 and H^2 have the same length
+    h0, top = cohomology_basis(BDRY_D3, 0)[0], cohomology_basis(BDRY_D3, 2)[0]
+    assert len(h0.cochain) == len(top.cochain)
+    for x, y in ((h1, h2), (h2, h1), (h0, top), (top, h0)):
+        with pytest.raises(InputError, match="different degrees"):
+            x.same_class(y)
+    with pytest.raises(InputError, match="different complexes"):
+        cohomology_basis(RP2, 2)[0].same_class(cohomology_basis(suspension(RP2), 2)[0])
+    assert top.same_class(cohomology_basis(AbstractComplex.from_facets(
+        list(combinations(range(1, 5), 3))), 2)[0])
+
+
 @pytest.mark.parametrize("reduced", [False, True])
 def test_integral_homology_takes_one_snf_per_boundary(monkeypatch, reduced):
     snf = la.smith_normal_form
