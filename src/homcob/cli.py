@@ -242,7 +242,7 @@ def run(argv: list[str]) -> tuple[str, int]:
         v = _expect(data, "seifert")
         sig = signature(v)
         poly = alexander(v)
-        arf_val = arf(v) if v.size else 0
+        arf_val = arf(v)
         rep.add("signature", sig)
         rep.add("alexander", str(poly))
         rep.add("alexander_at_minus1", poly(-1))

@@ -1,12 +1,25 @@
 """Seifert-matrix knot invariants: signature, Alexander polynomial, Arf
 invariant, and the determinant-square slice obstruction.
 
-Everything is exact: the signature comes from rational congruence
-diagonalization of V + V^T; the Alexander polynomial det(V - t V^T), of
-degree at most 2g, from its values at t = 0..2g (integer determinants)
-by exact interpolation, checked at t = 2g + 1 and normalized so that
-D(t) = D(1/t) and D(1) = 1; the Arf invariant from |det(V + V^T)| =
-|D(-1)| mod 8, without the polynomial.
+Everything is exact and comes from integer (Bareiss) determinants.  A
+determinant whose entries are polynomials of degree at most 1 in t has
+degree at most n = size; `_det_poly` interpolates it from its values at
+t = 0..n (Newton divided differences over the rationals), requires
+integer coefficients and checks it at t = n + 1.
+
+- The Alexander polynomial is det(V - t V^T), normalized so that
+  D(t) = D(1/t) and D(1) = 1.
+- The signature of S = V + V^T is read from chi(t) = det(tI - S) by
+  Descartes' rule of signs: the sign changes of chi's coefficients count
+  the positive eigenvalues and those of chi(-t) the negative ones.  The
+  rule is exact because a symmetric matrix has only real eigenvalues.
+- The Arf invariant is |det(V + V^T)| = |D(-1)| mod 8, without the
+  polynomial.
+
+A validated V has det(V - V^T) = +-1, which gives laws: D(1) = +-1;
+D(t) = t^n D(1/t), so D can be centered; det S = det(V - V^T) mod 2 is
+odd, so S is nonsingular and its positive and negative eigenvalues add
+up to n.  A broken law is a bug and raises InternalError.
 """
 
 from __future__ import annotations
@@ -53,50 +66,6 @@ class SeifertMatrix:
         if "matrix" not in data:
             raise InputError("seifert input missing 'matrix'")
         return cls(data["matrix"])
-
-
-def signature(v: SeifertMatrix) -> int:
-    """Signature of V + V^T by exact congruence diagonalization; zero
-    eigenvalues contribute nothing."""
-    s = [[Fraction(x) for x in row] for row in v.symmetrized()]
-    n = len(s)
-    sig = 0
-    rows = list(range(n))
-    while rows:
-        # find a nonzero diagonal entry to pivot on
-        piv = next((i for i in rows if s[i][i] != 0), None)
-        if piv is None:
-            # all-zero diagonal: find an off-diagonal pair, which splits
-            # off a hyperbolic (+1, -1) block
-            pair = None
-            for i in rows:
-                for j in rows:
-                    if i != j and s[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                break  # zero block: no contribution
-            i, j = pair
-            # replace row/col i by i+j to create a nonzero diagonal entry
-            for k in range(n):
-                s[i][k] += s[j][k]
-            for k in range(n):
-                s[k][i] += s[k][j]
-            piv = i
-        sig += 1 if s[piv][piv] > 0 else -1
-        rows.remove(piv)
-        for i in rows:
-            if s[i][piv] != 0:
-                coef = s[i][piv] / s[piv][piv]
-                for k in range(n):
-                    s[i][k] -= coef * s[piv][k]
-                for k in range(n):
-                    s[k][i] -= coef * s[k][piv]
-    if sig % 2:
-        raise InputError("odd signature: invalid Seifert matrix")
-    return sig
 
 
 @dataclass
@@ -188,39 +157,70 @@ def _interpolate(values: list[int]) -> list[Fraction]:
     return poly
 
 
+def _det_poly(at, n: int, what: str) -> LaurentPoly:
+    """det(at(t)) for a square matrix at(t) whose entries are polynomials of
+    degree at most 1 in t, so the determinant has degree at most n = size.
+
+    It is interpolated from its values at t = 0..n and checked at
+    t = n + 1; every value is one integer (Bareiss) determinant.
+    """
+    coeffs = _interpolate([la.int_det(at(t)) for t in range(n + 1)])
+    if any(c.denominator != 1 for c in coeffs):
+        raise InternalError(f"{what} interpolation has non-integer coefficients")
+    det = LaurentPoly(dict(enumerate(coeffs)))
+    if det(n + 1) != la.int_det(at(n + 1)):
+        raise InternalError(f"{what} interpolation disagrees with the determinant at t = {n + 1}")
+    return det
+
+
+def signature(v: SeifertMatrix) -> int:
+    """Signature of S = V + V^T by Descartes' rule of signs on
+    chi(t) = det(tI - S): sign changes of chi's coefficients count the
+    positive eigenvalues, those of chi(-t) the negative ones.  The count is
+    exact because a symmetric matrix has only real eigenvalues."""
+    s = v.symmetrized()
+    n = v.size
+    chi = _det_poly(
+        lambda t: [[t * (i == j) - s[i][j] for j in range(n)] for i in range(n)],
+        n,
+        "characteristic polynomial",
+    )
+    exps = sorted(chi.coeffs)
+    pos = _sign_changes([chi.coeffs[e] for e in exps])
+    neg = _sign_changes([(-1) ** e * chi.coeffs[e] for e in exps])
+    if pos + neg != n:
+        raise InternalError(
+            f"Descartes' count finds {pos} positive and {neg} negative eigenvalues"
+            f" of V + V^T of size {n}, but det(V + V^T) is odd"
+        )
+    return pos - neg
+
+
+def _sign_changes(coeffs: list[int]) -> int:
+    """Sign changes along a list of nonzero integers."""
+    return sum(a * b < 0 for a, b in zip(coeffs, coeffs[1:]))
+
+
 def alexander(v: SeifertMatrix) -> LaurentPoly:
     """det(V - t V^T), shifted to be symmetric in t <-> 1/t and signed so
-    the value at 1 is +1.
-
-    The determinant has degree at most n = size, so it is interpolated
-    from its values at t = 0..n and checked at t = n + 1; every value is
-    one integer determinant.
-    """
+    the value at 1 is +1."""
     n = v.size
-    if n == 0:
-        return LaurentPoly.one()
-
-    def value(t: int) -> int:
-        return la.int_det([[v.v[i][j] - t * v.v[j][i] for j in range(n)] for i in range(n)])
-
-    coeffs = _interpolate([value(t) for t in range(n + 1)])
-    if any(c.denominator != 1 for c in coeffs):
-        raise InternalError("Alexander interpolation has non-integer coefficients")
-    det = LaurentPoly(dict(enumerate(coeffs)))
-    if det(n + 1) != value(n + 1):
-        raise InternalError(f"Alexander interpolation disagrees with the determinant at t = {n + 1}")
+    det = _det_poly(
+        lambda t: [[v.v[i][j] - t * v.v[j][i] for j in range(n)] for i in range(n)],
+        n,
+        "Alexander",
+    )
     if not det.coeffs:
-        raise InputError("vanishing Alexander determinant: invalid Seifert matrix")
+        raise InternalError("vanishing Alexander determinant, but det(V - V^T) = +-1")
     exps = sorted(det.coeffs)
-    center = Fraction(exps[0] + exps[-1], 2)
-    if center.denominator != 1:
-        raise InputError("Alexander determinant cannot be symmetrized")
-    det = det.shift(-int(center))
+    if (exps[0] + exps[-1]) % 2:
+        raise InternalError("Alexander determinant cannot be symmetrized")
+    det = det.shift(-(exps[0] + exps[-1]) // 2)
     if not det.is_symmetric():
-        raise InputError("Alexander determinant is not symmetric after centering")
+        raise InternalError("Alexander determinant is not symmetric after centering")
     at_one = det(1)
     if abs(at_one) != 1:
-        raise InputError(f"Alexander value at 1 is {at_one}, not a unit")
+        raise InternalError(f"Alexander value at 1 is {at_one}, not a unit")
     if at_one == -1:
         det = -det
     return det
@@ -231,22 +231,14 @@ def arf(v: SeifertMatrix) -> int:
     |Delta(-1)| = |det(V + V^T)|."""
     a = abs(la.int_det(v.symmetrized()))
     if a % 2 == 0:
-        raise InputError("even determinant: invalid Seifert matrix for a knot")
-    r = a % 8
-    if r in (1, 7):
-        return 0
-    if r in (3, 5):
-        return 1
-    raise InputError(f"impossible odd residue {r}")  # unreachable
+        raise InternalError("det(V + V^T) is even, but det(V - V^T) = +-1")
+    return 0 if a % 8 in (1, 7) else 1
 
 
 def fox_milnor_obstruction(p: LaurentPoly) -> str:
     """Necessary slice condition: |Delta(-1)| must be a perfect square.
     Returns "obstructed" or "unknown" (the test is one-sided)."""
-    val = p(-1)
-    if val.denominator != 1:
-        raise InputError("polynomial has non-integer values")
-    a = abs(int(val))
+    a = abs(int(p(-1)))
     return UNKNOWN if isqrt(a) ** 2 == a else OBSTRUCTED
 
 

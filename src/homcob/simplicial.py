@@ -428,15 +428,12 @@ def bockstein_sq1(x: CohomologyClass) -> CohomologyClass:
     cc = ChainComplexZ.of(x.complex)
     d = x.dim
     bnd = cc.boundary(d + 1)  # C_{d+1} -> C_d over Z
-    n_up = len(cc.generators[d + 1]) if d + 1 < len(cc.generators) else 0
     lift = [int(v) for v in x.cochain]
-    out = []
-    for j in range(n_up):
-        # integral coboundary evaluated on the j-th (d+1)-simplex
-        val = sum(bnd[i][j] * lift[i] for i in range(len(lift))) if lift else 0
-        if val % 2 != 0:
-            raise InternalError("integral coboundary of a mod-2 cocycle is odd")
-        out.append((val // 2) % 2)
+    # the integral coboundary, one value per (d+1)-simplex
+    vals = la.int_mul([lift], bnd)[0]
+    if any(val % 2 for val in vals):
+        raise InternalError("integral coboundary of a mod-2 cocycle is odd")
+    out = [(val // 2) % 2 for val in vals]
     return CohomologyClass(x.complex, d + 1, np.array(out, dtype=np.uint8))
 
 

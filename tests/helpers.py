@@ -209,6 +209,51 @@ def alexander_oracle(v: SeifertMatrix) -> LaurentPoly:
     return -det if det(1) == -1 else det
 
 
+def signature_oracle(v: SeifertMatrix) -> int:
+    """Signature of V + V^T by exact congruence diagonalization over the
+    rationals, row and column operations in pairs; zero eigenvalues
+    contribute nothing."""
+    s = [[Fraction(x) for x in row] for row in v.symmetrized()]
+    n = len(s)
+    sig = 0
+    rows = list(range(n))
+    while rows:
+        # find a nonzero diagonal entry to pivot on
+        piv = next((i for i in rows if s[i][i] != 0), None)
+        if piv is None:
+            # all-zero diagonal: find an off-diagonal pair, which splits
+            # off a hyperbolic (+1, -1) block
+            pair = None
+            for i in rows:
+                for j in rows:
+                    if i != j and s[i][j] != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                break  # zero block: no contribution
+            i, j = pair
+            # replace row/col i by i+j to create a nonzero diagonal entry
+            for k in range(n):
+                s[i][k] += s[j][k]
+            for k in range(n):
+                s[k][i] += s[k][j]
+            piv = i
+        sig += 1 if s[piv][piv] > 0 else -1
+        rows.remove(piv)
+        for i in rows:
+            if s[i][piv] != 0:
+                coef = s[i][piv] / s[piv][piv]
+                for k in range(n):
+                    s[i][k] -= coef * s[piv][k]
+                for k in range(n):
+                    s[k][i] -= coef * s[k][piv]
+    if sig % 2:
+        raise InputError("odd signature: invalid Seifert matrix")
+    return sig
+
+
 # ---------------------------------------------------------------------------
 # simplicial
 

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from homcob import f2linalg as la
+from homcob import knot
+from homcob.cli import main
 from homcob.errors import InputError, InternalError
 from homcob.knot import (
     LaurentPoly,
@@ -16,7 +18,7 @@ from homcob.knot import (
     signature,
 )
 
-from helpers import alexander_oracle
+from helpers import alexander_oracle, signature_oracle
 
 UNKNOT = SeifertMatrix([])
 TREFOIL = SeifertMatrix([[-1, 1], [0, -1]])
@@ -218,15 +220,81 @@ def test_arf_reads_the_alexander_value_at_minus_one():
 @pytest.mark.parametrize("v", [TREFOIL, SeifertMatrix(_block_sum([FIG8.v, TREFOIL.v, FIG8.v]))])
 def test_interpolation_check_catches_one_wrong_sample(monkeypatch, v):
     exact = la.int_det
-    for wrong in range(v.size + 2):  # samples t = 0..n and the check at n + 1
-        calls = []
+    for invariant, what in ((alexander, "Alexander"), (signature, "characteristic polynomial")):
+        for wrong in range(v.size + 2):  # samples t = 0..n and the check at n + 1
+            calls = []
 
-        def int_det(a):
-            calls.append(a)
-            return exact(a) + (len(calls) - 1 == wrong)
+            def int_det(a):
+                calls.append(a)
+                return exact(a) + (len(calls) - 1 == wrong)
 
-        monkeypatch.setattr(la, "int_det", int_det)
-        with pytest.raises(InternalError, match="Alexander interpolation"):
-            alexander(v)
-        monkeypatch.setattr(la, "int_det", exact)
-        assert len(calls) > wrong
+            monkeypatch.setattr(la, "int_det", int_det)
+            with pytest.raises(InternalError, match=f"{what} interpolation"):
+                invariant(v)
+            monkeypatch.setattr(la, "int_det", exact)
+            assert len(calls) > wrong
+
+
+HYPERBOLIC = [[0, 1], [0, 0]]  # V + V^T has a zero diagonal
+
+
+def test_signature_matches_congruence_oracle():
+    rng = random.Random(73)
+    cases = []
+    for genus in range(1, 8):
+        for _ in range(4 if genus < 6 else 2):
+            v = _random_seifert(rng, 2 * genus)
+            cases += [v, SeifertMatrix(_dense_congruence(rng, v.v))]
+    for blocks in ([HYPERBOLIC], [HYPERBOLIC] * 3, [HYPERBOLIC, TREFOIL.v, HYPERBOLIC, FIG8.v]):
+        v = SeifertMatrix(_block_sum(blocks))
+        cases += [v, SeifertMatrix(_dense_congruence(rng, v.v))]
+    # chi(t) = t^4 + 6t^3 + 9t^2 - 3: one sign change, and chi(-t) has
+    # three, one of them across the zero coefficient of t
+    zero_gap = SeifertMatrix([[-1, 1, -1, 0], [0, 0, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]])
+    s = zero_gap.symmetrized()
+    chi = knot._det_poly(lambda t: [[t * (i == j) - s[i][j] for j in range(4)] for i in range(4)],
+                         4, "characteristic polynomial")
+    assert chi == LaurentPoly({4: 1, 3: 6, 2: 9, 0: -3})
+    assert signature(zero_gap) == -2
+    # chi(t) = (t^2 - 5)^2: only even powers
+    cases += [zero_gap, SeifertMatrix(_block_sum([FIG8.v, FIG8.v]))]
+    for v in cases:
+        assert signature(v) == signature_oracle(v)
+
+
+def _det_poly_returning(what, poly):
+    """Patch knot._det_poly to return `poly` for the determinant named `what`."""
+    def patch(monkeypatch):
+        exact = knot._det_poly
+        monkeypatch.setattr(knot, "_det_poly",
+                            lambda at, n, name: poly if name == what else exact(at, n, name))
+    return patch
+
+
+def _even_det_of_trefoil_symmetrization(monkeypatch):
+    exact = la.int_det
+    s = TREFOIL.symmetrized()
+    monkeypatch.setattr(la, "int_det", lambda a: 2 * exact(a) if a == s else exact(a))
+
+
+@pytest.mark.parametrize("invariant, message, patch", [
+    (alexander, "vanishing Alexander determinant",
+     _det_poly_returning("Alexander", LaurentPoly.zero())),
+    (alexander, "cannot be symmetrized",
+     _det_poly_returning("Alexander", LaurentPoly({0: 1, 1: 1}))),
+    (alexander, "not symmetric after centering",
+     _det_poly_returning("Alexander", LaurentPoly({0: 1, 1: 2, 2: 3}))),
+    (alexander, "not a unit",
+     _det_poly_returning("Alexander", LaurentPoly({0: 1, 1: 1, 2: 1}))),
+    (signature, "Descartes' count",
+     _det_poly_returning("characteristic polynomial", LaurentPoly({0: 1, 2: 1}))),
+    (arf, "is even", _even_det_of_trefoil_symmetrization),
+], ids=["vanishing", "odd-span", "asymmetric", "non-unit", "descartes", "even-det"])
+def test_each_broken_seifert_law_raises_internal_error(monkeypatch, capsys, invariant, message,
+                                                       patch):
+    """Each law that det(V - V^T) = +-1 implies, broken on the trefoil."""
+    patch(monkeypatch)
+    with pytest.raises(InternalError, match=message):
+        invariant(TREFOIL)
+    assert main(["knot", "fixtures:trefoil"]) == 3
+    assert "InternalError" in capsys.readouterr().err
