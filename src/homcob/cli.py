@@ -242,7 +242,7 @@ def run(argv: list[str]) -> tuple[str, int]:
         v = _expect(data, "seifert")
         sig = signature(v)
         poly = alexander(v)
-        arf_val = arf(v)
+        arf_val = arf(poly)
         rep.add("signature", sig)
         rep.add("alexander", str(poly))
         rep.add("alexander_at_minus1", poly(-1))
@@ -312,7 +312,7 @@ def _run_simplicial(cmd, args, k: AbstractComplex, rep: Report):
         )
         for r in reports:
             if r.certified_sphere is False or not r.homology_sphere:
-                rep.add(f"failing_{','.join(map(str, r.simplex))}", r.verdict())
+                rep.add(f"failing_{','.join(map(str, r.simplex))}", "not-sphere")
             elif r.pi1_order is not None:
                 rep.add(f"pi1_{','.join(map(str, r.simplex))}", r.pi1_order)
 

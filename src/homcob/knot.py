@@ -13,8 +13,9 @@ integer coefficients and checks it at t = n + 1.
   Descartes' rule of signs: the sign changes of chi's coefficients count
   the positive eigenvalues and those of chi(-t) the negative ones.  The
   rule is exact because a symmetric matrix has only real eigenvalues.
-- The Arf invariant is |det(V + V^T)| = |D(-1)| mod 8, without the
-  polynomial.
+- The Arf invariant is read from |D(-1)| = |det(V + V^T)| mod 8, a value
+  of the Alexander polynomial already computed, so it takes no determinant
+  of its own.
 
 A validated V has det(V - V^T) = +-1, which gives laws: D(1) = +-1;
 D(t) = t^n D(1/t), so D can be centered; det S = det(V - V^T) mod 2 is
@@ -50,7 +51,7 @@ class SeifertMatrix:
         skew = [
             [self.v[i][j] - self.v[j][i] for j in range(n)] for i in range(n)
         ]
-        if n and abs(la.int_det(skew)) != 1:
+        if abs(la.int_det(skew)) != 1:
             raise InputError("V - V^T is not unimodular")
         self.size = n
 
@@ -226,12 +227,13 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
     return det
 
 
-def arf(v: SeifertMatrix) -> int:
-    """Arf invariant from |Delta(-1)| mod 8 (0 for +-1, 1 for +-3), where
-    |Delta(-1)| = |det(V + V^T)|."""
-    a = abs(la.int_det(v.symmetrized()))
+def arf(p: LaurentPoly) -> int:
+    """Arf invariant of the knot with Alexander polynomial p, from
+    |p(-1)| = |det(V + V^T)| mod 8 (0 for +-1, 1 for +-3).  p(-1) = p(1)
+    mod 2, and p(1) = 1, so an even value is a bug."""
+    a = abs(int(p(-1)))
     if a % 2 == 0:
-        raise InternalError("det(V + V^T) is even, but det(V - V^T) = +-1")
+        raise InternalError(f"Alexander value {a} at -1 is even, but the value at 1 is 1")
     return 0 if a % 8 in (1, 7) else 1
 
 

@@ -5,7 +5,8 @@ orientation follows ascending vertex order with alternating signs, so all
 chain-level data is reproducible.  Provides the neighborhood operations
 (closure, star, link), joins and suspensions, integral and mod-2
 (co)homology, the integral Bockstein on mod-2 cohomology, edge-path
-fundamental-group presentations, and link-based manifold scans.
+fundamental-group presentations, and link-based manifold scans, where an
+exact sphere recognizer answers before any homology is computed.
 """
 
 from __future__ import annotations
@@ -115,13 +116,9 @@ class AbstractComplex:
         return sorted(s for s in self.simplices if len(s) == d + 1)
 
     def facets(self) -> list[Simplex]:
-        """Maximal simplices."""
-        out = []
-        for s in self.simplices:
-            sset = set(s)
-            if not any(len(t) > len(s) and sset < set(t) for t in self.simplices):
-                out.append(s)
-        return sorted(out)
+        """Maximal simplices: those that are no codimension-1 face of another."""
+        covered = {f for s in self.simplices for f in combinations(s, len(s) - 1)}
+        return sorted(self.simplices - covered)
 
     def is_pure(self) -> bool:
         d = self.dimension()
@@ -300,9 +297,6 @@ class HomologyGroup:
         parts = ["Z"] * self.free_rank + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
 
-    def is_zero(self):
-        return self.free_rank == 0 and not self.torsion
-
 
 def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
     """Simplicial homology.
@@ -337,10 +331,6 @@ def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
     return out
 
 
-def betti_numbers(k: AbstractComplex, reduced=False) -> list[int]:
-    return [h.free_rank for h in homology(k, "Z", reduced)]
-
-
 def is_homology_sphere(k: AbstractComplex, dim: int) -> bool:
     """Does k have the integral homology of S^dim?  (dim >= 0; S^0 allowed.)"""
     if k.dimension() != dim:
@@ -351,20 +341,6 @@ def is_homology_sphere(k: AbstractComplex, dim: int) -> bool:
         if g.free_rank != want or g.torsion:
             return False
     return True
-
-
-def is_f2_homology_sphere(k: AbstractComplex, dim: int) -> bool:
-    """Mod-2 counterpart of is_homology_sphere."""
-    if k.dimension() != dim:
-        return False
-    dims = homology(k, "F2")
-    if dim == 0:
-        return dims[0] == 2
-    return (
-        dims[0] == 1
-        and dims[dim] == 1
-        and all(dims[d] == 0 for d in range(1, dim))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +384,6 @@ class CohomologyClass:
             return not self.cochain.any()
         delta = coboundary_matrix(cc, self.dim - 1)
         return la.solve_f2(delta, self.cochain) is not None
-
-    def same_class(self, other: "CohomologyClass") -> bool:
-        if self.dim != other.dim:
-            raise InputError(f"classes of different degrees {self.dim} and {other.dim}")
-        if self.complex is not other.complex and self.complex != other.complex:
-            raise InputError("classes on different complexes")
-        diff = CohomologyClass(self.complex, self.dim, self.cochain ^ other.cochain)
-        return diff.is_zero_class()
 
 
 def bockstein_sq1(x: CohomologyClass) -> CohomologyClass:
@@ -577,8 +545,16 @@ def _is_closed_surface(k: AbstractComplex) -> bool:
     return all(_is_circle(k.link((v,))) for v in k.vertices) and k.is_connected()
 
 
-def _is_two_sphere(k: AbstractComplex) -> bool:
-    return _is_closed_surface(k) and k.euler_characteristic() == 2
+def _certified_sphere(k: AbstractComplex) -> bool | None:
+    """Is k a sphere?  Decided exactly in dimensions 0, 1 and 2; None above."""
+    d = k.dimension()
+    if d == 0:
+        return len(k.vertices) == 2
+    if d == 1:
+        return _is_circle(k)
+    if d == 2:
+        return _is_closed_surface(k) and k.euler_characteristic() == 2
+    return None
 
 
 @dataclass
@@ -586,24 +562,8 @@ class LinkReport:
     simplex: Simplex
     link_dim: int
     homology_sphere: bool
-    f2_homology_sphere: bool
     certified_sphere: bool | None  # exact answer where decidable, else None
     pi1_order: int | str | None = None  # int, "exceeded", or None if not asked
-
-    def verdict(self) -> str:
-        if self.certified_sphere is True:
-            return "sphere"
-        if self.certified_sphere is False:
-            return "not-sphere"
-        if not self.homology_sphere:
-            return "not-sphere"
-        if self.pi1_order == 1:
-            return "homology-sphere-pi1-trivial"
-        if isinstance(self.pi1_order, int):
-            return "homology-sphere-pi1-order-%d" % self.pi1_order
-        if self.pi1_order == "exceeded":
-            return "homology-sphere-pi1-unknown"
-        return "homology-sphere"
 
 
 def link_manifold_scan(
@@ -611,8 +571,10 @@ def link_manifold_scan(
 ) -> list[LinkReport]:
     """Check every link of codimension >= 1 against the sphere it should be.
 
-    Dimension-1 links get an exact circle test, dimension-2 links an exact
-    sphere test (closed surface with Euler characteristic 2); dimension-3
+    An exact recognizer answers first for links of dimension 0, 1 and 2
+    (two points, a circle, a closed surface with Euler characteristic 2).
+    A sphere has the homology of one, so only the links it does not certify
+    get the integral homology test (one SNF per boundary).  Dimension-3
     links are reported as homology spheres with optional fundamental-group
     certification through coset enumeration, whose limit is checked up
     front.  No sphere recognition is attempted above link dimension 2.
@@ -632,19 +594,12 @@ def link_manifold_scan(
         if codim < 1:
             continue
         lk = k.link(s)
-        ld = codim - 1
-        hs = is_homology_sphere(lk, ld)
-        hs2 = hs or is_f2_homology_sphere(lk, ld)  # a Z-sphere is an F2-sphere (UCT)
-        cert: bool | None = None
-        if ld == 0:
-            cert = len(lk.vertices) == 2
-        elif ld == 1:
-            cert = _is_circle(lk)
-        elif ld == 2:
-            cert = _is_two_sphere(lk)
+        ld = codim - 1  # the dimension of lk, since k is pure
+        cert = _certified_sphere(lk)
+        hs = cert is True or is_homology_sphere(lk, ld)
         pi1: int | str | None = None
         if certify_pi1 and ld == 3 and hs and lk.is_connected():
             pres = fundamental_group(lk)
             pi1 = coset_enumeration(pres, coset_limit)
-        reports.append(LinkReport(s, ld, hs, hs2, cert, pi1))
+        reports.append(LinkReport(s, ld, hs, cert, pi1))
     return reports

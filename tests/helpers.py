@@ -22,7 +22,13 @@ from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import GradedComplex, Homology, ladder_window
 from homcob.involutive import DEFAULT_MARGIN, ConeComplex, IotaMap, UComplex, _forced_power
 from homcob.knot import LaurentPoly, SeifertMatrix
-from homcob.simplicial import AbstractComplex, GroupPresentation
+from homcob.simplicial import (
+    AbstractComplex,
+    CohomologyClass,
+    GroupPresentation,
+    HomologyGroup,
+    homology,
+)
 from homcob.toddcoxeter import EXCEEDED
 
 
@@ -275,6 +281,33 @@ def link_oracle(k: AbstractComplex, tau) -> AbstractComplex:
     tset = set(tau)
     simps = {s for s in k.closure(k.star(tau)) if not (tset & set(s))}
     return AbstractComplex(sorted({v for s in simps for v in s}), simps)
+
+
+def facets_oracle(k: AbstractComplex) -> list:
+    """Simplices that are a proper subset of no other simplex, by comparing
+    every pair: the reference for AbstractComplex.facets."""
+    return sorted(
+        s for s in k.simplices
+        if not any(len(t) > len(s) and set(s) < set(t) for t in k.simplices)
+    )
+
+
+def betti_numbers(k: AbstractComplex, reduced=False) -> list[int]:
+    return [h.free_rank for h in homology(k, "Z", reduced)]
+
+
+def is_zero(g: HomologyGroup) -> bool:
+    return g.free_rank == 0 and not g.torsion
+
+
+def same_class(x: CohomologyClass, y: CohomologyClass) -> bool:
+    """Do two mod-2 cocycles of one degree on one complex represent the
+    same cohomology class?"""
+    if x.dim != y.dim:
+        raise InputError(f"classes of different degrees {x.dim} and {y.dim}")
+    if x.complex is not y.complex and x.complex != y.complex:
+        raise InputError("classes on different complexes")
+    return CohomologyClass(x.complex, x.dim, x.cochain ^ y.cochain).is_zero_class()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from homcob import cli
 from homcob import f2linalg as la
 from homcob import knot
 from homcob.cli import main
@@ -33,6 +34,13 @@ def test_validation_rejects_odd_size():
 def test_validation_rejects_degenerate_pairing():
     with pytest.raises(InputError):
         SeifertMatrix([[1, 0], [0, 1]])
+
+
+def test_empty_matrix_loads():
+    # the unimodularity check needs no size guard: the 0x0 determinant is 1
+    assert la.int_det([]) == 1
+    v = SeifertMatrix.from_json({"kind": "seifert", "matrix": []})
+    assert v.size == 0 and v.to_json() == UNKNOT.to_json() == {"kind": "seifert", "matrix": []}
 
 
 def test_signature_unknot():
@@ -69,12 +77,13 @@ def test_alexander_figure_eight():
 
 
 def test_arf_values():
-    assert arf(TREFOIL) == 1  # |Delta(-1)| = 3
-    assert arf(FIG8) == 1     # |Delta(-1)| = 5 = -3 mod 8
+    assert arf(alexander(UNKNOT)) == 0   # |Delta(-1)| = 1
+    assert arf(alexander(TREFOIL)) == 1  # |Delta(-1)| = 3
+    assert arf(alexander(FIG8)) == 1     # |Delta(-1)| = 5 = -3 mod 8
     granny = SeifertMatrix(
         [[-1, 1, 0, 0], [0, -1, 0, 0], [0, 0, -1, 1], [0, 0, 0, -1]]
     )
-    assert arf(granny) == 0   # |Delta(-1)| = 9
+    assert arf(alexander(granny)) == 0   # |Delta(-1)| = 9
 
 
 def test_fox_milnor():
@@ -108,13 +117,13 @@ def test_signature_is_even():
 def test_unimodular_congruence_invariance():
     rng = random.Random(30)
     for base in (TREFOIL, FIG8):
-        sig0, poly0, arf0 = signature(base), alexander(base), arf(base)
+        sig0, poly0 = signature(base), alexander(base)
         for _ in range(10):
             s = _random_unimodular(rng, 2)
             st = [[s[j][i] for j in range(2)] for i in range(2)]
             conj = SeifertMatrix(_mat_mul(_mat_mul(s, base.v), st))
             assert signature(conj) == sig0
-            assert arf(conj) == arf0
+            assert arf(alexander(conj)) == arf(poly0)
             # Alexander polynomial is invariant up to the fixed normalization
             assert alexander(conj) == poly0
 
@@ -203,7 +212,7 @@ def test_block_sums_add_up_to_genus_twenty():
             want = want * alexander(part)
         assert alexander(v) == want
         assert signature(v) == sum(signature(part) for part in parts)
-        assert arf(v) == sum(arf(part) for part in parts) % 2
+        assert arf(alexander(v)) == sum(arf(alexander(part)) for part in parts) % 2
 
 
 def test_arf_reads_the_alexander_value_at_minus_one():
@@ -212,9 +221,11 @@ def test_arf_reads_the_alexander_value_at_minus_one():
         v = _random_seifert(rng, 2 * rng.randint(1, 5))
         if rng.random() < 0.5:
             v = SeifertMatrix(_dense_congruence(rng, v.v))
-        at_minus1 = abs(int(alexander(v)(-1)))
+        poly = alexander(v)
+        at_minus1 = abs(int(poly(-1)))
+        # |Delta(-1)| = |det(V + V^T)|: the value arf reads is this determinant
         assert abs(la.int_det(v.symmetrized())) == at_minus1
-        assert arf(v) == (0 if at_minus1 % 8 in (1, 7) else 1)
+        assert arf(poly) == (0 if at_minus1 % 8 in (1, 7) else 1)
 
 
 @pytest.mark.parametrize("v", [TREFOIL, SeifertMatrix(_block_sum([FIG8.v, TREFOIL.v, FIG8.v]))])
@@ -271,10 +282,16 @@ def _det_poly_returning(what, poly):
     return patch
 
 
-def _even_det_of_trefoil_symmetrization(monkeypatch):
-    exact = la.int_det
-    s = TREFOIL.symmetrized()
-    monkeypatch.setattr(la, "int_det", lambda a: 2 * exact(a) if a == s else exact(a))
+def _even_alexander_value_at_minus_one(monkeypatch):
+    """Hand arf, in the tests and in the CLI, an Alexander polynomial whose
+    value at -1 is even (-2)."""
+    even = LaurentPoly({-1: 1, 1: 1})
+    monkeypatch.setattr(knot, "alexander", lambda v: even)
+    monkeypatch.setattr(cli, "alexander", lambda v: even)
+
+
+def _arf_of_alexander(v):
+    return arf(knot.alexander(v))
 
 
 @pytest.mark.parametrize("invariant, message, patch", [
@@ -288,7 +305,7 @@ def _even_det_of_trefoil_symmetrization(monkeypatch):
      _det_poly_returning("Alexander", LaurentPoly({0: 1, 1: 1, 2: 1}))),
     (signature, "Descartes' count",
      _det_poly_returning("characteristic polynomial", LaurentPoly({0: 1, 2: 1}))),
-    (arf, "is even", _even_det_of_trefoil_symmetrization),
+    (_arf_of_alexander, "is even", _even_alexander_value_at_minus_one),
 ], ids=["vanishing", "odd-span", "asymmetric", "non-unit", "descartes", "even-det"])
 def test_each_broken_seifert_law_raises_internal_error(monkeypatch, capsys, invariant, message,
                                                        patch):

@@ -5,19 +5,20 @@ import numpy as np
 import pytest
 
 from homcob import f2linalg as la
+from homcob import fixtures
+from homcob.cli import parse_input
 from homcob.errors import InputError, InternalError
 from homcob.simplicial import (
     AbstractComplex,
     ChainComplexZ,
     CohomologyClass,
+    _certified_sphere,
     bockstein_sq1,
-    betti_numbers,
     cohomology_basis,
     cone,
     coboundary_matrix,
     fundamental_group,
     homology,
-    is_f2_homology_sphere,
     is_homology_sphere,
     join,
     link_manifold_scan,
@@ -25,7 +26,15 @@ from homcob.simplicial import (
 )
 from homcob.toddcoxeter import coset_enumeration
 
-from helpers import greedy_reps, link_oracle, random_complex
+from helpers import (
+    betti_numbers,
+    facets_oracle,
+    greedy_reps,
+    is_zero,
+    link_oracle,
+    random_complex,
+    same_class,
+)
 
 TRIANGLE_EDGE = AbstractComplex.from_facets([[1, 3, 4], [1, 2]])
 BDRY_D3 = AbstractComplex.from_facets(list(combinations(range(1, 5), 3)))
@@ -154,16 +163,55 @@ def _pure_random_complex(rng: random.Random) -> AbstractComplex:
     return AbstractComplex.from_facets(facets)
 
 
-def test_scan_f2_field_matches_f2_reduction():
+def test_scan_homology_sphere_field_matches_snf():
     rng = random.Random(23)
     complexes = _scan_complexes() + [_pure_random_complex(rng) for _ in range(80)]
     z_spheres = others = 0
     for k in complexes:
         for r in link_manifold_scan(k):
-            assert r.f2_homology_sphere == is_f2_homology_sphere(k.link(r.simplex), r.link_dim)
+            assert r.homology_sphere == is_homology_sphere(k.link(r.simplex), r.link_dim)
             z_spheres += r.homology_sphere
             others += not r.homology_sphere
     assert z_spheres >= 100 and others >= 100
+
+
+def _fixture_family():
+    """Every simplicial fixture with its suspension and double suspension."""
+    out = []
+    for name in fixtures.fixture_names():
+        if fixtures.describe(name) == "simplicial":
+            k = parse_input(fixtures.load_raw(name))
+            out += [k, suspension(k), suspension(suspension(k))]
+    return out
+
+
+def test_certified_link_is_a_homology_sphere():
+    """The law the scan's order rests on: a link the recognizer certifies
+    has the integral homology of a sphere, so no SNF needs to confirm it."""
+    seen = {True: 0, False: 0, None: 0}
+    for k in _fixture_family():
+        scanned = k.is_pure() and k.dimension() <= 4
+        reports = {r.simplex: r for r in link_manifold_scan(k)} if scanned else {}
+        for s in k.simplices:
+            lk = k.link(s)
+            cert, hs = _certified_sphere(lk), is_homology_sphere(lk, lk.dimension())
+            assert cert is not True or hs, (k, s)
+            seen[cert] += 1
+            if s in reports:
+                assert (reports[s].certified_sphere, reports[s].homology_sphere) == (cert, hs)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_facets_match_pairwise_definition():
+    circle = AbstractComplex.from_facets([[1, 2], [2, 3], [1, 3]])
+    complexes = _fixture_family() + [
+        AbstractComplex.empty(), TRIANGLE_EDGE, join(RP2, circle), join(TRIANGLE_EDGE, circle),
+        cone(TORUS7), AbstractComplex.from_facets([[1], [2, 3], [4, 5, 6]], vertices=[7]),
+    ]
+    complexes += [k.link(s) for k in complexes for s in k.simplices]
+    for k in complexes:
+        assert k.facets() == facets_oracle(k), k
+    assert AbstractComplex.empty().facets() == []
 
 
 # -- joins, cones, suspensions ----------------------------------------------
@@ -185,7 +233,7 @@ def test_suspension_of_bdry_d3_is_s3():
 def test_cone_is_acyclic():
     c = cone(TORUS7)
     for g in homology(c, "Z", reduced=True):
-        assert g.is_zero()
+        assert is_zero(g)
 
 
 def test_suspension_shifts_reduced_homology():
@@ -197,11 +245,11 @@ def test_suspension_shifts_reduced_homology():
         for d, g in enumerate(hk):
             target = hs[d + 1] if d + 1 < len(hs) else None
             if target is None:
-                assert g.is_zero()
+                assert is_zero(g)
             else:
                 assert (g.free_rank, g.torsion) == (target.free_rank, target.torsion)
         if hs:
-            assert hs[0].is_zero()
+            assert is_zero(hs[0])
 
 
 # -- homology fixtures -------------------------------------------------------
@@ -261,7 +309,7 @@ def test_chain_complex_is_built_once_per_complex(monkeypatch):
     homology(k, "F2", reduced=True)
     x = cohomology_basis(k, 2)[0]
     image = bockstein_sq1(x)
-    assert not image.is_zero_class() and x.same_class(x)
+    assert not image.is_zero_class() and same_class(x, x)
     assert builds == [k]
     assert ChainComplexZ.of(k) is ChainComplexZ.of(k)
 
@@ -280,7 +328,7 @@ def test_equal_complexes_keep_their_own_chain_complexes(monkeypatch):
     assert builds == [k1, k2] and builds[0] is k1 and builds[1] is k2
     assert ChainComplexZ.of(k1) is not ChainComplexZ.of(k2)
     x1, x2 = cohomology_basis(k1, 2)[0], cohomology_basis(k2, 2)[0]
-    assert x1.same_class(x2)
+    assert same_class(x1, x2)
 
 
 def test_same_class_needs_one_degree_and_one_complex():
@@ -292,10 +340,10 @@ def test_same_class_needs_one_degree_and_one_complex():
     assert len(h0.cochain) == len(top.cochain)
     for x, y in ((h1, h2), (h2, h1), (h0, top), (top, h0)):
         with pytest.raises(InputError, match="different degrees"):
-            x.same_class(y)
+            same_class(x, y)
     with pytest.raises(InputError, match="different complexes"):
-        cohomology_basis(RP2, 2)[0].same_class(cohomology_basis(suspension(RP2), 2)[0])
-    assert top.same_class(cohomology_basis(AbstractComplex.from_facets(
+        same_class(cohomology_basis(RP2, 2)[0], cohomology_basis(suspension(RP2), 2)[0])
+    assert same_class(top, cohomology_basis(AbstractComplex.from_facets(
         list(combinations(range(1, 5), 3))), 2)[0])
 
 
@@ -353,7 +401,7 @@ def test_bockstein_rp2_generator_nonzero():
             assert val % 2 == 0
             out.append((val // 2) % 2)
         other = CohomologyClass(RP2, 2, np.array(out, dtype=np.uint8))
-        assert other.same_class(image)
+        assert same_class(other, image)
 
 
 def test_cohomology_basis_matches_greedy_choice():
@@ -387,7 +435,7 @@ def test_bockstein_squared_zero_and_representative_independence():
     for _ in range(6):
         y = np.array([rng.randint(0, 1) for _ in range(len(RP2.vertices))], dtype=np.uint8)
         x2 = CohomologyClass(RP2, 1, x.cochain ^ la.f2_mul(delta0, y.reshape(-1, 1)).reshape(-1))
-        assert bockstein_sq1(x2).same_class(sq)
+        assert same_class(bockstein_sq1(x2), sq)
 
 
 def test_bockstein_rejects_non_cocycle():
