@@ -193,27 +193,31 @@ class _TowerModel:
     def _check_generators(self):
         """d^2 = 0 and dP = Pd for every operator P, on the generators.  On
         the finite part these are d_fin^2 = 0 and d_fin P = P d_fin; for
-        the matrix T of tower arrows, T d_fin = 0 and T P = P_tower T.  The
-        error names the lowest degree at fault, as a window's check does."""
+        the matrix T of tower arrows (one row per target), T d_fin = 0 and
+        T P = P_tower T.  One product d_fin^2 and T d_fin, stacked, checks
+        the first law, and one product T P per operator the second; the
+        tower side P_tower T only moves rows of T.  The error names the
+        lowest degree at fault, as a window's check does."""
         rows = self._tower_rows()
         degs = [d for _, d in self.finite]
         zero = np.zeros(len(degs), np.uint8)
+        t = np.array(list(rows.values()), np.uint8).reshape(len(rows), len(degs))
+        at = {key: r for r, key in enumerate(rows)}
 
         def at_fault(bad, what):
             if bad.any():
                 d = min(degs[j] for j in np.flatnonzero(bad))
                 raise InputError(f"inconsistent model: {what} at degree {d}")
 
-        bad = la.f2_mul(self.d_fin, self.d_fin).any(axis=0)
-        for y in rows.values():
-            bad |= la.f2_mul(y, self.d_fin)[0].astype(bool)
-        at_fault(bad, "differential does not square to zero")
+        at_fault(la.f2_mul(np.vstack([self.d_fin, t]), self.d_fin).any(axis=0),
+                 "differential does not square to zero")
         for name, _, mat, tower in self._ops():
             bad = (la.f2_mul(self.d_fin, mat) ^ la.f2_mul(mat, self.d_fin)).any(axis=0)
+            tp = la.f2_mul(t, mat)
             # rows of T P (the targets) and of P_tower T (their images)
             images = {(a2, b - j) for a, b in rows for a1, a2, j in tower if a1 == a and b >= j}
             for a, b in set(rows) | images:
-                y = la.f2_mul(rows.get((a, b), zero), mat)[0]
+                y = tp[at[a, b]] if (a, b) in at else zero.copy()
                 for a1, a2, j in tower:
                     if a2 == a:
                         y ^= rows.get((a1, b + j), zero)
@@ -346,13 +350,6 @@ def abc_of_reverse(model: PinModel):
     """(alpha, beta, gamma) of the orientation reverse: (-gamma, -beta, -alpha)."""
     r = abc(model)
     return (-r.gamma, -r.beta, -r.alpha)
-
-
-def rokhlin_check(report: AbcReport) -> int:
-    """beta mod 2, with the congruence alpha = beta = gamma (mod 2) asserted."""
-    if not (report.alpha % 2 == report.beta % 2 == report.gamma % 2):
-        raise ModelInvalidError("mod-2 congruence violated in report")
-    return report.beta % 2
 
 
 @dataclass

@@ -13,9 +13,16 @@ t itself and otherwise pivot columns, so the kernel vector read at a
 free column fc is 1 at fc and 0 at every other free column, and the
 solution read from [m | b] is 0 at every free column.  Each is the only
 vector with that pattern, so it is the one the reduced row echelon form
-gives.  Integer matrices are plain lists of lists of Python ints so that
-Smith normal form never overflows (entry growth is real even on small
-inputs).
+gives.
+
+A product (`f2_mul`) takes one of two paths.  A small one multiplies the
+uint8 arrays, whose sums wrap mod 256 and keep their parity.  A large one
+makes one float32 BLAS call, exact while the inner dimension is below
+2^24, and reads the parity of its sums through int32.  The crossover,
+_BLAS_MIN_WORK, was measured.
+
+Integer matrices are plain lists of lists of Python ints so that Smith
+normal form never overflows (entry growth is real even on small inputs).
 
 Every Smith normal form carries its certificate.  The elimination logs
 each elementary operation, and _check_snf replays the logs on m with plain
@@ -57,13 +64,32 @@ def f2_eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.uint8)
 
 
+# Products of at least this many multiply-adds (rows x inner x columns) go
+# through BLAS.  numpy multiplies uint8 matrices in a plain loop, about
+# 1.2 ns per multiply-add, while the float32 path costs 5-9 us of
+# conversions and call overhead; on one core of a 2-core x86-64 host
+# (numpy 2.4, OpenBLAS 0.3.31) a sweep of shapes from 8^3 to 100x10x100 put
+# the crossover at 3 000-4 500 multiply-adds (16^3 is 4 096).
+_BLAS_MIN_WORK = 16 ** 3
+# float32 holds every integer up to 2^24 exactly, so sums of fewer 0/1
+# products are exact
+_FLOAT32_EXACT = 1 << 24
+
+
 def f2_mul(a, b) -> np.ndarray:
-    """Matrix product over GF(2).  The uint8 sums wrap mod 256, which keeps
-    their parity."""
+    """Matrix product over GF(2): the uint8 product below _BLAS_MIN_WORK
+    multiply-adds, otherwise one float32 BLAS call (module docstring).  The
+    float sums go through int32 before the parity is taken, because a
+    float -> uint8 cast of 256 or more is undefined (it saturates on some
+    platforms)."""
     a, b = f2(a), f2(b)
-    if a.shape[1] != b.shape[0]:
+    (rows, inner), cols = a.shape, b.shape[1]
+    if inner != b.shape[0]:
         raise InputError(f"shape mismatch {a.shape} x {b.shape}")
-    return (a @ b) & 1
+    if rows * inner * cols < _BLAS_MIN_WORK or inner >= _FLOAT32_EXACT:
+        return (a @ b) & 1
+    prod = a.astype(np.float32) @ b.astype(np.float32)
+    return (prod.astype(np.int32) & 1).astype(np.uint8)
 
 
 def _pack_rows(m: np.ndarray) -> list[int]:

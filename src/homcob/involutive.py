@@ -26,7 +26,9 @@ term of R_j, then dR_j = 0 puts d x_i in the span of d of earlier
 generators.  The slots in neither set are unpaired; their degrees are
 the bottoms of the U-towers of the plus flavor.  The correction term d
 is the bottom of the single tower.  The reduction is
-`f2linalg.reduce_columns`, the one GF(2) elimination of the package.
+`f2linalg.reduce_columns`, the one GF(2) elimination of the package; a
+complex fixes d_mat when it is built, so it reduces d once and keeps the
+result for the tower read and the normal form.
 
 The same reduction puts d in normal form (`UComplex.normal_form`).  Keep
 the column operations V, so that column j of dV is the reduced boundary
@@ -35,13 +37,15 @@ nonzero R_j holds R_j, read as x_low(j) plus terms of higher degree (the
 U-power of its lowest term divided out).  In the falling-degree order the
 matrix P^-1 of this basis is unitriangular and each entry adds a
 generator into one of lower or equal degree, so P is a degree-preserving
-F[U] change of basis, and N = P d P^-1 has one 1 at (low(j), j) for each
+F[U] change of basis, read from P^-1 by back-substitution on its packed
+columns, and N = P d P^-1 has one 1 at (low(j), j) for each
 pair and no other entry: d is a sum of blocks, one per pair and one per
 unpaired generator.  A homotopy dH + Hd = R becomes N H' + H' N = R' with
 H' = P H P^-1 and R' = P R P^-1.  N has no entry between blocks, so the
 part of N H' + H' N from block B to block A involves H'[A, B] alone: the
 equation splits into one system of at most 4 unknowns and 4 equations
-per pair of blocks, and the pairs with R'[A, B] = 0 take H'[A, B] = 0.
+per pair of blocks, and the pairs with R'[A, B] = 0 take H'[A, B] = 0;
+R = 0 itself takes H = 0 with no product at all.
 H -> P H P^-1 is a bijection of degree +1 F[U]-maps (with U inverted or
 not), so a block with no solution means that no H exists: None is
 exact.  Every H = P^-1 H' P returned is checked against dH + Hd = R.
@@ -94,8 +98,11 @@ def _forced_power(deg_from: int, deg_to: int, shift: int, localized: bool = Fals
 
 def _entry_matrix(c: "UComplex", entries, shift: int, what: str) -> np.ndarray:
     """F2 coefficient matrix of the degree-`shift` map with (from, to,
-    upower) `entries` on c's generators; `what` names the map in errors."""
-    m = la.f2_zeros(len(c.generators), len(c.generators))
+    upower) `entries` on c's generators; `what` names the map in errors.
+    Each entry is checked, then every cell is set to the parity of its
+    count, so duplicate entries cancel."""
+    n = len(c.generators)
+    cells = []
     for ent in entries:
         src, tgt, upower = ent
         if src not in c.index or tgt not in c.index:
@@ -106,8 +113,9 @@ def _entry_matrix(c: "UComplex", entries, shift: int, what: str) -> np.ndarray:
             raise InputError(f"no degree {shift} entry possible from {src!r} to {tgt!r}")
         if as_int(upower, "u_complex", "upower") != k:
             raise InputError(f"{what} entry {src!r}->{tgt!r} must have upower {k}, got {upower}")
-        m[i, j] ^= 1
-    return m
+        cells.append(i * n + j)
+    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=n * n)
+    return (counts & 1).astype(np.uint8).reshape(n, n)
 
 
 def _entry_list(c: "UComplex", mat: np.ndarray, shift: int) -> list[dict]:
@@ -125,14 +133,29 @@ class UComplex:
     degree-forced U-power."""
 
     def __init__(self, generators, differential):
+        """Generators (label, degree) and the differential's (from, to,
+        upower) entries, each checked (InputError)."""
+        self._set_generators(generators)
+        self.d_mat = _entry_matrix(self, differential, -1, "differential")
+        if la.f2_mul(self.d_mat, self.d_mat).any():
+            raise InputError("differential does not square to zero")
+
+    @classmethod
+    def from_matrix(cls, generators, d_mat: np.ndarray) -> "UComplex":
+        """The complex whose differential has the coefficient matrix d_mat,
+        which the caller has checked: degree -1 support and d^2 = 0."""
+        c = cls.__new__(cls)
+        c._set_generators(generators)
+        c.d_mat = d_mat
+        return c
+
+    def _set_generators(self, generators):
         self.generators = [(str(l), as_int(d, "u_complex", "degree")) for l, d in generators]
         labels = [l for l, _ in self.generators]
         if len(set(labels)) != len(labels):
             raise InputError("duplicate generator labels")
         self.index = {l: i for i, l in enumerate(labels)}
-        self.d_mat = _entry_matrix(self, differential, -1, "differential")
-        if la.f2_mul(self.d_mat, self.d_mat).any():
-            raise InputError("differential does not square to zero")
+        self._reduction = None
 
     def degrees(self) -> list[int]:
         return [d for _, d in self.generators]
@@ -170,10 +193,14 @@ class UComplex:
         index): (order, cols, ops, owner).  Slot t is generator order[t];
         cols[t] is the reduced column R_t (bit r: slot r), ops[t] the
         column operations V_t (R_t = d V_t), and owner maps the lowest
-        slot of each nonzero R_t to t (module docstring)."""
-        degs = self.degrees()
-        order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
-        return (order, *la.reduce_columns(self.d_mat[np.ix_(order, order)]))
+        slot of each nonzero R_t to t (module docstring).  Computed on the
+        first call and kept, since d_mat is fixed at construction; callers
+        must not modify it."""
+        if self._reduction is None:
+            degs = self.degrees()
+            order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
+            self._reduction = (order, *la.reduce_columns(self.d_mat[order][:, order]))
+        return self._reduction
 
     def tower_bottoms(self) -> dict[int, int]:
         """{parity: bottom} of the U-towers: the degrees of the slots of
@@ -194,16 +221,27 @@ class UComplex:
     def normal_form(self):
         """(P, P^-1, pairs): a degree-preserving F[U] change of basis and
         the pairs (i, j) of N = P d P^-1, whose only nonzeros are the 1s at
-        them (module docstring).  Built from the column reduction of d;
-        P^-1 is unitriangular in its order."""
+        them (module docstring).  Built from the column reduction of d.
+        In slot order P^-1 is upper unitriangular: its column t is e_t plus
+        earlier slots.  So P e_t = e_t + sum of P e_s over those slots s,
+        and P comes column by column, in slot order, by back-substitution
+        on the packed columns."""
         n = len(self.generators)
         order, cols, ops, owner = self._reduce()
         slots = ops[:]  # column t of P^-1: V_t, or R_s = d V_s in slot low(s)
         for low, s in owner.items():
             slots[low] = cols[s]
-        p_inv = la.f2_zeros(n, n)
-        p_inv[np.ix_(order, order)] = la._unpack_rows(slots, n).T
-        p = la.solve_f2(p_inv, la.f2_eye(n))
+        inv = []
+        for t, col in enumerate(slots):
+            x, rest = 1 << t, col ^ (1 << t)
+            while rest:
+                top = rest.bit_length() - 1
+                x ^= inv[top]
+                rest ^= 1 << top
+            inv.append(x)
+        where = sorted(range(n), key=order.__getitem__)  # the slot of each generator
+        p_inv = la._unpack_rows(slots, n).T[where][:, where]
+        p = la._unpack_rows(inv, n).T[where][:, where]
         return p, p_inv, [(order[low], order[s]) for low, s in owner.items()]
 
     # -- plus flavor -----------------------------------------------------
@@ -249,10 +287,16 @@ class IotaMap:
         return cls(_entry_matrix(c, entries, 0, "iota"))
 
 
-def _support_ok(c: UComplex, mat: np.ndarray, shift: int) -> bool:
-    degs = c.degrees()
-    nonzeros = zip(*np.nonzero(mat))
-    return all(_forced_power(degs[j], degs[i], shift) is not None for i, j in nonzeros)
+def _support_ok(degrees: list[int], mat: np.ndarray, shift: int) -> bool:
+    """Does every nonzero (i, j) of mat have a forced U-power, i.e. is
+    deg i - deg j - shift even and at least 0?  Read in one pass over the
+    nonzeros, with int64 degrees while no difference can overflow and
+    Python ints (an object array) beyond, so it is exact for any degrees."""
+    small = max(map(abs, degrees), default=0) < 1 << 61
+    deg = np.array(degrees, dtype=np.int64 if small else object)
+    i, j = np.nonzero(mat)
+    k = deg[i] - deg[j] - shift
+    return not ((k < 0) | (k & 1)).any()
 
 
 def _homotopy_solve(c: UComplex, rhs: np.ndarray, localized: bool = False):
@@ -261,37 +305,38 @@ def _homotopy_solve(c: UComplex, rhs: np.ndarray, localized: bool = False):
     (the question 'is rhs null-homotopic after inverting U').  In the
     normal form N = P d P^-1 the equation N H' + H' N = P rhs P^-1 splits
     into one system of at most 4 unknowns per pair of blocks (module
-    docstring); a zero rhs has no block to solve.  H = P^-1 H' P is
-    certified."""
+    docstring).  A zero rhs is answered by H = 0 at once, since dH + Hd = 0
+    for it.  Any other H = P^-1 H' P is certified."""
     n = len(c.generators)
     degs = c.degrees()
     h = la.f2_zeros(n, n)
-    if rhs.any():
-        p, p_inv, pairs = c.normal_form()
-        target = {j: i for i, j in pairs}  # N x_j = x_i
-        source = {i: j for i, j in pairs}
-        blocks = [(s,) for s in range(n)]
-        for i, j in pairs:
-            blocks[i] = blocks[j] = (i, j)
-        r = la.f2_mul(la.f2_mul(p, rhs), p_inv)
-        for a, b in {(blocks[i], blocks[j]) for i, j in zip(*np.nonzero(r))}:
-            # (N H' + H' N)[a, b] involves H'[a, b] only: the unknown H'[x, y]
-            # enters at (N x, y) and at (x, N^T y)
-            cells = {e: row for row, e in enumerate((x, y) for x in a for y in b)}
-            unknowns = [(x, y) for x, y in cells
-                        if _forced_power(degs[y], degs[x], 1, localized) is not None]
-            system = la.f2_zeros(len(cells), len(unknowns))
-            for col, (x, y) in enumerate(unknowns):
-                if x in target:
-                    system[cells[target[x], y], col] ^= 1
-                if y in source:
-                    system[cells[x, source[y]], col] ^= 1
-            sol = la.solve_f2(system, [r[e] for e in cells])
-            if sol is None:
-                return None
-            for e, v in zip(unknowns, sol):
-                h[e] = v
-        h = la.f2_mul(la.f2_mul(p_inv, h), p)
+    if not rhs.any():
+        return h
+    p, p_inv, pairs = c.normal_form()
+    target = {j: i for i, j in pairs}  # N x_j = x_i
+    source = {i: j for i, j in pairs}
+    blocks = [(s,) for s in range(n)]
+    for i, j in pairs:
+        blocks[i] = blocks[j] = (i, j)
+    r = la.f2_mul(la.f2_mul(p, rhs), p_inv)
+    for a, b in {(blocks[i], blocks[j]) for i, j in zip(*np.nonzero(r))}:
+        # (N H' + H' N)[a, b] involves H'[a, b] only: the unknown H'[x, y]
+        # enters at (N x, y) and at (x, N^T y)
+        cells = {e: row for row, e in enumerate((x, y) for x in a for y in b)}
+        unknowns = [(x, y) for x, y in cells
+                    if _forced_power(degs[y], degs[x], 1, localized) is not None]
+        system = la.f2_zeros(len(cells), len(unknowns))
+        for col, (x, y) in enumerate(unknowns):
+            if x in target:
+                system[cells[target[x], y], col] ^= 1
+            if y in source:
+                system[cells[x, source[y]], col] ^= 1
+        sol = la.solve_f2(system, [r[e] for e in cells])
+        if sol is None:
+            return None
+        for e, v in zip(unknowns, sol):
+            h[e] = v
+    h = la.f2_mul(la.f2_mul(p_inv, h), p)
     if (la.f2_mul(c.d_mat, h) ^ la.f2_mul(h, c.d_mat) ^ rhs).any():
         raise InternalError("homotopy solve returned H with dH + Hd != rhs")
     return h
@@ -302,7 +347,7 @@ def validate_iota(c: UComplex, iota: IotaMap) -> bool:
     n = len(c.generators)
     if iota.mat.shape != (n, n):
         raise InputError("iota has the wrong shape")
-    if not _support_ok(c, iota.mat, 0):
+    if not _support_ok(c.degrees(), iota.mat, 0):
         raise InputError("iota is not degree homogeneous of degree 0")
     if (la.f2_mul(iota.mat, c.d_mat) ^ la.f2_mul(c.d_mat, iota.mat)).any():
         raise InputError("iota is not a chain map")
@@ -317,11 +362,6 @@ def one_plus_iota_nullhomotopic(c: UComplex, iota: IotaMap, localized=False) -> 
     return _homotopy_solve(c, rhs, localized=localized) is not None
 
 
-def iota_localized_identity(c: UComplex, iota: IotaMap) -> bool:
-    """Does iota act as the identity on U-localized homology?"""
-    return one_plus_iota_nullhomotopic(c, iota, localized=True)
-
-
 class ConeComplex:
     """Mapping cone of Q(1+iota): generators x and Qx (degree shifted by
     -1), differential [[d, 0], [1+iota, d]], module structure over
@@ -334,14 +374,14 @@ class ConeComplex:
         gens = [(f"m:{l}", d) for l, d in base.generators]
         gens += [(f"q:{l}", d - 1) for l, d in base.generators]
         n = len(base.generators)
-        self.complex = UComplex(gens, [])
-        block = np.block([[base.d_mat, la.f2_zeros(n, n)],
-                          [iota.mat ^ la.f2_eye(n), base.d_mat]])
-        if not _support_ok(self.complex, block, -1):
+        block = la.f2_zeros(2 * n, 2 * n)
+        block[:n, :n] = block[n:, n:] = base.d_mat
+        block[n:, :n] = iota.mat ^ la.f2_eye(n)
+        if not _support_ok([d for _, d in gens], block, -1):
             raise InternalError("cone differential not degree homogeneous")
-        self.complex.d_mat = block
         if la.f2_mul(block, block).any():
             raise InternalError("cone differential does not square to zero")
+        self.complex = UComplex.from_matrix(gens, block)
 
 
 def cone_iota(c: UComplex, iota: IotaMap) -> ConeComplex:
@@ -417,16 +457,4 @@ def v0_triple(p: int, report: InvolutiveReport):
         base - report.d / 2,
         base - report.d_bar / 2,
         base - report.d_under / 2,
-    )
-
-
-def v0_inverse(p: int, v0, v0_bar, v0_under):
-    """Correction terms (d, d_bar, d_under) back from a V-triple."""
-    if p <= 0:
-        raise InputError("surgery coefficient p must be a positive integer")
-    base = Fraction(p - 1, 8)
-    return (
-        2 * (base - Fraction(v0)),
-        2 * (base - Fraction(v0_bar)),
-        2 * (base - Fraction(v0_under)),
     )

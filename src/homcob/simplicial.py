@@ -176,17 +176,30 @@ class AbstractComplex:
         tset = set(t)
         return frozenset(s for s in self.simplices if tset <= set(s))
 
+    def _stars(self) -> dict[int, list[Simplex]]:
+        """vertex -> the simplices containing it; built on the first call
+        and kept on self (an AbstractComplex is immutable)."""
+        stars = getattr(self, "_star_index", None)
+        if stars is None:
+            stars = self._star_index = {}
+            for s in self.simplices:
+                for v in s:
+                    stars.setdefault(v, []).append(s)
+        return stars
+
     def link(self, tau) -> "AbstractComplex":
         """Simplices of the closed star disjoint from tau, as a complex:
         the set {rho \\ tau : rho strictly contains tau}, which is downward
-        closed because K is."""
+        closed because K is.  Every such rho contains each vertex of tau,
+        so only the smallest star of those vertices is searched."""
         t = _simplex(tau)
         if t not in self.simplices:
             raise InputError(f"simplex {t} not in complex")
         tset = set(t)
+        stars = self._stars()
         simps = frozenset(
             tuple(v for v in s if v not in tset)
-            for s in self.simplices
+            for s in min((stars[v] for v in t), key=len)
             if len(s) > len(t) and tset.issubset(s)
         )
         verts = tuple(sorted(s[0] for s in simps if len(s) == 1))

@@ -17,10 +17,17 @@ from math import gcd
 import numpy as np
 
 from homcob import f2linalg as la
-from homcob.equivariant import LocalizationReport, PinModel, SOneModel, tower_bottoms
+from homcob.equivariant import AbcReport, LocalizationReport, PinModel, SOneModel, tower_bottoms
 from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import GradedComplex, Homology, ladder_window
-from homcob.involutive import DEFAULT_MARGIN, ConeComplex, IotaMap, UComplex, _forced_power
+from homcob.involutive import (
+    DEFAULT_MARGIN,
+    ConeComplex,
+    IotaMap,
+    UComplex,
+    _forced_power,
+    one_plus_iota_nullhomotopic,
+)
 from homcob.knot import LaurentPoly, SeifertMatrix
 from homcob.simplicial import (
     AbstractComplex,
@@ -281,6 +288,21 @@ def link_oracle(k: AbstractComplex, tau) -> AbstractComplex:
     tset = set(tau)
     simps = {s for s in k.closure(k.star(tau)) if not (tset & set(s))}
     return AbstractComplex(sorted({v for s in simps for v in s}), simps)
+
+
+def link_by_full_scan(k: AbstractComplex, tau) -> AbstractComplex:
+    """{rho \\ tau : rho a simplex of k strictly containing tau}, found by
+    walking every simplex of k: the reference for the star index of
+    AbstractComplex.link."""
+    t = tuple(sorted(tau))
+    tset = set(t)
+    simps = frozenset(
+        tuple(v for v in s if v not in tset)
+        for s in k.simplices
+        if len(s) > len(t) and tset.issubset(s)
+    )
+    verts = tuple(sorted(s[0] for s in simps if len(s) == 1))
+    return AbstractComplex(verts, simps, _validated=True)
 
 
 def facets_oracle(k: AbstractComplex) -> list:
@@ -609,6 +631,13 @@ def random_s1_model(rng: random.Random, max_blocks: int = 2) -> SOneModel:
     return SOneModel(n, gens, um, dm, arrows)
 
 
+def rokhlin_check(report: AbcReport) -> int:
+    """beta mod 2, with the congruence alpha = beta = gamma (mod 2) asserted."""
+    if not (report.alpha % 2 == report.beta % 2 == report.gamma % 2):
+        raise ModelInvalidError("mod-2 congruence violated in report")
+    return report.beta % 2
+
+
 # ---------------------------------------------------------------------------
 # involutive inputs
 
@@ -670,10 +699,8 @@ def _tower_and_pairs_with_iota(rng, d_tower, shapes, iota_identity=False, conjug
         pinv = f2_inverse(p)
         dmat = la.f2_mul(la.f2_mul(p, c.d_mat), pinv)
         iota = la.f2_mul(la.f2_mul(p, iota), pinv)
-        c2 = UComplex(gens, [])
-        c2.d_mat = dmat
         assert not la.f2_mul(dmat, dmat).any()
-        c = c2
+        c = UComplex.from_matrix(gens, dmat)
     return c, IotaMap(iota)
 
 
@@ -692,10 +719,9 @@ def connected_sum(c1: UComplex, iota1: IotaMap, c2: UComplex, iota2: IotaMap):
     follow from the degrees."""
     gens = [(f"{l1}*{l2}", d1 + d2) for l1, d1 in c1.generators for l2, d2 in c2.generators]
     n1, n2 = len(c1.generators), len(c2.generators)
-    c = UComplex(gens, [])
-    c.d_mat = np.kron(c1.d_mat, la.f2_eye(n2)) ^ np.kron(la.f2_eye(n1), c2.d_mat)
-    assert not la.f2_mul(c.d_mat, c.d_mat).any()
-    return c, IotaMap(np.kron(iota1.mat, iota2.mat))
+    d_mat = np.kron(c1.d_mat, la.f2_eye(n2)) ^ np.kron(la.f2_eye(n1), c2.d_mat)
+    assert not la.f2_mul(d_mat, d_mat).any()
+    return UComplex.from_matrix(gens, d_mat), IotaMap(np.kron(iota1.mat, iota2.mat))
 
 
 def _random_allowed_automorphism(rng: random.Random, c: UComplex) -> np.ndarray:
@@ -739,10 +765,9 @@ def random_ucomplex(rng: random.Random, max_towers: int = 4, max_pairs: int = 4)
     if len(gens) < 2:
         return c
     p = _random_allowed_automorphism(rng, c)
-    conjugated = UComplex(gens, [])
-    conjugated.d_mat = la.f2_mul(la.f2_mul(p, c.d_mat), f2_inverse(p))
-    assert not la.f2_mul(conjugated.d_mat, conjugated.d_mat).any()
-    return conjugated
+    d_mat = la.f2_mul(la.f2_mul(p, c.d_mat), f2_inverse(p))
+    assert not la.f2_mul(d_mat, d_mat).any()
+    return UComplex.from_matrix(gens, d_mat)
 
 
 def random_fu_map(rng: random.Random, c: UComplex, shift: int, localized: bool = False):
@@ -800,6 +825,23 @@ def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False)
     for t, (i, j) in enumerate(unknowns):
         h[i, j] = x[t]
     return h
+
+
+def iota_localized_identity(c: UComplex, iota: IotaMap) -> bool:
+    """Does iota act as the identity on U-localized homology?"""
+    return one_plus_iota_nullhomotopic(c, iota, localized=True)
+
+
+def v0_inverse(p: int, v0, v0_bar, v0_under):
+    """Correction terms (d, d_bar, d_under) back from a V-triple."""
+    if p <= 0:
+        raise InputError("surgery coefficient p must be a positive integer")
+    base = Fraction(p - 1, 8)
+    return (
+        2 * (base - Fraction(v0)),
+        2 * (base - Fraction(v0_bar)),
+        2 * (base - Fraction(v0_under)),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from homcob.involutive import (
     cone_iota,
     d_invariant,
     involutive_correction_terms,
-    iota_localized_identity,
     v0_triple,
 )
 from homcob.knot import (
@@ -45,6 +44,7 @@ from homcob.simplicial import GroupPresentation
 
 from helpers import (
     coxeter_sn,
+    iota_localized_identity,
     is_zero,
     random_complex,
     random_pin_model,
@@ -276,3 +276,15 @@ def test_acceptance_14_hfi_at_scale():
     t0 = time.perf_counter()
     assert involutive_correction_terms(cone_iota(big, big_iota)).d == big_d
     _report(14, "hfi on a 321-generator model", time.perf_counter() - t0, "completes")
+
+
+def test_acceptance_15_hfi_at_641_generators():
+    rng = random.Random(1214)
+    for pairs in (80, 160):  # the models of row 14 come first from this seed
+        spread_ucomplex_with_iota(rng, pairs)
+    c, iota, d = spread_ucomplex_with_iota(rng, 320)
+    assert len(c.generators) == 641
+    rep, elapsed = _best_of(lambda: involutive_correction_terms(cone_iota(c, iota)), n=3)
+    assert rep.d == d
+    assert elapsed < 0.5
+    _report(15, "hfi on a 641-generator model", elapsed, "<0.5s")

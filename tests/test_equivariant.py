@@ -14,7 +14,6 @@ from homcob.equivariant import (
     coborel_tower_tops,
     delta_invariant,
     localization_check,
-    rokhlin_check,
     tower_bottoms,
 )
 from homcob.errors import InputError, InternalError, ModelInvalidError
@@ -24,6 +23,7 @@ from helpers import (
     borel_homology,
     random_pin_model,
     random_s1_model,
+    rokhlin_check,
     window_coborel_tops,
     window_delta_bottom,
     window_localization,

@@ -63,20 +63,44 @@ def test_solve_dimension_mismatch():
         la.solve_f2([[1, 0]], [1, 0])
 
 
-@pytest.mark.parametrize("inner", [255, 256, 257, 300])
+@pytest.mark.parametrize("inner", [1, 7, 15, 16, 17, 255, 256, 257, 300])
 def test_f2_mul_matches_int64_product(inner):
-    # uint8 sums wrap mod 256; an all-ones row and column sum to `inner`
+    # uint8 sums wrap mod 256; an all-ones row and column sum to `inner`.
+    # The all-ones 3 x inner x 4 product stays below the BLAS cutoff up to
+    # inner 341 and the 64 x inner x 64 one is above it from inner 1, so
+    # both paths see sums of 256 and more
     rng = np.random.default_rng(inner)
-    ones_a, ones_b = np.ones((3, inner), np.uint8), np.ones((inner, 4), np.uint8)
-    cases = [(ones_a, ones_b), (rng.integers(0, 2, (5, inner)), rng.integers(0, 2, (inner, 6))),
-             (ones_a, rng.integers(0, 2, (inner, 4)))]
-    for a, b in cases:
-        got = la.f2_mul(a, b)
-        want = a.astype(np.int64) @ b.astype(np.int64) % 2
-        assert got.dtype == np.uint8 and np.array_equal(got, want)
-    assert (la.f2_mul(ones_a, ones_b) == inner % 2).all()
+    for rows, cols in ((3, 4), (64, 64)):
+        ones_a, ones_b = np.ones((rows, inner), np.uint8), np.ones((inner, cols), np.uint8)
+        cases = [(ones_a, ones_b),
+                 (rng.integers(0, 2, (rows + 2, inner)), rng.integers(0, 2, (inner, cols + 2))),
+                 (ones_a, rng.integers(0, 2, (inner, cols)))]
+        for a, b in cases:
+            got = la.f2_mul(a, b)
+            want = a.astype(np.int64) @ b.astype(np.int64) % 2
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert (la.f2_mul(ones_a, ones_b) == inner % 2).all()
+    assert 3 * 300 * 4 < la._BLAS_MIN_WORK <= 64 * 1 * 64
     with pytest.raises(InputError, match="shape mismatch"):
         la.f2_mul(ones_a, ones_a)
+
+
+class _SaturatingCast(np.ndarray):
+    """An array whose float -> uint8 casts saturate at 255, as they do on
+    some platforms (the C cast is undefined for values of 256 or more)."""
+
+    def astype(self, dtype, *args, **kwargs):
+        if np.dtype(dtype) == np.uint8 and self.dtype.kind == "f":
+            return np.clip(np.asarray(self), 0, 255).astype(np.uint8).view(type(self))
+        return super().astype(dtype, *args, **kwargs)
+
+
+@pytest.mark.parametrize("inner", [256, 257, 300])
+def test_f2_mul_blas_parity_does_not_rest_on_the_float_cast(inner):
+    # sums of 256 or more must reach the parity through an integer type
+    a = np.ones((64, inner), np.uint8).view(_SaturatingCast)
+    b = np.ones((inner, 64), np.uint8).view(_SaturatingCast)
+    assert (np.asarray(la.f2_mul(a, b)) == inner % 2).all()
 
 
 def test_rank_plus_kernel_is_cols():

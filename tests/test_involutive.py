@@ -14,14 +14,14 @@ from homcob.involutive import (
     ConeComplex,
     IotaMap,
     UComplex,
+    _entry_matrix,
     _forced_power,
     _homotopy_solve,
+    _support_ok,
     cone_iota,
     d_invariant,
     involutive_correction_terms,
-    iota_localized_identity,
     one_plus_iota_nullhomotopic,
-    v0_inverse,
     v0_triple,
     validate_iota,
 )
@@ -34,11 +34,13 @@ from helpers import (
     elimination_tower_bottoms,
     homotopic_iota,
     homotopy_solve_oracle,
+    iota_localized_identity,
     random_fu_map,
     random_ucomplex,
     random_ucomplex_with_iota,
     split_dims_law,
     towers_from_profile,
+    v0_inverse,
     window_tower_bottoms,
     with_far_pair,
 )
@@ -79,6 +81,42 @@ def test_forced_power_rule():
     assert _forced_power(2, 0, 0) is None  # would need U^-1
     assert _forced_power(2, 0, 0, localized=True) == -1
     assert _forced_power(2, 1, 0, localized=True) is None
+
+
+def test_duplicate_entries_cancel():
+    c = UComplex([("x", 1), ("y", 0), ("z", 0)], [])
+    entries = [("x", "y", 0), ("x", "z", 0), ("x", "y", 0), ("x", "z", 0), ("x", "z", 0)]
+    assert _entry_matrix(c, entries, -1, "differential").tolist() == [
+        [0, 0, 0], [0, 0, 0], [1, 0, 0]]
+    assert _entry_matrix(c, [], 0, "iota").tolist() == [[0] * 3] * 3
+    assert _entry_matrix(UComplex([], []), [], 0, "iota").shape == (0, 0)
+    # the same pair listed twice in a differential cancels; d = 0 then
+    same = UComplex([("x", 1), ("y", 0)], [("x", "y", 0), ("x", "y", 0)])
+    assert not same.d_mat.any() and same.tower_bottoms() == {1: 1, 0: 0}
+    with pytest.raises(InputError, match="must have upower 0, got 1"):
+        _entry_matrix(c, [("x", "y", 0), ("x", "y", 1)], -1, "differential")
+
+
+@pytest.mark.parametrize("big", [2**61 - 1, 2**61, 2**62, 2**63, 10**30])
+def test_support_check_is_exact_beyond_int64(big):
+    # degrees +-big: a difference of 2 big overflows int64 from big = 2^62
+    for sign in (1, -1):
+        degs = [sign * big, sign * big - 1, -sign * big, sign * big + 2]
+        up = np.zeros((4, 4), np.uint8)
+        up[0, 1] = 1  # from deg - 1 up to deg: U^0 at shift +1, odd at shift 0
+        assert _support_ok(degs, up, 1) and not _support_ok(degs, up, 0)
+        down = np.zeros((4, 4), np.uint8)
+        down[1, 0] = 1  # deg down to deg - 1 at shift -1
+        assert _support_ok(degs, down, -1) and not _support_ok(degs, down, 1)
+        far = np.zeros((4, 4), np.uint8)
+        far[0 if sign > 0 else 2, 2 if sign > 0 else 0] = 1  # -big up to +big: U^big
+        assert _support_ok(degs, far, 0)
+        assert not _support_ok(degs, far.T.copy(), 0)  # needs U^-big
+        tie = np.zeros((4, 4), np.uint8)
+        tie[3, 0] = 1  # deg up to deg + 2 at shift 0: U^1
+        assert _support_ok(degs, tie, 0) and not _support_ok(degs, tie, 1)
+        assert not _support_ok(degs, tie.T.copy(), 0)
+    assert _support_ok([], np.zeros((0, 0), np.uint8), -1)
 
 
 def _minus_sigma237_with(edit):
@@ -341,14 +379,15 @@ def test_tower_bottoms_hand_built_ties_and_u0_entries(gens, entries, towers):
 
 
 def _check_normal_form(cx):
-    """The laws of UComplex.normal_form on cx: P P^-1 = 1, P and P^-1 are
-    degree-0 F[U]-maps, P d P^-1 is the pairing and nothing else, and the
+    """The laws of UComplex.normal_form on cx: P P^-1 = 1, P is what a
+    general solve of P^-1 X = 1 gives, P and P^-1 are degree-0 F[U]-maps, P d P^-1 is the pairing and nothing else, and the
     unpaired slots sit at the tower bottoms.  Returns the towers, or None
     when tower_bottoms rejects two towers in one parity."""
     n = len(cx.generators)
     degs = cx.degrees()
     p, p_inv, pairs = cx.normal_form()
     assert (la.f2_mul(p, p_inv) == la.f2_eye(n)).all()
+    assert (p == la.solve_f2(p_inv, la.f2_eye(n))).all()  # back-substitution vs. a solve
     for m in (p, p_inv):
         for i, j in zip(*np.nonzero(m)):
             assert _forced_power(degs[j], degs[i], 0) is not None
@@ -507,13 +546,51 @@ def test_homotopy_solve_certifies_h(monkeypatch):
     assert (_homotopy_solve(c, one) == [[0, 1], [0, 0]]).all()
     solve = la.solve_f2
 
-    def wrong_block_answers(a, b):  # P^-1 is solved with a matrix rhs, blocks with a vector
+    def wrong_block_answers(a, b):  # the blocks are solved with a vector rhs
         x = solve(a, b)
         return x ^ 1 if np.ndim(b) == 1 else x
 
     monkeypatch.setattr(la, "solve_f2", wrong_block_answers)
     with pytest.raises(InternalError, match="dH \\+ Hd"):
         _homotopy_solve(c, one)
+
+
+def test_zero_rhs_is_answered_without_a_product(monkeypatch):
+    c, _ = sigma237()
+    n = len(c.generators)
+    calls = []
+    mul = la.f2_mul
+    monkeypatch.setattr(la, "f2_mul", lambda a, b: calls.append(1) or mul(a, b))
+    for localized in (False, True):
+        h = _homotopy_solve(c, la.f2_zeros(n, n), localized)
+        assert h is not None and h.shape == (n, n) and not h.any()
+    assert calls == []
+    assert one_plus_iota_nullhomotopic(c, IotaMap.identity(c)) and calls == []
+
+
+def _slot_order_d(c):
+    degs = c.degrees()
+    order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
+    return c.d_mat[np.ix_(order, order)]
+
+
+def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
+    rng = random.Random(1717)
+    models = [sigma237()] + [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(6)]
+    models += [dual_ucomplex(*m) for m in models]
+    reduce_columns = la.reduce_columns
+    for k, (c, iota) in enumerate(models):
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps(c.to_json(iota)))
+        seen = []
+        monkeypatch.setattr(la, "reduce_columns",
+                            lambda m: seen.append(la.f2(m)) or reduce_columns(m))
+        assert cli.main(["hfi", str(path)]) == 0
+        monkeypatch.setattr(la, "reduce_columns", reduce_columns)
+        base, cone = _slot_order_d(c), _slot_order_d(cone_iota(c, iota).complex)
+        for want in (base, cone):
+            assert sum(m.shape == want.shape and (m == want).all() for m in seen) == 1, k
+    capsys.readouterr()
 
 
 # -- cones -------------------------------------------------------------------------------

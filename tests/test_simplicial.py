@@ -31,6 +31,7 @@ from helpers import (
     facets_oracle,
     greedy_reps,
     is_zero,
+    link_by_full_scan,
     link_oracle,
     random_complex,
     same_class,
@@ -183,6 +184,23 @@ def _fixture_family():
             k = parse_input(fixtures.load_raw(name))
             out += [k, suspension(k), suspension(suspension(k))]
     return out
+
+
+def test_link_by_star_index_matches_full_scan():
+    circle = AbstractComplex.from_facets([[1, 2], [2, 3], [1, 3]])
+    complexes = _fixture_family() + [
+        join(RP2, circle), join(TRIANGLE_EDGE, circle), join(BDRY_D3, circle), cone(TORUS7),
+        AbstractComplex.from_facets([[1], [2, 3], [4, 5, 6]], vertices=[7]),
+    ]
+    links = 0
+    for k in complexes:
+        for s in sorted(k.simplices):
+            lk = k.link(s)
+            assert lk == link_by_full_scan(k, s), (k, s)
+            links += 1
+            for t in sorted(lk.simplices):  # links of links use the link's own index
+                assert lk.link(t) == link_by_full_scan(lk, t), (k, s, t)
+    assert links >= 1000
 
 
 def test_certified_link_is_a_homology_sphere():
