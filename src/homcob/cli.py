@@ -116,7 +116,6 @@ class Report:
         self.command = command
         self.digest = digest
         self.rows: list[tuple[str, object]] = []
-        self.provenance: dict[str, object] = {}
 
     def add(self, key: str, value):
         self.rows.append((key, value))
@@ -127,12 +126,10 @@ class Report:
                 "command": self.command,
                 "input": self.digest,
                 "results": {k: v for k, v in self.rows},
-                "provenance": self.provenance,
+                "provenance": {},
             }
             return json.dumps(doc, sort_keys=True, default=str)
         lines = [f"command: {self.command}", f"input: sha256:{self.digest}"]
-        for k, v in self.provenance.items():
-            lines.append(f"{k}: {v}")
         for k, v in self.rows:
             lines.append(f"{k}: {v}")
         return "\n".join(lines)

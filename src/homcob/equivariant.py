@@ -24,12 +24,18 @@ exactly when (a, k) is not a boundary.  Boundaries are closed downwards:
 if (a, k+1) = dc, then (a, k) = d(vc).  So the bottom at level a is
 n + a + step * (b + 1), where b is the highest tower-arrow target (a, b)
 that is a boundary, or n + a when none is (step 4, or 2 for U).  Every
-boundary comes from a finite generator, so (a, b) is one exactly when
-rank [X; y] > rank X, where X is d_fin from the finite generators one
-degree up to those in the target's degree, and y is the row of tower
-arrows into the target.  The consistency of a model (d^2 = 0 and d
-commuting with q, v or U) is checked on the generators in the same way.
-Neither needs a window, so neither costs more when the degrees spread.
+boundary comes from a finite generator, so every target is read from one
+column reduction (`f2linalg.reduce_columns`) of [T; d_fin], where T has
+one row of tower arrows per target, in the low bits.  A column is only
+added to one with the same highest bit, so of the same degree: each
+reduced column is homogeneous.  One whose highest set bit is a row of T
+is 0 on d_fin, whose bits are higher, and on the other rows of T, since
+its degree holds one tower element: it is that target alone.  Conversely a boundary lies in the column space, whose reduced columns
+have distinct highest bits, so one of them owns its row.  A target is a
+boundary exactly when it owns a reduced column.  The consistency of a
+model (d^2 = 0 and d commuting with q, v or U) is checked on the
+generators with the same T.  Neither needs a window, so neither costs
+more when the degrees spread.
 
 Orientation reversal.  Over F2 the homology of the degree-negated dual
 complex in degree -D is the dual space of H_D, and each power of v
@@ -181,14 +187,17 @@ class _TowerModel:
         return [(name, shift, getattr(self, f"{field}_op"), tower)
                 for name, field, shift, tower in self.OPS]
 
-    def _tower_rows(self) -> dict[tuple[int, int], np.ndarray]:
-        """(a, b) -> the row of tower arrows into (a, b), over the finite
-        generators; only nonzero rows."""
+    def _tower_rows(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+        """The tower-arrow targets (a, b) whose row is nonzero, and the
+        matrix T with the row of tower arrows into targets[r] as row r, over
+        the finite generators."""
         rows: dict[tuple[int, int], np.ndarray] = {}
         for t in self.d_to_tower:
             row = rows.setdefault((t.a, t.b), np.zeros(len(self.finite), np.uint8))
             row[self.gen_index[t.source]] ^= 1
-        return {key: row for key, row in rows.items() if row.any()}
+        targets = [key for key, row in rows.items() if row.any()]
+        t = np.array([rows[key] for key in targets], np.uint8)
+        return targets, t.reshape(len(targets), len(self.finite))
 
     def _check_generators(self):
         """d^2 = 0 and dP = Pd for every operator P, on the generators.  On
@@ -198,11 +207,10 @@ class _TowerModel:
         the first law, and one product T P per operator the second; the
         tower side P_tower T only moves rows of T.  The error names the
         lowest degree at fault, as a window's check does."""
-        rows = self._tower_rows()
+        targets, t = self._tower_rows()
+        rows = dict(zip(targets, t))
         degs = [d for _, d in self.finite]
         zero = np.zeros(len(degs), np.uint8)
-        t = np.array(list(rows.values()), np.uint8).reshape(len(rows), len(degs))
-        at = {key: r for r, key in enumerate(rows)}
 
         def at_fault(bad, what):
             if bad.any():
@@ -213,11 +221,11 @@ class _TowerModel:
                  "differential does not square to zero")
         for name, _, mat, tower in self._ops():
             bad = (la.f2_mul(self.d_fin, mat) ^ la.f2_mul(mat, self.d_fin)).any(axis=0)
-            tp = la.f2_mul(t, mat)
+            tp = dict(zip(targets, la.f2_mul(t, mat)))
             # rows of T P (the targets) and of P_tower T (their images)
             images = {(a2, b - j) for a, b in rows for a1, a2, j in tower if a1 == a and b >= j}
             for a, b in set(rows) | images:
-                y = tp[at[a, b]] if (a, b) in at else zero.copy()
+                y = tp.get((a, b), zero).copy()
                 for a1, a2, j in tower:
                     if a2 == a:
                         y ^= rows.get((a1, b + j), zero)
@@ -310,21 +318,18 @@ class AbcReport:
 
 def tower_bottoms(model) -> tuple[int, ...]:
     """The lowest degree of each tower in homology, level by level: A, B, C
-    of a PinModel, the one bottom of an SOneModel.  Read from which
-    tower-arrow targets are boundaries (see the module docstring)."""
+    of a PinModel, the one bottom of an SOneModel.  A tower-arrow target is
+    a boundary exactly when its row of T owns a reduced column of [T; d_fin]
+    (see the module docstring), so one column reduction reads them all."""
     n = model.reducible_degree
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
-    by_degree: dict[int, list[int]] = {}  # indices of the finite generators
-    for i, (_, d) in enumerate(model.finite):
-        by_degree.setdefault(d, []).append(i)
+    targets, t = model._tower_rows()
+    owner = la.reduce_columns(np.vstack([t, model.d_fin]))[2]
     bottoms = [n + a for a in range(model.LEVELS)]
-    for (a, b), y in model._tower_rows().items():
-        target = n + model.STEP * b + a
-        up = by_degree.get(target + 1, [])
-        x = model.d_fin[np.ix_(by_degree.get(target, []), up)]
-        if la.rank_f2(np.vstack([x, y[up]])) > la.rank_f2(x):
-            bottoms[a] = max(bottoms[a], target + model.STEP)
+    for r, (a, b) in enumerate(targets):
+        if r in owner:
+            bottoms[a] = max(bottoms[a], n + a + model.STEP * (b + 1))
     return tuple(bottoms)
 
 

@@ -4,9 +4,9 @@ Inputs are finitely generated free graded complexes over F[U] together
 with a grading-preserving chain involution iota, exact up to chain
 homotopy.  Every F[U]-map is stored as the F2 matrix of its coefficients,
 since one rule forces its U-powers: an entry j -> i of a degree-s map
-carries U^k with deg i - 2k = deg j + s (k >= 0; any integer once U is
-inverted).  `_forced_power` is the only place that rule is written; the
-differential and iota share one entry reader and one entry printer.
+carries U^k with deg i - 2k = deg j + s (k >= 0).  `_forced_power` is
+the only place that rule is written; the differential and iota share one
+entry reader and one entry printer.
 
 Towers are read from one column reduction of d (`UComplex._reduce`).
 Order the generators by falling degree (ties by index) and let m be d's
@@ -46,9 +46,9 @@ part of N H' + H' N from block B to block A involves H'[A, B] alone: the
 equation splits into one system of at most 4 unknowns and 4 equations
 per pair of blocks, and the pairs with R'[A, B] = 0 take H'[A, B] = 0;
 R = 0 itself takes H = 0 with no product at all.
-H -> P H P^-1 is a bijection of degree +1 F[U]-maps (with U inverted or
-not), so a block with no solution means that no H exists: None is
-exact.  Every H = P^-1 H' P returned is checked against dH + Hd = R.
+H -> P H P^-1 is a bijection of degree +1 F[U]-maps, so a block with
+no solution means that no H exists: None is exact.  Every H = P^-1 H' P
+returned is checked against dH + Hd = R.
 
 The cone of Q(1+iota) carries a Q of degree -1 with Q^2 = 0; its x keep
 their degrees and its Qx sit one lower.  Hendricks and Manolescu
@@ -86,12 +86,11 @@ from .graded import GradedComplex, ladder_window
 DEFAULT_MARGIN = 2
 
 
-def _forced_power(deg_from: int, deg_to: int, shift: int, localized: bool = False):
+def _forced_power(deg_from: int, deg_to: int, shift: int):
     """U-power k of an entry U^k * target inside a degree-`shift` map,
-    i.e. deg_to - 2k = deg_from + shift; None if no such k >= 0 (no such
-    integer k with localized=True, where U is inverted)."""
+    i.e. deg_to - 2k = deg_from + shift; None if no such k >= 0."""
     num = deg_to - deg_from - shift
-    if num % 2 or (num < 0 and not localized):
+    if num % 2 or num < 0:
         return None
     return num // 2
 
@@ -299,14 +298,13 @@ def _support_ok(degrees: list[int], mat: np.ndarray, shift: int) -> bool:
     return not ((k < 0) | (k & 1)).any()
 
 
-def _homotopy_solve(c: UComplex, rhs: np.ndarray, localized: bool = False):
+def _homotopy_solve(c: UComplex, rhs: np.ndarray):
     """Solve dH + Hd = rhs for a degree +1 F[U]-map H; returns the H
-    matrix or None.  With localized=True, negative U-powers are allowed
-    (the question 'is rhs null-homotopic after inverting U').  In the
-    normal form N = P d P^-1 the equation N H' + H' N = P rhs P^-1 splits
-    into one system of at most 4 unknowns per pair of blocks (module
-    docstring).  A zero rhs is answered by H = 0 at once, since dH + Hd = 0
-    for it.  Any other H = P^-1 H' P is certified."""
+    matrix or None.  In the normal form N = P d P^-1 the equation
+    N H' + H' N = P rhs P^-1 splits into one system of at most 4 unknowns
+    per pair of blocks (module docstring).  A zero rhs is answered by
+    H = 0 at once, since dH + Hd = 0 for it.  Any other H = P^-1 H' P is
+    certified."""
     n = len(c.generators)
     degs = c.degrees()
     h = la.f2_zeros(n, n)
@@ -324,7 +322,7 @@ def _homotopy_solve(c: UComplex, rhs: np.ndarray, localized: bool = False):
         # enters at (N x, y) and at (x, N^T y)
         cells = {e: row for row, e in enumerate((x, y) for x in a for y in b)}
         unknowns = [(x, y) for x, y in cells
-                    if _forced_power(degs[y], degs[x], 1, localized) is not None]
+                    if _forced_power(degs[y], degs[x], 1) is not None]
         system = la.f2_zeros(len(cells), len(unknowns))
         for col, (x, y) in enumerate(unknowns):
             if x in target:
@@ -357,9 +355,9 @@ def validate_iota(c: UComplex, iota: IotaMap) -> bool:
     return True
 
 
-def one_plus_iota_nullhomotopic(c: UComplex, iota: IotaMap, localized=False) -> bool:
+def one_plus_iota_nullhomotopic(c: UComplex, iota: IotaMap) -> bool:
     rhs = iota.mat ^ la.f2_eye(len(c.generators))
-    return _homotopy_solve(c, rhs, localized=localized) is not None
+    return _homotopy_solve(c, rhs) is not None
 
 
 class ConeComplex:

@@ -423,25 +423,17 @@ def cohomology_basis(k: AbstractComplex, d: int) -> list[CohomologyClass]:
     if d < 0:
         raise InputError(f"cohomology degree must be non-negative, got {d}")
     cc = ChainComplexZ.of(k)
-    delta_d = coboundary_matrix(cc, d)
     n = len(cc.generators[d]) if d < len(cc.generators) else 0
     if n == 0:
         return []
-    cocycles = la.kernel_basis_f2(delta_d) if delta_d.size else [
-        la.f2_eye(n)[i] for i in range(n)
-    ]
-    if d == 0:
-        img = la.f2_zeros(n, 0)
-    else:
-        img = la.image_basis_f2(coboundary_matrix(cc, d - 1))
+    cocycles = la.kernel_basis_f2(coboundary_matrix(cc, d))
     # keep each cocycle outside the span of the coboundaries and the
-    # cocycles before it: the pivot columns of [img | cocycles]
-    both = np.concatenate([img] + [z.reshape(-1, 1) for z in cocycles], axis=1)
-    return [
-        CohomologyClass(k, d, cocycles[j - img.shape[1]])
-        for j in la.pivot_columns_f2(both)
-        if j >= img.shape[1]
-    ]
+    # cocycles before it: the pivot columns of [delta_{d-1} | cocycles]
+    # (delta_{-1} is n x 0)
+    delta = coboundary_matrix(cc, d - 1)
+    both = np.concatenate([delta] + [z.reshape(-1, 1) for z in cocycles], axis=1)
+    m = delta.shape[1]
+    return [CohomologyClass(k, d, cocycles[j - m]) for j in la.pivot_columns_f2(both) if j >= m]
 
 
 # ---------------------------------------------------------------------------

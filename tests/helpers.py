@@ -26,7 +26,6 @@ from homcob.involutive import (
     IotaMap,
     UComplex,
     _forced_power,
-    one_plus_iota_nullhomotopic,
 )
 from homcob.knot import LaurentPoly, SeifertMatrix
 from homcob.simplicial import (
@@ -770,13 +769,13 @@ def random_ucomplex(rng: random.Random, max_towers: int = 4, max_pairs: int = 4)
     return UComplex.from_matrix(gens, d_mat)
 
 
-def random_fu_map(rng: random.Random, c: UComplex, shift: int, localized: bool = False):
-    """A random F[U]-map of degree `shift` on c (any U-powers if localized)."""
+def random_fu_map(rng: random.Random, c: UComplex, shift: int):
+    """A random F[U]-map of degree `shift` on c."""
     degs = c.degrees()
     m = la.f2_zeros(len(degs), len(degs))
     for i, di in enumerate(degs):
         for j, dj in enumerate(degs):
-            if _forced_power(dj, di, shift, localized) is not None and rng.random() < 0.3:
+            if _forced_power(dj, di, shift) is not None and rng.random() < 0.3:
                 m[i, j] = 1
     return m
 
@@ -828,8 +827,10 @@ def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False)
 
 
 def iota_localized_identity(c: UComplex, iota: IotaMap) -> bool:
-    """Does iota act as the identity on U-localized homology?"""
-    return one_plus_iota_nullhomotopic(c, iota, localized=True)
+    """Does iota act as the identity on U-localized homology?  That is,
+    is 1 + iota null-homotopic once U is inverted (any U-powers in H)."""
+    rhs = iota.mat ^ la.f2_eye(len(c.generators))
+    return homotopy_solve_oracle(c, rhs, localized=True) is not None
 
 
 def v0_inverse(p: int, v0, v0_bar, v0_under):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from homcob import f2linalg as la
 from homcob import fixtures
 from homcob.equivariant import (
     PinModel,
@@ -392,6 +393,33 @@ def test_tower_bottoms_match_window_reader_with_a_far_pair(offset):
     for m in fixture_models() + random_models(abs(offset) + (offset < 0), 3):
         far = with_acyclic_pair(m, m.reducible_degree + offset)
         assert tower_bottoms(far) == window_bottoms(far) == tower_bottoms(m)
+
+
+def test_one_tower_read_is_one_reduction(monkeypatch):
+    """Every tower-arrow target is read from one column reduction of
+    [T; d_fin], with no rank taken per target."""
+    many = [m for m in random_models(19, 40) if len({(t.a, t.b) for t in m.d_to_tower}) >= 2]
+    assert len(many) >= 20
+    calls = []
+    reduce, rank = la.reduce_columns, la.rank_f2
+    monkeypatch.setattr(la, "reduce_columns", lambda m: calls.append("reduce") or reduce(m))
+    monkeypatch.setattr(la, "rank_f2", lambda m: calls.append("rank") or rank(m))
+    for m in fixture_models() + [TRIPLE_KILLER] + many:
+        calls.clear()
+        tower_bottoms(m)
+        assert calls == ["reduce"]
+
+
+def test_a_target_hit_with_a_finite_cycle_is_no_boundary():
+    """d x = y + (0, 0) with y a cycle that is no boundary: the target is
+    homologous to y, not a boundary, so its tower keeps its bottom.  The
+    column of x has its highest bit on d_fin only while T takes the low
+    bits; with T on top it would claim (0, 0) as a boundary."""
+    zero = [[0, 0], [0, 0]]
+    pin = PinModel(0, [("x", 1), ("y", 0)], zero, zero, [[0, 0], [1, 0]], [("x", 0, 0)])
+    s1 = SOneModel(0, [("x", 1), ("y", 0)], zero, [[0, 0], [1, 0]], [("x", 0)])
+    assert tower_bottoms(pin) == window_pin_bottoms(pin) == (0, 1, 2)
+    assert tower_bottoms(s1) == (window_delta_bottom(s1),) == (0,)
 
 
 def test_tower_reads_build_no_window(monkeypatch):

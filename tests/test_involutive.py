@@ -79,8 +79,6 @@ def test_forced_power_rule():
     assert _forced_power(0, 1, -1) == 1
     assert _forced_power(0, 0, -1) is None  # parity
     assert _forced_power(2, 0, 0) is None  # would need U^-1
-    assert _forced_power(2, 0, 0, localized=True) == -1
-    assert _forced_power(2, 1, 0, localized=True) is None
 
 
 def test_duplicate_entries_cancel():
@@ -495,9 +493,9 @@ def test_sigma237_iota_valid_but_not_null():
 
 
 def _homotopy_systems(rng, count):
-    """(complex, rhs, localized) on random complexes, their duals and far
-    pairs at +-50; rhs 1 + iota, iota^2 + 1, iota'^2 + 1 for an iota'
-    homotopic to iota, a random degree-0 map and a random boundary dK + Kd."""
+    """(complex, rhs) on random complexes, their duals and far pairs at
+    +-50; rhs 1 + iota, iota^2 + 1, iota'^2 + 1 for an iota' homotopic to
+    iota, a random degree-0 map and a random boundary dK + Kd."""
     systems = []
     while len(systems) < count:
         c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
@@ -505,25 +503,24 @@ def _homotopy_systems(rng, count):
         far = with_far_pair(c, iota, sign * 50 + rng.randint(0, 1), rng.randint(1, 3))
         for base, i in ((c, iota), dual_ucomplex(c, iota), far):
             n = len(base.generators)
-            for localized in (False, True):
-                k = random_fu_map(rng, base, 1, localized)
-                moved = homotopic_iota(rng, base, i).mat
-                rhss = (
-                    i.mat ^ la.f2_eye(n),
-                    la.f2_mul(i.mat, i.mat) ^ la.f2_eye(n),
-                    la.f2_mul(moved, moved) ^ la.f2_eye(n),
-                    random_fu_map(rng, base, 0, localized),
-                    la.f2_mul(base.d_mat, k) ^ la.f2_mul(k, base.d_mat),
-                )
-                systems += [(base, rhs, localized) for rhs in rhss]
+            k = random_fu_map(rng, base, 1)
+            moved = homotopic_iota(rng, base, i).mat
+            rhss = (
+                i.mat ^ la.f2_eye(n),
+                la.f2_mul(i.mat, i.mat) ^ la.f2_eye(n),
+                la.f2_mul(moved, moved) ^ la.f2_eye(n),
+                random_fu_map(rng, base, 0),
+                la.f2_mul(base.d_mat, k) ^ la.f2_mul(k, base.d_mat),
+            )
+            systems += [(base, rhs) for rhs in rhss]
     return systems
 
 
 def test_homotopy_solve_matches_dense_oracle():
     solved = unsolvable = nontrivial = 0
-    for c, rhs, localized in _homotopy_systems(random.Random(2718), 1000):
-        h = _homotopy_solve(c, rhs, localized)
-        expected = homotopy_solve_oracle(c, rhs, localized)
+    for c, rhs in _homotopy_systems(random.Random(2718), 1500):
+        h = _homotopy_solve(c, rhs)
+        expected = homotopy_solve_oracle(c, rhs)
         assert (h is None) == (expected is None)
         if h is None:
             unsolvable += 1
@@ -533,8 +530,8 @@ def test_homotopy_solve_matches_dense_oracle():
         assert ((la.f2_mul(c.d_mat, h) ^ la.f2_mul(h, c.d_mat)) == rhs).all()
         degs = c.degrees()
         for i, j in zip(*np.nonzero(h)):
-            assert _forced_power(degs[j], degs[i], 1, localized) is not None
-    assert solved + unsolvable >= 1000
+            assert _forced_power(degs[j], degs[i], 1) is not None
+    assert solved + unsolvable >= 1500
     assert unsolvable >= 200 and nontrivial >= 200
 
 
@@ -561,9 +558,8 @@ def test_zero_rhs_is_answered_without_a_product(monkeypatch):
     calls = []
     mul = la.f2_mul
     monkeypatch.setattr(la, "f2_mul", lambda a, b: calls.append(1) or mul(a, b))
-    for localized in (False, True):
-        h = _homotopy_solve(c, la.f2_zeros(n, n), localized)
-        assert h is not None and h.shape == (n, n) and not h.any()
+    h = _homotopy_solve(c, la.f2_zeros(n, n))
+    assert h is not None and h.shape == (n, n) and not h.any()
     assert calls == []
     assert one_plus_iota_nullhomotopic(c, IotaMap.identity(c)) and calls == []
 
