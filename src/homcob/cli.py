@@ -5,6 +5,11 @@ fixtures addressed as ``fixtures:<name>``.  Reports are line-oriented
 ``key: value`` text by default and a JSON document under ``--json``;
 output is byte-identical across runs for identical inputs and flags.
 
+Every report names its input by a digest: the first 16 hex digits of
+the sha256 of the input file's bytes, as read (``sha256sum FILE | cut
+-c1-16``; for a fixture, of its bundled file).  Two files that differ
+only in formatting give the same results under different digests.
+
 Exit codes: 0 success, 1 input error, 2 model-invalid, 3 internal
 assertion failure.
 """
@@ -57,23 +62,26 @@ KINDS = ("simplicial", "pin_model", "s1_model", "u_complex", "seifert")
 
 
 def load_input(path_or_fixture: str) -> tuple[dict, str]:
-    """Raw JSON dict plus a digest of its canonical serialization."""
+    """Raw JSON dict plus the digest of the input's bytes (see the module
+    docstring).  The bytes are read once, decoded strictly as UTF-8 and
+    parsed; the digest is taken of the same bytes."""
     if path_or_fixture.startswith("fixtures:"):
-        data = fixture_registry.load_raw(path_or_fixture.split(":", 1)[1])
+        data, raw = fixture_registry.load(path_or_fixture.split(":", 1)[1])
     else:
         try:
-            with open(path_or_fixture, "r", encoding="utf-8") as f:
-                data = json.load(f)
+            with open(path_or_fixture, "rb") as f:
+                raw = f.read()
         except OSError as e:
             raise InputError(f"cannot read {path_or_fixture}: {e}") from e
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except UnicodeDecodeError as e:
+            raise InputError(f"{path_or_fixture} is not UTF-8 text: {e}") from e
         except json.JSONDecodeError as e:
             raise InputError(f"invalid JSON in {path_or_fixture}: {e}") from e
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("input must be a JSON object with a 'kind' field")
-    digest = hashlib.sha256(
-        json.dumps(data, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()[:16]
-    return data, digest
+    return data, hashlib.sha256(raw).hexdigest()[:16]
 
 
 def parse_input(data: dict):

@@ -78,18 +78,28 @@ _FLOAT32_EXACT = 1 << 24
 
 def f2_mul(a, b) -> np.ndarray:
     """Matrix product over GF(2): the uint8 product below _BLAS_MIN_WORK
-    multiply-adds, otherwise one float32 BLAS call (module docstring).  The
-    float sums go through int32 before the parity is taken, because a
+    multiply-adds, otherwise one float32 BLAS call (module docstring).  A
+    2-d uint8 operand is used as it is, whatever its entries: the uint8
+    sums wrap mod 256 and keep their parity, and the BLAS path masks each
+    operand with & 1 before the float cast so that its sums stay exact.
+    The float sums go through int32 before the parity is taken, because a
     float -> uint8 cast of 256 or more is undefined (it saturates on some
     platforms)."""
-    a, b = f2(a), f2(b)
+    a, b = _f2_operand(a), _f2_operand(b)
     (rows, inner), cols = a.shape, b.shape[1]
     if inner != b.shape[0]:
         raise InputError(f"shape mismatch {a.shape} x {b.shape}")
     if rows * inner * cols < _BLAS_MIN_WORK or inner >= _FLOAT32_EXACT:
         return (a @ b) & 1
-    prod = a.astype(np.float32) @ b.astype(np.float32)
+    prod = (a & 1).astype(np.float32) @ (b & 1).astype(np.float32)
     return (prod.astype(np.int32) & 1).astype(np.uint8)
+
+
+def _f2_operand(m) -> np.ndarray:
+    """m itself when it is a 2-d uint8 array, else f2(m)."""
+    if isinstance(m, np.ndarray) and m.dtype == np.uint8 and m.ndim == 2:
+        return m
+    return f2(m)
 
 
 def _pack_rows(m: np.ndarray) -> list[int]:

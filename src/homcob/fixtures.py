@@ -41,18 +41,25 @@ def fixture_names() -> list[str]:
     return list(NAMES)
 
 
-def load_raw(name: str) -> dict:
+def read_bytes(name: str) -> bytes:
+    """The file of the bundled fixture `name`, byte for byte."""
     if name not in NAMES:
         raise InputError(f"unknown fixture {name!r}; see `homcob fixtures`")
-    ref = resources.files(_PACKAGE).joinpath("data", f"{name}.json")
-    with ref.open("r", encoding="utf-8") as f:
-        data = json.load(f)
+    return resources.files(_PACKAGE).joinpath("data", f"{name}.json").read_bytes()
+
+
+def load(name: str) -> tuple[dict, bytes]:
+    """The parsed fixture `name` and the bytes it was parsed from."""
+    raw = read_bytes(name)
+    data = json.loads(raw.decode("utf-8"))
     if data.get("kind") == "placeholder":
         raise ModelInvalidError(f"fixture {name!r} is a placeholder: {data['reason']}")
-    return data
+    return data, raw
+
+
+def load_raw(name: str) -> dict:
+    return load(name)[0]
 
 
 def describe(name: str) -> str:
-    ref = resources.files(_PACKAGE).joinpath("data", f"{name}.json")
-    with ref.open("r", encoding="utf-8") as f:
-        return json.load(f).get("kind", "?")
+    return json.loads(read_bytes(name)).get("kind", "?")

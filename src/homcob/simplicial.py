@@ -387,15 +387,12 @@ class CohomologyClass:
                 f"cochain length {self.cochain.shape[0]} != number of {self.dim}-simplices {n}"
             )
         delta = coboundary_matrix(cc, self.dim)
-        if delta.size and la.f2_mul(delta, self.cochain.reshape(-1, 1)).any():
+        if la.f2_mul(delta, self.cochain.reshape(-1, 1)).any():
             raise InputError("cochain is not a cocycle over GF(2)")
 
     def is_zero_class(self) -> bool:
         """Is this cocycle a coboundary?"""
-        cc = ChainComplexZ.of(self.complex)
-        if self.dim == 0:
-            return not self.cochain.any()
-        delta = coboundary_matrix(cc, self.dim - 1)
+        delta = coboundary_matrix(ChainComplexZ.of(self.complex), self.dim - 1)
         return la.solve_f2(delta, self.cochain) is not None
 
 

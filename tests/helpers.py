@@ -549,16 +549,24 @@ def random_pin_model(
         else:
             a0 = rng.randint(0, 2)
             depth = rng.randint(0, 1)
-            block = {}
+            # now and then with a copy one degree lower, each block
+            # generator having its copy as finite boundary: a cycle that
+            # bounds nothing, homologous to the tower target, which lives
+            parts = [{} for _ in range(2 if rng.random() < 1 / 3 else 1)]
             for alpha in range(a0 + 1):
                 for j in range(depth + 1):
-                    block[(alpha, j)] = fresh(n + 4 * (depth - j) + (a0 - alpha) + 1)
-            for (alpha, j), name in block.items():
-                if alpha < a0:
-                    q_entries.append((name, block[(alpha + 1, j)]))
-                if j < depth:
-                    v_entries.append((name, block[(alpha, j + 1)]))
+                    for c, part in enumerate(parts):
+                        part[(alpha, j)] = fresh(n + 4 * (depth - j) + (a0 - alpha) + 1 - c)
+            for part in parts:
+                for (alpha, j), name in part.items():
+                    if alpha < a0:
+                        q_entries.append((name, part[(alpha + 1, j)]))
+                    if j < depth:
+                        v_entries.append((name, part[(alpha, j + 1)]))
+            for (alpha, j), name in parts[0].items():
                 arrows.append((name, a0 - alpha, depth - j))
+                if len(parts) == 2:
+                    d_entries.append((name, parts[1][(alpha, j)]))
 
     m = len(gens)
     index = {name: i for i, (name, _) in enumerate(gens)}
@@ -614,11 +622,15 @@ def random_s1_model(rng: random.Random, max_blocks: int = 2) -> SOneModel:
             d_entries.append((x, y))
         else:
             depth = rng.randint(0, 2)
-            block = [fresh(n + 2 * (depth - j) + 1) for j in range(depth + 1)]
-            for j, name in enumerate(block):
-                if j < depth:
-                    u_entries.append((name, block[j + 1]))
+            # now and then with a copy one degree lower, as in random_pin_model
+            parts = [[fresh(n + 2 * (depth - j) + 1 - c) for j in range(depth + 1)]
+                     for c in range(2 if rng.random() < 1 / 3 else 1)]
+            for part in parts:
+                u_entries += [(part[j], part[j + 1]) for j in range(depth)]
+            for j, name in enumerate(parts[0]):
                 arrows.append((name, depth - j))
+                if len(parts) == 2:
+                    d_entries.append((name, parts[1][j]))
     m = len(gens)
     index = {name: i for i, (name, _) in enumerate(gens)}
     um = la.f2_zeros(m, m)

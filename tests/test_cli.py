@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -223,14 +224,50 @@ def test_invalid_model_file_exits_one(tmp_path, capsys):
 
 
 def test_file_input_matches_fixture(tmp_path):
-    data, _ = load_input("fixtures:figure_eight")
-    path = tmp_path / "fig8.json"
-    path.write_text(json.dumps(data))
-    from_file = out_of(["knot", str(path)])
-    from_fixture = out_of(["knot", "fixtures:figure_eight"])
+    """The input digest is the first 16 hex digits of the sha256 of the
+    input's bytes.  A copy of a fixture's file reports exactly as the
+    fixture does; a re-formatted copy reports the same results under the
+    digest of its own bytes."""
+    raw = fixtures.load("figure_eight")[1]
+    copy = tmp_path / "fig8.json"
+    copy.write_bytes(raw)
+    spaced = tmp_path / "fig8_spaced.json"
+    spaced.write_text(json.dumps(json.loads(raw), indent=3, sort_keys=True))
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     # identical apart from the echoed input path
-    strip = lambda s: "\n".join(l for l in s.splitlines() if not l.startswith("command:"))
-    assert strip(from_file) == strip(from_fixture)
+    strip = lambda s: [l for l in s.splitlines() if not l.startswith("command:")]
+    from_fixture = strip(out_of(["knot", "fixtures:figure_eight"]))
+    assert from_fixture[0] == f"input: sha256:{digest(copy)}"
+    assert strip(out_of(["knot", str(copy)])) == from_fixture
+    reformatted = strip(out_of(["knot", str(spaced)]))
+    assert reformatted[0] == f"input: sha256:{digest(spaced)}" != from_fixture[0]
+    assert reformatted[1:] == from_fixture[1:]
+    as_json = json.loads(out_of(["--json", "knot", str(spaced)]))
+    assert as_json["input"] == digest(spaced)
+    assert as_json["results"] == json.loads(out_of(["--json", "knot", str(copy)]))["results"]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'\xff\xfe{"kind": "s"}',
+     '{"kind": "simplicial"}'.encode("utf-16"),
+     '{"kind": "simplicial", "facets": [["\xe9"]]}'.encode("latin-1")],
+    ids=["stray-bytes", "utf-16", "latin-1"],
+)
+def test_input_that_is_not_utf8_exits_one_without_traceback(tmp_path, capsys, raw):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["homology", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: InputError: {path} is not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_utf8_bom_is_refused_as_invalid_json(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b'\xef\xbb\xbf{"kind": "simplicial"}')
+    assert main(["homology", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: InputError: invalid JSON in {path}")
 
 
 @pytest.mark.parametrize(

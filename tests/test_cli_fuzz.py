@@ -9,6 +9,11 @@ numeric options drawn from small ranges; 15 examples per command.  Every
 outcome must be a report with exit code 0, or a HomcobError with exit
 code 1 (input) or 2 (invalid model): never an internal error and never
 another exception.
+
+A byte-level sweep writes broken copies of every fixture file, truncated
+or with one byte set to 0x80 or 0xff (never valid UTF-8), and runs each
+through `cli.main`: each must exit 1 or 2 with one `error:` line and no
+traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from homcob import fixtures
-from homcob.cli import load_input, run
+from homcob.cli import load_input, main, run
 from homcob.equivariant import PinModel, SOneModel
 from homcob.errors import HomcobError
 
@@ -168,3 +173,32 @@ def test_every_integer_moved_by_10_30_exits_zero_one_or_two(fuzz_dir, kind):
                     _check_outcome(argv, moved, fuzz_dir / "input.json", where)
                     ran += 1
     assert ran
+
+
+def _broken_copies(raw: bytes, cuts: int = 24, flips: int = 8):
+    """Truncations of raw at `cuts` points before its closing brace (so no
+    copy is a whole document) and copies with one byte, at `flips`
+    evenly spaced positions, set to 0x80 or 0xff."""
+    body = len(raw.rstrip())
+    for end in sorted({*range(0, body, max(1, body // cuts)), body - 1}):
+        yield f"cut {end}", raw[:end]
+    for pos in range(0, len(raw), max(1, len(raw) // flips)):
+        for byte in (0x80, 0xFF):
+            yield f"{byte:#x} at {pos}", raw[:pos] + bytes([byte]) + raw[pos + 1:]
+
+
+def test_broken_fixture_bytes_exit_one_or_two_without_traceback(fuzz_dir, capsys):
+    """Every fixture file, the placeholder too, broken at the byte level."""
+    path = fuzz_dir / "broken.json"
+    ran = 0
+    for name in fixtures.fixture_names():
+        cmd = COMMANDS.get(fixtures.describe(name), ["homology"])[0]
+        for what, raw in _broken_copies(fixtures.read_bytes(name)):
+            path.write_bytes(raw)
+            code = main([cmd, str(path)])
+            out, err = capsys.readouterr()
+            assert code in (1, 2), f"{name} {what}: exit {code}"
+            assert not out and err.startswith("error: ") and err.count("\n") == 1, (name, what)
+            assert "Traceback" not in err
+            ran += 1
+    assert ran >= 16 * (24 + 2 * 8)

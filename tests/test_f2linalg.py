@@ -63,24 +63,42 @@ def test_solve_dimension_mismatch():
         la.solve_f2([[1, 0]], [1, 0])
 
 
-@pytest.mark.parametrize("inner", [1, 7, 15, 16, 17, 255, 256, 257, 300])
+@pytest.mark.parametrize("inner", [1, 7, 15, 16, 17, 255, 256, 257, 300, 301])
 def test_f2_mul_matches_int64_product(inner):
     # uint8 sums wrap mod 256; an all-ones row and column sum to `inner`.
     # The all-ones 3 x inner x 4 product stays below the BLAS cutoff up to
     # inner 341 and the 64 x inner x 64 one is above it from inner 1, so
-    # both paths see sums of 256 and more
+    # both paths see sums of 256 and more.  A uint8 operand is not reduced
+    # before the product, so entries 2-255 must give the parity of the
+    # integer product on both paths; other dtypes and lists are reduced
+    # mod 2 first
     rng = np.random.default_rng(inner)
     for rows, cols in ((3, 4), (64, 64)):
         ones_a, ones_b = np.ones((rows, inner), np.uint8), np.ones((inner, cols), np.uint8)
+        wide_a = rng.integers(0, 256, (rows, inner)).astype(np.uint8)
+        wide_b = rng.integers(0, 256, (inner, cols)).astype(np.uint8)
+        signed = rng.integers(-300, 300, (inner, cols))
         cases = [(ones_a, ones_b),
                  (rng.integers(0, 2, (rows + 2, inner)), rng.integers(0, 2, (inner, cols + 2))),
-                 (ones_a, rng.integers(0, 2, (inner, cols)))]
+                 (ones_a, rng.integers(0, 2, (inner, cols))),
+                 (wide_a, wide_b),
+                 (np.full((rows, inner), 255, np.uint8), wide_b),
+                 (wide_a.T.copy().T, ones_b),  # a non-contiguous view
+                 (wide_a, signed),
+                 (wide_a.astype(np.int64), wide_b.astype(bool)),
+                 (wide_a.tolist(), wide_b.tolist())]
         for a, b in cases:
             got = la.f2_mul(a, b)
-            want = a.astype(np.int64) @ b.astype(np.int64) % 2
+            want = np.asarray(a, np.int64) @ np.asarray(b, np.int64) % 2
             assert got.dtype == np.uint8 and np.array_equal(got, want)
         assert (la.f2_mul(ones_a, ones_b) == inner % 2).all()
-    assert 3 * 300 * 4 < la._BLAS_MIN_WORK <= 64 * 1 * 64
+        # every entry 255: each product is odd, so the sum has the parity of
+        # inner; from inner 259 the sum is above 2^24, where float32 holds
+        # only even integers, so the BLAS path must mask before its cast
+        full_a, full_b = np.full_like(ones_a, 255), np.full_like(ones_b, 255)
+        assert (la.f2_mul(full_a, full_b) == inner % 2).all()
+        assert (la.f2_mul(full_a, ones_b * 2) == 0).all()
+    assert 3 * 301 * 4 < la._BLAS_MIN_WORK <= 64 * 1 * 64
     with pytest.raises(InputError, match="shape mismatch"):
         la.f2_mul(ones_a, ones_a)
 

@@ -456,6 +456,38 @@ def test_bockstein_squared_zero_and_representative_independence():
         assert same_class(bockstein_sq1(x2), sq)
 
 
+def test_zero_and_nonzero_0_cochains_on_every_fixture():
+    """A 0-cochain is a cocycle exactly when it is constant along every
+    edge, and a coboundary only when it is zero, since there are no
+    (-1)-cochains: zero, all-ones, one vertex and one component's vertices
+    on every simplicial fixture and its suspensions.  Every cochain of the
+    top dimension is a cocycle, its coboundary matrix having no rows, and
+    a coboundary when it adds nothing to the rank of the one below."""
+    for k in _fixture_family():
+        verts = [v for (v,) in k.simplices_of_dim(0)]
+        edges = k.simplices_of_dim(1)
+        component = {v: {v} for v in verts}
+        for u, w in edges:
+            if component[u] is not component[w]:
+                merged = component[u] | component[w]
+                for x in merged:
+                    component[x] = merged
+        picks = [set(), set(verts), {verts[0]}, {verts[-1]}, component[verts[-1]]]
+        for pick in picks:
+            cochain = np.array([v in pick for v in verts], dtype=np.uint8)
+            if all((u in pick) == (w in pick) for u, w in edges):
+                assert CohomologyClass(k, 0, cochain).is_zero_class() == (not pick)
+            else:
+                with pytest.raises(InputError, match="not a cocycle"):
+                    CohomologyClass(k, 0, cochain)
+        top = k.dimension()
+        n = len(k.simplices_of_dim(top))
+        delta = coboundary_matrix(ChainComplexZ.of(k), top - 1)
+        for cochain in (np.zeros(n, np.uint8), np.ones(n, np.uint8)):
+            bounds = la.rank_f2(np.column_stack([delta, cochain])) == la.rank_f2(delta)
+            assert CohomologyClass(k, top, cochain).is_zero_class() == bounds
+
+
 def test_bockstein_rejects_non_cocycle():
     n1 = len(RP2.simplices_of_dim(1))
     vec = np.zeros(n1, dtype=np.uint8)
