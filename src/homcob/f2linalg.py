@@ -21,19 +21,23 @@ makes one float32 BLAS call, exact while the inner dimension is below
 2^24, and reads the parity of its sums through int32.  The crossover,
 _BLAS_MIN_WORK, was measured.
 
-Integer matrices are plain lists of lists of Python ints so that Smith
-normal form never overflows (entry growth is real even on small inputs).
+Integer matrices are sparse rows of Python ints (`IntMatrix`), so that
+Smith normal form never overflows (entry growth is real even on small
+inputs) and costs what the nonzeros cost; a dense list of lists is
+coerced at the door by `int_matrix`.
 
 Every Smith normal form carries its certificate.  The elimination logs
-each elementary operation, and _check_snf replays the logs on m with plain
-list arithmetic: every operation adds a multiple of one row (column) to
-another, so U and V are unimodular without being built; what the replay
-leaves must be the pivots alone, at most one in each row and column; and
-their absolute values, which are the result, must form a divisibility
-chain.
+each elementary operation, and _check_snf replays the logs on a copy of
+the source rows, visiting only the nonzeros of each source row (column):
+every operation adds a multiple of one row (column) to another, so U and
+V are unimodular without being built; what the replay leaves must be the
+pivots alone, at most one in each row and column; and their absolute
+values, which are the result, must form a divisibility chain.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,36 +200,36 @@ def image_basis_f2(m) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Integer matrices (lists of lists of Python ints)
+# Integer matrices (sparse rows of Python ints)
 
 
-def int_mat(m) -> list[list[int]]:
-    out = [[int(x) for x in row] for row in m]
-    if out and any(len(r) != len(out[0]) for r in out):
+class IntMatrix(NamedTuple):
+    """An integer matrix as sparse rows: rows[i] maps the column of each
+    nonzero entry of row i to that entry; shape is (rows, columns)."""
+
+    rows: list[dict[int, int]]
+    shape: tuple[int, int]
+
+    def mod2(self) -> np.ndarray:
+        """The matrix over GF(2), its odd entries set by one index assignment."""
+        odd = [(i, j) for i, row in enumerate(self.rows) for j, x in row.items() if x & 1]
+        out = f2_zeros(*self.shape)
+        if odd:
+            out[tuple(zip(*odd))] = 1
+        return out
+
+
+def int_matrix(m) -> IntMatrix:
+    """m itself when it is an IntMatrix, else the sparse rows of a dense
+    list of lists."""
+    if isinstance(m, IntMatrix):
+        return m
+    dense = [[int(x) for x in row] for row in m]
+    cols = len(dense[0]) if dense else 0
+    if any(len(r) != cols for r in dense):
         raise InputError("ragged integer matrix")
-    return out
-
-
-def int_mul(a, b) -> list[list[int]]:
-    """Integer matrix product; zero entries are skipped, so the cost follows
-    the nonzeros of a times the nonzeros of the rows of b they meet."""
-    cols = len(b[0]) if b else 0
-    if any(len(row) != len(b) for row in a):
-        raise InputError("shape mismatch in integer product")
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * cols
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_rows[k]:
-                    acc[j] += x * y
-        out.append(acc)
-    return out
-
-
-def int_transpose(a) -> list[list[int]]:
-    return [list(r) for r in zip(*a)] if a else []
+    return IntMatrix([{j: x for j, x in enumerate(row) if x} for row in dense],
+                     (len(dense), cols))
 
 
 def int_det(a) -> int:
@@ -267,9 +271,9 @@ def _axpy(major, minor, dst, src, q) -> None:
 
 
 def smith_normal_form(m) -> list[int]:
-    """Invariant factors of an integer matrix: the diagonal of its Smith
-    normal form, nonnegative, d1 | d2 | ..., padded with zeros to
-    min(rows, cols).
+    """Invariant factors of an integer matrix (an IntMatrix, or a dense
+    list of lists coerced by int_matrix): the diagonal of its Smith normal
+    form, nonnegative, d1 | d2 | ..., padded with zeros to min(rows, cols).
 
     The matrix is eliminated sparsely, by rows and by columns at once: each
     pivot has the minimal nonzero absolute value (units first, as in
@@ -281,10 +285,9 @@ def smith_normal_form(m) -> list[int]:
     the same clearing step.  Every elementary operation is logged, and the
     factors are read from the replay of the logs on m (see _check_snf).
     """
-    a = int_mat(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    arow = [{j: x for j, x in enumerate(row) if x} for row in a]
+    a = int_matrix(m)
+    rows, cols = a.shape
+    arow = [dict(row) for row in a.rows]
     acol: list[dict[int, int]] = [{} for _ in range(cols)]
     for i, row in enumerate(arow):
         for j, x in row.items():
@@ -320,18 +323,24 @@ def smith_normal_form(m) -> list[int]:
     pivots: list[tuple[int, int]] = []
     free = set(range(rows))
     while True:
-        best = None
+        # the first entry, in scan order, that minimizes (|x|, Markowitz
+        # count); the count is only taken for an |x| that can still win
+        size = cost = p = c = 0  # size 0: no entry seen yet
         for i in free:
-            fill = len(arow[i]) - 1
-            for j, x in arow[i].items():
-                key = (abs(x), fill * (len(acol[j]) - 1))
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-            if best is not None and best[0] == (1, 0):
+            row = arow[i]
+            fill = len(row) - 1
+            for j, x in row.items():
+                if x < 0:
+                    x = -x
+                if x < size or not size:
+                    size, cost, p, c = x, fill * (len(acol[j]) - 1), i, j
+                elif x == size and (k := fill * (len(acol[j]) - 1)) < cost:
+                    cost, p, c = k, i, j
+            if size == 1 and cost == 0:
                 break
-        if best is None:
+        if not size:
             break
-        p, c = clear(best[1], best[2])
+        p, c = clear(p, c)
         pivots.append((p, c))
         free.discard(p)
 
@@ -344,30 +353,44 @@ def smith_normal_form(m) -> list[int]:
                 p, c = clear(ps, cs)
                 pivots[s], pivots[t] = (p, c), (ps + pt - p, cs + ct - c)
 
-    return _check_snf(m, row_log, col_log, pivots)
+    return _check_snf(a, row_log, col_log, pivots)
 
 
-def _check_snf(m, row_log, col_log, pivots) -> list[int]:
-    """Certificate of an SNF, read back from m: each logged (dst, src, q)
+def _replay(lines, log) -> None:
+    """lines[dst] -= q * lines[src] for each logged (dst, src, q), on
+    sparse lines {index: entry}, visiting the nonzeros of lines[src]."""
+    for dst, src, q in log:
+        line = lines[dst]
+        for k, y in lines[src].items():
+            x = line.get(k, 0) - q * y
+            if x:
+                line[k] = x
+            else:  # a cancelled entry, or an absent one under q = 0
+                line.pop(k, None)
+
+
+def _check_snf(a: IntMatrix, row_log, col_log, pivots) -> list[int]:
+    """Certificate of an SNF, read back from a: each logged (dst, src, q)
     subtracts q times one row (column) from another, so it is elementary
-    and unimodular; replaying the row log and then the column log on m
+    and unimodular; replaying the row log and then the column log on a
     (left and right multiplications commute) leaves exactly the pivots, at
     most one in each row and column; and their absolute values form a
     divisibility chain.  Returns those values padded with zeros.  The
-    replay is plain list arithmetic written apart from the elimination's
-    _axpy, so a slip in the sparse bookkeeping cannot hide."""
-    a = int_mat(m)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    replay runs on a copy of a's rows and then on its columns, and it is
+    written apart from the elimination's _axpy, which also keeps the other
+    index, so a slip in that bookkeeping cannot hide."""
+    rows, cols = a.shape
     for log, n in ((row_log, rows), (col_log, cols)):
         if any(dst == src or not (0 <= dst < n and 0 <= src < n) for dst, src, _ in log):
             raise InternalError("SNF verification failed: transform not unimodular")
-    for dst, src, q in row_log:
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-    at = [list(col) for col in zip(*a)]  # columns as rows
-    for dst, src, q in col_log:
-        at[dst] = [x - q * y for x, y in zip(at[dst], at[src])]
-    left = {(i, j): x for j, col in enumerate(at) for i, x in enumerate(col) if x}
+    lines = [dict(row) for row in a.rows]
+    _replay(lines, row_log)
+    at: list[dict[int, int]] = [{} for _ in range(cols)]  # columns as rows
+    for i, row in enumerate(lines):
+        for j, x in row.items():
+            at[j][i] = x
+    _replay(at, col_log)
+    left = {(i, j): x for j, col in enumerate(at) for i, x in col.items()}
     if (set(pivots) != set(left) or len({p for p, _ in pivots}) < len(pivots)
             or len({c for _, c in pivots}) < len(pivots)):
         raise InternalError("SNF verification failed: U*m*V != D")

@@ -85,7 +85,8 @@ class AbstractComplex:
                 simps.update(combinations(t, k))
         for v in verts:
             simps.add((v,))
-        return cls(sorted(verts), simps)
+        # downward closed by construction, every vertex a singleton
+        return cls(tuple(sorted(verts)), frozenset(simps), _validated=True)
 
     @classmethod
     def empty(cls) -> "AbstractComplex":
@@ -246,13 +247,14 @@ def suspension(k: AbstractComplex) -> AbstractComplex:
 class ChainComplexZ:
     """Integral simplicial chain complex with ascending-vertex orientation.
 
-    boundaries[d] maps d-chains to (d-1)-chains; boundaries[0] is the
-    augmentation (all-ones row) so reduced homology is a flag, not a
-    different complex.
+    boundaries[d] maps d-chains to (d-1)-chains, stored once as sparse rows
+    (an IntMatrix: row i maps the index of each d-simplex with the (d-1)-
+    simplex i as a face to its sign); boundaries[0] is the augmentation
+    (all-ones row) so reduced homology is a flag, not a different complex.
     """
 
     generators: list[list[Simplex]]
-    boundaries: list[list[list[int]]]  # boundaries[d]: dim C_{d-1} x dim C_d
+    boundaries: list[la.IntMatrix]  # boundaries[d]: dim C_{d-1} x dim C_d
 
     @classmethod
     def of(cls, k: AbstractComplex) -> "ChainComplexZ":
@@ -269,36 +271,39 @@ class ChainComplexZ:
         dim = k.dimension()
         gens = [k.simplices_of_dim(d) for d in range(dim + 1)]
         index = [{s: i for i, s in enumerate(g)} for g in gens]
-        bnds = []
-        for d in range(dim + 1):
-            rows = len(gens[d - 1]) if d > 0 else 1
-            mat = [[0] * len(gens[d]) for _ in range(rows)]
+        # boundaries[0], the augmentation, then each boundary from the face index
+        bnds = [la.IntMatrix([dict.fromkeys(range(len(g)), 1)], (1, len(g))) for g in gens[:1]]
+        for d in range(1, dim + 1):
+            rows: list[dict[int, int]] = [{} for _ in gens[d - 1]]
+            faces = index[d - 1]
             for j, s in enumerate(gens[d]):
-                if d == 0:
-                    mat[0][j] = 1  # augmentation
-                    continue
-                for i, v in enumerate(s):
-                    face = s[:i] + s[i + 1 :]
-                    mat[index[d - 1][face]][j] = (-1) ** i
-            bnds.append(mat)
+                for i in range(d + 1):
+                    rows[faces[s[:i] + s[i + 1:]]][j] = -1 if i & 1 else 1
+            bnds.append(la.IntMatrix(rows, (len(rows), len(gens[d]))))
         cc = cls(gens, bnds)
         cc._check()
         return cc
 
     def _check(self):
+        """d_{d-1} d_d = 0 for d >= 2, one sparse row of the product at a time."""
         for d in range(2, len(self.boundaries)):
-            prod = la.int_mul(self.boundaries[d - 1], self.boundaries[d])
-            if any(any(row) for row in prod):
-                raise InternalError(f"boundary composition nonzero in degree {d}")
+            below = self.boundaries[d].rows
+            for row in self.boundaries[d - 1].rows:
+                acc: dict[int, int] = {}
+                for k, x in row.items():
+                    for j, y in below[k].items():
+                        acc[j] = acc.get(j, 0) + x * y
+                if any(acc.values()):
+                    raise InternalError(f"boundary composition nonzero in degree {d}")
 
-    def boundary(self, d: int) -> list[list[int]]:
+    def boundary(self, d: int) -> la.IntMatrix:
         """The map C_d -> C_{d-1} (zero matrix outside range; d=0 gives a
         zero map, the augmentation is handled separately)."""
         if 1 <= d < len(self.boundaries):
             return self.boundaries[d]
         rows = len(self.generators[d - 1]) if 0 <= d - 1 < len(self.generators) else 0
         cols = len(self.generators[d]) if 0 <= d < len(self.generators) else 0
-        return [[0] * cols for _ in range(rows)]
+        return la.IntMatrix([{} for _ in range(rows)], (rows, cols))
 
 
 @dataclass
@@ -332,7 +337,7 @@ def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
     for d in range(0 if reduced else 1, dim + 1):
         b = cc.boundaries[d]
         if ring == "F2":
-            ranks[d] = la.rank_f2(b)
+            ranks[d] = la.rank_f2(b.mod2())
         else:
             diag = la.smith_normal_form(b)
             ranks[d] = sum(1 for x in diag if x != 0)
@@ -362,12 +367,7 @@ def is_homology_sphere(k: AbstractComplex, dim: int) -> bool:
 
 def coboundary_matrix(cc: ChainComplexZ, d: int) -> np.ndarray:
     """delta: C^d -> C^{d+1} over GF(2) (transpose of the boundary)."""
-    b = cc.boundary(d + 1)
-    if not b or not b[0]:
-        rows = len(cc.generators[d + 1]) if d + 1 < len(cc.generators) else 0
-        cols = len(cc.generators[d]) if 0 <= d < len(cc.generators) else 0
-        return la.f2_zeros(rows, cols)
-    return la.f2(la.int_transpose(b))
+    return cc.boundary(d + 1).mod2().T
 
 
 @dataclass
@@ -380,6 +380,8 @@ class CohomologyClass:
 
     def __post_init__(self):
         self.cochain = la.f2(self.cochain).reshape(-1)
+        if self.dim < 0:
+            raise InputError(f"cohomology degree must be non-negative, got {self.dim}")
         cc = ChainComplexZ.of(self.complex)
         n = len(cc.generators[self.dim]) if self.dim < len(cc.generators) else 0
         if self.cochain.shape[0] != n:
@@ -406,9 +408,13 @@ def bockstein_sq1(x: CohomologyClass) -> CohomologyClass:
     cc = ChainComplexZ.of(x.complex)
     d = x.dim
     bnd = cc.boundary(d + 1)  # C_{d+1} -> C_d over Z
-    lift = [int(v) for v in x.cochain]
-    # the integral coboundary, one value per (d+1)-simplex
-    vals = la.int_mul([lift], bnd)[0]
+    # the integral coboundary of the 0/1 lift, one value per (d+1)-simplex:
+    # the sum of the boundary rows of the d-simplices where x is 1
+    vals = [0] * bnd.shape[1]
+    for v, row in zip(x.cochain.tolist(), bnd.rows):
+        if v:
+            for j, y in row.items():
+                vals[j] += y
     if any(val % 2 for val in vals):
         raise InternalError("integral coboundary of a mod-2 cocycle is odd")
     out = [(val // 2) % 2 for val in vals]

@@ -113,6 +113,20 @@ def random_invertible_degree_preserving(rng: random.Random, degrees: list[int]):
 # integer matrices
 
 
+def int_transpose(a) -> list[list[int]]:
+    return [list(r) for r in zip(*a)] if a else []
+
+
+def int_dense(a: la.IntMatrix) -> list[list[int]]:
+    """The dense list of lists of a sparse integer matrix."""
+    rows, cols = a.shape
+    out = [[0] * cols for _ in range(rows)]
+    for i, row in enumerate(a.rows):
+        for j, x in row.items():
+            out[i][j] = x
+    return out
+
+
 def dense_int_mul(a, b):
     """Schoolbook integer product, every entry visited."""
     bt = list(zip(*b))

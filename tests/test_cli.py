@@ -289,6 +289,28 @@ def test_malformed_fields_exit_one_without_traceback(tmp_path, capsys, cmd, data
 
 
 @pytest.mark.parametrize(
+    "facets, vertices, message",
+    [
+        ([[1, 1]], None, "simplex with repeated vertices: [1, 1]"),
+        ([[1, 2], [2, 3, 2]], None, "simplex with repeated vertices: [2, 3, 2]"),
+        ([[1, 2], []], None, "empty simplex"),
+        ([[1, "a"]], None, "malformed simplicial input: vertex must be an integer, got 'a'"),
+        ([[1, 2]], [3, 1.5], "malformed simplicial input: vertex must be an integer, got 1.5"),
+        ([5], None, "malformed simplicial input: TypeError: 'int' object is not iterable"),
+    ],
+)
+def test_malformed_facets_keep_their_message_and_exit_one(tmp_path, capsys, facets,
+                                                           vertices, message):
+    path = tmp_path / "bad.json"
+    data = {"kind": "simplicial", "facets": facets}
+    if vertices is not None:
+        data["vertices"] = vertices
+    path.write_text(json.dumps(data))
+    assert main(["homology", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: InputError: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["abc", "--bogus", "fixtures:s3"],

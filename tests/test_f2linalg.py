@@ -9,7 +9,15 @@ from homcob.errors import InputError, InternalError
 from homcob.involutive import ConeComplex, UComplex
 from homcob.simplicial import ChainComplexZ, coboundary_matrix
 
-from helpers import check_snf_oracle, random_complex, snf_diagonal_oracle, snf_transforms
+from helpers import (
+    check_snf_oracle,
+    dense_int_mul,
+    int_dense,
+    int_transpose,
+    random_complex,
+    snf_diagonal_oracle,
+    snf_transforms,
+)
 
 
 def test_rank_empty_and_identity():
@@ -210,7 +218,7 @@ def _random_int_matrix(rng, rows, cols):
         k = rng.randint(1, min(rows, cols))
         a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
         b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
-        return la.int_mul(a, b)
+        return dense_int_mul(a, b)
     density = 1.0 if kind == "dense" else 0.3
     return [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)]
             for _ in range(rows)]
@@ -224,7 +232,8 @@ def _snf_certificate(monkeypatch, m):
     with monkeypatch.context() as patch:
         patch.setattr(la, "_check_snf", lambda *args: seen.append(args) or check(*args))
         diag = la.smith_normal_form(m)
-    _, row_log, col_log, pivots = seen[0]
+    source, row_log, col_log, pivots = seen[0]
+    assert source == la.int_matrix(m)
     return diag, list(row_log), list(col_log), list(pivots)
 
 
@@ -235,7 +244,7 @@ def test_snf_diagonal_matches_determinantal_divisors(monkeypatch):
         diag, *log = _snf_certificate(monkeypatch, m)
         check_snf_oracle(m, *snf_transforms(m, *log, diag))
         assert diag == snf_diagonal_oracle(m)
-        assert la.smith_normal_form(la.int_transpose(m)) == diag
+        assert la.smith_normal_form(int_transpose(m)) == diag
 
 
 def test_snf_of_boundary_matrices_passes_the_dense_check(monkeypatch):
@@ -244,10 +253,11 @@ def test_snf_of_boundary_matrices_passes_the_dense_check(monkeypatch):
         cc = ChainComplexZ.of(random_complex(rng, 8))
         for b in cc.boundaries:
             diag, *log = _snf_certificate(monkeypatch, b)
-            check_snf_oracle(b, *snf_transforms(b, *log, diag))
+            m = int_dense(b)
+            check_snf_oracle(m, *snf_transforms(m, *log, diag))
 
 
-CERTIFIED = [[2, 4, 0], [6, 8, 1], [0, 3, 5], [1, 0, 0]]
+CERTIFIED = la.int_matrix([[2, 4, 0], [6, 8, 1], [0, 3, 5], [1, 0, 0]])
 
 
 def test_snf_certificate_holds_and_catches_each_changed_q(monkeypatch):
@@ -274,7 +284,7 @@ def test_snf_certificate_rejects_an_op_with_dst_equal_to_src(monkeypatch):
     # row_0 -= -1 * row_0 turns (1) into (2), which is its own SNF, but the
     # operation doubles a row and has no inverse over Z
     with pytest.raises(InternalError, match="transform not unimodular"):
-        la._check_snf([[1]], [(0, 0, -1)], [], [(0, 0)])
+        la._check_snf(la.int_matrix([[1]]), [(0, 0, -1)], [], [(0, 0)])
 
 
 def test_snf_certificate_rejects_a_wrong_diagonal(monkeypatch):
@@ -288,9 +298,31 @@ def test_snf_certificate_rejects_a_wrong_diagonal(monkeypatch):
         with pytest.raises(InternalError, match="U\\*m\\*V != D"):
             la._check_snf(CERTIFIED, row_log, col_log, bad)
     for diag in ([2, 3], [4, 2], [-2, 3]):
-        m = [[diag[0], 0], [0, diag[1]]]
+        m = la.int_matrix([[diag[0], 0], [0, diag[1]]])
         with pytest.raises(InternalError, match="divisibility chain broken"):
             la._check_snf(m, [], [], [(0, 0), (1, 1)])
+
+
+def test_snf_replay_takes_a_q0_step(monkeypatch):
+    """clear logs row_i -= 0 * row_p when a remainder is smaller than the
+    pivot; the replay passes over the entries of row_p that row_i lacks."""
+    m = la.int_matrix([[2, 4], [2, 5]])
+    diag, row_log, col_log, pivots = _snf_certificate(monkeypatch, m)
+    assert (1, 0, 0) in row_log and diag == [1, 2]
+    assert la._check_snf(m, row_log, col_log, pivots) == diag
+    assert la._check_snf(la.int_matrix([[1, 0], [0, 2]]), [(1, 0, 0)], [(0, 1, 0)],
+                         [(0, 0), (1, 1)]) == [1, 2]
+
+
+def test_snf_replay_cancels_entries_to_zero():
+    """Entries that cancel to zero leave the replay, so the pivot alone is
+    left; an entry the logs do not cancel (a log cut short, or a q that
+    overshoots) is caught."""
+    m = la.int_matrix([[1, 1], [1, 1]])
+    assert la._check_snf(m, [(1, 0, 1)], [(1, 0, 1)], [(0, 0)]) == [1, 0]
+    for row_log, col_log in (([(1, 0, 1)], []), ([], [(1, 0, 1)]), ([(1, 0, 2)], [(1, 0, 1)])):
+        with pytest.raises(InternalError, match="U\\*m\\*V != D"):
+            la._check_snf(m, row_log, col_log, [(0, 0)])
 
 
 SHAPE_ROWS = (0, 1, 2, 5, 9, 40)
@@ -312,7 +344,7 @@ def complex_matrices():
         if kind == "simplicial":
             cc = ChainComplexZ.of(cli.parse_input(fixtures.load_raw(name)))
             for d in range(len(cc.generators)):
-                out += [la.f2(cc.boundaries[d]), coboundary_matrix(cc, d)]
+                out += [cc.boundaries[d].mod2(), coboundary_matrix(cc, d)]
         elif kind == "u_complex":
             c, iota = UComplex.from_json(fixtures.load_raw(name))
             for x in (c, ConeComplex(c, iota).complex):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -186,6 +188,28 @@ def _fixture_family():
     return out
 
 
+def test_from_facets_equals_the_validating_constructor():
+    """from_facets skips the constructor's checks: the complex it builds
+    equals the one the validating constructor builds from the same closure
+    on every simplicial fixture, its suspensions and random facet lists
+    with isolated vertices."""
+    rng = random.Random(61)
+    cases = [(k.facets(), None) for k in _fixture_family()]
+    for _ in range(60):
+        nv = rng.randint(1, 8)
+        verts = list(range(1, nv + 1))
+        facets = [rng.sample(verts, rng.randint(1, min(4, nv)))
+                  for _ in range(rng.randint(0, 2 * nv))]
+        cases.append((facets, verts + [nv + 3]))
+    for facets, verts in cases:
+        closure = {t for f in facets for r in range(1, len(f) + 1)
+                   for t in combinations(sorted(f), r)} | {(v,) for v in verts or ()}
+        checked = AbstractComplex(sorted(t[0] for t in closure if len(t) == 1), closure)
+        k = AbstractComplex.from_facets(facets, vertices=verts)
+        assert k == checked
+        assert type(k.vertices) is tuple and type(k.simplices) is frozenset
+
+
 def test_link_by_star_index_matches_full_scan():
     circle = AbstractComplex.from_facets([[1, 2], [2, 3], [1, 3]])
     complexes = _fixture_family() + [
@@ -301,9 +325,10 @@ def test_boundary_squares_to_zero():
 def test_nonzero_boundary_composition_raises():
     cc = ChainComplexZ.of(suspension(RP2))
     for d in range(2, len(cc.boundaries)):
-        bnds = [[row[:] for row in b] for b in cc.boundaries]
-        j = next(j for j, x in enumerate(bnds[d][0]) if x)
-        bnds[d][0][j] = -bnds[d][0][j]
+        bnds = [la.IntMatrix([dict(row) for row in b.rows], b.shape) for b in cc.boundaries]
+        row = bnds[d].rows[0]
+        j = min(row)
+        row[j] = -row[j]
         with pytest.raises(InternalError, match=f"nonzero in degree {d}"):
             ChainComplexZ(cc.generators, bnds)._check()
 
@@ -368,10 +393,10 @@ def test_same_class_needs_one_degree_and_one_complex():
 @pytest.mark.parametrize("reduced", [False, True])
 def test_integral_homology_takes_one_snf_per_boundary(monkeypatch, reduced):
     snf = la.smith_normal_form
-    shapes = []
+    taken = []
 
     def counted(m):
-        shapes.append((len(m), len(m[0])))
+        taken.append(m)
         return snf(m)
 
     monkeypatch.setattr(la, "smith_normal_form", counted)
@@ -379,7 +404,8 @@ def test_integral_homology_takes_one_snf_per_boundary(monkeypatch, reduced):
     homology(k, "Z", reduced)
     cc = ChainComplexZ.of(k)
     first = 0 if reduced else 1
-    assert shapes == [(len(b), len(b[0])) for b in cc.boundaries[first:]]
+    assert [m.shape for m in taken] == [b.shape for b in cc.boundaries[first:]]
+    assert all(m is b for m, b in zip(taken, cc.boundaries[first:]))
 
 
 def test_euler_characteristic_vs_betti():
@@ -415,7 +441,7 @@ def test_bockstein_rp2_generator_nonzero():
         lift = [b + 2 * rng.randint(0, 1) * (1 if rng.random() < 0.5 else -1) for b in base]
         out = []
         for j in range(len(RP2.simplices_of_dim(2))):
-            val = sum(bnd[i][j] * lift[i] for i in range(len(lift)))
+            val = sum(bnd.rows[i].get(j, 0) * lift[i] for i in range(len(lift)))
             assert val % 2 == 0
             out.append((val // 2) % 2)
         other = CohomologyClass(RP2, 2, np.array(out, dtype=np.uint8))
@@ -486,6 +512,61 @@ def test_zero_and_nonzero_0_cochains_on_every_fixture():
         for cochain in (np.zeros(n, np.uint8), np.ones(n, np.uint8)):
             bounds = la.rank_f2(np.column_stack([delta, cochain])) == la.rank_f2(delta)
             assert CohomologyClass(k, top, cochain).is_zero_class() == bounds
+
+
+def test_cohomology_class_rejects_a_negative_degree():
+    rp2 = parse_input(fixtures.load_raw("rp2_6"))
+    top = len(rp2.simplices_of_dim(2))
+    with pytest.raises(InputError, match="cohomology degree must be non-negative, got -1"):
+        CohomologyClass(rp2, -1, np.zeros(top, dtype=np.uint8))
+
+
+# (fixture, suspensions): integral homology, reduced; mod-2 Betti numbers,
+# reduced; per degree, whether Sq1 of each cohomology_basis class is
+# nonzero; and a digest of the basis cochains and their Sq1 cochains.
+# Computed with dense integer boundaries; the sparse rows must agree.
+PINNED_ANSWERS = {
+    ('triangle_edge', 0): (['Z', '0', '0'], ['0', '0', '0'], [1, 0, 0], [0, 0, 0], [[False], [], []], 'e383507e7b756ff8'),
+    ('triangle_edge', 1): (['Z', '0', '0', '0'], ['0', '0', '0', '0'], [1, 0, 0, 0], [0, 0, 0, 0], [[False], [], [], []], '661b120f7230c675'),
+    ('triangle_edge', 2): (['Z', '0', '0', '0', '0'], ['0', '0', '0', '0', '0'], [1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [[False], [], [], [], []], '05f199ad56bfda42'),
+    ('boundary_delta3', 0): (['Z', '0', 'Z'], ['0', '0', 'Z'], [1, 0, 1], [0, 0, 1], [[False], [], [False]], 'b50a0df357c833b2'),
+    ('boundary_delta3', 1): (['Z', '0', '0', 'Z'], ['0', '0', '0', 'Z'], [1, 0, 0, 1], [0, 0, 0, 1], [[False], [], [], [False]], '88cd196ccf5ce27a'),
+    ('boundary_delta3', 2): (['Z', '0', '0', '0', 'Z'], ['0', '0', '0', '0', 'Z'], [1, 0, 0, 0, 1], [0, 0, 0, 0, 1], [[False], [], [], [], [False]], '13778f6d52354430'),
+    ('boundary_delta4', 0): (['Z', '0', '0', 'Z'], ['0', '0', '0', 'Z'], [1, 0, 0, 1], [0, 0, 0, 1], [[False], [], [], [False]], 'f62690b31501e118'),
+    ('boundary_delta4', 1): (['Z', '0', '0', '0', 'Z'], ['0', '0', '0', '0', 'Z'], [1, 0, 0, 0, 1], [0, 0, 0, 0, 1], [[False], [], [], [], [False]], '6c3abde9d60797a1'),
+    ('boundary_delta4', 2): (['Z', '0', '0', '0', '0', 'Z'], ['0', '0', '0', '0', '0', 'Z'], [1, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1], [[False], [], [], [], [], [False]], '600639dab0872ff4'),
+    ('torus7', 0): (['Z', 'Z + Z', 'Z'], ['0', 'Z + Z', 'Z'], [1, 2, 1], [0, 2, 1], [[False], [False, False], [False]], '21fb977e5e1e3fe2'),
+    ('torus7', 1): (['Z', '0', 'Z + Z', 'Z'], ['0', '0', 'Z + Z', 'Z'], [1, 0, 2, 1], [0, 0, 2, 1], [[False], [], [False, False], [False]], '02835b8af861d416'),
+    ('torus7', 2): (['Z', '0', '0', 'Z + Z', 'Z'], ['0', '0', '0', 'Z + Z', 'Z'], [1, 0, 0, 2, 1], [0, 0, 0, 2, 1], [[False], [], [], [False, False], [False]], 'f95d9b279d74c599'),
+    ('rp2_6', 0): (['Z', 'Z/2', '0'], ['0', 'Z/2', '0'], [1, 1, 1], [0, 1, 1], [[False], [True], [False]], '02aa1900194ec853'),
+    ('rp2_6', 1): (['Z', '0', 'Z/2', '0'], ['0', '0', 'Z/2', '0'], [1, 0, 1, 1], [0, 0, 1, 1], [[False], [], [True], [False]], '6127666ce53a7eb4'),
+    ('rp2_6', 2): (['Z', '0', '0', 'Z/2', '0'], ['0', '0', '0', 'Z/2', '0'], [1, 0, 0, 1, 1], [0, 0, 0, 1, 1], [[False], [], [], [True], [False]], '9aefc151f4785e85'),
+}
+
+
+def _answers(k):
+    sq1, cochains = [], []
+    for d in range(k.dimension() + 1):
+        nonzero = []
+        for x in cohomology_basis(k, d):
+            image = bockstein_sq1(x)
+            nonzero.append(not image.is_zero_class())
+            cochains += [x.cochain.tolist(), image.cochain.tolist()]
+        sq1.append(nonzero)
+    return ([str(g) for g in homology(k, "Z")], [str(g) for g in homology(k, "Z", reduced=True)],
+            homology(k, "F2"), homology(k, "F2", reduced=True), sq1,
+            hashlib.sha256(json.dumps(cochains).encode()).hexdigest()[:16])
+
+
+def test_answers_on_the_fixture_family_are_pinned():
+    seen = {}
+    for name in fixtures.fixture_names():
+        if fixtures.describe(name) == "simplicial":
+            k = parse_input(fixtures.load_raw(name))
+            for s in range(3):
+                seen[name, s] = _answers(k)
+                k = suspension(k)
+    assert seen == PINNED_ANSWERS
 
 
 def test_bockstein_rejects_non_cocycle():
