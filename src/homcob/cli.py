@@ -36,7 +36,6 @@ from .errors import HomcobError, InputError
 from .involutive import (
     IotaMap,
     UComplex,
-    cone_iota,
     involutive_correction_terms,
     v0_triple,
 )
@@ -231,7 +230,7 @@ def run(argv: list[str]) -> tuple[str, int]:
         c, iota = _expect(data, "u_complex")
         if iota is None:
             raise InputError("u_complex input needs an 'iota' field for this command")
-        report = involutive_correction_terms(cone_iota(c, iota))
+        report = involutive_correction_terms(c, iota)
         if cmd == "hfi":
             rep.add("d", report.d)
             rep.add("d_bar", report.d_bar)

@@ -57,9 +57,5 @@ def load(name: str) -> tuple[dict, bytes]:
     return data, raw
 
 
-def load_raw(name: str) -> dict:
-    return load(name)[0]
-
-
 def describe(name: str) -> str:
     return json.loads(read_bytes(name)).get("kind", "?")

@@ -51,7 +51,13 @@ no solution means that no H exists: None is exact.  Every H = P^-1 H' P
 returned is checked against dH + Hd = R.
 
 The cone of Q(1+iota) carries a Q of degree -1 with Q^2 = 0; its x keep
-their degrees and its Qx sit one lower.  Hendricks and Manolescu
+their degrees and its Qx sit one lower.  Its differential is
+[[d, 0], [1+iota, d]], built from parts already checked, so it needs no
+check of its own.  Its support: the two d blocks keep d's degree -1
+support, and 1 + iota has an entry x -> Qy of degree -1 exactly where
+iota's x -> y has degree 0.  Its square mod 2 is
+[[d^2, 0], [iota d + d iota, d^2]]: d^2 = 0 is checked when C is built
+and iota d = d iota by `validate_iota`.  Hendricks and Manolescu
 ("Involutive Heegaard Floer homology", section 5) define the involutive
 complex as this cone with every degree raised by 1, and read d_under + 1
 as the bottom of its tower not in the image of Q, and d_bar as the bottom
@@ -360,30 +366,20 @@ def one_plus_iota_nullhomotopic(c: UComplex, iota: IotaMap) -> bool:
     return _homotopy_solve(c, rhs) is not None
 
 
-class ConeComplex:
-    """Mapping cone of Q(1+iota): generators x and Qx (degree shifted by
-    -1), differential [[d, 0], [1+iota, d]], module structure over
-    F[Q,U]/(Q^2)."""
-
-    def __init__(self, base: UComplex, iota: IotaMap):
-        validate_iota(base, iota)
-        self.base = base
-        self.iota = iota
-        gens = [(f"m:{l}", d) for l, d in base.generators]
-        gens += [(f"q:{l}", d - 1) for l, d in base.generators]
-        n = len(base.generators)
-        block = la.f2_zeros(2 * n, 2 * n)
-        block[:n, :n] = block[n:, n:] = base.d_mat
-        block[n:, :n] = iota.mat ^ la.f2_eye(n)
-        if not _support_ok([d for _, d in gens], block, -1):
-            raise InternalError("cone differential not degree homogeneous")
-        if la.f2_mul(block, block).any():
-            raise InternalError("cone differential does not square to zero")
-        self.complex = UComplex.from_matrix(gens, block)
-
-
-def cone_iota(c: UComplex, iota: IotaMap) -> ConeComplex:
-    return ConeComplex(c, iota)
+def cone_iota(c: UComplex, iota: IotaMap) -> UComplex:
+    """The mapping cone of Q(1+iota), once iota is validated: generators
+    m:x and q:x (degree shifted by -1), differential [[d, 0], [1+iota, d]].
+    Neither its support nor its square is checked again: mod 2 the square
+    is [[d^2, 0], [iota d + d iota, d^2]], whose blocks `UComplex` and
+    `validate_iota` have already found zero (module docstring)."""
+    validate_iota(c, iota)
+    n = len(c.generators)
+    gens = [(f"m:{l}", d) for l, d in c.generators]
+    gens += [(f"q:{l}", d - 1) for l, d in c.generators]
+    block = la.f2_zeros(2 * n, 2 * n)
+    block[:n, :n] = block[n:, n:] = c.d_mat
+    block[n:, :n] = iota.mat ^ la.f2_eye(n)
+    return UComplex.from_matrix(gens, block)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +409,14 @@ class InvolutiveReport:
         return (self.d, self.d_bar, self.d_under)
 
 
-def involutive_correction_terms(cone: ConeComplex) -> InvolutiveReport:
-    """d, d_bar, d_under of a validated cone, read from its two towers by
-    definition (module docstring); the split case is a special case."""
-    base = cone.base
-    d = d_invariant(base)
-    split = one_plus_iota_nullhomotopic(base, cone.iota)
-    towers = cone.complex.tower_bottoms()
+def involutive_correction_terms(c: UComplex, iota: IotaMap) -> InvolutiveReport:
+    """d, d_bar, d_under of c with iota, read from the two towers of their
+    cone by definition (module docstring); the split case is a special
+    case.  iota is validated first (by `cone_iota`), then d is read."""
+    cone = cone_iota(c, iota)
+    d = d_invariant(c)
+    split = one_plus_iota_nullhomotopic(c, iota)
+    towers = cone.tower_bottoms()
     if len(towers) != 2:
         raise ModelInvalidError(f"cone has {len(towers)} stabilized towers, expected 2")
     main_parity = int(d) % 2

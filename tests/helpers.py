@@ -22,10 +22,10 @@ from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import GradedComplex, Homology, ladder_window
 from homcob.involutive import (
     DEFAULT_MARGIN,
-    ConeComplex,
     IotaMap,
     UComplex,
     _forced_power,
+    cone_iota,
 )
 from homcob.knot import LaurentPoly, SeifertMatrix
 from homcob.simplicial import (
@@ -1105,10 +1105,11 @@ def window_coborel_tops(model: PinModel):
     return tuple(tops)
 
 
-def cone_plus_window(cone: ConeComplex, lo: int, hi: int) -> GradedComplex:
-    """The plus flavor of the cone on [lo, hi], with Q (x, k) = (Qx, k)."""
-    q = [(f"m:{lab}", f"q:{lab}", 0) for lab, _ in cone.base.generators]
-    cx = cone.complex.plus_window(lo, hi, {"Q": (-1, q)})
+def cone_plus_window(c: UComplex, iota: IotaMap, lo: int, hi: int) -> GradedComplex:
+    """The plus flavor of the cone of Q(1+iota) on [lo, hi], with
+    Q (x, k) = (Qx, k)."""
+    q = [(f"m:{lab}", f"q:{lab}", 0) for lab, _ in c.generators]
+    cx = cone_iota(c, iota).plus_window(lo, hi, {"Q": (-1, q)})
     # the module relation Q^2 = 0 (the window checks dQ = Qd)
     for d in cx.degrees():
         qq = la.f2_mul(cx.op_matrix("Q", d - 1), cx.op_matrix("Q", d))
@@ -1117,23 +1118,23 @@ def cone_plus_window(cone: ConeComplex, lo: int, hi: int) -> GradedComplex:
     return cx
 
 
-def cone_window_dims(cone: ConeComplex):
-    """Homology of the cone and of its base on the cone's default window,
-    and the interior degrees where both are exact."""
-    lo, hi = cone.complex.default_window()
-    hc = Homology(cone_plus_window(cone, lo, hi))
-    hb = Homology(cone.base.plus_window(lo, hi))
+def cone_window_dims(c: UComplex, iota: IotaMap):
+    """Homology of the cone and of its base c on the cone's default
+    window, and the interior degrees where both are exact."""
+    lo, hi = cone_iota(c, iota).default_window()
+    hc = Homology(cone_plus_window(c, iota, lo, hi))
+    hb = Homology(c.plus_window(lo, hi))
     return hc, hb, range(lo + 4, hi - 2 * DEFAULT_MARGIN)
 
 
-def split_dims_law(cone: ConeComplex) -> bool:
+def split_dims_law(c: UComplex, iota: IotaMap) -> bool:
     """dim HFI_n == dim HF_n + dim HF_{n+1} on the window interior
     (exact for split cones; an inequality <= holds in general)."""
-    hc, hb, interior = cone_window_dims(cone)
+    hc, hb, interior = cone_window_dims(c, iota)
     return all(hc.dim(n) == hb.dim(n) + hb.dim(n + 1) for n in interior)
 
 
-def cone_rank_bound(cone: ConeComplex) -> bool:
+def cone_rank_bound(c: UComplex, iota: IotaMap) -> bool:
     """Long-exact-sequence bound dim HFI_n <= dim HF_n + dim HF_{n+1}."""
-    hc, hb, interior = cone_window_dims(cone)
+    hc, hb, interior = cone_window_dims(c, iota)
     return all(hc.dim(n) <= hb.dim(n) + hb.dim(n + 1) for n in interior)

@@ -597,7 +597,7 @@ def test_no_command_builds_a_window(refuse_windows, tmp_path):
         kind = fixtures.describe(name)
         if kind not in ("pin_model", "s1_model"):
             continue
-        m = (PinModel if kind == "pin_model" else SOneModel).from_json(fixtures.load_raw(name))
+        m = (PinModel if kind == "pin_model" else SOneModel).from_json(fixtures.load(name)[0])
         cmds = ["abc", "dual", "tate"] if kind == "pin_model" else ["delta"]
         for offset in (-100_000, 100_000):
             path = tmp_path / f"{name}{offset}.json"
@@ -614,7 +614,7 @@ def test_isolated_generator_beyond_int64_changes_no_tower_bottom(tmp_path, degre
         kind = fixtures.describe(name)
         if kind not in ("pin_model", "s1_model"):
             continue
-        m = (PinModel if kind == "pin_model" else SOneModel).from_json(fixtures.load_raw(name))
+        m = (PinModel if kind == "pin_model" else SOneModel).from_json(fixtures.load(name)[0])
         lone = with_isolated_generator(m, degree)
         if kind == "pin_model":
             assert abc(lone) == abc(m)

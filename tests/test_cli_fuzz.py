@@ -8,7 +8,9 @@ by 10**30, make a matrix row ragged), and runs one command on it with
 numeric options drawn from small ranges; 15 examples per command.  Every
 outcome must be a report with exit code 0, or a HomcobError with exit
 code 1 (input) or 2 (invalid model): never an internal error and never
-another exception.
+another exception.  Each example has a budget of EXAMPLE_DEADLINE_MS
+(drawing excluded): its slowest run measured 5 ms on one core of a
+2-core x86-64 host, and one example in 2 800 drawn at random 52 ms.
 
 A byte-level sweep writes broken copies of every fixture file, truncated
 or with one byte set to 0x80 or 0xff (never valid UTF-8), and runs each
@@ -56,6 +58,7 @@ CORPUS = [load_input(f"fixtures:{n}")[0] for n in FIXTURES] + [
         [[0] * 4] * 3 + [[0, 0, 1, 0]], [("z1", 1), ("z0", 0)]), 7).to_json(),
 ]
 OTHER_TYPES = ["x", "1", 1.5, None, True, [], {}, [[]], -1, 2]
+EXAMPLE_DEADLINE_MS = 100
 
 
 def _paths(doc, prefix=()):
@@ -145,7 +148,7 @@ def _check_outcome(argv, doc, path, where=()):
 
 
 @pytest.mark.parametrize("cmd", ALL_COMMANDS)
-@settings(max_examples=15, derandomize=True, deadline=None, database=None,
+@settings(max_examples=15, derandomize=True, deadline=EXAMPLE_DEADLINE_MS, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(data=st.data())
 def test_mutated_fixtures_exit_zero_one_or_two(fuzz_dir, cmd, data):

@@ -364,7 +364,7 @@ def fixture_models():
         kind = fixtures.describe(name)
         if kind in ("pin_model", "s1_model"):
             cls = PinModel if kind == "pin_model" else SOneModel
-            out.append(cls.from_json(fixtures.load_raw(name)))
+            out.append(cls.from_json(fixtures.load(name)[0]))
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from homcob import cli, fixtures
 from homcob import f2linalg as la
 from homcob.errors import InputError, InternalError
-from homcob.involutive import ConeComplex, UComplex
+from homcob.involutive import UComplex, cone_iota
 from homcob.simplicial import ChainComplexZ, coboundary_matrix
 
 from helpers import (
@@ -342,12 +342,12 @@ def complex_matrices():
     for name in fixtures.fixture_names():
         kind = fixtures.describe(name)
         if kind == "simplicial":
-            cc = ChainComplexZ.of(cli.parse_input(fixtures.load_raw(name)))
+            cc = ChainComplexZ.of(cli.parse_input(fixtures.load(name)[0]))
             for d in range(len(cc.generators)):
                 out += [cc.boundaries[d].mod2(), coboundary_matrix(cc, d)]
         elif kind == "u_complex":
-            c, iota = UComplex.from_json(fixtures.load_raw(name))
-            for x in (c, ConeComplex(c, iota).complex):
+            c, iota = UComplex.from_json(fixtures.load(name)[0])
+            for x in (c, cone_iota(c, iota)):
                 degs = x.degrees()
                 order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
                 out.append(x.d_mat[np.ix_(order, order)])

@@ -25,9 +25,8 @@ def cone_windows(seed, count):
     for _ in range(count):
         c, iota = random_ucomplex_with_iota(rng, max_pairs=3)
         for base, i in ((c, iota), dual_ucomplex(c, iota)):
-            cone = cone_iota(base, i)
-            lo, hi = cone.complex.default_window()
-            out.append((cone_plus_window(cone, lo, hi), (lo, hi)))
+            lo, hi = cone_iota(base, i).default_window()
+            out.append((cone_plus_window(base, i, lo, hi), (lo, hi)))
     return out
 
 

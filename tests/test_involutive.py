@@ -11,7 +11,6 @@ from homcob.equivariant import SOneModel, delta_invariant
 from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import Homology
 from homcob.involutive import (
-    ConeComplex,
     IotaMap,
     UComplex,
     _entry_matrix,
@@ -49,7 +48,7 @@ S3 = UComplex([("g", 0)], [])
 
 
 def sigma237():
-    c, iota = UComplex.from_json(fixtures.load_raw("sigma237"))
+    c, iota = UComplex.from_json(fixtures.load("sigma237")[0])
     return c, iota
 
 
@@ -118,7 +117,7 @@ def test_support_check_is_exact_beyond_int64(big):
 
 
 def _minus_sigma237_with(edit):
-    data = fixtures.load_raw("minus_sigma237")
+    data = fixtures.load("minus_sigma237")[0]
     edit(data)
     return data
 
@@ -200,7 +199,7 @@ def _assert_json_roundtrip(c, iota):
 def test_json_roundtrip():
     for name in fixtures.fixture_names():
         if fixtures.describe(name) == "u_complex":
-            raw = fixtures.load_raw(name)
+            raw = fixtures.load(name)[0]
             c, iota = UComplex.from_json(raw)
             _assert_json_roundtrip(c, iota)
             data = c.to_json(iota)
@@ -287,7 +286,7 @@ def both_orientations_and_cones(c, iota):
     """c, its orientation reverse, and the complexes of both cones."""
     out = []
     for base, i in ((c, iota), dual_ucomplex(c, iota)):
-        out += [base, cone_iota(base, i).complex]
+        out += [base, cone_iota(base, i)]
     return out
 
 
@@ -583,7 +582,7 @@ def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
                             lambda m: seen.append(la.f2(m)) or reduce_columns(m))
         assert cli.main(["hfi", str(path)]) == 0
         monkeypatch.setattr(la, "reduce_columns", reduce_columns)
-        base, cone = _slot_order_d(c), _slot_order_d(cone_iota(c, iota).complex)
+        base, cone = _slot_order_d(c), _slot_order_d(cone_iota(c, iota))
         for want in (base, cone):
             assert sum(m.shape == want.shape and (m == want).all() for m in seen) == 1, k
     capsys.readouterr()
@@ -593,13 +592,13 @@ def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
 
 
 def test_split_cone_s3():
-    cone = cone_iota(S3, IotaMap.identity(S3))
-    h = Homology(cone_plus_window(cone, -7, 15))
+    iota = IotaMap.identity(S3)
+    h = Homology(cone_plus_window(S3, iota, -7, 15))
     # two towers, bottoms 0 and -1
     for d in range(-1, 9):
         assert h.dim(d) == 1
     assert h.dim(-2) == 0
-    r = involutive_correction_terms(cone)
+    r = involutive_correction_terms(S3, iota)
     assert r.triple() == (0, 0, 0) and r.split
 
 
@@ -607,9 +606,9 @@ def test_split_dims_law_for_identity_iota():
     rng = random.Random(500)
     for _ in range(10):
         c, _ = random_ucomplex_with_iota(rng, iota_identity=True)
-        cone = cone_iota(c, IotaMap.identity(c))
-        assert split_dims_law(cone)
-        r = involutive_correction_terms(cone)
+        iota = IotaMap.identity(c)
+        assert split_dims_law(c, iota)
+        r = involutive_correction_terms(c, iota)
         d = d_invariant(c)
         assert r.triple() == (d, d, d)
 
@@ -621,12 +620,11 @@ def test_split_cones_are_read_by_the_general_rule():
     for _ in range(60):
         c, iota = random_ucomplex_with_iota(rng, iota_identity=rng.random() < 0.3)
         for base, i in ((c, iota), dual_ucomplex(c, iota)):
-            cone = cone_iota(base, i)
-            r = involutive_correction_terms(cone)
+            r = involutive_correction_terms(base, i)
             assert r.split == one_plus_iota_nullhomotopic(base, i)
             if r.split:
                 d = int(r.d)
-                assert cone.complex.tower_bottoms() == {d % 2: d, (d - 1) % 2: d - 1}
+                assert cone_iota(base, i).tower_bottoms() == {d % 2: d, (d - 1) % 2: d - 1}
                 assert r.triple() == (d, d, d)
                 split += 1
     assert split >= 20
@@ -644,8 +642,8 @@ def test_homotopic_iota_gives_the_same_correction_terms():
             assert validate_iota(base, j)
             square = la.f2_mul(j.mat, j.mat) ^ la.f2_eye(len(base.generators))
             squares_off_identity += bool(square.any())
-            want = involutive_correction_terms(cone_iota(base, i))
-            got = involutive_correction_terms(cone_iota(base, j))
+            want = involutive_correction_terms(base, i)
+            got = involutive_correction_terms(base, j)
             assert (got.d, got.d_bar, got.d_under, got.split) == \
                 (want.d, want.d_bar, want.d_under, want.split)
     assert squares_off_identity >= 10
@@ -653,7 +651,7 @@ def test_homotopic_iota_gives_the_same_correction_terms():
 
 def test_sigma237_correction_terms():
     c, iota = sigma237()
-    r = involutive_correction_terms(cone_iota(c, iota))
+    r = involutive_correction_terms(c, iota)
     assert (r.d, r.d_bar, r.d_under) == (0, 0, -2)
     assert not r.split
 
@@ -664,7 +662,7 @@ def test_ordering_property_on_random_instances():
         c, iota = random_ucomplex_with_iota(rng)
         validate_iota(c, iota)
         assert iota_localized_identity(c, iota)
-        r = involutive_correction_terms(cone_iota(c, iota))
+        r = involutive_correction_terms(c, iota)
         assert r.d_under <= r.d <= r.d_bar
         assert (r.d_bar - r.d) % 2 == 0 and (r.d_under - r.d) % 2 == 0
 
@@ -673,7 +671,7 @@ def test_cone_rank_bound():
     rng = random.Random(321)
     for _ in range(10):
         c, iota = random_ucomplex_with_iota(rng)
-        assert cone_rank_bound(cone_iota(c, iota))
+        assert cone_rank_bound(c, iota)
 
 
 def test_cone_requires_valid_iota():
@@ -681,6 +679,57 @@ def test_cone_requires_valid_iota():
     m = IotaMap.of(c, [("x", "y", 0), ("y", "x", 0), ("y", "y", 0)])
     with pytest.raises(InputError):
         cone_iota(c, m)
+
+
+def fixture_models():
+    """(c, iota) of every u_complex fixture."""
+    return [UComplex.from_json(fixtures.load(name)[0]) for name in fixtures.fixture_names()
+            if fixtures.describe(name) == "u_complex"]
+
+
+def cone_suites(rng):
+    """(c, iota) of the fixtures and of the random suites: random models,
+    their orientation reverses, homotopic iotas, far pairs at +-50 to
+    +-400 and connected sums."""
+    models = fixture_models()
+    for _ in range(40):
+        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
+        models += [(c, iota), dual_ucomplex(c, iota), (c, homotopic_iota(rng, c, iota))]
+    for offset in (50, -50, 100, -100, 200, -200, 400, -400):
+        c, iota = random_ucomplex_with_iota(rng, max_pairs=3)
+        far = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
+        models += [far, dual_ucomplex(*far)]
+    for _ in range(20):
+        a = random_ucomplex_with_iota(rng, max_pairs=2)
+        b = dual_ucomplex(*random_ucomplex_with_iota(rng, max_pairs=2))
+        models += [connected_sum(*a, *b), connected_sum(*a, *dual_ucomplex(*a))]
+    return models
+
+
+def test_cone_differential_is_homogeneous_and_squares_to_zero():
+    # cone_iota checks neither: mod 2 the square is [[d^2, 0], [iota d + d iota, d^2]],
+    # zero once d is a differential and iota a chain map
+    models = cone_suites(random.Random(2201))
+    for c, iota in models:
+        cone = cone_iota(c, iota)
+        assert _support_ok(cone.degrees(), cone.d_mat, -1)
+        assert not la.f2_mul(cone.d_mat, cone.d_mat).any()
+    assert len(models) >= 170
+
+
+def test_correction_terms_never_square_the_cone(monkeypatch):
+    rng = random.Random(2202)
+    models = fixture_models() + [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(50)]
+    f2_mul = la.f2_mul
+    for c, iota in models:
+        block = cone_iota(c, iota).d_mat
+        calls = []
+        monkeypatch.setattr(la, "f2_mul", lambda a, b: calls.append((a, b)) or f2_mul(a, b))
+        involutive_correction_terms(c, iota)
+        monkeypatch.setattr(la, "f2_mul", f2_mul)
+        assert calls
+        assert not any(a.shape == b.shape == block.shape and (a == block).all() and (b == block).all()
+                       for a, b in calls)
 
 
 def test_depth_two_q_connection():
@@ -691,9 +740,9 @@ def test_depth_two_q_connection():
     io = IotaMap.of(
         c, [("e", "e", 0), ("a", "a", 0), ("a", "e", 0), ("b", "b", 0)]
     )
-    r = involutive_correction_terms(cone_iota(c, io))
+    r = involutive_correction_terms(c, io)
     assert r.triple() == (0, 4, 0)
-    r = involutive_correction_terms(cone_iota(*dual_ucomplex(c, io)))
+    r = involutive_correction_terms(*dual_ucomplex(c, io))
     assert r.triple() == (0, 0, -4)
 
 
@@ -723,7 +772,7 @@ def test_tower_touching_iota_reads_by_definition():
     assert validate_iota(c, io)
     assert iota_localized_identity(c, io)
     assert not one_plus_iota_nullhomotopic(c, io)
-    r = involutive_correction_terms(cone_iota(c, io))
+    r = involutive_correction_terms(c, io)
     assert r.triple() == (0, 0, -2)
 
 
@@ -737,7 +786,7 @@ def test_connected_sum_laws():
         return dual_ucomplex(c, iota) if rng.random() < 0.5 else (c, iota)
 
     def terms(c, iota):
-        return involutive_correction_terms(cone_iota(c, iota))
+        return involutive_correction_terms(c, iota)
 
     nontrivial = 0
     for _ in range(300):
@@ -761,13 +810,13 @@ def test_connected_sums_of_non_split_factors():
     while len(factors) < 40:
         c, iota = random_ucomplex_with_iota(rng)
         y = dual_ucomplex(c, iota) if rng.random() < 0.5 else (c, iota)
-        r = involutive_correction_terms(cone_iota(*y))
+        r = involutive_correction_terms(*y)
         if r.d_bar != r.d_under:
             factors.append((y, r))
     pairs = list(zip(factors[::2], factors[1::2]))
     for (y1, r1), (y2, r2) in pairs:
         for (a, ra), (b, rb) in (((y1, r1), (y2, r2)), ((y2, r2), (y1, r1))):
-            r = involutive_correction_terms(cone_iota(*connected_sum(*a, *b)))
+            r = involutive_correction_terms(*connected_sum(*a, *b))
             assert r.d == ra.d + rb.d
             assert (ra.d_under + rb.d_under <= r.d_under <= ra.d_under + rb.d_bar
                     <= r.d_bar <= ra.d_bar + rb.d_bar), (ra.triple(), rb.triple(), r.triple())
@@ -778,12 +827,12 @@ def test_connected_sums_of_sigma237():
     # Hendricks-Manolescu-Zemke: every connected sum of copies of
     # Sigma(2,3,7) has d_bar = 0 and d_under = -2
     y = sigma237()
-    minus_y = UComplex.from_json(fixtures.load_raw("minus_sigma237"))
+    minus_y = UComplex.from_json(fixtures.load("minus_sigma237")[0])
     two = connected_sum(*y, *y)
     for c, iota, want in ((*two, (0, 0, -2)), (*connected_sum(*two, *y), (0, 0, -2)),
                           (*connected_sum(*minus_y, *minus_y), (0, 2, 0)),
                           (*connected_sum(*y, *minus_y), (0, 0, 0))):
-        assert involutive_correction_terms(cone_iota(c, iota)).triple() == want
+        assert involutive_correction_terms(c, iota).triple() == want
 
 
 def test_broken_law_exits_3(monkeypatch, capsys):
@@ -798,7 +847,7 @@ def test_broken_law_exits_3(monkeypatch, capsys):
 
     monkeypatch.setattr(UComplex, "tower_bottoms", raised_main_tower)
     with pytest.raises(InternalError, match="ordering"):
-        involutive_correction_terms(cone_iota(*sigma237()))
+        involutive_correction_terms(*sigma237())
     assert cli.main(["hfi", "fixtures:sigma237"]) == 3
     assert capsys.readouterr().err.startswith("error: InternalError: ordering")
 
@@ -808,12 +857,12 @@ def test_broken_law_exits_3(monkeypatch, capsys):
 
 def test_v0_figure_eight_values():
     c, iota = sigma237()
-    r = involutive_correction_terms(cone_iota(c, iota))
+    r = involutive_correction_terms(c, iota)
     assert v0_triple(1, r) == (0, 0, 1)
 
 
 def test_v0_all_zero():
-    r = involutive_correction_terms(cone_iota(S3, IotaMap.identity(S3)))
+    r = involutive_correction_terms(S3, IotaMap.identity(S3))
     assert v0_triple(1, r) == (0, 0, 0)
 
 
@@ -823,7 +872,7 @@ def test_v0_formula_p9():
 
 
 def test_v0_requires_positive_p():
-    r = involutive_correction_terms(cone_iota(S3, IotaMap.identity(S3)))
+    r = involutive_correction_terms(S3, IotaMap.identity(S3))
     with pytest.raises(InputError):
         v0_triple(0, r)
 
@@ -846,5 +895,5 @@ def test_v0_inverse_roundtrip():
 def test_sigma237_d_equals_twice_delta():
     c, _ = sigma237()
     d = d_invariant(c)
-    s1 = SOneModel.from_json(fixtures.load_raw("sigma237_s1"))
+    s1 = SOneModel.from_json(fixtures.load("sigma237_s1")[0])
     assert d == 2 * delta_invariant(s1)

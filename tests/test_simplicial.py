@@ -183,7 +183,7 @@ def _fixture_family():
     out = []
     for name in fixtures.fixture_names():
         if fixtures.describe(name) == "simplicial":
-            k = parse_input(fixtures.load_raw(name))
+            k = parse_input(fixtures.load(name)[0])
             out += [k, suspension(k), suspension(suspension(k))]
     return out
 
@@ -515,7 +515,7 @@ def test_zero_and_nonzero_0_cochains_on_every_fixture():
 
 
 def test_cohomology_class_rejects_a_negative_degree():
-    rp2 = parse_input(fixtures.load_raw("rp2_6"))
+    rp2 = parse_input(fixtures.load("rp2_6")[0])
     top = len(rp2.simplices_of_dim(2))
     with pytest.raises(InputError, match="cohomology degree must be non-negative, got -1"):
         CohomologyClass(rp2, -1, np.zeros(top, dtype=np.uint8))
@@ -562,7 +562,7 @@ def test_answers_on_the_fixture_family_are_pinned():
     seen = {}
     for name in fixtures.fixture_names():
         if fixtures.describe(name) == "simplicial":
-            k = parse_input(fixtures.load_raw(name))
+            k = parse_input(fixtures.load(name)[0])
             for s in range(3):
                 seen[name, s] = _answers(k)
                 k = suspension(k)

@@ -275,7 +275,7 @@ def test_cli_limit_above_cap_exits_one(tmp_path, capsys):
     assert main(["pi1", "--limit", too_many, "fixtures:torus7"]) == 1
     # the suspension of S^3 has 3-dimensional vertex links to certify
     s4 = tmp_path / "s4.json"
-    s4.write_text(json.dumps(suspension(parse_input(fixtures.load_raw("boundary_delta4"))).to_json()))
+    s4.write_text(json.dumps(suspension(parse_input(fixtures.load("boundary_delta4")[0])).to_json()))
     assert main(["scan-links", "--certify-pi1", "--limit", too_many, str(s4)]) == 1
     assert "Traceback" not in capsys.readouterr().err
 
@@ -283,7 +283,7 @@ def test_cli_limit_above_cap_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("limit", [0, MAX_COSETS + 1])
 def test_scan_links_checks_the_limit_up_front(capsys, limit):
     # boundary_delta4 has no 3-dimensional link, so nothing is enumerated
-    k = parse_input(fixtures.load_raw("boundary_delta4"))
+    k = parse_input(fixtures.load("boundary_delta4")[0])
     with pytest.raises(InputError, match="coset limit must be"):
         link_manifold_scan(k, True, limit)
     assert link_manifold_scan(k, False, limit) == link_manifold_scan(k)
