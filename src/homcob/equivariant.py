@@ -334,10 +334,11 @@ def tower_bottoms(model) -> tuple[int, ...]:
 
 
 def abc(model: PinModel) -> AbcReport:
-    """Extract (alpha, beta, gamma, mu) from the tower bottoms."""
+    """Extract (alpha, beta, gamma, mu) from the tower bottoms.  Its laws
+    are the residues A = 2mu, B = 2mu + 1, C = 2mu + 2 mod 4, which fix the
+    parities of A, B, C and give alpha = beta = gamma = mu mod 2, and the
+    ordering alpha >= beta >= gamma."""
     A, B, C = tower_bottoms(model)
-    if A % 2 or (B - 1) % 2 or (C - 2) % 2:
-        raise InternalError(f"tower bottoms have impossible parities: {(A, B, C)}")
     alpha, beta, gamma = A // 2, (B - 1) // 2, (C - 2) // 2
     mu = alpha % 2
     if (A - 2 * mu) % 4 or (B - 2 * mu - 1) % 4 or (C - 2 * mu - 2) % 4:
@@ -346,8 +347,6 @@ def abc(model: PinModel) -> AbcReport:
         raise InternalError(
             f"alpha >= beta >= gamma violated: {(alpha, beta, gamma)}"
         )
-    if not (alpha % 2 == beta % 2 == gamma % 2 == mu):
-        raise InternalError("mod-2 congruence of (alpha, beta, gamma, mu) violated")
     return AbcReport(A, B, C, alpha, beta, gamma, mu)
 
 

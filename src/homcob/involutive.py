@@ -292,18 +292,6 @@ class IotaMap:
         return cls(_entry_matrix(c, entries, 0, "iota"))
 
 
-def _support_ok(degrees: list[int], mat: np.ndarray, shift: int) -> bool:
-    """Does every nonzero (i, j) of mat have a forced U-power, i.e. is
-    deg i - deg j - shift even and at least 0?  Read in one pass over the
-    nonzeros, with int64 degrees while no difference can overflow and
-    Python ints (an object array) beyond, so it is exact for any degrees."""
-    small = max(map(abs, degrees), default=0) < 1 << 61
-    deg = np.array(degrees, dtype=np.int64 if small else object)
-    i, j = np.nonzero(mat)
-    k = deg[i] - deg[j] - shift
-    return not ((k < 0) | (k & 1)).any()
-
-
 def _homotopy_solve(c: UComplex, rhs: np.ndarray):
     """Solve dH + Hd = rhs for a degree +1 F[U]-map H; returns the H
     matrix or None.  In the normal form N = P d P^-1 the equation
@@ -351,7 +339,8 @@ def validate_iota(c: UComplex, iota: IotaMap) -> bool:
     n = len(c.generators)
     if iota.mat.shape != (n, n):
         raise InputError("iota has the wrong shape")
-    if not _support_ok(c.degrees(), iota.mat, 0):
+    degs = c.degrees()
+    if any(_forced_power(degs[j], degs[i], 0) is None for i, j in zip(*np.nonzero(iota.mat))):
         raise InputError("iota is not degree homogeneous of degree 0")
     if (la.f2_mul(iota.mat, c.d_mat) ^ la.f2_mul(c.d_mat, iota.mat)).any():
         raise InputError("iota is not a chain map")
@@ -388,8 +377,6 @@ def cone_iota(c: UComplex, iota: IotaMap) -> UComplex:
 
 def d_invariant(c: UComplex) -> Fraction:
     """Bottom degree of the single U-tower of the plus flavor."""
-    if not c.generators:
-        raise ModelInvalidError("empty complex has no U-tower")
     towers = c.tower_bottoms()
     if len(towers) == 0:
         raise ModelInvalidError("no U-tower in the plus flavor")

@@ -17,10 +17,12 @@ integer coefficients and checks it at t = n + 1.
   of the Alexander polynomial already computed, so it takes no determinant
   of its own.
 
-A validated V has det(V - V^T) = +-1, which gives laws: D(1) = +-1;
-D(t) = t^n D(1/t), so D can be centered; det S = det(V - V^T) mod 2 is
-odd, so S is nonsingular and its positive and negative eigenvalues add
-up to n.  A broken law is a bug and raises InternalError.
+V - V^T is skew-symmetric of even size, so its determinant is the square
+of its Pfaffian, and a unimodular one has det(V - V^T) = 1.  That gives
+laws: D(1) = det(V - V^T) = 1; D(t) = t^n D(1/t), so D can be centered;
+det S = det(V - V^T) mod 2 is odd, so S is nonsingular and its positive
+and negative eigenvalues add up to n.  A broken law is a bug and raises
+InternalError.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ UNKNOWN = "unknown"
 
 
 class SeifertMatrix:
-    """Square integer matrix V with V - V^T unimodular (size 2g)."""
+    """Square integer matrix V with det(V - V^T) = 1 (size 2g)."""
 
     def __init__(self, entries):
         if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
@@ -51,7 +53,7 @@ class SeifertMatrix:
         skew = [
             [self.v[i][j] - self.v[j][i] for j in range(n)] for i in range(n)
         ]
-        if abs(la.int_det(skew)) != 1:
+        if la.int_det(skew) != 1:
             raise InputError("V - V^T is not unimodular")
         self.size = n
 
@@ -203,8 +205,8 @@ def _sign_changes(coeffs: list[int]) -> int:
 
 
 def alexander(v: SeifertMatrix) -> LaurentPoly:
-    """det(V - t V^T), shifted to be symmetric in t <-> 1/t and signed so
-    the value at 1 is +1."""
+    """det(V - t V^T), shifted to be symmetric in t <-> 1/t; its value at 1
+    is det(V - V^T) = 1."""
     n = v.size
     det = _det_poly(
         lambda t: [[v.v[i][j] - t * v.v[j][i] for j in range(n)] for i in range(n)],
@@ -212,18 +214,15 @@ def alexander(v: SeifertMatrix) -> LaurentPoly:
         "Alexander",
     )
     if not det.coeffs:
-        raise InternalError("vanishing Alexander determinant, but det(V - V^T) = +-1")
+        raise InternalError("vanishing Alexander determinant, but det(V - V^T) = 1")
     exps = sorted(det.coeffs)
     if (exps[0] + exps[-1]) % 2:
         raise InternalError("Alexander determinant cannot be symmetrized")
     det = det.shift(-(exps[0] + exps[-1]) // 2)
     if not det.is_symmetric():
         raise InternalError("Alexander determinant is not symmetric after centering")
-    at_one = det(1)
-    if abs(at_one) != 1:
-        raise InternalError(f"Alexander value at 1 is {at_one}, not a unit")
-    if at_one == -1:
-        det = -det
+    if det(1) != 1:
+        raise InternalError(f"Alexander value at 1 is {det(1)}, not 1")
     return det
 
 

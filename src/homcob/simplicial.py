@@ -132,21 +132,25 @@ class AbstractComplex:
         return [len(self.simplices_of_dim(d)) for d in range(self.dimension() + 1)]
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = {v: set() for v in self.vertices}
-        for s in self.simplices_of_dim(1):
-            adj[s[0]].add(s[1])
-            adj[s[1]].add(s[0])
-        seen = {self.vertices[0]}
-        todo = [self.vertices[0]]
-        while todo:
-            v = todo.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == len(self.vertices)
+        return not self.vertices or len(self._search(self.vertices[0])) == len(self.vertices)
+
+    def _search(self, root: int) -> dict[int, int]:
+        """Breadth-first search of the 1-skeleton from `root`, neighbours
+        in increasing order: the parent of each vertex reached (root's is
+        root).  The edges come sorted, so each neighbour list is built
+        increasing."""
+        adj = {v: [] for v in self.vertices}
+        for (u, v) in self.simplices_of_dim(1):
+            adj[u].append(v)
+            adj[v].append(u)
+        parent = {root: root}
+        order = [root]
+        for u in order:
+            for w in adj[u]:
+                if w not in parent:
+                    parent[w] = u
+                    order.append(w)
+        return parent
 
     def to_json(self) -> dict:
         return {
@@ -486,29 +490,11 @@ def fundamental_group(k: AbstractComplex, basepoint=None) -> GroupPresentation:
     if (base,) not in k.simplices:
         raise InputError(f"basepoint {base} not a vertex")
 
-    edges = k.simplices_of_dim(1)
-    adj = {v: [] for v in k.vertices}
-    for (u, v) in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
-
-    tree = set()
-    seen = {base}
-    queue = [base]
-    while queue:
-        u = queue.pop(0)
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                tree.add(tuple(sorted((u, w))))
-                queue.append(w)
-
+    parent = k._search(base)
     gen_index = {}
-    for e in edges:
-        if e not in tree:
-            gen_index[e] = len(gen_index) + 1  # 1-based
+    for (u, v) in k.simplices_of_dim(1):
+        if parent[u] != v and parent[v] != u:  # not a tree edge
+            gen_index[u, v] = len(gen_index) + 1  # 1-based
 
     def letter(u, v):
         """Generator letter for the directed edge u -> v (0 for tree edges)."""

@@ -321,6 +321,8 @@ def test_malformed_facets_keep_their_message_and_exit_one(tmp_path, capsys, face
         ["v0", "fixtures:sigma237"],
         ["v0", "--p", "x", "fixtures:sigma237"],
         ["nocommand", "fixtures:s3"],
+        ["hfi"],
+        ["link", "--simplex", "a", "fixtures:triangle_edge"],
     ],
 )
 def test_usage_errors_exit_one(capsys, argv):
@@ -507,6 +509,48 @@ def test_seifert_entries_must_be_integers(tmp_path, capsys, matrix, message):
     assert main(["knot", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: InputError: malformed seifert input: {message}")
+
+
+BOUNDARY_DELTA6 = {"kind": "simplicial",
+                   "facets": [[v for v in range(7) if v != w] for w in range(7)]}
+
+
+@pytest.mark.parametrize(
+    "argv, data, code, message",
+    [
+        (["hfi"], _fixture_with("sigma237", _drop("iota")), 1,
+         "InputError: u_complex input needs an 'iota' field for this command"),
+        (["v0", "--p", "1"], _fixture_with("sigma237", _drop("iota")), 1,
+         "InputError: u_complex input needs an 'iota' field for this command"),
+        (["hfi"], {"kind": "u_complex", "generators": [], "iota": []}, 2,
+         "ModelInvalidError: no U-tower in the plus flavor"),
+        (["abc"], {**_two_generator("pin_model"),
+                   "finite": [{"label": "x", "degree": 1}, {"label": "x", "degree": 0}]}, 1,
+         "InputError: duplicate finite generator labels"),
+        (["knot"], {"kind": "seifert"}, 1, "InputError: seifert input missing 'matrix'"),
+        (["scan-links"], BOUNDARY_DELTA6, 1, "InputError: link scan supports dimension <= 4"),
+        (["pi1", "--basepoint", "9"], fixtures.load("rp2_6")[0], 1,
+         "InputError: basepoint 9 not a vertex"),
+    ],
+    ids=["hfi-no-iota", "v0-no-iota", "empty-u_complex", "duplicate-pin-labels",
+         "seifert-no-matrix", "scan-links-dim-5", "pi1-basepoint-outside"],
+)
+def test_refused_inputs_name_their_cause(tmp_path, capsys, argv, data, code, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([*argv, str(path)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tate_on_a_model_without_a_reducible_tower_says_why(tmp_path):
+    free = {**_two_generator("pin_model"), "reducible_degree": None}
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps(free))
+    assert out_of(["tate", str(path)]).splitlines()[2:] == [
+        "localizes: True", "anchored_at: None", "stable_pattern: [0, 0, 0, 0]",
+        "detail: free model localizes to zero"]
+    assert json.loads(out_of(["--json", "tate", str(path)]))["results"]["detail"] == (
+        "free model localizes to zero")
 
 
 def _outcome(argv):

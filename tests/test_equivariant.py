@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from homcob import equivariant, fixtures
 from homcob import f2linalg as la
-from homcob import fixtures
+from homcob.cli import main
 from homcob.equivariant import (
     PinModel,
     SOneModel,
@@ -159,6 +160,26 @@ def test_abc_residues():
         assert (r.A - 2 * r.mu) % 4 == 0
         assert (r.B - 2 * r.mu - 1) % 4 == 0
         assert (r.C - 2 * r.mu - 2) % 4 == 0
+
+
+@pytest.mark.parametrize("bottoms, message", [
+    ((1, 1, 2), "mod-4 residues"),
+    ((0, 2, 2), "mod-4 residues"),
+    ((0, 1, 3), "mod-4 residues"),
+    ((2, 1, 2), "mod-4 residues"),
+    ((0, 5, 2), "alpha >= beta >= gamma"),
+    ((0, 1, 6), "alpha >= beta >= gamma"),
+], ids=["odd-A", "even-B", "odd-C", "mu-1-residues", "beta-above-alpha", "gamma-above-beta"])
+def test_each_broken_abc_law_raises_internal_error(monkeypatch, capsys, bottoms, message):
+    """Each law of abc broken by the tower bottoms of S^3: the residues mod
+    4, which also hold the parities of A, B, C and alpha = beta = gamma
+    = mu mod 2, and the ordering."""
+    monkeypatch.setattr(equivariant, "tower_bottoms", lambda model: bottoms)
+    with pytest.raises(InternalError, match=message):
+        abc(S3)
+    assert main(["abc", "fixtures:s3"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: InternalError: ") and message in err
 
 
 def test_odd_reducible_degree_rejected():

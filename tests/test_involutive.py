@@ -16,7 +16,6 @@ from homcob.involutive import (
     _entry_matrix,
     _forced_power,
     _homotopy_solve,
-    _support_ok,
     cone_iota,
     d_invariant,
     involutive_correction_terms,
@@ -99,21 +98,39 @@ def test_support_check_is_exact_beyond_int64(big):
     # degrees +-big: a difference of 2 big overflows int64 from big = 2^62
     for sign in (1, -1):
         degs = [sign * big, sign * big - 1, -sign * big, sign * big + 2]
-        up = np.zeros((4, 4), np.uint8)
-        up[0, 1] = 1  # from deg - 1 up to deg: U^0 at shift +1, odd at shift 0
-        assert _support_ok(degs, up, 1) and not _support_ok(degs, up, 0)
-        down = np.zeros((4, 4), np.uint8)
-        down[1, 0] = 1  # deg down to deg - 1 at shift -1
-        assert _support_ok(degs, down, -1) and not _support_ok(degs, down, 1)
-        far = np.zeros((4, 4), np.uint8)
-        far[0 if sign > 0 else 2, 2 if sign > 0 else 0] = 1  # -big up to +big: U^big
-        assert _support_ok(degs, far, 0)
-        assert not _support_ok(degs, far.T.copy(), 0)  # needs U^-big
-        tie = np.zeros((4, 4), np.uint8)
-        tie[3, 0] = 1  # deg up to deg + 2 at shift 0: U^1
-        assert _support_ok(degs, tie, 0) and not _support_ok(degs, tie, 1)
-        assert not _support_ok(degs, tie.T.copy(), 0)
-    assert _support_ok([], np.zeros((0, 0), np.uint8), -1)
+        # from deg - 1 up to deg: U^0 at shift +1, odd at shift 0
+        assert _forced_power(degs[1], degs[0], 1) == 0
+        assert _forced_power(degs[1], degs[0], 0) is None
+        # deg down to deg - 1 at shift -1
+        assert _forced_power(degs[0], degs[1], -1) == 0
+        assert _forced_power(degs[0], degs[1], 1) is None
+        # deg up to deg + 2 at shift 0: U^1; not at shift 1
+        assert _forced_power(degs[0], degs[3], 0) == 1
+        assert _forced_power(degs[0], degs[3], 1) is None
+        # validate_iota reads iota's support by the same rule, on d = 0,
+        # where iota = 1 + (one entry) squares to the identity
+        c = UComplex([(str(g), deg) for g, deg in enumerate(degs)], [])
+        low, high = (2, 0) if sign > 0 else (0, 2)
+        for src, tgt, ok in [(low, high, True),  # -big up to +big: U^big
+                             (high, low, False),  # needs U^-big
+                             (0, 3, True), (3, 0, False),  # U^1 and U^-1
+                             (1, 0, False), (0, 1, False)]:  # odd differences
+            mat = np.eye(4, dtype=np.uint8)
+            mat[tgt, src] = 1
+            if ok:
+                assert validate_iota(c, IotaMap(mat))
+            else:
+                with pytest.raises(InputError, match="not degree homogeneous of degree 0"):
+                    validate_iota(c, IotaMap(mat))
+
+
+def test_validate_iota_rejects_a_raw_map_of_the_wrong_shape():
+    c, iota = fixture_models()[0]
+    n = len(c.generators)
+    for shape in ((n + 1, n + 1), (n, n + 1), (0, 0)):
+        with pytest.raises(InputError, match="iota has the wrong shape"):
+            validate_iota(c, IotaMap(np.zeros(shape, np.uint8)))
+    assert validate_iota(c, iota)
 
 
 def _minus_sigma237_with(edit):
@@ -266,6 +283,8 @@ def test_d_requires_a_tower():
     killed = UComplex([("g", 0), ("x", 1)], [("x", "g", 0)])
     with pytest.raises(ModelInvalidError):
         d_invariant(killed)
+    with pytest.raises(ModelInvalidError, match="no U-tower in the plus flavor"):
+        d_invariant(UComplex([], []))
 
 
 def test_d_rejects_two_towers():
@@ -712,7 +731,9 @@ def test_cone_differential_is_homogeneous_and_squares_to_zero():
     models = cone_suites(random.Random(2201))
     for c, iota in models:
         cone = cone_iota(c, iota)
-        assert _support_ok(cone.degrees(), cone.d_mat, -1)
+        degs = cone.degrees()
+        assert all(_forced_power(degs[j], degs[i], -1) is not None
+                   for i, j in zip(*np.nonzero(cone.d_mat)))
         assert not la.f2_mul(cone.d_mat, cone.d_mat).any()
     assert len(models) >= 170
 
@@ -850,6 +871,25 @@ def test_broken_law_exits_3(monkeypatch, capsys):
         involutive_correction_terms(*sigma237())
     assert cli.main(["hfi", "fixtures:sigma237"]) == 3
     assert capsys.readouterr().err.startswith("error: InternalError: ordering")
+
+
+@pytest.mark.parametrize("cone_bottoms, message", [
+    ({0: 1, 1: -1}, "mod-2 congruence fails"),
+    ({0: -2, 1: 0}, "mod-2 congruence fails"),
+    ({0: -2, 1: -3}, "ordering"),
+], ids=["odd-d_under", "odd-d_bar", "d_bar-below-d"])
+def test_each_broken_involutive_law_raises_internal_error(monkeypatch, capsys, cone_bottoms,
+                                                          message):
+    """Each law of the report, broken by the cone's tower bottoms on
+    Sigma(2,3,7), where d = 0: d_under is the bottom in parity 0 and
+    d_bar - 1 the bottom in parity 1."""
+    read = UComplex.tower_bottoms
+    monkeypatch.setattr(UComplex, "tower_bottoms",
+                        lambda c: dict(cone_bottoms) if len(read(c)) == 2 else read(c))
+    with pytest.raises(InternalError, match=message):
+        involutive_correction_terms(*sigma237())
+    assert cli.main(["hfi", "fixtures:sigma237"]) == 3
+    assert capsys.readouterr().err.startswith(f"error: InternalError: {message}")
 
 
 # -- v0 arithmetic --------------------------------------------------------------------------

@@ -301,15 +301,18 @@ def _arf_of_alexander(v):
      _det_poly_returning("Alexander", LaurentPoly({0: 1, 1: 1}))),
     (alexander, "not symmetric after centering",
      _det_poly_returning("Alexander", LaurentPoly({0: 1, 1: 2, 2: 3}))),
-    (alexander, "not a unit",
+    (alexander, "Alexander value at 1 is 3, not 1",
      _det_poly_returning("Alexander", LaurentPoly({0: 1, 1: 1, 2: 1}))),
+    (alexander, "Alexander value at 1 is -1, not 1",
+     _det_poly_returning("Alexander", LaurentPoly({0: -1, 1: 1, 2: -1}))),
     (signature, "Descartes' count",
      _det_poly_returning("characteristic polynomial", LaurentPoly({0: 1, 2: 1}))),
     (_arf_of_alexander, "is even", _even_alexander_value_at_minus_one),
-], ids=["vanishing", "odd-span", "asymmetric", "non-unit", "descartes", "even-det"])
+], ids=["vanishing", "odd-span", "asymmetric", "non-unit", "minus-one", "descartes",
+        "even-det"])
 def test_each_broken_seifert_law_raises_internal_error(monkeypatch, capsys, invariant, message,
                                                        patch):
-    """Each law that det(V - V^T) = +-1 implies, broken on the trefoil."""
+    """Each law that det(V - V^T) = 1 implies, broken on the trefoil."""
     patch(monkeypatch)
     with pytest.raises(InternalError, match=message):
         invariant(TREFOIL)

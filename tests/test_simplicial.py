@@ -599,6 +599,21 @@ def test_pi1_torus_infinite_with_z2_abelianization():
     assert (ab.free_rank, ab.torsion) == (2, [])
 
 
+def test_pi1_presentation_follows_the_breadth_first_tree():
+    # the octahedron: its 1-skeleton is not complete, so the tree depends on
+    # the order of the search; neighbours are taken in increasing order
+    square = [(1, 2), (2, 3), (3, 4), (1, 4)]
+    k = AbstractComplex.from_facets([[apex, *e] for apex in (0, 5) for e in square])
+    pinned = {
+        None: [[1], [2], [3], [5], [1, 4], [2, 7], [3, 6, -4], [5, 7, -6]],
+        1: [[-1], [-2], [1, 3], [5, -2], [4], [7], [3, 6, -4], [5, 7, -6]],
+        3: [[3, -1], [4, -2], [1], [-2], [3, 6, -5], [4, 7, -5], [-6], [7]],
+    }
+    for base, relators in pinned.items():
+        p = fundamental_group(k, base)
+        assert (p.ngens, p.relators) == (7, relators)
+
+
 def test_pi1_requires_connected():
     k = AbstractComplex.from_facets([[1], [2]])
     with pytest.raises(InputError):
