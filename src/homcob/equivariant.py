@@ -30,12 +30,17 @@ one row of tower arrows per target, in the low bits.  A column is only
 added to one with the same highest bit, so of the same degree: each
 reduced column is homogeneous.  One whose highest set bit is a row of T
 is 0 on d_fin, whose bits are higher, and on the other rows of T, since
-its degree holds one tower element: it is that target alone.  Conversely a boundary lies in the column space, whose reduced columns
+its degree holds one tower element: it is that target alone.
+Conversely a boundary lies in the column space, whose reduced columns
 have distinct highest bits, so one of them owns its row.  A target is a
-boundary exactly when it owns a reduced column.  The consistency of a
-model (d^2 = 0 and d commuting with q, v or U) is checked on the
-generators with the same T.  Neither needs a window, so neither costs
-more when the degrees spread.
+boundary exactly when it owns a reduced column.
+
+Reading a model.  Each finite-part matrix is checked for 0/1 entries,
+then for its n x n shape, then for its degree shift on its rows packed
+into Python ints.  Every law (d^2 = 0 and d commuting with q, v or U on
+the generators with the same T, then q^3 = 0 and qv = vq) runs as XORs
+of these rows.  Neither reading needs a window, so neither costs more
+when the degrees spread.
 
 Orientation reversal.  Over F2 the homology of the degree-negated dual
 complex in degree -D is the dual space of H_D, and each power of v
@@ -63,6 +68,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -71,25 +78,42 @@ from .errors import InputError, InternalError, ModelInvalidError, as_int
 from .graded import GradedComplex, ladder_window
 
 
-def _check_homogeneous(name: str, mat: np.ndarray, degrees: list[int], shift: int):
-    n = len(degrees)
-    if mat.shape != (n, n):
-        raise InputError(f"{name} must be {n}x{n}, got {mat.shape}")
-    for i, j in zip(*np.nonzero(mat)):  # row-major: the first bad entry is named
-        if degrees[i] != degrees[j] + shift:
-            raise InputError(f"{name} entry ({i},{j}) violates degree shift {shift}")
-
-
-def _bit_matrix(value, kind: str, field: str) -> np.ndarray:
-    """A finite-part matrix of a `kind` input.  Every entry must be the
-    integer 0 or 1; nothing is reduced mod 2."""
+def _read_matrix(value, kind: str, field: str, degrees: list[int],
+                 masks: dict[int, int], shift: int) -> tuple[np.ndarray, list[int]]:
+    """A finite-part matrix of a `kind` input and its packed rows (bit j of
+    row i is entry (i, j)): entries the integers 0 or 1, not reduced mod 2,
+    then n x n, then row i inside masks[degrees[i] - shift], the generators
+    of that degree.  The first bad entry in row-major order is named."""
     for row in value:
         for x in row:
             if isinstance(x, bool) or not hasattr(x, "__index__") or x not in (0, 1):
                 raise InputError(
                     f"malformed {kind} input: {field} entries must be 0 or 1, got {x!r}"
                 )
-    return la.f2(value)
+    mat = la.f2(value)
+    n = len(degrees)
+    if mat.shape != (n, n):
+        raise InputError(f"{field} must be {n}x{n}, got {mat.shape}")
+    rows = la._pack_rows(mat)
+    for i, row in enumerate(rows):
+        if bad := row & ~masks.get(degrees[i] - shift, 0):
+            j = (bad & -bad).bit_length() - 1
+            raise InputError(f"{field} entry ({i},{j}) violates degree shift {shift}")
+    return mat, rows
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """The GF(2) product of two matrices given as packed rows: row i is the
+    XOR of the rows of b at the set bits of row i of a."""
+    out = []
+    for row in a:
+        acc = 0
+        while row:
+            j = row.bit_length() - 1
+            acc ^= b[j]
+            row ^= 1 << j
+        out.append(acc)
+    return out
 
 
 @dataclass
@@ -129,14 +153,19 @@ class _TowerModel:
             raise InputError("duplicate finite generator labels")
         self.gen_index = {l: i for i, l in enumerate(labels)}
         degs = [d for _, d in self.finite]
+        masks: dict[int, int] = {}
+        for j, deg in enumerate(degs):
+            masks[deg] = masks.get(deg, 0) | 1 << j
         fields = [(f, shift) for _, f, shift, _ in self.OPS] + [("d_fin", -1)]
+        packed = []
         for (field, shift), value in zip(fields, [*op_values, d_fin]):
-            attr = field if field == "d_fin" else f"{field}_op"
-            mat = _bit_matrix(value, kind, field)
-            _check_homogeneous(field, mat, degs, shift)
-            setattr(self, attr, mat)
+            mat, rows = _read_matrix(value, kind, field, degs, masks, shift)
+            setattr(self, field if field == "d_fin" else f"{field}_op", mat)
+            packed.append(rows)
         self.d_to_tower = [self._arrow(t) for t in d_to_tower]
-        self._check_generators()
+        *ops, d = packed
+        self._check_generators(d, ops)
+        self._check_operators(ops)
 
     def _arrow(self, arrow) -> TowerArrow:
         """A tower arrow given as a TowerArrow, (source, a, b), or
@@ -182,55 +211,49 @@ class _TowerModel:
         except KeyError as e:
             raise InputError(f"{cls.KIND} missing field {e}") from e
 
-    def _ops(self):
-        """(name, shift, finite-part matrix, tower entries) per operator."""
-        return [(name, shift, getattr(self, f"{field}_op"), tower)
-                for name, field, shift, tower in self.OPS]
-
-    def _tower_rows(self) -> tuple[list[tuple[int, int]], np.ndarray]:
+    def _tower_rows(self) -> tuple[list[tuple[int, int]], list[int]]:
         """The tower-arrow targets (a, b) whose row is nonzero, and the
-        matrix T with the row of tower arrows into targets[r] as row r, over
-        the finite generators."""
-        rows: dict[tuple[int, int], np.ndarray] = {}
+        packed rows of the matrix T whose row r holds the tower arrows into
+        targets[r], over the finite generators."""
+        rows: dict[tuple[int, int], int] = {}
         for t in self.d_to_tower:
-            row = rows.setdefault((t.a, t.b), np.zeros(len(self.finite), np.uint8))
-            row[self.gen_index[t.source]] ^= 1
-        targets = [key for key, row in rows.items() if row.any()]
-        t = np.array([rows[key] for key in targets], np.uint8)
-        return targets, t.reshape(len(targets), len(self.finite))
+            rows[t.a, t.b] = rows.get((t.a, t.b), 0) ^ 1 << self.gen_index[t.source]
+        targets = [key for key, row in rows.items() if row]
+        return targets, [rows[key] for key in targets]
 
-    def _check_generators(self):
-        """d^2 = 0 and dP = Pd for every operator P, on the generators.  On
-        the finite part these are d_fin^2 = 0 and d_fin P = P d_fin; for
-        the matrix T of tower arrows (one row per target), T d_fin = 0 and
+    def _check_generators(self, d: list[int], ops: list[list[int]]):
+        """d^2 = 0 and dP = Pd for every operator P, on the generators (packed
+        rows).  On the finite part these are d_fin^2 = 0 and d_fin P = P d_fin;
+        for the matrix T of tower arrows (one row per target), T d_fin = 0 and
         T P = P_tower T.  One product d_fin^2 and T d_fin, stacked, checks
         the first law, and one product T P per operator the second; the
         tower side P_tower T only moves rows of T.  The error names the
         lowest degree at fault, as a window's check does."""
         targets, t = self._tower_rows()
         rows = dict(zip(targets, t))
-        degs = [d for _, d in self.finite]
-        zero = np.zeros(len(degs), np.uint8)
+        degs = [deg for _, deg in self.finite]
 
-        def at_fault(bad, what):
-            if bad.any():
-                d = min(degs[j] for j in np.flatnonzero(bad))
-                raise InputError(f"inconsistent model: {what} at degree {d}")
+        def at_fault(bad_rows, what):
+            if bad := reduce(or_, bad_rows, 0):
+                low = min(deg for j, deg in enumerate(degs) if bad >> j & 1)
+                raise InputError(f"inconsistent model: {what} at degree {low}")
 
-        at_fault(la.f2_mul(np.vstack([self.d_fin, t]), self.d_fin).any(axis=0),
-                 "differential does not square to zero")
-        for name, _, mat, tower in self._ops():
-            bad = (la.f2_mul(self.d_fin, mat) ^ la.f2_mul(mat, self.d_fin)).any(axis=0)
-            tp = dict(zip(targets, la.f2_mul(t, mat)))
+        at_fault(_mul(d + t, d), "differential does not square to zero")
+        for (name, _, _, tower), p in zip(self.OPS, ops):
+            bad = [x ^ y for x, y in zip(_mul(d, p), _mul(p, d))]
+            tp = dict(zip(targets, _mul(t, p)))
             # rows of T P (the targets) and of P_tower T (their images)
             images = {(a2, b - j) for a, b in rows for a1, a2, j in tower if a1 == a and b >= j}
             for a, b in set(rows) | images:
-                y = tp.get((a, b), zero).copy()
+                y = tp.get((a, b), 0)
                 for a1, a2, j in tower:
                     if a2 == a:
-                        y ^= rows.get((a1, b + j), zero)
-                bad |= y.astype(bool)
+                        y ^= rows.get((a1, b + j), 0)
+                bad.append(y)
             at_fault(bad, f"operator {name} does not commute with D")
+
+    def _check_operators(self, ops: list[list[int]]):
+        """Laws among the operators (packed rows): none for one operator."""
 
     def _ladders(self):
         """The model in the form of graded.ladder_window: the finite
@@ -246,8 +269,9 @@ class _TowerModel:
                      for a in range(self.LEVELS)]
         arrows = [(t.source, ("t", t.a), -t.b) for t in self.d_to_tower]
         maps = {"d": (-1, fin(self.d_fin) + arrows)}
-        for name, shift, mat, tower in self._ops():
-            maps[name] = (shift, fin(mat) + [(("t", a1), ("t", a2), j) for a1, a2, j in tower])
+        for name, field, shift, tower in self.OPS:
+            maps[name] = (shift, fin(getattr(self, f"{field}_op"))
+                          + [(("t", a1), ("t", a2), j) for a1, a2, j in tower])
         return gens, maps
 
 
@@ -264,12 +288,15 @@ class PinModel(_TowerModel):
 
     def __init__(self, reducible_degree, finite, q_op, v_op, d_fin, d_to_tower):
         super().__init__(reducible_degree, finite, (q_op, v_op), d_fin, d_to_tower)
+
+    def _check_operators(self, ops):
+        """An even reducible degree, then q^3 = 0 and qv = vq."""
         if self.reducible_degree is not None and self.reducible_degree % 2:
             raise InputError("reducible degree must be even")
-        q3 = la.f2_mul(la.f2_mul(self.q_op, self.q_op), self.q_op)
-        if q3.any():
+        q, v = ops
+        if any(_mul(q, _mul(q, q))):
             raise InputError("q_op^3 != 0")
-        if (la.f2_mul(self.q_op, self.v_op) ^ la.f2_mul(self.v_op, self.q_op)).any():
+        if _mul(q, v) != _mul(v, q):
             raise InputError("q_op and v_op do not commute")
 
     # -- windows ---------------------------------------------------------
@@ -325,7 +352,7 @@ def tower_bottoms(model) -> tuple[int, ...]:
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
     targets, t = model._tower_rows()
-    owner = la.reduce_columns(np.vstack([t, model.d_fin]))[2]
+    owner = la.reduce_columns(np.vstack([la._unpack_rows(t, len(model.finite)), model.d_fin]))[2]
     bottoms = [n + a for a in range(model.LEVELS)]
     for r, (a, b) in enumerate(targets):
         if r in owner:

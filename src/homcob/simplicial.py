@@ -132,15 +132,16 @@ class AbstractComplex:
         return [len(self.simplices_of_dim(d)) for d in range(self.dimension() + 1)]
 
     def is_connected(self) -> bool:
-        return not self.vertices or len(self._search(self.vertices[0])) == len(self.vertices)
+        vs = self.vertices
+        return not vs or len(self._search(vs[0], self.simplices_of_dim(1))) == len(vs)
 
-    def _search(self, root: int) -> dict[int, int]:
-        """Breadth-first search of the 1-skeleton from `root`, neighbours
-        in increasing order: the parent of each vertex reached (root's is
-        root).  The edges come sorted, so each neighbour list is built
-        increasing."""
+    def _search(self, root: int, edges: list[Simplex]) -> dict[int, int]:
+        """Breadth-first search of the 1-skeleton, whose edges are `edges`
+        (`simplices_of_dim(1)`), from `root`, neighbours in increasing
+        order: the parent of each vertex reached (root's is root).  The
+        edges come sorted, so each neighbour list is built increasing."""
         adj = {v: [] for v in self.vertices}
-        for (u, v) in self.simplices_of_dim(1):
+        for (u, v) in edges:
             adj[u].append(v)
             adj[v].append(u)
         parent = {root: root}
@@ -484,29 +485,27 @@ def fundamental_group(k: AbstractComplex, basepoint=None) -> GroupPresentation:
     """
     if not k.vertices:
         raise InputError("fundamental group of the empty complex")
-    if not k.is_connected():
+    edges = k.simplices_of_dim(1)
+    parent = k._search(k.vertices[0], edges)
+    if len(parent) != len(k.vertices):
         raise InputError("complex is not connected")
     base = k.vertices[0] if basepoint is None else int(basepoint)
     if (base,) not in k.simplices:
         raise InputError(f"basepoint {base} not a vertex")
+    if base != k.vertices[0]:
+        parent = k._search(base, edges)
 
-    parent = k._search(base)
     gen_index = {}
-    for (u, v) in k.simplices_of_dim(1):
+    for (u, v) in edges:
         if parent[u] != v and parent[v] != u:  # not a tree edge
             gen_index[u, v] = len(gen_index) + 1  # 1-based
 
-    def letter(u, v):
-        """Generator letter for the directed edge u -> v (0 for tree edges)."""
-        e = tuple(sorted((u, v)))
-        g = gen_index.get(e, 0)
-        if g == 0:
-            return 0
-        return g if (u, v) == e else -g
-
+    # the edges (a, b), (b, c), (a, c) of a sorted triangle are sorted: a
+    # generator read along the triangle's boundary keeps its sign on the
+    # first two and flips it on the third (0 for tree edges)
     relators = []
     for (a, b, c) in k.simplices_of_dim(2):
-        word = [letter(a, b), letter(b, c), -letter(a, c) if letter(a, c) else 0]
+        word = [gen_index.get((a, b), 0), gen_index.get((b, c), 0), -gen_index.get((a, c), 0)]
         word = [x for x in word if x != 0]
         if word:
             relators.append(word)

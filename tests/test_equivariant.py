@@ -1,4 +1,5 @@
 import copy
+import json
 import random
 from fractions import Fraction
 
@@ -193,6 +194,75 @@ def test_inhomogeneous_entry_is_named_in_row_major_order():
     with pytest.raises(InputError) as e:
         PinModel(0, [("x", 0), ("y", 1), ("z", 2)], q, Z3, Z3, [])
     assert str(e.value) == "q entry (0,2) violates degree shift -1"
+
+
+def _pin_input(**fields):
+    """A pin_model input: two generators, x in degree 1 and y in degree 0
+    with d x = y, unless `fields` replace them."""
+    return {"kind": "pin_model", "reducible_degree": 0,
+            "finite": [{"label": "x", "degree": 1}, {"label": "y", "degree": 0}],
+            "q": [[0, 0], [0, 0]], "v": [[0, 0], [0, 0]], "d_fin": [[0, 0], [1, 0]],
+            "d_to_tower": [], **fields}
+
+
+def _entries(n, ones):
+    mat = [[0] * n for _ in range(n)]
+    for i, j in ones:
+        mat[i][j] = 1
+    return mat
+
+
+def _finite(*degrees):
+    return [{"label": f"g{i}", "degree": d} for i, d in enumerate(degrees)]
+
+
+MALFORMED = "malformed pin_model input: "
+
+
+@pytest.mark.parametrize("fields, code, message", [
+    # q entry (0,2) breaks the degree shift before the 2, but entries are read first
+    ({"finite": _finite(0, 1, 2), "q": [[0, 1, 1], [0, 0, 0], [0, 2, 0]],
+      "v": _entries(3, []), "d_fin": _entries(3, [])},
+     1, MALFORMED + "q entries must be 0 or 1, got 2"),
+    ({"d_fin": [[0, 0, 0], [1, 0, 0]]}, 1, "d_fin must be 2x2, got (2, 3)"),
+    ({"d_fin": [[0, 0], [1]]}, 1, MALFORMED + "ValueError: setting an array element with a "
+     "sequence. The requested array has an inhomogeneous shape after 1 dimensions. The "
+     "detected shape was (2,) + inhomogeneous part."),
+    ({"v": [[0, 0], [1.0, 0]]}, 1, MALFORMED + "v entries must be 0 or 1, got 1.0"),
+    ({"d_fin": [[0, 0], [True, 0]]}, 1, MALFORMED + "d_fin entries must be 0 or 1, got True"),
+    ({"q": 5}, 1, MALFORMED + "TypeError: 'int' object is not iterable"),
+    ({"v": [0, 0]}, 1, MALFORMED + "TypeError: 'int' object is not iterable"),
+    # 70 generators in degree 0 but g65 in degree 1: (3,65) is allowed, and
+    # (3,66) is the first bad entry, past bit 64 of its packed row
+    ({"finite": _finite(*[int(i == 65) for i in range(70)]), "q": _entries(70, []),
+      "v": _entries(70, []), "d_fin": _entries(70, [(3, 65), (3, 66), (3, 69), (4, 0)])},
+     1, "d_fin entry (3,66) violates degree shift -1"),
+    # d^2 fails on the chains g0 -> g1 -> g2 from degree 4 and g3 -> g4 -> g5
+    # from degree 2, and the lower degree is named
+    ({"finite": _finite(4, 3, 2, 2, 1, 0), "q": _entries(6, []), "v": _entries(6, []),
+      "d_fin": _entries(6, [(1, 0), (2, 1), (4, 3), (5, 4)])},
+     1, "inconsistent model: differential does not square to zero at degree 2"),
+    ({"finite": [], "q": [], "v": [], "d_fin": []}, 0, None),
+], ids=["two-after-degree-violation", "shape", "ragged", "float", "bool", "not-a-list",
+        "row-not-a-list", "wide-rows", "d-squared", "empty"])
+def test_model_reading_messages(tmp_path, capsys, fields, code, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_pin_input(**fields)))
+    assert main(["abc", str(path)]) == code
+    err = capsys.readouterr().err
+    assert err == ("" if message is None else f"error: InputError: {message}\n")
+
+
+def test_reading_a_model_takes_no_numpy_product(monkeypatch):
+    """Model reading checks every law on packed rows: la.f2_mul is never
+    called."""
+    models = fixture_models() + [TRIPLE_KILLER] + random_models(41, 40)
+    inputs = [(type(m), m.to_json()) for m in models]
+    calls, f2_mul = [], la.f2_mul
+    monkeypatch.setattr(la, "f2_mul", lambda *args: calls.append(args) or f2_mul(*args))
+    for cls, data in inputs:
+        cls.from_json(data)
+    assert calls == []
 
 
 # -- localization ---------------------------------------------------------------
