@@ -5,6 +5,12 @@ fixtures addressed as ``fixtures:<name>``.  Reports are line-oriented
 ``key: value`` text by default and a JSON document under ``--json``;
 output is byte-identical across runs for identical inputs and flags.
 
+`run` takes each command through the same stages: the arguments (each
+subcommand names its input kind and its rows function), `load_input`,
+the kind check, `parse_input`, the report's rows, and `Report.emit`.
+`parse_input` is the one place where a missing or malformed field
+becomes an InputError, for the library as for the CLI.
+
 Every report names its input by a digest: the first 16 hex digits of
 the sha256 of the input file's bytes, as read (``sha256sum FILE | cut
 -c1-16``; for a fixture, of its bundled file).  Two files that differ
@@ -21,6 +27,7 @@ import functools
 import hashlib
 import json
 import sys
+from dataclasses import dataclass
 
 from . import fixtures as fixture_registry
 from .equivariant import (
@@ -34,7 +41,6 @@ from .equivariant import (
 )
 from .errors import HomcobError, InputError
 from .involutive import (
-    IotaMap,
     UComplex,
     involutive_correction_terms,
     v0_triple,
@@ -56,8 +62,6 @@ from .simplicial import (
     link_manifold_scan,
 )
 from .toddcoxeter import coset_enumeration
-
-KINDS = ("simplicial", "pin_model", "s1_model", "u_complex", "seifert")
 
 
 def load_input(path_or_fixture: str) -> tuple[dict, str]:
@@ -83,30 +87,27 @@ def load_input(path_or_fixture: str) -> tuple[dict, str]:
     return data, hashlib.sha256(raw).hexdigest()[:16]
 
 
+READERS = {
+    "simplicial": lambda data: AbstractComplex.from_facets(
+        data.get("facets", []), vertices=data.get("vertices")),
+    "pin_model": PinModel.from_json,
+    "s1_model": SOneModel.from_json,
+    "u_complex": UComplex.from_json,
+    "seifert": SeifertMatrix.from_json,
+}
+
+
 def parse_input(data: dict):
-    """Typed value from a raw input dict."""
+    """Typed value from a raw input dict: the one place where a missing or
+    malformed field becomes an InputError."""
     kind = data["kind"]
-    if kind == "simplicial":
-        return AbstractComplex.from_facets(
-            data.get("facets", []), vertices=data.get("vertices")
-        )
-    if kind == "pin_model":
-        return PinModel.from_json(data)
-    if kind == "s1_model":
-        return SOneModel.from_json(data)
-    if kind == "u_complex":
-        return UComplex.from_json(data)
-    if kind == "seifert":
-        return SeifertMatrix.from_json(data)
-    raise InputError(f"unknown input kind {kind!r}; expected one of {KINDS}")
-
-
-def _expect(data: dict, kind: str):
-    if data["kind"] != kind:
-        raise InputError(f"this command needs a {kind!r} input, got {data['kind']!r}")
+    if not isinstance(kind, str) or kind not in READERS:
+        raise InputError(f"unknown input kind {kind!r}; expected one of {tuple(READERS)}")
     try:
-        return parse_input(data)
-    except (TypeError, ValueError, KeyError, AttributeError) as e:
+        return READERS[kind](data)
+    except KeyError as e:
+        raise InputError(f"{kind} missing field {e}") from e
+    except (TypeError, ValueError, AttributeError) as e:
         # a field of the wrong type or shape, caught while building the value
         raise InputError(f"malformed {kind} input: {type(e).__name__}: {e}") from e
 
@@ -118,14 +119,11 @@ def _parse_simplex(text: str) -> list[int]:
         raise InputError(f"bad simplex {text!r}: use comma-separated integers") from e
 
 
+@dataclass
 class Report:
-    def __init__(self, command: str, digest: str):
-        self.command = command
-        self.digest = digest
-        self.rows: list[tuple[str, object]] = []
-
-    def add(self, key: str, value):
-        self.rows.append((key, value))
+    command: str
+    digest: str
+    rows: list[tuple[str, object]]
 
     def emit(self, as_json: bool) -> str:
         if as_json:
@@ -142,6 +140,103 @@ class Report:
         return "\n".join(lines)
 
 
+# -- the rows of each command's report: (args, parsed input) -> [(key, value)]
+
+
+def _link_rows(args, k):
+    lk = k.link(_parse_simplex(args.simplex))
+    return [("vertices", sorted(lk.vertices)), ("simplices", sorted(lk.simplices))]
+
+
+def _star_rows(args, k):
+    return [("simplices", sorted(k.star(_parse_simplex(args.simplex))))]
+
+
+def _closure_rows(args, k):
+    return [("simplices", sorted(k.closure([_parse_simplex(s) for s in args.simplex])))]
+
+
+def _homology_rows(args, k):
+    groups = homology(k, args.ring, args.reduced)
+    rows = [(f"H{d}", str(g) if args.ring == "Z" else f"F2^{g}") for d, g in enumerate(groups)]
+    return rows + [("euler_characteristic", k.euler_characteristic())]
+
+
+def _sq1_rows(args, k):
+    basis = cohomology_basis(k, args.dim)
+    return [("h_dim", len(basis))] + [
+        (f"sq1_class_{i}_nonzero", not bockstein_sq1(x).is_zero_class())
+        for i, x in enumerate(basis)]
+
+
+def _pi1_rows(args, k):
+    pres = fundamental_group(k, args.basepoint)
+    return [("generators", pres.ngens), ("relators", len(pres.relators)),
+            ("coset_enumeration", coset_enumeration(pres, args.limit)),
+            ("abelianization", str(pres.abelianization()))]
+
+
+def _scan_links_rows(args, k):
+    reports = link_manifold_scan(k, args.certify_pi1, args.limit)
+    exact = [r for r in reports if r.certified_sphere is not None]
+    rows = [("links_checked", len(reports)),
+            ("all_certified_spheres", bool(exact) and all(r.certified_sphere for r in exact))]
+    for r in reports:
+        if r.certified_sphere is False or not r.homology_sphere:
+            rows.append((f"failing_{','.join(map(str, r.simplex))}", "not-sphere"))
+        elif r.pi1_order is not None:
+            rows.append((f"pi1_{','.join(map(str, r.simplex))}", r.pi1_order))
+    return rows
+
+
+def _abc_rows(args, m):
+    r = abc(m)
+    return [(key, getattr(r, key)) for key in ("A", "B", "C", "alpha", "beta", "gamma", "mu")]
+
+
+def _dual_rows(args, m):
+    rev = abc_of_reverse(m)
+    return [("alpha_reverse", rev[0]), ("beta_reverse", rev[1]), ("gamma_reverse", rev[2]),
+            ("coborel_tops", list(coborel_tower_tops(m)))]
+
+
+def _tate_rows(args, m):
+    loc = localization_check(m)
+    rows = [("localizes", loc.ok), ("anchored_at", loc.anchored_at),
+            ("stable_pattern", loc.pattern)]
+    return rows + [("detail", loc.detail)] if loc.detail else rows
+
+
+def _delta_rows(args, m):
+    return [("delta", delta_invariant(m))]
+
+
+def _correction_terms(value):
+    c, iota = value
+    if iota is None:
+        raise InputError("u_complex input needs an 'iota' field for this command")
+    return involutive_correction_terms(c, iota)
+
+
+def _hfi_rows(args, value):
+    r = _correction_terms(value)
+    return [("d", r.d), ("d_bar", r.d_bar), ("d_under", r.d_under), ("split", r.split)]
+
+
+def _v0_rows(args, value):
+    v0, v0b, v0u = v0_triple(args.p, _correction_terms(value))
+    return [("p", args.p), ("V0", v0), ("V0_bar", v0b), ("V0_under", v0u)]
+
+
+def _knot_rows(args, v):
+    sig = signature(v)
+    poly = alexander(v)
+    arf_val = arf(poly)
+    return [("signature", sig), ("alexander", str(poly)), ("alexander_at_minus1", poly(-1)),
+            ("arf", arf_val), ("fox_milnor", fox_milnor_obstruction(poly)),
+            ("corollary_sigma_eq_4arf_plus_4", corollary_predicate(sig, arf_val))]
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise InputError (exit 1); argparse's own exit code 2
     is the one documented for an invalid model."""
@@ -151,6 +246,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command names, through set_defaults, the input kind it takes
+    and the function that gives its report's rows."""
     ap = _Parser(
         prog="homcob",
         description="exact calculators for simplicial, equivariant-tower, "
@@ -159,38 +256,42 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="emit the report as JSON")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
+    def add(name, kind, rows, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.add_argument("input", nargs="?", help="JSON file or fixtures:<name>")
+        p.set_defaults(kind=kind, rows=rows)
         return p
 
-    p = add("link", help="link of a simplex")
+    p = add("link", "simplicial", _link_rows, help="link of a simplex")
     p.add_argument("--simplex", required=True, help="comma-separated vertices")
-    p = add("star", help="star of a simplex")
+    p = add("star", "simplicial", _star_rows, help="star of a simplex")
     p.add_argument("--simplex", required=True)
-    p = add("closure", help="closure of a set of simplices")
+    p = add("closure", "simplicial", _closure_rows, help="closure of a set of simplices")
     p.add_argument("--simplex", action="append", required=True)
-    p = add("homology", help="simplicial homology")
+    p = add("homology", "simplicial", _homology_rows, help="simplicial homology")
     p.add_argument("--ring", choices=("Z", "F2"), default="Z")
     p.add_argument("--reduced", action="store_true")
-    p = add("sq1", help="integral Bockstein on mod-2 cohomology generators")
+    p = add("sq1", "simplicial", _sq1_rows,
+            help="integral Bockstein on mod-2 cohomology generators")
     p.add_argument("--dim", type=int, default=1)
-    p = add("pi1", help="edge-path fundamental group with coset enumeration")
+    p = add("pi1", "simplicial", _pi1_rows,
+            help="edge-path fundamental group with coset enumeration")
     p.add_argument("--basepoint", type=int)
     p.add_argument("--limit", type=int, default=2000)
-    p = add("scan-links", help="simplex-link sphere checks")
+    p = add("scan-links", "simplicial", _scan_links_rows, help="simplex-link sphere checks")
     p.add_argument("--certify-pi1", action="store_true")
     p.add_argument("--limit", type=int, default=2000)
 
-    add("abc", help="tower invariants alpha, beta, gamma")
-    add("dual", help="invariants of the orientation reverse")
-    add("tate", help="localization pattern check")
-    add("delta", help="S1-model delta invariant")
-    add("hfi", help="involutive correction terms d, d_bar, d_under")
-    p = add("v0", help="surgery concordance invariants V0, V0_bar, V0_under")
+    add("abc", "pin_model", _abc_rows, help="tower invariants alpha, beta, gamma")
+    add("dual", "pin_model", _dual_rows, help="invariants of the orientation reverse")
+    add("tate", "pin_model", _tate_rows, help="localization pattern check")
+    add("delta", "s1_model", _delta_rows, help="S1-model delta invariant")
+    add("hfi", "u_complex", _hfi_rows, help="involutive correction terms d, d_bar, d_under")
+    p = add("v0", "u_complex", _v0_rows,
+            help="surgery concordance invariants V0, V0_bar, V0_under")
     p.add_argument("--p", type=int, required=True)
 
-    add("knot", help="Seifert-matrix invariants")
+    add("knot", "seifert", _knot_rows, help="Seifert-matrix invariants")
     sub.add_parser("fixtures", help="list bundled fixtures")
     return ap
 
@@ -205,118 +306,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str]) -> tuple[str, int]:
     args = _parser().parse_args(argv)
-    cmd = args.command
-
-    if cmd == "fixtures":
-        rep = Report("fixtures", "-")
-        for name in fixture_registry.fixture_names():
-            rep.add(name, fixture_registry.describe(name))
-        return rep.emit(args.json), 0
-
+    if args.command == "fixtures":
+        names = fixture_registry.fixture_names()
+        rows = [(name, fixture_registry.describe(name)) for name in names]
+        return Report("fixtures", "-", rows).emit(args.json), 0
     if not args.input:
         raise InputError("missing input (JSON file or fixtures:<name>)")
     data, digest = load_input(args.input)
-    echo = " ".join([cmd, args.input])
-    rep = Report(echo, digest)
-
-    if cmd in ("link", "star", "closure", "homology", "sq1", "pi1", "scan-links"):
-        k = _expect(data, "simplicial")
-        _run_simplicial(cmd, args, k, rep)
-    elif cmd in ("abc", "dual", "tate"):
-        _run_pin(cmd, _expect(data, "pin_model"), rep)
-    elif cmd == "delta":
-        rep.add("delta", delta_invariant(_expect(data, "s1_model")))
-    elif cmd in ("hfi", "v0"):
-        c, iota = _expect(data, "u_complex")
-        if iota is None:
-            raise InputError("u_complex input needs an 'iota' field for this command")
-        report = involutive_correction_terms(c, iota)
-        if cmd == "hfi":
-            rep.add("d", report.d)
-            rep.add("d_bar", report.d_bar)
-            rep.add("d_under", report.d_under)
-            rep.add("split", report.split)
-        else:
-            v0, v0b, v0u = v0_triple(args.p, report)
-            rep.add("p", args.p)
-            rep.add("V0", v0)
-            rep.add("V0_bar", v0b)
-            rep.add("V0_under", v0u)
-    else:  # knot
-        v = _expect(data, "seifert")
-        sig = signature(v)
-        poly = alexander(v)
-        arf_val = arf(poly)
-        rep.add("signature", sig)
-        rep.add("alexander", str(poly))
-        rep.add("alexander_at_minus1", poly(-1))
-        rep.add("arf", arf_val)
-        rep.add("fox_milnor", fox_milnor_obstruction(poly))
-        rep.add("corollary_sigma_eq_4arf_plus_4", corollary_predicate(sig, arf_val))
-    return rep.emit(args.json), 0
-
-
-def _run_pin(cmd, m: PinModel, rep: Report):
-    if cmd == "abc":
-        r = abc(m)
-        for key in ("A", "B", "C", "alpha", "beta", "gamma", "mu"):
-            rep.add(key, getattr(r, key))
-    elif cmd == "dual":
-        rev = abc_of_reverse(m)
-        rep.add("alpha_reverse", rev[0])
-        rep.add("beta_reverse", rev[1])
-        rep.add("gamma_reverse", rev[2])
-        tops = coborel_tower_tops(m)
-        rep.add("coborel_tops", list(tops))
-    elif cmd == "tate":
-        loc = localization_check(m)
-        rep.add("localizes", loc.ok)
-        rep.add("anchored_at", loc.anchored_at)
-        rep.add("stable_pattern", loc.pattern)
-        if loc.detail:
-            rep.add("detail", loc.detail)
-
-
-def _run_simplicial(cmd, args, k: AbstractComplex, rep: Report):
-    if cmd == "link":
-        lk = k.link(_parse_simplex(args.simplex))
-        rep.add("vertices", sorted(lk.vertices))
-        rep.add("simplices", sorted(lk.simplices))
-    elif cmd == "star":
-        rep.add("simplices", sorted(k.star(_parse_simplex(args.simplex))))
-    elif cmd == "closure":
-        simps = [_parse_simplex(s) for s in args.simplex]
-        rep.add("simplices", sorted(k.closure(simps)))
-    elif cmd == "homology":
-        groups = homology(k, args.ring, args.reduced)
-        for d, g in enumerate(groups):
-            rep.add(f"H{d}", str(g) if args.ring == "Z" else f"F2^{g}")
-        rep.add("euler_characteristic", k.euler_characteristic())
-    elif cmd == "sq1":
-        basis = cohomology_basis(k, args.dim)
-        rep.add("h_dim", len(basis))
-        for i, x in enumerate(basis):
-            image = bockstein_sq1(x)
-            rep.add(f"sq1_class_{i}_nonzero", not image.is_zero_class())
-    elif cmd == "pi1":
-        pres = fundamental_group(k, args.basepoint)
-        rep.add("generators", pres.ngens)
-        rep.add("relators", len(pres.relators))
-        rep.add("coset_enumeration", coset_enumeration(pres, args.limit))
-        rep.add("abelianization", str(pres.abelianization()))
-    elif cmd == "scan-links":
-        reports = link_manifold_scan(k, args.certify_pi1, args.limit)
-        exact = [r for r in reports if r.certified_sphere is not None]
-        rep.add("links_checked", len(reports))
-        rep.add(
-            "all_certified_spheres",
-            bool(exact) and all(r.certified_sphere for r in exact),
-        )
-        for r in reports:
-            if r.certified_sphere is False or not r.homology_sphere:
-                rep.add(f"failing_{','.join(map(str, r.simplex))}", "not-sphere")
-            elif r.pi1_order is not None:
-                rep.add(f"pi1_{','.join(map(str, r.simplex))}", r.pi1_order)
+    if data["kind"] != args.kind:
+        raise InputError(f"this command needs a {args.kind!r} input, got {data['kind']!r}")
+    rows = args.rows(args, parse_input(data))
+    return Report(f"{args.command} {args.input}", digest, rows).emit(args.json), 0
 
 
 def main(argv=None) -> int:

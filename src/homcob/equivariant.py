@@ -202,14 +202,13 @@ class _TowerModel:
 
     @classmethod
     def from_json(cls, data: dict):
-        try:
-            finite = [(g["label"], g["degree"]) for g in data.get("finite", [])]
-            arrows = [(t["from"], t["b"]) if cls.LEVELS == 1 else (t["from"], t["a"], t["b"])
-                      for t in data.get("d_to_tower", [])]
-            ops = [data.get(field, []) for _, field, _, _ in cls.OPS]
-            return cls(data.get("reducible_degree"), finite, *ops, data.get("d_fin", []), arrows)
-        except KeyError as e:
-            raise InputError(f"{cls.KIND} missing field {e}") from e
+        """The model of a raw input dict.  A missing field raises KeyError;
+        `cli.parse_input` is the checked door that makes it an InputError."""
+        finite = [(g["label"], g["degree"]) for g in data.get("finite", [])]
+        arrows = [(t["from"], t["b"]) if cls.LEVELS == 1 else (t["from"], t["a"], t["b"])
+                  for t in data.get("d_to_tower", [])]
+        ops = [data.get(field, []) for _, field, _, _ in cls.OPS]
+        return cls(data.get("reducible_degree"), finite, *ops, data.get("d_fin", []), arrows)
 
     def _tower_rows(self) -> tuple[list[tuple[int, int]], list[int]]:
         """The tower-arrow targets (a, b) whose row is nonzero, and the

@@ -180,15 +180,15 @@ class UComplex:
 
     @classmethod
     def from_json(cls, data: dict):
-        try:
-            gens = [(g["label"], g["degree"]) for g in data["generators"]]
-            diff = [(e["from"], e["to"], e["upower"]) for e in data.get("differential", [])]
-            c = cls(gens, diff)
-            iota = None
-            if "iota" in data:
-                iota = IotaMap.of(c, [(e["from"], e["to"], e["upower"]) for e in data["iota"]])
-        except KeyError as e:
-            raise InputError(f"u_complex missing field {e}") from e
+        """(complex, iota or None) of a raw input dict.  A missing field
+        raises KeyError; `cli.parse_input` is the checked door that makes it
+        an InputError."""
+        gens = [(g["label"], g["degree"]) for g in data["generators"]]
+        diff = [(e["from"], e["to"], e["upower"]) for e in data.get("differential", [])]
+        c = cls(gens, diff)
+        iota = None
+        if "iota" in data:
+            iota = IotaMap.of(c, [(e["from"], e["to"], e["upower"]) for e in data["iota"]])
         return c, iota
 
     # -- towers ----------------------------------------------------------

@@ -66,8 +66,8 @@ class SeifertMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "SeifertMatrix":
-        if "matrix" not in data:
-            raise InputError("seifert input missing 'matrix'")
+        """A missing matrix raises KeyError; `cli.parse_input` is the
+        checked door that makes it an InputError."""
         return cls(data["matrix"])
 
 

@@ -69,8 +69,9 @@ def test_empty_facet_list_is_valid():
 
 
 def test_unknown_kind_rejected():
-    with pytest.raises(InputError):
-        parse_input({"kind": "mystery"})
+    for kind in ("mystery", [1], None):
+        with pytest.raises(InputError, match="unknown input kind"):
+            parse_input({"kind": kind})
 
 
 def test_link_command_worked_example():
@@ -527,7 +528,7 @@ BOUNDARY_DELTA6 = {"kind": "simplicial",
         (["abc"], {**_two_generator("pin_model"),
                    "finite": [{"label": "x", "degree": 1}, {"label": "x", "degree": 0}]}, 1,
          "InputError: duplicate finite generator labels"),
-        (["knot"], {"kind": "seifert"}, 1, "InputError: seifert input missing 'matrix'"),
+        (["knot"], {"kind": "seifert"}, 1, "InputError: seifert missing field 'matrix'"),
         (["scan-links"], BOUNDARY_DELTA6, 1, "InputError: link scan supports dimension <= 4"),
         (["pi1", "--basepoint", "9"], fixtures.load("rp2_6")[0], 1,
          "InputError: basepoint 9 not a vertex"),
@@ -540,6 +541,48 @@ def test_refused_inputs_name_their_cause(tmp_path, capsys, argv, data, code, mes
     path.write_text(json.dumps(data))
     assert main([*argv, str(path)]) == code
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "cmd, data, message",
+    [
+        ("homology", {"kind": "simplicial", "facets": [5]},
+         "malformed simplicial input: TypeError: "),
+        ("abc", {"kind": "pin_model", "reducible_degree": 0, "finite": "x"},
+         "malformed pin_model input: TypeError: "),
+        ("delta", {"kind": "s1_model", "finite": 3}, "malformed s1_model input: TypeError: "),
+        ("hfi", {"kind": "u_complex", "generators": [{"label": "a", "degree": None}]},
+         "malformed u_complex input: degree must be an integer, got None"),
+        ("abc", {**_killer_pin(2, 0), "d_to_tower": [{"a": 2, "b": 0}]},
+         "pin_model missing field 'from'"),
+        ("abc", {**_killer_pin(2, 0), "d_to_tower": [{"from": "z", "b": 0}]},
+         "pin_model missing field 'a'"),
+        ("abc", {**_killer_pin(2, 0), "d_to_tower": [{"from": "z", "a": 2}]},
+         "pin_model missing field 'b'"),
+        ("delta", {**_s1_with(0, 1, 0), "d_to_tower": [{"from": "z"}]},
+         "s1_model missing field 'b'"),
+        ("hfi", _fixture_with("minus_sigma237", _drop("differential", 0, "upower")),
+         "u_complex missing field 'upower'"),
+        ("hfi", _fixture_with("minus_sigma237", _drop("iota", 0, "upower")),
+         "u_complex missing field 'upower'"),
+        ("hfi", {"kind": "u_complex"}, "u_complex missing field 'generators'"),
+        ("knot", {"kind": "seifert"}, "seifert missing field 'matrix'"),
+    ],
+    ids=["facets-int", "finite-str", "s1-finite-int", "degree-null", "arrow-no-from",
+         "arrow-no-a", "arrow-no-b", "s1-arrow-no-b", "no-differential-upower",
+         "no-iota-upower", "no-generators", "seifert-no-matrix"],
+)
+def test_parse_input_refuses_as_the_cli_does(tmp_path, capsys, cmd, data, message):
+    """parse_input is the one door: the library refuses a malformed field
+    with the InputError, word for word, that the CLI prints."""
+    with pytest.raises(InputError) as err:
+        parse_input(data)
+    assert str(err.value).startswith(message)
+    assert message.endswith(": ") or str(err.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([cmd, str(path)]) == 1
+    assert capsys.readouterr().err == f"error: InputError: {err.value}\n"
 
 
 def test_tate_on_a_model_without_a_reducible_tower_says_why(tmp_path):
@@ -603,6 +646,28 @@ COMMAND_ARGS = {
     "homology": [], "sq1": [], "pi1": [], "scan-links": [], "abc": [], "dual": [],
     "tate": [], "delta": [], "hfi": [], "v0": ["--p", "1"], "knot": [],
 }
+
+
+COMMAND_KIND = {
+    "link": "simplicial", "star": "simplicial", "closure": "simplicial",
+    "homology": "simplicial", "sq1": "simplicial", "pi1": "simplicial",
+    "scan-links": "simplicial", "abc": "pin_model", "dual": "pin_model", "tate": "pin_model",
+    "delta": "s1_model", "hfi": "u_complex", "v0": "u_complex", "knot": "seifert",
+}
+FIXTURE_OF_KIND = {"simplicial": "torus7", "pin_model": "s3", "s1_model": "poincare_s1",
+                   "u_complex": "sigma237", "seifert": "trefoil"}
+
+
+@pytest.mark.parametrize(
+    "cmd, other",
+    [(cmd, other) for cmd in COMMAND_ARGS
+     for other in FIXTURE_OF_KIND if other != COMMAND_KIND[cmd]],
+)
+def test_each_command_refuses_every_other_input_kind(capsys, cmd, other):
+    argv = [cmd, *COMMAND_ARGS[cmd], f"fixtures:{FIXTURE_OF_KIND[other]}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: InputError: this command needs a '{COMMAND_KIND[cmd]}' input, got '{other}'\n")
 
 
 @pytest.fixture
