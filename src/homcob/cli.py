@@ -34,8 +34,6 @@ from .equivariant import (
     PinModel,
     SOneModel,
     abc,
-    abc_of_reverse,
-    coborel_tower_tops,
     delta_invariant,
     localization_check,
 )
@@ -195,9 +193,10 @@ def _abc_rows(args, m):
 
 
 def _dual_rows(args, m):
-    rev = abc_of_reverse(m)
-    return [("alpha_reverse", rev[0]), ("beta_reverse", rev[1]), ("gamma_reverse", rev[2]),
-            ("coborel_tops", list(coborel_tower_tops(m)))]
+    """abc_of_reverse and coborel_tower_tops, both read from one abc."""
+    r = abc(m)
+    return [("alpha_reverse", -r.gamma), ("beta_reverse", -r.beta), ("gamma_reverse", -r.alpha),
+            ("coborel_tops", [-r.A, -r.B, -r.C])]
 
 
 def _tate_rows(args, m):

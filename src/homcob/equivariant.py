@@ -360,15 +360,11 @@ def tower_bottoms(model) -> tuple[int, ...]:
 
 
 def abc(model: PinModel) -> AbcReport:
-    """Extract (alpha, beta, gamma, mu) from the tower bottoms.  Its laws
-    are the residues A = 2mu, B = 2mu + 1, C = 2mu + 2 mod 4, which fix the
-    parities of A, B, C and give alpha = beta = gamma = mu mod 2, and the
-    ordering alpha >= beta >= gamma."""
+    """Extract (alpha, beta, gamma, mu) from the tower bottoms.  Its law is
+    the ordering alpha >= beta >= gamma."""
     A, B, C = tower_bottoms(model)
     alpha, beta, gamma = A // 2, (B - 1) // 2, (C - 2) // 2
     mu = alpha % 2
-    if (A - 2 * mu) % 4 or (B - 2 * mu - 1) % 4 or (C - 2 * mu - 2) % 4:
-        raise InternalError(f"tower bottoms break the mod-4 residues: {(A, B, C)}")
     if not (alpha >= beta >= gamma):
         raise InternalError(
             f"alpha >= beta >= gamma violated: {(alpha, beta, gamma)}"

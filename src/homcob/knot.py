@@ -8,7 +8,8 @@ t = 0..n (Newton divided differences over the rationals), requires
 integer coefficients and checks it at t = n + 1.
 
 - The Alexander polynomial is det(V - t V^T), normalized so that
-  D(t) = D(1/t) and D(1) = 1.
+  D(t) = D(1/t) and D(1) = 1.  Its sample at t = 1 is det(V - V^T) = 1,
+  checked when the Seifert matrix is read, so it takes no determinant.
 - The signature of S = V + V^T is read from chi(t) = det(tI - S) by
   Descartes' rule of signs: the sign changes of chi's coefficients count
   the positive eigenvalues and those of chi(-t) the negative ones.  The
@@ -160,14 +161,16 @@ def _interpolate(values: list[int]) -> list[Fraction]:
     return poly
 
 
-def _det_poly(at, n: int, what: str) -> LaurentPoly:
+def _det_poly(at, n: int, what: str, known: dict[int, int] | None = None) -> LaurentPoly:
     """det(at(t)) for a square matrix at(t) whose entries are polynomials of
     degree at most 1 in t, so the determinant has degree at most n = size.
 
     It is interpolated from its values at t = 0..n and checked at
-    t = n + 1; every value is one integer (Bareiss) determinant.
+    t = n + 1; every value is one integer (Bareiss) determinant, except
+    those that `known` (a dict t -> value) already holds.
     """
-    coeffs = _interpolate([la.int_det(at(t)) for t in range(n + 1)])
+    known = known or {}
+    coeffs = _interpolate([known[t] if t in known else la.int_det(at(t)) for t in range(n + 1)])
     if any(c.denominator != 1 for c in coeffs):
         raise InternalError(f"{what} interpolation has non-integer coefficients")
     det = LaurentPoly(dict(enumerate(coeffs)))
@@ -206,12 +209,14 @@ def _sign_changes(coeffs: list[int]) -> int:
 
 def alexander(v: SeifertMatrix) -> LaurentPoly:
     """det(V - t V^T), shifted to be symmetric in t <-> 1/t; its value at 1
-    is det(V - V^T) = 1."""
+    is det(V - V^T) = 1, which SeifertMatrix has checked, so that sample
+    takes no determinant of its own."""
     n = v.size
     det = _det_poly(
         lambda t: [[v.v[i][j] - t * v.v[j][i] for j in range(n)] for i in range(n)],
         n,
         "Alexander",
+        known={1: 1},
     )
     if not det.coeffs:
         raise InternalError("vanishing Alexander determinant, but det(V - V^T) = 1")

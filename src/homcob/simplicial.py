@@ -7,10 +7,17 @@ chain-level data is reproducible.  Provides the neighborhood operations
 (co)homology, the integral Bockstein on mod-2 cohomology, edge-path
 fundamental-group presentations, and link-based manifold scans, where an
 exact sphere recognizer answers before any homology is computed.
+
+Homology takes one path for Z and F2: the augmented chain complex is first
+shrunk by the reductions that cause no fill-in (`_coreduce`), and only the
+boundaries restricted to the cells it keeps are eliminated, by a Smith
+normal form or a GF(2) rank.  The cocycles of `cohomology_basis` and
+`bockstein_sq1` are explicit, so they keep the whole coboundary.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -255,7 +262,8 @@ class ChainComplexZ:
     boundaries[d] maps d-chains to (d-1)-chains, stored once as sparse rows
     (an IntMatrix: row i maps the index of each d-simplex with the (d-1)-
     simplex i as a face to its sign); boundaries[0] is the augmentation
-    (all-ones row) so reduced homology is a flag, not a different complex.
+    (all-ones row), so homology reduces the augmented complex and reduced
+    homology is a flag, not a different complex.
     """
 
     generators: list[list[Simplex]]
@@ -321,35 +329,107 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _coreduce(cc: ChainComplexZ) -> list[list[int]]:
+    """The cells of the augmented complex that the reductions without
+    fill-in leave, per degree: kept[d + 1] lists the indices of the kept
+    d-simplices, kept[0] the empty simplex (index 0) if it stays.
+
+    A pair (a, b), a a face of b, goes when b has a as its only face left
+    (a coreduction) or a has b as its only coface left (a collapse).  Its
+    coefficient is +-1, a unit over Z and over F2, so dividing out the
+    acyclic span of b and its boundary keeps the homology; every other
+    boundary dc becomes dc - <dc, a> <db, a> db with a and b dropped, and
+    the correction vanishes there: db is +-a in a coreduction, and
+    <dc, a> = 0 in a collapse.  So what remains is the restriction of the
+    boundaries to the kept cells (Kaczynski-Mrozek-Slusarek, "Homology
+    computation by reduction of chain complexes", 1998; Mrozek-Batko,
+    "Coreduction homology algorithm", DCG 41, 2009).  Cells are numbered
+    degree by degree, the empty simplex first; the queue starts from every
+    cell with one face (the vertices, which pair with the empty simplex)
+    or one coface in that order, and takes each cell whose count falls to
+    one."""
+    start = [0, 1]
+    for g in cc.generators:
+        start.append(start[-1] + len(g))
+    n = start[-1]
+    up: list[list[int]] = []  # cofaces of each cell
+    down: list[list[int]] = [[] for _ in range(n)]  # faces of each cell
+    for b, lo, hi in zip(cc.boundaries, start, start[1:]):
+        for x, row in enumerate(b.rows, lo):
+            up.append([hi + j for j in row])
+            for c in up[-1]:
+                down[c].append(x)
+    up += [[]] * (n - len(up))  # the top simplices
+    nfaces = list(map(len, down))
+    ncofaces = list(map(len, up))
+    alive = [True] * n
+    queue = deque(x for x in range(n) if nfaces[x] == 1 or ncofaces[x] == 1)
+    pop, push = queue.popleft, queue.append
+    while queue:
+        x = pop()
+        if not alive[x]:
+            continue
+        if nfaces[x] == 1:  # a coreduction with x's one face
+            for y in down[x]:
+                if alive[y]:
+                    break
+        elif ncofaces[x] == 1:  # a collapse with x's one coface
+            for y in up[x]:
+                if alive[y]:
+                    break
+        else:
+            continue
+        alive[x] = alive[y] = False
+        for z in (x, y):
+            for f in down[z]:
+                if alive[f]:
+                    ncofaces[f] -= 1
+                    if ncofaces[f] == 1:
+                        push(f)
+            for c in up[z]:
+                if alive[c]:
+                    nfaces[c] -= 1
+                    if nfaces[c] == 1:
+                        push(c)
+    return [[x - lo for x in range(lo, hi) if alive[x]] for lo, hi in zip(start, start[1:])]
+
+
 def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
     """Simplicial homology.
 
-    ring "Z": list of HomologyGroup per dimension (via Smith normal form).
+    ring "Z": list of HomologyGroup per dimension.
     ring "F2": list of GF(2) dimensions per dimension.
-    The reduced flag augments with the empty simplex.
+    Both rings first shrink the augmented complex (`_coreduce`) and then
+    take a Smith normal form (Z) or a GF(2) rank (F2) of what is left of
+    each boundary; that gives reduced homology, and H_0 gains a Z unless
+    `reduced`.
     """
     if ring not in ("Z", "F2"):
         raise InputError(f"unsupported coefficient ring {ring!r}")
-    dim = k.dimension()
+    cc = ChainComplexZ.of(k)
+    dim = len(cc.generators) - 1
     if dim < 0:
         return []
-    cc = ChainComplexZ.of(k)
-    # rank of each boundary (torsion too over Z), each matrix reduced once:
-    # H_d = ker d_d / im d_{d+1}; boundaries[0], the augmentation, only
-    # counts for reduced homology
+    kept = _coreduce(cc)
+    # rank of the kept part of each boundary (torsion too over Z), the
+    # augmentation boundaries[0] included: H_d = ker d_d / im d_{d+1}
     ranks = [0] * (dim + 2)
     torsion: list[list[int]] = [[] for _ in range(dim + 2)]
-    for d in range(0 if reduced else 1, dim + 1):
-        b = cc.boundaries[d]
+    for d, b in enumerate(cc.boundaries):
+        col = {j: t for t, j in enumerate(kept[d + 1])}
+        rows = [{col[j]: x for j, x in b.rows[i].items() if j in col} for i in kept[d]]
+        if not any(rows):
+            continue
+        m = la.IntMatrix(rows, (len(rows), len(col)))
         if ring == "F2":
-            ranks[d] = la.rank_f2(b.mod2())
+            ranks[d] = la.rank_f2(m.mod2())
         else:
-            diag = la.smith_normal_form(b)
+            diag = la.smith_normal_form(m)
             ranks[d] = sum(1 for x in diag if x != 0)
             torsion[d] = sorted(x for x in diag if x > 1)
     out = []
     for d in range(dim + 1):
-        free = len(cc.generators[d]) - ranks[d] - ranks[d + 1]
+        free = len(kept[d + 1]) - ranks[d] - ranks[d + 1] + (d == 0 and not reduced)
         out.append(free if ring == "F2" else HomologyGroup(free, torsion[d + 1]))
     return out
 
@@ -567,10 +647,11 @@ def link_manifold_scan(
     An exact recognizer answers first for links of dimension 0, 1 and 2
     (two points, a circle, a closed surface with Euler characteristic 2).
     A sphere has the homology of one, so only the links it does not certify
-    get the integral homology test (one SNF per boundary).  Dimension-3
-    links are reported as homology spheres with optional fundamental-group
-    certification through coset enumeration, whose limit is checked up
-    front.  No sphere recognition is attempted above link dimension 2.
+    get the integral homology test (an SNF of what `_coreduce` leaves of
+    each boundary).  Dimension-3 links are reported as homology spheres
+    with optional fundamental-group certification through coset
+    enumeration, whose limit is checked up front.  No sphere recognition
+    is attempted above link dimension 2.
     """
     from .toddcoxeter import check_coset_limit, coset_enumeration
 

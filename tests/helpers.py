@@ -30,6 +30,7 @@ from homcob.involutive import (
 from homcob.knot import LaurentPoly, SeifertMatrix
 from homcob.simplicial import (
     AbstractComplex,
+    ChainComplexZ,
     CohomologyClass,
     GroupPresentation,
     HomologyGroup,
@@ -325,6 +326,31 @@ def facets_oracle(k: AbstractComplex) -> list:
         s for s in k.simplices
         if not any(len(t) > len(s) and set(s) < set(t) for t in k.simplices)
     )
+
+
+def homology_oracle(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
+    """Homology from a Smith normal form (Z) or a GF(2) rank (F2) of every
+    whole boundary, the augmentation only when reduced: the reference for
+    the reduced complex that `homology` eliminates."""
+    dim = k.dimension()
+    if dim < 0:
+        return []
+    cc = ChainComplexZ.of(k)
+    ranks = [0] * (dim + 2)
+    torsion: list[list[int]] = [[] for _ in range(dim + 2)]
+    for d in range(0 if reduced else 1, dim + 1):
+        b = cc.boundaries[d]
+        if ring == "F2":
+            ranks[d] = la.rank_f2(b.mod2())
+        else:
+            diag = la.smith_normal_form(b)
+            ranks[d] = sum(1 for x in diag if x != 0)
+            torsion[d] = sorted(x for x in diag if x > 1)
+    out = []
+    for d in range(dim + 1):
+        free = len(cc.generators[d]) - ranks[d] - ranks[d + 1]
+        out.append(free if ring == "F2" else HomologyGroup(free, torsion[d + 1]))
+    return out
 
 
 def betti_numbers(k: AbstractComplex, reduced=False) -> list[int]:

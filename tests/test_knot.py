@@ -231,8 +231,11 @@ def test_arf_reads_the_alexander_value_at_minus_one():
 @pytest.mark.parametrize("v", [TREFOIL, SeifertMatrix(_block_sum([FIG8.v, TREFOIL.v, FIG8.v]))])
 def test_interpolation_check_catches_one_wrong_sample(monkeypatch, v):
     exact = la.int_det
-    for invariant, what in ((alexander, "Alexander"), (signature, "characteristic polynomial")):
-        for wrong in range(v.size + 2):  # samples t = 0..n and the check at n + 1
+    # the determinants: signature's samples t = 0..n and its check at
+    # n + 1; alexander's the same but t = 1, which is det(V - V^T) = 1
+    for invariant, what, dets in ((alexander, "Alexander", v.size + 1),
+                                  (signature, "characteristic polynomial", v.size + 2)):
+        for wrong in [*range(dets), None]:  # None: every sample right
             calls = []
 
             def int_det(a):
@@ -240,10 +243,14 @@ def test_interpolation_check_catches_one_wrong_sample(monkeypatch, v):
                 return exact(a) + (len(calls) - 1 == wrong)
 
             monkeypatch.setattr(la, "int_det", int_det)
-            with pytest.raises(InternalError, match=f"{what} interpolation"):
+            if wrong is None:
                 invariant(v)
+                assert len(calls) == dets
+            else:
+                with pytest.raises(InternalError, match=f"{what} interpolation"):
+                    invariant(v)
+                assert len(calls) > wrong
             monkeypatch.setattr(la, "int_det", exact)
-            assert len(calls) > wrong
 
 
 HYPERBOLIC = [[0, 1], [0, 0]]  # V + V^T has a zero diagonal
@@ -278,7 +285,8 @@ def _det_poly_returning(what, poly):
     def patch(monkeypatch):
         exact = knot._det_poly
         monkeypatch.setattr(knot, "_det_poly",
-                            lambda at, n, name: poly if name == what else exact(at, n, name))
+                            lambda at, n, name, **known: poly if name == what
+                            else exact(at, n, name, **known))
     return patch
 
 

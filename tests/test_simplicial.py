@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from homcob.simplicial import (
     ChainComplexZ,
     CohomologyClass,
     _certified_sphere,
+    _coreduce,
     bockstein_sq1,
     cohomology_basis,
     cone,
@@ -32,6 +34,8 @@ from helpers import (
     betti_numbers,
     facets_oracle,
     greedy_reps,
+    homology_oracle,
+    int_dense,
     is_zero,
     link_by_full_scan,
     link_oracle,
@@ -391,7 +395,11 @@ def test_same_class_needs_one_degree_and_one_complex():
 
 
 @pytest.mark.parametrize("reduced", [False, True])
-def test_integral_homology_takes_one_snf_per_boundary(monkeypatch, reduced):
+def test_integral_homology_takes_one_snf_per_kept_boundary(monkeypatch, reduced):
+    """Each SNF input is the restriction of a boundary to the cells that
+    _coreduce keeps, one per boundary with a nonzero kept entry, and on
+    the suspension of RP^2 all of them hold fewer than a tenth of the
+    entries of the whole boundaries."""
     snf = la.smith_normal_form
     taken = []
 
@@ -403,9 +411,65 @@ def test_integral_homology_takes_one_snf_per_boundary(monkeypatch, reduced):
     k = suspension(RP2)
     homology(k, "Z", reduced)
     cc = ChainComplexZ.of(k)
-    first = 0 if reduced else 1
-    assert [m.shape for m in taken] == [b.shape for b in cc.boundaries[first:]]
-    assert all(m is b for m, b in zip(taken, cc.boundaries[first:]))
+    kept = _coreduce(cc)
+    want = []
+    for d, b in enumerate(cc.boundaries):
+        rows = [[b.rows[i].get(j, 0) for j in kept[d + 1]] for i in kept[d]]
+        if any(any(row) for row in rows):
+            want.append((d, rows))
+    assert len(taken) == len(want) >= 1
+    for m, (d, rows) in zip(taken, want):
+        assert int_dense(m) == rows
+        assert m.shape[0] <= cc.boundaries[d].shape[0] and m.shape[1] <= cc.boundaries[d].shape[1]
+    whole = sum(b.shape[0] * b.shape[1] for b in cc.boundaries[0 if reduced else 1:])
+    assert 10 * sum(m.shape[0] * m.shape[1] for m in taken) < whole
+
+
+def _integer_algebra_family():
+    """The complexes whose homology the benchmark takes: RP^2, the torus,
+    S^3, their suspensions, the double suspension of RP^2 and RP^2 * S^1."""
+    rp2, torus, s3 = (parse_input(fixtures.load(name)[0])
+                      for name in ("rp2_6", "torus7", "boundary_delta4"))
+    circle = AbstractComplex.from_facets([[1, 2], [2, 3], [1, 3]])
+    return [rp2, torus, s3, suspension(rp2), suspension(torus), suspension(s3),
+            suspension(suspension(rp2)), join(rp2, circle)]
+
+
+def test_homology_matches_the_whole_boundary_oracle():
+    rng = random.Random(26)
+    complexes = ([random_complex(rng, 9) for _ in range(600)] + _fixture_family()
+                 + _integer_algebra_family())
+    for k in complexes:
+        for ring in ("Z", "F2"):
+            for reduced in (False, True):
+                assert homology(k, ring, reduced) == homology_oracle(k, ring, reduced), (k, ring)
+
+
+def test_reduction_keeps_the_euler_characteristic():
+    """Each pair removed has one cell in each of two adjacent degrees, so
+    the kept cells, the empty simplex in degree -1, count chi - 1."""
+    rng = random.Random(27)
+    complexes = ([random_complex(rng, 9) for _ in range(200)] + _fixture_family()
+                 + _integer_algebra_family())
+    for k in complexes:
+        kept = _coreduce(ChainComplexZ.of(k))
+        assert sum((-1) ** (d - 1) * len(cells) for d, cells in enumerate(kept)) \
+            == k.euler_characteristic() - 1
+
+
+def test_spheres_reduce_to_their_top_cell():
+    for k in (BDRY_D4, suspension(BDRY_D4)):
+        kept = _coreduce(ChainComplexZ.of(k))
+        assert [len(cells) for cells in kept] == [0] * k.dimension() + [0, 1]
+
+
+def test_homology_of_a_large_simplex_is_a_point_quickly():
+    k = AbstractComplex.from_facets([list(range(13))])
+    start = time.perf_counter()
+    z, f2 = homology(k, "Z"), homology(k, "F2")
+    assert time.perf_counter() - start < 2.0
+    assert [str(g) for g in z] == ["Z"] + ["0"] * 12
+    assert f2 == [1] + [0] * 12
 
 
 def test_euler_characteristic_vs_betti():
