@@ -59,7 +59,7 @@ from .simplicial import (
     homology,
     link_manifold_scan,
 )
-from .toddcoxeter import coset_enumeration
+from .toddcoxeter import COSET_LIMIT, coset_enumeration
 
 
 def load_input(path_or_fixture: str) -> tuple[dict, str]:
@@ -276,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pi1", "simplicial", _pi1_rows,
             help="edge-path fundamental group with coset enumeration")
     p.add_argument("--basepoint", type=int)
-    p.add_argument("--limit", type=int, default=2000)
+    p.add_argument("--limit", type=int, default=COSET_LIMIT)
     p = add("scan-links", "simplicial", _scan_links_rows, help="simplex-link sphere checks")
     p.add_argument("--certify-pi1", action="store_true")
-    p.add_argument("--limit", type=int, default=2000)
+    p.add_argument("--limit", type=int, default=COSET_LIMIT)
 
     add("abc", "pin_model", _abc_rows, help="tower invariants alpha, beta, gamma")
     add("dual", "pin_model", _dual_rows, help="invariants of the orientation reverse")

@@ -68,9 +68,9 @@ the Qx.  Undoing the shift: d_under = b_main, the cone's tower bottom in
 d's parity, and d_bar = b_q + 1, with b_q its bottom in the other parity.
 The split case, 1 + iota = dH + Hd, is a special case, not a second path:
 the change of basis x -> x + QHx makes the cone C + C[-1], with towers at
-d and d - 1, so d_bar = d_under = d.  The mod-2 congruences and the
-ordering d_under <= d <= d_bar are laws; a report that breaks one raises
-InternalError.
+d and d - 1, so d_bar = d_under = d.  Two cone towers and the ordering
+d_under <= d <= d_bar are checked (InternalError); by the parity key
+d_under, d and d_bar agree mod 2, a law the tests check.
 
 The explicit plus flavor on a degree window (tensoring with
 F[U, U^-1]/F[U]) stays available as `UComplex.plus_window`, laid out by
@@ -405,20 +405,12 @@ def involutive_correction_terms(c: UComplex, iota: IotaMap) -> InvolutiveReport:
     split = one_plus_iota_nullhomotopic(c, iota)
     towers = cone.tower_bottoms()
     if len(towers) != 2:
-        raise ModelInvalidError(f"cone has {len(towers)} stabilized towers, expected 2")
+        raise InternalError(f"cone has {len(towers)} stabilized towers, expected 2")
     main_parity = int(d) % 2
-    b_main, b_q = towers[main_parity], towers[1 - main_parity]
-    report = InvolutiveReport(d, Fraction(b_q + 1), Fraction(b_main), split)
-    _check_report_laws(report)
-    return report
-
-
-def _check_report_laws(report: InvolutiveReport):
-    d, db, du = report.triple()
-    if (db - d) % 2 != 0 or (du - d) % 2 != 0:
-        raise InternalError(f"mod-2 congruence fails: {(d, db, du)}")
+    du, db = Fraction(towers[main_parity]), Fraction(towers[1 - main_parity] + 1)
     if not (du <= d <= db):
         raise InternalError(f"ordering d_under <= d <= d_bar fails: {(du, d, db)}")
+    return InvolutiveReport(d, db, du, split)
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,16 @@ every answer are those of a union-find table with the same HLT order.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .errors import InputError
-from .simplicial import GroupPresentation
+
+if TYPE_CHECKING:
+    from .simplicial import GroupPresentation
 
 EXCEEDED = "exceeded"
 MAX_COSETS = 1_000_000
+COSET_LIMIT = 2000  # the default cap of `pi1` and `scan-links --certify-pi1`
 
 
 class _CapHit(Exception):

@@ -874,15 +874,17 @@ def test_broken_law_exits_3(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cone_bottoms, message", [
-    ({0: 1, 1: -1}, "mod-2 congruence fails"),
-    ({0: -2, 1: 0}, "mod-2 congruence fails"),
     ({0: -2, 1: -3}, "ordering"),
-], ids=["odd-d_under", "odd-d_bar", "d_bar-below-d"])
+    ({0: -2}, "cone has 1 stabilized towers, expected 2"),
+], ids=["d_bar-below-d", "one-cone-tower"])
 def test_each_broken_involutive_law_raises_internal_error(monkeypatch, capsys, cone_bottoms,
                                                           message):
-    """Each law of the report, broken by the cone's tower bottoms on
-    Sigma(2,3,7), where d = 0: d_under is the bottom in parity 0 and
-    d_bar - 1 the bottom in parity 1."""
+    """Each law of the report that can fail, broken by the cone's tower
+    bottoms on Sigma(2,3,7), where d = 0: d_under is the bottom in parity
+    0 and d_bar - 1 the bottom in parity 1.  A validated iota on a
+    one-tower complex gives a cone with one tower in each parity, so a
+    missing one is a bug, not a model error.  The mod-2 congruences hold
+    by the parity key (test_ordering_property_on_random_instances)."""
     read = UComplex.tower_bottoms
     monkeypatch.setattr(UComplex, "tower_bottoms",
                         lambda c: dict(cone_bottoms) if len(read(c)) == 2 else read(c))
