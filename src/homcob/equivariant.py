@@ -37,10 +37,14 @@ boundary exactly when it owns a reduced column.
 
 Reading a model.  Each finite-part matrix is checked for 0/1 entries,
 then for its n x n shape, then for its degree shift on its rows packed
-into Python ints.  Every law (d^2 = 0 and d commuting with q, v or U on
-the generators with the same T, then q^3 = 0 and qv = vq) runs as XORs
-of these rows.  Neither reading needs a window, so neither costs more
-when the degrees spread.
+into Python ints.  A JSON matrix, n lists of n entries, is packed as it
+is read, with no numpy array; any other value goes through `la.f2`, so
+a shape or numpy error reads as before.  Every law (d^2 = 0 and d
+commuting with q, v or U on the generators with the same T, then
+q^3 = 0 and qv = vq) runs as XORs of these rows, the columns of
+[T; d_fin] are packed from them, and the numpy matrices are views
+unpacked on first use.  Neither reading needs a window, so neither
+costs more when the degrees spread.
 
 Orientation reversal.  Over F2 the homology of the degree-negated dual
 complex in degree -D is the dual space of H_D, and each power of v
@@ -68,7 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import or_
 
 import numpy as np
@@ -78,28 +82,41 @@ from .errors import InputError, InternalError, ModelInvalidError, as_int
 from .graded import GradedComplex, ladder_window
 
 
+_INT, _BITS = frozenset({int}), frozenset({0, 1})
+
+
 def _read_matrix(value, kind: str, field: str, degrees: list[int],
-                 masks: dict[int, int], shift: int) -> tuple[np.ndarray, list[int]]:
-    """A finite-part matrix of a `kind` input and its packed rows (bit j of
-    row i is entry (i, j)): entries the integers 0 or 1, not reduced mod 2,
-    then n x n, then row i inside masks[degrees[i] - shift], the generators
-    of that degree.  The first bad entry in row-major order is named."""
+                 masks: dict[int, int], shift: int) -> list[int]:
+    """The packed rows (bit j of row i is entry (i, j)) of a finite-part
+    matrix of a `kind` input: entries the integers 0 or 1, not reduced mod
+    2, then n x n, then row i inside masks[degrees[i] - shift], the
+    generators of that degree.  The first bad entry in row-major order is
+    named.  A row of plain ints 0 and 1 passes two set tests; any other row
+    is walked entry by entry.  An n-list of n-lists is packed as it is read;
+    any other value goes through la.f2, whose shape (or numpy's error) the
+    message reports."""
     for row in value:
+        if set(map(type, row)) <= _INT and set(row) <= _BITS:
+            continue
         for x in row:
             if isinstance(x, bool) or not hasattr(x, "__index__") or x not in (0, 1):
                 raise InputError(
                     f"malformed {kind} input: {field} entries must be 0 or 1, got {x!r}"
                 )
-    mat = la.f2(value)
     n = len(degrees)
-    if mat.shape != (n, n):
-        raise InputError(f"{field} must be {n}x{n}, got {mat.shape}")
-    rows = la._pack_rows(mat)
+    if type(value) is list and len(value) == n and all(
+            type(row) is list and len(row) == n for row in value):
+        rows = [sum(1 << j for j, x in enumerate(row) if x) for row in value]
+    else:
+        mat = la.f2(value)
+        if mat.shape != (n, n):
+            raise InputError(f"{field} must be {n}x{n}, got {mat.shape}")
+        rows = la._pack_rows(mat)
     for i, row in enumerate(rows):
         if bad := row & ~masks.get(degrees[i] - shift, 0):
             j = (bad & -bad).bit_length() - 1
             raise InputError(f"{field} entry ({i},{j}) violates degree shift {shift}")
-    return mat, rows
+    return rows
 
 
 def _mul(a: list[int], b: list[int]) -> list[int]:
@@ -131,10 +148,11 @@ class _TowerModel:
     0 <= a < LEVELS in degree n + STEP * k + a, finite generators
     `finite` with differential `d_fin`, tower arrows `d_to_tower`, and the
     operators OPS, each as (name, input field, shift, tower entries).  The
-    tower entry (a, a2, j) sends (a, k) to (a2, k - j); the operator's
-    matrix on the finite part is the attribute `<field>_op`.  Inputs of
-    the kind KIND are read and checked here, and written back by
-    `to_json`."""
+    tower entry (a, a2, j) sends (a, k) to (a2, k - j).  Each finite-part
+    matrix is kept as packed rows, `_rows[field]`; its numpy view (`d_fin`,
+    or `<field>_op` for an operator) is unpacked on first use, for the
+    window oracle, `to_json` and the tests.  Inputs of the kind KIND are
+    read and checked here, and written back by `to_json`."""
 
     STEP = LEVELS = 0
     KIND = ""
@@ -157,15 +175,18 @@ class _TowerModel:
         for j, deg in enumerate(degs):
             masks[deg] = masks.get(deg, 0) | 1 << j
         fields = [(f, shift) for _, f, shift, _ in self.OPS] + [("d_fin", -1)]
-        packed = []
-        for (field, shift), value in zip(fields, [*op_values, d_fin]):
-            mat, rows = _read_matrix(value, kind, field, degs, masks, shift)
-            setattr(self, field if field == "d_fin" else f"{field}_op", mat)
-            packed.append(rows)
+        self._rows = {field: _read_matrix(value, kind, field, degs, masks, shift)
+                      for (field, shift), value in zip(fields, [*op_values, d_fin])}
         self.d_to_tower = [self._arrow(t) for t in d_to_tower]
-        *ops, d = packed
+        *ops, d = self._rows.values()
         self._check_generators(d, ops)
         self._check_operators(ops)
+
+    def _view(self, field: str) -> np.ndarray:
+        """The numpy matrix of the packed rows of `field`."""
+        return la._unpack_rows(self._rows[field], len(self.finite))
+
+    d_fin = cached_property(lambda self: self._view("d_fin"))
 
     def _arrow(self, arrow) -> TowerArrow:
         """A tower arrow given as a TowerArrow, (source, a, b), or
@@ -288,6 +309,9 @@ class PinModel(_TowerModel):
     def __init__(self, reducible_degree, finite, q_op, v_op, d_fin, d_to_tower):
         super().__init__(reducible_degree, finite, (q_op, v_op), d_fin, d_to_tower)
 
+    q_op = cached_property(lambda self: self._view("q"))
+    v_op = cached_property(lambda self: self._view("v"))
+
     def _check_operators(self, ops):
         """An even reducible degree, then q^3 = 0 and qv = vq."""
         if self.reducible_degree is not None and self.reducible_degree % 2:
@@ -351,7 +375,15 @@ def tower_bottoms(model) -> tuple[int, ...]:
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
     targets, t = model._tower_rows()
-    owner = la.reduce_columns(np.vstack([la._unpack_rows(t, len(model.finite)), model.d_fin]))[2]
+    # the columns of [T; d_fin], packed from its rows: bit r of column j is
+    # entry (r, j)
+    cols = [0] * len(model.finite)
+    for r, row in enumerate(t + model._rows["d_fin"]):
+        while row:
+            j = row.bit_length() - 1
+            cols[j] |= 1 << r
+            row ^= 1 << j
+    owner = la.reduce_columns(cols)[2]
     bottoms = [n + a for a in range(model.LEVELS)]
     for r, (a, b) in enumerate(targets):
         if r in owner:
@@ -420,6 +452,8 @@ class SOneModel(_TowerModel):
         # the U-tower is not optional
         reducible_degree = as_int(reducible_degree, self.KIND, "reducible_degree")
         super().__init__(reducible_degree, finite, (u_op,), d_fin, d_to_tower)
+
+    u_op = cached_property(lambda self: self._view("u"))
 
     def default_window(self) -> tuple[int, int]:
         # the stable cut, 4 below the top, sits 8 + 2 per finite

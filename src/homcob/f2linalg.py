@@ -2,18 +2,22 @@
 
 GF(2) matrices are dense numpy uint8 arrays with entries in {0, 1}.  The
 one GF(2) elimination is `reduce_columns`, the left-to-right column
-reduction of persistence: each column is packed (np.packbits) into one
-Python int whose bit r is the entry in row r, so a column operation is a
-single XOR of two ints.  While an earlier column owns the highest set
-bit of a column, that earlier column is added to it.  A column ends zero
-exactly when it lies in the span of the columns before it, so the
-nonzero reduced columns are the pivot columns: their number is the rank
-and they are a basis of the image.  The columns summed into column t are
-t itself and otherwise pivot columns, so the kernel vector read at a
-free column fc is 1 at fc and 0 at every other free column, and the
-solution read from [m | b] is 0 at every free column.  Each is the only
-vector with that pattern, so it is the one the reduced row echelon form
-gives.
+reduction of persistence, on packed columns: Python ints whose bit r is
+the entry in row r, so a column operation is a single XOR of two ints.
+Callers that hold bits already (tower rows, simplicial boundaries, the
+block systems of a homotopy solve) pass their columns in as they are;
+the numpy entry points (`rank_f2`, `pivot_columns_f2`, `kernel_basis_f2`,
+`solve_f2`) pack their matrix once where it enters (np.packbits).  While
+an earlier column owns the highest set bit of a column, that earlier
+column is added to it.  A column ends zero exactly when it lies in the
+span of the columns before it, so the nonzero reduced columns are the
+pivot columns: their number is the rank and they are a basis of the
+image.  The columns summed into column t are t itself and otherwise
+pivot columns, so the kernel vector read at a free column fc is 1 at fc
+and 0 at every other free column, and the solution read from [m | b]
+(`_solve_packed`, the one solve) is 0 at every free column.  Each is the
+only vector with that pattern, so it is the one the reduced row echelon
+form gives.
 
 A product (`f2_mul`) takes one of two paths.  A small one multiplies the
 uint8 arrays, whose sums wrap mod 256 and keep their parity.  A large one
@@ -123,15 +127,17 @@ def _unpack_rows(rows: list[int], cols: int) -> np.ndarray:
     return np.unpackbits(packed, axis=1, count=cols, bitorder="little")
 
 
-def reduce_columns(m) -> tuple[list[int], list[int], dict[int, int]]:
-    """Column reduction of m over GF(2), left to right: (red, ops, owner).
+def reduce_columns(cols: list[int]) -> tuple[list[int], list[int], dict[int, int]]:
+    """Column reduction over GF(2), left to right, of the packed columns
+    cols (bit r of cols[t]: entry (r, t)): (red, ops, owner).
 
-    red[t] is column t (bit r: row r) after adding the earlier column that
-    owns its highest set bit, until no earlier column owns it; ops[t]
-    records the columns summed (bit s: column s), so red[t] = m @ ops[t].
-    owner maps the highest bit of each nonzero red[t] to t.
+    red[t] is column t after adding the earlier column that owns its
+    highest set bit, until no earlier column owns it; ops[t] records the
+    columns summed (bit s: column s), so red[t] is the XOR of cols[s] over
+    the bits s of ops[t].  owner maps the highest bit of each nonzero
+    red[t] to t.  cols is not modified.
     """
-    red = _pack_rows(f2(m).T)
+    red = list(cols)
     ops = [1 << t for t in range(len(red))]
     owner: dict[int, int] = {}
     for t, col in enumerate(red):
@@ -145,14 +151,14 @@ def reduce_columns(m) -> tuple[list[int], list[int], dict[int, int]]:
 
 
 def rank_f2(m) -> int:
-    """GF(2) rank: the rows of m that the column reduction of m^T leaves
-    nonzero."""
-    return len(reduce_columns(np.transpose(m))[2])
+    """GF(2) rank: the rows of m (the columns of m^T) that the column
+    reduction leaves nonzero."""
+    return len(reduce_columns(_pack_rows(f2(m)))[2])
 
 
 def pivot_columns_f2(m) -> list[int]:
     """Indices of the columns of m outside the span of the columns before them."""
-    return [t for t, col in enumerate(reduce_columns(m)[0]) if col]
+    return [t for t, col in enumerate(reduce_columns(_pack_rows(f2(m).T))[0]) if col]
 
 
 def kernel_basis_f2(m) -> list[np.ndarray]:
@@ -162,8 +168,23 @@ def kernel_basis_f2(m) -> list[np.ndarray]:
     column fc: x[fc] = 1, and x is 0 at every other non-pivot column.
     """
     a = f2(m)
-    red, ops, _ = reduce_columns(a)
+    red, ops, _ = reduce_columns(_pack_rows(a.T))
     return list(_unpack_rows([op for col, op in zip(red, ops) if not col], a.shape[1]))
+
+
+def _solve_packed(cols: list[int], rhs: list[int]) -> list[int] | None:
+    """The packed core of solve_f2: for each packed right-hand side rhs[k]
+    (bit r: row r), the packed x (bit s: unknown s) whose columns cols[s]
+    sum to it, free variables 0; None if any is inconsistent.  One column
+    reduction of [cols | rhs] serves them all."""
+    k = len(cols)
+    red, ops, _ = reduce_columns(cols + rhs)
+    # an inconsistent rhs column owns a bit that later rhs columns reduce
+    # against, so every rhs column is tested before any ops is read
+    if any(red[k:]):
+        return None
+    mask = (1 << k) - 1
+    return [op & mask for op in ops[k:]]
 
 
 def solve_f2(m, b):
@@ -182,13 +203,10 @@ def solve_f2(m, b):
         bv = bv.reshape(-1, 1)
     if bv.shape[0] != rows:
         raise InputError(f"rhs length {bv.shape[0]} != rows {rows}")
-    red, ops, _ = reduce_columns(np.concatenate([a, bv], axis=1))
-    # an inconsistent rhs column owns a bit that later rhs columns reduce
-    # against, so every rhs column is tested before any ops is read
-    if any(red[cols:]):
+    x = _solve_packed(_pack_rows(a.T), _pack_rows(bv.T))
+    if x is None:
         return None
-    mask = (1 << cols) - 1
-    x = _unpack_rows([op & mask for op in ops[cols:]], cols)
+    x = _unpack_rows(x, cols)
     return x[0] if vector else np.ascontiguousarray(x.T)
 
 

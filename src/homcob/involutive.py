@@ -45,7 +45,10 @@ H' = P H P^-1 and R' = P R P^-1.  N has no entry between blocks, so the
 part of N H' + H' N from block B to block A involves H'[A, B] alone: the
 equation splits into one system of at most 4 unknowns and 4 equations
 per pair of blocks, and the pairs with R'[A, B] = 0 take H'[A, B] = 0;
-R = 0 itself takes H = 0 with no product at all.
+R = 0 itself takes H = 0 with no product at all.  Each system is built
+as packed columns, with its right-hand side packed from the nonzeros of
+R', and goes to the packed core of `f2linalg.solve_f2` with no numpy
+round trip.
 H -> P H P^-1 is a bijection of degree +1 F[U]-maps, so a block with
 no solution means that no H exists: None is exact.  Every H = P^-1 H' P
 returned is checked against dH + Hd = R.
@@ -204,7 +207,9 @@ class UComplex:
         if self._reduction is None:
             degs = self.degrees()
             order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
-            self._reduction = (order, *la.reduce_columns(self.d_mat[order][:, order]))
+            # d's columns in slot order, packed (bit r: slot r)
+            cols = la._pack_rows(self.d_mat[order][:, order].T)
+            self._reduction = (order, *la.reduce_columns(cols))
         return self._reduction
 
     def tower_bottoms(self) -> dict[int, int]:
@@ -311,23 +316,27 @@ def _homotopy_solve(c: UComplex, rhs: np.ndarray):
     for i, j in pairs:
         blocks[i] = blocks[j] = (i, j)
     r = la.f2_mul(la.f2_mul(p, rhs), p_inv)
-    for a, b in {(blocks[i], blocks[j]) for i, j in zip(*np.nonzero(r))}:
+    rows, cols = (ix.tolist() for ix in np.nonzero(r))
+    for a, b in {(blocks[i], blocks[j]) for i, j in zip(rows, cols)}:
         # (N H' + H' N)[a, b] involves H'[a, b] only: the unknown H'[x, y]
-        # enters at (N x, y) and at (x, N^T y)
+        # enters at (N x, y) and at (x, N^T y); the equations are the
+        # cells, packed in this order
         cells = {e: row for row, e in enumerate((x, y) for x in a for y in b)}
+        bits = sum(1 << row for e, row in cells.items() if r[e])
         unknowns = [(x, y) for x, y in cells
                     if _forced_power(degs[y], degs[x], 1) is not None]
-        system = la.f2_zeros(len(cells), len(unknowns))
-        for col, (x, y) in enumerate(unknowns):
-            if x in target:
-                system[cells[target[x], y], col] ^= 1
+        system = []
+        for x, y in unknowns:
+            col = 1 << cells[target[x], y] if x in target else 0
             if y in source:
-                system[cells[x, source[y]], col] ^= 1
-        sol = la.solve_f2(system, [r[e] for e in cells])
+                col ^= 1 << cells[x, source[y]]
+            system.append(col)
+        sol = la._solve_packed(system, [bits])
         if sol is None:
             return None
-        for e, v in zip(unknowns, sol):
-            h[e] = v
+        for k, e in enumerate(unknowns):
+            if sol[0] >> k & 1:
+                h[e] = 1
     h = la.f2_mul(la.f2_mul(p_inv, h), p)
     if (la.f2_mul(c.d_mat, h) ^ la.f2_mul(h, c.d_mat) ^ rhs).any():
         raise InternalError("homotopy solve returned H with dH + Hd != rhs")

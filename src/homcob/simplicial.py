@@ -283,8 +283,14 @@ class ChainComplexZ:
 
     @classmethod
     def _build(cls, k: AbstractComplex) -> "ChainComplexZ":
+        # one pass buckets the simplices by dimension, then each bucket is
+        # sorted: the order of simplices_of_dim
         dim = k.dimension()
-        gens = [k.simplices_of_dim(d) for d in range(dim + 1)]
+        gens: list[list[Simplex]] = [[] for _ in range(dim + 1)]
+        for s in k.simplices:
+            gens[len(s) - 1].append(s)
+        for g in gens:
+            g.sort()
         index = [{s: i for i, s in enumerate(g)} for g in gens]
         # boundaries[0], the augmentation, then each boundary from the face index
         bnds = [la.IntMatrix([dict.fromkeys(range(len(g)), 1)], (1, len(g))) for g in gens[:1]]
@@ -388,8 +394,9 @@ def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
     ring "Z": list of HomologyGroup per dimension.
     ring "F2": list of GF(2) dimensions per dimension.
     Both rings first shrink the augmented complex (`_coreduce`) and then
-    take a Smith normal form (Z) or a GF(2) rank (F2) of what is left of
-    each boundary; that gives reduced homology, and H_0 gains a Z unless
+    take a Smith normal form (Z) of what is left of each boundary, or a
+    GF(2) rank (F2) of its odd entries, packed into ints straight from the
+    sparse rows; that gives reduced homology, and H_0 gains a Z unless
     `reduced`.
     """
     if ring not in ("Z", "F2"):
@@ -405,14 +412,15 @@ def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
     torsion: list[list[int]] = [[] for _ in range(dim + 2)]
     for d, b in enumerate(cc.boundaries):
         col = {j: t for t, j in enumerate(kept[d + 1])}
-        rows = [{col[j]: x for j, x in b.rows[i].items() if j in col} for i in kept[d]]
-        if not any(rows):
-            continue
-        m = la.IntMatrix(rows, (len(rows), len(col)))
         if ring == "F2":
-            ranks[d] = la.rank_f2(m.mod2())
-        else:
-            diag = la.smith_normal_form(m)
+            # the odd entries of each kept row, packed (bit t: kept column t)
+            packed = [sum(1 << col[j] for j, x in b.rows[i].items() if x & 1 and j in col)
+                      for i in kept[d]]
+            ranks[d] = len(la.reduce_columns(packed)[2])
+            continue
+        rows = [{col[j]: x for j, x in b.rows[i].items() if j in col} for i in kept[d]]
+        if any(rows):
+            diag = la.smith_normal_form(la.IntMatrix(rows, (len(rows), len(col))))
             ranks[d] = sum(1 for x in diag if x != 0)
             torsion[d] = sorted(x for x in diag if x > 1)
     out = []

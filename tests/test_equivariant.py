@@ -3,11 +3,12 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from homcob import equivariant, fixtures
 from homcob import f2linalg as la
-from homcob.cli import main
+from homcob.cli import main, run
 from homcob.equivariant import (
     PinModel,
     SOneModel,
@@ -266,6 +267,43 @@ def test_reading_a_model_takes_no_numpy_product(monkeypatch):
     assert calls == []
 
 
+def test_tower_commands_need_no_numpy_read(monkeypatch, tmp_path):
+    """abc, dual, tate and delta read a JSON model straight into packed rows
+    and take the tower read from them: with la.f2 and la._pack_rows raising,
+    every fixture and random model reports what it reports without."""
+    commands = {"pin_model": ["abc", "dual", "tate"], "s1_model": ["delta"]}
+    jobs = [[cmd, f"fixtures:{name}"] for name in fixtures.fixture_names()
+            for cmd in commands.get(fixtures.describe(name), [])]
+    for k, m in enumerate(fixture_models() + [TRIPLE_KILLER] + random_models(43, 40)):
+        path = tmp_path / f"m{k}.json"
+        path.write_text(json.dumps(m.to_json()))
+        jobs += [[cmd, str(path)] for cmd in commands[m.KIND]]
+    want = [run(argv) for argv in jobs]
+    assert sum(code == 0 for _, code in want) >= 80
+
+    def refuse(*args):
+        raise AssertionError("numpy round trip while reading a model")
+
+    monkeypatch.setattr(la, "f2", refuse)
+    monkeypatch.setattr(la, "_pack_rows", refuse)
+    assert [run(argv) for argv in jobs] == want
+
+
+def test_numpy_views_are_the_input_matrices():
+    """d_fin and the <field>_op views, unpacked from the packed rows, equal
+    la.f2 of the input matrices, shape and dtype included."""
+    inputs = [fixtures.load(name)[0] for name in fixtures.fixture_names()
+              if fixtures.describe(name) in ("pin_model", "s1_model")]
+    inputs += [m.to_json() for m in random_models(47, 20)]
+    for data in inputs:
+        m = (PinModel if data["kind"] == "pin_model" else SOneModel).from_json(data)
+        for field in [f for _, f, _, _ in m.OPS] + ["d_fin"]:
+            view = getattr(m, "d_fin" if field == "d_fin" else f"{field}_op")
+            want = la.f2(data[field])
+            assert view.dtype == want.dtype and view.shape == want.shape == (len(m.finite),) * 2
+            assert np.array_equal(view, want), field
+
+
 # -- localization ---------------------------------------------------------------
 
 
@@ -494,12 +532,15 @@ def test_one_tower_read_is_one_reduction(monkeypatch):
     assert len(many) >= 20
     calls = []
     reduce, rank = la.reduce_columns, la.rank_f2
-    monkeypatch.setattr(la, "reduce_columns", lambda m: calls.append("reduce") or reduce(m))
+    monkeypatch.setattr(la, "reduce_columns", lambda cols: calls.append(cols) or reduce(cols))
     monkeypatch.setattr(la, "rank_f2", lambda m: calls.append("rank") or rank(m))
     for m in fixture_models() + [TRIPLE_KILLER] + many:
         calls.clear()
         tower_bottoms(m)
-        assert calls == ["reduce"]
+        # the one reduction is of the packed columns of [T; d_fin]
+        targets, t = m._tower_rows()
+        stacked = np.vstack([la._unpack_rows(t, len(m.finite)), m.d_fin])
+        assert calls == [la._pack_rows(stacked.T)]
 
 
 def test_a_target_hit_with_a_finite_cycle_is_no_boundary():

@@ -1,4 +1,7 @@
 import random
+from functools import reduce
+from itertools import combinations, product
+from operator import xor
 
 import numpy as np
 import pytest
@@ -411,6 +414,43 @@ def test_solve_with_matrix_rhs_matches_column_solves():
                 assert la.solve_f2(m, bad) is None
 
 
+def test_packed_solve_matches_brute_force_on_every_small_system():
+    """Every system of at most 4 equations in at most 4 unknowns whose
+    columns have at most two 1s (the block systems of a homotopy solve),
+    with every right-hand side: _solve_packed is None exactly when no x
+    solves it, and otherwise gives the x that solves it and is 0 at every
+    column in the span of the columns before it (a free column)."""
+    systems = 0
+    for rows in range(5):
+        columns = [sum(1 << r for r in bits)
+                   for k in range(3) for bits in combinations(range(rows), k)]
+        for unknowns in range(5):
+            for cols in product(columns, repeat=unknowns):
+                systems += 1
+                span, free = {0}, 0  # the sums of the columns so far
+                for t, col in enumerate(cols):
+                    if col in span:
+                        free |= 1 << t
+                    span |= {x ^ col for x in span}
+                solvable = []
+                for rhs in range(1 << rows):
+                    x = la._solve_packed(list(cols), [rhs])
+                    if rhs not in span:
+                        assert x is None
+                        continue
+                    (x,) = x
+                    assert x >> unknowns == 0 and not x & free
+                    assert reduce(xor, (c for t, c in enumerate(cols) if x >> t & 1), 0) == rhs
+                    solvable.append((rhs, x))
+                # one reduction serves every consistent right-hand side at
+                # once, and one inconsistent among them makes it None
+                assert la._solve_packed(list(cols), [b for b, _ in solvable]) == [
+                    x for _, x in solvable]
+                if len(solvable) < 1 << rows:
+                    assert la._solve_packed(list(cols), list(range(1 << rows))) is None
+    assert systems == 19_283
+
+
 def test_reduce_columns_invariants():
     from helpers import row_echelon_oracle
 
@@ -419,8 +459,9 @@ def test_reduce_columns_invariants():
                for rows in SHAPE_ROWS for cols in SHAPE_COLS for density in (0.05, 0.5, 0.95)]
     for m in randoms + complex_matrices():
         cols = m.shape[1]
-        red, ops, owner = la.reduce_columns(m)
-        packed = la._pack_rows(m.T)
+        packed = la._pack_rows(m.T)  # column s of m, bit r: entry (r, s)
+        red, ops, owner = la.reduce_columns(packed)
+        assert packed == la._pack_rows(m.T)  # the input is not modified
         nonzero = [t for t in range(cols) if red[t]]
         for t in range(cols):
             summed = 0

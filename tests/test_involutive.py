@@ -559,13 +559,12 @@ def test_homotopy_solve_certifies_h(monkeypatch):
     zero, one = la.f2_zeros(2, 2), la.f2_eye(2)
     assert (_homotopy_solve(c, zero) == 0).all()
     assert (_homotopy_solve(c, one) == [[0, 1], [0, 0]]).all()
-    solve = la.solve_f2
+    solve = la._solve_packed
 
-    def wrong_block_answers(a, b):  # the blocks are solved with a vector rhs
-        x = solve(a, b)
-        return x ^ 1 if np.ndim(b) == 1 else x
+    def wrong_block_answers(cols, rhs):  # every unknown of every block flipped
+        return [x ^ (1 << len(cols)) - 1 for x in solve(cols, rhs)]
 
-    monkeypatch.setattr(la, "solve_f2", wrong_block_answers)
+    monkeypatch.setattr(la, "_solve_packed", wrong_block_answers)
     with pytest.raises(InternalError, match="dH \\+ Hd"):
         _homotopy_solve(c, one)
 
@@ -598,12 +597,15 @@ def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
         path.write_text(json.dumps(c.to_json(iota)))
         seen = []
         monkeypatch.setattr(la, "reduce_columns",
-                            lambda m: seen.append(la.f2(m)) or reduce_columns(m))
+                            lambda cols: seen.append(list(cols)) or reduce_columns(cols))
         assert cli.main(["hfi", str(path)]) == 0
         monkeypatch.setattr(la, "reduce_columns", reduce_columns)
         base, cone = _slot_order_d(c), _slot_order_d(cone_iota(c, iota))
         for want in (base, cone):
-            assert sum(m.shape == want.shape and (m == want).all() for m in seen) == 1, k
+            n = want.shape[0]
+            # packed columns, unpacked: row t of the unpacked rows is column t
+            assert sum(len(cols) == n and all(col >> n == 0 for col in cols)
+                       and (la._unpack_rows(cols, n).T == want).all() for cols in seen) == 1, k
     capsys.readouterr()
 
 
