@@ -37,14 +37,14 @@ boundary exactly when it owns a reduced column.
 
 Reading a model.  Each finite-part matrix is checked for 0/1 entries,
 then for its n x n shape, then for its degree shift on its rows packed
-into Python ints.  A JSON matrix, n lists of n entries, is packed as it
-is read, with no numpy array; any other value goes through `la.f2`, so
-a shape or numpy error reads as before.  Every law (d^2 = 0 and d
-commuting with q, v or U on the generators with the same T, then
-q^3 = 0 and qv = vq) runs as XORs of these rows, the columns of
-[T; d_fin] are packed from them, and the numpy matrices are views
-unpacked on first use.  Neither reading needs a window, so neither
-costs more when the degrees spread.
+into Python ints.  Any n-sequence of n-sequences (a JSON matrix is n
+lists of n entries) is packed as it is read, with no numpy array; a
+shape error names the shape, or the row lengths when they differ.
+Every law (d^2 = 0 and d commuting with q, v or U on the generators
+with the same T, then q^3 = 0 and qv = vq) runs as XORs of these rows,
+the columns of [T; d_fin] are packed from them, and the numpy matrices
+are views unpacked on first use.  Neither reading needs a window, so
+neither costs more when the degrees spread.
 
 Orientation reversal.  Over F2 the homology of the degree-negated dual
 complex in degree -D is the dual space of H_D, and each power of v
@@ -83,6 +83,7 @@ from .graded import GradedComplex, ladder_window
 
 
 _INT, _BITS = frozenset({int}), frozenset({0, 1})
+_SEQUENCES = (list, tuple, np.ndarray)
 
 
 def _read_matrix(value, kind: str, field: str, degrees: list[int],
@@ -92,9 +93,8 @@ def _read_matrix(value, kind: str, field: str, degrees: list[int],
     2, then n x n, then row i inside masks[degrees[i] - shift], the
     generators of that degree.  The first bad entry in row-major order is
     named.  A row of plain ints 0 and 1 passes two set tests; any other row
-    is walked entry by entry.  An n-list of n-lists is packed as it is read;
-    any other value goes through la.f2, whose shape (or numpy's error) the
-    message reports."""
+    is walked entry by entry.  Any n-sequence of n-sequences (lists,
+    tuples, numpy arrays) is packed as it is read."""
     for row in value:
         if set(map(type, row)) <= _INT and set(row) <= _BITS:
             continue
@@ -104,14 +104,15 @@ def _read_matrix(value, kind: str, field: str, degrees: list[int],
                     f"malformed {kind} input: {field} entries must be 0 or 1, got {x!r}"
                 )
     n = len(degrees)
-    if type(value) is list and len(value) == n and all(
-            type(row) is list and len(row) == n for row in value):
-        rows = [sum(1 << j for j, x in enumerate(row) if x) for row in value]
-    else:
-        mat = la.f2(value)
-        if mat.shape != (n, n):
-            raise InputError(f"{field} must be {n}x{n}, got {mat.shape}")
-        rows = la._pack_rows(mat)
+    if not (isinstance(value, _SEQUENCES) and len(value) == n
+            and all(isinstance(row, _SEQUENCES) and len(row) == n for row in value)):
+        if not (isinstance(value, _SEQUENCES) and all(isinstance(r, _SEQUENCES) for r in value)):
+            raise InputError(f"{field} must be a list of {n} lists")
+        lengths = [len(row) for row in value]
+        got = (f"ragged rows of lengths {lengths}" if len(set(lengths)) > 1
+               else (len(lengths), lengths[0] if lengths else 0))
+        raise InputError(f"{field} must be {n}x{n}, got {got}")
+    rows = [sum(1 << j for j, x in enumerate(row) if x) for row in value]
     for i, row in enumerate(rows):
         if bad := row & ~masks.get(degrees[i] - shift, 0):
             j = (bad & -bad).bit_length() - 1

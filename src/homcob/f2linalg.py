@@ -4,10 +4,11 @@ GF(2) matrices are dense numpy uint8 arrays with entries in {0, 1}.  The
 one GF(2) elimination is `reduce_columns`, the left-to-right column
 reduction of persistence, on packed columns: Python ints whose bit r is
 the entry in row r, so a column operation is a single XOR of two ints.
-Callers that hold bits already (tower rows, simplicial boundaries, the
-block systems of a homotopy solve) pass their columns in as they are;
-the numpy entry points (`rank_f2`, `pivot_columns_f2`, `kernel_basis_f2`,
-`solve_f2`) pack their matrix once where it enters (np.packbits).  While
+Every command passes its columns in packed (tower rows, the odd rows of
+simplicial boundaries and coboundaries, the block systems of a homotopy
+solve); the numpy entry points (`rank_f2`, `pivot_columns_f2`,
+`kernel_basis_f2`, `solve_f2`, `image_basis_f2`), called only by the
+window reference `graded`, pack their matrix once (np.packbits).  While
 an earlier column owns the highest set bit of a column, that earlier
 column is added to it.  A column ends zero exactly when it lies in the
 span of the columns before it, so the nonzero reduced columns are the
@@ -223,18 +224,11 @@ def image_basis_f2(m) -> np.ndarray:
 
 class IntMatrix(NamedTuple):
     """An integer matrix as sparse rows: rows[i] maps the column of each
-    nonzero entry of row i to that entry; shape is (rows, columns)."""
+    nonzero entry of row i to that entry; shape is (rows, columns).  Over
+    GF(2) it is its odd entries, packed rows (`simplicial._odd_bits`)."""
 
     rows: list[dict[int, int]]
     shape: tuple[int, int]
-
-    def mod2(self) -> np.ndarray:
-        """The matrix over GF(2), its odd entries set by one index assignment."""
-        odd = [(i, j) for i, row in enumerate(self.rows) for j, x in row.items() if x & 1]
-        out = f2_zeros(*self.shape)
-        if odd:
-            out[tuple(zip(*odd))] = 1
-        return out
 
 
 def int_matrix(m) -> IntMatrix:

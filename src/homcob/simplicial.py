@@ -12,14 +12,16 @@ Homology takes one path for Z and F2: the augmented chain complex is first
 shrunk by the reductions that cause no fill-in (`_coreduce`), and only the
 boundaries restricted to the cells it keeps are eliminated, by a Smith
 normal form or a GF(2) rank.  The cocycles of `cohomology_basis` and
-`bockstein_sq1` are explicit, so they keep the whole coboundary.
+`bockstein_sq1` read the whole coboundary as packed odd boundary rows.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, combinations
+from operator import xor
 
 import numpy as np
 
@@ -446,9 +448,10 @@ def is_homology_sphere(k: AbstractComplex, dim: int) -> bool:
 # mod-2 cochains, cocycles, Bockstein
 
 
-def coboundary_matrix(cc: ChainComplexZ, d: int) -> np.ndarray:
-    """delta: C^d -> C^{d+1} over GF(2) (transpose of the boundary)."""
-    return cc.boundary(d + 1).mod2().T
+def _odd_bits(rows) -> list[int]:
+    """Sparse integer rows mod 2, packed: bit j of out[i] is rows[i][j] mod
+    2.  The rows of d_{d+1} so packed are the columns of delta_d."""
+    return [sum(1 << j for j, x in row.items() if x & 1) for row in rows]
 
 
 @dataclass
@@ -469,14 +472,14 @@ class CohomologyClass:
             raise InputError(
                 f"cochain length {self.cochain.shape[0]} != number of {self.dim}-simplices {n}"
             )
-        delta = coboundary_matrix(cc, self.dim)
-        if la.f2_mul(delta, self.cochain.reshape(-1, 1)).any():
+        rows = cc.boundary(self.dim + 1).rows
+        if reduce(xor, _odd_bits(rows[i] for i in np.flatnonzero(self.cochain)), 0):
             raise InputError("cochain is not a cocycle over GF(2)")
 
     def is_zero_class(self) -> bool:
         """Is this cocycle a coboundary?"""
-        delta = coboundary_matrix(ChainComplexZ.of(self.complex), self.dim - 1)
-        return la.solve_f2(delta, self.cochain) is not None
+        delta = _odd_bits(ChainComplexZ.of(self.complex).boundary(self.dim).rows)
+        return la._solve_packed(delta, la._pack_rows(self.cochain.reshape(1, -1))) is not None
 
 
 def bockstein_sq1(x: CohomologyClass) -> CohomologyClass:
@@ -508,16 +511,14 @@ def cohomology_basis(k: AbstractComplex, d: int) -> list[CohomologyClass]:
         raise InputError(f"cohomology degree must be non-negative, got {d}")
     cc = ChainComplexZ.of(k)
     n = len(cc.generators[d]) if d < len(cc.generators) else 0
-    if n == 0:
-        return []
-    cocycles = la.kernel_basis_f2(coboundary_matrix(cc, d))
+    red, ops, _ = la.reduce_columns(_odd_bits(cc.boundary(d + 1).rows))
+    cocycles = [op for col, op in zip(red, ops) if not col]  # the kernel of delta_d
     # keep each cocycle outside the span of the coboundaries and the
     # cocycles before it: the pivot columns of [delta_{d-1} | cocycles]
-    # (delta_{-1} is n x 0)
-    delta = coboundary_matrix(cc, d - 1)
-    both = np.concatenate([delta] + [z.reshape(-1, 1) for z in cocycles], axis=1)
-    m = delta.shape[1]
-    return [CohomologyClass(k, d, cocycles[j - m]) for j in la.pivot_columns_f2(both) if j >= m]
+    delta = _odd_bits(cc.boundary(d).rows)
+    red = la.reduce_columns(delta + cocycles)[0][len(delta):]
+    reps = [z for z, col in zip(cocycles, red) if col]
+    return [CohomologyClass(k, d, z) for z in la._unpack_rows(reps, n)]
 
 
 # ---------------------------------------------------------------------------

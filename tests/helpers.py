@@ -341,7 +341,7 @@ def homology_oracle(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
     for d in range(0 if reduced else 1, dim + 1):
         b = cc.boundaries[d]
         if ring == "F2":
-            ranks[d] = la.rank_f2(b.mod2())
+            ranks[d] = la.rank_f2(mod2_oracle(b))
         else:
             diag = la.smith_normal_form(b)
             ranks[d] = sum(1 for x in diag if x != 0)
@@ -351,6 +351,50 @@ def homology_oracle(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
         free = len(cc.generators[d]) - ranks[d] - ranks[d + 1]
         out.append(free if ring == "F2" else HomologyGroup(free, torsion[d + 1]))
     return out
+
+
+def mod2_oracle(b: la.IntMatrix) -> np.ndarray:
+    """The dense GF(2) copy of an integer matrix: the reference for the
+    packed odd rows of simplicial."""
+    return la.f2(np.array(int_dense(b), dtype=np.int64).reshape(b.shape))
+
+
+def coboundary_oracle(cc: ChainComplexZ, d: int) -> np.ndarray:
+    """delta: C^d -> C^{d+1} over GF(2), dense: the transpose of the
+    mod-2 boundary d_{d+1} (n x 0 for d = -1)."""
+    return mod2_oracle(cc.boundary(d + 1)).T
+
+
+def cohomology_basis_oracle(k: AbstractComplex, d: int) -> list[np.ndarray]:
+    """The cochains of cohomology_basis from dense coboundaries: the
+    kernel basis of delta_d, and of it the pivot columns of
+    [delta_{d-1} | cocycles] past delta_{d-1}."""
+    cc = ChainComplexZ.of(k)
+    if d >= len(cc.generators) or not cc.generators[d]:
+        return []
+    cocycles = la.kernel_basis_f2(coboundary_oracle(cc, d))
+    delta = coboundary_oracle(cc, d - 1)
+    both = np.concatenate([delta] + [z.reshape(-1, 1) for z in cocycles], axis=1)
+    m = delta.shape[1]
+    return [cocycles[j - m] for j in la.pivot_columns_f2(both) if j >= m]
+
+
+def sq1_oracle(k: AbstractComplex, d: int) -> list[tuple[str, object]]:
+    """The rows of `homcob sq1 --dim d` from dense matrices: each class of
+    cohomology_basis_oracle, lifted to 0/1 integers, times the dense
+    integral boundary d_{d+1}, halved, is nonzero when delta_d @ y = Sq1
+    has no solution."""
+    cc = ChainComplexZ.of(k)
+    reps = cohomology_basis_oracle(k, d)
+    b = cc.boundary(d + 1)
+    bnd = np.array(int_dense(b), dtype=np.int64).reshape(b.shape)
+    delta = coboundary_oracle(cc, d)
+    rows: list[tuple[str, object]] = [("h_dim", len(reps))]
+    for i, z in enumerate(reps):
+        vals = z.astype(np.int64) @ bnd
+        assert not (vals % 2).any()
+        rows.append((f"sq1_class_{i}_nonzero", la.solve_f2(delta, (vals // 2) % 2) is None))
+    return rows
 
 
 def betti_numbers(k: AbstractComplex, reduced=False) -> list[int]:

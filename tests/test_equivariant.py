@@ -227,9 +227,8 @@ MALFORMED = "malformed pin_model input: "
       "v": _entries(3, []), "d_fin": _entries(3, [])},
      1, MALFORMED + "q entries must be 0 or 1, got 2"),
     ({"d_fin": [[0, 0, 0], [1, 0, 0]]}, 1, "d_fin must be 2x2, got (2, 3)"),
-    ({"d_fin": [[0, 0], [1]]}, 1, MALFORMED + "ValueError: setting an array element with a "
-     "sequence. The requested array has an inhomogeneous shape after 1 dimensions. The "
-     "detected shape was (2,) + inhomogeneous part."),
+    ({"d_fin": [[0, 0], [1]]}, 1, "d_fin must be 2x2, got ragged rows of lengths [2, 1]"),
+    ({"finite": [], "q": {}, "v": [], "d_fin": []}, 1, "q must be a list of 0 lists"),
     ({"v": [[0, 0], [1.0, 0]]}, 1, MALFORMED + "v entries must be 0 or 1, got 1.0"),
     ({"d_fin": [[0, 0], [True, 0]]}, 1, MALFORMED + "d_fin entries must be 0 or 1, got True"),
     ({"q": 5}, 1, MALFORMED + "TypeError: 'int' object is not iterable"),
@@ -245,8 +244,8 @@ MALFORMED = "malformed pin_model input: "
       "d_fin": _entries(6, [(1, 0), (2, 1), (4, 3), (5, 4)])},
      1, "inconsistent model: differential does not square to zero at degree 2"),
     ({"finite": [], "q": [], "v": [], "d_fin": []}, 0, None),
-], ids=["two-after-degree-violation", "shape", "ragged", "float", "bool", "not-a-list",
-        "row-not-a-list", "wide-rows", "d-squared", "empty"])
+], ids=["two-after-degree-violation", "shape", "ragged", "empty-dict", "float", "bool",
+        "not-a-list", "row-not-a-list", "wide-rows", "d-squared", "empty"])
 def test_model_reading_messages(tmp_path, capsys, fields, code, message):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_pin_input(**fields)))

@@ -10,13 +10,15 @@ from homcob import cli, fixtures
 from homcob import f2linalg as la
 from homcob.errors import InputError, InternalError
 from homcob.involutive import UComplex, cone_iota
-from homcob.simplicial import ChainComplexZ, coboundary_matrix
+from homcob.simplicial import ChainComplexZ
 
 from helpers import (
     check_snf_oracle,
+    coboundary_oracle,
     dense_int_mul,
     int_dense,
     int_transpose,
+    mod2_oracle,
     random_complex,
     snf_diagonal_oracle,
     snf_transforms,
@@ -347,7 +349,7 @@ def complex_matrices():
         if kind == "simplicial":
             cc = ChainComplexZ.of(cli.parse_input(fixtures.load(name)[0]))
             for d in range(len(cc.generators)):
-                out += [cc.boundaries[d].mod2(), coboundary_matrix(cc, d)]
+                out += [mod2_oracle(cc.boundaries[d]), coboundary_oracle(cc, d)]
         elif kind == "u_complex":
             c, iota = UComplex.from_json(fixtures.load(name)[0])
             for x in (c, cone_iota(c, iota)):

@@ -1,0 +1,45 @@
+"""Every command keeps its GF(2) bits in one form: packed ints.
+
+The numpy entry points of `f2linalg` (`rank_f2`, `pivot_columns_f2`,
+`kernel_basis_f2`, `solve_f2`, `image_basis_f2`) take a dense uint8
+matrix and pack it for `reduce_columns`.  The commands hold their bits
+packed already (tower rows, the odd rows of simplicial boundaries, the
+block systems of a homotopy solve) and call `reduce_columns` or
+`_solve_packed` themselves, so only `f2linalg` and `graded`, the
+degree-window reference that no command builds, name those entry points.
+No module gives an integer matrix a dense mod-2 copy (`mod2`).  Each
+module of the package is read from its source.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "homcob"
+NUMPY_ENTRY_POINTS = {"rank_f2", "pivot_columns_f2", "kernel_basis_f2", "solve_f2",
+                      "image_basis_f2"}
+ALLOWED = {"f2linalg", "graded"}
+
+
+def _names(path: Path) -> set[str]:
+    """Every name a module defines, imports, reads or reads as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_numpy_entry_points_are_named_only_in_f2linalg_and_graded():
+    named = {path.stem: sorted(NUMPY_ENTRY_POINTS & _names(path))
+             for path in sorted(SRC.glob("*.py")) if path.stem not in ALLOWED}
+    assert {module: names for module, names in named.items() if names} == {}
+
+
+def test_no_dense_mod2_copy():
+    assert [path.stem for path in sorted(SRC.glob("*.py")) if "mod2" in _names(path)] == []

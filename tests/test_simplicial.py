@@ -1,15 +1,17 @@
 import hashlib
+import importlib.util
 import json
 import random
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from homcob import f2linalg as la
 from homcob import fixtures
-from homcob.cli import parse_input
+from homcob.cli import parse_input, run
 from homcob.errors import InputError, InternalError
 from homcob.simplicial import (
     AbstractComplex,
@@ -20,7 +22,6 @@ from homcob.simplicial import (
     bockstein_sq1,
     cohomology_basis,
     cone,
-    coboundary_matrix,
     fundamental_group,
     homology,
     is_homology_sphere,
@@ -32,6 +33,7 @@ from homcob.toddcoxeter import coset_enumeration
 
 from helpers import (
     betti_numbers,
+    coboundary_oracle,
     facets_oracle,
     greedy_reps,
     homology_oracle,
@@ -41,7 +43,10 @@ from helpers import (
     link_oracle,
     random_complex,
     same_class,
+    sq1_oracle,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TRIANGLE_EDGE = AbstractComplex.from_facets([[1, 3, 4], [1, 2]])
 BDRY_D3 = AbstractComplex.from_facets(list(combinations(range(1, 5), 3)))
@@ -541,19 +546,60 @@ def test_bockstein_rp2_generator_nonzero():
         assert same_class(other, image)
 
 
-def test_cohomology_basis_matches_greedy_choice():
+def _bench_family(tmp_path):
+    """The input files of the integer-algebra benchmark's homology and sq1
+    jobs at seed 7: the fixture complexes, relabelled, their suspensions
+    and RP^2 * S^1."""
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    jobs = gen.make_jobs("integer-algebra", 7, ROOT / "src" / "homcob" / "data", tmp_path)
+    return sorted({job["argv"][-1] for job in jobs if job["cmd"] in ("homology", "sq1")})
+
+
+def _read(path):
+    return parse_input(json.loads(Path(path).read_text()))
+
+
+def test_cohomology_basis_matches_greedy_choice(tmp_path):
     rng = random.Random(43)
-    for k in [RP2, TORUS7] + [random_complex(rng) for _ in range(25)]:
+    family = _fixture_family() + [_read(p) for p in _bench_family(tmp_path)]
+    for k in [RP2, TORUS7] + family + [random_complex(rng) for _ in range(300)]:
         cc = ChainComplexZ.of(k)
         for d in range(k.dimension() + 1):
-            delta = coboundary_matrix(cc, d)
+            delta = coboundary_oracle(cc, d)
             n = len(cc.generators[d])
             cocycles = la.kernel_basis_f2(delta) if delta.size else list(la.f2_eye(n))
-            img = la.image_basis_f2(coboundary_matrix(cc, d - 1)) if d else la.f2_zeros(n, 0)
+            img = la.image_basis_f2(coboundary_oracle(cc, d - 1)) if d else la.f2_zeros(n, 0)
             want = [cocycles[i] for i in greedy_reps(img, cocycles)]
             got = [x.cochain for x in cohomology_basis(k, d)]
             assert len(got) == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_sq1_reads_packed_rows_only_and_matches_the_dense_oracle(monkeypatch, tmp_path):
+    """`homcob sq1 --dim d` for every d on every simplicial fixture, its
+    two suspensions and the integer-algebra benchmark complexes, with the
+    numpy GF(2) entry points made to raise: sq1 reads the packed odd rows
+    alone, and its rows equal the dense oracle's."""
+    paths = _bench_family(tmp_path)
+    for i, k in enumerate(_fixture_family()):
+        paths.append(str(tmp_path / f"family-{i}.json"))
+        Path(paths[-1]).write_text(json.dumps(k.to_json()))
+    cases = []
+    for path in paths:
+        k = _read(path)
+        cases += [(path, d, sq1_oracle(k, d)) for d in range(k.dimension() + 2)]
+
+    def numpy_entry_point(*args, **kwargs):
+        raise AssertionError("a numpy GF(2) entry point was called")
+
+    for name in ("f2_mul", "kernel_basis_f2", "pivot_columns_f2", "solve_f2", "rank_f2"):
+        monkeypatch.setattr(la, name, numpy_entry_point)
+    for path, d, want in cases:
+        text, code = run(["sq1", "--dim", str(d), path])
+        assert code == 0
+        assert text.splitlines()[2:] == [f"{key}: {value}" for key, value in want]
 
 
 def test_bockstein_vanishes_on_torus():
@@ -567,7 +613,7 @@ def test_bockstein_squared_zero_and_representative_independence():
     assert not bockstein_sq1(sq).cochain.any()
     # change the representative by a coboundary of a random 0-cochain
     cc = ChainComplexZ.of(RP2)
-    delta0 = coboundary_matrix(cc, 0)
+    delta0 = coboundary_oracle(cc, 0)
     rng = random.Random(41)
     for _ in range(6):
         y = np.array([rng.randint(0, 1) for _ in range(len(RP2.vertices))], dtype=np.uint8)
@@ -601,7 +647,7 @@ def test_zero_and_nonzero_0_cochains_on_every_fixture():
                     CohomologyClass(k, 0, cochain)
         top = k.dimension()
         n = len(k.simplices_of_dim(top))
-        delta = coboundary_matrix(ChainComplexZ.of(k), top - 1)
+        delta = coboundary_oracle(ChainComplexZ.of(k), top - 1)
         for cochain in (np.zeros(n, np.uint8), np.ones(n, np.uint8)):
             bounds = la.rank_f2(np.column_stack([delta, cochain])) == la.rank_f2(delta)
             assert CohomologyClass(k, top, cochain).is_zero_class() == bounds
