@@ -5,10 +5,13 @@ one GF(2) elimination is `reduce_columns`, the left-to-right column
 reduction of persistence, on packed columns: Python ints whose bit r is
 the entry in row r, so a column operation is a single XOR of two ints.
 Every command passes its columns in packed (tower rows, the odd rows of
-simplicial boundaries and coboundaries, the block systems of a homotopy
-solve); the numpy entry points (`rank_f2`, `pivot_columns_f2`,
-`kernel_basis_f2`, `solve_f2`, `image_basis_f2`), called only by the
-window reference `graded`, pack their matrix once (np.packbits).  While
+simplicial boundaries, the coboundaries that `sq1` reduces once per
+degree, and the block systems of a homotopy solve).  `_reduce_after`
+reduces more columns against a finished reduction without redoing it:
+`sq1` chooses its cocycles and tests every class that way.  The numpy
+entry points (`rank_f2`, `pivot_columns_f2`, `kernel_basis_f2`,
+`solve_f2`, `image_basis_f2`), called only by the window reference
+`graded`, pack their matrix once (np.packbits).  While
 an earlier column owns the highest set bit of a column, that earlier
 column is added to it.  A column ends zero exactly when it lies in the
 span of the columns before it, so the nonzero reduced columns are the
@@ -149,6 +152,27 @@ def reduce_columns(cols: list[int]) -> tuple[list[int], list[int], dict[int, int
             owner[col.bit_length() - 1] = t
         red[t] = col
     return red, ops, owner
+
+
+def _reduce_after(red: list[int], owner: dict[int, int], cols: list[int]) -> list[int]:
+    """The columns cols reduced as if appended to the columns whose
+    reduction is (red, _, owner) of reduce_columns: while a reduced
+    column of red or an earlier column of cols owns the highest set bit
+    of a column, it is added.  A column ends zero exactly when it lies in
+    the span of red and the cols before it.  red and owner are not
+    modified, so one reduction serves every later set of columns."""
+    new: dict[int, int] = {}  # the highest bit of each nonzero reduced column of cols
+    out = []
+    for col in cols:
+        while col:
+            top = col.bit_length() - 1
+            s = owner.get(top)
+            if s is None and top not in new:
+                new[top] = col
+                break
+            col ^= red[s] if s is not None else new[top]
+        out.append(col)
+    return out
 
 
 def rank_f2(m) -> int:

@@ -11,19 +11,23 @@ exact sphere recognizer answers before any homology is computed.
 Homology takes one path for Z and F2: the augmented chain complex is first
 shrunk by the reductions that cause no fill-in (`_coreduce`), and only the
 boundaries restricted to the cells it keeps are eliminated, by a Smith
-normal form or a GF(2) rank.  The cocycles of `cohomology_basis` and
-`bockstein_sq1` read the whole coboundary as packed odd boundary rows.
+normal form or a GF(2) rank.  A mod-2 cochain is one packed int (bit j:
+its value on the j-th simplex).  Each coboundary delta_d, whose columns
+are the packed odd rows of the boundary d_{d+1}, is reduced once per
+complex (`ChainComplexZ._coboundary`); the cocycles of
+`cohomology_basis` and every `is_zero_class` are read from that
+reduction, and `bockstein_sq1` adds the boundary rows at a cochain's set
+bits.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, combinations
 from operator import xor
-
-import numpy as np
 
 from . import f2linalg as la
 from .errors import InputError, InternalError, as_int
@@ -272,6 +276,7 @@ class ChainComplexZ:
 
     generators: list[list[Simplex]]
     boundaries: list[la.IntMatrix]  # boundaries[d]: dim C_{d-1} x dim C_d
+    _coboundaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, k: AbstractComplex) -> "ChainComplexZ":
@@ -312,7 +317,17 @@ class ChainComplexZ:
             return self.boundaries[d]
         rows = len(self.generators[d - 1]) if 0 <= d - 1 < len(self.generators) else 0
         cols = len(self.generators[d]) if 0 <= d < len(self.generators) else 0
-        return la.IntMatrix([{} for _ in range(rows)], (rows, cols))
+        return la.IntMatrix([{}] * rows, (rows, cols))  # one shared row, read only
+
+    def _coboundary(self, d: int):
+        """The column reduction (red, ops, owner) of delta_d: C^d -> C^{d+1}
+        over GF(2), whose column i is row i of d_{d+1} mod 2, packed (bit
+        j: the j-th (d+1)-simplex).  Computed on the first call for d and
+        kept, since the boundaries are fixed; callers must not modify it."""
+        out = self._coboundaries.get(d)
+        if out is None:
+            out = self._coboundaries[d] = la.reduce_columns(_odd_bits(self.boundary(d + 1).rows))
+        return out
 
 
 @dataclass
@@ -454,32 +469,39 @@ def _odd_bits(rows) -> list[int]:
     return [sum(1 << j for j, x in row.items() if x & 1) for row in rows]
 
 
+def _set_bits(x: int) -> list[int]:
+    """The indices of the set bits of x >= 0, increasing."""
+    return [m.start() for m in re.finditer("1", bin(x)[:1:-1])]
+
+
 @dataclass
 class CohomologyClass:
-    """A GF(2) cocycle representative on the d-simplices of a complex."""
+    """A GF(2) cocycle representative on the d-simplices of a complex: bit
+    j of `cochain` is its value on the j-th d-simplex (in the order of
+    `simplices_of_dim(d)`)."""
 
     complex: AbstractComplex
     dim: int
-    cochain: np.ndarray
+    cochain: int
 
     def __post_init__(self):
-        self.cochain = la.f2(self.cochain).reshape(-1)
         if self.dim < 0:
             raise InputError(f"cohomology degree must be non-negative, got {self.dim}")
         cc = ChainComplexZ.of(self.complex)
         n = len(cc.generators[self.dim]) if self.dim < len(cc.generators) else 0
-        if self.cochain.shape[0] != n:
+        if not isinstance(self.cochain, int) or self.cochain < 0 or self.cochain >> n:
             raise InputError(
-                f"cochain length {self.cochain.shape[0]} != number of {self.dim}-simplices {n}"
+                f"cochain must be an int with bits only at the {n} {self.dim}-simplices"
             )
         rows = cc.boundary(self.dim + 1).rows
-        if reduce(xor, _odd_bits(rows[i] for i in np.flatnonzero(self.cochain)), 0):
+        if reduce(xor, _odd_bits(rows[i] for i in _set_bits(self.cochain)), 0):
             raise InputError("cochain is not a cocycle over GF(2)")
 
     def is_zero_class(self) -> bool:
-        """Is this cocycle a coboundary?"""
-        delta = _odd_bits(ChainComplexZ.of(self.complex).boundary(self.dim).rows)
-        return la._solve_packed(delta, la._pack_rows(self.cochain.reshape(1, -1))) is not None
+        """Is this cocycle a coboundary?  It is reduced against the kept
+        reduction of delta_{dim-1}."""
+        red, _, owner = ChainComplexZ.of(self.complex)._coboundary(self.dim - 1)
+        return not la._reduce_after(red, owner, [self.cochain])[0]
 
 
 def bockstein_sq1(x: CohomologyClass) -> CohomologyClass:
@@ -489,20 +511,17 @@ def bockstein_sq1(x: CohomologyClass) -> CohomologyClass:
     integral coboundary, halve, reduce mod 2.  The class of the result is
     independent of the lift and of the representative.
     """
-    cc = ChainComplexZ.of(x.complex)
-    d = x.dim
-    bnd = cc.boundary(d + 1)  # C_{d+1} -> C_d over Z
-    # the integral coboundary of the 0/1 lift, one value per (d+1)-simplex:
-    # the sum of the boundary rows of the d-simplices where x is 1
-    vals = [0] * bnd.shape[1]
-    for v, row in zip(x.cochain.tolist(), bnd.rows):
-        if v:
-            for j, y in row.items():
-                vals[j] += y
-    if any(val % 2 for val in vals):
+    rows = ChainComplexZ.of(x.complex).boundary(x.dim + 1).rows  # C_{d+1} -> C_d over Z
+    # the integral coboundary of the 0/1 lift, by (d+1)-simplex: the sum of
+    # the boundary rows of the d-simplices where x is 1
+    vals: dict[int, int] = {}
+    for i in _set_bits(x.cochain):
+        for j, y in rows[i].items():
+            vals[j] = vals.get(j, 0) + y
+    if any(val & 1 for val in vals.values()):
         raise InternalError("integral coboundary of a mod-2 cocycle is odd")
-    out = [(val // 2) % 2 for val in vals]
-    return CohomologyClass(x.complex, d + 1, np.array(out, dtype=np.uint8))
+    # bit 1 of an even val is (val // 2) % 2
+    return CohomologyClass(x.complex, x.dim + 1, sum(1 << j for j, val in vals.items() if val & 2))
 
 
 def cohomology_basis(k: AbstractComplex, d: int) -> list[CohomologyClass]:
@@ -510,15 +529,13 @@ def cohomology_basis(k: AbstractComplex, d: int) -> list[CohomologyClass]:
     if d < 0:
         raise InputError(f"cohomology degree must be non-negative, got {d}")
     cc = ChainComplexZ.of(k)
-    n = len(cc.generators[d]) if d < len(cc.generators) else 0
-    red, ops, _ = la.reduce_columns(_odd_bits(cc.boundary(d + 1).rows))
+    red, ops, _ = cc._coboundary(d)
     cocycles = [op for col, op in zip(red, ops) if not col]  # the kernel of delta_d
     # keep each cocycle outside the span of the coboundaries and the
     # cocycles before it: the pivot columns of [delta_{d-1} | cocycles]
-    delta = _odd_bits(cc.boundary(d).rows)
-    red = la.reduce_columns(delta + cocycles)[0][len(delta):]
-    reps = [z for z, col in zip(cocycles, red) if col]
-    return [CohomologyClass(k, d, z) for z in la._unpack_rows(reps, n)]
+    below, _, owner = cc._coboundary(d - 1)
+    kept = la._reduce_after(below, owner, cocycles)
+    return [CohomologyClass(k, d, z) for z, col in zip(cocycles, kept) if col]
 
 
 # ---------------------------------------------------------------------------
@@ -647,11 +664,11 @@ def link_manifold_scan(
     get the integral homology test (an SNF of what `_coreduce` leaves of
     each boundary).  Dimension-3 links are reported as homology spheres
     with optional fundamental-group certification through coset
-    enumeration, whose limit is checked up front.  No sphere recognition
-    is attempted above link dimension 2.
+    enumeration.  The coset limit is checked up front, whether or not pi1
+    is certified.  No sphere recognition is attempted above link
+    dimension 2.
     """
-    if certify_pi1:
-        check_coset_limit(coset_limit)
+    check_coset_limit(coset_limit)
     n = k.dimension()
     if not k.is_pure():
         raise InputError("link scan requires a pure complex")

@@ -405,6 +405,17 @@ def is_zero(g: HomologyGroup) -> bool:
     return g.free_rank == 0 and not g.torsion
 
 
+def cochain_values(x: CohomologyClass) -> list[int]:
+    """The 0/1 value of x on each simplex of its degree, in order: the bits
+    of its packed cochain."""
+    return [x.cochain >> j & 1 for j in range(len(x.complex.simplices_of_dim(x.dim)))]
+
+
+def pack_cochain(values) -> int:
+    """A 0/1 vector as a packed cochain: bit j is values[j] mod 2."""
+    return sum(1 << j for j, v in enumerate(values) if int(v) & 1)
+
+
 def same_class(x: CohomologyClass, y: CohomologyClass) -> bool:
     """Do two mod-2 cocycles of one degree on one complex represent the
     same cohomology class?"""

@@ -119,6 +119,19 @@ def test_scan_links_command():
     assert "all_certified_spheres: True" in text
 
 
+@pytest.mark.parametrize("limit, message", [
+    ("0", "coset limit must be >= 1"),
+    ("1000001", "coset limit must be <= 1000000"),
+])
+def test_scan_links_checks_the_limit_without_certify_pi1(capsys, limit, message):
+    """scan-links refuses a coset limit out of range as pi1 does, whether
+    or not it is asked to certify pi1."""
+    for argv in (["scan-links", "--limit", limit, "fixtures:boundary_delta4"],
+                 ["pi1", "--limit", limit, "fixtures:rp2_6"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: InputError: {message}\n")
+
+
 def test_abc_commands():
     text = out_of(["abc", "fixtures:s3"])
     assert "alpha: 0" in text and "mu: 0" in text

@@ -453,6 +453,21 @@ def test_packed_solve_matches_brute_force_on_every_small_system():
     assert systems == 19_283
 
 
+def test_reduce_after_continues_the_one_reduction():
+    """Columns reduced against a finished reduction are reduced as the
+    same columns appended to it would be, and the reduction is left as it
+    was."""
+    rng = random.Random(47)
+    for m in [random_f2(rng, rows, cols, density)
+              for rows in SHAPE_ROWS for cols in SHAPE_COLS for density in (0.05, 0.5, 0.95)]:
+        packed = la._pack_rows(m.T)
+        for cut in {0, len(packed) // 2, len(packed)}:
+            red, _, owner = la.reduce_columns(packed[:cut])
+            kept = (list(red), dict(owner))
+            assert la._reduce_after(red, owner, packed[cut:]) == la.reduce_columns(packed)[0][cut:]
+            assert (red, owner) == kept
+
+
 def test_reduce_columns_invariants():
     from helpers import row_echelon_oracle
 

@@ -7,8 +7,11 @@ packed already (tower rows, the odd rows of simplicial boundaries, the
 block systems of a homotopy solve) and call `reduce_columns` or
 `_solve_packed` themselves, so only `f2linalg` and `graded`, the
 degree-window reference that no command builds, name those entry points.
-No module gives an integer matrix a dense mod-2 copy (`mod2`).  Each
-module of the package is read from its source.
+No module gives an integer matrix a dense mod-2 copy (`mod2`).
+`simplicial` holds each mod-2 cochain as one packed int, as its boundary
+rows are: it imports no numpy and names none of the numpy converters
+(`f2`, `_pack_rows`, `_unpack_rows`) or `_solve_packed`.  Each module of
+the package is read from its source.
 """
 
 import ast
@@ -43,3 +46,20 @@ def test_numpy_entry_points_are_named_only_in_f2linalg_and_graded():
 
 def test_no_dense_mod2_copy():
     assert [path.stem for path in sorted(SRC.glob("*.py")) if "mod2" in _names(path)] == []
+
+
+def _imports(path: Path) -> set[str]:
+    """The top-level package of every module a module imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_simplicial_keeps_its_cochains_packed():
+    path = SRC / "simplicial.py"
+    assert "numpy" not in _imports(path)
+    assert {"f2", "_pack_rows", "_unpack_rows", "_solve_packed"} & _names(path) == set()
