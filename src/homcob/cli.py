@@ -41,6 +41,7 @@ from .errors import HomcobError, InputError
 from .involutive import (
     UComplex,
     involutive_correction_terms,
+    one_plus_iota_nullhomotopic,
     v0_triple,
 )
 from .knot import (
@@ -218,8 +219,10 @@ def _correction_terms(value):
 
 
 def _hfi_rows(args, value):
+    """The correction terms validate iota before the split test reads it."""
     r = _correction_terms(value)
-    return [("d", r.d), ("d_bar", r.d_bar), ("d_under", r.d_under), ("split", r.split)]
+    return [("d", r.d), ("d_bar", r.d_bar), ("d_under", r.d_under),
+            ("split", one_plus_iota_nullhomotopic(*value))]
 
 
 def _v0_rows(args, value):

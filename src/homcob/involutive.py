@@ -399,7 +399,6 @@ class InvolutiveReport:
     d: Fraction
     d_bar: Fraction
     d_under: Fraction
-    split: bool
 
     def triple(self):
         return (self.d, self.d_bar, self.d_under)
@@ -411,7 +410,6 @@ def involutive_correction_terms(c: UComplex, iota: IotaMap) -> InvolutiveReport:
     case.  iota is validated first (by `cone_iota`), then d is read."""
     cone = cone_iota(c, iota)
     d = d_invariant(c)
-    split = one_plus_iota_nullhomotopic(c, iota)
     towers = cone.tower_bottoms()
     if len(towers) != 2:
         raise InternalError(f"cone has {len(towers)} stabilized towers, expected 2")
@@ -419,7 +417,7 @@ def involutive_correction_terms(c: UComplex, iota: IotaMap) -> InvolutiveReport:
     du, db = Fraction(towers[main_parity]), Fraction(towers[1 - main_parity] + 1)
     if not (du <= d <= db):
         raise InternalError(f"ordering d_under <= d <= d_bar fails: {(du, d, db)}")
-    return InvolutiveReport(d, db, du, split)
+    return InvolutiveReport(d, db, du)
 
 
 # ---------------------------------------------------------------------------

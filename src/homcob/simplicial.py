@@ -5,8 +5,9 @@ orientation follows ascending vertex order with alternating signs, so all
 chain-level data is reproducible.  Provides the neighborhood operations
 (closure, star, link), joins and suspensions, integral and mod-2
 (co)homology, the integral Bockstein on mod-2 cohomology, edge-path
-fundamental-group presentations, and link-based manifold scans, where an
-exact sphere recognizer answers before any homology is computed.
+fundamental-group presentations, and link-based manifold scans, which
+certify links by the inductive definition of a combinatorial manifold
+(F. H. Lutz, arXiv:math/0506372): every vertex link of a PL sphere is one.
 
 Homology takes one path for Z and F2: the augmented chain complex is first
 shrunk by the reductions that cause no fill-in (`_coreduce`), and only the
@@ -497,6 +498,14 @@ class CohomologyClass:
         if reduce(xor, _odd_bits(rows[i] for i in _set_bits(self.cochain)), 0):
             raise InputError("cochain is not a cocycle over GF(2)")
 
+    @classmethod
+    def _built(cls, k: AbstractComplex, dim: int, cochain: int) -> "CohomologyClass":
+        """A class the package built: its checks hold by construction (the
+        tests check them), so `__post_init__` is skipped."""
+        x = object.__new__(cls)
+        x.complex, x.dim, x.cochain = k, dim, cochain
+        return x
+
     def is_zero_class(self) -> bool:
         """Is this cocycle a coboundary?  It is reduced against the kept
         reduction of delta_{dim-1}."""
@@ -520,8 +529,9 @@ def bockstein_sq1(x: CohomologyClass) -> CohomologyClass:
             vals[j] = vals.get(j, 0) + y
     if any(val & 1 for val in vals.values()):
         raise InternalError("integral coboundary of a mod-2 cocycle is odd")
-    # bit 1 of an even val is (val // 2) % 2
-    return CohomologyClass(x.complex, x.dim + 1, sum(1 << j for j, val in vals.items() if val & 2))
+    # bit 1 of an even val is (val // 2) % 2; delta(delta x / 2) = 0 over Z
+    image = sum(1 << j for j, val in vals.items() if val & 2)
+    return CohomologyClass._built(x.complex, x.dim + 1, image)
 
 
 def cohomology_basis(k: AbstractComplex, d: int) -> list[CohomologyClass]:
@@ -535,7 +545,7 @@ def cohomology_basis(k: AbstractComplex, d: int) -> list[CohomologyClass]:
     # cocycles before it: the pivot columns of [delta_{d-1} | cocycles]
     below, _, owner = cc._coboundary(d - 1)
     kept = la._reduce_after(below, owner, cocycles)
-    return [CohomologyClass(k, d, z) for z, col in zip(cocycles, kept) if col]
+    return [CohomologyClass._built(k, d, z) for z, col in zip(cocycles, kept) if col]
 
 
 # ---------------------------------------------------------------------------
@@ -610,40 +620,6 @@ def fundamental_group(k: AbstractComplex, basepoint=None) -> GroupPresentation:
 # link-based manifold scan
 
 
-def _is_circle(k: AbstractComplex) -> bool:
-    if k.dimension() != 1 or not k.vertices:
-        return False
-    deg = {v: 0 for v in k.vertices}
-    for (u, v) in k.simplices_of_dim(1):
-        deg[u] += 1
-        deg[v] += 1
-    return all(d == 2 for d in deg.values()) and k.is_connected()
-
-
-def _is_closed_surface(k: AbstractComplex) -> bool:
-    if k.dimension() != 2 or not k.is_pure():
-        return False
-    count = {}
-    for t in k.simplices_of_dim(2):
-        for e in combinations(t, 2):
-            count[e] = count.get(e, 0) + 1
-    if any(c != 2 for c in count.values()):
-        return False
-    return all(_is_circle(k.link((v,))) for v in k.vertices) and k.is_connected()
-
-
-def _certified_sphere(k: AbstractComplex) -> bool | None:
-    """Is k a sphere?  Decided exactly in dimensions 0, 1 and 2; None above."""
-    d = k.dimension()
-    if d == 0:
-        return len(k.vertices) == 2
-    if d == 1:
-        return _is_circle(k)
-    if d == 2:
-        return _is_closed_surface(k) and k.euler_characteristic() == 2
-    return None
-
-
 @dataclass
 class LinkReport:
     simplex: Simplex
@@ -658,15 +634,18 @@ def link_manifold_scan(
 ) -> list[LinkReport]:
     """Check every link of codimension >= 1 against the sphere it should be.
 
-    An exact recognizer answers first for links of dimension 0, 1 and 2
-    (two points, a circle, a closed surface with Euler characteristic 2).
-    A sphere has the homology of one, so only the links it does not certify
-    get the integral homology test (an SNF of what `_coreduce` leaves of
-    each boundary).  Dimension-3 links are reported as homology spheres
-    with optional fundamental-group certification through coset
-    enumeration.  The coset limit is checked up front, whether or not pi1
-    is certified.  No sphere recognition is attempted above link
-    dimension 2.
+    The scan runs from the largest simplex down, so each lk(s + v), the
+    link of a vertex v of lk(s) since k is pure, is answered before lk(s).
+    lk(s) is S^0 when it has two vertices, and S^1 or S^2 when it is
+    connected, has Euler characteristic 0 or 2 and every lk(s + v) is a
+    sphere: the inductive definition of a combinatorial manifold (F. H.
+    Lutz, "Triangulated manifolds with few vertices: combinatorial
+    manifolds", arXiv:math/0506372).  Only links this rule does not
+    certify get the integral homology test (an SNF of what `_coreduce`
+    leaves of each boundary), since a sphere has the homology of one.
+    Dimension-3 links get no sphere recognition; pi1 of a homology
+    3-sphere link is optionally certified by coset enumeration, whose
+    limit is checked up front.  Reports come in (size, simplex) order.
     """
     check_coset_limit(coset_limit)
     n = k.dimension()
@@ -674,18 +653,23 @@ def link_manifold_scan(
         raise InputError("link scan requires a pure complex")
     if n > 4:
         raise InputError("link scan supports dimension <= 4")
+    cert: dict[Simplex, bool | None] = {}
     reports = []
-    for s in sorted(k.simplices, key=lambda s: (len(s), s)):
-        codim = n - (len(s) - 1)
-        if codim < 1:
+    for s in sorted(k.simplices, key=lambda s: (len(s), s), reverse=True):
+        ld = n - len(s)  # the dimension of lk s, since k is pure
+        if ld < 0:
             continue
         lk = k.link(s)
-        ld = codim - 1  # the dimension of lk, since k is pure
-        cert = _certified_sphere(lk)
-        hs = cert is True or is_homology_sphere(lk, ld)
+        if ld == 0:
+            cert[s] = len(lk.vertices) == 2
+        elif ld <= 2:
+            cert[s] = (all(cert[tuple(sorted(s + (v,)))] for v in lk.vertices)
+                       and lk.euler_characteristic() == 2 * (ld - 1) and lk.is_connected())
+        else:
+            cert[s] = None
+        hs = cert[s] is True or is_homology_sphere(lk, ld)
         pi1: int | str | None = None
-        if certify_pi1 and ld == 3 and hs and lk.is_connected():
-            pres = fundamental_group(lk)
-            pi1 = coset_enumeration(pres, coset_limit)
-        reports.append(LinkReport(s, ld, hs, cert, pi1))
-    return reports
+        if certify_pi1 and ld == 3 and hs:  # H~_0 = 0: lk is connected
+            pi1 = coset_enumeration(fundamental_group(lk), coset_limit)
+        reports.append(LinkReport(s, ld, hs, cert[s], pi1))
+    return reports[::-1]

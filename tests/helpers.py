@@ -34,9 +34,12 @@ from homcob.simplicial import (
     CohomologyClass,
     GroupPresentation,
     HomologyGroup,
+    LinkReport,
+    fundamental_group,
     homology,
+    is_homology_sphere,
 )
-from homcob.toddcoxeter import EXCEEDED
+from homcob.toddcoxeter import COSET_LIMIT, EXCEEDED, check_coset_limit, coset_enumeration
 
 
 def row_echelon_oracle(m: np.ndarray):
@@ -326,6 +329,74 @@ def facets_oracle(k: AbstractComplex) -> list:
         s for s in k.simplices
         if not any(len(t) > len(s) and set(s) < set(t) for t in k.simplices)
     )
+
+
+def _is_circle(k: AbstractComplex) -> bool:
+    if k.dimension() != 1 or not k.vertices:
+        return False
+    deg = {v: 0 for v in k.vertices}
+    for (u, v) in k.simplices_of_dim(1):
+        deg[u] += 1
+        deg[v] += 1
+    return all(d == 2 for d in deg.values()) and k.is_connected()
+
+
+def _is_closed_surface(k: AbstractComplex) -> bool:
+    if k.dimension() != 2 or not k.is_pure():
+        return False
+    count = {}
+    for t in k.simplices_of_dim(2):
+        for e in combinations(t, 2):
+            count[e] = count.get(e, 0) + 1
+    if any(c != 2 for c in count.values()):
+        return False
+    return all(_is_circle(k.link((v,))) for v in k.vertices) and k.is_connected()
+
+
+def certified_sphere_oracle(k: AbstractComplex) -> bool | None:
+    """Is k a sphere?  Decided exactly in dimensions 0, 1 and 2 by
+    recognizing two points, a circle (every vertex of degree 2, connected)
+    or a closed surface (every edge in two triangles, every vertex link a
+    circle, connected) with Euler characteristic 2; None above.  Each link
+    is recognized on its own: the reference for the inductive rule of
+    `link_manifold_scan`."""
+    d = k.dimension()
+    if d == 0:
+        return len(k.vertices) == 2
+    if d == 1:
+        return _is_circle(k)
+    if d == 2:
+        return _is_closed_surface(k) and k.euler_characteristic() == 2
+    return None
+
+
+def link_scan_oracle(
+    k: AbstractComplex, certify_pi1: bool = False, coset_limit: int = COSET_LIMIT
+) -> list[LinkReport]:
+    """The link scan with every link certified on its own by
+    `certified_sphere_oracle`, in (size, simplex) order: the reference for
+    `link_manifold_scan`."""
+    check_coset_limit(coset_limit)
+    n = k.dimension()
+    if not k.is_pure():
+        raise InputError("link scan requires a pure complex")
+    if n > 4:
+        raise InputError("link scan supports dimension <= 4")
+    reports = []
+    for s in sorted(k.simplices, key=lambda s: (len(s), s)):
+        codim = n - (len(s) - 1)
+        if codim < 1:
+            continue
+        lk = k.link(s)
+        ld = codim - 1  # the dimension of lk, since k is pure
+        cert = certified_sphere_oracle(lk)
+        hs = cert is True or is_homology_sphere(lk, ld)
+        pi1: int | str | None = None
+        if certify_pi1 and ld == 3 and hs and lk.is_connected():
+            pres = fundamental_group(lk)
+            pi1 = coset_enumeration(pres, coset_limit)
+        reports.append(LinkReport(s, ld, hs, cert, pi1))
+    return reports
 
 
 def homology_oracle(k: AbstractComplex, ring: str = "Z", reduced: bool = False):

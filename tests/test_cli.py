@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from homcob import cli, fixtures, graded
+from homcob import cli, fixtures, graded, involutive
 from homcob.cli import load_input, main, parse_input, run
 from homcob.equivariant import PinModel, SOneModel, abc, delta_invariant
 from homcob.errors import HomcobError, InputError, ModelInvalidError
@@ -159,6 +159,20 @@ def test_hfi_command():
 def test_v0_command():
     text = out_of(["v0", "--p", "1", "fixtures:sigma237"])
     assert "V0: 0" in text and "V0_bar: 0" in text and "V0_under: 1" in text
+
+
+def test_only_hfi_solves_the_split_homotopy(monkeypatch):
+    """v0 prints no split row, so it solves one homotopy (iota^2 ~ 1, in
+    validate_iota); hfi solves a second one, for 1 + iota."""
+    solve = involutive._homotopy_solve
+    calls = []
+    monkeypatch.setattr(involutive, "_homotopy_solve",
+                        lambda c, rhs: calls.append(rhs) or solve(c, rhs))
+    for argv, want in ((["v0", "--p", "1", "fixtures:sigma237"], 1),
+                       (["hfi", "fixtures:sigma237"], 2)):
+        calls.clear()
+        out_of(argv)
+        assert len(calls) == want, argv
 
 
 def test_knot_command():

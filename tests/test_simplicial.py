@@ -3,7 +3,7 @@ import importlib.util
 import json
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,6 @@ from homcob.simplicial import (
     AbstractComplex,
     ChainComplexZ,
     CohomologyClass,
-    _certified_sphere,
     _coreduce,
     bockstein_sq1,
     cohomology_basis,
@@ -33,6 +32,7 @@ from homcob.toddcoxeter import coset_enumeration
 
 from helpers import (
     betti_numbers,
+    certified_sphere_oracle,
     coboundary_oracle,
     cochain_values,
     facets_oracle,
@@ -42,6 +42,7 @@ from helpers import (
     is_zero,
     link_by_full_scan,
     link_oracle,
+    link_scan_oracle,
     pack_cochain,
     random_complex,
     same_class,
@@ -239,15 +240,16 @@ def test_link_by_star_index_matches_full_scan():
 
 
 def test_certified_link_is_a_homology_sphere():
-    """The law the scan's order rests on: a link the recognizer certifies
-    has the integral homology of a sphere, so no SNF needs to confirm it."""
+    """The law the scan's order rests on: a link the oracle recognizer
+    certifies has the integral homology of a sphere, so no SNF needs to
+    confirm it."""
     seen = {True: 0, False: 0, None: 0}
     for k in _fixture_family():
         scanned = k.is_pure() and k.dimension() <= 4
         reports = {r.simplex: r for r in link_manifold_scan(k)} if scanned else {}
         for s in k.simplices:
             lk = k.link(s)
-            cert, hs = _certified_sphere(lk), is_homology_sphere(lk, lk.dimension())
+            cert, hs = certified_sphere_oracle(lk), is_homology_sphere(lk, lk.dimension())
             assert cert is not True or hs, (k, s)
             seen[cert] += 1
             if s in reports:
@@ -748,6 +750,29 @@ def test_bockstein_rejects_non_cocycle():
         CohomologyClass(RP2, 1, 1)  # the first edge alone
 
 
+def test_classes_the_package_builds_pass_the_outside_checks(monkeypatch):
+    """cohomology_basis and bockstein_sq1 build their classes without
+    __post_init__; each cochain still passes it: on every fixture and its
+    suspensions, CohomologyClass(k, d, x.cochain) and, for y = Sq1 x,
+    CohomologyClass(k, d + 1, y.cochain) construct."""
+    checks = []
+    post_init = CohomologyClass.__post_init__
+    monkeypatch.setattr(CohomologyClass, "__post_init__",
+                        lambda self: checks.append(self) or post_init(self))
+    built = nonzero = 0
+    for k in _fixture_family():
+        for d in range(k.dimension() + 1):
+            for x in cohomology_basis(k, d):
+                y = bockstein_sq1(x)
+                assert checks == [], (k, d)
+                assert CohomologyClass(k, d, x.cochain) == x
+                assert CohomologyClass(k, d + 1, y.cochain) == y
+                checks.clear()
+                built += 2
+                nonzero += y.cochain != 0
+    assert built >= 60 and nonzero >= 3
+
+
 def test_cohomology_class_rejects_a_cochain_past_its_simplices():
     n1 = len(RP2.simplices_of_dim(1))
     for cochain in (1 << n1, -1, [0] * n1):
@@ -838,3 +863,82 @@ def test_suspension_rp2_cone_points_fail():
 def test_scan_rejects_non_pure():
     with pytest.raises(InputError):
         link_manifold_scan(TRIANGLE_EDGE)
+
+
+def _random_pure_complex_to_dim4(rng: random.Random) -> AbstractComplex:
+    """A pure complex of dimension 1 to 4: random facets, or most of the
+    facets of the boundary of a simplex or of a cross-polytope (all of them
+    one time in three), so that many links are spheres and many are not."""
+    dim = rng.randint(1, 4)
+    kind = rng.randrange(3)
+    if kind == 0:
+        verts = list(range(1, rng.randint(dim + 2, 9) + 1))
+        return AbstractComplex.from_facets(
+            [rng.sample(verts, dim + 1) for _ in range(rng.randint(1, 10))])
+    if kind == 1:
+        sphere = list(combinations(range(1, dim + 3), dim + 1))
+    else:
+        sphere = [[i + (dim + 1) * b for i, b in enumerate(signs, 1)]
+                  for signs in product((0, 1), repeat=dim + 1)]
+    if rng.random() < 1 / 3:
+        return AbstractComplex.from_facets(sphere)
+    return AbstractComplex.from_facets([f for f in sphere if rng.random() < 0.8] or sphere[:1])
+
+
+def _scan_or_error(scan, k, certify_pi1):
+    try:
+        return scan(k, certify_pi1, 50)
+    except InputError as e:
+        return str(e)
+
+
+def test_scan_equals_the_oracle_that_recognizes_each_link_alone():
+    """The inductive rule gives the LinkReport list of the oracle, which
+    recognizes every link of dimension <= 2 on its own: on every fixture
+    and its suspensions, on joins with a circle of their 0- and 1-skeleta
+    and of those of dimension <= 2, on cones and suspensions of two
+    circles and of a sphere beside a torus (links that pass every other
+    test but connectedness), and on 500 random pure complexes of
+    dimension 1 to 4; pi1 certified and not, with a small coset limit."""
+    circle = AbstractComplex.from_facets([[1, 2], [2, 3], [1, 3]])
+    family = _fixture_family()
+    complexes = family + [join(k, circle) for k in family if k.dimension() <= 2]
+    for k1, k2 in ((circle, circle), (BDRY_D3, TORUS7)):  # k2 moved past k1's vertices
+        two = AbstractComplex.from_facets(k1.facets() + [[v + 4 for v in f] for f in k2.facets()])
+        complexes += [cone(two), suspension(two)]
+    for k in family:
+        for d in (0, 1):
+            skeleton = [s for s in k.simplices if len(s) <= d + 1]
+            complexes.append(join(AbstractComplex.from_facets(skeleton), circle))
+    rng = random.Random(3105)
+    complexes += [_random_pure_complex_to_dim4(rng) for _ in range(500)]
+    seen = {True: 0, False: 0, None: 0, "pi1": 0, "error": 0}
+    for k in complexes:
+        for certify_pi1 in (False, True):
+            got = _scan_or_error(link_manifold_scan, k, certify_pi1)
+            assert got == _scan_or_error(link_scan_oracle, k, certify_pi1), (k, certify_pi1)
+            if isinstance(got, str):
+                seen["error"] += 1
+                continue
+            for r in got:
+                seen[r.certified_sphere] += 1
+                seen["pi1"] += r.pi1_order is not None
+    assert min(seen.values()) >= 10, seen
+
+
+def test_scan_takes_one_link_per_non_facet_simplex_and_no_link_of_a_link(monkeypatch):
+    """A link of dimension 1 or 2 is certified from the answers for the
+    larger simplices, never by taking links inside it: the scan calls
+    AbstractComplex.link once on k for each simplex that is no facet."""
+    calls = []
+    link = AbstractComplex.link
+    monkeypatch.setattr(AbstractComplex, "link",
+                        lambda self, tau: calls.append((self, tau)) or link(self, tau))
+    circle = AbstractComplex.from_facets([[1, 2], [2, 3], [1, 3]])
+    complexes = [k for k in _fixture_family() if k.is_pure() and k.dimension() <= 4]
+    complexes += _scan_complexes() + [join(TORUS7, circle)]
+    for k in complexes:
+        calls.clear()
+        link_manifold_scan(k, True, 50)
+        assert all(owner is k for owner, _ in calls), k
+        assert sorted(tau for _, tau in calls) == sorted(k.simplices - set(k.facets())), k
