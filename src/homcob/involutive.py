@@ -2,15 +2,25 @@
 
 Inputs are finitely generated free graded complexes over F[U] together
 with a grading-preserving chain involution iota, exact up to chain
-homotopy.  Every F[U]-map is stored as the F2 matrix of its coefficients,
-since one rule forces its U-powers: an entry j -> i of a degree-s map
-carries U^k with deg i - 2k = deg j + s (k >= 0).  `_forced_power` is
-the only place that rule is written; the differential and iota share one
-entry reader and one entry printer.
+homotopy.  Every F[U]-map is stored by the F2 coefficients of its
+entries, since one rule forces its U-powers: an entry j -> i of a
+degree-s map carries U^k with deg i - 2k = deg j + s (k >= 0).
+`_forced_power` is the only place that rule is written; the differential
+and iota share one entry reader and one entry printer.  The reader writes
+the coefficients straight into packed columns in slot order (below): bit
+slot[i] of column slot[j], so that duplicate entries cancel by XOR.  The
+numpy matrices `UComplex.d_mat` and `IotaMap.mat`, in generator order,
+are unpacked from them on first use, for the products of `f2_mul`
+(`validate_iota` and the homotopy solve), `to_json` and the tests.  An
+iota that the reader read against a complex has had the U-power of every
+entry checked, so `validate_iota` scans the support only of a map built
+some other way.
 
 Towers are read from one column reduction of d (`UComplex._reduce`).
-Order the generators by falling degree (ties by index) and let m be d's
-coefficient matrix with rows and columns in that order.  A change of
+Order the generators by falling degree (ties by index), generator
+order[t] in slot t, and let m be d's coefficient matrix with rows and
+columns in that order: the reader's packed columns are m's, d^2 = 0 is
+checked as XORs of them, and they are reduced as they are.  A change of
 basis x_b -> x_b + U^k x_a (k >= 0) adds a generator into one of lower
 or equal degree and the same parity, so it keeps the rank of every block
 of m whose rows have degree at most e and whose columns have degree at
@@ -27,7 +37,7 @@ generators.  The slots in neither set are unpaired; their degrees are
 the bottoms of the U-towers of the plus flavor.  The correction term d
 is the bottom of the single tower.  The reduction is
 `f2linalg.reduce_columns`, the one GF(2) elimination of the package; a
-complex fixes d_mat when it is built, so it reduces d once and keeps the
+complex fixes d when it is built, so it reduces d once and keeps the
 result for the tower read and the normal form.
 
 The same reduction puts d in normal form (`UComplex.normal_form`).  Keep
@@ -75,6 +85,22 @@ d and d - 1, so d_bar = d_under = d.  Two cone towers and the ordering
 d_under <= d <= d_bar are checked (InternalError); by the parity key
 d_under, d and d_bar agree mod 2, a law the tests check.
 
+The cone is built as packed columns in an interleaved slot order: for the
+generator x in slot t of C, m:x sits in slot 2t and q:x in slot 2t + 1.
+With `_spread` moving bit r to bit 2r, column 2t is
+spread(d_t) | spread((1 + iota)_t) << 1 and column 2t + 1 is
+spread(d_t) << 1.  This order does not fall in degree, but the reduction
+needs that only within a parity.  An entry of degree -1 joins opposite
+parities, so two columns with the same lowest row have the same parity,
+and `reduce_columns` only ever adds a column to another of its own
+parity.  Within one parity the order falls: two m's or two q's keep C's
+order; m:t before q:u needs D_t >= D_u - 1, true since t comes first;
+q:u before m:t (u in an earlier slot, so D_u >= D_t) needs
+D_u - 1 >= D_t, true since D_u and D_t differ mod 2 when q:u and m:t
+share a parity.  So each parity block gets the falling-degree reduction
+that the pairing-lemma argument above needs, and `tower_bottoms` reads
+the cone as it reads C.
+
 The explicit plus flavor on a degree window (tensoring with
 F[U, U^-1]/F[U]) stays available as `UComplex.plus_window`, laid out by
 `graded.ladder_window`, as the reference the tower read and the cone
@@ -84,6 +110,7 @@ laws on homology dimensions are tested against; no command builds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -104,26 +131,57 @@ def _forced_power(deg_from: int, deg_to: int, shift: int):
     return num // 2
 
 
-def _entry_matrix(c: "UComplex", entries, shift: int, what: str) -> np.ndarray:
-    """F2 coefficient matrix of the degree-`shift` map with (from, to,
-    upower) `entries` on c's generators; `what` names the map in errors.
-    Each entry is checked, then every cell is set to the parity of its
-    count, so duplicate entries cancel."""
-    n = len(c.generators)
-    cells = []
+def _read_entries(c: "UComplex", entries, shift: int, what: str) -> list[int]:
+    """Packed columns, in c's slot order, of the degree-`shift` map with
+    (from, to, upower) `entries` on c's generators: bit slot[to] of column
+    slot[from].  `what` names the map in errors.  Each entry is checked,
+    then XORed in, so duplicate entries cancel."""
+    cols = [0] * len(c.generators)
+    degs, slot = c.degrees(), c._slot
     for ent in entries:
         src, tgt, upower = ent
         if src not in c.index or tgt not in c.index:
             raise InputError(f"{what} entry {ent} references unknown generator")
         i, j = c.index[tgt], c.index[src]
-        k = _forced_power(c.generators[j][1], c.generators[i][1], shift)
+        k = _forced_power(degs[j], degs[i], shift)
         if k is None:
             raise InputError(f"no degree {shift} entry possible from {src!r} to {tgt!r}")
         if as_int(upower, "u_complex", "upower") != k:
             raise InputError(f"{what} entry {src!r}->{tgt!r} must have upower {k}, got {upower}")
-        cells.append(i * n + j)
-    counts = np.bincount(np.array(cells, dtype=np.intp), minlength=n * n)
-    return (counts & 1).astype(np.uint8).reshape(n, n)
+        cols[slot[j]] ^= 1 << slot[i]
+    return cols
+
+
+def _apply(cols: list[int], x: int) -> int:
+    """The image of the packed vector x under the map with packed columns
+    cols: the XOR of cols[r] over the bits r of x."""
+    y = 0
+    while x:
+        top = x.bit_length() - 1
+        y ^= cols[top]
+        x ^= 1 << top
+    return y
+
+
+def _matrix(cols: list[int], slot: list[int]) -> np.ndarray:
+    """The coefficient matrix, rows and columns in generator order, of the
+    map whose packed columns are `cols` in slot order (generator g in slot
+    slot[g]): a transposed view of the unpacked columns."""
+    where = np.array(slot, dtype=np.intp)
+    return la._unpack_rows(cols, len(cols))[where][:, where].T
+
+
+# _SPREAD[b]: the byte b with bit r moved to bit 2r, as two little-endian bytes
+_SPREAD = [int("0".join(format(b, "b")), 2).to_bytes(2, "little") for b in range(256)]
+
+
+def _spread(x: int) -> int:
+    """x with bit r moved to bit 2r, one byte at a time through _SPREAD:
+    the m-slots of the cone's interleaved order (module docstring)."""
+    if not x:
+        return 0
+    data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    return int.from_bytes(b"".join(map(_SPREAD.__getitem__, data)), "little")
 
 
 def _entry_list(c: "UComplex", mat: np.ndarray, shift: int) -> list[dict]:
@@ -138,32 +196,45 @@ def _entry_list(c: "UComplex", mat: np.ndarray, shift: int) -> list[dict]:
 
 class UComplex:
     """Free graded complex over F[U]; differential entries carry the
-    degree-forced U-power."""
+    degree-forced U-power.  The differential is kept as packed columns in
+    slot order (`_order[t]` is the generator in slot t, `_slot` its
+    inverse); its coefficient matrix `d_mat`, in generator order, is
+    unpacked on first use, for the products of `validate_iota` and the
+    homotopy solve, `to_json` and the tests."""
 
     def __init__(self, generators, differential):
         """Generators (label, degree) and the differential's (from, to,
-        upower) entries, each checked (InputError)."""
-        self._set_generators(generators)
-        self.d_mat = _entry_matrix(self, differential, -1, "differential")
-        if la.f2_mul(self.d_mat, self.d_mat).any():
+        upower) entries, each checked (InputError).  Slots fall in degree,
+        ties by index."""
+        gens = [(str(l), as_int(d, "u_complex", "degree")) for l, d in generators]
+        if len({l for l, _ in gens}) != len(gens):
+            raise InputError("duplicate generator labels")
+        self._setup(gens, sorted(range(len(gens)), key=lambda g: (-gens[g][1], g)))
+        self._cols = _read_entries(self, differential, -1, "differential")
+        if any(_apply(self._cols, col) for col in self._cols):
             raise InputError("differential does not square to zero")
 
     @classmethod
-    def from_matrix(cls, generators, d_mat: np.ndarray) -> "UComplex":
-        """The complex whose differential has the coefficient matrix d_mat,
-        which the caller has checked: degree -1 support and d^2 = 0."""
+    def _from_columns(cls, generators, order, cols: list[int]) -> "UComplex":
+        """The complex on the checked (label, degree) `generators` whose
+        differential has the packed columns `cols` in the slot order
+        `order`, which the caller has checked: degree -1 support,
+        d^2 = 0, and slots that fall in degree within each parity (module
+        docstring)."""
         c = cls.__new__(cls)
-        c._set_generators(generators)
-        c.d_mat = d_mat
+        c._setup(generators, order)
+        c._cols = cols
         return c
 
-    def _set_generators(self, generators):
-        self.generators = [(str(l), as_int(d, "u_complex", "degree")) for l, d in generators]
-        labels = [l for l, _ in self.generators]
-        if len(set(labels)) != len(labels):
-            raise InputError("duplicate generator labels")
-        self.index = {l: i for i, l in enumerate(labels)}
+    def _setup(self, generators, order: list[int]):
+        self.generators = generators
+        self.index = {l: g for g, (l, _) in enumerate(generators)}
+        self._order, self._slot = order, [0] * len(order)
+        for t, g in enumerate(order):
+            self._slot[g] = t
         self._reduction = None
+
+    d_mat = cached_property(lambda self: _matrix(self._cols, self._slot))
 
     def degrees(self) -> list[int]:
         return [d for _, d in self.generators]
@@ -197,19 +268,13 @@ class UComplex:
     # -- towers ----------------------------------------------------------
 
     def _reduce(self):
-        """The column reduction of d in order of falling degree (ties by
-        index): (order, cols, ops, owner).  Slot t is generator order[t];
+        """The column reduction of d in slot order: (cols, ops, owner).
         cols[t] is the reduced column R_t (bit r: slot r), ops[t] the
         column operations V_t (R_t = d V_t), and owner maps the lowest
         slot of each nonzero R_t to t (module docstring).  Computed on the
-        first call and kept, since d_mat is fixed at construction; callers
-        must not modify it."""
+        first call and kept, since d is fixed at construction."""
         if self._reduction is None:
-            degs = self.degrees()
-            order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
-            # d's columns in slot order, packed (bit r: slot r)
-            cols = la._pack_rows(self.d_mat[order][:, order].T)
-            self._reduction = (order, *la.reduce_columns(cols))
+            self._reduction = la.reduce_columns(self._cols)
         return self._reduction
 
     def tower_bottoms(self) -> dict[int, int]:
@@ -217,10 +282,10 @@ class UComplex:
         the column reduction that are neither a low (L) nor a nonzero
         column (N), see the module docstring."""
         degs = self.degrees()
-        order, cols, _, owner = self._reduce()
+        cols, _, owner = self._reduce()
         towers = {}
         for parity in (0, 1):
-            bottoms = [degs[g] for t, g in enumerate(order)
+            bottoms = [degs[g] for t, g in enumerate(self._order)
                        if not cols[t] and t not in owner and degs[g] % 2 == parity]
             if len(bottoms) > 1:
                 raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
@@ -236,8 +301,7 @@ class UComplex:
         earlier slots.  So P e_t = e_t + sum of P e_s over those slots s,
         and P comes column by column, in slot order, by back-substitution
         on the packed columns."""
-        n = len(self.generators)
-        order, cols, ops, owner = self._reduce()
+        cols, ops, owner = self._reduce()
         slots = ops[:]  # column t of P^-1: V_t, or R_s = d V_s in slot low(s)
         for low, s in owner.items():
             slots[low] = cols[s]
@@ -249,9 +313,8 @@ class UComplex:
                 x ^= inv[top]
                 rest ^= 1 << top
             inv.append(x)
-        where = sorted(range(n), key=order.__getitem__)  # the slot of each generator
-        p_inv = la._unpack_rows(slots, n).T[where][:, where]
-        p = la._unpack_rows(inv, n).T[where][:, where]
+        p_inv, p = _matrix(slots, self._slot), _matrix(inv, self._slot)
+        order = self._order
         return p, p_inv, [(order[low], order[s]) for low, s in owner.items()]
 
     # -- plus flavor -----------------------------------------------------
@@ -283,10 +346,13 @@ class UComplex:
 
 class IotaMap:
     """Grading-preserving F[U]-linear map given by its F2 coefficient
-    matrix (U-powers forced by degrees)."""
+    matrix (U-powers forced by degrees).  A map read by `of` keeps the
+    complex it was read against and its packed columns in that complex's
+    slot order; its matrix `mat` is unpacked on first use."""
 
     def __init__(self, mat: np.ndarray):
         self.mat = la.f2(mat)
+        self._complex = None
 
     @classmethod
     def identity(cls, c: UComplex) -> "IotaMap":
@@ -294,7 +360,17 @@ class IotaMap:
 
     @classmethod
     def of(cls, c: UComplex, entries) -> "IotaMap":
-        return cls(_entry_matrix(c, entries, 0, "iota"))
+        iota = cls.__new__(cls)
+        iota._complex, iota._cols = c, _read_entries(c, entries, 0, "iota")
+        return iota
+
+    mat = cached_property(lambda self: _matrix(self._cols, self._complex._slot))
+
+    def _columns(self, c: UComplex) -> list[int]:
+        """The packed columns of the map in c's slot order."""
+        if self._complex is c:
+            return self._cols
+        return la._pack_rows(self.mat[np.ix_(c._order, c._order)].T)
 
 
 def _homotopy_solve(c: UComplex, rhs: np.ndarray):
@@ -348,8 +424,10 @@ def validate_iota(c: UComplex, iota: IotaMap) -> bool:
     n = len(c.generators)
     if iota.mat.shape != (n, n):
         raise InputError("iota has the wrong shape")
+    # a map that `of` read against c has had every entry's U-power checked
     degs = c.degrees()
-    if any(_forced_power(degs[j], degs[i], 0) is None for i, j in zip(*np.nonzero(iota.mat))):
+    if iota._complex is not c and any(_forced_power(degs[j], degs[i], 0) is None
+                                      for i, j in zip(*np.nonzero(iota.mat))):
         raise InputError("iota is not degree homogeneous of degree 0")
     if (la.f2_mul(iota.mat, c.d_mat) ^ la.f2_mul(c.d_mat, iota.mat)).any():
         raise InputError("iota is not a chain map")
@@ -366,18 +444,23 @@ def one_plus_iota_nullhomotopic(c: UComplex, iota: IotaMap) -> bool:
 
 def cone_iota(c: UComplex, iota: IotaMap) -> UComplex:
     """The mapping cone of Q(1+iota), once iota is validated: generators
-    m:x and q:x (degree shifted by -1), differential [[d, 0], [1+iota, d]].
-    Neither its support nor its square is checked again: mod 2 the square
-    is [[d^2, 0], [iota d + d iota, d^2]], whose blocks `UComplex` and
-    `validate_iota` have already found zero (module docstring)."""
+    m:x and q:x (degree shifted by -1), differential [[d, 0], [1+iota, d]],
+    built from packed columns in the interleaved slot order (module
+    docstring).  Neither its support nor its square is checked again: mod
+    2 the square is [[d^2, 0], [iota d + d iota, d^2]], whose blocks
+    `UComplex` and `validate_iota` have already found zero."""
     validate_iota(c, iota)
     n = len(c.generators)
     gens = [(f"m:{l}", d) for l, d in c.generators]
     gens += [(f"q:{l}", d - 1) for l, d in c.generators]
-    block = la.f2_zeros(2 * n, 2 * n)
-    block[:n, :n] = block[n:, n:] = c.d_mat
-    block[n:, :n] = iota.mat ^ la.f2_eye(n)
-    return UComplex.from_matrix(gens, block)
+    # slot 2t holds m:x and slot 2t + 1 holds q:x, for x in c's slot t:
+    # d m:x = m:dx + q:(1 + iota)x and d q:x = q:dx
+    cols = []
+    for t, (d_t, iota_t) in enumerate(zip(c._cols, iota._columns(c))):
+        m = _spread(d_t)
+        cols += [m | _spread(iota_t ^ 1 << t) << 1, m << 1]
+    order = [g + half for g in c._order for half in (0, n)]
+    return UComplex._from_columns(gens, order, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -819,6 +819,13 @@ def rokhlin_check(report: AbcReport) -> int:
 # involutive inputs
 
 
+def ucomplex_from_matrix(gens, d_mat: np.ndarray) -> UComplex:
+    """The complex on `gens` whose differential has the coefficient
+    matrix d_mat, read through the entry reader (which checks it again)."""
+    return UComplex(gens, [(gens[j][0], gens[i][0], _forced_power(gens[j][1], gens[i][1], -1))
+                           for i, j in zip(*np.nonzero(d_mat))])
+
+
 def random_ucomplex_with_iota(
     rng: random.Random,
     max_pairs: int = 3,
@@ -877,7 +884,7 @@ def _tower_and_pairs_with_iota(rng, d_tower, shapes, iota_identity=False, conjug
         dmat = la.f2_mul(la.f2_mul(p, c.d_mat), pinv)
         iota = la.f2_mul(la.f2_mul(p, iota), pinv)
         assert not la.f2_mul(dmat, dmat).any()
-        c = UComplex.from_matrix(gens, dmat)
+        c = ucomplex_from_matrix(gens, dmat)
     return c, IotaMap(iota)
 
 
@@ -898,7 +905,7 @@ def connected_sum(c1: UComplex, iota1: IotaMap, c2: UComplex, iota2: IotaMap):
     n1, n2 = len(c1.generators), len(c2.generators)
     d_mat = np.kron(c1.d_mat, la.f2_eye(n2)) ^ np.kron(la.f2_eye(n1), c2.d_mat)
     assert not la.f2_mul(d_mat, d_mat).any()
-    return UComplex.from_matrix(gens, d_mat), IotaMap(np.kron(iota1.mat, iota2.mat))
+    return ucomplex_from_matrix(gens, d_mat), IotaMap(np.kron(iota1.mat, iota2.mat))
 
 
 def _random_allowed_automorphism(rng: random.Random, c: UComplex) -> np.ndarray:
@@ -944,7 +951,7 @@ def random_ucomplex(rng: random.Random, max_towers: int = 4, max_pairs: int = 4)
     p = _random_allowed_automorphism(rng, c)
     d_mat = la.f2_mul(la.f2_mul(p, c.d_mat), f2_inverse(p))
     assert not la.f2_mul(d_mat, d_mat).any()
-    return UComplex.from_matrix(gens, d_mat)
+    return ucomplex_from_matrix(gens, d_mat)
 
 
 def random_fu_map(rng: random.Random, c: UComplex, shift: int):
@@ -1078,6 +1085,25 @@ def elimination_tower_bottoms(c: UComplex) -> dict[int, int]:
     towers = {}
     for parity in (0, 1):
         bottoms = [int(d) for g, d in enumerate(degs) if g not in paired and d % 2 == parity]
+        if len(bottoms) > 1:
+            raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
+        if bottoms:
+            towers[parity] = bottoms[0]
+    return towers
+
+
+def falling_degree_tower_bottoms(c: UComplex) -> dict[int, int]:
+    """The reference for the cone's interleaved tower read: one column
+    reduction of c.d_mat with every generator in a strict falling-degree
+    order (ties by index), packed from the generator-order matrix; the
+    unpaired slots sit at the tower bottoms."""
+    degs = c.degrees()
+    order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
+    red, _, owner = la.reduce_columns(la._pack_rows(c.d_mat[np.ix_(order, order)].T))
+    towers = {}
+    for parity in (0, 1):
+        bottoms = [degs[g] for t, g in enumerate(order)
+                   if not red[t] and t not in owner and degs[g] % 2 == parity]
         if len(bottoms) > 1:
             raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
         if bottoms:

@@ -132,6 +132,26 @@ def test_scan_links_checks_the_limit_without_certify_pi1(capsys, limit, message)
         assert capsys.readouterr() == ("", f"error: InputError: {message}\n")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"facets": [list(range(20))]}, "facet has 20 vertices, more than 18"),
+    ({"facets": [[0, 1], list(range(19))]}, "facet has 19 vertices, more than 18"),
+    # the 18-vertex simplex has 2^18 - 1 cells; two more vertices pass 2^18
+    ({"facets": [list(range(18))], "vertices": [100, 101]},
+     "closure has more than 262144 cells"),
+])
+def test_oversized_simplicial_input_is_refused(tmp_path, capsys, doc, message):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "simplicial", **doc}))
+    for command in ("homology", "sq1"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: InputError: {message}\n")
+
+
+def test_the_eighteen_vertex_simplex_is_read():
+    k = parse_input({"kind": "simplicial", "facets": [list(range(18))], "vertices": [100]})
+    assert len(k.simplices) == 2 ** 18 and len(k.vertices) == 19
+
+
 def test_abc_commands():
     text = out_of(["abc", "fixtures:s3"])
     assert "alpha: 0" in text and "mu: 0" in text

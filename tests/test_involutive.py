@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homcob import cli, fixtures
+from homcob import cli, fixtures, involutive
 from homcob import f2linalg as la
 from homcob.equivariant import SOneModel, delta_invariant
 from homcob.errors import InputError, InternalError, ModelInvalidError
@@ -13,9 +13,11 @@ from homcob.graded import Homology
 from homcob.involutive import (
     IotaMap,
     UComplex,
-    _entry_matrix,
     _forced_power,
     _homotopy_solve,
+    _matrix,
+    _read_entries,
+    _spread,
     cone_iota,
     d_invariant,
     involutive_correction_terms,
@@ -30,6 +32,7 @@ from helpers import (
     connected_sum,
     dual_ucomplex,
     elimination_tower_bottoms,
+    falling_degree_tower_bottoms,
     homotopic_iota,
     homotopy_solve_oracle,
     iota_localized_identity,
@@ -37,6 +40,7 @@ from helpers import (
     random_ucomplex,
     random_ucomplex_with_iota,
     split_dims_law,
+    spread_ucomplex_with_iota,
     towers_from_profile,
     v0_inverse,
     window_tower_bottoms,
@@ -82,15 +86,31 @@ def test_forced_power_rule():
 def test_duplicate_entries_cancel():
     c = UComplex([("x", 1), ("y", 0), ("z", 0)], [])
     entries = [("x", "y", 0), ("x", "z", 0), ("x", "y", 0), ("x", "z", 0), ("x", "z", 0)]
-    assert _entry_matrix(c, entries, -1, "differential").tolist() == [
+    # slots fall in degree, ties by index: x, y, z sit in slots 0, 1, 2
+    assert _read_entries(c, entries, -1, "differential") == [1 << 2, 0, 0]
+    assert _matrix(_read_entries(c, entries, -1, "differential"), c._slot).tolist() == [
         [0, 0, 0], [0, 0, 0], [1, 0, 0]]
-    assert _entry_matrix(c, [], 0, "iota").tolist() == [[0] * 3] * 3
-    assert _entry_matrix(UComplex([], []), [], 0, "iota").shape == (0, 0)
+    assert _read_entries(c, [], 0, "iota") == [0, 0, 0]
+    assert _matrix(_read_entries(UComplex([], []), [], 0, "iota"), []).shape == (0, 0)
     # the same pair listed twice in a differential cancels; d = 0 then
     same = UComplex([("x", 1), ("y", 0)], [("x", "y", 0), ("x", "y", 0)])
     assert not same.d_mat.any() and same.tower_bottoms() == {1: 1, 0: 0}
     with pytest.raises(InputError, match="must have upower 0, got 1"):
-        _entry_matrix(c, [("x", "y", 0), ("x", "y", 1)], -1, "differential")
+        _read_entries(c, [("x", "y", 0), ("x", "y", 1)], -1, "differential")
+
+
+def test_entry_reader_packs_in_slot_order():
+    # generator g sits in slot slot[g]; an entry from -> to sets bit
+    # slot[to] of column slot[from], and d_mat is read back in generator order
+    c = UComplex([("y", 0), ("w", 2), ("x", 1), ("v", 1)], [("x", "y", 0), ("w", "v", 0)])
+    assert c._order == [1, 2, 3, 0] and c._slot == [3, 0, 1, 2]
+    assert c._cols == [1 << 2, 1 << 3, 0, 0]
+    assert c.d_mat.tolist() == [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]]
+    iota = IotaMap.of(c, [(l, l, 0) for l, _ in c.generators] + [("x", "v", 0)])
+    assert iota._complex is c and iota._cols == [1, 2 | 4, 4, 8]
+    want = la.f2_eye(4)
+    want[3, 2] = 1  # x -> v
+    assert (iota.mat == want).all()
 
 
 @pytest.mark.parametrize("big", [2**61 - 1, 2**61, 2**62, 2**63, 10**30])
@@ -131,6 +151,28 @@ def test_validate_iota_rejects_a_raw_map_of_the_wrong_shape():
         with pytest.raises(InputError, match="iota has the wrong shape"):
             validate_iota(c, IotaMap(np.zeros(shape, np.uint8)))
     assert validate_iota(c, iota)
+
+
+def test_validate_iota_scans_the_support_only_of_a_map_not_read_against_c(monkeypatch):
+    # `of` has refused every entry without a forced power, so validate_iota
+    # asks the U-power rule nothing for a map read against the same complex;
+    # iota^2 = 1 here, so the homotopy solve asks it nothing either
+    rng = random.Random(3434)
+    docs = [c.to_json(iota) for c, iota in
+            [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(20)]]
+    calls = []
+    forced = involutive._forced_power
+    monkeypatch.setattr(involutive, "_forced_power", lambda *a: calls.append(a) or forced(*a))
+    for doc in docs:
+        c, iota = UComplex.from_json(doc)
+        other, _ = UComplex.from_json(doc)
+        n, nonzeros = len(c.generators), int(iota.mat.sum())
+        assert not (la.f2_mul(iota.mat, iota.mat) ^ la.f2_eye(n)).any()
+        calls.clear()
+        assert validate_iota(c, iota) and calls == []
+        assert validate_iota(c, IotaMap(iota.mat)) and len(calls) == nonzeros
+        calls.clear()
+        assert validate_iota(other, iota) and len(calls) == nonzeros
 
 
 def _minus_sigma237_with(edit):
@@ -581,10 +623,16 @@ def test_zero_rhs_is_answered_without_a_product(monkeypatch):
     assert one_plus_iota_nullhomotopic(c, IotaMap.identity(c)) and calls == []
 
 
-def _slot_order_d(c):
+def _falling_degree_order(c):
     degs = c.degrees()
-    order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
-    return c.d_mat[np.ix_(order, order)]
+    return sorted(range(len(degs)), key=lambda g: (-degs[g], g))
+
+
+def _interleaved_order(c):
+    """The cone's slots: m:x in slot 2t and q:x in slot 2t + 1, for the
+    generator x in slot t of c."""
+    n = len(c.generators)
+    return [g + half for g in _falling_degree_order(c) for half in (0, n)]
 
 
 def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
@@ -600,12 +648,36 @@ def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
                             lambda cols: seen.append(list(cols)) or reduce_columns(cols))
         assert cli.main(["hfi", str(path)]) == 0
         monkeypatch.setattr(la, "reduce_columns", reduce_columns)
-        base, cone = _slot_order_d(c), _slot_order_d(cone_iota(c, iota))
-        for want in (base, cone):
-            n = want.shape[0]
+        # d is reduced once in falling-degree order, and the cone's d (read
+        # from its generator-order matrix) once in the interleaved order;
+        # the other reductions are the homotopy solve's block systems
+        cone = cone_iota(c, iota)
+        for x, order in ((c, _falling_degree_order(c)), (cone, _interleaved_order(c))):
+            want, n = x.d_mat[np.ix_(order, order)], len(order)
             # packed columns, unpacked: row t of the unpacked rows is column t
             assert sum(len(cols) == n and all(col >> n == 0 for col in cols)
                        and (la._unpack_rows(cols, n).T == want).all() for cols in seen) == 1, k
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["hfi", "v0"])
+def test_hfi_and_v0_runs_stay_packed(monkeypatch, tmp_path, capsys, command):
+    """The entry reader packs d and iota itself: an hfi or v0 run packs no
+    numpy matrix and counts no cells."""
+    rng = random.Random(3232)
+    models = fixture_models() + [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(10)]
+    models += [dual_ucomplex(*m) for m in models]
+    paths = []
+    for k, (c, iota) in enumerate(models):
+        paths.append(tmp_path / f"m{k}.json")
+        paths[-1].write_text(json.dumps(c.to_json(iota)))
+    calls = []
+    monkeypatch.setattr(la, "_pack_rows", lambda *a: calls.append("_pack_rows"))
+    monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append("bincount"))
+    extra = ["--p", "1"] if command == "v0" else []
+    for path in paths:
+        assert cli.main([command, str(path), *extra]) == 0
+    assert calls == []
     capsys.readouterr()
 
 
@@ -737,6 +809,37 @@ def test_cone_differential_is_homogeneous_and_squares_to_zero():
                    for i, j in zip(*np.nonzero(cone.d_mat)))
         assert not la.f2_mul(cone.d_mat, cone.d_mat).any()
     assert len(models) >= 170
+
+
+def test_spread_moves_bit_r_to_bit_2r():
+    assert _spread(0) == 0
+    for r in (0, 1, 7, 8, 15, 16, 63, 64, 1000, 4099):
+        assert _spread(1 << r) == 1 << 2 * r
+        assert _spread((1 << r) | 1) == (1 << 2 * r) | 1
+    rng = random.Random(5)
+    for bits in (1, 3, 8, 9, 25, 64, 300, 2600):
+        for _ in range(20):
+            x = rng.getrandbits(bits)
+            assert _spread(x) == sum(1 << 2 * r for r in range(bits) if x >> r & 1)
+
+
+def test_interleaved_cone_read_matches_a_falling_degree_read():
+    """The cone's towers, read in its interleaved slot order, equal the
+    towers of one strict falling-degree reduction of its generator-order
+    matrix: on the cone suites (both orientations), and on the benchmark's
+    shape with a pair 50 to 400 degrees away, in both orientations."""
+    rng = random.Random(3301)
+    models = cone_suites(rng)
+    for pairs in (1, 3, 6, 12):
+        c, iota, _ = spread_ucomplex_with_iota(rng, pairs)
+        for offset in (50, -50, 120, -120, 400, -400):
+            far = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
+            models += [far, dual_ucomplex(*far)]
+    for c, iota in models:
+        cone = cone_iota(c, iota)
+        assert cone.tower_bottoms() == falling_degree_tower_bottoms(cone)
+        assert len(cone.tower_bottoms()) == 2
+    assert len(models) >= 210
 
 
 def test_correction_terms_never_square_the_cone(monkeypatch):
