@@ -194,7 +194,8 @@ def _abc_rows(args, m):
 
 
 def _dual_rows(args, m):
-    """abc_of_reverse and coborel_tower_tops, both read from one abc."""
+    """The reverse's (alpha, beta, gamma), which is (-gamma, -beta, -alpha),
+    and the co-Borel tops (-A, -B, -C), both read from one abc."""
     r = abc(m)
     return [("alpha_reverse", -r.gamma), ("beta_reverse", -r.beta), ("gamma_reverse", -r.alpha),
             ("coborel_tops", [-r.A, -r.B, -r.C])]

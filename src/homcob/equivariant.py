@@ -37,14 +37,14 @@ boundary exactly when it owns a reduced column.
 
 Reading a model.  Each finite-part matrix is checked for 0/1 entries,
 then for its n x n shape, then for its degree shift on its rows packed
-into Python ints.  Any n-sequence of n-sequences (a JSON matrix is n
-lists of n entries) is packed as it is read, with no numpy array; a
-shape error names the shape, or the row lengths when they differ.
-Every law (d^2 = 0 and d commuting with q, v or U on the generators
-with the same T, then q^3 = 0 and qv = vq) runs as XORs of these rows,
-the columns of [T; d_fin] are packed from them, and the numpy matrices
-are views unpacked on first use.  Neither reading needs a window, so
-neither costs more when the degrees spread.
+into Python ints.  A list or tuple of n lists or tuples (a JSON matrix
+is n lists of n entries) is packed as it is read; a shape error names
+the shape, or the row lengths when they differ.  The packed rows are
+the one form of each matrix: every law (d^2 = 0 and d commuting with
+q, v or U on the generators with the same T, then q^3 = 0 and qv = vq)
+runs as XORs of them, the columns of [T; d_fin] are packed from them,
+and `to_json` and the window oracle read them.  Neither reading needs a
+window, so neither costs more when the degrees spread.
 
 Orientation reversal.  Over F2 the homology of the degree-negated dual
 complex in degree -D is the dual space of H_D, and each power of v
@@ -72,10 +72,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
-
-import numpy as np
+from typing import NamedTuple
 
 from . import f2linalg as la
 from .errors import InputError, InternalError, ModelInvalidError, as_int
@@ -83,7 +82,7 @@ from .graded import GradedComplex, ladder_window
 
 
 _INT, _BITS = frozenset({int}), frozenset({0, 1})
-_SEQUENCES = (list, tuple, np.ndarray)
+_SEQUENCES = (list, tuple)
 
 
 def _read_matrix(value, kind: str, field: str, degrees: list[int],
@@ -93,8 +92,8 @@ def _read_matrix(value, kind: str, field: str, degrees: list[int],
     2, then n x n, then row i inside masks[degrees[i] - shift], the
     generators of that degree.  The first bad entry in row-major order is
     named.  A row of plain ints 0 and 1 passes two set tests; any other row
-    is walked entry by entry.  Any n-sequence of n-sequences (lists,
-    tuples, numpy arrays) is packed as it is read."""
+    is walked entry by entry.  A list or tuple of n lists or tuples is
+    packed as it is read."""
     for row in value:
         if set(map(type, row)) <= _INT and set(row) <= _BITS:
             continue
@@ -134,10 +133,9 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-@dataclass
-class TowerArrow:
+class TowerArrow(NamedTuple):
     """Differential component from a finite generator into the tower
-    element q^a v^b g (degree n + 4b + a)."""
+    element q^a v^b g (degree n + 4b + a); a = 0 in an SOneModel."""
 
     source: str
     a: int
@@ -150,10 +148,9 @@ class _TowerModel:
     `finite` with differential `d_fin`, tower arrows `d_to_tower`, and the
     operators OPS, each as (name, input field, shift, tower entries).  The
     tower entry (a, a2, j) sends (a, k) to (a2, k - j).  Each finite-part
-    matrix is kept as packed rows, `_rows[field]`; its numpy view (`d_fin`,
-    or `<field>_op` for an operator) is unpacked on first use, for the
-    window oracle, `to_json` and the tests.  Inputs of the kind KIND are
-    read and checked here, and written back by `to_json`."""
+    matrix is kept as packed rows only, `_rows[field]` (bit j of row i is
+    entry (i, j)).  Inputs of the kind KIND are read and checked here, and
+    written back by `to_json`."""
 
     STEP = LEVELS = 0
     KIND = ""
@@ -183,21 +180,9 @@ class _TowerModel:
         self._check_generators(d, ops)
         self._check_operators(ops)
 
-    def _view(self, field: str) -> np.ndarray:
-        """The numpy matrix of the packed rows of `field`."""
-        return la._unpack_rows(self._rows[field], len(self.finite))
-
-    d_fin = cached_property(lambda self: self._view("d_fin"))
-
     def _arrow(self, arrow) -> TowerArrow:
-        """A tower arrow given as a TowerArrow, (source, a, b), or
-        (source, b) when there is one level, checked against the model."""
-        if isinstance(arrow, TowerArrow):
-            src, a, b = arrow.source, arrow.a, arrow.b
-        elif self.LEVELS == 1:
-            (src, b), a = arrow, 0
-        else:
-            src, a, b = arrow
+        """The tower arrow (source, a, b), checked against the model."""
+        src, a, b = arrow
         a = as_int(a, self.KIND, "tower arrow a")
         b = as_int(b, self.KIND, "tower arrow b")
         if src not in self.gen_index:
@@ -211,13 +196,13 @@ class _TowerModel:
         return TowerArrow(str(src), a, b)
 
     def to_json(self) -> dict:
-        one_level = self.LEVELS == 1
+        one_level, n = self.LEVELS == 1, len(self.finite)
         return {
             "kind": self.KIND,
             "reducible_degree": self.reducible_degree,
             "finite": [{"label": l, "degree": d} for l, d in self.finite],
-            **{field: getattr(self, f"{field}_op").tolist() for _, field, _, _ in self.OPS},
-            "d_fin": self.d_fin.tolist(),
+            **{field: [[row >> j & 1 for j in range(n)] for row in rows]
+               for field, rows in self._rows.items()},
             "d_to_tower": [{"from": t.source, "b": t.b} if one_level else
                            {"from": t.source, "a": t.a, "b": t.b} for t in self.d_to_tower],
         }
@@ -227,7 +212,7 @@ class _TowerModel:
         """The model of a raw input dict.  A missing field raises KeyError;
         `cli.parse_input` is the checked door that makes it an InputError."""
         finite = [(g["label"], g["degree"]) for g in data.get("finite", [])]
-        arrows = [(t["from"], t["b"]) if cls.LEVELS == 1 else (t["from"], t["a"], t["b"])
+        arrows = [(t["from"], 0 if cls.LEVELS == 1 else t["a"], t["b"])
                   for t in data.get("d_to_tower", [])]
         ops = [data.get(field, []) for _, field, _, _ in cls.OPS]
         return cls(data.get("reducible_degree"), finite, *ops, data.get("d_fin", []), arrows)
@@ -281,17 +266,18 @@ class _TowerModel:
         generators, and the towers as ladders ("t", a) from n + a."""
         labels = [l for l, _ in self.finite]
 
-        def fin(mat):
-            return [(labels[j], labels[i], 0) for i, j in zip(*np.nonzero(mat))]
+        def fin(rows):
+            return [(labels[j], labels[i], 0)
+                    for i, row in enumerate(rows) for j in range(len(labels)) if row >> j & 1]
 
         gens = [(l, d, 0) for l, d in self.finite]
         if self.reducible_degree is not None:
             gens += [(("t", a), self.reducible_degree + a, self.STEP)
                      for a in range(self.LEVELS)]
         arrows = [(t.source, ("t", t.a), -t.b) for t in self.d_to_tower]
-        maps = {"d": (-1, fin(self.d_fin) + arrows)}
+        maps = {"d": (-1, fin(self._rows["d_fin"]) + arrows)}
         for name, field, shift, tower in self.OPS:
-            maps[name] = (shift, fin(getattr(self, f"{field}_op"))
+            maps[name] = (shift, fin(self._rows[field])
                           + [(("t", a1), ("t", a2), j) for a1, a2, j in tower])
         return gens, maps
 
@@ -309,9 +295,6 @@ class PinModel(_TowerModel):
 
     def __init__(self, reducible_degree, finite, q_op, v_op, d_fin, d_to_tower):
         super().__init__(reducible_degree, finite, (q_op, v_op), d_fin, d_to_tower)
-
-    q_op = cached_property(lambda self: self._view("q"))
-    v_op = cached_property(lambda self: self._view("v"))
 
     def _check_operators(self, ops):
         """An even reducible degree, then q^3 = 0 and qv = vq."""
@@ -405,12 +388,6 @@ def abc(model: PinModel) -> AbcReport:
     return AbcReport(A, B, C, alpha, beta, gamma, mu)
 
 
-def abc_of_reverse(model: PinModel):
-    """(alpha, beta, gamma) of the orientation reverse: (-gamma, -beta, -alpha)."""
-    r = abc(model)
-    return (-r.gamma, -r.beta, -r.alpha)
-
-
 @dataclass
 class LocalizationReport:
     ok: bool
@@ -453,8 +430,6 @@ class SOneModel(_TowerModel):
         # the U-tower is not optional
         reducible_degree = as_int(reducible_degree, self.KIND, "reducible_degree")
         super().__init__(reducible_degree, finite, (u_op,), d_fin, d_to_tower)
-
-    u_op = cached_property(lambda self: self._view("u"))
 
     def default_window(self) -> tuple[int, int]:
         # the stable cut, 4 below the top, sits 8 + 2 per finite

@@ -8,13 +8,15 @@ degree-s map carries U^k with deg i - 2k = deg j + s (k >= 0).
 `_forced_power` is the only place that rule is written; the differential
 and iota share one entry reader and one entry printer.  The reader writes
 the coefficients straight into packed columns in slot order (below): bit
-slot[i] of column slot[j], so that duplicate entries cancel by XOR.  The
-numpy matrices `UComplex.d_mat` and `IotaMap.mat`, in generator order,
-are unpacked from them on first use, for the products of `f2_mul`
-(`validate_iota` and the homotopy solve), `to_json` and the tests.  An
-iota that the reader read against a complex has had the U-power of every
-entry checked, so `validate_iota` scans the support only of a map built
-some other way.
+slot[i] of column slot[j], so that duplicate entries cancel by XOR.  These
+columns are the one form of each map.  An iota is always read against
+its complex (`IotaMap.of`; `IotaMap.identity` is that complex's
+identity), so every entry has its forced U-power before `validate_iota`
+sees it, and `validate_iota` and the split test refuse an iota read
+against another complex.  The numpy matrices `UComplex.d_mat` and
+`IotaMap.mat`, in generator order, are unpacked from the columns on first
+use, for the products of `f2_mul` (`validate_iota` and the homotopy
+solve), `to_json` and the tests.
 
 Towers are read from one column reduction of d (`UComplex._reduce`).
 Order the generators by falling degree (ties by index), generator
@@ -307,12 +309,7 @@ class UComplex:
             slots[low] = cols[s]
         inv = []
         for t, col in enumerate(slots):
-            x, rest = 1 << t, col ^ (1 << t)
-            while rest:
-                top = rest.bit_length() - 1
-                x ^= inv[top]
-                rest ^= 1 << top
-            inv.append(x)
+            inv.append(1 << t ^ _apply(inv, col ^ 1 << t))
         p_inv, p = _matrix(slots, self._slot), _matrix(inv, self._slot)
         order = self._order
         return p, p_inv, [(order[low], order[s]) for low, s in owner.items()]
@@ -345,32 +342,33 @@ class UComplex:
 
 
 class IotaMap:
-    """Grading-preserving F[U]-linear map given by its F2 coefficient
-    matrix (U-powers forced by degrees).  A map read by `of` keeps the
-    complex it was read against and its packed columns in that complex's
-    slot order; its matrix `mat` is unpacked on first use."""
+    """Grading-preserving F[U]-linear map on a complex c (U-powers forced
+    by degrees), read against c: it keeps c and its packed columns in c's
+    slot order; its matrix `mat` is unpacked on first use.  `of` and
+    `identity` are the constructors."""
 
-    def __init__(self, mat: np.ndarray):
-        self.mat = la.f2(mat)
-        self._complex = None
+    def __init__(self, c: UComplex, cols: list[int]):
+        """The map on c with the packed columns `cols` in c's slot order,
+        which the caller has checked: degree-0 support."""
+        self._complex, self._cols = c, cols
 
     @classmethod
     def identity(cls, c: UComplex) -> "IotaMap":
-        return cls(la.f2_eye(len(c.generators)))
+        return cls(c, [1 << t for t in range(len(c.generators))])
 
     @classmethod
     def of(cls, c: UComplex, entries) -> "IotaMap":
-        iota = cls.__new__(cls)
-        iota._complex, iota._cols = c, _read_entries(c, entries, 0, "iota")
-        return iota
+        """The map with (from, to, upower) `entries` on c's generators,
+        each checked by the entry reader."""
+        return cls(c, _read_entries(c, entries, 0, "iota"))
 
     mat = cached_property(lambda self: _matrix(self._cols, self._complex._slot))
 
-    def _columns(self, c: UComplex) -> list[int]:
-        """The packed columns of the map in c's slot order."""
-        if self._complex is c:
-            return self._cols
-        return la._pack_rows(self.mat[np.ix_(c._order, c._order)].T)
+
+def _check_read_against(c: UComplex, iota: IotaMap):
+    """InputError unless iota was read against c itself."""
+    if iota._complex is not c:
+        raise InputError("iota was read against another complex")
 
 
 def _homotopy_solve(c: UComplex, rhs: np.ndarray):
@@ -420,15 +418,10 @@ def _homotopy_solve(c: UComplex, rhs: np.ndarray):
 
 
 def validate_iota(c: UComplex, iota: IotaMap) -> bool:
-    """Chain map with iota^2 homotopic to the identity, or InputError."""
+    """Chain map with iota^2 homotopic to the identity, or InputError.
+    The entry reader has checked the U-power of every entry of iota."""
+    _check_read_against(c, iota)
     n = len(c.generators)
-    if iota.mat.shape != (n, n):
-        raise InputError("iota has the wrong shape")
-    # a map that `of` read against c has had every entry's U-power checked
-    degs = c.degrees()
-    if iota._complex is not c and any(_forced_power(degs[j], degs[i], 0) is None
-                                      for i, j in zip(*np.nonzero(iota.mat))):
-        raise InputError("iota is not degree homogeneous of degree 0")
     if (la.f2_mul(iota.mat, c.d_mat) ^ la.f2_mul(c.d_mat, iota.mat)).any():
         raise InputError("iota is not a chain map")
     sq = la.f2_mul(iota.mat, iota.mat) ^ la.f2_eye(n)
@@ -438,6 +431,7 @@ def validate_iota(c: UComplex, iota: IotaMap) -> bool:
 
 
 def one_plus_iota_nullhomotopic(c: UComplex, iota: IotaMap) -> bool:
+    _check_read_against(c, iota)
     rhs = iota.mat ^ la.f2_eye(len(c.generators))
     return _homotopy_solve(c, rhs) is not None
 
@@ -456,7 +450,7 @@ def cone_iota(c: UComplex, iota: IotaMap) -> UComplex:
     # slot 2t holds m:x and slot 2t + 1 holds q:x, for x in c's slot t:
     # d m:x = m:dx + q:(1 + iota)x and d q:x = q:dx
     cols = []
-    for t, (d_t, iota_t) in enumerate(zip(c._cols, iota._columns(c))):
+    for t, (d_t, iota_t) in enumerate(zip(c._cols, iota._cols)):
         m = _spread(d_t)
         cols += [m | _spread(iota_t ^ 1 << t) << 1, m << 1]
     order = [g + half for g in c._order for half in (0, n)]

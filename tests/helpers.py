@@ -766,7 +766,7 @@ def random_pin_model(
             if t[i, j]
         ]
 
-    return PinModel(n, gens, qm, vm, dm, arrows)
+    return PinModel(n, gens, qm.tolist(), vm.tolist(), dm.tolist(), arrows)
 
 
 def random_s1_model(rng: random.Random, max_blocks: int = 2) -> SOneModel:
@@ -794,7 +794,7 @@ def random_s1_model(rng: random.Random, max_blocks: int = 2) -> SOneModel:
             for part in parts:
                 u_entries += [(part[j], part[j + 1]) for j in range(depth)]
             for j, name in enumerate(parts[0]):
-                arrows.append((name, depth - j))
+                arrows.append((name, 0, depth - j))
                 if len(parts) == 2:
                     d_entries.append((name, parts[1][j]))
     m = len(gens)
@@ -805,7 +805,7 @@ def random_s1_model(rng: random.Random, max_blocks: int = 2) -> SOneModel:
         um[index[tgt], index[src]] = 1
     for src, tgt in d_entries:
         dm[index[tgt], index[src]] = 1
-    return SOneModel(n, gens, um, dm, arrows)
+    return SOneModel(n, gens, um.tolist(), dm.tolist(), arrows)
 
 
 def rokhlin_check(report: AbcReport) -> int:
@@ -824,6 +824,14 @@ def ucomplex_from_matrix(gens, d_mat: np.ndarray) -> UComplex:
     matrix d_mat, read through the entry reader (which checks it again)."""
     return UComplex(gens, [(gens[j][0], gens[i][0], _forced_power(gens[j][1], gens[i][1], -1))
                            for i, j in zip(*np.nonzero(d_mat))])
+
+
+def iota_from_matrix(c: UComplex, mat: np.ndarray) -> IotaMap:
+    """The iota on c whose coefficient matrix is mat, read through the
+    entry reader, which refuses an entry of no degree-0 U-power."""
+    gens = c.generators
+    return IotaMap.of(c, [(gens[j][0], gens[i][0], _forced_power(gens[j][1], gens[i][1], 0))
+                          for i, j in zip(*np.nonzero(mat))])
 
 
 def random_ucomplex_with_iota(
@@ -885,14 +893,14 @@ def _tower_and_pairs_with_iota(rng, d_tower, shapes, iota_identity=False, conjug
         iota = la.f2_mul(la.f2_mul(p, iota), pinv)
         assert not la.f2_mul(dmat, dmat).any()
         c = ucomplex_from_matrix(gens, dmat)
-    return c, IotaMap(iota)
+    return c, iota_from_matrix(c, iota)
 
 
 def dual_ucomplex(c: UComplex, iota: IotaMap):
     """The orientation reverse: degrees negated, d and iota transposed."""
     gens = [(l, -d) for l, d in c.generators]
     dual = UComplex(gens, [(e["to"], e["from"], e["upower"]) for e in c.entry_list()])
-    return dual, IotaMap(iota.mat.T.copy())
+    return dual, iota_from_matrix(dual, iota.mat.T)
 
 
 def connected_sum(c1: UComplex, iota1: IotaMap, c2: UComplex, iota2: IotaMap):
@@ -905,7 +913,8 @@ def connected_sum(c1: UComplex, iota1: IotaMap, c2: UComplex, iota2: IotaMap):
     n1, n2 = len(c1.generators), len(c2.generators)
     d_mat = np.kron(c1.d_mat, la.f2_eye(n2)) ^ np.kron(la.f2_eye(n1), c2.d_mat)
     assert not la.f2_mul(d_mat, d_mat).any()
-    return ucomplex_from_matrix(gens, d_mat), IotaMap(np.kron(iota1.mat, iota2.mat))
+    c = ucomplex_from_matrix(gens, d_mat)
+    return c, iota_from_matrix(c, np.kron(iota1.mat, iota2.mat))
 
 
 def _random_allowed_automorphism(rng: random.Random, c: UComplex) -> np.ndarray:
@@ -931,7 +940,7 @@ def with_far_pair(c: UComplex, iota: IotaMap, degree: int, upower: int):
     n = len(c.generators)
     mat = la.f2_eye(n + 2)
     mat[:n, :n] = iota.mat
-    return big, IotaMap(mat)
+    return big, iota_from_matrix(big, mat)
 
 
 def random_ucomplex(rng: random.Random, max_towers: int = 4, max_pairs: int = 4) -> UComplex:
@@ -969,7 +978,7 @@ def homotopic_iota(rng: random.Random, c: UComplex, iota: IotaMap) -> IotaMap:
     """iota + dK + Kd for a random degree +1 F[U]-map K: a chain map
     homotopic to iota, whose square is the identity only up to homotopy."""
     k = random_fu_map(rng, c, 1)
-    return IotaMap(iota.mat ^ la.f2_mul(c.d_mat, k) ^ la.f2_mul(k, c.d_mat))
+    return iota_from_matrix(c, iota.mat ^ la.f2_mul(c.d_mat, k) ^ la.f2_mul(k, c.d_mat))
 
 
 def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False):

@@ -7,11 +7,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from homcob import fixtures
-from homcob.cli import main
+from homcob.cli import _dual_rows, main
 from homcob.equivariant import (
     PinModel,
     abc,
-    abc_of_reverse,
     coborel_tower_tops,
     localization_check,
     tower_bottoms,
@@ -97,7 +96,9 @@ def test_acceptance_03_duality():
     for n in (0, 2, -2):
         m = PinModel(n, [], [], [], [], [])
         r = abc(m)
-        assert abc_of_reverse(m) == (-r.gamma, -r.beta, -r.alpha)
+        rows = dict(_dual_rows(None, m))
+        assert (rows["alpha_reverse"], rows["beta_reverse"], rows["gamma_reverse"]) == (
+            -r.gamma, -r.beta, -r.alpha)
         A, B, C = tower_bottoms(m)
         assert coborel_tower_tops(m) == window_coborel_tops(m) == (-A, -B, -C)
     elapsed = time.perf_counter() - t0

@@ -55,7 +55,7 @@ CORPUS = [load_input(f"fixtures:{n}")[0] for n in FIXTURES] + [
     with_isolated_generator(SOneModel(
         0, [("z1", 3), ("z0", 1), ("x", 5), ("y", 4)],
         [[0] * 4, [1, 0, 0, 0], [0] * 4, [0] * 4],
-        [[0] * 4] * 3 + [[0, 0, 1, 0]], [("z1", 1), ("z0", 0)]), 7).to_json(),
+        [[0] * 4] * 3 + [[0, 0, 1, 0]], [("z1", 0, 1), ("z0", 0, 0)]), 7).to_json(),
 ]
 OTHER_TYPES = ["x", "1", 1.5, None, True, [], {}, [[]], -1, 2]
 EXAMPLE_DEADLINE_MS = 100

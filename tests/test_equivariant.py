@@ -3,18 +3,16 @@ import json
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from homcob import equivariant, fixtures
 from homcob import f2linalg as la
-from homcob.cli import main, run
+from homcob.cli import _dual_rows, main, run
 from homcob.equivariant import (
     PinModel,
     SOneModel,
     TowerArrow,
     abc,
-    abc_of_reverse,
     coborel_tower_tops,
     delta_invariant,
     localization_check,
@@ -49,6 +47,13 @@ TRIPLE_KILLER = PinModel(
     Z3,
     [("z", 2, 0), ("qz", 1, 0), ("q2z", 0, 0)],
 )
+
+
+def reverse_triple(model):
+    """(alpha, beta, gamma) of the orientation reverse, as `homcob dual`
+    reports them."""
+    rows = dict(_dual_rows(None, model))
+    return rows["alpha_reverse"], rows["beta_reverse"], rows["gamma_reverse"]
 
 
 def window_dims(model, lo, hi):
@@ -105,8 +110,12 @@ def test_lone_tower_arrow_without_q_partner_rejected():
 def test_s1_tower_arrow_has_one_level():
     with pytest.raises(InputError, match="0 <= a < 1"):
         SOneModel(0, [("z", 2)], [[0]], [[0]], [TowerArrow("z", 1, 0)])
-    m = SOneModel(0, [("z", 1)], [[0]], [[0]], [TowerArrow("z", 0, 0), ("z", 0)])
+    m = SOneModel(0, [("z", 1)], [[0]], [[0]], [TowerArrow("z", 0, 0), ("z", 0, 0)])
     assert m.d_to_tower == [TowerArrow("z", 0, 0)] * 2
+    # the JSON arrow of a one-level model names no level: a = 0
+    data = {"reducible_degree": 0, "finite": [{"label": "z", "degree": 1}],
+            "u": [[0]], "d_fin": [[0]], "d_to_tower": [{"from": "z", "b": 0}]}
+    assert SOneModel.from_json(data).d_to_tower == [TowerArrow("z", 0, 0)]
 
 
 def test_borel_homology_killer_drops_degree_two():
@@ -288,19 +297,21 @@ def test_tower_commands_need_no_numpy_read(monkeypatch, tmp_path):
     assert [run(argv) for argv in jobs] == want
 
 
-def test_numpy_views_are_the_input_matrices():
-    """d_fin and the <field>_op views, unpacked from the packed rows, equal
-    la.f2 of the input matrices, shape and dtype included."""
+def test_to_json_writes_back_the_input_matrices():
+    """to_json unpacks each packed matrix into the input's lists of plain
+    ints 0 and 1, and the model it writes reads back as the same model."""
     inputs = [fixtures.load(name)[0] for name in fixtures.fixture_names()
               if fixtures.describe(name) in ("pin_model", "s1_model")]
     inputs += [m.to_json() for m in random_models(47, 20)]
     for data in inputs:
         m = (PinModel if data["kind"] == "pin_model" else SOneModel).from_json(data)
+        out = m.to_json()
         for field in [f for _, f, _, _ in m.OPS] + ["d_fin"]:
-            view = getattr(m, "d_fin" if field == "d_fin" else f"{field}_op")
-            want = la.f2(data[field])
-            assert view.dtype == want.dtype and view.shape == want.shape == (len(m.finite),) * 2
-            assert np.array_equal(view, want), field
+            assert out[field] == data.get(field, []), field
+            assert {type(x) for row in out[field] for x in row} <= {int}
+        back = type(m).from_json(json.loads(json.dumps(out)))
+        assert back._rows == m._rows and back.d_to_tower == m.d_to_tower
+        assert back.to_json() == out
 
 
 # -- localization ---------------------------------------------------------------
@@ -340,11 +351,11 @@ def test_tower_bottoms_requires_tower():
 
 
 def test_reverse_of_poincare():
-    assert abc_of_reverse(POINCARE) == (-1, -1, -1)
+    assert reverse_triple(POINCARE) == (-1, -1, -1)
 
 
 def test_reverse_of_s3():
-    assert abc_of_reverse(S3) == (0, 0, 0)
+    assert reverse_triple(S3) == (0, 0, 0)
 
 
 def test_reverse_is_involution():
@@ -352,7 +363,7 @@ def test_reverse_is_involution():
     for _ in range(10):
         m = random_pin_model(rng)
         a, b, g = abc(m).triple()
-        ra, rb, rg = abc_of_reverse(m)
+        ra, rb, rg = reverse_triple(m)
         assert (ra, rb, rg) == (-g, -b, -a)
         assert (-rg, -rb, -ra) == (a, b, g)
 
@@ -404,17 +415,18 @@ def test_monotonicity_under_acyclic_sum():
         m = random_pin_model(rng, max_blocks=1, conjugate=False)
         gens = list(m.finite) + [("pax", 9), ("pay", 8)]
         k = len(m.finite)
+        data = m.to_json()
         grow = lambda mat: [
-            [int(mat[i][j]) if i < k and j < k else 0 for j in range(k + 2)]
+            [mat[i][j] if i < k and j < k else 0 for j in range(k + 2)]
             for i in range(k + 2)
         ]
-        d = grow(m.d_fin)
+        d = grow(data["d_fin"])
         d[k + 1][k] = 1  # pax -> pay
         m2 = PinModel(
             m.reducible_degree,
             gens,
-            grow(m.q_op),
-            grow(m.v_op),
+            grow(data["q"]),
+            grow(data["v"]),
             d,
             [(a.source, a.a, a.b) for a in m.d_to_tower],
         )
@@ -464,7 +476,7 @@ def test_delta_shifted_poincare():
 
 
 def test_delta_killed_bottom():
-    m = SOneModel(0, [("z", 1)], [[0]], [[0]], [("z", 0)])
+    m = SOneModel(0, [("z", 1)], [[0]], [[0]], [("z", 0, 0)])
     assert delta_invariant(m) == 1
 
 
@@ -538,7 +550,7 @@ def test_one_tower_read_is_one_reduction(monkeypatch):
         tower_bottoms(m)
         # the one reduction is of the packed columns of [T; d_fin]
         targets, t = m._tower_rows()
-        stacked = np.vstack([la._unpack_rows(t, len(m.finite)), m.d_fin])
+        stacked = la._unpack_rows(t + m._rows["d_fin"], len(m.finite))
         assert calls == [la._pack_rows(stacked.T)]
 
 
@@ -549,7 +561,7 @@ def test_a_target_hit_with_a_finite_cycle_is_no_boundary():
     bits; with T on top it would claim (0, 0) as a boundary."""
     zero = [[0, 0], [0, 0]]
     pin = PinModel(0, [("x", 1), ("y", 0)], zero, zero, [[0, 0], [1, 0]], [("x", 0, 0)])
-    s1 = SOneModel(0, [("x", 1), ("y", 0)], zero, [[0, 0], [1, 0]], [("x", 0)])
+    s1 = SOneModel(0, [("x", 1), ("y", 0)], zero, [[0, 0], [1, 0]], [("x", 0, 0)])
     assert tower_bottoms(pin) == window_pin_bottoms(pin) == (0, 1, 2)
     assert tower_bottoms(s1) == (window_delta_bottom(s1),) == (0,)
 
@@ -563,10 +575,10 @@ def test_tower_reads_build_no_window(monkeypatch):
     for m in fixture_models() + [TRIPLE_KILLER] + random_models(5, 40):
         if isinstance(m, PinModel):
             r = abc(m)
-            assert abc_of_reverse(m) == (-r.gamma, -r.beta, -r.alpha)
+            assert reverse_triple(m) == (-r.gamma, -r.beta, -r.alpha)
             for offset in (-100_000, 100_000):
                 far = with_acyclic_pair(m, m.reducible_degree + offset)
-                assert abc(far) == r and abc_of_reverse(far) == abc_of_reverse(m)
+                assert abc(far) == r and reverse_triple(far) == reverse_triple(m)
         else:
             delta = delta_invariant(m)
             for offset in (-100_000, 100_000):
@@ -609,9 +621,8 @@ def _mutations(m):
     """Every one-entry flip of d_fin and of the operators that keeps degrees,
     and every tower arrow that could be toggled."""
     degs = [d for _, d in m.finite]
-    shifts = {"d_fin": -1, **({"q_op": -1, "v_op": -4} if isinstance(m, PinModel)
-                             else {"u_op": -2})}
-    out = [(attr, i, j) for attr, shift in shifts.items()
+    shifts = {"d_fin": -1, **{field: shift for _, field, shift, _ in m.OPS}}
+    out = [(field, i, j) for field, shift in shifts.items()
            for i, di in enumerate(degs) for j, dj in enumerate(degs) if di == dj + shift]
     for label, d in m.finite:
         r = d - 1 - m.reducible_degree
@@ -629,7 +640,8 @@ def _mutated(m, mutation):
         else:
             out.d_to_tower.append(arrow)
     else:
-        getattr(out, mutation[0])[mutation[1:]] ^= 1
+        field, i, j = mutation
+        out._rows[field][i] ^= 1 << j
     return out
 
 

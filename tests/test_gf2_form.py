@@ -10,7 +10,9 @@ degree-window reference that no command builds, name those entry points.
 No module gives an integer matrix a dense mod-2 copy (`mod2`).
 `simplicial` holds each mod-2 cochain as one packed int, as its boundary
 rows are: it imports no numpy and names none of the numpy converters
-(`f2`, `_pack_rows`, `_unpack_rows`) or `_solve_packed`.  Each module of
+(`f2`, `_pack_rows`, `_unpack_rows`) or `_solve_packed`.  `equivariant`
+holds each finite-part matrix of a tower model as packed rows only, so it
+imports no numpy and names none of the converters either.  Each module of
 the package is read from its source.
 """
 
@@ -63,3 +65,9 @@ def test_simplicial_keeps_its_cochains_packed():
     path = SRC / "simplicial.py"
     assert "numpy" not in _imports(path)
     assert {"f2", "_pack_rows", "_unpack_rows", "_solve_packed"} & _names(path) == set()
+
+
+def test_equivariant_keeps_its_model_matrices_packed():
+    path = SRC / "equivariant.py"
+    assert "numpy" not in _imports(path)
+    assert {"f2", "_pack_rows", "_unpack_rows"} & _names(path) == set()

@@ -35,6 +35,7 @@ from helpers import (
     falling_degree_tower_bottoms,
     homotopic_iota,
     homotopy_solve_oracle,
+    iota_from_matrix,
     iota_localized_identity,
     random_fu_map,
     random_ucomplex,
@@ -127,7 +128,7 @@ def test_support_check_is_exact_beyond_int64(big):
         # deg up to deg + 2 at shift 0: U^1; not at shift 1
         assert _forced_power(degs[0], degs[3], 0) == 1
         assert _forced_power(degs[0], degs[3], 1) is None
-        # validate_iota reads iota's support by the same rule, on d = 0,
+        # the iota reader checks its support by the same rule, on d = 0,
         # where iota = 1 + (one entry) squares to the identity
         c = UComplex([(str(g), deg) for g, deg in enumerate(degs)], [])
         low, high = (2, 0) if sign > 0 else (0, 2)
@@ -138,25 +139,31 @@ def test_support_check_is_exact_beyond_int64(big):
             mat = np.eye(4, dtype=np.uint8)
             mat[tgt, src] = 1
             if ok:
-                assert validate_iota(c, IotaMap(mat))
+                assert validate_iota(c, iota_from_matrix(c, mat))
             else:
-                with pytest.raises(InputError, match="not degree homogeneous of degree 0"):
-                    validate_iota(c, IotaMap(mat))
+                with pytest.raises(InputError, match="no degree 0 entry possible"):
+                    iota_from_matrix(c, mat)
 
 
-def test_validate_iota_rejects_a_raw_map_of_the_wrong_shape():
-    c, iota = fixture_models()[0]
-    n = len(c.generators)
-    for shape in ((n + 1, n + 1), (n, n + 1), (0, 0)):
-        with pytest.raises(InputError, match="iota has the wrong shape"):
-            validate_iota(c, IotaMap(np.zeros(shape, np.uint8)))
-    assert validate_iota(c, iota)
+def test_an_iota_read_against_another_complex_is_refused():
+    # the same generators and maps, read twice: the sizes match, yet an
+    # iota belongs to the complex it was read against
+    rng = random.Random(3435)
+    models = fixture_models() + [random_ucomplex_with_iota(rng) for _ in range(10)]
+    for c, iota in models:
+        other, _ = UComplex.from_json(c.to_json(iota))
+        for check in (validate_iota, one_plus_iota_nullhomotopic, cone_iota,
+                      involutive_correction_terms):
+            with pytest.raises(InputError, match="iota was read against another complex"):
+                check(other, iota)
+        assert validate_iota(c, iota)
+        one_plus_iota_nullhomotopic(c, iota)
 
 
-def test_validate_iota_scans_the_support_only_of_a_map_not_read_against_c(monkeypatch):
-    # `of` has refused every entry without a forced power, so validate_iota
-    # asks the U-power rule nothing for a map read against the same complex;
-    # iota^2 = 1 here, so the homotopy solve asks it nothing either
+def test_validate_iota_never_asks_the_u_power_rule(monkeypatch):
+    # the entry reader has refused every entry without a forced power, so
+    # validate_iota asks the U-power rule nothing; iota^2 = 1 here, so the
+    # homotopy solve asks it nothing either
     rng = random.Random(3434)
     docs = [c.to_json(iota) for c, iota in
             [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(20)]]
@@ -165,14 +172,10 @@ def test_validate_iota_scans_the_support_only_of_a_map_not_read_against_c(monkey
     monkeypatch.setattr(involutive, "_forced_power", lambda *a: calls.append(a) or forced(*a))
     for doc in docs:
         c, iota = UComplex.from_json(doc)
-        other, _ = UComplex.from_json(doc)
-        n, nonzeros = len(c.generators), int(iota.mat.sum())
+        n = len(c.generators)
         assert not (la.f2_mul(iota.mat, iota.mat) ^ la.f2_eye(n)).any()
         calls.clear()
         assert validate_iota(c, iota) and calls == []
-        assert validate_iota(c, IotaMap(iota.mat)) and len(calls) == nonzeros
-        calls.clear()
-        assert validate_iota(other, iota) and len(calls) == nonzeros
 
 
 def _minus_sigma237_with(edit):
@@ -729,8 +732,10 @@ def test_homotopic_iota_gives_the_same_correction_terms():
     for _ in range(40):
         c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
         moved = homotopic_iota(rng, c, iota)
-        for (base, i), (_, j) in zip(((c, iota), dual_ucomplex(c, iota)),
-                                     ((c, moved), dual_ucomplex(c, moved))):
+        # both maps on the dual are read against the one dual complex
+        dual, dual_iota = dual_ucomplex(c, iota)
+        dual_moved = iota_from_matrix(dual, moved.mat.T)
+        for base, i, j in ((c, iota, moved), (dual, dual_iota, dual_moved)):
             assert validate_iota(base, j)
             square = la.f2_mul(j.mat, j.mat) ^ la.f2_eye(len(base.generators))
             squares_off_identity += bool(square.any())
