@@ -81,6 +81,11 @@ def load_input(path_or_fixture: str) -> tuple[dict, str]:
             raise InputError(f"{path_or_fixture} is not UTF-8 text: {e}") from e
         except json.JSONDecodeError as e:
             raise InputError(f"invalid JSON in {path_or_fixture}: {e}") from e
+        except RecursionError as e:
+            raise InputError(f"invalid JSON in {path_or_fixture}: nested too deeply") from e
+        except ValueError as e:  # an integer past Python's digit limit
+            raise InputError(f"invalid JSON in {path_or_fixture}: an integer has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from e
     if not isinstance(data, dict) or "kind" not in data:
         raise InputError("input must be a JSON object with a 'kind' field")
     return data, hashlib.sha256(raw).hexdigest()[:16]

@@ -122,15 +122,7 @@ def _read_matrix(value, kind: str, field: str, degrees: list[int],
 def _mul(a: list[int], b: list[int]) -> list[int]:
     """The GF(2) product of two matrices given as packed rows: row i is the
     XOR of the rows of b at the set bits of row i of a."""
-    out = []
-    for row in a:
-        acc = 0
-        while row:
-            j = row.bit_length() - 1
-            acc ^= b[j]
-            row ^= 1 << j
-        out.append(acc)
-    return out
+    return [la._apply(b, row) for row in a]
 
 
 class TowerArrow(NamedTuple):

@@ -13,10 +13,11 @@ columns are the one form of each map.  An iota is always read against
 its complex (`IotaMap.of`; `IotaMap.identity` is that complex's
 identity), so every entry has its forced U-power before `validate_iota`
 sees it, and `validate_iota` and the split test refuse an iota read
-against another complex.  The numpy matrices `UComplex.d_mat` and
-`IotaMap.mat`, in generator order, are unpacked from the columns on first
-use, for the products of `f2_mul` (`validate_iota` and the homotopy
-solve), `to_json` and the tests.
+against another complex.  Every product of two maps is taken on these
+columns by `f2linalg._apply`: column t of A B is A applied to B's column
+t.  So the chain-map check, iota^2 + 1, 1 + iota, the homotopy solve and
+its certificate are XORs of packed columns, and `to_json` reads its
+entries from them.
 
 Towers are read from one column reduction of d (`UComplex._reduce`).
 Order the generators by falling degree (ties by index), generator
@@ -50,17 +51,17 @@ U-power of its lowest term divided out).  In the falling-degree order the
 matrix P^-1 of this basis is unitriangular and each entry adds a
 generator into one of lower or equal degree, so P is a degree-preserving
 F[U] change of basis, read from P^-1 by back-substitution on its packed
-columns, and N = P d P^-1 has one 1 at (low(j), j) for each
-pair and no other entry: d is a sum of blocks, one per pair and one per
-unpaired generator.  A homotopy dH + Hd = R becomes N H' + H' N = R' with
-H' = P H P^-1 and R' = P R P^-1.  N has no entry between blocks, so the
+columns, and N = P d P^-1 has one 1 at (low(j), j) for each pair and no
+other entry: d is a sum of blocks, one per pair and one per unpaired
+slot.  P, P^-1, the pairs and the blocks all stay in slot order.  A
+homotopy dH + Hd = R becomes N H' + H' N = R' with H' = P H P^-1 and
+R' = P R P^-1.  N has no entry between blocks, so the
 part of N H' + H' N from block B to block A involves H'[A, B] alone: the
 equation splits into one system of at most 4 unknowns and 4 equations
 per pair of blocks, and the pairs with R'[A, B] = 0 take H'[A, B] = 0;
 R = 0 itself takes H = 0 with no product at all.  Each system is built
 as packed columns, with its right-hand side packed from the nonzeros of
-R', and goes to the packed core of `f2linalg.solve_f2` with no numpy
-round trip.
+R', and goes to `f2linalg._solve_packed`.
 H -> P H P^-1 is a bijection of degree +1 F[U]-maps, so a block with
 no solution means that no H exists: None is exact.  Every H = P^-1 H' P
 returned is checked against dH + Hd = R.
@@ -112,10 +113,7 @@ laws on homology dimensions are tested against; no command builds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
-
-import numpy as np
 
 from . import f2linalg as la
 from .errors import InputError, InternalError, ModelInvalidError, as_int
@@ -154,23 +152,12 @@ def _read_entries(c: "UComplex", entries, shift: int, what: str) -> list[int]:
     return cols
 
 
-def _apply(cols: list[int], x: int) -> int:
-    """The image of the packed vector x under the map with packed columns
-    cols: the XOR of cols[r] over the bits r of x."""
-    y = 0
+def _bits(x: int):
+    """The set bits r of the packed vector x, lowest first."""
     while x:
-        top = x.bit_length() - 1
-        y ^= cols[top]
-        x ^= 1 << top
-    return y
-
-
-def _matrix(cols: list[int], slot: list[int]) -> np.ndarray:
-    """The coefficient matrix, rows and columns in generator order, of the
-    map whose packed columns are `cols` in slot order (generator g in slot
-    slot[g]): a transposed view of the unpacked columns."""
-    where = np.array(slot, dtype=np.intp)
-    return la._unpack_rows(cols, len(cols))[where][:, where].T
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 # _SPREAD[b]: the byte b with bit r moved to bit 2r, as two little-endian bytes
@@ -186,13 +173,15 @@ def _spread(x: int) -> int:
     return int.from_bytes(b"".join(map(_SPREAD.__getitem__, data)), "little")
 
 
-def _entry_list(c: "UComplex", mat: np.ndarray, shift: int) -> list[dict]:
-    """The nonzeros of a degree-`shift` map as entries, column by column."""
-    gens = c.generators
+def _entry_list(c: "UComplex", cols: list[int], shift: int) -> list[dict]:
+    """The nonzeros of the degree-`shift` map with packed columns `cols` in
+    c's slot order, as entries: column by column, rows within a column,
+    both in generator order."""
+    gens, order = c.generators, c._order
     return [
         {"from": gens[j][0], "to": gens[i][0],
          "upower": _forced_power(gens[j][1], gens[i][1], shift)}
-        for j, i in zip(*np.nonzero(mat.T))
+        for j, t in enumerate(c._slot) for i in sorted(order[r] for r in _bits(cols[t]))
     ]
 
 
@@ -200,9 +189,7 @@ class UComplex:
     """Free graded complex over F[U]; differential entries carry the
     degree-forced U-power.  The differential is kept as packed columns in
     slot order (`_order[t]` is the generator in slot t, `_slot` its
-    inverse); its coefficient matrix `d_mat`, in generator order, is
-    unpacked on first use, for the products of `validate_iota` and the
-    homotopy solve, `to_json` and the tests."""
+    inverse)."""
 
     def __init__(self, generators, differential):
         """Generators (label, degree) and the differential's (from, to,
@@ -213,7 +200,7 @@ class UComplex:
             raise InputError("duplicate generator labels")
         self._setup(gens, sorted(range(len(gens)), key=lambda g: (-gens[g][1], g)))
         self._cols = _read_entries(self, differential, -1, "differential")
-        if any(_apply(self._cols, col) for col in self._cols):
+        if any(la._apply(self._cols, col) for col in self._cols):
             raise InputError("differential does not square to zero")
 
     @classmethod
@@ -236,13 +223,11 @@ class UComplex:
             self._slot[g] = t
         self._reduction = None
 
-    d_mat = cached_property(lambda self: _matrix(self._cols, self._slot))
-
     def degrees(self) -> list[int]:
         return [d for _, d in self.generators]
 
     def entry_list(self) -> list[dict]:
-        return _entry_list(self, self.d_mat, -1)
+        return _entry_list(self, self._cols, -1)
 
     def to_json(self, iota: "IotaMap | None" = None) -> dict:
         data = {
@@ -251,7 +236,7 @@ class UComplex:
             "differential": self.entry_list(),
         }
         if iota is not None:
-            data["iota"] = _entry_list(self, iota.mat, 0)
+            data["iota"] = _entry_list(self, iota._cols, 0)
         return data
 
     @classmethod
@@ -296,23 +281,21 @@ class UComplex:
         return towers
 
     def normal_form(self):
-        """(P, P^-1, pairs): a degree-preserving F[U] change of basis and
-        the pairs (i, j) of N = P d P^-1, whose only nonzeros are the 1s at
-        them (module docstring).  Built from the column reduction of d.
-        In slot order P^-1 is upper unitriangular: its column t is e_t plus
-        earlier slots.  So P e_t = e_t + sum of P e_s over those slots s,
-        and P comes column by column, in slot order, by back-substitution
-        on the packed columns."""
+        """(P, P^-1, pairs) in slot order: a degree-preserving F[U] change
+        of basis as packed columns, and the slot pairs (low, s) of
+        N = P d P^-1, whose only nonzeros are the 1s at them (module
+        docstring).  Built from the column reduction of d.  P^-1 is upper
+        unitriangular: its column t is e_t plus earlier slots.  So
+        P e_t = e_t + sum of P e_s over those slots s, and P comes column by
+        column, in slot order, by back-substitution."""
         cols, ops, owner = self._reduce()
-        slots = ops[:]  # column t of P^-1: V_t, or R_s = d V_s in slot low(s)
+        p_inv = ops[:]  # column t: V_t, or R_s = d V_s in slot low(s)
         for low, s in owner.items():
-            slots[low] = cols[s]
-        inv = []
-        for t, col in enumerate(slots):
-            inv.append(1 << t ^ _apply(inv, col ^ 1 << t))
-        p_inv, p = _matrix(slots, self._slot), _matrix(inv, self._slot)
-        order = self._order
-        return p, p_inv, [(order[low], order[s]) for low, s in owner.items()]
+            p_inv[low] = cols[s]
+        p = []
+        for t, col in enumerate(p_inv):
+            p.append(1 << t ^ la._apply(p, col ^ 1 << t))
+        return p, p_inv, list(owner.items())
 
     # -- plus flavor -----------------------------------------------------
 
@@ -344,8 +327,7 @@ class UComplex:
 class IotaMap:
     """Grading-preserving F[U]-linear map on a complex c (U-powers forced
     by degrees), read against c: it keeps c and its packed columns in c's
-    slot order; its matrix `mat` is unpacked on first use.  `of` and
-    `identity` are the constructors."""
+    slot order.  `of` and `identity` are the constructors."""
 
     def __init__(self, c: UComplex, cols: list[int]):
         """The map on c with the packed columns `cols` in c's slot order,
@@ -362,8 +344,6 @@ class IotaMap:
         each checked by the entry reader."""
         return cls(c, _read_entries(c, entries, 0, "iota"))
 
-    mat = cached_property(lambda self: _matrix(self._cols, self._complex._slot))
-
 
 def _check_read_against(c: UComplex, iota: IotaMap):
     """InputError unless iota was read against c itself."""
@@ -371,32 +351,31 @@ def _check_read_against(c: UComplex, iota: IotaMap):
         raise InputError("iota was read against another complex")
 
 
-def _homotopy_solve(c: UComplex, rhs: np.ndarray):
-    """Solve dH + Hd = rhs for a degree +1 F[U]-map H; returns the H
-    matrix or None.  In the normal form N = P d P^-1 the equation
-    N H' + H' N = P rhs P^-1 splits into one system of at most 4 unknowns
-    per pair of blocks (module docstring).  A zero rhs is answered by
-    H = 0 at once, since dH + Hd = 0 for it.  Any other H = P^-1 H' P is
-    certified."""
+def _homotopy_solve(c: UComplex, rhs: list[int]):
+    """Solve dH + Hd = rhs for a degree +1 F[U]-map H, both as packed
+    columns in c's slot order; returns H or None.  In the normal form
+    N = P d P^-1 the equation N H' + H' N = P rhs P^-1 splits into one
+    system of at most 4 unknowns per pair of blocks (module docstring).  A
+    zero rhs is answered by H = 0 at once, since dH + Hd = 0 for it.  Any
+    other H = P^-1 H' P is certified."""
     n = len(c.generators)
-    degs = c.degrees()
-    h = la.f2_zeros(n, n)
-    if not rhs.any():
+    h = [0] * n
+    if not any(rhs):
         return h
+    degs = [c.generators[g][1] for g in c._order]
     p, p_inv, pairs = c.normal_form()
-    target = {j: i for i, j in pairs}  # N x_j = x_i
-    source = {i: j for i, j in pairs}
-    blocks = [(s,) for s in range(n)]
-    for i, j in pairs:
-        blocks[i] = blocks[j] = (i, j)
-    r = la.f2_mul(la.f2_mul(p, rhs), p_inv)
-    rows, cols = (ix.tolist() for ix in np.nonzero(r))
-    for a, b in {(blocks[i], blocks[j]) for i, j in zip(rows, cols)}:
+    target = {s: low for low, s in pairs}  # N x_s = x_low
+    source = {low: s for low, s in pairs}
+    blocks = [(t,) for t in range(n)]
+    for low, s in pairs:
+        blocks[low] = blocks[s] = (low, s)
+    r = [la._apply(p, la._apply(rhs, col)) for col in p_inv]  # column t: P rhs P^-1 e_t
+    for a, b in {(blocks[i], blocks[j]) for j, col in enumerate(r) for i in _bits(col)}:
         # (N H' + H' N)[a, b] involves H'[a, b] only: the unknown H'[x, y]
         # enters at (N x, y) and at (x, N^T y); the equations are the
         # cells, packed in this order
         cells = {e: row for row, e in enumerate((x, y) for x in a for y in b)}
-        bits = sum(1 << row for e, row in cells.items() if r[e])
+        bits = sum(1 << row for (x, y), row in cells.items() if r[y] >> x & 1)
         unknowns = [(x, y) for x, y in cells
                     if _forced_power(degs[y], degs[x], 1) is not None]
         system = []
@@ -408,11 +387,12 @@ def _homotopy_solve(c: UComplex, rhs: np.ndarray):
         sol = la._solve_packed(system, [bits])
         if sol is None:
             return None
-        for k, e in enumerate(unknowns):
+        for k, (x, y) in enumerate(unknowns):
             if sol[0] >> k & 1:
-                h[e] = 1
-    h = la.f2_mul(la.f2_mul(p_inv, h), p)
-    if (la.f2_mul(c.d_mat, h) ^ la.f2_mul(h, c.d_mat) ^ rhs).any():
+                h[y] ^= 1 << x
+    h = [la._apply(p_inv, la._apply(h, col)) for col in p]  # column t: P^-1 H' P e_t
+    d = c._cols
+    if any(la._apply(d, h_t) ^ la._apply(h, d_t) ^ rhs_t for h_t, d_t, rhs_t in zip(h, d, rhs)):
         raise InternalError("homotopy solve returned H with dH + Hd != rhs")
     return h
 
@@ -421,10 +401,10 @@ def validate_iota(c: UComplex, iota: IotaMap) -> bool:
     """Chain map with iota^2 homotopic to the identity, or InputError.
     The entry reader has checked the U-power of every entry of iota."""
     _check_read_against(c, iota)
-    n = len(c.generators)
-    if (la.f2_mul(iota.mat, c.d_mat) ^ la.f2_mul(c.d_mat, iota.mat)).any():
+    d, i = c._cols, iota._cols
+    if any(la._apply(i, d_t) ^ la._apply(d, i_t) for d_t, i_t in zip(d, i)):
         raise InputError("iota is not a chain map")
-    sq = la.f2_mul(iota.mat, iota.mat) ^ la.f2_eye(n)
+    sq = [la._apply(i, i_t) ^ 1 << t for t, i_t in enumerate(i)]
     if _homotopy_solve(c, sq) is None:
         raise InputError("iota^2 is not chain homotopic to the identity")
     return True
@@ -432,8 +412,7 @@ def validate_iota(c: UComplex, iota: IotaMap) -> bool:
 
 def one_plus_iota_nullhomotopic(c: UComplex, iota: IotaMap) -> bool:
     _check_read_against(c, iota)
-    rhs = iota.mat ^ la.f2_eye(len(c.generators))
-    return _homotopy_solve(c, rhs) is not None
+    return _homotopy_solve(c, [i_t ^ 1 << t for t, i_t in enumerate(iota._cols)]) is not None
 
 
 def cone_iota(c: UComplex, iota: IotaMap) -> UComplex:

@@ -819,6 +819,35 @@ def rokhlin_check(report: AbcReport) -> int:
 # involutive inputs
 
 
+def slot_matrix(cols: list[int]) -> np.ndarray:
+    """The 0/1 matrix of the packed columns cols, rows and columns in slot
+    order: entry (r, t) is bit r of cols[t]."""
+    return la._unpack_rows(cols, len(cols)).T
+
+
+def generator_matrix(c: UComplex, cols: list[int]) -> np.ndarray:
+    """The coefficient matrix, rows and columns in c's generator order, of
+    the map with packed columns cols in c's slot order (generator g in
+    slot c._slot[g])."""
+    return slot_matrix(cols)[np.ix_(c._slot, c._slot)]
+
+
+def slot_columns(c: UComplex, mat) -> list[int]:
+    """The packed columns in c's slot order of the generator-order matrix
+    mat: the inverse of generator_matrix."""
+    return la._pack_rows(la.f2(mat)[np.ix_(c._order, c._order)].T)
+
+
+def d_matrix_of(c: UComplex) -> np.ndarray:
+    """c's differential as a coefficient matrix in generator order."""
+    return generator_matrix(c, c._cols)
+
+
+def iota_matrix_of(iota: IotaMap) -> np.ndarray:
+    """iota as a coefficient matrix in its complex's generator order."""
+    return generator_matrix(iota._complex, iota._cols)
+
+
 def ucomplex_from_matrix(gens, d_mat: np.ndarray) -> UComplex:
     """The complex on `gens` whose differential has the coefficient
     matrix d_mat, read through the entry reader (which checks it again)."""
@@ -889,7 +918,7 @@ def _tower_and_pairs_with_iota(rng, d_tower, shapes, iota_identity=False, conjug
     if conjugate and n > 1:
         p = _random_allowed_automorphism(rng, c)
         pinv = f2_inverse(p)
-        dmat = la.f2_mul(la.f2_mul(p, c.d_mat), pinv)
+        dmat = la.f2_mul(la.f2_mul(p, d_matrix_of(c)), pinv)
         iota = la.f2_mul(la.f2_mul(p, iota), pinv)
         assert not la.f2_mul(dmat, dmat).any()
         c = ucomplex_from_matrix(gens, dmat)
@@ -900,7 +929,7 @@ def dual_ucomplex(c: UComplex, iota: IotaMap):
     """The orientation reverse: degrees negated, d and iota transposed."""
     gens = [(l, -d) for l, d in c.generators]
     dual = UComplex(gens, [(e["to"], e["from"], e["upower"]) for e in c.entry_list()])
-    return dual, iota_from_matrix(dual, iota.mat.T)
+    return dual, iota_from_matrix(dual, iota_matrix_of(iota).T)
 
 
 def connected_sum(c1: UComplex, iota1: IotaMap, c2: UComplex, iota2: IotaMap):
@@ -911,10 +940,10 @@ def connected_sum(c1: UComplex, iota1: IotaMap, c2: UComplex, iota2: IotaMap):
     follow from the degrees."""
     gens = [(f"{l1}*{l2}", d1 + d2) for l1, d1 in c1.generators for l2, d2 in c2.generators]
     n1, n2 = len(c1.generators), len(c2.generators)
-    d_mat = np.kron(c1.d_mat, la.f2_eye(n2)) ^ np.kron(la.f2_eye(n1), c2.d_mat)
+    d_mat = np.kron(d_matrix_of(c1), la.f2_eye(n2)) ^ np.kron(la.f2_eye(n1), d_matrix_of(c2))
     assert not la.f2_mul(d_mat, d_mat).any()
     c = ucomplex_from_matrix(gens, d_mat)
-    return c, iota_from_matrix(c, np.kron(iota1.mat, iota2.mat))
+    return c, iota_from_matrix(c, np.kron(iota_matrix_of(iota1), iota_matrix_of(iota2)))
 
 
 def _random_allowed_automorphism(rng: random.Random, c: UComplex) -> np.ndarray:
@@ -939,7 +968,7 @@ def with_far_pair(c: UComplex, iota: IotaMap, degree: int, upower: int):
     big = UComplex(gens, entries + [("far_x", "far_y", upower)])
     n = len(c.generators)
     mat = la.f2_eye(n + 2)
-    mat[:n, :n] = iota.mat
+    mat[:n, :n] = iota_matrix_of(iota)
     return big, iota_from_matrix(big, mat)
 
 
@@ -958,7 +987,7 @@ def random_ucomplex(rng: random.Random, max_towers: int = 4, max_pairs: int = 4)
     if len(gens) < 2:
         return c
     p = _random_allowed_automorphism(rng, c)
-    d_mat = la.f2_mul(la.f2_mul(p, c.d_mat), f2_inverse(p))
+    d_mat = la.f2_mul(la.f2_mul(p, d_matrix_of(c)), f2_inverse(p))
     assert not la.f2_mul(d_mat, d_mat).any()
     return ucomplex_from_matrix(gens, d_mat)
 
@@ -977,8 +1006,8 @@ def random_fu_map(rng: random.Random, c: UComplex, shift: int):
 def homotopic_iota(rng: random.Random, c: UComplex, iota: IotaMap) -> IotaMap:
     """iota + dK + Kd for a random degree +1 F[U]-map K: a chain map
     homotopic to iota, whose square is the identity only up to homotopy."""
-    k = random_fu_map(rng, c, 1)
-    return iota_from_matrix(c, iota.mat ^ la.f2_mul(c.d_mat, k) ^ la.f2_mul(k, c.d_mat))
+    k, d = random_fu_map(rng, c, 1), d_matrix_of(c)
+    return iota_from_matrix(c, iota_matrix_of(iota) ^ la.f2_mul(d, k) ^ la.f2_mul(k, d))
 
 
 def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False):
@@ -989,6 +1018,7 @@ def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False)
     the library's.  Returns H or None."""
     n = len(c.generators)
     degs = c.degrees()
+    d = d_matrix_of(c)
 
     def h_allowed(i, j):  # entry H[i, j]: generator j -> generator i, degree +1
         k = degs[i] - degs[j] - 1
@@ -1006,10 +1036,10 @@ def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False)
     for row, (i, j) in enumerate(equations):
         b[row] = rhs[i, j]
         for z in range(n):
-            if c.d_mat[i, z] and (z, j) in uindex:
+            if d[i, z] and (z, j) in uindex:
                 a[row, uindex[(z, j)]] ^= 1
         for y in range(n):
-            if c.d_mat[y, j] and (i, y) in uindex:
+            if d[y, j] and (i, y) in uindex:
                 a[row, uindex[(i, y)]] ^= 1
     x = la.solve_f2(a, b)
     if x is None:
@@ -1023,7 +1053,7 @@ def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False)
 def iota_localized_identity(c: UComplex, iota: IotaMap) -> bool:
     """Does iota act as the identity on U-localized homology?  That is,
     is 1 + iota null-homotopic once U is inverted (any U-powers in H)."""
-    rhs = iota.mat ^ la.f2_eye(len(c.generators))
+    rhs = iota_matrix_of(iota) ^ la.f2_eye(len(c.generators))
     return homotopy_solve_oracle(c, rhs, localized=True) is not None
 
 
@@ -1074,7 +1104,7 @@ def elimination_tower_bottoms(c: UComplex) -> dict[int, int]:
     U-power) and split the pair off.  The generators left unpaired sit
     at the tower bottoms."""
     degs = np.array(c.degrees(), dtype=np.int64)
-    m = c.d_mat.copy()
+    m = d_matrix_of(c).copy()
     paired = set()
     while m.any():
         rows, cols = np.nonzero(m)
@@ -1103,12 +1133,12 @@ def elimination_tower_bottoms(c: UComplex) -> dict[int, int]:
 
 def falling_degree_tower_bottoms(c: UComplex) -> dict[int, int]:
     """The reference for the cone's interleaved tower read: one column
-    reduction of c.d_mat with every generator in a strict falling-degree
-    order (ties by index), packed from the generator-order matrix; the
+    reduction of d with every generator in a strict falling-degree order
+    (ties by index), packed from d's generator-order matrix; the
     unpaired slots sit at the tower bottoms."""
     degs = c.degrees()
     order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
-    red, _, owner = la.reduce_columns(la._pack_rows(c.d_mat[np.ix_(order, order)].T))
+    red, _, owner = la.reduce_columns(la._pack_rows(d_matrix_of(c)[np.ix_(order, order)].T))
     towers = {}
     for parity in (0, 1):
         bottoms = [degs[g] for t, g in enumerate(order)

@@ -187,12 +187,15 @@ def test_only_hfi_solves_the_split_homotopy(monkeypatch):
     solve = involutive._homotopy_solve
     calls = []
     monkeypatch.setattr(involutive, "_homotopy_solve",
-                        lambda c, rhs: calls.append(rhs) or solve(c, rhs))
+                        lambda c, rhs: calls.append((c, rhs)) or solve(c, rhs))
     for argv, want in ((["v0", "--p", "1", "fixtures:sigma237"], 1),
                        (["hfi", "fixtures:sigma237"], 2)):
         calls.clear()
         out_of(argv)
         assert len(calls) == want, argv
+        # each right-hand side is packed columns, one per generator
+        for c, rhs in calls:
+            assert len(rhs) == len(c.generators) and all(type(col) is int for col in rhs)
 
 
 def test_knot_command():
@@ -309,6 +312,21 @@ def test_input_that_is_not_utf8_exits_one_without_traceback(tmp_path, capsys, ra
     err = capsys.readouterr().err
     assert err.startswith(f"error: InputError: {path} is not UTF-8 text")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "raw, reason",
+    [("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+     ('{"kind": "simplicial", "facets": [[' + "7" * 5000 + "]]}",
+      "an integer has more than 4300 digits"),
+     ("1" * 5000, "an integer has more than 4300 digits")],
+    ids=["deep-array", "long-integer-field", "long-integer"],
+)
+def test_json_past_the_parser_limits_exits_one_without_traceback(tmp_path, capsys, raw, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(raw)
+    assert main(["homology", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: InputError: invalid JSON in {path}: {reason}\n")
 
 
 def test_utf8_bom_is_refused_as_invalid_json(tmp_path, capsys):

@@ -15,6 +15,7 @@ from homcob.simplicial import ChainComplexZ
 from helpers import (
     check_snf_oracle,
     coboundary_oracle,
+    d_matrix_of,
     dense_int_mul,
     int_dense,
     int_transpose,
@@ -114,6 +115,20 @@ def test_f2_mul_matches_int64_product(inner):
     assert 3 * 301 * 4 < la._BLAS_MIN_WORK <= 64 * 1 * 64
     with pytest.raises(InputError, match="shape mismatch"):
         la.f2_mul(ones_a, ones_a)
+
+
+def test_packed_products_match_the_dense_product():
+    # column t of A B is _apply(A, B[t]) on packed columns, and row i of
+    # A B is _apply(B, A[i]) on packed rows
+    rng = np.random.default_rng(34)
+    for rows, inner, cols in ((0, 0, 0), (1, 1, 1), (3, 5, 4), (40, 70, 9), (70, 9, 40)):
+        a, b = rng.integers(0, 2, (rows, inner)), rng.integers(0, 2, (inner, cols))
+        want = la.f2_mul(a, b)
+        a_cols, b_cols = la._pack_rows(la.f2(a).T), la._pack_rows(la.f2(b).T)
+        assert [la._apply(a_cols, col) for col in b_cols] == la._pack_rows(want.T)
+        a_rows, b_rows = la._pack_rows(la.f2(a)), la._pack_rows(la.f2(b))
+        assert [la._apply(b_rows, row) for row in a_rows] == la._pack_rows(want)
+    assert la._apply([], 0) == 0
 
 
 class _SaturatingCast(np.ndarray):
@@ -355,7 +370,7 @@ def complex_matrices():
             for x in (c, cone_iota(c, iota)):
                 degs = x.degrees()
                 order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
-                out.append(x.d_mat[np.ix_(order, order)])
+                out.append(d_matrix_of(x)[np.ix_(order, order)])
     return out
 
 

@@ -12,8 +12,11 @@ No module gives an integer matrix a dense mod-2 copy (`mod2`).
 rows are: it imports no numpy and names none of the numpy converters
 (`f2`, `_pack_rows`, `_unpack_rows`) or `_solve_packed`.  `equivariant`
 holds each finite-part matrix of a tower model as packed rows only, so it
-imports no numpy and names none of the converters either.  Each module of
-the package is read from its source.
+imports no numpy and names none of the converters either.  `involutive`
+takes every product on packed columns in slot order, so it imports no
+numpy and names none of the converters or the dense products (`f2_mul`,
+`f2_eye`, `f2_zeros`).  The one packed product, `_apply`, is defined in
+`f2linalg` alone.  Each module of the package is read from its source.
 """
 
 import ast
@@ -71,3 +74,20 @@ def test_equivariant_keeps_its_model_matrices_packed():
     path = SRC / "equivariant.py"
     assert "numpy" not in _imports(path)
     assert {"f2", "_pack_rows", "_unpack_rows"} & _names(path) == set()
+
+
+def test_involutive_takes_every_product_packed():
+    path = SRC / "involutive.py"
+    assert "numpy" not in _imports(path)
+    dense = {"f2", "f2_mul", "f2_eye", "f2_zeros", "_pack_rows", "_unpack_rows"}
+    assert dense & _names(path) == set()
+
+
+def _defines(path: Path) -> set[str]:
+    return {node.name for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef)}
+
+
+def test_one_module_defines_the_packed_product():
+    assert [path.stem for path in sorted(SRC.glob("*.py")) if "_apply" in _defines(path)] == [
+        "f2linalg"]

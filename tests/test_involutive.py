@@ -15,7 +15,6 @@ from homcob.involutive import (
     UComplex,
     _forced_power,
     _homotopy_solve,
-    _matrix,
     _read_entries,
     _spread,
     cone_iota,
@@ -30,16 +29,21 @@ from helpers import (
     cone_plus_window,
     cone_rank_bound,
     connected_sum,
+    d_matrix_of,
     dual_ucomplex,
     elimination_tower_bottoms,
     falling_degree_tower_bottoms,
+    generator_matrix,
     homotopic_iota,
     homotopy_solve_oracle,
     iota_from_matrix,
     iota_localized_identity,
+    iota_matrix_of,
     random_fu_map,
     random_ucomplex,
     random_ucomplex_with_iota,
+    slot_columns,
+    slot_matrix,
     split_dims_law,
     spread_ucomplex_with_iota,
     towers_from_profile,
@@ -89,29 +93,30 @@ def test_duplicate_entries_cancel():
     entries = [("x", "y", 0), ("x", "z", 0), ("x", "y", 0), ("x", "z", 0), ("x", "z", 0)]
     # slots fall in degree, ties by index: x, y, z sit in slots 0, 1, 2
     assert _read_entries(c, entries, -1, "differential") == [1 << 2, 0, 0]
-    assert _matrix(_read_entries(c, entries, -1, "differential"), c._slot).tolist() == [
+    assert generator_matrix(c, _read_entries(c, entries, -1, "differential")).tolist() == [
         [0, 0, 0], [0, 0, 0], [1, 0, 0]]
     assert _read_entries(c, [], 0, "iota") == [0, 0, 0]
-    assert _matrix(_read_entries(UComplex([], []), [], 0, "iota"), []).shape == (0, 0)
+    empty = UComplex([], [])
+    assert generator_matrix(empty, _read_entries(empty, [], 0, "iota")).shape == (0, 0)
     # the same pair listed twice in a differential cancels; d = 0 then
     same = UComplex([("x", 1), ("y", 0)], [("x", "y", 0), ("x", "y", 0)])
-    assert not same.d_mat.any() and same.tower_bottoms() == {1: 1, 0: 0}
+    assert not d_matrix_of(same).any() and same.tower_bottoms() == {1: 1, 0: 0}
     with pytest.raises(InputError, match="must have upower 0, got 1"):
         _read_entries(c, [("x", "y", 0), ("x", "y", 1)], -1, "differential")
 
 
 def test_entry_reader_packs_in_slot_order():
     # generator g sits in slot slot[g]; an entry from -> to sets bit
-    # slot[to] of column slot[from], and d_mat is read back in generator order
+    # slot[to] of column slot[from], and d is unpacked back in generator order
     c = UComplex([("y", 0), ("w", 2), ("x", 1), ("v", 1)], [("x", "y", 0), ("w", "v", 0)])
     assert c._order == [1, 2, 3, 0] and c._slot == [3, 0, 1, 2]
     assert c._cols == [1 << 2, 1 << 3, 0, 0]
-    assert c.d_mat.tolist() == [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]]
+    assert d_matrix_of(c).tolist() == [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]]
     iota = IotaMap.of(c, [(l, l, 0) for l, _ in c.generators] + [("x", "v", 0)])
     assert iota._complex is c and iota._cols == [1, 2 | 4, 4, 8]
     want = la.f2_eye(4)
     want[3, 2] = 1  # x -> v
-    assert (iota.mat == want).all()
+    assert (iota_matrix_of(iota) == want).all()
 
 
 @pytest.mark.parametrize("big", [2**61 - 1, 2**61, 2**62, 2**63, 10**30])
@@ -173,7 +178,8 @@ def test_validate_iota_never_asks_the_u_power_rule(monkeypatch):
     for doc in docs:
         c, iota = UComplex.from_json(doc)
         n = len(c.generators)
-        assert not (la.f2_mul(iota.mat, iota.mat) ^ la.f2_eye(n)).any()
+        mat = iota_matrix_of(iota)
+        assert not (la.f2_mul(mat, mat) ^ la.f2_eye(n)).any()
         calls.clear()
         assert validate_iota(c, iota) and calls == []
 
@@ -249,12 +255,13 @@ def _assert_json_roundtrip(c, iota):
     assert data == {
         "kind": "u_complex",
         "generators": [{"label": l, "degree": d} for l, d in c.generators],
-        "differential": _column_major_entries(c, c.d_mat, -1),
-        "iota": _column_major_entries(c, iota.mat, 0),
+        "differential": _column_major_entries(c, d_matrix_of(c), -1),
+        "iota": _column_major_entries(c, iota_matrix_of(iota), 0),
     }
     c2, iota2 = UComplex.from_json(json.loads(json.dumps(data)))
     assert c2.generators == c.generators
-    assert (c2.d_mat == c.d_mat).all() and (iota2.mat == iota.mat).all()
+    assert (d_matrix_of(c2) == d_matrix_of(c)).all()
+    assert (iota_matrix_of(iota2) == iota_matrix_of(iota)).all()
     assert json.dumps(c2.to_json(iota2)) == json.dumps(data)
 
 
@@ -440,19 +447,23 @@ def test_tower_bottoms_hand_built_ties_and_u0_entries(gens, entries, towers):
 
 
 def _check_normal_form(cx):
-    """The laws of UComplex.normal_form on cx: P P^-1 = 1, P is what a
-    general solve of P^-1 X = 1 gives, P and P^-1 are degree-0 F[U]-maps, P d P^-1 is the pairing and nothing else, and the
-    unpaired slots sit at the tower bottoms.  Returns the towers, or None
-    when tower_bottoms rejects two towers in one parity."""
+    """The laws of UComplex.normal_form on cx, whose packed columns and
+    pairs are in slot order, checked on their unpacked matrices:
+    P P^-1 = 1, P is what a general solve of P^-1 X = 1 gives, P and P^-1
+    are degree-0 F[U]-maps, P d P^-1 is the pairing and nothing else, and
+    the unpaired slots sit at the tower bottoms.  Returns the towers, or
+    None when tower_bottoms rejects two towers in one parity."""
     n = len(cx.generators)
-    degs = cx.degrees()
-    p, p_inv, pairs = cx.normal_form()
+    degs = [cx.degrees()[g] for g in cx._order]
+    p_cols, p_inv_cols, pairs = cx.normal_form()
+    assert all(col >> n == 0 for col in p_cols + p_inv_cols)
+    p, p_inv = slot_matrix(p_cols), slot_matrix(p_inv_cols)
     assert (la.f2_mul(p, p_inv) == la.f2_eye(n)).all()
     assert (p == la.solve_f2(p_inv, la.f2_eye(n))).all()  # back-substitution vs. a solve
     for m in (p, p_inv):
         for i, j in zip(*np.nonzero(m)):
             assert _forced_power(degs[j], degs[i], 0) is not None
-    nf = la.f2_mul(la.f2_mul(p, cx.d_mat), p_inv)
+    nf = la.f2_mul(la.f2_mul(p, slot_matrix(cx._cols)), p_inv)
     assert (nf.sum(axis=0) <= 1).all() and (nf.sum(axis=1) <= 1).all()
     assert sorted(zip(*(ix.tolist() for ix in np.nonzero(nf)))) == sorted(pairs)
     targets, sources = {i for i, _ in pairs}, {j for _, j in pairs}
@@ -567,30 +578,37 @@ def _homotopy_systems(rng, count):
         for base, i in ((c, iota), dual_ucomplex(c, iota), far):
             n = len(base.generators)
             k = random_fu_map(rng, base, 1)
-            moved = homotopic_iota(rng, base, i).mat
+            moved = iota_matrix_of(homotopic_iota(rng, base, i))
+            d, mat = d_matrix_of(base), iota_matrix_of(i)
             rhss = (
-                i.mat ^ la.f2_eye(n),
-                la.f2_mul(i.mat, i.mat) ^ la.f2_eye(n),
+                mat ^ la.f2_eye(n),
+                la.f2_mul(mat, mat) ^ la.f2_eye(n),
                 la.f2_mul(moved, moved) ^ la.f2_eye(n),
                 random_fu_map(rng, base, 0),
-                la.f2_mul(base.d_mat, k) ^ la.f2_mul(k, base.d_mat),
+                la.f2_mul(d, k) ^ la.f2_mul(k, d),
             )
             systems += [(base, rhs) for rhs in rhss]
     return systems
 
 
 def test_homotopy_solve_matches_dense_oracle():
+    # the solve takes and returns packed columns in slot order; the oracle
+    # and the check below work on generator-order matrices
     solved = unsolvable = nontrivial = 0
     for c, rhs in _homotopy_systems(random.Random(2718), 1500):
-        h = _homotopy_solve(c, rhs)
+        h = _homotopy_solve(c, slot_columns(c, rhs))
         expected = homotopy_solve_oracle(c, rhs)
         assert (h is None) == (expected is None)
         if h is None:
             unsolvable += 1
             continue
+        n = len(c.generators)
+        assert len(h) == n and all(col >> n == 0 for col in h)
+        h = generator_matrix(c, h)
         solved += 1
         nontrivial += bool(rhs.any())
-        assert ((la.f2_mul(c.d_mat, h) ^ la.f2_mul(h, c.d_mat)) == rhs).all()
+        d = d_matrix_of(c)
+        assert ((la.f2_mul(d, h) ^ la.f2_mul(h, d)) == rhs).all()
         degs = c.degrees()
         for i, j in zip(*np.nonzero(h)):
             assert _forced_power(degs[j], degs[i], 1) is not None
@@ -600,10 +618,12 @@ def test_homotopy_solve_matches_dense_oracle():
 
 def test_homotopy_solve_certifies_h(monkeypatch):
     # d x = y; the only degree +1 entry is H: y -> x, and dH + Hd = 1 for it
+    # (x in slot 0, y in slot 1; packed columns in slot order)
     c = UComplex([("x", 1), ("y", 0)], [("x", "y", 0)])
-    zero, one = la.f2_zeros(2, 2), la.f2_eye(2)
-    assert (_homotopy_solve(c, zero) == 0).all()
-    assert (_homotopy_solve(c, one) == [[0, 1], [0, 0]]).all()
+    zero, one = [0, 0], [1 << 0, 1 << 1]
+    assert _homotopy_solve(c, zero) == [0, 0]
+    assert _homotopy_solve(c, one) == [0, 1 << 0]
+    assert generator_matrix(c, _homotopy_solve(c, one)).tolist() == [[0, 1], [0, 0]]
     solve = la._solve_packed
 
     def wrong_block_answers(cols, rhs):  # every unknown of every block flipped
@@ -615,15 +635,17 @@ def test_homotopy_solve_certifies_h(monkeypatch):
 
 
 def test_zero_rhs_is_answered_without_a_product(monkeypatch):
-    c, _ = sigma237()
+    # every product of the involutive layer is taken by la._apply
+    c, iota = sigma237()
     n = len(c.generators)
     calls = []
-    mul = la.f2_mul
-    monkeypatch.setattr(la, "f2_mul", lambda a, b: calls.append(1) or mul(a, b))
-    h = _homotopy_solve(c, la.f2_zeros(n, n))
-    assert h is not None and h.shape == (n, n) and not h.any()
+    apply = la._apply
+    monkeypatch.setattr(la, "_apply", lambda cols, x: calls.append(1) or apply(cols, x))
+    assert _homotopy_solve(c, [0] * n) == [0] * n
     assert calls == []
     assert one_plus_iota_nullhomotopic(c, IotaMap.identity(c)) and calls == []
+    # the counter does see the products of a nonzero rhs
+    assert not one_plus_iota_nullhomotopic(c, iota) and calls
 
 
 def _falling_degree_order(c):
@@ -656,7 +678,7 @@ def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
         # the other reductions are the homotopy solve's block systems
         cone = cone_iota(c, iota)
         for x, order in ((c, _falling_degree_order(c)), (cone, _interleaved_order(c))):
-            want, n = x.d_mat[np.ix_(order, order)], len(order)
+            want, n = d_matrix_of(x)[np.ix_(order, order)], len(order)
             # packed columns, unpacked: row t of the unpacked rows is column t
             assert sum(len(cols) == n and all(col >> n == 0 for col in cols)
                        and (la._unpack_rows(cols, n).T == want).all() for cols in seen) == 1, k
@@ -665,8 +687,9 @@ def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["hfi", "v0"])
 def test_hfi_and_v0_runs_stay_packed(monkeypatch, tmp_path, capsys, command):
-    """The entry reader packs d and iota itself: an hfi or v0 run packs no
-    numpy matrix and counts no cells."""
+    """The entry reader packs d and iota itself, and every product is
+    taken on the packed columns: an hfi or v0 run packs, unpacks and
+    multiplies no numpy matrix and counts no cells."""
     rng = random.Random(3232)
     models = fixture_models() + [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(10)]
     models += [dual_ucomplex(*m) for m in models]
@@ -675,7 +698,8 @@ def test_hfi_and_v0_runs_stay_packed(monkeypatch, tmp_path, capsys, command):
         paths.append(tmp_path / f"m{k}.json")
         paths[-1].write_text(json.dumps(c.to_json(iota)))
     calls = []
-    monkeypatch.setattr(la, "_pack_rows", lambda *a: calls.append("_pack_rows"))
+    for name in ("_pack_rows", "_unpack_rows", "f2_mul", "f2_eye", "f2_zeros"):
+        monkeypatch.setattr(la, name, lambda *a, name=name: calls.append(name))
     monkeypatch.setattr(np, "bincount", lambda *a, **kw: calls.append("bincount"))
     extra = ["--p", "1"] if command == "v0" else []
     for path in paths:
@@ -734,10 +758,11 @@ def test_homotopic_iota_gives_the_same_correction_terms():
         moved = homotopic_iota(rng, c, iota)
         # both maps on the dual are read against the one dual complex
         dual, dual_iota = dual_ucomplex(c, iota)
-        dual_moved = iota_from_matrix(dual, moved.mat.T)
+        dual_moved = iota_from_matrix(dual, iota_matrix_of(moved).T)
         for base, i, j in ((c, iota, moved), (dual, dual_iota, dual_moved)):
             assert validate_iota(base, j)
-            square = la.f2_mul(j.mat, j.mat) ^ la.f2_eye(len(base.generators))
+            mat = iota_matrix_of(j)
+            square = la.f2_mul(mat, mat) ^ la.f2_eye(len(base.generators))
             squares_off_identity += bool(square.any())
             want = involutive_correction_terms(base, i)
             got = involutive_correction_terms(base, j)
@@ -809,10 +834,9 @@ def test_cone_differential_is_homogeneous_and_squares_to_zero():
     models = cone_suites(random.Random(2201))
     for c, iota in models:
         cone = cone_iota(c, iota)
-        degs = cone.degrees()
-        assert all(_forced_power(degs[j], degs[i], -1) is not None
-                   for i, j in zip(*np.nonzero(cone.d_mat)))
-        assert not la.f2_mul(cone.d_mat, cone.d_mat).any()
+        degs, d = cone.degrees(), d_matrix_of(cone)
+        assert all(_forced_power(degs[j], degs[i], -1) is not None for i, j in zip(*np.nonzero(d)))
+        assert not la.f2_mul(d, d).any()
     assert len(models) >= 170
 
 
@@ -850,16 +874,16 @@ def test_interleaved_cone_read_matches_a_falling_degree_read():
 def test_correction_terms_never_square_the_cone(monkeypatch):
     rng = random.Random(2202)
     models = fixture_models() + [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(50)]
-    f2_mul = la.f2_mul
+    # every product is taken by la._apply on packed columns; none of them
+    # applies the cone's differential (2n columns), or any map as large
+    apply = la._apply
     for c, iota in models:
-        block = cone_iota(c, iota).d_mat
-        calls = []
-        monkeypatch.setattr(la, "f2_mul", lambda a, b: calls.append((a, b)) or f2_mul(a, b))
+        sizes = []
+        monkeypatch.setattr(la, "_apply", lambda cols, x: sizes.append(len(cols)) or apply(cols, x))
         involutive_correction_terms(c, iota)
-        monkeypatch.setattr(la, "f2_mul", f2_mul)
-        assert calls
-        assert not any(a.shape == b.shape == block.shape and (a == block).all() and (b == block).all()
-                       for a, b in calls)
+        monkeypatch.setattr(la, "_apply", apply)
+        assert sizes and max(sizes) <= len(c.generators)
+        assert len(cone_iota(c, iota)._cols) == 2 * len(c.generators)
 
 
 def test_depth_two_q_connection():
