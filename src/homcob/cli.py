@@ -37,7 +37,7 @@ from .equivariant import (
     delta_invariant,
     localization_check,
 )
-from .errors import HomcobError, InputError
+from .errors import HomcobError, InputError, echo
 from .involutive import (
     UComplex,
     involutive_correction_terms,
@@ -106,7 +106,7 @@ def parse_input(data: dict):
     malformed field becomes an InputError."""
     kind = data["kind"]
     if not isinstance(kind, str) or kind not in READERS:
-        raise InputError(f"unknown input kind {kind!r}; expected one of {tuple(READERS)}")
+        raise InputError(f"unknown input kind {echo(kind)}; expected one of {tuple(READERS)}")
     try:
         return READERS[kind](data)
     except KeyError as e:
@@ -322,7 +322,7 @@ def run(argv: list[str]) -> tuple[str, int]:
         raise InputError("missing input (JSON file or fixtures:<name>)")
     data, digest = load_input(args.input)
     if data["kind"] != args.kind:
-        raise InputError(f"this command needs a {args.kind!r} input, got {data['kind']!r}")
+        raise InputError(f"this command needs a {args.kind!r} input, got {echo(data['kind'])}")
     rows = args.rows(args, parse_input(data))
     return Report(f"{args.command} {args.input}", digest, rows).emit(args.json), 0
 

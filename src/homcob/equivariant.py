@@ -23,27 +23,29 @@ degree n + 4k + a is spanned by the class of (a, k): it is nonzero
 exactly when (a, k) is not a boundary.  Boundaries are closed downwards:
 if (a, k+1) = dc, then (a, k) = d(vc).  So the bottom at level a is
 n + a + step * (b + 1), where b is the highest tower-arrow target (a, b)
-that is a boundary, or n + a when none is (step 4, or 2 for U).  Every
-boundary comes from a finite generator, so every target is read from one
-column reduction (`f2linalg.reduce_columns`) of [T; d_fin], where T has
-one row of tower arrows per target, in the low bits.  A column is only
-added to one with the same highest bit, so of the same degree: each
-reduced column is homogeneous.  One whose highest set bit is a row of T
-is 0 on d_fin, whose bits are higher, and on the other rows of T, since
-its degree holds one tower element: it is that target alone.
-Conversely a boundary lies in the column space, whose reduced columns
-have distinct highest bits, so one of them owns its row.  A target is a
-boundary exactly when it owns a reduced column.
+that is a boundary, or n + a when none is (step 4, or 2 for U).  A
+generator of degree D can only hit the tower element in degree D - 1, so
+the arrow map is one packed vector over the finite generators, `_arrows`
+(bit j: generator j has an arrow, mod 2).  Towers carry no differential,
+so that element is a boundary exactly when some cycle of d_fin in degree
+D meets the arrows an odd number of times: when the arrows from degree D,
+read as a functional, lie outside the row space of d_fin.  One column
+reduction (`f2linalg.reduce_columns`) of the packed rows of d_fin reads
+every target: a row is only added to one with the same highest bit, so
+of the same degree, and the arrows from degree D reduced after it
+(`f2linalg._reduce_after`) end nonzero exactly when they lie outside the
+span of the rows into degree D.
 
 Reading a model.  Each finite-part matrix is checked for 0/1 entries,
 then for its n x n shape, then for its degree shift on its rows packed
 into Python ints.  A list or tuple of n lists or tuples (a JSON matrix
 is n lists of n entries) is packed as it is read; a shape error names
-the shape, or the row lengths when they differ.  The packed rows are
-the one form of each matrix: every law (d^2 = 0 and d commuting with
-q, v or U on the generators with the same T, then q^3 = 0 and qv = vq)
-runs as XORs of them, the columns of [T; d_fin] are packed from them,
-and `to_json` and the window oracle read them.  Neither reading needs a
+the shape, or the row lengths when they differ.  Each tower arrow is
+checked and XORed into `_arrows`, so two equal arrows cancel.  The
+packed rows and `_arrows` are the one form of each map: every law (d^2 =
+0 and d commuting with q, v or U on the generators, then q^3 = 0 and
+qv = vq) runs as XORs of them, the tower read reduces them, and
+`to_json` and the window oracle read them.  Neither reading needs a
 window, so neither costs more when the degrees spread.
 
 Orientation reversal.  Over F2 the homology of the degree-negated dual
@@ -73,11 +75,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
-from typing import NamedTuple
+from operator import or_, xor
 
 from . import f2linalg as la
-from .errors import InputError, InternalError, ModelInvalidError, as_int
+from .errors import InputError, InternalError, ModelInvalidError, as_int, echo
 from .graded import GradedComplex, ladder_window
 
 
@@ -100,7 +101,7 @@ def _read_matrix(value, kind: str, field: str, degrees: list[int],
         for x in row:
             if isinstance(x, bool) or not hasattr(x, "__index__") or x not in (0, 1):
                 raise InputError(
-                    f"malformed {kind} input: {field} entries must be 0 or 1, got {x!r}"
+                    f"malformed {kind} input: {field} entries must be 0 or 1, got {echo(x)}"
                 )
     n = len(degrees)
     if not (isinstance(value, _SEQUENCES) and len(value) == n
@@ -125,24 +126,16 @@ def _mul(a: list[int], b: list[int]) -> list[int]:
     return [la._apply(b, row) for row in a]
 
 
-class TowerArrow(NamedTuple):
-    """Differential component from a finite generator into the tower
-    element q^a v^b g (degree n + 4b + a); a = 0 in an SOneModel."""
-
-    source: str
-    a: int
-    b: int
-
-
 class _TowerModel:
     """What PinModel and SOneModel share: towers (a, k) at levels
     0 <= a < LEVELS in degree n + STEP * k + a, finite generators
-    `finite` with differential `d_fin`, tower arrows `d_to_tower`, and the
-    operators OPS, each as (name, input field, shift, tower entries).  The
-    tower entry (a, a2, j) sends (a, k) to (a2, k - j).  Each finite-part
-    matrix is kept as packed rows only, `_rows[field]` (bit j of row i is
-    entry (i, j)).  Inputs of the kind KIND are read and checked here, and
-    written back by `to_json`."""
+    `finite` with differential `d_fin`, and the operators OPS, each as
+    (name, input field, shift, tower entries).  The tower entry (a, a2, j)
+    sends (a, k) to (a2, k - j).  Each finite-part matrix is kept as packed
+    rows only, `_rows[field]` (bit j of row i is entry (i, j)), and the
+    tower arrows as one packed int, `_arrows` (module docstring).  Inputs
+    of the kind KIND are read and checked here, and written back by
+    `to_json`."""
 
     STEP = LEVELS = 0
     KIND = ""
@@ -161,31 +154,44 @@ class _TowerModel:
             raise InputError("duplicate finite generator labels")
         self.gen_index = {l: i for i, l in enumerate(labels)}
         degs = [d for _, d in self.finite]
-        masks: dict[int, int] = {}
+        self._masks = masks = {}  # degree -> the generators of that degree
         for j, deg in enumerate(degs):
             masks[deg] = masks.get(deg, 0) | 1 << j
         fields = [(f, shift) for _, f, shift, _ in self.OPS] + [("d_fin", -1)]
         self._rows = {field: _read_matrix(value, kind, field, degs, masks, shift)
                       for (field, shift), value in zip(fields, [*op_values, d_fin])}
-        self.d_to_tower = [self._arrow(t) for t in d_to_tower]
+        self._arrows = reduce(xor, (1 << self._arrow(t) for t in d_to_tower), 0)
         *ops, d = self._rows.values()
         self._check_generators(d, ops)
         self._check_operators(ops)
 
-    def _arrow(self, arrow) -> TowerArrow:
-        """The tower arrow (source, a, b), checked against the model."""
+    def _tower_at(self, degree: int) -> tuple[int, int] | None:
+        """The tower element (a, k) in `degree`, or None where there is none."""
+        n = self.reducible_degree
+        k, a = divmod(degree - (n or 0), self.STEP)
+        return (a, k) if n is not None and k >= 0 and a < self.LEVELS else None
+
+    def _arrow(self, arrow) -> int:
+        """The source j of the tower arrow (source, a, b), checked against
+        the model."""
         src, a, b = arrow
         a = as_int(a, self.KIND, "tower arrow a")
         b = as_int(b, self.KIND, "tower arrow b")
         if src not in self.gen_index:
-            raise InputError(f"tower arrow from unknown generator {src!r}")
+            raise InputError(f"tower arrow from unknown generator {echo(src)}")
         if not (0 <= a < self.LEVELS) or b < 0:
             raise InputError(f"tower arrow needs 0 <= a < {self.LEVELS} and b >= 0")
         if self.reducible_degree is None:
             raise InputError("tower arrow in a model without a reducible tower")
-        if self.finite[self.gen_index[src]][1] - 1 != self.reducible_degree + self.STEP * b + a:
-            raise InputError(f"tower arrow from {src!r} is not of degree -1")
-        return TowerArrow(str(src), a, b)
+        if self._tower_at(self.finite[self.gen_index[src]][1] - 1) != (a, b):
+            raise InputError(f"tower arrow from {echo(src)} is not of degree -1")
+        return self.gen_index[src]
+
+    def _arrow_list(self) -> list[tuple[str, int, int]]:
+        """(source, a, b) of each tower arrow, one per set bit of _arrows,
+        in generator order."""
+        return [(l, *self._tower_at(d - 1)) for j, (l, d) in enumerate(self.finite)
+                if self._arrows >> j & 1]
 
     def to_json(self) -> dict:
         one_level, n = self.LEVELS == 1, len(self.finite)
@@ -195,8 +201,8 @@ class _TowerModel:
             "finite": [{"label": l, "degree": d} for l, d in self.finite],
             **{field: [[row >> j & 1 for j in range(n)] for row in rows]
                for field, rows in self._rows.items()},
-            "d_to_tower": [{"from": t.source, "b": t.b} if one_level else
-                           {"from": t.source, "a": t.a, "b": t.b} for t in self.d_to_tower],
+            "d_to_tower": [{"from": l, "b": b} if one_level else {"from": l, "a": a, "b": b}
+                           for l, a, b in self._arrow_list()],
         }
 
     @classmethod
@@ -209,46 +215,30 @@ class _TowerModel:
         ops = [data.get(field, []) for _, field, _, _ in cls.OPS]
         return cls(data.get("reducible_degree"), finite, *ops, data.get("d_fin", []), arrows)
 
-    def _tower_rows(self) -> tuple[list[tuple[int, int]], list[int]]:
-        """The tower-arrow targets (a, b) whose row is nonzero, and the
-        packed rows of the matrix T whose row r holds the tower arrows into
-        targets[r], over the finite generators."""
-        rows: dict[tuple[int, int], int] = {}
-        for t in self.d_to_tower:
-            rows[t.a, t.b] = rows.get((t.a, t.b), 0) ^ 1 << self.gen_index[t.source]
-        targets = [key for key, row in rows.items() if row]
-        return targets, [rows[key] for key in targets]
-
     def _check_generators(self, d: list[int], ops: list[list[int]]):
         """d^2 = 0 and dP = Pd for every operator P, on the generators (packed
         rows).  On the finite part these are d_fin^2 = 0 and d_fin P = P d_fin;
-        for the matrix T of tower arrows (one row per target), T d_fin = 0 and
-        T P = P_tower T.  One product d_fin^2 and T d_fin, stacked, checks
-        the first law, and one product T P per operator the second; the
-        tower side P_tower T only moves rows of T.  The error names the
-        lowest degree at fault, as a window's check does."""
-        targets, t = self._tower_rows()
-        rows = dict(zip(targets, t))
-        degs = [deg for _, deg in self.finite]
+        for the arrow map T, T d_fin = 0 and T P = P_tower T.  Each side sends
+        a generator to a multiple of the one tower element its degree forces,
+        so each is one packed vector: T d_fin = _apply(d, arrows), T P =
+        _apply(p, arrows) and P_tower T = arrows & live, where live holds the
+        generators whose degree + shift - 1 has a tower element.  The error
+        names the lowest degree at fault, as a window's check does."""
+        arrows = self._arrows
 
-        def at_fault(bad_rows, what):
-            if bad := reduce(or_, bad_rows, 0):
-                low = min(deg for j, deg in enumerate(degs) if bad >> j & 1)
+        def at_fault(bad, what):
+            if bad:
+                low = min(deg for deg, mask in self._masks.items() if bad & mask)
                 raise InputError(f"inconsistent model: {what} at degree {low}")
 
-        at_fault(_mul(d + t, d), "differential does not square to zero")
-        for (name, _, _, tower), p in zip(self.OPS, ops):
-            bad = [x ^ y for x, y in zip(_mul(d, p), _mul(p, d))]
-            tp = dict(zip(targets, _mul(t, p)))
-            # rows of T P (the targets) and of P_tower T (their images)
-            images = {(a2, b - j) for a, b in rows for a1, a2, j in tower if a1 == a and b >= j}
-            for a, b in set(rows) | images:
-                y = tp.get((a, b), 0)
-                for a1, a2, j in tower:
-                    if a2 == a:
-                        y ^= rows.get((a1, b + j), 0)
-                bad.append(y)
-            at_fault(bad, f"operator {name} does not commute with D")
+        at_fault(reduce(or_, _mul(d, d), la._apply(d, arrows)),
+                 "differential does not square to zero")
+        for (name, _, shift, _), p in zip(self.OPS, ops):
+            live = sum(mask for deg, mask in self._masks.items()
+                       if self._tower_at(deg + shift - 1))
+            bad = (la._apply(p, arrows) ^ arrows) & live
+            at_fault(reduce(or_, map(xor, _mul(d, p), _mul(p, d)), bad),
+                     f"operator {name} does not commute with D")
 
     def _check_operators(self, ops: list[list[int]]):
         """Laws among the operators (packed rows): none for one operator."""
@@ -266,7 +256,7 @@ class _TowerModel:
         if self.reducible_degree is not None:
             gens += [(("t", a), self.reducible_degree + a, self.STEP)
                      for a in range(self.LEVELS)]
-        arrows = [(t.source, ("t", t.a), -t.b) for t in self.d_to_tower]
+        arrows = [(l, ("t", a), -b) for l, a, b in self._arrow_list()]
         maps = {"d": (-1, fin(self._rows["d_fin"]) + arrows)}
         for name, field, shift, tower in self.OPS:
             maps[name] = (shift, fin(self._rows[field])
@@ -344,27 +334,20 @@ class AbcReport:
 
 def tower_bottoms(model) -> tuple[int, ...]:
     """The lowest degree of each tower in homology, level by level: A, B, C
-    of a PinModel, the one bottom of an SOneModel.  A tower-arrow target is
-    a boundary exactly when its row of T owns a reduced column of [T; d_fin]
-    (see the module docstring), so one column reduction reads them all."""
+    of a PinModel, the one bottom of an SOneModel.  The tower element in
+    degree D - 1 is a boundary exactly when the arrows from degree D lie
+    outside the row space of d_fin (see the module docstring), so one
+    column reduction of the rows of d_fin reads every target."""
     n = model.reducible_degree
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
-    targets, t = model._tower_rows()
-    # the columns of [T; d_fin], packed from its rows: bit r of column j is
-    # entry (r, j)
-    cols = [0] * len(model.finite)
-    for r, row in enumerate(t + model._rows["d_fin"]):
-        while row:
-            j = row.bit_length() - 1
-            cols[j] |= 1 << r
-            row ^= 1 << j
-    owner = la.reduce_columns(cols)[2]
-    bottoms = [n + a for a in range(model.LEVELS)]
-    for r, (a, b) in enumerate(targets):
-        if r in owner:
-            bottoms[a] = max(bottoms[a], n + a + model.STEP * (b + 1))
-    return tuple(bottoms)
+    red, _, owner = la.reduce_columns(model._rows["d_fin"])
+    sources = [deg for deg, mask in model._masks.items() if model._arrows & mask]
+    rest = la._reduce_after(red, owner, [model._arrows & model._masks[D] for D in sources])
+    # the degrees of the tower elements that are boundaries
+    boundaries = [D - 1 for D, r in zip(sources, rest) if r]
+    return tuple(max([n + a] + [e + model.STEP for e in boundaries if (e - n) % model.STEP == a])
+                 for a in range(model.LEVELS))
 
 
 def abc(model: PinModel) -> AbcReport:

@@ -4,26 +4,27 @@ Every command holds its GF(2) matrices as packed columns (or rows):
 Python ints whose bit r is the entry in row r.  The one GF(2)
 elimination is `reduce_columns`, the left-to-right column reduction of
 persistence, on packed columns, so a column operation is a single XOR of
-two ints.  Every command passes its columns in packed (tower rows, the
-odd rows of simplicial boundaries, the coboundaries that `sq1` reduces
-once per degree, and the block systems of a homotopy solve).  The one
-product is `_apply`, a map applied to a packed vector: column t of A B
-is A applied to column t of B, and row i of a product of packed rows is
-B applied to row i of A.  `_reduce_after` reduces more columns against a
-finished reduction without redoing it: `sq1` chooses its cocycles and
-tests every class that way.  The numpy entry points (`rank_f2`,
-`pivot_columns_f2`, `kernel_basis_f2`, `solve_f2`, `image_basis_f2`),
-called only by the window reference `graded`, pack their matrix once
-(np.packbits).  While an earlier column owns the highest set bit of a
-column, that earlier column is added to it.  A column ends zero exactly
-when it lies in the span of the columns before it, so the nonzero
-reduced columns are the pivot columns: their number is the rank and they
-are a basis of the image.  The columns summed into column t are t itself
-and otherwise pivot columns, so the kernel vector read at a free column
-fc is 1 at fc and 0 at every other free column, and the solution read
-from [m | b] (`_solve_packed`, the one solve) is 0 at every free column.
-Each is the only vector with that pattern, so it is the one the reduced
-row echelon form gives.
+two ints.  Every command passes its columns in packed (the rows of d_fin
+of a tower model, the odd rows of simplicial boundaries, the
+coboundaries that `sq1` reduces once per degree, the block systems of a
+homotopy solve).  The one product is `_apply`, a map applied to a packed
+vector: column t of A B is A applied to column t of B, and row i of a
+product of packed rows is B applied to row i of A.  `_reduce_after`
+reduces more columns against a finished reduction without redoing it:
+`sq1` chooses its cocycles and tests every class that way, and the tower
+read tests the arrows from each degree.  The numpy entry points
+(`rank_f2`, `pivot_columns_f2`, `kernel_basis_f2`, `solve_f2`,
+`image_basis_f2`), called only by the window reference `graded`, pack
+their matrix once (np.packbits).  While an earlier column owns the
+highest set bit of a column, that earlier column is added to it.  A
+column ends zero exactly when it lies in the span of the columns before
+it, so the nonzero reduced columns are the pivot columns: their number
+is the rank and they are a basis of the image.  The columns summed into
+column t are t itself and otherwise pivot columns, so the kernel vector
+read at a free column fc is 1 at fc and 0 at every other free column,
+and the solution read from [m | b] (`_solve_packed`, the one solve) is 0
+at every free column.  Each is the only vector with that pattern, so it
+is the one the reduced row echelon form gives.
 
 The numpy side (`f2`, `f2_mul` and the entry points above) takes dense
 uint8 arrays with entries in {0, 1}; no command calls it.  Its product

@@ -116,7 +116,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import f2linalg as la
-from .errors import InputError, InternalError, ModelInvalidError, as_int
+from .errors import InputError, InternalError, ModelInvalidError, as_int, echo
 from .graded import GradedComplex, ladder_window
 
 DEFAULT_MARGIN = 2
@@ -141,13 +141,14 @@ def _read_entries(c: "UComplex", entries, shift: int, what: str) -> list[int]:
     for ent in entries:
         src, tgt, upower = ent
         if src not in c.index or tgt not in c.index:
-            raise InputError(f"{what} entry {ent} references unknown generator")
+            raise InputError(f"{what} entry {echo(ent)} references unknown generator")
         i, j = c.index[tgt], c.index[src]
         k = _forced_power(degs[j], degs[i], shift)
         if k is None:
-            raise InputError(f"no degree {shift} entry possible from {src!r} to {tgt!r}")
-        if as_int(upower, "u_complex", "upower") != k:
-            raise InputError(f"{what} entry {src!r}->{tgt!r} must have upower {k}, got {upower}")
+            raise InputError(f"no degree {shift} entry possible from {echo(src)} to {echo(tgt)}")
+        if (power := as_int(upower, "u_complex", "upower")) != k:
+            raise InputError(f"{what} entry {echo(src)}->{echo(tgt)} must have upower {k}, "
+                             f"got {echo(power)}")
         cols[slot[j]] ^= 1 << slot[i]
     return cols
 
@@ -221,7 +222,7 @@ class UComplex:
         self._order, self._slot = order, [0] * len(order)
         for t, g in enumerate(order):
             self._slot[g] = t
-        self._reduction = None
+        self._reduction = self._normal = None
 
     def degrees(self) -> list[int]:
         return [d for _, d in self.generators]
@@ -287,15 +288,18 @@ class UComplex:
         docstring).  Built from the column reduction of d.  P^-1 is upper
         unitriangular: its column t is e_t plus earlier slots.  So
         P e_t = e_t + sum of P e_s over those slots s, and P comes column by
-        column, in slot order, by back-substitution."""
-        cols, ops, owner = self._reduce()
-        p_inv = ops[:]  # column t: V_t, or R_s = d V_s in slot low(s)
-        for low, s in owner.items():
-            p_inv[low] = cols[s]
-        p = []
-        for t, col in enumerate(p_inv):
-            p.append(1 << t ^ la._apply(p, col ^ 1 << t))
-        return p, p_inv, list(owner.items())
+        column, in slot order, by back-substitution.  Computed on the first
+        call and kept, as the reduction is."""
+        if self._normal is None:
+            cols, ops, owner = self._reduce()
+            p_inv = ops[:]  # column t: V_t, or R_s = d V_s in slot low(s)
+            for low, s in owner.items():
+                p_inv[low] = cols[s]
+            p = []
+            for t, col in enumerate(p_inv):
+                p.append(1 << t ^ la._apply(p, col ^ 1 << t))
+            self._normal = tuple(p), tuple(p_inv), tuple(owner.items())
+        return self._normal
 
     # -- plus flavor -----------------------------------------------------
 

@@ -48,7 +48,7 @@ def test_fixture_roundtrip_serialization():
     models = [random_pin_model(rng, with_tower=i % 4 != 3, max_blocks=3) for i in range(40)]
     models += [random_s1_model(rng, max_blocks=3) for _ in range(40)]
     for kind in (PinModel, SOneModel):
-        assert sum(bool(m.d_to_tower) for m in models if type(m) is kind) >= 15
+        assert sum(bool(m._arrows) for m in models if type(m) is kind) >= 15
     for m in models:
         again = type(m).from_json(json.loads(json.dumps(m.to_json())))
         assert again.to_json() == m.to_json()
@@ -556,6 +556,50 @@ def test_matrix_entries_must_be_bits(tmp_path, capsys, cmd, kind, field, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: InputError: malformed {kind} input: {field} entries "
                           f"must be 0 or 1, got {value!r}")
+
+
+DEEP = json.loads("[" * 900 + "1" + "]" * 900)  # a list nested 900 deep
+LONG = "x" * 5000
+
+
+def _u_complex(entry):
+    return {"kind": "u_complex", "iota": [],
+            "generators": [{"label": "a", "degree": 1}, {"label": "b", "degree": 0}],
+            "differential": [dict(zip(("from", "to", "upower"), entry))]}
+
+
+@pytest.mark.parametrize(
+    "cmd, data, message",
+    [
+        ("homology", {"kind": "simplicial", "facets": [[1, DEEP]]},
+         "malformed simplicial input: vertex must be an integer, got [[[[[[[...]]]]]]]"),
+        ("knot", {"kind": "seifert", "matrix": [[1, 1], [0, DEEP]]},
+         "malformed seifert input: matrix entry must be an integer, got [[[[[[[...]]]]]]]"),
+        ("knot", {"kind": "seifert", "matrix": [[1, [LONG] * 9], [0, 1]]},
+         "malformed seifert input: matrix entry must be an integer, got "
+         "['xxxxxxxxxxxx...xxxxxxxxxxxxx', 'xxxxxxxxxxxx...xxxxxxxx..."),
+        ("abc", {**_two_generator("pin_model"), "q": [[0, 0], [DEEP, 0]]},
+         "malformed pin_model input: q entries must be 0 or 1, got [[[[[[[...]]]]]]]"),
+        ("abc", {**_two_generator("pin_model"), "d_to_tower": [{"from": LONG, "a": 0, "b": 0}]},
+         "tower arrow from unknown generator 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        ("hfi", _u_complex((LONG, "b", 0)),
+         "differential entry ('xxxxxxxxxxxx...xxxxxxxxxxxxx', 'b', 0) references unknown generator"),
+        ("hfi", _u_complex(("a", "b", 10 ** 200)),
+         "differential entry 'a'->'b' must have upower 0, "
+         "got 100000000000000000...0000000000000000000"),
+        ("abc", {"kind": DEEP},
+         "this command needs a 'pin_model' input, got [[[[[[[...]]]]]]]"),
+    ],
+    ids=["homology-vertex", "knot-entry", "knot-entry-cut", "abc-matrix-entry",
+         "abc-arrow-source", "hfi-entry", "hfi-upower", "kind"],
+)
+def test_errors_cap_the_value_they_repeat(tmp_path, capsys, cmd, data, message):
+    """An error that repeats a bad input value repeats it abridged, never
+    the whole of a huge or deeply nested value."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([cmd, str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: InputError: {message}\n")
 
 
 @pytest.mark.parametrize(

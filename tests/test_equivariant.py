@@ -11,7 +11,6 @@ from homcob.cli import _dual_rows, main, run
 from homcob.equivariant import (
     PinModel,
     SOneModel,
-    TowerArrow,
     abc,
     coborel_tower_tops,
     delta_invariant,
@@ -109,13 +108,56 @@ def test_lone_tower_arrow_without_q_partner_rejected():
 
 def test_s1_tower_arrow_has_one_level():
     with pytest.raises(InputError, match="0 <= a < 1"):
-        SOneModel(0, [("z", 2)], [[0]], [[0]], [TowerArrow("z", 1, 0)])
-    m = SOneModel(0, [("z", 1)], [[0]], [[0]], [TowerArrow("z", 0, 0), ("z", 0, 0)])
-    assert m.d_to_tower == [TowerArrow("z", 0, 0)] * 2
+        SOneModel(0, [("z", 2)], [[0]], [[0]], [("z", 1, 0)])
+    # the arrow map is kept mod 2: two equal arrows cancel
+    m = SOneModel(0, [("z", 1)], [[0]], [[0]], [("z", 0, 0), ("z", 0, 0)])
+    assert m._arrows == 0 and m.to_json()["d_to_tower"] == []
     # the JSON arrow of a one-level model names no level: a = 0
     data = {"reducible_degree": 0, "finite": [{"label": "z", "degree": 1}],
             "u": [[0]], "d_fin": [[0]], "d_to_tower": [{"from": "z", "b": 0}]}
-    assert SOneModel.from_json(data).d_to_tower == [TowerArrow("z", 0, 0)]
+    m = SOneModel.from_json(data)
+    assert m._arrows == 1 and m.to_json()["d_to_tower"] == [{"from": "z", "b": 0}]
+
+
+@pytest.mark.parametrize("kind, finite, op_entries, arrows, message", [
+    # z -> (0, 0): q, v and U send the target out of the tower
+    ("pin", [("z", 1)], {}, [("z", 0, 0)], None),
+    ("s1", [("z", 1)], {}, [("z", 0, 0)], None),
+    # z -> (0, 1): q sends it out, v to (0, 0), the target of v z = w
+    ("pin", [("z", 5), ("w", 1)], {"v": [(1, 0)]}, [("z", 0, 1), ("w", 0, 0)], None),
+    ("s1", [("z", 3), ("w", 1)], {"u": [(1, 0)]}, [("z", 0, 1), ("w", 0, 0)], None),
+    # without v z = w (U z = w), the image of the target is missed
+    ("pin", [("z", 5), ("w", 1)], {}, [("z", 0, 1), ("w", 0, 0)],
+     "operator v does not commute with D at degree 5"),
+    ("s1", [("z", 3), ("w", 1)], {}, [("z", 0, 1), ("w", 0, 0)],
+     "operator U does not commute with D at degree 3"),
+    # z -> (1, 0), q z = w1 + w2 and both hit (0, 0): an even count, so
+    # T q z = 0 while q T z = (0, 0); with q z = w1 alone it holds
+    ("pin", [("z", 2), ("w1", 1), ("w2", 1)], {"q": [(1, 0), (2, 0)]},
+     [("z", 1, 0), ("w1", 0, 0), ("w2", 0, 0)],
+     "operator q does not commute with D at degree 2"),
+    ("pin", [("z", 2), ("w1", 1), ("w2", 1)], {"q": [(1, 0)]},
+     [("z", 1, 0), ("w1", 0, 0), ("w2", 0, 0)], None),
+    # faults under q at degrees 6 and 2: the lower one is named
+    ("pin", [("y", 6), ("z", 2)], {}, [("y", 1, 1), ("z", 1, 0)],
+     "operator q does not commute with D at degree 2"),
+], ids=["pin-bottom", "s1-bottom", "pin-v", "s1-u", "pin-v-missed", "s1-u-missed",
+        "pin-q-even", "pin-q-odd", "pin-lowest"])
+def test_arrow_laws_at_the_edges_of_the_towers(kind, finite, op_entries, arrows, message):
+    """T P = P_tower T where P_tower sends a target out of the tower (level
+    0 under q, b = 0 under v or U): an arrow there needs no partner.
+    Elsewhere T P must hit the image target an odd number of times."""
+    cls = PinModel if kind == "pin" else SOneModel
+    k = len(finite)
+    ops = [_entries(k, op_entries.get(field, [])) for _, field, _, _ in cls.OPS]
+    build = lambda: cls(0, finite, *ops, _entries(k, []), arrows)
+    if message is None:
+        m = build()
+        assert tower_bottoms(m) == window_bottoms(m)
+    else:
+        with pytest.raises(InputError) as e:
+            build()
+        assert str(e.value) == f"inconsistent model: {message}"
 
 
 def test_borel_homology_killer_drops_degree_two():
@@ -310,7 +352,7 @@ def test_to_json_writes_back_the_input_matrices():
             assert out[field] == data.get(field, []), field
             assert {type(x) for row in out[field] for x in row} <= {int}
         back = type(m).from_json(json.loads(json.dumps(out)))
-        assert back._rows == m._rows and back.d_to_tower == m.d_to_tower
+        assert back._rows == m._rows and back._arrows == m._arrows
         assert back.to_json() == out
 
 
@@ -428,7 +470,7 @@ def test_monotonicity_under_acyclic_sum():
             grow(data["q"]),
             grow(data["v"]),
             d,
-            [(a.source, a.a, a.b) for a in m.d_to_tower],
+            [(t["from"], t["a"], t["b"]) for t in data["d_to_tower"]],
         )
         assert abc(m2).triple() == abc(m).triple()
 
@@ -537,9 +579,11 @@ def test_tower_bottoms_match_window_reader_with_a_far_pair(offset):
 
 
 def test_one_tower_read_is_one_reduction(monkeypatch):
-    """Every tower-arrow target is read from one column reduction of
-    [T; d_fin], with no rank taken per target."""
-    many = [m for m in random_models(19, 40) if len({(t.a, t.b) for t in m.d_to_tower}) >= 2]
+    """Every tower-arrow target is read from one column reduction of the
+    packed rows of d_fin, with no rank taken per target: the arrows from
+    each degree are reduced after it."""
+    many = [m for m in random_models(19, 40)
+            if len({(a, b) for _, a, b in m._arrow_list()}) >= 2]
     assert len(many) >= 20
     calls = []
     reduce, rank = la.reduce_columns, la.rank_f2
@@ -548,17 +592,14 @@ def test_one_tower_read_is_one_reduction(monkeypatch):
     for m in fixture_models() + [TRIPLE_KILLER] + many:
         calls.clear()
         tower_bottoms(m)
-        # the one reduction is of the packed columns of [T; d_fin]
-        targets, t = m._tower_rows()
-        stacked = la._unpack_rows(t + m._rows["d_fin"], len(m.finite))
-        assert calls == [la._pack_rows(stacked.T)]
+        assert calls == [m._rows["d_fin"]]
 
 
 def test_a_target_hit_with_a_finite_cycle_is_no_boundary():
     """d x = y + (0, 0) with y a cycle that is no boundary: the target is
     homologous to y, not a boundary, so its tower keeps its bottom.  The
-    column of x has its highest bit on d_fin only while T takes the low
-    bits; with T on top it would claim (0, 0) as a boundary."""
+    arrows from degree 1, x alone, are the row of y in d_fin: they lie in
+    its row space, since degree 1 holds no cycle."""
     zero = [[0, 0], [0, 0]]
     pin = PinModel(0, [("x", 1), ("y", 0)], zero, zero, [[0, 0], [1, 0]], [("x", 0, 0)])
     s1 = SOneModel(0, [("x", 1), ("y", 0)], zero, [[0, 0], [1, 0]], [("x", 0, 0)])
@@ -634,11 +675,7 @@ def _mutations(m):
 def _mutated(m, mutation):
     out = copy.deepcopy(m)
     if mutation[0] == "arrow":
-        arrow = TowerArrow(*mutation[1:])
-        if arrow in out.d_to_tower:
-            out.d_to_tower.remove(arrow)
-        else:
-            out.d_to_tower.append(arrow)
+        out._arrows ^= 1 << out.gen_index[mutation[1]]
     else:
         field, i, j = mutation
         out._rows[field][i] ^= 1 << j

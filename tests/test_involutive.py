@@ -498,6 +498,29 @@ def test_normal_form_laws():
     assert sum(o is not None and len(o) == 2 for o in outcomes) >= 100
 
 
+def test_hfi_builds_the_normal_form_once_and_not_for_the_cone(monkeypatch):
+    """hfi solves on one complex twice (iota^2 + 1, then 1 + iota): the
+    second solve reuses the first one's P, P^-1 and pairs, and the cone,
+    which only reads its towers, never builds them."""
+    built, cones = [], []
+    build, cone = UComplex.normal_form, involutive.cone_iota
+    monkeypatch.setattr(UComplex, "normal_form",
+                        lambda self: built.append((self, build(self))) or built[-1][1])
+    monkeypatch.setattr(involutive, "cone_iota", lambda c, i: cones.append(cone(c, i)) or cones[-1])
+    rng = random.Random(1216)
+    twice = 0
+    for _ in range(60):
+        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
+        iota = homotopic_iota(rng, c, iota)  # iota^2 = 1 only up to homotopy
+        built.clear()
+        involutive_correction_terms(c, iota)
+        one_plus_iota_nullhomotopic(c, iota)
+        assert all(owner is c and nf is built[0][1] for owner, nf in built)
+        twice += len(built) == 2
+        assert cones[-1]._normal is None
+    assert twice >= 5
+
+
 @pytest.mark.parametrize(
     "c",
     [
