@@ -120,7 +120,7 @@ def _parse_simplex(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v != ""]
     except ValueError as e:
-        raise InputError(f"bad simplex {text!r}: use comma-separated integers") from e
+        raise InputError(f"bad simplex {echo(text)}: use comma-separated integers") from e
 
 
 @dataclass
@@ -217,22 +217,15 @@ def _delta_rows(args, m):
     return [("delta", delta_invariant(m))]
 
 
-def _correction_terms(value):
-    c, iota = value
-    if iota is None:
-        raise InputError("u_complex input needs an 'iota' field for this command")
-    return involutive_correction_terms(c, iota)
-
-
-def _hfi_rows(args, value):
+def _hfi_rows(args, c):
     """The correction terms validate iota before the split test reads it."""
-    r = _correction_terms(value)
+    r = involutive_correction_terms(c)
     return [("d", r.d), ("d_bar", r.d_bar), ("d_under", r.d_under),
-            ("split", one_plus_iota_nullhomotopic(*value))]
+            ("split", one_plus_iota_nullhomotopic(c))]
 
 
-def _v0_rows(args, value):
-    v0, v0b, v0u = v0_triple(args.p, _correction_terms(value))
+def _v0_rows(args, c):
+    v0, v0b, v0u = v0_triple(args.p, involutive_correction_terms(c))
     return [("p", args.p), ("V0", v0), ("V0_bar", v0b), ("V0_under", v0u)]
 
 

@@ -2,18 +2,16 @@
 
 Inputs are finitely generated free graded complexes over F[U] together
 with a grading-preserving chain involution iota, exact up to chain
-homotopy.  Every F[U]-map is stored by the F2 coefficients of its
-entries, since one rule forces its U-powers: an entry j -> i of a
-degree-s map carries U^k with deg i - 2k = deg j + s (k >= 0).
-`_forced_power` is the only place that rule is written; the differential
-and iota share one entry reader and one entry printer.  The reader writes
-the coefficients straight into packed columns in slot order (below): bit
-slot[i] of column slot[j], so that duplicate entries cancel by XOR.  These
-columns are the one form of each map.  An iota is always read against
-its complex (`IotaMap.of`; `IotaMap.identity` is that complex's
-identity), so every entry has its forced U-power before `validate_iota`
-sees it, and `validate_iota` and the split test refuse an iota read
-against another complex.  Every product of two maps is taken on these
+homotopy: one `UComplex` holds both, and reads iota after d.  Every
+F[U]-map is stored by the F2 coefficients of its entries, since one rule
+forces its U-powers: an entry j -> i of a degree-s map carries U^k with
+deg i - 2k = deg j + s (k >= 0).  `_forced_power` is the only place that
+rule is written; the differential and iota share one entry reader and
+one entry printer.  The reader writes the coefficients straight into
+packed columns in slot order (below): bit slot[i] of column slot[j], so
+that duplicate entries cancel by XOR.  These columns are the one form of
+each map, so every entry of iota has its forced U-power before
+`validate_iota` sees it.  Every product of two maps is taken on these
 columns by `f2linalg._apply`: column t of A B is A applied to B's column
 t.  So the chain-map check, iota^2 + 1, 1 + iota, the homotopy solve and
 its certificate are XORs of packed columns, and `to_json` reads its
@@ -153,6 +151,13 @@ def _read_entries(c: "UComplex", entries, shift: int, what: str) -> list[int]:
     return cols
 
 
+def _triples(entries):
+    """The (from, to, upower) of each raw entry dict, taken only as they
+    are iterated."""
+    for e in entries:
+        yield e["from"], e["to"], e["upower"]
+
+
 def _bits(x: int):
     """The set bits r of the packed vector x, lowest first."""
     while x:
@@ -187,15 +192,17 @@ def _entry_list(c: "UComplex", cols: list[int], shift: int) -> list[dict]:
 
 
 class UComplex:
-    """Free graded complex over F[U]; differential entries carry the
-    degree-forced U-power.  The differential is kept as packed columns in
-    slot order (`_order[t]` is the generator in slot t, `_slot` its
-    inverse)."""
+    """Free graded complex over F[U] with an optional involution iota;
+    entries carry the degree-forced U-power.  The differential and iota
+    are kept as packed columns in slot order (`_order[t]` is the
+    generator in slot t, `_slot` its inverse); `_iota` is None when the
+    complex has no iota."""
 
-    def __init__(self, generators, differential):
-        """Generators (label, degree) and the differential's (from, to,
-        upower) entries, each checked (InputError).  Slots fall in degree,
-        ties by index."""
+    def __init__(self, generators, differential, iota=None):
+        """Generators (label, degree) and the (from, to, upower) entries of
+        the differential and of iota (None: no iota), each checked
+        (InputError), iota's after d^2 = 0.  Slots fall in degree, ties by
+        index."""
         gens = [(str(l), as_int(d, "u_complex", "degree")) for l, d in generators]
         if len({l for l, _ in gens}) != len(gens):
             raise InputError("duplicate generator labels")
@@ -203,6 +210,7 @@ class UComplex:
         self._cols = _read_entries(self, differential, -1, "differential")
         if any(la._apply(self._cols, col) for col in self._cols):
             raise InputError("differential does not square to zero")
+        self._iota = None if iota is None else _read_entries(self, iota, 0, "iota")
 
     @classmethod
     def _from_columns(cls, generators, order, cols: list[int]) -> "UComplex":
@@ -210,10 +218,10 @@ class UComplex:
         differential has the packed columns `cols` in the slot order
         `order`, which the caller has checked: degree -1 support,
         d^2 = 0, and slots that fall in degree within each parity (module
-        docstring)."""
+        docstring).  It has no iota."""
         c = cls.__new__(cls)
         c._setup(generators, order)
-        c._cols = cols
+        c._cols, c._iota = cols, None
         return c
 
     def _setup(self, generators, order: list[int]):
@@ -230,28 +238,26 @@ class UComplex:
     def entry_list(self) -> list[dict]:
         return _entry_list(self, self._cols, -1)
 
-    def to_json(self, iota: "IotaMap | None" = None) -> dict:
+    def to_json(self) -> dict:
         data = {
             "kind": "u_complex",
             "generators": [{"label": l, "degree": d} for l, d in self.generators],
             "differential": self.entry_list(),
         }
-        if iota is not None:
-            data["iota"] = _entry_list(self, iota._cols, 0)
+        if self._iota is not None:
+            data["iota"] = _entry_list(self, self._iota, 0)
         return data
 
     @classmethod
-    def from_json(cls, data: dict):
-        """(complex, iota or None) of a raw input dict.  A missing field
-        raises KeyError; `cli.parse_input` is the checked door that makes it
-        an InputError."""
+    def from_json(cls, data: dict) -> "UComplex":
+        """The complex of a raw input dict, with iota if it has an "iota"
+        field.  A missing field raises KeyError; `cli.parse_input` is the
+        checked door that makes it an InputError.  iota's entries are
+        taken from the field only as the constructor reads them, after
+        d^2 = 0 is checked."""
         gens = [(g["label"], g["degree"]) for g in data["generators"]]
-        diff = [(e["from"], e["to"], e["upower"]) for e in data.get("differential", [])]
-        c = cls(gens, diff)
-        iota = None
-        if "iota" in data:
-            iota = IotaMap.of(c, [(e["from"], e["to"], e["upower"]) for e in data["iota"]])
-        return c, iota
+        diff = list(_triples(data.get("differential", [])))
+        return cls(gens, diff, _triples(data["iota"]) if "iota" in data else None)
 
     # -- towers ----------------------------------------------------------
 
@@ -328,31 +334,11 @@ class UComplex:
         return ladder_window(gens, maps, lo, hi)
 
 
-class IotaMap:
-    """Grading-preserving F[U]-linear map on a complex c (U-powers forced
-    by degrees), read against c: it keeps c and its packed columns in c's
-    slot order.  `of` and `identity` are the constructors."""
-
-    def __init__(self, c: UComplex, cols: list[int]):
-        """The map on c with the packed columns `cols` in c's slot order,
-        which the caller has checked: degree-0 support."""
-        self._complex, self._cols = c, cols
-
-    @classmethod
-    def identity(cls, c: UComplex) -> "IotaMap":
-        return cls(c, [1 << t for t in range(len(c.generators))])
-
-    @classmethod
-    def of(cls, c: UComplex, entries) -> "IotaMap":
-        """The map with (from, to, upower) `entries` on c's generators,
-        each checked by the entry reader."""
-        return cls(c, _read_entries(c, entries, 0, "iota"))
-
-
-def _check_read_against(c: UComplex, iota: IotaMap):
-    """InputError unless iota was read against c itself."""
-    if iota._complex is not c:
-        raise InputError("iota was read against another complex")
+def _iota_of(c: UComplex) -> list[int]:
+    """c's iota as packed columns, or InputError if c has none."""
+    if c._iota is None:
+        raise InputError("u_complex input needs an 'iota' field for this command")
+    return c._iota
 
 
 def _homotopy_solve(c: UComplex, rhs: list[int]):
@@ -401,11 +387,11 @@ def _homotopy_solve(c: UComplex, rhs: list[int]):
     return h
 
 
-def validate_iota(c: UComplex, iota: IotaMap) -> bool:
-    """Chain map with iota^2 homotopic to the identity, or InputError.
-    The entry reader has checked the U-power of every entry of iota."""
-    _check_read_against(c, iota)
-    d, i = c._cols, iota._cols
+def validate_iota(c: UComplex) -> bool:
+    """c's iota is a chain map with iota^2 homotopic to the identity, or
+    InputError.  The entry reader has checked the U-power of every entry
+    of iota."""
+    d, i = c._cols, _iota_of(c)
     if any(la._apply(i, d_t) ^ la._apply(d, i_t) for d_t, i_t in zip(d, i)):
         raise InputError("iota is not a chain map")
     sq = [la._apply(i, i_t) ^ 1 << t for t, i_t in enumerate(i)]
@@ -414,26 +400,25 @@ def validate_iota(c: UComplex, iota: IotaMap) -> bool:
     return True
 
 
-def one_plus_iota_nullhomotopic(c: UComplex, iota: IotaMap) -> bool:
-    _check_read_against(c, iota)
-    return _homotopy_solve(c, [i_t ^ 1 << t for t, i_t in enumerate(iota._cols)]) is not None
+def one_plus_iota_nullhomotopic(c: UComplex) -> bool:
+    return _homotopy_solve(c, [i_t ^ 1 << t for t, i_t in enumerate(_iota_of(c))]) is not None
 
 
-def cone_iota(c: UComplex, iota: IotaMap) -> UComplex:
-    """The mapping cone of Q(1+iota), once iota is validated: generators
-    m:x and q:x (degree shifted by -1), differential [[d, 0], [1+iota, d]],
-    built from packed columns in the interleaved slot order (module
-    docstring).  Neither its support nor its square is checked again: mod
-    2 the square is [[d^2, 0], [iota d + d iota, d^2]], whose blocks
-    `UComplex` and `validate_iota` have already found zero."""
-    validate_iota(c, iota)
+def cone_iota(c: UComplex) -> UComplex:
+    """The mapping cone of Q(1+iota) for c's iota, once it is validated:
+    generators m:x and q:x (degree shifted by -1), differential
+    [[d, 0], [1+iota, d]], built from packed columns in the interleaved
+    slot order (module docstring).  Neither its support nor its square is
+    checked again: mod 2 the square is [[d^2, 0], [iota d + d iota, d^2]],
+    whose blocks `UComplex` and `validate_iota` have already found zero."""
+    validate_iota(c)
     n = len(c.generators)
     gens = [(f"m:{l}", d) for l, d in c.generators]
     gens += [(f"q:{l}", d - 1) for l, d in c.generators]
     # slot 2t holds m:x and slot 2t + 1 holds q:x, for x in c's slot t:
     # d m:x = m:dx + q:(1 + iota)x and d q:x = q:dx
     cols = []
-    for t, (d_t, iota_t) in enumerate(zip(c._cols, iota._cols)):
+    for t, (d_t, iota_t) in enumerate(zip(c._cols, c._iota)):
         m = _spread(d_t)
         cols += [m | _spread(iota_t ^ 1 << t) << 1, m << 1]
     order = [g + half for g in c._order for half in (0, n)]
@@ -464,11 +449,12 @@ class InvolutiveReport:
         return (self.d, self.d_bar, self.d_under)
 
 
-def involutive_correction_terms(c: UComplex, iota: IotaMap) -> InvolutiveReport:
-    """d, d_bar, d_under of c with iota, read from the two towers of their
-    cone by definition (module docstring); the split case is a special
-    case.  iota is validated first (by `cone_iota`), then d is read."""
-    cone = cone_iota(c, iota)
+def involutive_correction_terms(c: UComplex) -> InvolutiveReport:
+    """d, d_bar, d_under of c with its iota, read from the two towers of
+    their cone by definition (module docstring); the split case is a
+    special case.  iota is validated first (by `cone_iota`), then d is
+    read."""
+    cone = cone_iota(c)
     d = d_invariant(c)
     towers = cone.tower_bottoms()
     if len(towers) != 2:

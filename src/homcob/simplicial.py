@@ -31,7 +31,7 @@ from itertools import chain, combinations
 from operator import xor
 
 from . import f2linalg as la
-from .errors import InputError, InternalError, as_int
+from .errors import InputError, InternalError, as_int, echo
 from .toddcoxeter import COSET_LIMIT, check_coset_limit, coset_enumeration
 
 Simplex = tuple[int, ...]
@@ -46,7 +46,7 @@ MAX_CELLS = 1 << 18
 def _simplex(s) -> Simplex:
     t = tuple(sorted(int(v) for v in s))
     if len(set(t)) != len(t):
-        raise InputError(f"simplex with repeated vertices: {s}")
+        raise InputError(f"simplex with repeated vertices: {echo(s)}")
     if not t:
         raise InputError("empty simplex")
     return t
@@ -74,15 +74,15 @@ class AbstractComplex:
         for s in simplices:
             t = _simplex(s)
             if not set(t) <= vset:
-                raise InputError(f"simplex {t} references unknown vertex")
+                raise InputError(f"simplex {echo(t)} references unknown vertex")
             simps.add(t)
         for s in list(simps):
             for f in _proper_faces(s):
                 if f not in simps:
-                    raise InputError(f"not downward closed: missing face {f} of {s}")
+                    raise InputError(f"not downward closed: missing face {echo(f)} of {echo(s)}")
         for v in vset:
             if (v,) not in simps:
-                raise InputError(f"vertex {v} has no singleton simplex")
+                raise InputError(f"vertex {echo(v)} has no singleton simplex")
         self.vertices = tuple(sorted(vset))
         self.simplices = frozenset(simps)
 
@@ -191,7 +191,7 @@ class AbstractComplex:
         simps = [_simplex(s) for s in subset]
         for s in simps:
             if s not in self.simplices:
-                raise InputError(f"simplex {s} not in complex")
+                raise InputError(f"simplex {echo(s)} not in complex")
         out = set()
         for s in simps:
             out.add(s)
@@ -202,7 +202,7 @@ class AbstractComplex:
         """All cofaces of tau, tau included."""
         t = _simplex(tau)
         if t not in self.simplices:
-            raise InputError(f"simplex {t} not in complex")
+            raise InputError(f"simplex {echo(t)} not in complex")
         tset = set(t)
         return frozenset(s for s in self.simplices if tset <= set(s))
 
@@ -224,7 +224,7 @@ class AbstractComplex:
         so only the smallest star of those vertices is searched."""
         t = _simplex(tau)
         if t not in self.simplices:
-            raise InputError(f"simplex {t} not in complex")
+            raise InputError(f"simplex {echo(t)} not in complex")
         tset = set(t)
         stars = self._stars()
         simps = frozenset(
@@ -604,7 +604,7 @@ def fundamental_group(k: AbstractComplex, basepoint=None) -> GroupPresentation:
         raise InputError("complex is not connected")
     base = k.vertices[0] if basepoint is None else int(basepoint)
     if (base,) not in k.simplices:
-        raise InputError(f"basepoint {base} not a vertex")
+        raise InputError(f"basepoint {echo(base)} not a vertex")
     if base != k.vertices[0]:
         parent = k._search(base, edges)
 

@@ -22,7 +22,6 @@ from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import GradedComplex, Homology, ladder_window
 from homcob.involutive import (
     DEFAULT_MARGIN,
-    IotaMap,
     UComplex,
     _forced_power,
     cone_iota,
@@ -843,24 +842,35 @@ def d_matrix_of(c: UComplex) -> np.ndarray:
     return generator_matrix(c, c._cols)
 
 
-def iota_matrix_of(iota: IotaMap) -> np.ndarray:
-    """iota as a coefficient matrix in its complex's generator order."""
-    return generator_matrix(iota._complex, iota._cols)
+def iota_matrix_of(c: UComplex) -> np.ndarray:
+    """c's iota as a coefficient matrix in generator order."""
+    return generator_matrix(c, c._iota)
 
 
-def ucomplex_from_matrix(gens, d_mat: np.ndarray) -> UComplex:
+def _matrix_entries(gens, mat: np.ndarray, shift: int) -> list[tuple]:
+    """The (from, to, upower) entries of the degree-`shift` map on `gens`
+    with the coefficient matrix mat."""
+    return [(gens[j][0], gens[i][0], _forced_power(gens[j][1], gens[i][1], shift))
+            for i, j in zip(*np.nonzero(mat))]
+
+
+def ucomplex_from_matrix(gens, d_mat: np.ndarray, iota_mat: np.ndarray | None = None):
     """The complex on `gens` whose differential has the coefficient
-    matrix d_mat, read through the entry reader (which checks it again)."""
-    return UComplex(gens, [(gens[j][0], gens[i][0], _forced_power(gens[j][1], gens[i][1], -1))
-                           for i, j in zip(*np.nonzero(d_mat))])
+    matrix d_mat, with the iota of matrix iota_mat if one is given, read
+    through the entry reader (which checks them again)."""
+    iota = None if iota_mat is None else _matrix_entries(gens, iota_mat, 0)
+    return UComplex(gens, _matrix_entries(gens, d_mat, -1), iota)
 
 
-def iota_from_matrix(c: UComplex, mat: np.ndarray) -> IotaMap:
-    """The iota on c whose coefficient matrix is mat, read through the
+def with_iota(c: UComplex, mat: np.ndarray) -> UComplex:
+    """c with the iota whose coefficient matrix is mat, read through the
     entry reader, which refuses an entry of no degree-0 U-power."""
-    gens = c.generators
-    return IotaMap.of(c, [(gens[j][0], gens[i][0], _forced_power(gens[j][1], gens[i][1], 0))
-                          for i, j in zip(*np.nonzero(mat))])
+    return ucomplex_from_matrix(c.generators, d_matrix_of(c), mat)
+
+
+def with_identity_iota(c: UComplex) -> UComplex:
+    """c with iota = 1."""
+    return with_iota(c, la.f2_eye(len(c.generators)))
 
 
 def random_ucomplex_with_iota(
@@ -884,11 +894,11 @@ def spread_ucomplex_with_iota(rng: random.Random, pairs: int, spread: int = 5):
     """The shape of the benchmark's u_complex models: a tower generator
     plus `pairs` pairs x -> U^m y whose tops x are spread evenly over
     [-spread, spread] around the tower, m = 1, 2 alternating, with iota
-    as in random_ucomplex_with_iota.  Returns (c, iota, d)."""
+    as in random_ucomplex_with_iota.  Returns (c, d)."""
     d_tower = 2 * rng.randint(-2, 2)
     shapes = [(d_tower + round(-spread + 2 * spread * i / max(1, pairs - 1)), 1 + i % 2)
               for i in range(pairs)]
-    return (*_tower_and_pairs_with_iota(rng, d_tower, shapes), d_tower)
+    return _tower_and_pairs_with_iota(rng, d_tower, shapes), d_tower
 
 
 def _tower_and_pairs_with_iota(rng, d_tower, shapes, iota_identity=False, conjugate=True):
@@ -921,18 +931,19 @@ def _tower_and_pairs_with_iota(rng, d_tower, shapes, iota_identity=False, conjug
         dmat = la.f2_mul(la.f2_mul(p, d_matrix_of(c)), pinv)
         iota = la.f2_mul(la.f2_mul(p, iota), pinv)
         assert not la.f2_mul(dmat, dmat).any()
-        c = ucomplex_from_matrix(gens, dmat)
-    return c, iota_from_matrix(c, iota)
+        return ucomplex_from_matrix(gens, dmat, iota)
+    return with_iota(c, iota)
 
 
-def dual_ucomplex(c: UComplex, iota: IotaMap):
-    """The orientation reverse: degrees negated, d and iota transposed."""
+def dual_ucomplex(c: UComplex) -> UComplex:
+    """The orientation reverse: degrees negated, d and iota (if c has one)
+    transposed."""
     gens = [(l, -d) for l, d in c.generators]
-    dual = UComplex(gens, [(e["to"], e["from"], e["upower"]) for e in c.entry_list()])
-    return dual, iota_from_matrix(dual, iota_matrix_of(iota).T)
+    iota = None if c._iota is None else iota_matrix_of(c).T
+    return ucomplex_from_matrix(gens, d_matrix_of(c).T, iota)
 
 
-def connected_sum(c1: UComplex, iota1: IotaMap, c2: UComplex, iota2: IotaMap):
+def connected_sum(c1: UComplex, c2: UComplex) -> UComplex:
     """Y1 # Y2 as the tensor product over F[U] (Hendricks, Manolescu and
     Zemke, "A connected sum formula for involutive Heegaard Floer
     homology"): generators x1 x2 in degree deg x1 + deg x2,
@@ -942,8 +953,7 @@ def connected_sum(c1: UComplex, iota1: IotaMap, c2: UComplex, iota2: IotaMap):
     n1, n2 = len(c1.generators), len(c2.generators)
     d_mat = np.kron(d_matrix_of(c1), la.f2_eye(n2)) ^ np.kron(la.f2_eye(n1), d_matrix_of(c2))
     assert not la.f2_mul(d_mat, d_mat).any()
-    c = ucomplex_from_matrix(gens, d_mat)
-    return c, iota_from_matrix(c, np.kron(iota_matrix_of(iota1), iota_matrix_of(iota2)))
+    return ucomplex_from_matrix(gens, d_mat, np.kron(iota_matrix_of(c1), iota_matrix_of(c2)))
 
 
 def _random_allowed_automorphism(rng: random.Random, c: UComplex) -> np.ndarray:
@@ -960,16 +970,15 @@ def _random_allowed_automorphism(rng: random.Random, c: UComplex) -> np.ndarray:
     return p
 
 
-def with_far_pair(c: UComplex, iota: IotaMap, degree: int, upower: int):
+def with_far_pair(c: UComplex, degree: int, upower: int) -> UComplex:
     """c plus an acyclic-over-U pair x -> U^upower y with x at `degree`,
     iota extended by the identity on the pair."""
     gens = list(c.generators) + [("far_x", degree), ("far_y", degree - 1 + 2 * upower)]
-    entries = [(e["from"], e["to"], e["upower"]) for e in c.entry_list()]
-    big = UComplex(gens, entries + [("far_x", "far_y", upower)])
     n = len(c.generators)
-    mat = la.f2_eye(n + 2)
-    mat[:n, :n] = iota_matrix_of(iota)
-    return big, iota_from_matrix(big, mat)
+    d_mat, iota = la.f2_zeros(n + 2, n + 2), la.f2_eye(n + 2)
+    d_mat[:n, :n], d_mat[n + 1, n] = d_matrix_of(c), 1
+    iota[:n, :n] = iota_matrix_of(c)
+    return ucomplex_from_matrix(gens, d_mat, iota)
 
 
 def random_ucomplex(rng: random.Random, max_towers: int = 4, max_pairs: int = 4) -> UComplex:
@@ -1003,11 +1012,12 @@ def random_fu_map(rng: random.Random, c: UComplex, shift: int):
     return m
 
 
-def homotopic_iota(rng: random.Random, c: UComplex, iota: IotaMap) -> IotaMap:
-    """iota + dK + Kd for a random degree +1 F[U]-map K: a chain map
-    homotopic to iota, whose square is the identity only up to homotopy."""
+def homotopic_iota(rng: random.Random, c: UComplex) -> UComplex:
+    """c with iota + dK + Kd for a random degree +1 F[U]-map K: a chain
+    map homotopic to c's iota, whose square is the identity only up to
+    homotopy."""
     k, d = random_fu_map(rng, c, 1), d_matrix_of(c)
-    return iota_from_matrix(c, iota_matrix_of(iota) ^ la.f2_mul(d, k) ^ la.f2_mul(k, d))
+    return with_iota(c, iota_matrix_of(c) ^ la.f2_mul(d, k) ^ la.f2_mul(k, d))
 
 
 def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False):
@@ -1050,10 +1060,10 @@ def homotopy_solve_oracle(c: UComplex, rhs: np.ndarray, localized: bool = False)
     return h
 
 
-def iota_localized_identity(c: UComplex, iota: IotaMap) -> bool:
-    """Does iota act as the identity on U-localized homology?  That is,
-    is 1 + iota null-homotopic once U is inverted (any U-powers in H)."""
-    rhs = iota_matrix_of(iota) ^ la.f2_eye(len(c.generators))
+def iota_localized_identity(c: UComplex) -> bool:
+    """Does c's iota act as the identity on U-localized homology?  That
+    is, is 1 + iota null-homotopic once U is inverted (any U-powers in H)."""
+    rhs = iota_matrix_of(c) ^ la.f2_eye(len(c.generators))
     return homotopy_solve_oracle(c, rhs, localized=True) is not None
 
 
@@ -1296,37 +1306,51 @@ def window_localization(model: PinModel) -> LocalizationReport:
                               "" if ok else "stable range deviates from the tower pattern")
 
 
-def window_coborel_tops(model: PinModel):
-    """The reference for coborel_tower_tops: in each residue, the highest
-    degree of the degree-negated dual window (the Borel window negated)
-    whose classes survive v-powers down to the dual of the stable cut."""
+def _window_dual_tops(model, name: str, levels: int, below_top: int):
+    """In each residue -(n + a) of the tower step, the highest degree of
+    the degree-negated dual window (the model's default window negated)
+    whose classes survive `name`-powers down to the dual of the stable
+    cut, `below_top` degrees under the window's top."""
     n = model.reducible_degree
     if n is None:
         raise ModelInvalidError("model has no reducible tower")
     lo, hi = model.default_window()
     h = Homology(ladder_window(*dual_ladders(*model._ladders()), -hi, -lo))
-    dhi, cut = -lo, -(hi - 8)
+    dhi, cut, step = -lo, -(hi - below_top), model.STEP
     tops = []
-    for r in range(3):
+    for r in range(levels):
         top = None
-        d = dhi - ((dhi - (-(n + r))) % 4)
+        d = dhi - ((dhi - (-(n + r))) % step)
         while d >= cut:
-            k = (d - cut) // 4
-            if k >= 1 and la.rank_f2(h.op_power("v", d, k)) > 0:
+            k = (d - cut) // step
+            if k >= 1 and la.rank_f2(h.op_power(name, d, k)) > 0:
                 top = d
                 break
-            d -= 4
+            d -= step
         if top is None:
             raise ModelInvalidError(f"no surviving dual tower in residue {r}")
         tops.append(top)
     return tuple(tops)
 
 
-def cone_plus_window(c: UComplex, iota: IotaMap, lo: int, hi: int) -> GradedComplex:
+def window_coborel_tops(model: PinModel):
+    """The reference for coborel_tower_tops: the tops of the three dual
+    towers, read from v-powers."""
+    return _window_dual_tops(model, "v", 3, 8)
+
+
+def window_delta_coborel_top(model: SOneModel) -> int:
+    """The one-tower analogue of window_coborel_tops: the top of the dual
+    U-tower, read from U-powers.  Orientation duality puts it at minus the
+    bottom behind delta_invariant, so delta(-Y) = -delta(Y)."""
+    return _window_dual_tops(model, "U", 1, 4)[0]
+
+
+def cone_plus_window(c: UComplex, lo: int, hi: int) -> GradedComplex:
     """The plus flavor of the cone of Q(1+iota) on [lo, hi], with
     Q (x, k) = (Qx, k)."""
     q = [(f"m:{lab}", f"q:{lab}", 0) for lab, _ in c.generators]
-    cx = cone_iota(c, iota).plus_window(lo, hi, {"Q": (-1, q)})
+    cx = cone_iota(c).plus_window(lo, hi, {"Q": (-1, q)})
     # the module relation Q^2 = 0 (the window checks dQ = Qd)
     for d in cx.degrees():
         qq = la.f2_mul(cx.op_matrix("Q", d - 1), cx.op_matrix("Q", d))
@@ -1335,23 +1359,23 @@ def cone_plus_window(c: UComplex, iota: IotaMap, lo: int, hi: int) -> GradedComp
     return cx
 
 
-def cone_window_dims(c: UComplex, iota: IotaMap):
+def cone_window_dims(c: UComplex):
     """Homology of the cone and of its base c on the cone's default
     window, and the interior degrees where both are exact."""
-    lo, hi = cone_iota(c, iota).default_window()
-    hc = Homology(cone_plus_window(c, iota, lo, hi))
+    lo, hi = cone_iota(c).default_window()
+    hc = Homology(cone_plus_window(c, lo, hi))
     hb = Homology(c.plus_window(lo, hi))
     return hc, hb, range(lo + 4, hi - 2 * DEFAULT_MARGIN)
 
 
-def split_dims_law(c: UComplex, iota: IotaMap) -> bool:
+def split_dims_law(c: UComplex) -> bool:
     """dim HFI_n == dim HF_n + dim HF_{n+1} on the window interior
     (exact for split cones; an inequality <= holds in general)."""
-    hc, hb, interior = cone_window_dims(c, iota)
+    hc, hb, interior = cone_window_dims(c)
     return all(hc.dim(n) == hb.dim(n) + hb.dim(n + 1) for n in interior)
 
 
-def cone_rank_bound(c: UComplex, iota: IotaMap) -> bool:
+def cone_rank_bound(c: UComplex) -> bool:
     """Long-exact-sequence bound dim HFI_n <= dim HF_n + dim HF_{n+1}."""
-    hc, hb, interior = cone_window_dims(c, iota)
+    hc, hb, interior = cone_window_dims(c)
     return all(hc.dim(n) <= hb.dim(n) + hb.dim(n + 1) for n in interior)

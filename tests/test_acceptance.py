@@ -16,7 +16,6 @@ from homcob.equivariant import (
     tower_bottoms,
 )
 from homcob.involutive import (
-    IotaMap,
     UComplex,
     d_invariant,
     involutive_correction_terms,
@@ -108,8 +107,7 @@ def test_acceptance_03_duality():
 
 def test_acceptance_04_involutive_fixture():
     t0 = time.perf_counter()
-    c, iota = UComplex.from_json(fixtures.load("sigma237")[0])
-    rep = involutive_correction_terms(c, iota)
+    rep = involutive_correction_terms(UComplex.from_json(fixtures.load("sigma237")[0]))
     assert (rep.d, rep.d_bar, rep.d_under) == (0, 0, -2)
     assert v0_triple(1, rep) == (0, 0, 1)
     elapsed = time.perf_counter() - t0
@@ -121,11 +119,10 @@ def test_acceptance_05_split_cone_law():
     rng = random.Random(1205)
     t0 = time.perf_counter()
     for _ in range(25):
-        c, _ = random_ucomplex_with_iota(rng, iota_identity=True)
+        c = random_ucomplex_with_iota(rng, iota_identity=True)
         assert len(c.generators) <= 8
-        iota = IotaMap.identity(c)
-        assert split_dims_law(c, iota)
-        rep = involutive_correction_terms(c, iota)
+        assert split_dims_law(c)
+        rep = involutive_correction_terms(c)
         d = d_invariant(c)
         assert rep.triple() == (d, d, d)
     elapsed = time.perf_counter() - t0
@@ -137,9 +134,9 @@ def test_acceptance_06_ordering():
     rng = random.Random(1206)
     t0 = time.perf_counter()
     for _ in range(100):
-        c, iota = random_ucomplex_with_iota(rng)
-        assert iota_localized_identity(c, iota)
-        rep = involutive_correction_terms(c, iota)
+        c = random_ucomplex_with_iota(rng)
+        assert iota_localized_identity(c)
+        rep = involutive_correction_terms(c)
         assert rep.d_under <= rep.d <= rep.d_bar
         assert (rep.d_bar - rep.d) % 2 == 0 and (rep.d_under - rep.d) % 2 == 0
     elapsed = time.perf_counter() - t0
@@ -265,16 +262,16 @@ def test_acceptance_13_s7_coset_table():
 
 def test_acceptance_14_hfi_at_scale():
     rng = random.Random(1214)
-    c, iota, d = spread_ucomplex_with_iota(rng, 80)
+    c, d = spread_ucomplex_with_iota(rng, 80)
     assert len(c.generators) == 161
-    rep, elapsed = _best_of(lambda: involutive_correction_terms(c, iota), n=3)
+    rep, elapsed = _best_of(lambda: involutive_correction_terms(c), n=3)
     assert rep.d == d
     assert elapsed < 0.5
     _report(14, "hfi on a 161-generator model", elapsed, "<0.5s")
-    big, big_iota, big_d = spread_ucomplex_with_iota(rng, 160)
+    big, big_d = spread_ucomplex_with_iota(rng, 160)
     assert len(big.generators) == 321
     t0 = time.perf_counter()
-    assert involutive_correction_terms(big, big_iota).d == big_d
+    assert involutive_correction_terms(big).d == big_d
     _report(14, "hfi on a 321-generator model", time.perf_counter() - t0, "completes")
 
 
@@ -282,9 +279,9 @@ def test_acceptance_15_hfi_at_641_generators():
     rng = random.Random(1214)
     for pairs in (80, 160):  # the models of row 14 come first from this seed
         spread_ucomplex_with_iota(rng, pairs)
-    c, iota, d = spread_ucomplex_with_iota(rng, 320)
+    c, d = spread_ucomplex_with_iota(rng, 320)
     assert len(c.generators) == 641
-    rep, elapsed = _best_of(lambda: involutive_correction_terms(c, iota), n=3)
+    rep, elapsed = _best_of(lambda: involutive_correction_terms(c), n=3)
     assert rep.d == d
     assert elapsed < 0.5
     _report(15, "hfi on a 641-generator model", elapsed, "<0.5s")
@@ -294,9 +291,9 @@ def test_acceptance_16_hfi_at_1281_generators():
     rng = random.Random(1214)
     for pairs in (80, 160, 320):  # the models of rows 14 and 15 come first from this seed
         spread_ucomplex_with_iota(rng, pairs)
-    c, iota, d = spread_ucomplex_with_iota(rng, 640)
+    c, d = spread_ucomplex_with_iota(rng, 640)
     assert len(c.generators) == 1281
-    rep, elapsed = _best_of(lambda: involutive_correction_terms(c, iota), n=3)
+    rep, elapsed = _best_of(lambda: involutive_correction_terms(c), n=3)
     assert rep.d == d
     assert elapsed < 0.8
     _report(16, "hfi on a 1281-generator model", elapsed, "<0.8s")

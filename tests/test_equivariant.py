@@ -27,6 +27,7 @@ from helpers import (
     rokhlin_check,
     window_coborel_tops,
     window_delta_bottom,
+    window_delta_coborel_top,
     window_localization,
     window_pin_bottoms,
     with_acyclic_pair,
@@ -528,6 +529,28 @@ def test_delta_random_window_independent():
         m = random_s1_model(rng)
         (bottom,) = wider_window_bottoms(m, "U", 2, [0], 4, 8)
         assert delta_invariant(m) == Fraction(bottom, 2)
+
+
+def _check_s1_duality(m):
+    """The top of the dual's U-tower is minus the bottom behind delta."""
+    (bottom,) = tower_bottoms(m)
+    assert window_delta_coborel_top(m) == -bottom == -2 * delta_invariant(m)
+
+
+def test_s1_orientation_duality():
+    s1s = [m for m in fixture_models() if isinstance(m, SOneModel)]
+    assert len(s1s) == 2
+    rng = random.Random(3601)
+    for m in s1s + [random_s1_model(rng, max_blocks=3) for _ in range(40)]:
+        _check_s1_duality(m)
+
+
+@pytest.mark.parametrize("offset", [-400, -200, -100, -50, 50, 100, 200, 400])
+def test_s1_orientation_duality_with_a_far_pair(offset):
+    s1s = [m for m in fixture_models() if isinstance(m, SOneModel)]
+    rng = random.Random(3602 + offset)
+    for m in s1s + [random_s1_model(rng, max_blocks=3) for _ in range(3)]:
+        _check_s1_duality(with_acyclic_pair(m, m.reducible_degree + offset))
 
 
 def test_delta_is_half_integer_of_tower_bottom():

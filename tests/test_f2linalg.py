@@ -366,8 +366,8 @@ def complex_matrices():
             for d in range(len(cc.generators)):
                 out += [mod2_oracle(cc.boundaries[d]), coboundary_oracle(cc, d)]
         elif kind == "u_complex":
-            c, iota = UComplex.from_json(fixtures.load(name)[0])
-            for x in (c, cone_iota(c, iota)):
+            c = UComplex.from_json(fixtures.load(name)[0])
+            for x in (c, cone_iota(c)):
                 degs = x.degrees()
                 order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
                 out.append(d_matrix_of(x)[np.ix_(order, order)])

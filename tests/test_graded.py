@@ -23,10 +23,10 @@ def cone_windows(seed, count):
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        c, iota = random_ucomplex_with_iota(rng, max_pairs=3)
-        for base, i in ((c, iota), dual_ucomplex(c, iota)):
-            lo, hi = cone_iota(base, i).default_window()
-            out.append((cone_plus_window(base, i, lo, hi), (lo, hi)))
+        c = random_ucomplex_with_iota(rng, max_pairs=3)
+        for base in (c, dual_ucomplex(c)):
+            lo, hi = cone_iota(base).default_window()
+            out.append((cone_plus_window(base, lo, hi), (lo, hi)))
     return out
 
 

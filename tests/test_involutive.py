@@ -11,7 +11,6 @@ from homcob.equivariant import SOneModel, delta_invariant
 from homcob.errors import InputError, InternalError, ModelInvalidError
 from homcob.graded import Homology
 from homcob.involutive import (
-    IotaMap,
     UComplex,
     _forced_power,
     _homotopy_solve,
@@ -36,7 +35,6 @@ from helpers import (
     generator_matrix,
     homotopic_iota,
     homotopy_solve_oracle,
-    iota_from_matrix,
     iota_localized_identity,
     iota_matrix_of,
     random_fu_map,
@@ -50,14 +48,15 @@ from helpers import (
     v0_inverse,
     window_tower_bottoms,
     with_far_pair,
+    with_identity_iota,
+    with_iota,
 )
 
 S3 = UComplex([("g", 0)], [])
 
 
 def sigma237():
-    c, iota = UComplex.from_json(fixtures.load("sigma237")[0])
-    return c, iota
+    return UComplex.from_json(fixtures.load("sigma237")[0])
 
 
 # -- complex validation ------------------------------------------------------
@@ -112,11 +111,12 @@ def test_entry_reader_packs_in_slot_order():
     assert c._order == [1, 2, 3, 0] and c._slot == [3, 0, 1, 2]
     assert c._cols == [1 << 2, 1 << 3, 0, 0]
     assert d_matrix_of(c).tolist() == [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]]
-    iota = IotaMap.of(c, [(l, l, 0) for l, _ in c.generators] + [("x", "v", 0)])
-    assert iota._complex is c and iota._cols == [1, 2 | 4, 4, 8]
+    with_x_to_v = UComplex(c.generators, [("x", "y", 0), ("w", "v", 0)],
+                           [(l, l, 0) for l, _ in c.generators] + [("x", "v", 0)])
+    assert with_x_to_v._cols == c._cols and with_x_to_v._iota == [1, 2 | 4, 4, 8]
     want = la.f2_eye(4)
     want[3, 2] = 1  # x -> v
-    assert (iota_matrix_of(iota) == want).all()
+    assert (iota_matrix_of(with_x_to_v) == want).all()
 
 
 @pytest.mark.parametrize("big", [2**61 - 1, 2**61, 2**62, 2**63, 10**30])
@@ -144,25 +144,24 @@ def test_support_check_is_exact_beyond_int64(big):
             mat = np.eye(4, dtype=np.uint8)
             mat[tgt, src] = 1
             if ok:
-                assert validate_iota(c, iota_from_matrix(c, mat))
+                assert validate_iota(with_iota(c, mat))
             else:
                 with pytest.raises(InputError, match="no degree 0 entry possible"):
-                    iota_from_matrix(c, mat)
+                    with_iota(c, mat)
 
 
-def test_an_iota_read_against_another_complex_is_refused():
-    # the same generators and maps, read twice: the sizes match, yet an
-    # iota belongs to the complex it was read against
-    rng = random.Random(3435)
-    models = fixture_models() + [random_ucomplex_with_iota(rng) for _ in range(10)]
-    for c, iota in models:
-        other, _ = UComplex.from_json(c.to_json(iota))
-        for check in (validate_iota, one_plus_iota_nullhomotopic, cone_iota,
-                      involutive_correction_terms):
-            with pytest.raises(InputError, match="iota was read against another complex"):
-                check(other, iota)
-        assert validate_iota(c, iota)
-        one_plus_iota_nullhomotopic(c, iota)
+@pytest.mark.parametrize("entry_point", [validate_iota, one_plus_iota_nullhomotopic, cone_iota,
+                                         involutive_correction_terms])
+def test_a_complex_without_iota_is_refused_first(entry_point):
+    # the missing iota is named before any other check, though the last
+    # two complexes have no single tower
+    no_iota = {k: v for k, v in fixtures.load("sigma237")[0].items() if k != "iota"}
+    for c in (UComplex.from_json(no_iota), S3, UComplex([], []),
+              UComplex([("a", 0), ("b", 0)], [])):
+        assert c._iota is None and "iota" not in c.to_json()
+        with pytest.raises(InputError) as err:
+            entry_point(c)
+        assert str(err.value) == "u_complex input needs an 'iota' field for this command"
 
 
 def test_validate_iota_never_asks_the_u_power_rule(monkeypatch):
@@ -170,18 +169,17 @@ def test_validate_iota_never_asks_the_u_power_rule(monkeypatch):
     # validate_iota asks the U-power rule nothing; iota^2 = 1 here, so the
     # homotopy solve asks it nothing either
     rng = random.Random(3434)
-    docs = [c.to_json(iota) for c, iota in
-            [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(20)]]
+    docs = [random_ucomplex_with_iota(rng, max_pairs=4).to_json() for _ in range(20)]
     calls = []
     forced = involutive._forced_power
     monkeypatch.setattr(involutive, "_forced_power", lambda *a: calls.append(a) or forced(*a))
     for doc in docs:
-        c, iota = UComplex.from_json(doc)
+        c = UComplex.from_json(doc)
         n = len(c.generators)
-        mat = iota_matrix_of(iota)
+        mat = iota_matrix_of(c)
         assert not (la.f2_mul(mat, mat) ^ la.f2_eye(n)).any()
         calls.clear()
-        assert validate_iota(c, iota) and calls == []
+        assert validate_iota(c) and calls == []
 
 
 def _minus_sigma237_with(edit):
@@ -250,34 +248,43 @@ def _entry_set(entries):
     return {(e["from"], e["to"], e["upower"]) for e in entries}
 
 
-def _assert_json_roundtrip(c, iota):
-    data = c.to_json(iota)
-    assert data == {
+def _assert_json_roundtrip(c):
+    data = c.to_json()
+    want = {
         "kind": "u_complex",
         "generators": [{"label": l, "degree": d} for l, d in c.generators],
         "differential": _column_major_entries(c, d_matrix_of(c), -1),
-        "iota": _column_major_entries(c, iota_matrix_of(iota), 0),
     }
-    c2, iota2 = UComplex.from_json(json.loads(json.dumps(data)))
+    if c._iota is not None:
+        want["iota"] = _column_major_entries(c, iota_matrix_of(c), 0)
+    assert data == want
+    c2 = UComplex.from_json(json.loads(json.dumps(data)))
     assert c2.generators == c.generators
     assert (d_matrix_of(c2) == d_matrix_of(c)).all()
-    assert (iota_matrix_of(iota2) == iota_matrix_of(iota)).all()
-    assert json.dumps(c2.to_json(iota2)) == json.dumps(data)
+    assert c2._iota == c._iota
+    assert json.dumps(c2.to_json()) == json.dumps(data)
 
 
 def test_json_roundtrip():
     for name in fixtures.fixture_names():
         if fixtures.describe(name) == "u_complex":
             raw = fixtures.load(name)[0]
-            c, iota = UComplex.from_json(raw)
-            _assert_json_roundtrip(c, iota)
-            data = c.to_json(iota)
+            c = UComplex.from_json(raw)
+            _assert_json_roundtrip(c)
+            data = c.to_json()
             for field in ("differential", "iota"):
                 assert _entry_set(data[field]) == _entry_set(raw[field])
+            # without iota, and with an empty one: iota = 0 is an iota
+            bare = UComplex.from_json({k: v for k, v in raw.items() if k != "iota"})
+            assert bare._iota is None and "iota" not in bare.to_json()
+            _assert_json_roundtrip(bare)
+            zero = UComplex.from_json({**raw, "iota": []})
+            assert zero._iota == [0] * len(c.generators) and zero.to_json()["iota"] == []
+            _assert_json_roundtrip(zero)
     rng = random.Random(8080)
     for _ in range(50):
-        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
-        _assert_json_roundtrip(c, iota)
+        _assert_json_roundtrip(random_ucomplex_with_iota(rng, max_pairs=4))
+    _assert_json_roundtrip(random_ucomplex(rng))
 
 
 # -- plus flavor ---------------------------------------------------------------
@@ -346,41 +353,38 @@ def test_d_rejects_two_towers():
 
 
 def test_d_sigma237_fixture():
-    c, _ = sigma237()
-    assert d_invariant(c) == 0
+    assert d_invariant(sigma237()) == 0
 
 
 # -- tower bottoms by elimination against the window reader ----------------------
 
 
-def both_orientations_and_cones(c, iota):
+def both_orientations_and_cones(c):
     """c, its orientation reverse, and the complexes of both cones."""
     out = []
-    for base, i in ((c, iota), dual_ucomplex(c, iota)):
-        out += [base, cone_iota(base, i)]
+    for base in (c, dual_ucomplex(c)):
+        out += [base, cone_iota(base)]
     return out
 
 
 def test_tower_bottoms_match_window_reader_on_random_complexes():
     rng = random.Random(4242)
     for _ in range(40):
-        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
-        for cx in both_orientations_and_cones(c, iota):
+        for cx in both_orientations_and_cones(random_ucomplex_with_iota(rng, max_pairs=4)):
             assert cx.tower_bottoms() == window_tower_bottoms(cx)
 
 
 @pytest.mark.parametrize("offset", [50, -50, 100, 200, -400, 400])
 def test_tower_bottoms_match_window_reader_with_a_far_pair(offset):
     rng = random.Random(offset)
-    c, iota = random_ucomplex_with_iota(rng, max_pairs=2)
-    far, far_iota = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
-    for cx in both_orientations_and_cones(far, far_iota):
+    c = random_ucomplex_with_iota(rng, max_pairs=2)
+    far = with_far_pair(c, offset + rng.randint(0, 1), rng.randint(1, 3))
+    for cx in both_orientations_and_cones(far):
         assert cx.tower_bottoms() == window_tower_bottoms(cx)
 
 
 def test_tower_bottoms_fixture_and_hand_built_cases():
-    c, iota = sigma237()
-    for cx in both_orientations_and_cones(c, iota):
+    for cx in both_orientations_and_cones(sigma237()):
         assert cx.tower_bottoms() == window_tower_bottoms(cx)
     box = UComplex([("e", 0), ("a", 0), ("b", 3)], [("a", "b", 2)])
     assert box.tower_bottoms() == window_tower_bottoms(box) == {0: 0}
@@ -406,16 +410,16 @@ def test_tower_bottoms_match_the_elimination_oracle():
     rng = random.Random(1506)
     complexes = []
     for _ in range(60):
-        complexes += both_orientations_and_cones(*random_ucomplex_with_iota(rng, max_pairs=4))
+        complexes += both_orientations_and_cones(random_ucomplex_with_iota(rng, max_pairs=4))
     for offset in (50, -50, 100, -100, 200, -200, 400, -400):
         for _ in range(8):
-            c, iota = random_ucomplex_with_iota(rng, max_pairs=3)
-            far = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
-            complexes += both_orientations_and_cones(*far)
+            c = random_ucomplex_with_iota(rng, max_pairs=3)
+            far = with_far_pair(c, offset + rng.randint(0, 1), rng.randint(1, 3))
+            complexes += both_orientations_and_cones(far)
     general = []
     for _ in range(400):
         c = random_ucomplex(rng)
-        general += [c, dual_ucomplex(c, IotaMap.identity(c))[0]]
+        general += [c, dual_ucomplex(c)]
     outcomes = [_agrees_with_elimination(cx) for cx in complexes + general]
     assert len(outcomes) >= 1000
     assert outcomes.count(None) >= 100
@@ -483,15 +487,15 @@ def test_normal_form_laws():
     rng = random.Random(1010)
     complexes = []
     for _ in range(60):
-        complexes += both_orientations_and_cones(*random_ucomplex_with_iota(rng, max_pairs=4))
+        complexes += both_orientations_and_cones(random_ucomplex_with_iota(rng, max_pairs=4))
     for offset in (50, -50, 100, -100, 200, -200, 400, -400):
         for _ in range(8):
-            c, iota = random_ucomplex_with_iota(rng, max_pairs=3)
-            far = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
-            complexes += both_orientations_and_cones(*far)
+            c = random_ucomplex_with_iota(rng, max_pairs=3)
+            far = with_far_pair(c, offset + rng.randint(0, 1), rng.randint(1, 3))
+            complexes += both_orientations_and_cones(far)
     for _ in range(400):
         c = random_ucomplex(rng)
-        complexes += [c, dual_ucomplex(c, IotaMap.identity(c))[0]]
+        complexes += [c, dual_ucomplex(c)]
     outcomes = [_check_normal_form(cx) for cx in complexes]
     assert len(outcomes) >= 1000
     assert outcomes.count(None) >= 100
@@ -506,15 +510,15 @@ def test_hfi_builds_the_normal_form_once_and_not_for_the_cone(monkeypatch):
     build, cone = UComplex.normal_form, involutive.cone_iota
     monkeypatch.setattr(UComplex, "normal_form",
                         lambda self: built.append((self, build(self))) or built[-1][1])
-    monkeypatch.setattr(involutive, "cone_iota", lambda c, i: cones.append(cone(c, i)) or cones[-1])
+    monkeypatch.setattr(involutive, "cone_iota", lambda c: cones.append(cone(c)) or cones[-1])
     rng = random.Random(1216)
     twice = 0
     for _ in range(60):
-        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
-        iota = homotopic_iota(rng, c, iota)  # iota^2 = 1 only up to homotopy
+        c = random_ucomplex_with_iota(rng, max_pairs=4)
+        c = homotopic_iota(rng, c)  # iota^2 = 1 only up to homotopy
         built.clear()
-        involutive_correction_terms(c, iota)
-        one_plus_iota_nullhomotopic(c, iota)
+        involutive_correction_terms(c)
+        one_plus_iota_nullhomotopic(c)
         assert all(owner is c and nf is built[0][1] for owner, nf in built)
         twice += len(built) == 2
         assert cones[-1]._normal is None
@@ -548,42 +552,40 @@ def test_towers_from_profile_rejects_gaps():
 
 
 def test_identity_iota_passes():
-    assert validate_iota(S3, IotaMap.identity(S3))
+    assert validate_iota(with_identity_iota(S3))
 
 
 def test_swap_iota_passes():
-    c = UComplex([("x", 0), ("y", 0)], [])
-    swap = IotaMap.of(c, [("x", "y", 0), ("y", "x", 0)])
-    assert validate_iota(c, swap)
+    swap = UComplex([("x", 0), ("y", 0)], [], [("x", "y", 0), ("y", "x", 0)])
+    assert validate_iota(swap)
 
 
 def test_order_three_map_fails_homotopy_check():
-    c = UComplex([("x", 0), ("y", 0)], [])
-    m = IotaMap.of(c, [("x", "y", 0), ("y", "x", 0), ("y", "y", 0)])
+    c = UComplex([("x", 0), ("y", 0)], [], [("x", "y", 0), ("y", "x", 0), ("y", "y", 0)])
     with pytest.raises(InputError):
-        validate_iota(c, m)
+        validate_iota(c)
 
 
 def test_u_power_iota_entry_unconstructible():
     with pytest.raises(InputError):
-        IotaMap.of(S3, [("g", "g", 1)])
+        UComplex([("g", 0)], [], [("g", "g", 1)])
 
 
 def test_non_commuting_iota_rejected():
     c = UComplex(
         [("x", 1), ("y", 0), ("z", 1)],
         [("x", "y", 0)],
+        [("x", "z", 0), ("z", "x", 0), ("y", "y", 0)],
     )
-    m = IotaMap.of(c, [("x", "z", 0), ("z", "x", 0), ("y", "y", 0)])
     with pytest.raises(InputError):
-        validate_iota(c, m)
+        validate_iota(c)
 
 
 def test_sigma237_iota_valid_but_not_null():
-    c, iota = sigma237()
-    assert validate_iota(c, iota)
-    assert not one_plus_iota_nullhomotopic(c, iota)
-    assert iota_localized_identity(c, iota)
+    c = sigma237()
+    assert validate_iota(c)
+    assert not one_plus_iota_nullhomotopic(c)
+    assert iota_localized_identity(c)
 
 
 # -- homotopy solves -------------------------------------------------------------
@@ -595,14 +597,14 @@ def _homotopy_systems(rng, count):
     iota, a random degree-0 map and a random boundary dK + Kd."""
     systems = []
     while len(systems) < count:
-        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
+        c = random_ucomplex_with_iota(rng, max_pairs=4)
         sign = rng.choice((1, -1))
-        far = with_far_pair(c, iota, sign * 50 + rng.randint(0, 1), rng.randint(1, 3))
-        for base, i in ((c, iota), dual_ucomplex(c, iota), far):
+        far = with_far_pair(c, sign * 50 + rng.randint(0, 1), rng.randint(1, 3))
+        for base in (c, dual_ucomplex(c), far):
             n = len(base.generators)
             k = random_fu_map(rng, base, 1)
-            moved = iota_matrix_of(homotopic_iota(rng, base, i))
-            d, mat = d_matrix_of(base), iota_matrix_of(i)
+            moved = iota_matrix_of(homotopic_iota(rng, base))
+            d, mat = d_matrix_of(base), iota_matrix_of(base)
             rhss = (
                 mat ^ la.f2_eye(n),
                 la.f2_mul(mat, mat) ^ la.f2_eye(n),
@@ -659,16 +661,17 @@ def test_homotopy_solve_certifies_h(monkeypatch):
 
 def test_zero_rhs_is_answered_without_a_product(monkeypatch):
     # every product of the involutive layer is taken by la._apply
-    c, iota = sigma237()
+    c = sigma237()
     n = len(c.generators)
+    identity = with_identity_iota(c)
     calls = []
     apply = la._apply
     monkeypatch.setattr(la, "_apply", lambda cols, x: calls.append(1) or apply(cols, x))
     assert _homotopy_solve(c, [0] * n) == [0] * n
     assert calls == []
-    assert one_plus_iota_nullhomotopic(c, IotaMap.identity(c)) and calls == []
+    assert one_plus_iota_nullhomotopic(identity) and calls == []
     # the counter does see the products of a nonzero rhs
-    assert not one_plus_iota_nullhomotopic(c, iota) and calls
+    assert not one_plus_iota_nullhomotopic(c) and calls
 
 
 def _falling_degree_order(c):
@@ -686,11 +689,11 @@ def _interleaved_order(c):
 def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
     rng = random.Random(1717)
     models = [sigma237()] + [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(6)]
-    models += [dual_ucomplex(*m) for m in models]
+    models += [dual_ucomplex(c) for c in models]
     reduce_columns = la.reduce_columns
-    for k, (c, iota) in enumerate(models):
+    for k, c in enumerate(models):
         path = tmp_path / f"m{k}.json"
-        path.write_text(json.dumps(c.to_json(iota)))
+        path.write_text(json.dumps(c.to_json()))
         seen = []
         monkeypatch.setattr(la, "reduce_columns",
                             lambda cols: seen.append(list(cols)) or reduce_columns(cols))
@@ -699,7 +702,7 @@ def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
         # d is reduced once in falling-degree order, and the cone's d (read
         # from its generator-order matrix) once in the interleaved order;
         # the other reductions are the homotopy solve's block systems
-        cone = cone_iota(c, iota)
+        cone = cone_iota(c)
         for x, order in ((c, _falling_degree_order(c)), (cone, _interleaved_order(c))):
             want, n = d_matrix_of(x)[np.ix_(order, order)], len(order)
             # packed columns, unpacked: row t of the unpacked rows is column t
@@ -715,11 +718,11 @@ def test_hfi_and_v0_runs_stay_packed(monkeypatch, tmp_path, capsys, command):
     multiplies no numpy matrix and counts no cells."""
     rng = random.Random(3232)
     models = fixture_models() + [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(10)]
-    models += [dual_ucomplex(*m) for m in models]
+    models += [dual_ucomplex(c) for c in models]
     paths = []
-    for k, (c, iota) in enumerate(models):
+    for k, c in enumerate(models):
         paths.append(tmp_path / f"m{k}.json")
-        paths[-1].write_text(json.dumps(c.to_json(iota)))
+        paths[-1].write_text(json.dumps(c.to_json()))
     calls = []
     for name in ("_pack_rows", "_unpack_rows", "f2_mul", "f2_eye", "f2_zeros"):
         monkeypatch.setattr(la, name, lambda *a, name=name: calls.append(name))
@@ -735,23 +738,23 @@ def test_hfi_and_v0_runs_stay_packed(monkeypatch, tmp_path, capsys, command):
 
 
 def test_split_cone_s3():
-    iota = IotaMap.identity(S3)
-    h = Homology(cone_plus_window(S3, iota, -7, 15))
+    s3 = with_identity_iota(S3)
+    h = Homology(cone_plus_window(s3, -7, 15))
     # two towers, bottoms 0 and -1
     for d in range(-1, 9):
         assert h.dim(d) == 1
     assert h.dim(-2) == 0
-    r = involutive_correction_terms(S3, iota)
-    assert r.triple() == (0, 0, 0) and one_plus_iota_nullhomotopic(S3, iota)
+    r = involutive_correction_terms(s3)
+    assert r.triple() == (0, 0, 0) and one_plus_iota_nullhomotopic(s3)
 
 
 def test_split_dims_law_for_identity_iota():
     rng = random.Random(500)
     for _ in range(10):
-        c, _ = random_ucomplex_with_iota(rng, iota_identity=True)
-        iota = IotaMap.identity(c)
-        assert split_dims_law(c, iota)
-        r = involutive_correction_terms(c, iota)
+        c = random_ucomplex_with_iota(rng, iota_identity=True)
+        assert (iota_matrix_of(c) == la.f2_eye(len(c.generators))).all()
+        assert split_dims_law(c)
+        r = involutive_correction_terms(c)
         d = d_invariant(c)
         assert r.triple() == (d, d, d)
 
@@ -761,12 +764,12 @@ def test_split_cones_are_read_by_the_general_rule():
     rng = random.Random(77)
     split = 0
     for _ in range(60):
-        c, iota = random_ucomplex_with_iota(rng, iota_identity=rng.random() < 0.3)
-        for base, i in ((c, iota), dual_ucomplex(c, iota)):
-            r = involutive_correction_terms(base, i)
-            if one_plus_iota_nullhomotopic(base, i):
+        c = random_ucomplex_with_iota(rng, iota_identity=rng.random() < 0.3)
+        for base in (c, dual_ucomplex(c)):
+            r = involutive_correction_terms(base)
+            if one_plus_iota_nullhomotopic(base):
                 d = int(r.d)
-                assert cone_iota(base, i).tower_bottoms() == {d % 2: d, (d - 1) % 2: d - 1}
+                assert cone_iota(base).tower_bottoms() == {d % 2: d, (d - 1) % 2: d - 1}
                 assert r.triple() == (d, d, d)
                 split += 1
     assert split >= 20
@@ -777,37 +780,35 @@ def test_homotopic_iota_gives_the_same_correction_terms():
     rng = random.Random(1507)
     squares_off_identity = 0
     for _ in range(40):
-        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
-        moved = homotopic_iota(rng, c, iota)
-        # both maps on the dual are read against the one dual complex
-        dual, dual_iota = dual_ucomplex(c, iota)
-        dual_moved = iota_from_matrix(dual, iota_matrix_of(moved).T)
-        for base, i, j in ((c, iota, moved), (dual, dual_iota, dual_moved)):
-            assert validate_iota(base, j)
-            mat = iota_matrix_of(j)
+        c = random_ucomplex_with_iota(rng, max_pairs=4)
+        moved = homotopic_iota(rng, c)
+        for base, other in ((c, moved), (dual_ucomplex(c), dual_ucomplex(moved))):
+            assert (d_matrix_of(other) == d_matrix_of(base)).all()
+            assert validate_iota(other)
+            mat = iota_matrix_of(other)
             square = la.f2_mul(mat, mat) ^ la.f2_eye(len(base.generators))
             squares_off_identity += bool(square.any())
-            want = involutive_correction_terms(base, i)
-            got = involutive_correction_terms(base, j)
+            want = involutive_correction_terms(base)
+            got = involutive_correction_terms(other)
             assert got.triple() == want.triple()
-            assert one_plus_iota_nullhomotopic(base, j) == one_plus_iota_nullhomotopic(base, i)
+            assert one_plus_iota_nullhomotopic(other) == one_plus_iota_nullhomotopic(base)
     assert squares_off_identity >= 10
 
 
 def test_sigma237_correction_terms():
-    c, iota = sigma237()
-    r = involutive_correction_terms(c, iota)
+    c = sigma237()
+    r = involutive_correction_terms(c)
     assert (r.d, r.d_bar, r.d_under) == (0, 0, -2)
-    assert not one_plus_iota_nullhomotopic(c, iota)
+    assert not one_plus_iota_nullhomotopic(c)
 
 
 def test_ordering_property_on_random_instances():
     rng = random.Random(606)
     for _ in range(40):
-        c, iota = random_ucomplex_with_iota(rng)
-        validate_iota(c, iota)
-        assert iota_localized_identity(c, iota)
-        r = involutive_correction_terms(c, iota)
+        c = random_ucomplex_with_iota(rng)
+        validate_iota(c)
+        assert iota_localized_identity(c)
+        r = involutive_correction_terms(c)
         assert r.d_under <= r.d <= r.d_bar
         assert (r.d_bar - r.d) % 2 == 0 and (r.d_under - r.d) % 2 == 0
 
@@ -815,39 +816,37 @@ def test_ordering_property_on_random_instances():
 def test_cone_rank_bound():
     rng = random.Random(321)
     for _ in range(10):
-        c, iota = random_ucomplex_with_iota(rng)
-        assert cone_rank_bound(c, iota)
+        assert cone_rank_bound(random_ucomplex_with_iota(rng))
 
 
 def test_cone_requires_valid_iota():
-    c = UComplex([("x", 0), ("y", 0)], [])
-    m = IotaMap.of(c, [("x", "y", 0), ("y", "x", 0), ("y", "y", 0)])
+    c = UComplex([("x", 0), ("y", 0)], [], [("x", "y", 0), ("y", "x", 0), ("y", "y", 0)])
     with pytest.raises(InputError):
-        cone_iota(c, m)
+        cone_iota(c)
 
 
 def fixture_models():
-    """(c, iota) of every u_complex fixture."""
+    """Every u_complex fixture, with its iota."""
     return [UComplex.from_json(fixtures.load(name)[0]) for name in fixtures.fixture_names()
             if fixtures.describe(name) == "u_complex"]
 
 
 def cone_suites(rng):
-    """(c, iota) of the fixtures and of the random suites: random models,
-    their orientation reverses, homotopic iotas, far pairs at +-50 to
-    +-400 and connected sums."""
+    """The fixtures and the random suites, each with its iota: random
+    models, their orientation reverses, homotopic iotas, far pairs at +-50
+    to +-400 and connected sums."""
     models = fixture_models()
     for _ in range(40):
-        c, iota = random_ucomplex_with_iota(rng, max_pairs=4)
-        models += [(c, iota), dual_ucomplex(c, iota), (c, homotopic_iota(rng, c, iota))]
+        c = random_ucomplex_with_iota(rng, max_pairs=4)
+        models += [c, dual_ucomplex(c), homotopic_iota(rng, c)]
     for offset in (50, -50, 100, -100, 200, -200, 400, -400):
-        c, iota = random_ucomplex_with_iota(rng, max_pairs=3)
-        far = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
-        models += [far, dual_ucomplex(*far)]
+        c = random_ucomplex_with_iota(rng, max_pairs=3)
+        far = with_far_pair(c, offset + rng.randint(0, 1), rng.randint(1, 3))
+        models += [far, dual_ucomplex(far)]
     for _ in range(20):
         a = random_ucomplex_with_iota(rng, max_pairs=2)
-        b = dual_ucomplex(*random_ucomplex_with_iota(rng, max_pairs=2))
-        models += [connected_sum(*a, *b), connected_sum(*a, *dual_ucomplex(*a))]
+        b = dual_ucomplex(random_ucomplex_with_iota(rng, max_pairs=2))
+        models += [connected_sum(a, b), connected_sum(a, dual_ucomplex(a))]
     return models
 
 
@@ -855,8 +854,8 @@ def test_cone_differential_is_homogeneous_and_squares_to_zero():
     # cone_iota checks neither: mod 2 the square is [[d^2, 0], [iota d + d iota, d^2]],
     # zero once d is a differential and iota a chain map
     models = cone_suites(random.Random(2201))
-    for c, iota in models:
-        cone = cone_iota(c, iota)
+    for c in models:
+        cone = cone_iota(c)
         degs, d = cone.degrees(), d_matrix_of(cone)
         assert all(_forced_power(degs[j], degs[i], -1) is not None for i, j in zip(*np.nonzero(d)))
         assert not la.f2_mul(d, d).any()
@@ -883,12 +882,12 @@ def test_interleaved_cone_read_matches_a_falling_degree_read():
     rng = random.Random(3301)
     models = cone_suites(rng)
     for pairs in (1, 3, 6, 12):
-        c, iota, _ = spread_ucomplex_with_iota(rng, pairs)
+        c, _ = spread_ucomplex_with_iota(rng, pairs)
         for offset in (50, -50, 120, -120, 400, -400):
-            far = with_far_pair(c, iota, offset + rng.randint(0, 1), rng.randint(1, 3))
-            models += [far, dual_ucomplex(*far)]
-    for c, iota in models:
-        cone = cone_iota(c, iota)
+            far = with_far_pair(c, offset + rng.randint(0, 1), rng.randint(1, 3))
+            models += [far, dual_ucomplex(far)]
+    for c in models:
+        cone = cone_iota(c)
         assert cone.tower_bottoms() == falling_degree_tower_bottoms(cone)
         assert len(cone.tower_bottoms()) == 2
     assert len(models) >= 210
@@ -900,26 +899,24 @@ def test_correction_terms_never_square_the_cone(monkeypatch):
     # every product is taken by la._apply on packed columns; none of them
     # applies the cone's differential (2n columns), or any map as large
     apply = la._apply
-    for c, iota in models:
+    for c in models:
         sizes = []
         monkeypatch.setattr(la, "_apply", lambda cols, x: sizes.append(len(cols)) or apply(cols, x))
-        involutive_correction_terms(c, iota)
+        involutive_correction_terms(c)
         monkeypatch.setattr(la, "_apply", apply)
         assert sizes and max(sizes) <= len(c.generators)
-        assert len(cone_iota(c, iota)._cols) == 2 * len(c.generators)
+        assert len(cone_iota(c)._cols) == 2 * len(c.generators)
 
 
 def test_depth_two_q_connection():
     # da = U^2 b with iota(a) = a + e: the shape of minus_sigma237 one
     # U-step deeper, so d_bar = d + 4; its dual has d_under = d - 4
-    c = UComplex([("e", 0), ("a", 0), ("b", 3)], [("a", "b", 2)])
+    c = UComplex([("e", 0), ("a", 0), ("b", 3)], [("a", "b", 2)],
+                 [("e", "e", 0), ("a", "a", 0), ("a", "e", 0), ("b", "b", 0)])
     assert d_invariant(c) == 0
-    io = IotaMap.of(
-        c, [("e", "e", 0), ("a", "a", 0), ("a", "e", 0), ("b", "b", 0)]
-    )
-    r = involutive_correction_terms(c, io)
+    r = involutive_correction_terms(c)
     assert r.triple() == (0, 4, 0)
-    r = involutive_correction_terms(*dual_ucomplex(c, io))
+    r = involutive_correction_terms(dual_ucomplex(c))
     assert r.triple() == (0, 0, -4)
 
 
@@ -940,16 +937,13 @@ def test_tower_touching_iota_reads_by_definition():
     c = UComplex(
         [("e", 0), ("b", 0), ("a", -1), ("c", -1), ("d", 0)],
         [("b", "a", 0), ("b", "c", 0), ("a", "d", 1), ("c", "d", 1)],
-    )
-    io = IotaMap.of(
-        c,
         [("e", "e", 0), ("e", "d", 0), ("b", "b", 0),
          ("a", "c", 0), ("c", "a", 0), ("d", "d", 0)],
     )
-    assert validate_iota(c, io)
-    assert iota_localized_identity(c, io)
-    assert not one_plus_iota_nullhomotopic(c, io)
-    r = involutive_correction_terms(c, io)
+    assert validate_iota(c)
+    assert iota_localized_identity(c)
+    assert not one_plus_iota_nullhomotopic(c)
+    r = involutive_correction_terms(c)
     assert r.triple() == (0, 0, -2)
 
 
@@ -959,23 +953,21 @@ def test_connected_sum_laws():
     rng = random.Random(2)
 
     def factor():
-        c, iota = random_ucomplex_with_iota(rng)
-        return dual_ucomplex(c, iota) if rng.random() < 0.5 else (c, iota)
+        c = random_ucomplex_with_iota(rng)
+        return dual_ucomplex(c) if rng.random() < 0.5 else c
 
-    def terms(c, iota):
-        return involutive_correction_terms(c, iota)
-
+    terms = involutive_correction_terms
     nontrivial = 0
     for _ in range(300):
         y1, y2 = factor(), factor()
-        r1, r2 = terms(*y1), terms(*y2)
+        r1, r2 = terms(y1), terms(y2)
         for (a, ra), (b, rb) in (((y1, r1), (y2, r2)), ((y2, r2), (y1, r1))):
-            r = terms(*connected_sum(*a, *b))
+            r = terms(connected_sum(a, b))
             assert r.d == ra.d + rb.d
             assert (ra.d_under + rb.d_under <= r.d_under <= ra.d_under + rb.d_bar
                     <= r.d_bar <= ra.d_bar + rb.d_bar), (ra.triple(), rb.triple(), r.triple())
         nontrivial += r.d_bar != r.d_under
-        assert terms(*connected_sum(*y1, *dual_ucomplex(*y1))).triple() == (0, 0, 0)
+        assert terms(connected_sum(y1, dual_ucomplex(y1))).triple() == (0, 0, 0)
     assert nontrivial >= 40
 
 
@@ -985,15 +977,15 @@ def test_connected_sums_of_non_split_factors():
     rng = random.Random(3)
     factors = []
     while len(factors) < 40:
-        c, iota = random_ucomplex_with_iota(rng)
-        y = dual_ucomplex(c, iota) if rng.random() < 0.5 else (c, iota)
-        r = involutive_correction_terms(*y)
+        c = random_ucomplex_with_iota(rng)
+        y = dual_ucomplex(c) if rng.random() < 0.5 else c
+        r = involutive_correction_terms(y)
         if r.d_bar != r.d_under:
             factors.append((y, r))
     pairs = list(zip(factors[::2], factors[1::2]))
     for (y1, r1), (y2, r2) in pairs:
         for (a, ra), (b, rb) in (((y1, r1), (y2, r2)), ((y2, r2), (y1, r1))):
-            r = involutive_correction_terms(*connected_sum(*a, *b))
+            r = involutive_correction_terms(connected_sum(a, b))
             assert r.d == ra.d + rb.d
             assert (ra.d_under + rb.d_under <= r.d_under <= ra.d_under + rb.d_bar
                     <= r.d_bar <= ra.d_bar + rb.d_bar), (ra.triple(), rb.triple(), r.triple())
@@ -1005,11 +997,11 @@ def test_connected_sums_of_sigma237():
     # Sigma(2,3,7) has d_bar = 0 and d_under = -2
     y = sigma237()
     minus_y = UComplex.from_json(fixtures.load("minus_sigma237")[0])
-    two = connected_sum(*y, *y)
-    for c, iota, want in ((*two, (0, 0, -2)), (*connected_sum(*two, *y), (0, 0, -2)),
-                          (*connected_sum(*minus_y, *minus_y), (0, 2, 0)),
-                          (*connected_sum(*y, *minus_y), (0, 0, 0))):
-        assert involutive_correction_terms(c, iota).triple() == want
+    two = connected_sum(y, y)
+    for c, want in ((two, (0, 0, -2)), (connected_sum(two, y), (0, 0, -2)),
+                    (connected_sum(minus_y, minus_y), (0, 2, 0)),
+                    (connected_sum(y, minus_y), (0, 0, 0))):
+        assert involutive_correction_terms(c).triple() == want
 
 
 def test_broken_law_exits_3(monkeypatch, capsys):
@@ -1024,7 +1016,7 @@ def test_broken_law_exits_3(monkeypatch, capsys):
 
     monkeypatch.setattr(UComplex, "tower_bottoms", raised_main_tower)
     with pytest.raises(InternalError, match="ordering"):
-        involutive_correction_terms(*sigma237())
+        involutive_correction_terms(sigma237())
     assert cli.main(["hfi", "fixtures:sigma237"]) == 3
     assert capsys.readouterr().err.startswith("error: InternalError: ordering")
 
@@ -1045,7 +1037,7 @@ def test_each_broken_involutive_law_raises_internal_error(monkeypatch, capsys, c
     monkeypatch.setattr(UComplex, "tower_bottoms",
                         lambda c: dict(cone_bottoms) if len(read(c)) == 2 else read(c))
     with pytest.raises(InternalError, match=message):
-        involutive_correction_terms(*sigma237())
+        involutive_correction_terms(sigma237())
     assert cli.main(["hfi", "fixtures:sigma237"]) == 3
     assert capsys.readouterr().err.startswith(f"error: InternalError: {message}")
 
@@ -1054,13 +1046,12 @@ def test_each_broken_involutive_law_raises_internal_error(monkeypatch, capsys, c
 
 
 def test_v0_figure_eight_values():
-    c, iota = sigma237()
-    r = involutive_correction_terms(c, iota)
+    r = involutive_correction_terms(sigma237())
     assert v0_triple(1, r) == (0, 0, 1)
 
 
 def test_v0_all_zero():
-    r = involutive_correction_terms(S3, IotaMap.identity(S3))
+    r = involutive_correction_terms(with_identity_iota(S3))
     assert v0_triple(1, r) == (0, 0, 0)
 
 
@@ -1070,7 +1061,7 @@ def test_v0_formula_p9():
 
 
 def test_v0_requires_positive_p():
-    r = involutive_correction_terms(S3, IotaMap.identity(S3))
+    r = involutive_correction_terms(with_identity_iota(S3))
     with pytest.raises(InputError):
         v0_triple(0, r)
 
@@ -1091,7 +1082,6 @@ def test_v0_inverse_roundtrip():
 
 
 def test_sigma237_d_equals_twice_delta():
-    c, _ = sigma237()
-    d = d_invariant(c)
+    d = d_invariant(sigma237())
     s1 = SOneModel.from_json(fixtures.load("sigma237_s1")[0])
     assert d == 2 * delta_invariant(s1)
