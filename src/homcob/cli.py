@@ -26,6 +26,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -116,10 +117,19 @@ def parse_input(data: dict):
         raise InputError(f"malformed {kind} input: {type(e).__name__}: {e}") from e
 
 
+# a vertex as int() reads it, whatever its length: optional sign, digits
+# with single underscores between them, surrounding whitespace
+_VERTEX = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
 def _parse_simplex(text: str) -> list[int]:
+    vertices = [v for v in text.split(",") if v != ""]
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [int(v) for v in vertices]
     except ValueError as e:
+        if all(_VERTEX.fullmatch(v) for v in vertices):  # refused at the digit limit
+            raise InputError(f"bad simplex {echo(text)}: a vertex has more than "
+                             f"{sys.get_int_max_str_digits()} digits") from e
         raise InputError(f"bad simplex {echo(text)}: use comma-separated integers") from e
 
 

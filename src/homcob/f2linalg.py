@@ -27,12 +27,14 @@ at every free column.  Each is the only vector with that pattern, so it
 is the one the reduced row echelon form gives.
 
 The numpy side (`f2`, `f2_mul` and the entry points above) takes dense
-uint8 arrays with entries in {0, 1}; no command calls it.  Its product
-`f2_mul`, used by `graded` and the tests, takes one of two paths.  A
-small one multiplies the uint8 arrays, whose sums wrap mod 256 and keep
-their parity.  A large one makes one float32 BLAS call, exact while the
-inner dimension is below 2^24, and reads the parity of its sums through
-int32.  The crossover, _BLAS_MIN_WORK, was measured.
+uint8 arrays with entries in {0, 1}.  Its functions import numpy in
+their bodies, so numpy is loaded on the first call of that side, and no
+command makes one.  Its product `f2_mul`, used by `graded` and the
+tests, takes one of two paths.  A small one multiplies the uint8 arrays,
+whose sums wrap mod 256 and keep their parity.  A large one makes one
+float32 BLAS call, exact while the inner dimension is below 2^24, and
+reads the parity of its sums through int32.  The crossover,
+_BLAS_MIN_WORK, was measured.
 
 Integer matrices are sparse rows of Python ints (`IntMatrix`), so that
 Smith normal form never overflows (entry growth is real even on small
@@ -52,8 +54,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import InputError, InternalError
 
 # ---------------------------------------------------------------------------
@@ -62,6 +62,7 @@ from .errors import InputError, InternalError
 
 def f2(m) -> np.ndarray:
     """Coerce an array-like to a new 2-d uint8 matrix reduced mod 2."""
+    import numpy as np
     if isinstance(m, np.ndarray) and m.dtype == np.uint8:
         a = m & 1
     else:
@@ -74,10 +75,12 @@ def f2(m) -> np.ndarray:
 
 
 def f2_zeros(rows: int, cols: int) -> np.ndarray:
+    import numpy as np
     return np.zeros((rows, cols), dtype=np.uint8)
 
 
 def f2_eye(n: int) -> np.ndarray:
+    import numpy as np
     return np.eye(n, dtype=np.uint8)
 
 
@@ -102,6 +105,7 @@ def f2_mul(a, b) -> np.ndarray:
     The float sums go through int32 before the parity is taken, because a
     float -> uint8 cast of 256 or more is undefined (it saturates on some
     platforms)."""
+    import numpy as np
     a, b = _f2_operand(a), _f2_operand(b)
     (rows, inner), cols = a.shape, b.shape[1]
     if inner != b.shape[0]:
@@ -114,6 +118,7 @@ def f2_mul(a, b) -> np.ndarray:
 
 def _f2_operand(m) -> np.ndarray:
     """m itself when it is a 2-d uint8 array, else f2(m)."""
+    import numpy as np
     if isinstance(m, np.ndarray) and m.dtype == np.uint8 and m.ndim == 2:
         return m
     return f2(m)
@@ -121,6 +126,7 @@ def _f2_operand(m) -> np.ndarray:
 
 def _pack_rows(m: np.ndarray) -> list[int]:
     """Rows of a 0/1 matrix as Python ints: bit c of row i is entry (i, c)."""
+    import numpy as np
     packed = np.packbits(m, axis=1, bitorder="little")
     width = packed.shape[1]
     data = packed.tobytes()
@@ -130,6 +136,7 @@ def _pack_rows(m: np.ndarray) -> list[int]:
 
 def _unpack_rows(rows: list[int], cols: int) -> np.ndarray:
     """Inverse of _pack_rows: a len(rows) x cols uint8 matrix."""
+    import numpy as np
     width = (cols + 7) // 8
     data = b"".join(r.to_bytes(width, "little") for r in rows)
     packed = np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
@@ -238,6 +245,7 @@ def solve_f2(m, b):
     column is inconsistent); one reduction of [m | b] serves all of
     them.  Free variables are 0.
     """
+    import numpy as np
     a = f2(m)
     rows, cols = a.shape
     bv = (np.asarray(b, dtype=np.int64) % 2).astype(np.uint8)

@@ -18,12 +18,13 @@ pushed to homology: an operator's matrix on H_d comes from one
 multi-right-hand-side solve against the cycle basis [boundaries |
 representatives] kept for the target degree.  Ranks of stabilized
 operator powers are read for a whole degree range by one downward sweep
-per residue class.
+per residue class.  The matrices are dense numpy uint8 arrays; the
+functions here and in `f2linalg` that use numpy import it in their
+bodies, so numpy is loaded on the first window or Homology, and no
+command makes one.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import f2linalg as la
 from .errors import InternalError
@@ -143,6 +144,7 @@ class Homology:
     """
 
     def __init__(self, cx: GradedComplex):
+        import numpy as np
         self.complex = cx
         self._basis = {}  # degree -> [img | reps], columns a basis of the cycles
         self._reps = {}   # degree -> chain-level matrix, columns = class reps
@@ -182,6 +184,7 @@ class Homology:
         v is one chain (giving a vector) or a matrix of chains as columns
         (giving a matrix of coordinates, one column each).
         """
+        import numpy as np
         basis = self._basis.get(d)
         if basis is None:
             if np.asarray(v).any():

@@ -8,11 +8,15 @@ test see dense matrices, while validity is guaranteed.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 
@@ -1379,3 +1383,18 @@ def cone_rank_bound(c: UComplex) -> bool:
     """Long-exact-sequence bound dim HFI_n <= dim HF_n + dim HF_{n+1}."""
     hc, hb, interior = cone_window_dims(c)
     return all(hc.dim(n) <= hb.dim(n) + hb.dim(n + 1) for n in interior)
+
+
+# ---------------------------------------------------------------------------
+# a fresh interpreter
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(script: str, *args: str) -> str:
+    """The standard output of `script` run with `args` in a new interpreter
+    that imports homcob from the source tree."""
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+    assert done.returncode == 0, done.stderr
+    return done.stdout

@@ -11,7 +11,13 @@ from homcob.equivariant import PinModel, SOneModel, abc, delta_invariant
 from homcob.errors import HomcobError, InputError, ModelInvalidError
 from homcob.simplicial import AbstractComplex
 
-from helpers import random_pin_model, random_s1_model, with_acyclic_pair, with_isolated_generator
+from helpers import (
+    fresh_python,
+    random_pin_model,
+    random_s1_model,
+    with_acyclic_pair,
+    with_isolated_generator,
+)
 
 
 def out_of(argv):
@@ -618,12 +624,15 @@ BIG_SIMPLEX = "simplex (100000000000000000...0000000000000000007,) not in comple
         (["star", "--simplex", str(BIG)], TRIANGLE, BIG_SIMPLEX),
         (["closure", "--simplex", "1", "--simplex", str(BIG)], TRIANGLE, BIG_SIMPLEX),
         (["link", "--simplex", "1" * 5000], TRIANGLE,
-         "bad simplex '111111111111...1111111111111': use comma-separated integers"),
+         "bad simplex '111111111111...1111111111111': a vertex has more than "
+         f"{sys.get_int_max_str_digits()} digits"),
+        (["link", "--simplex", "1" * 5000 + "x"], TRIANGLE,
+         "bad simplex '111111111111...111111111111x': use comma-separated integers"),
         (["pi1", "--basepoint", str(BIG)], TRIANGLE,
          "basepoint 100000000000000000...0000000000000000007 not a vertex"),
     ],
     ids=["homology-repeated-vertex", "link-simplex", "star-simplex", "closure-simplex",
-         "link-bad-simplex", "pi1-basepoint"],
+         "link-bad-simplex", "link-junk-simplex", "pi1-basepoint"],
 )
 def test_simplicial_errors_cap_the_value_they_repeat(tmp_path, capsys, argv, data, message):
     """The simplicial doors, input file or option, repeat a huge value
@@ -876,6 +885,47 @@ def test_no_command_builds_a_window(refuse_windows, tmp_path):
             for cmd in cmds:
                 near, far = body([cmd, f"fixtures:{name}"]), body([cmd, str(path)])
                 assert near == far, (name, offset, cmd)
+
+
+# Runs each argv in a new interpreter, with numpy loadable or not, and
+# prints every report (or error), and whether numpy was loaded, as JSON.
+REPORTS_IN_A_FRESH_INTERPRETER = """
+import json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # any import of numpy raises ImportError
+from homcob import cli
+from homcob.errors import HomcobError
+cli.build_parser()
+reports = []
+for argv in json.loads(sys.argv[2]):
+    try:
+        reports.append(cli.run(argv)[0])
+    except HomcobError as e:
+        reports.append(f"{type(e).__name__}: {e}")
+print(json.dumps({"reports": reports, "numpy": "numpy" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("numpy", ["loadable", "blocked"])
+def test_no_command_loads_numpy(numpy):
+    """Every command on every fixture of its kind, and `fixtures`, reports
+    the same in a new interpreter as here, without loading numpy; with
+    numpy made unimportable, too."""
+    argvs = [[cmd, *extra, f"fixtures:{name}"] for name in fixtures.fixture_names()
+             for cmd, extra in COMMAND_ARGS.items()
+             if COMMAND_KIND[cmd] == fixtures.describe(name)] + [["fixtures"]]
+    expected = []
+    for argv in argvs:
+        try:
+            expected.append(run(argv)[0])
+        except HomcobError as e:
+            expected.append(f"{type(e).__name__}: {e}")
+    # the 52 runs of test_no_command_builds_a_window, scan-links refusing the
+    # impure triangle_edge, and `fixtures`
+    assert len(argvs) == 54 and sum(r.startswith("InputError") for r in expected) == 1
+    fresh = json.loads(fresh_python(REPORTS_IN_A_FRESH_INTERPRETER, numpy, json.dumps(argvs)))
+    assert fresh["reports"] == expected
+    assert fresh["numpy"] == (numpy == "blocked")
 
 
 @pytest.mark.parametrize("degree", [-10**30, 10**30])

@@ -16,7 +16,10 @@ imports no numpy and names none of the converters either.  `involutive`
 takes every product on packed columns in slot order, so it imports no
 numpy and names none of the converters or the dense products (`f2_mul`,
 `f2_eye`, `f2_zeros`).  The one packed product, `_apply`, is defined in
-`f2linalg` alone.  Each module of the package is read from its source.
+`f2linalg` alone.  No module imports numpy when it is loaded: only the
+functions of `f2linalg` and `graded` that take dense arrays import it,
+in their bodies, so loading homcob loads no numpy.  Each module of the
+package is read from its source.
 """
 
 import ast
@@ -91,3 +94,34 @@ def _defines(path: Path) -> set[str]:
 def test_one_module_defines_the_packed_product():
     assert [path.stem for path in sorted(SRC.glob("*.py")) if "_apply" in _defines(path)] == [
         "f2linalg"]
+
+
+def _numpy_imports(path: Path) -> list[str | None]:
+    """The function around each import of numpy in a module, None for one
+    that runs when the module is loaded (at top level, in a class body or
+    under a top-level `if` or `try`)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                modules = [child.module]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "numpy" for m in modules):
+                found.append(function)
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_numpy_is_imported_only_in_function_bodies_of_f2linalg_and_graded():
+    where = {path.stem: _numpy_imports(path) for path in sorted(SRC.glob("*.py"))}
+    assert {module: f for module, f in where.items() if None in f} == {}
+    assert {module for module, f in where.items() if f} <= ALLOWED
