@@ -1,8 +1,8 @@
 """Exact calculators for homology-cobordism style invariants.
 
-Subpackages:
+Modules:
 
-* f2linalg     -- GF(2) rank/kernel/solve and integer Smith normal form
+* f2linalg     -- packed GF(2) column reduction, products and solve; integer SNF
 * simplicial   -- abstract complexes, (co)homology, Bockstein, pi_1, links
 * toddcoxeter  -- coset enumeration for finitely presented groups
 * graded       -- degree windows of GF(2) complexes with operators; homology

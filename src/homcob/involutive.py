@@ -7,35 +7,37 @@ F[U]-map is stored by the F2 coefficients of its entries, since one rule
 forces its U-powers: an entry j -> i of a degree-s map carries U^k with
 deg i - 2k = deg j + s (k >= 0).  `_forced_power` is the only place that
 rule is written; the differential and iota share one entry reader and
-one entry printer.  The reader writes the coefficients straight into
-packed columns in slot order (below): bit slot[i] of column slot[j], so
-that duplicate entries cancel by XOR.  These columns are the one form of
-each map, so every entry of iota has its forced U-power before
-`validate_iota` sees it.  Every product of two maps is taken on these
+one entry printer.  A complex keeps its generators in falling degree,
+ties in input order (below), and bit r of every packed vector is its
+generator r.  The reader writes the coefficients straight into packed
+columns, bit i of column j for an entry j -> i, so that duplicate
+entries cancel by XOR.  These columns are the one form of each map, so
+every entry of iota has its forced U-power before `validate_iota` sees
+it.  Every product of two maps is taken on these
 columns by `f2linalg._apply`: column t of A B is A applied to B's column
 t.  So the chain-map check, iota^2 + 1, 1 + iota, the homotopy solve and
 its certificate are XORs of packed columns, and `to_json` reads its
 entries from them.
 
 Towers are read from one column reduction of d (`UComplex._reduce`).
-Order the generators by falling degree (ties by index), generator
-order[t] in slot t, and let m be d's coefficient matrix with rows and
-columns in that order: the reader's packed columns are m's, d^2 = 0 is
-checked as XORs of them, and they are reduced as they are.  A change of
-basis x_b -> x_b + U^k x_a (k >= 0) adds a generator into one of lower
-or equal degree and the same parity, so it keeps the rank of every block
-of m whose rows have degree at most e and whose columns have degree at
-least e'.  By the pairing lemma of persistence (Cohen-Steiner,
-Edelsbrunner and Morozov, "Vines and vineyards by updating persistence
-in linear time", SoCG 2006) these ranks fix the degrees of the pairs that
-any elimination by such changes splits off.  The entry with the smallest
-U-power in a column is its lowest-degree row, so elimination on that
-entry is the column reduction of m.  Its paired slots are N, the columns
-j with a nonzero reduced boundary R_j, and L, the lowest rows low(j) of
-those R_j.  L and N are disjoint because d^2 = 0: if x_i is the lowest
-term of R_j, then dR_j = 0 puts d x_i in the span of d of earlier
-generators.  The slots in neither set are unpaired; their degrees are
-the bottoms of the U-towers of the plus flavor.  The correction term d
+Let m be d's coefficient matrix, its rows and columns in the stored
+order, which falls in degree: the reader's packed columns are m's,
+d^2 = 0 is checked as XORs of them, and they are reduced as they are.
+A change of basis x_b -> x_b + U^k x_a (k >= 0) adds a generator into
+one of lower or equal degree and the same parity, so it keeps the rank
+of every block of m whose rows have degree at most e and whose columns
+have degree at least e'.  By the pairing lemma of persistence
+(Cohen-Steiner, Edelsbrunner and Morozov, "Vines and vineyards by
+updating persistence in linear time", SoCG 2006) these ranks fix the
+degrees of the pairs that any elimination by such changes splits off.
+The entry with the smallest U-power in a column is its lowest-degree
+row, so elimination on that entry is the column reduction of m.  Its
+paired generators are N, the columns j with a nonzero reduced boundary
+R_j, and L, the lowest rows low(j) of those R_j.  L and N are disjoint
+because d^2 = 0: if x_i is the lowest term of R_j, then dR_j = 0 puts
+d x_i in the span of d of earlier generators.  The generators in
+neither set are unpaired; their degrees are the bottoms of the U-towers
+of the plus flavor.  The correction term d
 is the bottom of the single tower.  The reduction is
 `f2linalg.reduce_columns`, the one GF(2) elimination of the package; a
 complex fixes d when it is built, so it reduces d once and keeps the
@@ -43,17 +45,17 @@ result for the tower read and the normal form.
 
 The same reduction puts d in normal form (`UComplex.normal_form`).  Keep
 the column operations V, so that column j of dV is the reduced boundary
-R_j.  The new basis keeps V_j in slot j, except that slot low(j) of a
-nonzero R_j holds R_j, read as x_low(j) plus terms of higher degree (the
+R_j.  Element j of the new basis is V_j, except that element low(j) of
+a nonzero R_j is R_j, read as x_low(j) plus terms of higher degree (the
 U-power of its lowest term divided out).  In the falling-degree order the
 matrix P^-1 of this basis is unitriangular and each entry adds a
 generator into one of lower or equal degree, so P is a degree-preserving
 F[U] change of basis, read from P^-1 by back-substitution on its packed
 columns, and N = P d P^-1 has one 1 at (low(j), j) for each pair and no
 other entry: d is a sum of blocks, one per pair and one per unpaired
-slot.  P, P^-1, the pairs and the blocks all stay in slot order.  A
-homotopy dH + Hd = R becomes N H' + H' N = R' with H' = P H P^-1 and
-R' = P R P^-1.  N has no entry between blocks, so the
+generator.  P, P^-1, the pairs and the blocks all index the stored
+generators.  A homotopy dH + Hd = R becomes N H' + H' N = R' with
+H' = P H P^-1 and R' = P R P^-1.  N has no entry between blocks, so the
 part of N H' + H' N from block B to block A involves H'[A, B] alone: the
 equation splits into one system of at most 4 unknowns and 4 equations
 per pair of blocks, and the pairs with R'[A, B] = 0 take H'[A, B] = 0;
@@ -86,17 +88,16 @@ d and d - 1, so d_bar = d_under = d.  Two cone towers and the ordering
 d_under <= d <= d_bar are checked (InternalError); by the parity key
 d_under, d and d_bar agree mod 2, a law the tests check.
 
-The cone is built as packed columns in an interleaved slot order: for the
-generator x in slot t of C, m:x sits in slot 2t and q:x in slot 2t + 1.
-With `_spread` moving bit r to bit 2r, column 2t is
-spread(d_t) | spread((1 + iota)_t) << 1 and column 2t + 1 is
-spread(d_t) << 1.  This order does not fall in degree, but the reduction
-needs that only within a parity.  An entry of degree -1 joins opposite
+The cone's generators interleave C's: for C's generator t, say x, m:x
+is the cone's generator 2t and q:x its generator 2t + 1.  With `_spread`
+moving bit r to bit 2r, column 2t is spread(d_t) | spread((1 + iota)_t)
+<< 1 and column 2t + 1 is spread(d_t) << 1.  This order does not fall
+in degree, but the reduction needs that only within a parity.  An entry of degree -1 joins opposite
 parities, so two columns with the same lowest row have the same parity,
 and `reduce_columns` only ever adds a column to another of its own
 parity.  Within one parity the order falls: two m's or two q's keep C's
 order; m:t before q:u needs D_t >= D_u - 1, true since t comes first;
-q:u before m:t (u in an earlier slot, so D_u >= D_t) needs
+q:u before m:t (u earlier in C, so D_u >= D_t) needs
 D_u - 1 >= D_t, true since D_u and D_t differ mod 2 when q:u and m:t
 share a parity.  So each parity block gets the falling-degree reduction
 that the pairing-lemma argument above needs, and `tower_bottoms` reads
@@ -130,12 +131,12 @@ def _forced_power(deg_from: int, deg_to: int, shift: int):
 
 
 def _read_entries(c: "UComplex", entries, shift: int, what: str) -> list[int]:
-    """Packed columns, in c's slot order, of the degree-`shift` map with
-    (from, to, upower) `entries` on c's generators: bit slot[to] of column
-    slot[from].  `what` names the map in errors.  Each entry is checked,
-    then XORed in, so duplicate entries cancel."""
+    """Packed columns of the degree-`shift` map with (from, to, upower)
+    `entries` on c's generators: bit index[to] of column index[from].
+    `what` names the map in errors.  Each entry is checked, in input
+    order, then XORed in, so duplicate entries cancel."""
     cols = [0] * len(c.generators)
-    degs, slot = c.degrees(), c._slot
+    degs = c.degrees()
     for ent in entries:
         src, tgt, upower = ent
         if src not in c.index or tgt not in c.index:
@@ -147,7 +148,7 @@ def _read_entries(c: "UComplex", entries, shift: int, what: str) -> list[int]:
         if (power := as_int(upower, "u_complex", "upower")) != k:
             raise InputError(f"{what} entry {echo(src)}->{echo(tgt)} must have upower {k}, "
                              f"got {echo(power)}")
-        cols[slot[j]] ^= 1 << slot[i]
+        cols[j] ^= 1 << i
     return cols
 
 
@@ -172,7 +173,7 @@ _SPREAD = [int("0".join(format(b, "b")), 2).to_bytes(2, "little") for b in range
 
 def _spread(x: int) -> int:
     """x with bit r moved to bit 2r, one byte at a time through _SPREAD:
-    the m-slots of the cone's interleaved order (module docstring)."""
+    the m:x places of the cone's interleaved order (module docstring)."""
     if not x:
         return 0
     data = x.to_bytes((x.bit_length() + 7) // 8, "little")
@@ -180,56 +181,53 @@ def _spread(x: int) -> int:
 
 
 def _entry_list(c: "UComplex", cols: list[int], shift: int) -> list[dict]:
-    """The nonzeros of the degree-`shift` map with packed columns `cols` in
-    c's slot order, as entries: column by column, rows within a column,
-    both in generator order."""
-    gens, order = c.generators, c._order
+    """The nonzeros of the degree-`shift` map on c with packed columns
+    `cols`, as entries: column by column, rows within a column, both in
+    c's generator order."""
+    gens = c.generators
     return [
         {"from": gens[j][0], "to": gens[i][0],
          "upower": _forced_power(gens[j][1], gens[i][1], shift)}
-        for j, t in enumerate(c._slot) for i in sorted(order[r] for r in _bits(cols[t]))
+        for j, col in enumerate(cols) for i in _bits(col)
     ]
 
 
 class UComplex:
     """Free graded complex over F[U] with an optional involution iota;
-    entries carry the degree-forced U-power.  The differential and iota
-    are kept as packed columns in slot order (`_order[t]` is the
-    generator in slot t, `_slot` its inverse); `_iota` is None when the
-    complex has no iota."""
+    entries carry the degree-forced U-power.  `generators` falls in
+    degree, ties in input order, and the differential and iota are kept
+    as packed columns on it: bit r of a column is generator r.  `_iota`
+    is None when the complex has no iota."""
 
     def __init__(self, generators, differential, iota=None):
         """Generators (label, degree) and the (from, to, upower) entries of
         the differential and of iota (None: no iota), each checked
-        (InputError), iota's after d^2 = 0.  Slots fall in degree, ties by
-        index."""
+        (InputError), iota's after d^2 = 0.  The generators are checked in
+        input order, then stably sorted by falling degree."""
         gens = [(str(l), as_int(d, "u_complex", "degree")) for l, d in generators]
         if len({l for l, _ in gens}) != len(gens):
             raise InputError("duplicate generator labels")
-        self._setup(gens, sorted(range(len(gens)), key=lambda g: (-gens[g][1], g)))
+        self._setup(sorted(gens, key=lambda g: -g[1]))
         self._cols = _read_entries(self, differential, -1, "differential")
         if any(la._apply(self._cols, col) for col in self._cols):
             raise InputError("differential does not square to zero")
         self._iota = None if iota is None else _read_entries(self, iota, 0, "iota")
 
     @classmethod
-    def _from_columns(cls, generators, order, cols: list[int]) -> "UComplex":
-        """The complex on the checked (label, degree) `generators` whose
-        differential has the packed columns `cols` in the slot order
-        `order`, which the caller has checked: degree -1 support,
-        d^2 = 0, and slots that fall in degree within each parity (module
+    def _from_columns(cls, generators, cols: list[int]) -> "UComplex":
+        """The complex on the checked (label, degree) `generators`, kept
+        in their given order, whose differential has the packed columns
+        `cols`, which the caller has checked: degree -1 support, d^2 = 0,
+        and generators that fall in degree within each parity (module
         docstring).  It has no iota."""
         c = cls.__new__(cls)
-        c._setup(generators, order)
+        c._setup(generators)
         c._cols, c._iota = cols, None
         return c
 
-    def _setup(self, generators, order: list[int]):
+    def _setup(self, generators):
         self.generators = generators
         self.index = {l: g for g, (l, _) in enumerate(generators)}
-        self._order, self._slot = order, [0] * len(order)
-        for t, g in enumerate(order):
-            self._slot[g] = t
         self._reduction = self._normal = None
 
     def degrees(self) -> list[int]:
@@ -262,25 +260,25 @@ class UComplex:
     # -- towers ----------------------------------------------------------
 
     def _reduce(self):
-        """The column reduction of d in slot order: (cols, ops, owner).
-        cols[t] is the reduced column R_t (bit r: slot r), ops[t] the
-        column operations V_t (R_t = d V_t), and owner maps the lowest
-        slot of each nonzero R_t to t (module docstring).  Computed on the
-        first call and kept, since d is fixed at construction."""
+        """The column reduction of d: (cols, ops, owner).  cols[t] is the
+        reduced column R_t (bit r: generator r), ops[t] the column
+        operations V_t (R_t = d V_t), and owner maps the lowest row of
+        each nonzero R_t to t (module docstring).  Computed on the first
+        call and kept, since d is fixed at construction."""
         if self._reduction is None:
             self._reduction = la.reduce_columns(self._cols)
         return self._reduction
 
     def tower_bottoms(self) -> dict[int, int]:
-        """{parity: bottom} of the U-towers: the degrees of the slots of
-        the column reduction that are neither a low (L) nor a nonzero
+        """{parity: bottom} of the U-towers: the degrees of the generators
+        that the column reduction leaves neither a low (L) nor a nonzero
         column (N), see the module docstring."""
         degs = self.degrees()
         cols, _, owner = self._reduce()
         towers = {}
         for parity in (0, 1):
-            bottoms = [degs[g] for t, g in enumerate(self._order)
-                       if not cols[t] and t not in owner and degs[g] % 2 == parity]
+            bottoms = [deg for t, deg in enumerate(degs)
+                       if not cols[t] and t not in owner and deg % 2 == parity]
             if len(bottoms) > 1:
                 raise ModelInvalidError("stabilized rank exceeds 1: multiple towers in one parity")
             if bottoms:
@@ -288,17 +286,17 @@ class UComplex:
         return towers
 
     def normal_form(self):
-        """(P, P^-1, pairs) in slot order: a degree-preserving F[U] change
-        of basis as packed columns, and the slot pairs (low, s) of
-        N = P d P^-1, whose only nonzeros are the 1s at them (module
-        docstring).  Built from the column reduction of d.  P^-1 is upper
-        unitriangular: its column t is e_t plus earlier slots.  So
-        P e_t = e_t + sum of P e_s over those slots s, and P comes column by
-        column, in slot order, by back-substitution.  Computed on the first
-        call and kept, as the reduction is."""
+        """(P, P^-1, pairs): a degree-preserving F[U] change of basis as
+        packed columns, and the generator pairs (low, s) of N = P d P^-1,
+        whose only nonzeros are the 1s at them (module docstring).  Built
+        from the column reduction of d.  P^-1 is upper unitriangular: its
+        column t is e_t plus earlier generators.  So P e_t = e_t + sum of
+        P e_s over those generators s, and P comes column by column, in
+        generator order, by back-substitution.  Computed on the first call
+        and kept, as the reduction is."""
         if self._normal is None:
             cols, ops, owner = self._reduce()
-            p_inv = ops[:]  # column t: V_t, or R_s = d V_s in slot low(s)
+            p_inv = ops[:]  # column t: V_t, or R_s = d V_s in column low(s)
             for low, s in owner.items():
                 p_inv[low] = cols[s]
             p = []
@@ -343,7 +341,7 @@ def _iota_of(c: UComplex) -> list[int]:
 
 def _homotopy_solve(c: UComplex, rhs: list[int]):
     """Solve dH + Hd = rhs for a degree +1 F[U]-map H, both as packed
-    columns in c's slot order; returns H or None.  In the normal form
+    columns on c's generators; returns H or None.  In the normal form
     N = P d P^-1 the equation N H' + H' N = P rhs P^-1 splits into one
     system of at most 4 unknowns per pair of blocks (module docstring).  A
     zero rhs is answered by H = 0 at once, since dH + Hd = 0 for it.  Any
@@ -352,7 +350,7 @@ def _homotopy_solve(c: UComplex, rhs: list[int]):
     h = [0] * n
     if not any(rhs):
         return h
-    degs = [c.generators[g][1] for g in c._order]
+    degs = c.degrees()
     p, p_inv, pairs = c.normal_form()
     target = {s: low for low, s in pairs}  # N x_s = x_low
     source = {low: s for low, s in pairs}
@@ -406,23 +404,20 @@ def one_plus_iota_nullhomotopic(c: UComplex) -> bool:
 
 def cone_iota(c: UComplex) -> UComplex:
     """The mapping cone of Q(1+iota) for c's iota, once it is validated:
-    generators m:x and q:x (degree shifted by -1), differential
-    [[d, 0], [1+iota, d]], built from packed columns in the interleaved
-    slot order (module docstring).  Neither its support nor its square is
+    generators m:x and q:x (degree shifted by -1), interleaved in c's
+    order, and differential [[d, 0], [1+iota, d]], built from packed
+    columns (module docstring).  Neither its support nor its square is
     checked again: mod 2 the square is [[d^2, 0], [iota d + d iota, d^2]],
     whose blocks `UComplex` and `validate_iota` have already found zero."""
     validate_iota(c)
-    n = len(c.generators)
-    gens = [(f"m:{l}", d) for l, d in c.generators]
-    gens += [(f"q:{l}", d - 1) for l, d in c.generators]
-    # slot 2t holds m:x and slot 2t + 1 holds q:x, for x in c's slot t:
+    # m:x is generator 2t and q:x generator 2t + 1, for c's generator t:
     # d m:x = m:dx + q:(1 + iota)x and d q:x = q:dx
-    cols = []
-    for t, (d_t, iota_t) in enumerate(zip(c._cols, c._iota)):
+    gens, cols = [], []
+    for t, ((l, deg), d_t, iota_t) in enumerate(zip(c.generators, c._cols, c._iota)):
+        gens += [(f"m:{l}", deg), (f"q:{l}", deg - 1)]
         m = _spread(d_t)
         cols += [m | _spread(iota_t ^ 1 << t) << 1, m << 1]
-    order = [g + half for g in c._order for half in (0, n)]
-    return UComplex._from_columns(gens, order, cols)
+    return UComplex._from_columns(gens, cols)
 
 
 # ---------------------------------------------------------------------------

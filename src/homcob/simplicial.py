@@ -44,7 +44,7 @@ MAX_CELLS = 1 << 18
 
 
 def _simplex(s) -> Simplex:
-    t = tuple(sorted(int(v) for v in s))
+    t = tuple(sorted(as_int(v, "simplicial", "vertex") for v in s))
     if len(set(t)) != len(t):
         raise InputError(f"simplex with repeated vertices: {echo(s)}")
     if not t:
@@ -61,12 +61,8 @@ class AbstractComplex:
     """A finite abstract simplicial complex: vertex set plus a
     downward-closed set of nonempty simplices."""
 
-    def __init__(self, vertices, simplices, _validated=False):
-        if _validated:
-            self.vertices: tuple[int, ...] = vertices
-            self.simplices: frozenset[Simplex] = simplices
-            return
-        verts = [int(v) for v in vertices]
+    def __init__(self, vertices, simplices):
+        verts = [as_int(v, "simplicial", "vertex") for v in vertices]
         if len(set(verts)) != len(verts):
             raise InputError("duplicate vertices")
         vset = set(verts)
@@ -83,8 +79,15 @@ class AbstractComplex:
         for v in vset:
             if (v,) not in simps:
                 raise InputError(f"vertex {echo(v)} has no singleton simplex")
-        self.vertices = tuple(sorted(vset))
-        self.simplices = frozenset(simps)
+        self.vertices: tuple[int, ...] = tuple(sorted(vset))
+        self.simplices: frozenset[Simplex] = frozenset(simps)
+
+    @classmethod
+    def _built(cls, vertices, simplices) -> "AbstractComplex":
+        """A complex the package built: its checks hold by construction."""
+        k = cls.__new__(cls)
+        k.vertices, k.simplices = vertices, simplices
+        return k
 
     # -- constructors --------------------------------------------------
 
@@ -101,7 +104,7 @@ class AbstractComplex:
         simps = set()
         verts = set()
         for f in chain(([v] for v in vertices or ()), facets):
-            t = _simplex([as_int(v, "simplicial", "vertex") for v in f])
+            t = _simplex(f)
             if len(t) > MAX_FACET_VERTICES:
                 raise InputError(f"facet has {len(t)} vertices, more than {MAX_FACET_VERTICES}")
             verts.update(t)
@@ -110,11 +113,11 @@ class AbstractComplex:
             if len(simps) > MAX_CELLS:
                 raise InputError(f"closure has more than {MAX_CELLS} cells")
         # downward closed by construction, every vertex a singleton
-        return cls(tuple(sorted(verts)), frozenset(simps), _validated=True)
+        return cls._built(tuple(sorted(verts)), frozenset(simps))
 
     @classmethod
     def empty(cls) -> "AbstractComplex":
-        return cls((), frozenset(), _validated=True)
+        return cls._built((), frozenset())
 
     # -- basics --------------------------------------------------------
 
@@ -233,7 +236,7 @@ class AbstractComplex:
             if len(s) > len(t) and tset.issubset(s)
         )
         verts = tuple(sorted(s[0] for s in simps if len(s) == 1))
-        return AbstractComplex(verts, simps, _validated=True)
+        return AbstractComplex._built(verts, simps)
 
 
 # ---------------------------------------------------------------------------

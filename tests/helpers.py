@@ -322,7 +322,7 @@ def link_by_full_scan(k: AbstractComplex, tau) -> AbstractComplex:
         if len(s) > len(t) and tset.issubset(s)
     )
     verts = tuple(sorted(s[0] for s in simps if len(s) == 1))
-    return AbstractComplex(verts, simps, _validated=True)
+    return AbstractComplex._built(verts, simps)
 
 
 def facets_oracle(k: AbstractComplex) -> list:
@@ -822,33 +822,26 @@ def rokhlin_check(report: AbcReport) -> int:
 # involutive inputs
 
 
-def slot_matrix(cols: list[int]) -> np.ndarray:
-    """The 0/1 matrix of the packed columns cols, rows and columns in slot
-    order: entry (r, t) is bit r of cols[t]."""
+def cols_matrix(cols: list[int]) -> np.ndarray:
+    """The 0/1 matrix of the packed columns cols: entry (r, t) is bit r of
+    cols[t]."""
     return la._unpack_rows(cols, len(cols)).T
 
 
-def generator_matrix(c: UComplex, cols: list[int]) -> np.ndarray:
-    """The coefficient matrix, rows and columns in c's generator order, of
-    the map with packed columns cols in c's slot order (generator g in
-    slot c._slot[g])."""
-    return slot_matrix(cols)[np.ix_(c._slot, c._slot)]
-
-
-def slot_columns(c: UComplex, mat) -> list[int]:
-    """The packed columns in c's slot order of the generator-order matrix
-    mat: the inverse of generator_matrix."""
-    return la._pack_rows(la.f2(mat)[np.ix_(c._order, c._order)].T)
+def matrix_cols(mat) -> list[int]:
+    """The packed columns of the square 0/1 matrix mat: the inverse of
+    cols_matrix."""
+    return la._pack_rows(la.f2(mat).T)
 
 
 def d_matrix_of(c: UComplex) -> np.ndarray:
-    """c's differential as a coefficient matrix in generator order."""
-    return generator_matrix(c, c._cols)
+    """c's differential as a coefficient matrix on c.generators."""
+    return cols_matrix(c._cols)
 
 
 def iota_matrix_of(c: UComplex) -> np.ndarray:
-    """c's iota as a coefficient matrix in generator order."""
-    return generator_matrix(c, c._iota)
+    """c's iota as a coefficient matrix on c.generators."""
+    return cols_matrix(c._iota)
 
 
 def _matrix_entries(gens, mat: np.ndarray, shift: int) -> list[tuple]:
@@ -935,7 +928,7 @@ def _tower_and_pairs_with_iota(rng, d_tower, shapes, iota_identity=False, conjug
         dmat = la.f2_mul(la.f2_mul(p, d_matrix_of(c)), pinv)
         iota = la.f2_mul(la.f2_mul(p, iota), pinv)
         assert not la.f2_mul(dmat, dmat).any()
-        return ucomplex_from_matrix(gens, dmat, iota)
+        return ucomplex_from_matrix(c.generators, dmat, iota)
     return with_iota(c, iota)
 
 
@@ -1002,7 +995,7 @@ def random_ucomplex(rng: random.Random, max_towers: int = 4, max_pairs: int = 4)
     p = _random_allowed_automorphism(rng, c)
     d_mat = la.f2_mul(la.f2_mul(p, d_matrix_of(c)), f2_inverse(p))
     assert not la.f2_mul(d_mat, d_mat).any()
-    return ucomplex_from_matrix(gens, d_mat)
+    return ucomplex_from_matrix(c.generators, d_mat)
 
 
 def random_fu_map(rng: random.Random, c: UComplex, shift: int):
@@ -1148,8 +1141,8 @@ def elimination_tower_bottoms(c: UComplex) -> dict[int, int]:
 def falling_degree_tower_bottoms(c: UComplex) -> dict[int, int]:
     """The reference for the cone's interleaved tower read: one column
     reduction of d with every generator in a strict falling-degree order
-    (ties by index), packed from d's generator-order matrix; the
-    unpaired slots sit at the tower bottoms."""
+    (ties by index), packed from d's coefficient matrix; the unpaired
+    generators sit at the tower bottoms."""
     degs = c.degrees()
     order = sorted(range(len(degs)), key=lambda g: (-degs[g], g))
     red, _, owner = la.reduce_columns(la._pack_rows(d_matrix_of(c)[np.ix_(order, order)].T))

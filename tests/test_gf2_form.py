@@ -13,7 +13,7 @@ rows are: it imports no numpy and names none of the numpy converters
 (`f2`, `_pack_rows`, `_unpack_rows`) or `_solve_packed`.  `equivariant`
 holds each finite-part matrix of a tower model as packed rows only, so it
 imports no numpy and names none of the converters either.  `involutive`
-takes every product on packed columns in slot order, so it imports no
+takes every product on packed columns, so it imports no
 numpy and names none of the converters or the dense products (`f2_mul`,
 `f2_eye`, `f2_zeros`).  The one packed product, `_apply`, is defined in
 `f2linalg` alone.  No module imports numpy when it is loaded: only the

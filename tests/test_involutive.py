@@ -27,21 +27,20 @@ from homcob.involutive import (
 from helpers import (
     cone_plus_window,
     cone_rank_bound,
+    cols_matrix,
     connected_sum,
     d_matrix_of,
     dual_ucomplex,
     elimination_tower_bottoms,
     falling_degree_tower_bottoms,
-    generator_matrix,
     homotopic_iota,
     homotopy_solve_oracle,
     iota_localized_identity,
     iota_matrix_of,
+    matrix_cols,
     random_fu_map,
     random_ucomplex,
     random_ucomplex_with_iota,
-    slot_columns,
-    slot_matrix,
     split_dims_law,
     spread_ucomplex_with_iota,
     towers_from_profile,
@@ -90,13 +89,13 @@ def test_forced_power_rule():
 def test_duplicate_entries_cancel():
     c = UComplex([("x", 1), ("y", 0), ("z", 0)], [])
     entries = [("x", "y", 0), ("x", "z", 0), ("x", "y", 0), ("x", "z", 0), ("x", "z", 0)]
-    # slots fall in degree, ties by index: x, y, z sit in slots 0, 1, 2
+    # generators fall in degree, ties in input order: x, y, z are 0, 1, 2
     assert _read_entries(c, entries, -1, "differential") == [1 << 2, 0, 0]
-    assert generator_matrix(c, _read_entries(c, entries, -1, "differential")).tolist() == [
+    assert cols_matrix(_read_entries(c, entries, -1, "differential")).tolist() == [
         [0, 0, 0], [0, 0, 0], [1, 0, 0]]
     assert _read_entries(c, [], 0, "iota") == [0, 0, 0]
     empty = UComplex([], [])
-    assert generator_matrix(empty, _read_entries(empty, [], 0, "iota")).shape == (0, 0)
+    assert cols_matrix(_read_entries(empty, [], 0, "iota")).shape == (0, 0)
     # the same pair listed twice in a differential cancels; d = 0 then
     same = UComplex([("x", 1), ("y", 0)], [("x", "y", 0), ("x", "y", 0)])
     assert not d_matrix_of(same).any() and same.tower_bottoms() == {1: 1, 0: 0}
@@ -104,18 +103,20 @@ def test_duplicate_entries_cancel():
         _read_entries(c, [("x", "y", 0), ("x", "y", 1)], -1, "differential")
 
 
-def test_entry_reader_packs_in_slot_order():
-    # generator g sits in slot slot[g]; an entry from -> to sets bit
-    # slot[to] of column slot[from], and d is unpacked back in generator order
+def test_generators_are_stored_in_falling_degree():
+    # ties keep their input position; an entry from -> to sets bit
+    # index[to] of column index[from]
     c = UComplex([("y", 0), ("w", 2), ("x", 1), ("v", 1)], [("x", "y", 0), ("w", "v", 0)])
-    assert c._order == [1, 2, 3, 0] and c._slot == [3, 0, 1, 2]
+    assert c.generators == [("w", 2), ("x", 1), ("v", 1), ("y", 0)]
+    assert c.index == {"w": 0, "x": 1, "v": 2, "y": 3} and c.degrees() == [2, 1, 1, 0]
     assert c._cols == [1 << 2, 1 << 3, 0, 0]
-    assert d_matrix_of(c).tolist() == [[0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 1, 0, 0]]
+    assert d_matrix_of(c).tolist() == [[0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
+    assert [g["label"] for g in c.to_json()["generators"]] == ["w", "x", "v", "y"]
     with_x_to_v = UComplex(c.generators, [("x", "y", 0), ("w", "v", 0)],
                            [(l, l, 0) for l, _ in c.generators] + [("x", "v", 0)])
     assert with_x_to_v._cols == c._cols and with_x_to_v._iota == [1, 2 | 4, 4, 8]
     want = la.f2_eye(4)
-    want[3, 2] = 1  # x -> v
+    want[2, 1] = 1  # x -> v
     assert (iota_matrix_of(with_x_to_v) == want).all()
 
 
@@ -142,7 +143,7 @@ def test_support_check_is_exact_beyond_int64(big):
                              (0, 3, True), (3, 0, False),  # U^1 and U^-1
                              (1, 0, False), (0, 1, False)]:  # odd differences
             mat = np.eye(4, dtype=np.uint8)
-            mat[tgt, src] = 1
+            mat[c.index[str(tgt)], c.index[str(src)]] = 1
             if ok:
                 assert validate_iota(with_iota(c, mat))
             else:
@@ -285,6 +286,57 @@ def test_json_roundtrip():
     for _ in range(50):
         _assert_json_roundtrip(random_ucomplex_with_iota(rng, max_pairs=4))
     _assert_json_roundtrip(random_ucomplex(rng))
+
+
+def _shuffled(rng, data, keep_ties):
+    """The u_complex input dict data with its generator, differential and
+    iota lists shuffled; with keep_ties, generators of one degree keep
+    their order, so that only the interleaving of the degrees moves."""
+    out = {key: rng.sample(data[key], len(data[key]))
+           for key in ("generators", "differential", "iota") if key in data}
+    if keep_ties:
+        queues = {}
+        for g in data["generators"]:
+            queues.setdefault(g["degree"], []).append(g)
+        out["generators"] = [queues[g["degree"]].pop(0) for g in out["generators"]]
+    return {**data, **out}
+
+
+def test_reports_do_not_depend_on_input_order(tmp_path):
+    # a stable sort by falling degree stores the generators: a shuffle
+    # that keeps ties in order gives the same complex, and any shuffle the
+    # same maps on relabelled generators and the same hfi and v0 reports
+    rng = random.Random(3838)
+    inputs = [fixtures.load(name)[0] for name in fixtures.fixture_names()
+              if fixtures.describe(name) == "u_complex"]
+    for _ in range(40):
+        c = random_ucomplex_with_iota(rng, max_pairs=4)
+        inputs += [c.to_json(), homotopic_iota(rng, c).to_json()]
+
+    def reports(data):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        # the first two lines name the input file and its hash
+        return [cli.run([*argv, str(path)])[0].splitlines()[2:]
+                for argv in (["hfi"], ["v0", "--p", "1"])]
+
+    ties = 0
+    for k, data in enumerate(inputs):
+        base, want = UComplex.from_json(data), reports(data)
+        ties += len(set(base.degrees())) < len(base.generators)
+        for keep_ties in (True, False):
+            shuffled = _shuffled(rng, data, keep_ties)
+            c = UComplex.from_json(shuffled)
+            assert reports(shuffled) == want, (k, keep_ties)
+            if keep_ties:
+                assert c.generators == base.generators, k
+                assert c._cols == base._cols and c._iota == base._iota, k
+            else:
+                assert sorted(c.generators) == sorted(base.generators), k
+                assert c.degrees() == base.degrees(), k
+                for field in ("differential", "iota"):
+                    assert _entry_set(c.to_json()[field]) == _entry_set(base.to_json()[field]), k
+    assert len(inputs) >= 82 and ties >= 40
 
 
 # -- plus flavor ---------------------------------------------------------------
@@ -452,22 +504,22 @@ def test_tower_bottoms_hand_built_ties_and_u0_entries(gens, entries, towers):
 
 def _check_normal_form(cx):
     """The laws of UComplex.normal_form on cx, whose packed columns and
-    pairs are in slot order, checked on their unpacked matrices:
+    pairs index cx's generators, checked on their unpacked matrices:
     P P^-1 = 1, P is what a general solve of P^-1 X = 1 gives, P and P^-1
     are degree-0 F[U]-maps, P d P^-1 is the pairing and nothing else, and
-    the unpaired slots sit at the tower bottoms.  Returns the towers, or
+    the unpaired generators sit at the tower bottoms.  Returns the towers, or
     None when tower_bottoms rejects two towers in one parity."""
     n = len(cx.generators)
-    degs = [cx.degrees()[g] for g in cx._order]
+    degs = cx.degrees()
     p_cols, p_inv_cols, pairs = cx.normal_form()
     assert all(col >> n == 0 for col in p_cols + p_inv_cols)
-    p, p_inv = slot_matrix(p_cols), slot_matrix(p_inv_cols)
+    p, p_inv = cols_matrix(p_cols), cols_matrix(p_inv_cols)
     assert (la.f2_mul(p, p_inv) == la.f2_eye(n)).all()
     assert (p == la.solve_f2(p_inv, la.f2_eye(n))).all()  # back-substitution vs. a solve
     for m in (p, p_inv):
         for i, j in zip(*np.nonzero(m)):
             assert _forced_power(degs[j], degs[i], 0) is not None
-    nf = la.f2_mul(la.f2_mul(p, slot_matrix(cx._cols)), p_inv)
+    nf = la.f2_mul(la.f2_mul(p, cols_matrix(cx._cols)), p_inv)
     assert (nf.sum(axis=0) <= 1).all() and (nf.sum(axis=1) <= 1).all()
     assert sorted(zip(*(ix.tolist() for ix in np.nonzero(nf)))) == sorted(pairs)
     targets, sources = {i for i, _ in pairs}, {j for _, j in pairs}
@@ -617,11 +669,11 @@ def _homotopy_systems(rng, count):
 
 
 def test_homotopy_solve_matches_dense_oracle():
-    # the solve takes and returns packed columns in slot order; the oracle
-    # and the check below work on generator-order matrices
+    # the solve takes and returns packed columns; the oracle and the
+    # check below work on their unpacked matrices
     solved = unsolvable = nontrivial = 0
     for c, rhs in _homotopy_systems(random.Random(2718), 1500):
-        h = _homotopy_solve(c, slot_columns(c, rhs))
+        h = _homotopy_solve(c, matrix_cols(rhs))
         expected = homotopy_solve_oracle(c, rhs)
         assert (h is None) == (expected is None)
         if h is None:
@@ -629,7 +681,7 @@ def test_homotopy_solve_matches_dense_oracle():
             continue
         n = len(c.generators)
         assert len(h) == n and all(col >> n == 0 for col in h)
-        h = generator_matrix(c, h)
+        h = cols_matrix(h)
         solved += 1
         nontrivial += bool(rhs.any())
         d = d_matrix_of(c)
@@ -643,12 +695,12 @@ def test_homotopy_solve_matches_dense_oracle():
 
 def test_homotopy_solve_certifies_h(monkeypatch):
     # d x = y; the only degree +1 entry is H: y -> x, and dH + Hd = 1 for it
-    # (x in slot 0, y in slot 1; packed columns in slot order)
+    # (x is generator 0 and y generator 1)
     c = UComplex([("x", 1), ("y", 0)], [("x", "y", 0)])
     zero, one = [0, 0], [1 << 0, 1 << 1]
     assert _homotopy_solve(c, zero) == [0, 0]
     assert _homotopy_solve(c, one) == [0, 1 << 0]
-    assert generator_matrix(c, _homotopy_solve(c, one)).tolist() == [[0, 1], [0, 0]]
+    assert cols_matrix(_homotopy_solve(c, one)).tolist() == [[0, 1], [0, 0]]
     solve = la._solve_packed
 
     def wrong_block_answers(cols, rhs):  # every unknown of every block flipped
@@ -679,11 +731,11 @@ def _falling_degree_order(c):
     return sorted(range(len(degs)), key=lambda g: (-degs[g], g))
 
 
-def _interleaved_order(c):
-    """The cone's slots: m:x in slot 2t and q:x in slot 2t + 1, for the
-    generator x in slot t of c."""
-    n = len(c.generators)
-    return [g + half for g in _falling_degree_order(c) for half in (0, n)]
+def _interleaved_order(c, cone):
+    """The cone's generators m:x, q:x for each generator x of c, in c's
+    falling-degree order."""
+    return [cone.index[f"{half}:{c.generators[g][0]}"]
+            for g in _falling_degree_order(c) for half in "mq"]
 
 
 def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
@@ -700,10 +752,10 @@ def test_one_hfi_run_reduces_each_complex_once(monkeypatch, tmp_path, capsys):
         assert cli.main(["hfi", str(path)]) == 0
         monkeypatch.setattr(la, "reduce_columns", reduce_columns)
         # d is reduced once in falling-degree order, and the cone's d (read
-        # from its generator-order matrix) once in the interleaved order;
+        # from its coefficient matrix) once in the interleaved order;
         # the other reductions are the homotopy solve's block systems
         cone = cone_iota(c)
-        for x, order in ((c, _falling_degree_order(c)), (cone, _interleaved_order(c))):
+        for x, order in ((c, _falling_degree_order(c)), (cone, _interleaved_order(c, cone))):
             want, n = d_matrix_of(x)[np.ix_(order, order)], len(order)
             # packed columns, unpacked: row t of the unpacked rows is column t
             assert sum(len(cols) == n and all(col >> n == 0 for col in cols)
@@ -875,8 +927,8 @@ def test_spread_moves_bit_r_to_bit_2r():
 
 
 def test_interleaved_cone_read_matches_a_falling_degree_read():
-    """The cone's towers, read in its interleaved slot order, equal the
-    towers of one strict falling-degree reduction of its generator-order
+    """The cone's towers, read in its interleaved order, equal the
+    towers of one strict falling-degree reduction of its coefficient
     matrix: on the cone suites (both orientations), and on the benchmark's
     shape with a pair 50 to 400 degrees away, in both orientations."""
     rng = random.Random(3301)

@@ -101,6 +101,48 @@ def test_validate_rejects_duplicate_vertices():
         AbstractComplex([1, 1], [(1,)])
 
 
+# every door that takes a vertex refuses one that is not an integer, as
+# from_facets does: 1.9 and True are not read as 1, nor "2" as 2
+PATH = AbstractComplex.from_facets([[1, 2], [2, 3]])
+NOT_AN_INTEGER = [1.9, "2", True]
+
+
+@pytest.mark.parametrize("vertex", NOT_AN_INTEGER)
+def test_link_refuses_a_vertex_that_is_not_an_integer(vertex):
+    with pytest.raises(InputError, match="vertex must be an integer"):
+        PATH.link([vertex])
+
+
+@pytest.mark.parametrize("vertex", NOT_AN_INTEGER)
+def test_star_refuses_a_vertex_that_is_not_an_integer(vertex):
+    with pytest.raises(InputError, match="vertex must be an integer"):
+        PATH.star([vertex])
+
+
+@pytest.mark.parametrize("vertex", NOT_AN_INTEGER)
+def test_closure_refuses_a_vertex_that_is_not_an_integer(vertex):
+    with pytest.raises(InputError, match="vertex must be an integer"):
+        PATH.closure([(2,), (vertex,)])
+
+
+@pytest.mark.parametrize("vertex", NOT_AN_INTEGER)
+def test_membership_refuses_a_vertex_that_is_not_an_integer(vertex):
+    with pytest.raises(InputError, match="vertex must be an integer"):
+        [vertex] in PATH  # noqa: B015
+
+
+@pytest.mark.parametrize("vertex", NOT_AN_INTEGER)
+def test_constructor_refuses_a_vertex_that_is_not_an_integer(vertex):
+    # a vertex list and a simplex that int() would have read as 1 and 2
+    other = 1 if vertex == "2" else 2
+    simplices = [(1,), (2,), (1, 2)]
+    with pytest.raises(InputError, match="vertex must be an integer"):
+        AbstractComplex([vertex, other], simplices)
+    with pytest.raises(InputError, match="vertex must be an integer"):
+        AbstractComplex([1, 2], [(1,), (2,), (vertex, other)])
+    assert AbstractComplex([other, 3 - other], simplices).vertices == (1, 2)
+
+
 # -- closure / star / link -------------------------------------------------
 
 
