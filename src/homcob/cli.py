@@ -38,7 +38,7 @@ from .equivariant import (
     delta_invariant,
     localization_check,
 )
-from .errors import HomcobError, InputError, echo
+from .errors import HomcobError, InputError, clip, echo
 from .involutive import (
     UComplex,
     involutive_correction_terms,
@@ -74,8 +74,9 @@ def load_input(path_or_fixture: str) -> tuple[dict, str]:
         try:
             with open(path_or_fixture, "rb") as f:
                 raw = f.read()
-        except OSError as e:
-            raise InputError(f"cannot read {path_or_fixture}: {e}") from e
+        except OSError as e:  # the path, abridged, in the message and in the OS's text
+            name = clip(path_or_fixture)
+            raise InputError(f"cannot read {name}: {OSError(e.errno, e.strerror, name)}") from e
         try:
             data = json.loads(raw.decode("utf-8"))
         except UnicodeDecodeError as e:
@@ -228,7 +229,6 @@ def _delta_rows(args, m):
 
 
 def _hfi_rows(args, c):
-    """The correction terms validate iota before the split test reads it."""
     r = involutive_correction_terms(c)
     return [("d", r.d), ("d_bar", r.d_bar), ("d_under", r.d_under),
             ("split", one_plus_iota_nullhomotopic(c))]
@@ -248,12 +248,17 @@ def _knot_rows(args, v):
             ("corollary_sigma_eq_4arf_plus_4", corollary_predicate(sig, arf_val))]
 
 
+# a usage message is clipped to this, so that its "error: InputError: "
+# line, which may repeat any argument, has at most 200 characters
+_USAGE_LIMIT = 181
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise InputError (exit 1); argparse's own exit code 2
     is the one documented for an invalid model."""
 
     def error(self, message):
-        raise InputError(f"{self.prog}: {message}")
+        raise InputError(clip(f"{self.prog}: {message}", _USAGE_LIMIT))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -109,7 +109,7 @@ def _read_matrix(value, kind: str, field: str, degrees: list[int],
         if not (isinstance(value, _SEQUENCES) and all(isinstance(r, _SEQUENCES) for r in value)):
             raise InputError(f"{field} must be a list of {n} lists")
         lengths = [len(row) for row in value]
-        got = (f"ragged rows of lengths {lengths}" if len(set(lengths)) > 1
+        got = (f"ragged rows of lengths {echo(lengths)}" if len(set(lengths)) > 1
                else (len(lengths), lengths[0] if lengths else 0))
         raise InputError(f"{field} must be {n}x{n}, got {got}")
     rows = [sum(1 << j for j, x in enumerate(row) if x) for row in value]

@@ -1,5 +1,6 @@
 """Error types shared across the package, the integer check that input
-fields go through, and `echo`, which abridges a value an error repeats.
+fields go through, and `echo` and `clip`, which abridge a value an error
+repeats.
 
 The CLI maps these onto exit codes: InputError -> 1, ModelInvalidError -> 2,
 InternalError -> 3.
@@ -33,11 +34,19 @@ class InternalError(HomcobError):
     exit_code = 3
 
 
+def clip(text: str, limit: int = 60) -> str:
+    """text cut to at most `limit` characters, ending in "..." when cut."""
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def echo(value) -> str:
     """A bad input value as an error repeats it: its repr abridged by
-    reprlib, then cut to 60 characters."""
-    text = reprlib.repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
+    reprlib, then clipped to 60 characters.  A value holding an integer
+    past Python's digit limit for str() is named by its type."""
+    try:
+        return clip(reprlib.repr(value))
+    except ValueError:
+        return f"<{type(value).__name__} past Python's integer digit limit>"
 
 
 def as_int(value, kind: str, field: str) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
-from .errors import InputError, ModelInvalidError
+from .errors import InputError, ModelInvalidError, echo
 
 _PACKAGE = "homcob"
 
@@ -44,7 +44,7 @@ def fixture_names() -> list[str]:
 def read_bytes(name: str) -> bytes:
     """The file of the bundled fixture `name`, byte for byte."""
     if name not in NAMES:
-        raise InputError(f"unknown fixture {name!r}; see `homcob fixtures`")
+        raise InputError(f"unknown fixture {echo(name)}; see `homcob fixtures`")
     return resources.files(_PACKAGE).joinpath("data", f"{name}.json").read_bytes()
 
 

@@ -2,7 +2,9 @@
 
 Inputs are finitely generated free graded complexes over F[U] together
 with a grading-preserving chain involution iota, exact up to chain
-homotopy: one `UComplex` holds both, and reads iota after d.  Every
+homotopy: one `UComplex` holds both.  It reads iota after d, and checks
+iota's two laws (`validate_iota`) as soon as iota is read, as it checks
+d^2 = 0: a complex that carries iota satisfies them.  Every
 F[U]-map is stored by the F2 coefficients of its entries, since one rule
 forces its U-powers: an entry j -> i of a degree-s map carries U^k with
 deg i - 2k = deg j + s (k >= 0).  `_forced_power` is the only place that
@@ -72,12 +74,12 @@ their degrees and its Qx sit one lower.  Its differential is
 check of its own.  Its support: the two d blocks keep d's degree -1
 support, and 1 + iota has an entry x -> Qy of degree -1 exactly where
 iota's x -> y has degree 0.  Its square mod 2 is
-[[d^2, 0], [iota d + d iota, d^2]]: d^2 = 0 is checked when C is built
-and iota d = d iota by `validate_iota`.  Hendricks and Manolescu
-("Involutive Heegaard Floer homology", section 5) define the involutive
-complex as this cone with every degree raised by 1, and read d_under + 1
-as the bottom of its tower not in the image of Q, and d_bar as the bottom
-of its tower in the image of Q.  Once U is inverted, 1 + iota acts as 0
+[[d^2, 0], [iota d + d iota, d^2]]: d^2 = 0 and iota d = d iota are
+both checked when C is built, the second by `validate_iota`.  Hendricks
+and Manolescu ("Involutive Heegaard Floer homology", section 5) define
+the involutive complex as this cone with every degree raised by 1, and
+read d_under + 1 as the bottom of its tower not in the image of Q, and
+d_bar as the bottom of its tower in the image of Q.  Once U is inverted, 1 + iota acts as 0
 (iota is the identity on the one tower of C), so the cone has one tower
 in d's parity, carried by the x, and one in the other parity, carried by
 the Qx.  Undoing the shift: d_under = b_main, the cone's tower bottom in
@@ -202,8 +204,9 @@ class UComplex:
     def __init__(self, generators, differential, iota=None):
         """Generators (label, degree) and the (from, to, upower) entries of
         the differential and of iota (None: no iota), each checked
-        (InputError), iota's after d^2 = 0.  The generators are checked in
-        input order, then stably sorted by falling degree."""
+        (InputError), iota's after d^2 = 0; then iota's laws are checked
+        by `validate_iota`.  The generators are checked in input order,
+        then stably sorted by falling degree."""
         gens = [(str(l), as_int(d, "u_complex", "degree")) for l, d in generators]
         if len({l for l, _ in gens}) != len(gens):
             raise InputError("duplicate generator labels")
@@ -212,6 +215,8 @@ class UComplex:
         if any(la._apply(self._cols, col) for col in self._cols):
             raise InputError("differential does not square to zero")
         self._iota = None if iota is None else _read_entries(self, iota, 0, "iota")
+        if self._iota is not None:
+            validate_iota(self)
 
     @classmethod
     def _from_columns(cls, generators, cols: list[int]) -> "UComplex":
@@ -387,8 +392,9 @@ def _homotopy_solve(c: UComplex, rhs: list[int]):
 
 def validate_iota(c: UComplex) -> bool:
     """c's iota is a chain map with iota^2 homotopic to the identity, or
-    InputError.  The entry reader has checked the U-power of every entry
-    of iota."""
+    InputError.  `UComplex` calls it, by this module-level name, as soon
+    as it has read iota's entries, each with its checked U-power; so every
+    complex that carries an iota has passed it."""
     d, i = c._cols, _iota_of(c)
     if any(la._apply(i, d_t) ^ la._apply(d, i_t) for d_t, i_t in zip(d, i)):
         raise InputError("iota is not a chain map")
@@ -403,17 +409,16 @@ def one_plus_iota_nullhomotopic(c: UComplex) -> bool:
 
 
 def cone_iota(c: UComplex) -> UComplex:
-    """The mapping cone of Q(1+iota) for c's iota, once it is validated:
-    generators m:x and q:x (degree shifted by -1), interleaved in c's
-    order, and differential [[d, 0], [1+iota, d]], built from packed
-    columns (module docstring).  Neither its support nor its square is
-    checked again: mod 2 the square is [[d^2, 0], [iota d + d iota, d^2]],
-    whose blocks `UComplex` and `validate_iota` have already found zero."""
-    validate_iota(c)
+    """The mapping cone of Q(1+iota) for c's iota: generators m:x and q:x
+    (degree shifted by -1), interleaved in c's order, and differential
+    [[d, 0], [1+iota, d]], built from packed columns (module docstring).
+    Neither its support nor its square is checked again: mod 2 the square
+    is [[d^2, 0], [iota d + d iota, d^2]], whose blocks `UComplex` found
+    zero when it built c."""
     # m:x is generator 2t and q:x generator 2t + 1, for c's generator t:
     # d m:x = m:dx + q:(1 + iota)x and d q:x = q:dx
     gens, cols = [], []
-    for t, ((l, deg), d_t, iota_t) in enumerate(zip(c.generators, c._cols, c._iota)):
+    for t, ((l, deg), d_t, iota_t) in enumerate(zip(c.generators, c._cols, _iota_of(c))):
         gens += [(f"m:{l}", deg), (f"q:{l}", deg - 1)]
         m = _spread(d_t)
         cols += [m | _spread(iota_t ^ 1 << t) << 1, m << 1]
@@ -447,8 +452,7 @@ class InvolutiveReport:
 def involutive_correction_terms(c: UComplex) -> InvolutiveReport:
     """d, d_bar, d_under of c with its iota, read from the two towers of
     their cone by definition (module docstring); the split case is a
-    special case.  iota is validated first (by `cone_iota`), then d is
-    read."""
+    special case.  A c without iota is refused before d is read."""
     cone = cone_iota(c)
     d = d_invariant(c)
     towers = cone.tower_bottoms()
@@ -472,6 +476,7 @@ def v0_triple(p: int, report: InvolutiveReport):
     established for p at least the Seifert genus of the knot, and
     conjectural below it.
     """
+    p = as_int(p, "v0", "surgery coefficient p")
     if p <= 0:
         raise InputError("surgery coefficient p must be a positive integer")
     base = Fraction(p - 1, 8)

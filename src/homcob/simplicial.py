@@ -257,7 +257,7 @@ def join(k1: AbstractComplex, k2: AbstractComplex) -> AbstractComplex:
         for s2 in simps2:
             simps.add(tuple(sorted(s1 + s2)))
     verts = list(k1.vertices) + [relabel[v] for v in k2.vertices]
-    return AbstractComplex(sorted(verts), simps)
+    return AbstractComplex._built(tuple(sorted(verts)), frozenset(simps))
 
 
 def cone(k: AbstractComplex) -> AbstractComplex:
@@ -423,11 +423,11 @@ def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
 
     ring "Z": list of HomologyGroup per dimension.
     ring "F2": list of GF(2) dimensions per dimension.
-    Both rings first shrink the augmented complex (`_coreduce`) and then
-    take a Smith normal form (Z) of what is left of each boundary, or a
-    GF(2) rank (F2) of its odd entries, packed into ints straight from the
-    sparse rows; that gives reduced homology, and H_0 gains a Z unless
-    `reduced`.
+    Both rings first shrink the augmented complex (`_coreduce`) and
+    restrict each boundary to the cells it keeps, once; then Z takes a
+    Smith normal form of each restriction, and F2 a GF(2) rank of its odd
+    entries, packed by `_odd_bits` as the coboundaries are.  That gives
+    reduced homology, and H_0 gains a Z unless `reduced`.
     """
     if ring not in ("Z", "F2"):
         raise InputError(f"unsupported coefficient ring {ring!r}")
@@ -442,14 +442,10 @@ def homology(k: AbstractComplex, ring: str = "Z", reduced: bool = False):
     torsion: list[list[int]] = [[] for _ in range(dim + 2)]
     for d, b in enumerate(cc.boundaries):
         col = {j: t for t, j in enumerate(kept[d + 1])}
-        if ring == "F2":
-            # the odd entries of each kept row, packed (bit t: kept column t)
-            packed = [sum(1 << col[j] for j, x in b.rows[i].items() if x & 1 and j in col)
-                      for i in kept[d]]
-            ranks[d] = len(la.reduce_columns(packed)[2])
-            continue
         rows = [{col[j]: x for j, x in b.rows[i].items() if j in col} for i in kept[d]]
-        if any(rows):
+        if ring == "F2":
+            ranks[d] = len(la.reduce_columns(_odd_bits(rows))[2])
+        elif any(rows):
             diag = la.smith_normal_form(la.IntMatrix(rows, (len(rows), len(col))))
             ranks[d] = sum(1 for x in diag if x != 0)
             torsion[d] = sorted(x for x in diag if x > 1)
@@ -498,11 +494,12 @@ class CohomologyClass:
     cochain: int
 
     def __post_init__(self):
+        self.dim = as_int(self.dim, "simplicial", "cohomology degree")
         if self.dim < 0:
-            raise InputError(f"cohomology degree must be non-negative, got {self.dim}")
+            raise InputError(f"cohomology degree must be non-negative, got {echo(self.dim)}")
         cc = ChainComplexZ.of(self.complex)
         n = len(cc.generators[self.dim]) if self.dim < len(cc.generators) else 0
-        if not isinstance(self.cochain, int) or self.cochain < 0 or self.cochain >> n:
+        if type(self.cochain) is not int or self.cochain < 0 or self.cochain >> n:
             raise InputError(
                 f"cochain must be an int with bits only at the {n} {self.dim}-simplices"
             )
@@ -548,8 +545,9 @@ def bockstein_sq1(x: CohomologyClass) -> CohomologyClass:
 
 def cohomology_basis(k: AbstractComplex, d: int) -> list[CohomologyClass]:
     """Representative cocycles spanning H^d(k; F2)."""
+    d = as_int(d, "simplicial", "cohomology degree")
     if d < 0:
-        raise InputError(f"cohomology degree must be non-negative, got {d}")
+        raise InputError(f"cohomology degree must be non-negative, got {echo(d)}")
     cc = ChainComplexZ.of(k)
     red, ops, _ = cc._coboundary(d)
     cocycles = [op for col, op in zip(red, ops) if not col]  # the kernel of delta_d
@@ -573,10 +571,15 @@ class GroupPresentation:
     relators: list[list[int]]
 
     def __post_init__(self):
+        self.ngens = as_int(self.ngens, "presentation", "ngens")
+        if self.ngens < 0:
+            raise InputError(f"a presentation needs ngens >= 0, got {echo(self.ngens)}")
         for w in self.relators:
             for letter in w:
-                if letter == 0 or abs(letter) > self.ngens:
-                    raise InputError(f"relator letter {letter} out of range")
+                # type(), not as_int: pi1 builds a presentation on every call
+                if type(letter) is not int or not 0 < abs(letter) <= self.ngens:
+                    raise InputError(f"relator letter {echo(letter)} is not one of "
+                                     f"+-1, ..., +-{self.ngens}")
 
     def abelianization(self) -> HomologyGroup:
         """Structure of the abelianized group, via SNF of the relator
@@ -594,22 +597,23 @@ class GroupPresentation:
 
 
 def fundamental_group(k: AbstractComplex, basepoint=None) -> GroupPresentation:
-    """Edge-path presentation from the 2-skeleton and a BFS spanning tree.
+    """Edge-path presentation from the 2-skeleton and the breadth-first
+    spanning tree from the basepoint (default: the first vertex).
 
-    Generators are the non-tree edges; each 2-simplex contributes one
-    relator (tree edges are dropped from the words).
+    The basepoint is checked first; one search from it then gives the
+    tree and tells whether the complex is connected.  Generators are the
+    non-tree edges; each 2-simplex contributes one relator (tree edges are
+    dropped from the words).
     """
     if not k.vertices:
         raise InputError("fundamental group of the empty complex")
-    edges = k.simplices_of_dim(1)
-    parent = k._search(k.vertices[0], edges)
-    if len(parent) != len(k.vertices):
-        raise InputError("complex is not connected")
-    base = k.vertices[0] if basepoint is None else int(basepoint)
+    base = k.vertices[0] if basepoint is None else as_int(basepoint, "simplicial", "basepoint")
     if (base,) not in k.simplices:
         raise InputError(f"basepoint {echo(base)} not a vertex")
-    if base != k.vertices[0]:
-        parent = k._search(base, edges)
+    edges = k.simplices_of_dim(1)
+    parent = k._search(base, edges)
+    if len(parent) != len(k.vertices):
+        raise InputError("complex is not connected")
 
     gen_index = {}
     for (u, v) in edges:

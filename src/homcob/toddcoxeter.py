@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, as_int
 
 if TYPE_CHECKING:
     from .simplicial import GroupPresentation
@@ -169,18 +169,21 @@ def _enumerate(p: GroupPresentation, limit: int):
     return cols, fwd
 
 
-def check_coset_limit(limit: int) -> None:
-    """InputError unless 1 <= limit <= MAX_COSETS."""
+def check_coset_limit(limit) -> int:
+    """The integer limit, or InputError unless it is one with
+    1 <= limit <= MAX_COSETS."""
+    limit = as_int(limit, "coset", "limit")
     if limit < 1:
         raise InputError("coset limit must be >= 1")
     if limit > MAX_COSETS:
         raise InputError(f"coset limit must be <= {MAX_COSETS}")
+    return limit
 
 
 def coset_enumeration(p: GroupPresentation, limit: int):
     """Order of the presented group, or "exceeded" when more than `limit`
     cosets would be needed."""
-    check_coset_limit(limit)
+    limit = check_coset_limit(limit)
     try:
         _, fwd = _enumerate(p, limit)
     except _CapHit:

@@ -643,6 +643,51 @@ def test_simplicial_errors_cap_the_value_they_repeat(tmp_path, capsys, argv, dat
     assert capsys.readouterr() == ("", f"error: InputError: {message}\n")
 
 
+LONG = "x" * 5000
+# 3 000 generators and a q of 3 000 rows, of lengths 1 and (the last) 0:
+# the ragged message listed every length
+RAGGED_Q = {"kind": "pin_model", "reducible_degree": 0,
+            "finite": [{"label": f"g{i}", "degree": 2 * i} for i in range(3000)],
+            "q": [[0]] * 2999 + [[]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["abc", "ragged.json"], ["abc", LONG + ".json"], ["abc", f"fixtures:{LONG}"],
+     ["abc", "fixtures:s3", LONG], [LONG, "fixtures:s3"],
+     ["homology", "--ring", LONG, "fixtures:torus7"], ["sq1", "--dim", LONG, "fixtures:torus7"]],
+    ids=["ragged-rows", "cannot-read", "unknown-fixture", "unrecognized-argument",
+         "invalid-command", "invalid-ring", "invalid-int"],
+)
+def test_an_error_line_abridges_a_long_argument_or_input(tmp_path, monkeypatch, capsys, argv):
+    """Each of these lines repeated a whole value, in 5 000 to 10 000
+    characters: now each is one line of at most 200 (argparse's messages
+    are clipped whole, the others abridge the value they repeat)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ragged.json").write_text(json.dumps(RAGGED_Q))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: InputError: ") and err.count("\n") == 1
+    assert len(err) <= 201, err[:300]
+
+
+def test_short_paths_and_values_print_in_full(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["abc", "missing.json"]) == 1
+    assert capsys.readouterr() == ("", "error: InputError: cannot read missing.json: "
+                                   "[Errno 2] No such file or directory: 'missing.json'\n")
+    assert main(["abc", "fixtures:nope"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: InputError: unknown fixture 'nope'; see `homcob fixtures`\n")
+    (tmp_path / "ragged.json").write_text(json.dumps({**_two_generator("pin_model"),
+                                                      "q": [[0, 0], [0]]}))
+    assert main(["abc", "ragged.json"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: InputError: q must be 2x2, got ragged rows of lengths [2, 1]\n")
+    assert main(["homology", "--ring", "Q", "fixtures:torus7"]) == 1
+    assert "argument --ring: invalid choice: 'Q' (choose from " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "vertices, simplices, message",
     [

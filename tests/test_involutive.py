@@ -275,13 +275,13 @@ def test_json_roundtrip():
             data = c.to_json()
             for field in ("differential", "iota"):
                 assert _entry_set(data[field]) == _entry_set(raw[field])
-            # without iota, and with an empty one: iota = 0 is an iota
+            # without iota; an empty one, iota = 0, is refused when it is
+            # read, since iota^2 = 0 is not homotopic to the identity
             bare = UComplex.from_json({k: v for k, v in raw.items() if k != "iota"})
             assert bare._iota is None and "iota" not in bare.to_json()
             _assert_json_roundtrip(bare)
-            zero = UComplex.from_json({**raw, "iota": []})
-            assert zero._iota == [0] * len(c.generators) and zero.to_json()["iota"] == []
-            _assert_json_roundtrip(zero)
+            with pytest.raises(InputError, match="iota\\^2 is not chain homotopic"):
+                UComplex.from_json({**raw, "iota": []})
     rng = random.Random(8080)
     for _ in range(50):
         _assert_json_roundtrip(random_ucomplex_with_iota(rng, max_pairs=4))
@@ -555,9 +555,10 @@ def test_normal_form_laws():
 
 
 def test_hfi_builds_the_normal_form_once_and_not_for_the_cone(monkeypatch):
-    """hfi solves on one complex twice (iota^2 + 1, then 1 + iota): the
-    second solve reuses the first one's P, P^-1 and pairs, and the cone,
-    which only reads its towers, never builds them."""
+    """Reading a complex and running hfi on it solves on it twice (iota^2
+    + 1 when it is read, then 1 + iota): the second solve reuses the first
+    one's P, P^-1 and pairs, and the cone, which only reads its towers,
+    never builds them."""
     built, cones = [], []
     build, cone = UComplex.normal_form, involutive.cone_iota
     monkeypatch.setattr(UComplex, "normal_form",
@@ -567,8 +568,8 @@ def test_hfi_builds_the_normal_form_once_and_not_for_the_cone(monkeypatch):
     twice = 0
     for _ in range(60):
         c = random_ucomplex_with_iota(rng, max_pairs=4)
-        c = homotopic_iota(rng, c)  # iota^2 = 1 only up to homotopy
         built.clear()
+        c = homotopic_iota(rng, c)  # iota^2 = 1 only up to homotopy
         involutive_correction_terms(c)
         one_plus_iota_nullhomotopic(c)
         assert all(owner is c and nf is built[0][1] for owner, nf in built)
@@ -613,9 +614,9 @@ def test_swap_iota_passes():
 
 
 def test_order_three_map_fails_homotopy_check():
-    c = UComplex([("x", 0), ("y", 0)], [], [("x", "y", 0), ("y", "x", 0), ("y", "y", 0)])
-    with pytest.raises(InputError):
-        validate_iota(c)
+    # the constructor runs validate_iota, so no complex carries this iota
+    with pytest.raises(InputError, match="iota\\^2 is not chain homotopic to the identity"):
+        UComplex([("x", 0), ("y", 0)], [], [("x", "y", 0), ("y", "x", 0), ("y", "y", 0)])
 
 
 def test_u_power_iota_entry_unconstructible():
@@ -624,13 +625,61 @@ def test_u_power_iota_entry_unconstructible():
 
 
 def test_non_commuting_iota_rejected():
-    c = UComplex(
-        [("x", 1), ("y", 0), ("z", 1)],
-        [("x", "y", 0)],
-        [("x", "z", 0), ("z", "x", 0), ("y", "y", 0)],
-    )
-    with pytest.raises(InputError):
-        validate_iota(c)
+    with pytest.raises(InputError, match="iota is not a chain map"):
+        UComplex(
+            [("x", 1), ("y", 0), ("z", 1)],
+            [("x", "y", 0)],
+            [("x", "z", 0), ("z", "x", 0), ("y", "y", 0)],
+        )
+
+
+# (generators, differential, iota, message): an iota that is no chain map,
+# the swap of b and e with da = b, and one whose square is not homotopic to
+# the identity, iota = 0
+BAD_IOTAS = [
+    ([("e", 0), ("a", 1), ("b", 0)], [("a", "b", 0)],
+     [("e", "b", 0), ("b", "e", 0), ("a", "a", 0)], "iota is not a chain map"),
+    ([("g", 0)], [], [], "iota^2 is not chain homotopic to the identity"),
+]
+
+
+@pytest.mark.parametrize("gens, diff, iota, message", BAD_IOTAS, ids=["swap-b-e", "zero"])
+def test_a_complex_is_never_built_with_an_iota_that_breaks_its_laws(gens, diff, iota, message):
+    """UComplex and from_json run validate_iota once iota's entries are
+    read, so the split test, the cone and the correction terms never see
+    such an iota; the CLI names the law as before."""
+    with pytest.raises(InputError) as err:
+        UComplex(gens, diff, iota)
+    assert str(err.value) == message
+    data = {"kind": "u_complex",
+            "generators": [{"label": l, "degree": d} for l, d in gens],
+            "differential": [{"from": a, "to": b, "upower": k} for a, b, k in diff],
+            "iota": [{"from": a, "to": b, "upower": k} for a, b, k in iota]}
+    with pytest.raises(InputError) as err:
+        UComplex.from_json(data)
+    assert str(err.value) == message
+    # without iota the complex is built, and the involutive doors name the
+    # missing iota
+    bare = UComplex(gens, diff)
+    for door in (validate_iota, one_plus_iota_nullhomotopic, cone_iota):
+        with pytest.raises(InputError, match="needs an 'iota' field"):
+            door(bare)
+
+
+def test_the_constructor_validates_iota_through_the_module_name(monkeypatch):
+    """UComplex calls validate_iota by its module-level name, once per
+    complex with an iota and never for one without, so a wrapper bound to
+    that name sees every check."""
+    seen = []
+    check = involutive.validate_iota
+    monkeypatch.setattr(involutive, "validate_iota", lambda c: seen.append(c) or check(c))
+    c = sigma237()
+    assert seen == [c]
+    UComplex.from_json({k: v for k, v in fixtures.load("sigma237")[0].items() if k != "iota"})
+    cone_iota(c)
+    involutive_correction_terms(c)
+    one_plus_iota_nullhomotopic(c)
+    assert seen == [c]
 
 
 def test_sigma237_iota_valid_but_not_null():
@@ -872,9 +921,12 @@ def test_cone_rank_bound():
 
 
 def test_cone_requires_valid_iota():
-    c = UComplex([("x", 0), ("y", 0)], [], [("x", "y", 0), ("y", "x", 0), ("y", "y", 0)])
-    with pytest.raises(InputError):
-        cone_iota(c)
+    # an iota that fails its laws is refused before any cone can be built
+    # from it, and a complex without iota has no cone
+    with pytest.raises(InputError, match="iota\\^2 is not chain homotopic"):
+        UComplex([("x", 0), ("y", 0)], [], [("x", "y", 0), ("y", "x", 0), ("y", "y", 0)])
+    with pytest.raises(InputError, match="needs an 'iota' field"):
+        cone_iota(UComplex([("x", 0), ("y", 0)], []))
 
 
 def fixture_models():
@@ -949,12 +1001,13 @@ def test_correction_terms_never_square_the_cone(monkeypatch):
     rng = random.Random(2202)
     models = fixture_models() + [random_ucomplex_with_iota(rng, max_pairs=4) for _ in range(50)]
     # every product is taken by la._apply on packed columns; none of them
-    # applies the cone's differential (2n columns), or any map as large
+    # applies the cone's differential (2n columns), or any map as large,
+    # from reading the complex, which checks iota, to its correction terms
     apply = la._apply
     for c in models:
         sizes = []
         monkeypatch.setattr(la, "_apply", lambda cols, x: sizes.append(len(cols)) or apply(cols, x))
-        involutive_correction_terms(c)
+        involutive_correction_terms(UComplex.from_json(c.to_json()))
         monkeypatch.setattr(la, "_apply", apply)
         assert sizes and max(sizes) <= len(c.generators)
         assert len(cone_iota(c)._cols) == 2 * len(c.generators)
@@ -1137,3 +1190,11 @@ def test_sigma237_d_equals_twice_delta():
     d = d_invariant(sigma237())
     s1 = SOneModel.from_json(fixtures.load("sigma237_s1")[0])
     assert d == 2 * delta_invariant(s1)
+
+
+@pytest.mark.parametrize("p", [True, 1.5, "1"])
+def test_v0_triple_refuses_p_that_is_not_an_integer(p):
+    # True was read as p = 1, and 1.5 raised TypeError
+    r = involutive_correction_terms(sigma237())
+    with pytest.raises(InputError, match="surgery coefficient p must be an integer"):
+        v0_triple(p, r)

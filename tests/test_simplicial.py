@@ -143,6 +143,32 @@ def test_constructor_refuses_a_vertex_that_is_not_an_integer(vertex):
     assert AbstractComplex([other, 3 - other], simplices).vertices == (1, 2)
 
 
+@pytest.mark.parametrize("base", NOT_AN_INTEGER)
+def test_pi1_refuses_a_basepoint_that_is_not_an_integer(base):
+    # int() read 1.9 and True as vertex 1, and "2" as vertex 2
+    with pytest.raises(InputError, match="basepoint must be an integer"):
+        fundamental_group(PATH, base)
+
+
+@pytest.mark.parametrize("d", [1.5, "1", True])
+def test_cohomology_basis_refuses_a_degree_that_is_not_an_integer(d):
+    # 1.5 and "1" raised TypeError, and True was read as 1
+    with pytest.raises(InputError, match="cohomology degree must be an integer"):
+        cohomology_basis(PATH, d)
+
+
+def test_cohomology_class_refuses_a_degree_or_cochain_that_is_not_an_integer():
+    # dim=True was read as 1, dim=1.0 raised TypeError, and cochain=True
+    # passed the type check as the int 1 (a cocycle on a point)
+    point = AbstractComplex.from_facets([[1]])
+    for dim in (True, 1.0, "1"):
+        with pytest.raises(InputError, match="cohomology degree must be an integer"):
+            CohomologyClass(point, dim, 0)
+    with pytest.raises(InputError, match="cochain must be an int"):
+        CohomologyClass(point, 0, True)
+    assert CohomologyClass(point, 0, 1).is_zero_class() is False
+
+
 # -- closure / star / link -------------------------------------------------
 
 
@@ -320,6 +346,22 @@ def test_join_of_two_s0_is_circle():
     assert circle.f_vector() == [4, 4]
     h = homology(circle, "Z")
     assert h[1].free_rank == 1 and not h[1].torsion
+
+
+def test_join_builds_what_the_validating_constructor_builds():
+    """join, and so cone and suspension, build through
+    AbstractComplex._built: the validating constructor accepts the same
+    vertices and simplices and builds an equal complex."""
+    rng = random.Random(3940)
+    fixed = [BDRY_D3, RP2, TORUS7, TRIANGLE_EDGE, AbstractComplex.empty()]
+    joins = [join(a, b) for a in fixed for b in fixed]
+    for _ in range(40):
+        a, b = random_complex(rng, 5), random_complex(rng, 5)
+        joins += [join(a, b), cone(a), suspension(b), suspension(cone(a))]
+    for j in joins:
+        assert type(j.vertices) is tuple and type(j.simplices) is frozenset
+        assert AbstractComplex(j.vertices, j.simplices) == j
+    assert len(joins) >= 160
 
 
 def test_suspension_of_bdry_d3_is_s3():
@@ -863,6 +905,44 @@ def test_pi1_requires_connected():
     k = AbstractComplex.from_facets([[1], [2]])
     with pytest.raises(InputError):
         fundamental_group(k)
+
+
+def test_pi1_names_a_bad_basepoint_before_a_disconnected_complex():
+    k = AbstractComplex.from_facets([[1], [2]])
+    with pytest.raises(InputError, match="basepoint 9 not a vertex"):
+        fundamental_group(k, 9)
+    with pytest.raises(InputError, match="complex is not connected"):
+        fundamental_group(k, 2)
+
+
+# the digest of the presentations below, from every basepoint, as the
+# version that searched from the first vertex and then again from any
+# other basepoint gave them
+PI1_PRESENTATIONS = (108, "421e1557f481d175d93539d0f4c394c7bb6f687fc5aca5292f5999de0acb4391")
+
+
+def test_pi1_searches_once_from_its_basepoint(monkeypatch):
+    """fundamental_group checks the basepoint, then runs one breadth-first
+    search from it, which also tells whether the complex is connected; on
+    every simplicial fixture, its suspension and its cone, from every
+    basepoint, it gives the presentations it gave with two searches."""
+    roots = []
+    search = AbstractComplex._search
+    monkeypatch.setattr(AbstractComplex, "_search",
+                        lambda k, root, edges: roots.append(root) or search(k, root, edges))
+    digest, count = hashlib.sha256(), 0
+    for name in fixtures.fixture_names():
+        if fixtures.describe(name) != "simplicial":
+            continue
+        k = parse_input(fixtures.load(name)[0])
+        for form, x in (("", k), ("S", suspension(k)), ("C", cone(k))):
+            for base in (None, *x.vertices):
+                roots.clear()
+                p = fundamental_group(x, base)
+                assert roots == [x.vertices[0] if base is None else base]
+                digest.update(json.dumps([form + name, base, p.ngens, p.relators]).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == PI1_PRESENTATIONS
 
 
 def test_abelianization_matches_h1_on_fixtures():

@@ -9,7 +9,13 @@ from homcob import fixtures
 from homcob.cli import main, parse_input
 from homcob.errors import InputError
 from homcob.simplicial import GroupPresentation, link_manifold_scan, suspension
-from homcob.toddcoxeter import EXCEEDED, MAX_COSETS, _enumerate, coset_enumeration
+from homcob.toddcoxeter import (
+    EXCEEDED,
+    MAX_COSETS,
+    _enumerate,
+    check_coset_limit,
+    coset_enumeration,
+)
 
 from helpers import (
     coset_enumeration_oracle,
@@ -291,3 +297,38 @@ def test_scan_links_checks_the_limit_up_front(capsys, limit):
     argv = ["scan-links", "--certify-pi1", "--limit", str(limit), "fixtures:boundary_delta4"]
     assert main(argv) == 1
     assert "error: InputError: coset limit must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", [2.5, True, "10"])
+def test_coset_limit_must_be_an_integer(limit):
+    # 2.5 and True passed the range check, and "10" raised TypeError
+    with pytest.raises(InputError, match="limit must be an integer"):
+        check_coset_limit(limit)
+    with pytest.raises(InputError, match="limit must be an integer"):
+        coset_enumeration(GroupPresentation(1, [[1, 1]]), limit)
+    assert check_coset_limit(10) == 10
+
+
+@pytest.mark.parametrize(
+    "ngens, relators, message",
+    [
+        (-1, [], "a presentation needs ngens >= 0, got -1"),
+        (True, [[1]], "malformed presentation input: ngens must be an integer, got True"),
+        (2.0, [], "malformed presentation input: ngens must be an integer, got 2.0"),
+        (1, [[1, 1.0]], "relator letter 1.0 is not one of +-1, ..., +-1"),
+        (1, [[True]], "relator letter True is not one of +-1, ..., +-1"),
+        (2, [[1, -3]], "relator letter -3 is not one of +-1, ..., +-2"),
+        (2, [[0]], "relator letter 0 is not one of +-1, ..., +-2"),
+        (1, [[10 ** 5000]],
+         "relator letter <int past Python's integer digit limit> is not one of +-1, ..., +-1"),
+    ],
+    ids=["negative-ngens", "bool-ngens", "float-ngens", "float-letter", "bool-letter",
+         "letter-past-ngens", "zero-letter", "letter-past-the-digit-limit"],
+)
+def test_presentation_refuses_a_count_or_letter_that_is_not_an_integer(ngens, relators, message):
+    """GroupPresentation reads ngens with as_int and each letter by its
+    type; a letter of 5 000 digits is named without printing it, where its
+    message raised ValueError."""
+    with pytest.raises(InputError) as err:
+        GroupPresentation(ngens, relators)
+    assert str(err.value) == message
